@@ -15,8 +15,8 @@ import numpy as np
 
 from loopexp import (ActivityTable, FactorSpec, bethe_log_partition,
                      conditional_entropy_per_node, exact_log_partition,
-                     sample_bsc, sample_regular_graph, solve_fixed_point,
-                     z_corr_exact)
+                     sample_bsc, sample_regular_graph, scan_correction,
+                     solve_fixed_point)
 
 
 def main():
@@ -38,7 +38,7 @@ def main():
             h_b.append(conditional_entropy_per_node(f_bethe, p))
             h_e.append(conditional_entropy_per_node(f_exact, p))
             table = ActivityTable(graph, spec, msgs)
-            corr.append(np.log(z_corr_exact(graph, table)) / n)
+            corr.append(np.log(scan_correction(graph, table).z_all) / n)
         hb, he = np.mean(h_b), np.mean(h_e)
         print(f"{p:>5.2f} {hb:>12.6f} {he:>12.6f} {he - hb:>12.6f} "
               f"{np.mean(corr):>15.6f}   ({len(h_b)}/{trials} converged)")

@@ -16,7 +16,7 @@ import numpy as np
 
 from loopexp import (ActivityTable, FactorSpec, bethe_log_partition,
                      exact_log_partition, sample_bsc, sample_regular_graph,
-                     scan_correction, solve_fixed_point, z_corr_exact)
+                     scan_correction, solve_fixed_point)
 
 
 def main():
@@ -49,13 +49,12 @@ def main():
     off = solve_fixed_point(graph, spec, max_sweeps=0,
                             init=rng.normal(0.0, 0.3, size=2 * graph.num_edges))
     bethe_off = bethe_log_partition(graph, spec, off)
-    table_off = ActivityTable(graph, spec, off)
-    z_all = z_corr_exact(graph, table_off, variant="all")
-    z_loops = z_corr_exact(graph, table_off, variant="loops")
+    scan_off = scan_correction(graph, ActivityTable(graph, spec, off))
     print("\nsame instance, random (non-fixed-point) messages:")
     print(f"  ln Z - Bethe - ln Z_corr(all) = "
-          f"{log_z - bethe_off.total - np.log(z_all):+.3e}")
-    print(f"  Z_corr(all) - Z_corr(loops)   = {z_all - z_loops:+.3e}")
+          f"{log_z - bethe_off.total - np.log(scan_off.z_all):+.3e}")
+    print(f"  Z_corr(all) - Z_corr(loops)   = "
+          f"{scan_off.z_all - scan_off.z_loops:+.3e}")
 
 
 if __name__ == "__main__":

@@ -13,8 +13,8 @@ import numpy as np
 
 from loopexp import (ActivityTable, FactorSpec, convergence_criterion,
                      enumerate_polymers, mayer_expansion, sample_bsc,
-                     sample_regular_graph, solve_fixed_point, split_report,
-                     z_corr_exact, z_corr_polymer_form)
+                     sample_regular_graph, scan_correction, solve_fixed_point,
+                     split_report, z_corr_polymer_form)
 
 
 def main():
@@ -31,7 +31,7 @@ def main():
     print(f"polymers up to {n} nodes: {len(catalog.polymers)}")
     print(f"largest |activity|: {np.max(np.abs(acts)):.6e}")
 
-    z_loops = z_corr_exact(graph, table, variant="loops")
+    z_loops = scan_correction(graph, table).z_loops
     z_poly = z_corr_polymer_form(catalog, acts)
     print(f"Z_corr as loop sum      = {z_loops:.12f}")
     print(f"Z_corr over polymers    = {z_poly:.12f}   "

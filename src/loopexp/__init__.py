@@ -15,15 +15,14 @@ from .graphs import (CheckGraph, EdgeSubset, ExpansionVerdict, PolymerCatalog,
 from .channel import (ChannelRealization, conditional_entropy_per_node,
                       half_llr_magnitude, read_channel_csv, sample_bsc,
                       write_channel_csv)
-from .model import FactorSpec, SpinConfig, exact_log_partition, factor_value
+from .model import FactorSpec, exact_log_partition, factor_value
 from .bp import (BetheValue, MessageSet, bethe_log_partition, bp_sweep,
                  read_messages_csv, solve_fixed_point, write_messages_csv)
 from .loopseries import (ActivityTable, CorrectionScan, ExpansionReport,
                          MayerExpansion, SplitReport, build_expansion_report,
                          connected_labeled_graphs, convergence_criterion,
-                         large_tail_abs, max_nonloop_activity, mayer_expansion,
-                         node_activity, scan_correction, split_report,
-                         subgraph_activity, z_corr_exact, z_corr_polymer_form)
+                         mayer_expansion, scan_correction, split_report,
+                         z_corr_polymer_form)
 from .bounds import (DegreeProfileVector, ScanResult, activity_bound,
                      activity_bound_violations, expander_activity_bound,
                      exponent_function, loop_profile, mackay_probability_bound,

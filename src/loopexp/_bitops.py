@@ -1,7 +1,8 @@
 """Bit-level helpers for vectorized subset scans.
 
-Edge subsets are encoded as integers: bit e set means edge e is in the subset.
-Scans over all 2^|E| subsets walk uint64 ranges in chunks.
+Subsets are encoded as integers: bit i set means element i is in the subset.
+The exhaustive node-set scan of ``check_edge_expansion`` walks uint64 ranges
+in chunks.
 """
 
 from __future__ import annotations

@@ -35,7 +35,8 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from ._bitops import iter_chunks, popcount
+from ._bitops import popcount
+from ._elim import contract, plan_elimination
 from .bp import MessageSet, bethe_log_partition
 from .exceptions import BudgetError
 from .graphs import CheckGraph, EdgeSubset, PolymerCatalog, enumerate_polymers
@@ -43,13 +44,8 @@ from .model import FactorSpec, exact_log_partition
 
 __all__ = [
     "ActivityTable",
-    "node_activity",
-    "subgraph_activity",
     "CorrectionScan",
     "scan_correction",
-    "z_corr_exact",
-    "max_nonloop_activity",
-    "large_tail_abs",
     "z_corr_polymer_form",
     "connected_labeled_graphs",
     "MayerExpansion",
@@ -147,97 +143,66 @@ class ActivityTable:
         return np.array([self.subgraph_activity(p) for p in catalog.polymers])
 
 
-def node_activity(graph: CheckGraph, spec: FactorSpec, messages: MessageSet,
-                  a: int, edges: Iterable[int]) -> float:
-    """K_a(S) for one node without building the full table."""
-    K = _node_table(graph, spec, messages.eta, a)
-    mask = 0
-    pos = {e: k for k, e in enumerate(graph.adjacency[a])}
-    for e in edges:
-        if e not in pos:
-            raise ValueError(f"edge {e} is not incident to node {a}")
-        mask |= 1 << pos[e]
-    return float(K[mask])
-
-
-def subgraph_activity(table: ActivityTable, subset: EdgeSubset) -> float:
-    return table.subgraph_activity(subset)
-
-
 @dataclass(frozen=True)
 class CorrectionScan:
-    """Exhaustive 2^{|E|} sums of activity products over edge subsets."""
+    """Exact sums of activity products over all 2^{|E|} edge subsets."""
 
     z_all: float            # sum over all subsets (exact Z/Z_Bethe)
     z_loops: float          # restricted to loop subsets (no degree-1 node)
     max_nonloop_abs: float  # largest |K(g)| among non-loop subsets
-    tail_abs: float         # sum of |K(g)| over subsets touching > n/2 nodes
+    tail_abs: float         # sum of |K(g)| over subsets touching >= n/2 nodes
     num_subsets: int
 
 
 def scan_correction(graph: CheckGraph, table: ActivityTable,
-                    max_edges: int = 22, chunk_bits: int = 18) -> CorrectionScan:
+                    max_edges: int = 22) -> CorrectionScan:
+    """All four subset sums, each as one contraction of the K_a network.
+
+    Every output is a bucket elimination over edge-membership variables
+    with a different node tensor: ``K_a`` for ``z_all``; ``K_a`` with its
+    degree-one entries zeroed for ``z_loops``; ``|K_a|`` with a count of
+    touched nodes, saturating at ceil(n/2), for ``tail_abs``; ``|K_a|`` in
+    the (max, x) semiring with an "any degree-one node" flag for
+    ``max_nonloop_abs``.  ``z_all`` never comes from ln Z, so the identity
+    check stays non-circular.  Raises BudgetError above ``max_edges`` edges
+    or when the elimination would build too large a table.
+    """
     E = graph.num_edges
     if E > max_edges:
         raise BudgetError(f"{E} edges exceeds correction scan cap {max_edges}")
-    n = graph.n
-    adjacency = graph.adjacency
-    tables = table.K
-    all_parts, loop_parts, tail_parts = [], [], []
-    max_nonloop = 0.0
-    for configs in iter_chunks(E, chunk_bits):
-        prod = np.ones(configs.shape)
-        any_deg1 = np.zeros(configs.shape, dtype=bool)
-        touched = np.zeros(configs.shape, dtype=np.int64)
-        for a in range(n):
-            m = np.zeros(configs.shape, dtype=np.uint64)
-            for k, e in enumerate(adjacency[a]):
-                m |= ((configs >> np.uint64(e)) & np.uint64(1)) << np.uint64(k)
-            prod *= tables[a][m.astype(np.int64)]
-            degs = popcount(m)
-            any_deg1 |= degs == 1
-            touched += (degs > 0).astype(np.int64)
-        all_parts.append(float(np.sum(prod)))
-        loop_parts.append(float(np.sum(np.where(any_deg1, 0.0, prod))))
-        nonloop_abs = np.abs(np.where(any_deg1, prod, 0.0))
-        max_nonloop = max(max_nonloop, float(np.max(nonloop_abs)))
-        # ties at exactly n/2 count as large, matching the split rule
-        big = 2 * touched >= n
-        tail_parts.append(float(np.sum(np.abs(np.where(big, prod, 0.0)))))
+    # ties at exactly n/2 touched nodes count as large, matching the split
+    # rule: 2 * touched >= n  <=>  touched >= ceil(n/2)
+    half = (graph.n + 1) // 2
+    plan = plan_elimination(graph, payload=half + 1)
+    local_sizes = [popcount(np.arange(len(K), dtype=np.uint64)) for K in table.K]
+    z_all = contract(plan, table.K)
+    z_loops = contract(plan, [np.where(deg == 1, 0.0, K)
+                              for K, deg in zip(table.K, local_sizes)])
+    tail = contract(plan, [_tagged(np.abs(K), deg > 0, half + 1)
+                           for K, deg in zip(table.K, local_sizes)])
+    nonloop = contract(plan, [_tagged(np.abs(K), deg == 1, 2)
+                              for K, deg in zip(table.K, local_sizes)],
+                       maximize=True)
     return CorrectionScan(
-        z_all=math.fsum(all_parts),
-        z_loops=math.fsum(loop_parts),
-        max_nonloop_abs=max_nonloop,
-        tail_abs=math.fsum(tail_parts),
+        z_all=_scaled(z_all, 0),
+        z_loops=_scaled(z_loops, 0),
+        max_nonloop_abs=_scaled(nonloop, 1),
+        tail_abs=_scaled(tail, half),
         num_subsets=1 << E,
     )
 
 
-def z_corr_exact(graph: CheckGraph, table: ActivityTable,
-                 variant: str = "all", max_edges: int = 22) -> float:
-    """Z_corr by exhaustive subset summation.
-
-    variant="all" sums every edge subset (the identity holds at any messages);
-    variant="loops" keeps only loop subsets (equal to "all" at a fixed point,
-    where degree-one activities vanish).
-    """
-    scan = scan_correction(graph, table, max_edges=max_edges)
-    if variant == "all":
-        return scan.z_all
-    if variant == "loops":
-        return scan.z_loops
-    raise ValueError(f"unknown variant {variant!r}")
+def _tagged(values: np.ndarray, tag: np.ndarray, length: int) -> np.ndarray:
+    """Node tensor with payload: ``values`` placed at payload index ``tag``."""
+    out = np.zeros((len(values), length))
+    out[np.arange(len(values)), tag.astype(np.int64)] = values
+    return out
 
 
-def max_nonloop_activity(graph: CheckGraph, table: ActivityTable,
-                         max_edges: int = 22) -> float:
-    return scan_correction(graph, table, max_edges=max_edges).max_nonloop_abs
-
-
-def large_tail_abs(graph: CheckGraph, table: ActivityTable,
-                   max_edges: int = 22) -> float:
-    """sum |K(g)| over edge subsets touching at least n/2 nodes."""
-    return scan_correction(graph, table, max_edges=max_edges).tail_abs
+def _scaled(result: tuple[np.ndarray, float], k: int) -> float:
+    """Payload ``k`` of a ``contract`` result, with its log scale applied."""
+    vals, log_scale = result
+    return float(vals[k]) * math.exp(log_scale)
 
 
 def _disjoint_sum(items: list[tuple[int, float]], start: int, used: int) -> float:

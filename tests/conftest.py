@@ -11,9 +11,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
 
 from loopexp.graphs import CheckGraph, EdgeSubset
-from loopexp.model import factor_value
+from loopexp.model import FactorSpec, factor_value
+
+# Property tests draw the same examples on every run, so tier-1 results are
+# reproducible; the example count keeps the brute-force oracles to seconds.
+settings.register_profile("loopexp", derandomize=True, deadline=None,
+                          max_examples=30, database=None)
+settings.load_profile("loopexp")
 
 # ------------------------------------------------------------------ hosts
 
@@ -56,6 +64,44 @@ def two_k4s():
     edges = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
     edges += [(u + 4, v + 4) for u, v in edges[:6]]
     return CheckGraph(8, 3, edges)
+
+
+# ----------------------------------------------------- hypothesis hosts
+
+
+@st.composite
+def small_hosts(draw, max_nodes=6, max_edges=8):
+    """Irregular hosts from ``CheckGraph.from_edges``: trees, disconnected
+    and edgeless graphs included, small enough for the 2^|E| oracles."""
+    n = draw(st.integers(1, max_nodes))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    num_edges = draw(st.integers(0, min(max_edges, len(pairs))))
+    return CheckGraph.from_edges(n, draw(st.permutations(pairs))[:num_edges])
+
+
+@st.composite
+def factor_specs(draw, graph):
+    """Any of the three factor kinds with random fields on ``graph``."""
+    unit = st.floats(-1.0, 1.0)
+    h = np.array(draw(st.lists(unit, min_size=graph.num_edges,
+                               max_size=graph.num_edges)))
+    kind = draw(st.sampled_from(["cycle-code", "softened-cycle-code",
+                                 "high-temperature"]))
+    if kind == "cycle-code":
+        return FactorSpec.cycle_code(h)
+    if kind == "softened-cycle-code":
+        return FactorSpec.softened(h, draw(st.floats(0.0, 0.9)))
+    J = draw(st.one_of(unit, st.lists(unit, min_size=graph.n,
+                                      max_size=graph.n)))
+    return FactorSpec.high_temperature(h, J)
+
+
+@st.composite
+def arbitrary_messages(draw, graph):
+    """Messages anywhere in a box, not only at a fixed point."""
+    vals = draw(st.lists(st.floats(-1.0, 1.0), min_size=2 * graph.num_edges,
+                         max_size=2 * graph.num_edges))
+    return np.array(vals).reshape(graph.num_edges, 2)
 
 
 # ----------------------------------------------------------------- oracles
@@ -120,6 +166,34 @@ def brute_correction(graph, spec, eta):
                 term *= brute_node_activity(graph, spec, eta, a, local)
         total += term
     return total
+
+
+def brute_scan(graph, spec, eta):
+    """z_loops, tail_abs and max_nonloop_abs by filtering all 2^|E| subsets.
+
+    A subset is a loop when no node has exactly one chosen edge; it is in
+    the tail when it touches at least n/2 nodes.
+    """
+    E = graph.num_edges
+    z_loops = tail_abs = max_nonloop_abs = 0.0
+    for mask in range(1 << E):
+        chosen = [e for e in range(E) if mask >> e & 1]
+        term = 1.0
+        touched = 0
+        degree_one = False
+        for a in range(graph.n):
+            local = [e for e in chosen if e in graph.adjacency[a]]
+            if local:
+                term *= brute_node_activity(graph, spec, eta, a, local)
+                touched += 1
+                degree_one |= len(local) == 1
+        if degree_one:
+            max_nonloop_abs = max(max_nonloop_abs, abs(term))
+        else:
+            z_loops += term
+        if 2 * touched >= graph.n:
+            tail_abs += abs(term)
+    return z_loops, tail_abs, max_nonloop_abs
 
 
 def brute_polymers(graph, node_cap):

@@ -2,9 +2,12 @@ import itertools
 import json
 import logging
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from loopexp.bp import MessageSet, bethe_log_partition, solve_fixed_point
 from loopexp.channel import sample_bsc
@@ -15,13 +18,13 @@ from loopexp.loopseries import (ActivityTable, ExpansionReport,
                                 build_expansion_report,
                                 connected_labeled_graphs,
                                 convergence_criterion, mayer_expansion,
-                                node_activity, scan_correction, split_report,
-                                subgraph_activity, z_corr_exact,
+                                scan_correction, split_report,
                                 z_corr_polymer_form)
 from loopexp.model import FactorSpec
 
-from conftest import (brute_correction, brute_node_activity, incoming,
-                      ratio_message_update)
+from conftest import (arbitrary_messages, brute_correction,
+                      brute_node_activity, brute_scan, factor_specs, incoming,
+                      ratio_message_update, small_hosts)
 
 
 def spec_for(kind, h, eps=0.1, J=0.05):
@@ -62,8 +65,6 @@ class TestNodeActivity:
                     want = brute_node_activity(k4, spec, msgs.eta, a, sub)
                     assert table.node_activity(a, sub) == pytest.approx(
                         want, abs=1e-12)
-                    assert node_activity(k4, spec, msgs, a, sub) == \
-                        pytest.approx(want, abs=1e-12)
 
     def test_zero_field_pair_and_triple(self, k4):
         # even-parity uniform measure: pair correlations vanish, the full
@@ -115,7 +116,6 @@ class TestSubgraphActivity:
             local = [e for e in sub.edge_ids if e in prism.adjacency[a]]
             want *= brute_node_activity(prism, spec, msgs.eta, a, local)
         assert table.subgraph_activity(sub) == pytest.approx(want, rel=1e-12)
-        assert subgraph_activity(table, sub) == table.subgraph_activity(sub)
 
     def test_full_k4_at_zero_field(self, k4):
         table = ActivityTable(k4, FactorSpec.cycle_code(np.zeros(6)),
@@ -153,27 +153,24 @@ class TestCorrectionScan:
         spec = FactorSpec.cycle_code(real.h)
         msgs = solve_fixed_point(prism, spec)
         assert msgs.converged
-        table = ActivityTable(prism, spec, msgs)
-        a = z_corr_exact(prism, table, variant="all")
-        b = z_corr_exact(prism, table, variant="loops")
-        assert abs(a - b) <= 1e-9
-        assert scan_correction(prism, table).max_nonloop_abs <= 1e-10
+        scan = scan_correction(prism, ActivityTable(prism, spec, msgs))
+        assert abs(scan.z_all - scan.z_loops) <= 1e-9
+        assert scan.max_nonloop_abs <= 1e-10
 
     def test_variants_disagree_off_fixed_point(self, prism):
         real = sample_bsc(prism, 0.45, 7)
         spec = FactorSpec.cycle_code(real.h)
         msgs = solve_fixed_point(prism, spec).perturbed(0, 1, 0.1, prism)
-        table = ActivityTable(prism, spec, msgs)
-        a = z_corr_exact(prism, table, variant="all")
-        b = z_corr_exact(prism, table, variant="loops")
-        assert abs(a - b) > 1e-6
-        assert scan_correction(prism, table).max_nonloop_abs > 1e-4
+        scan = scan_correction(prism, ActivityTable(prism, spec, msgs))
+        assert abs(scan.z_all - scan.z_loops) > 1e-6
+        assert scan.max_nonloop_abs > 1e-4
 
     def test_zero_field_values(self, triangle, k4):
         for g, want in ((triangle, 2.0), (k4, 2.0)):
             spec = FactorSpec.cycle_code(np.zeros(g.num_edges))
             table = ActivityTable(g, spec, MessageSet.zeros(g))
-            assert z_corr_exact(g, table) == pytest.approx(want, abs=1e-13)
+            assert scan_correction(g, table).z_all == pytest.approx(
+                want, abs=1e-13)
 
     def test_tail_counts_half_or_more_touched(self, k4):
         spec = FactorSpec.cycle_code(np.zeros(6))
@@ -182,24 +179,41 @@ class TestCorrectionScan:
         # only the full edge set is active; it touches all four nodes
         assert scan.tail_abs == pytest.approx(1.0, abs=1e-13)
 
-    def test_chunking_invariance(self, k4):
-        rng = np.random.default_rng(0)
-        spec = FactorSpec.high_temperature(rng.uniform(-0.3, 0.3, 6), 0.4)
-        msgs = random_messages(k4, 5)
-        table = ActivityTable(k4, spec, msgs)
-        a = scan_correction(k4, table, chunk_bits=2)
-        b = scan_correction(k4, table, chunk_bits=18)
-        assert a.z_all == pytest.approx(b.z_all, abs=1e-12)
-        assert a.z_loops == pytest.approx(b.z_loops, abs=1e-12)
-        assert a.tail_abs == pytest.approx(b.tail_abs, abs=1e-12)
+    @given(st.data())
+    def test_matches_brute_on_small_hosts(self, data):
+        graph = data.draw(small_hosts())
+        spec = data.draw(factor_specs(graph))
+        eta = data.draw(arbitrary_messages(graph))
+        scan = scan_correction(graph, ActivityTable(graph, spec,
+                                                    MessageSet(eta=eta)))
+        z_loops, tail_abs, max_nonloop_abs = brute_scan(graph, spec, eta)
+        assert scan.z_all == pytest.approx(
+            brute_correction(graph, spec, eta), rel=1e-10, abs=1e-12)
+        assert scan.z_loops == pytest.approx(z_loops, rel=1e-10, abs=1e-12)
+        assert scan.tail_abs == pytest.approx(tail_abs, rel=1e-10, abs=1e-12)
+        assert scan.max_nonloop_abs == pytest.approx(max_nonloop_abs,
+                                                     rel=1e-10, abs=1e-12)
+        assert scan.num_subsets == 2 ** graph.num_edges
 
     def test_budget_cap(self, k4):
         table = ActivityTable(k4, FactorSpec.cycle_code(np.zeros(6)),
                               MessageSet.zeros(k4))
         with pytest.raises(BudgetError):
             scan_correction(k4, table, max_edges=5)
-        with pytest.raises(ValueError):
-            z_corr_exact(k4, table, variant="nope")
+
+    def test_width_budget_fails_before_allocating(self):
+        # K_10 passes a raised edge cap, but its elimination width does not
+        k10 = CheckGraph.from_edges(10, itertools.combinations(range(10), 2))
+        table = ActivityTable(k10, FactorSpec.cycle_code(np.zeros(45)),
+                              MessageSet.zeros(k10))
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetError, match="entries"):
+                scan_correction(k10, table, max_edges=45)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 class TestPolymerForm:
@@ -238,7 +252,7 @@ class TestPolymerForm:
             table = ActivityTable(g, spec, msgs)
             cat = enumerate_polymers(g, g.n)
             vals = table.polymer_activities(cat)
-            loops = z_corr_exact(g, table, variant="loops")
+            loops = scan_correction(g, table).z_loops
             assert z_corr_polymer_form(cat, vals) == pytest.approx(
                 loops, abs=1e-10)
 
@@ -372,8 +386,7 @@ class TestSplitReport:
             assert rep.unique_large
             assert rep.reconstructed == pytest.approx(rep.z_polymer_all,
                                                       rel=1e-12)
-            table = ActivityTable(g, spec, msgs)
-            loops = z_corr_exact(g, table, variant="loops")
+            loops = scan_correction(g, ActivityTable(g, spec, msgs)).z_loops
             assert rep.z_polymer_all == pytest.approx(loops, rel=1e-9)
 
     def test_half_size_tie_breaks_uniqueness(self, prism, caplog):
@@ -388,8 +401,7 @@ class TestSplitReport:
             rep = split_report(prism, spec, msgs)
         assert not rep.unique_large
         assert 0 < abs(rep.reconstructed - rep.z_polymer_all) < 1e-4
-        table = ActivityTable(prism, spec, msgs)
-        loops = z_corr_exact(prism, table, variant="loops")
+        loops = scan_correction(prism, ActivityTable(prism, spec, msgs)).z_loops
         assert rep.z_polymer_all == pytest.approx(loops, rel=1e-9)
 
     def test_two_disjoint_large_polymers_flagged(self, two_k4s, caplog):

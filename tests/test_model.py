@@ -1,15 +1,18 @@
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from loopexp.channel import sample_bsc
 from loopexp.exceptions import BudgetError
 from loopexp.graphs import CheckGraph, sample_regular_graph
-from loopexp.model import (KINDS, FactorSpec, SpinConfig, exact_log_partition,
-                           factor_value)
+from loopexp.model import KINDS, FactorSpec, exact_log_partition, factor_value
 
-from conftest import brute_log_z
+from conftest import brute_log_z, factor_specs, small_hosts
 
 
 class TestFactorSpec:
@@ -43,18 +46,6 @@ class TestFactorSpec:
                                                         abs=1e-15)
         couplings = spec.parity_couplings(triangle)
         assert couplings == pytest.approx(np.tanh([0.1, 0.2, 0.3]), abs=1e-15)
-
-
-class TestSpinConfig:
-    def test_round_trip(self):
-        spins = [1.0, -1.0, -1.0, 1.0, -1.0]
-        cfg = SpinConfig.from_spins(spins)
-        assert cfg.bits == 0b10110
-        assert list(cfg.spins()) == spins
-
-    def test_rejects_non_unit_spin(self):
-        with pytest.raises(ValueError):
-            SpinConfig.from_spins([1.0, 0.5])
 
 
 class TestFactorValue:
@@ -132,17 +123,30 @@ class TestExactLogPartition:
             assert exact_log_partition(g, spec) == pytest.approx(
                 dim * math.log(2.0), abs=1e-13)
 
-    def test_chunking_invariance(self, c6):
-        rng = np.random.default_rng(8)
-        spec = FactorSpec.cycle_code(rng.uniform(-0.2, 0.2, 6))
-        a = exact_log_partition(c6, spec, chunk_bits=2)
-        b = exact_log_partition(c6, spec, chunk_bits=18)
-        assert a == pytest.approx(b, abs=1e-14)
+    @given(st.data())
+    def test_matches_bruteforce_on_small_hosts(self, data):
+        graph = data.draw(small_hosts())
+        spec = data.draw(factor_specs(graph))
+        assert exact_log_partition(graph, spec) == pytest.approx(
+            brute_log_z(graph, spec), abs=1e-12)
 
     def test_budget_error(self, k4):
         spec = FactorSpec.cycle_code(np.zeros(6))
         with pytest.raises(BudgetError):
             exact_log_partition(k4, spec, max_edges=5)
+
+    def test_width_budget_fails_before_allocating(self):
+        # K_10 passes a raised edge cap, but its elimination width does not
+        k10 = CheckGraph.from_edges(10, itertools.combinations(range(10), 2))
+        spec = FactorSpec.cycle_code(np.zeros(k10.num_edges))
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetError, match="entries"):
+                exact_log_partition(k10, spec, max_edges=k10.num_edges)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_vanishing_partition_function(self, path3):
         # all-odd-degree demand on a path is unsatisfiable: Z = 0
