@@ -298,6 +298,7 @@ def activity_bound_violations(catalog, activities, h: float,
     Returns (polymer index, |K|, bound) triples; callers log or tabulate them
     (the constants are empirical, so violations are data, not failures).
     """
+    activities = catalog.activity_vector(activities)
     out = []
     for idx, poly in enumerate(catalog.polymers):
         bound = activity_bound(loop_profile(poly), h,

@@ -327,6 +327,8 @@ def cmd_expander_check(args) -> int:
     exhaustive_limit = cfg.get("exhaustive_limit", int, 20)
     subset_samples = cfg.get("subset_samples", int, 20_000)
     out = cfg.get("out", str, "expander-check.csv")
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
     t0 = time.monotonic()
     rows = []
     passed = 0
@@ -340,7 +342,7 @@ def cmd_expander_check(args) -> int:
         passed += ok
         rows.append([s, verdict.mode, _fmt(verdict.is_expander),
                      len(verdict.witness) if verdict.witness else ""])
-    frac = passed / samples if samples else math.nan
+    frac = passed / samples
     meta = _meta("expander-check", cfg, seed, t0)
     meta["pass_fraction"] = repr(frac)
     _write_summary_csv(out, meta,

@@ -324,6 +324,14 @@ class PolymerCatalog:
     def node_bitmasks(self) -> list[int]:
         return [p.node_bitmask() for p in self.polymers]
 
+    def activity_vector(self, activities) -> np.ndarray:
+        """``activities`` as floats, one per polymer, or ValueError."""
+        vals = np.asarray(activities, dtype=np.float64)
+        if vals.shape != (len(self),):
+            raise ValueError(
+                f"{vals.size} activities for {len(self)} polymers")
+        return vals
+
 
 def enumerate_polymers(graph: CheckGraph, node_cap: int,
                        max_polymers: int = 200_000) -> PolymerCatalog:

@@ -35,8 +35,8 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from ._bitops import popcount
-from ._elim import contract, plan_elimination
+from ._bitops import bits_of, popcount
+from ._elim import MAX_ENTRIES, contract, plan_elimination
 from .bp import MessageSet, bethe_log_partition
 from .exceptions import BudgetError
 from .graphs import CheckGraph, EdgeSubset, PolymerCatalog, enumerate_polymers
@@ -205,8 +205,24 @@ def _scaled(result: tuple[np.ndarray, float], k: int) -> float:
     return float(vals[k]) * math.exp(log_scale)
 
 
+def _by_support(catalog: PolymerCatalog, activities) -> dict[int, float]:
+    """Node bitmask -> summed activity of the nonzero-activity polymers on it.
+
+    Exact for the hard-core sum and every Mayer order, since two polymers on
+    one support always conflict; sums of |K| such as the criterion are not.
+    """
+    vals = catalog.activity_vector(activities)
+    weights: dict[int, float] = {}
+    for m, v in zip(catalog.node_bitmasks(), vals):
+        if v != 0.0:
+            weights[m] = weights.get(m, 0.0) + float(v)
+    logger.debug("%d polymers on %d supports",
+                 np.count_nonzero(vals), len(weights))
+    return weights
+
+
 def _disjoint_sum(items: list[tuple[int, float]], start: int, used: int) -> float:
-    """Sum of prod(K) over collections of pairwise node-disjoint polymers."""
+    """Sum of prod(w) over collections of pairwise node-disjoint supports."""
     total = 1.0
     for j in range(start, len(items)):
         m, v = items[j]
@@ -223,11 +239,7 @@ def z_corr_polymer_form(catalog: PolymerCatalog,
     Exact when the catalog covers the host (node_cap >= n); with a smaller
     cap this is the truncation to small polymers.
     """
-    vals = np.asarray(activities, dtype=np.float64)
-    masks = catalog.node_bitmasks()
-    items = [(masks[i], float(vals[i]))
-             for i in range(len(vals)) if vals[i] != 0.0]
-    return _disjoint_sum(items, 0, 0)
+    return _disjoint_sum(list(_by_support(catalog, activities).items()), 0, 0)
 
 
 @lru_cache(maxsize=None)
@@ -280,7 +292,8 @@ class MayerExpansion:
     """
 
     orders: tuple[float, ...]
-    num_polymers: int
+    num_polymers: int   # polymers with nonzero activity
+    num_supports: int   # distinct node sets among them
 
     @property
     def partial_sums(self) -> tuple[float, ...]:
@@ -301,40 +314,36 @@ def mayer_expansion(catalog: PolymerCatalog, activities: np.ndarray,
 
     Order M sums over connected graphs on M labeled cluster slots with signs
     (-1)^{#edges}; each graph's value is an einsum homomorphism count over the
-    polymer intersection matrix with activity vertex weights.  Exact per
-    order; cost grows like (catalog size)^M, so high orders suit small
-    catalogs.
+    intersection matrix of the distinct polymer supports, with summed
+    activities as vertex weights.  Exact per order; cost grows like (number
+    of supports)^M.  BudgetError, before allocating, above ``MAX_ENTRIES``.
     """
     if not 1 <= M_max <= 5:
         raise ValueError("M_max must lie in 1..5")
-    vals = np.asarray(activities, dtype=np.float64)
-    masks = catalog.node_bitmasks()
-    keep = [i for i in range(len(vals)) if vals[i] != 0.0]
-    K = vals[keep]
-    P = len(keep)
-    X = np.zeros((P, P))
-    for i in range(P):
-        mi = masks[keep[i]]
-        for j in range(i, P):
-            if mi & masks[keep[j]]:
-                X[i, j] = X[j, i] = 1.0
+    supports = _by_support(catalog, activities)
+    S = len(supports)
+    if S * S > MAX_ENTRIES:
+        raise BudgetError(f"Mayer matrix of {S}^2 = {S * S:,} entries "
+                          f"exceeds the cap of {MAX_ENTRIES:,}")
+    K = np.fromiter(supports.values(), np.float64, S)
+    pairs = [(i, a) for i, m in enumerate(supports) for a in bits_of(m)]
+    rows, nodes = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+    used, cols = np.unique(nodes, return_inverse=True)
+    A = np.zeros((S, len(used)))  # support x touched-node incidence
+    A[rows, cols] = 1.0
+    X = np.minimum(A @ A.T, 1.0)  # 1 where two supports share a node
     orders = []
     letters = "abcde"
     for M in range(1, M_max + 1):
-        if P == 0:
-            orders.append(0.0)
-            continue
         total = 0.0
         for rep, count in _iso_classes(M):
-            subs = [letters[i] for i in range(M)]
-            ops = [K] * M
-            for u, v in rep:
-                subs.append(letters[u] + letters[v])
-                ops.append(X)
-            hom = float(np.einsum(",".join(subs) + "->", *ops, optimize=True))
+            subs = [*letters[:M], *(letters[u] + letters[v] for u, v in rep)]
+            hom = float(np.einsum(",".join(subs) + "->", *[K] * M,
+                                  *[X] * len(rep), optimize=True))
             total += count * (-1.0) ** len(rep) * hom
         orders.append(total / math.factorial(M))
-    return MayerExpansion(orders=tuple(orders), num_polymers=P)
+    return MayerExpansion(orders=tuple(orders), num_supports=S,
+                          num_polymers=int(np.count_nonzero(activities)))
 
 
 def convergence_criterion(catalog: PolymerCatalog,
@@ -344,13 +353,10 @@ def convergence_criterion(catalog: PolymerCatalog,
     Values below 1 certify absolute convergence of the cluster expansion.
     An empty catalog gives 0.
     """
-    vals = np.abs(np.asarray(activities, dtype=np.float64))
-    weighted = vals * np.exp(catalog.sizes()) if len(vals) else vals
-    sup = 0.0
-    for ids in catalog.per_node:
-        if ids:
-            sup = max(sup, float(np.sum(weighted[list(ids)])))
-    return sup
+    weighted = np.abs(catalog.activity_vector(activities)) * np.exp(
+        catalog.sizes())
+    return max((float(np.sum(weighted[list(ids)]))
+                for ids in catalog.per_node if ids), default=0.0)
 
 
 @dataclass(frozen=True)
@@ -382,42 +388,36 @@ def split_report(graph: CheckGraph, spec: FactorSpec, messages: MessageSet,
         table = ActivityTable(graph, spec, messages)
     if catalog is None:
         catalog = enumerate_polymers(graph, graph.n)
+    if len({(g.n, g.edges) for g in (graph, catalog.host, table.graph)}) > 1:
+        raise ValueError("catalog and table must belong to the host graph")
     vals = table.polymer_activities(catalog)
-    masks = catalog.node_bitmasks()
-    sizes = catalog.sizes()
-    n = graph.n
-    large_ids = [i for i in range(len(vals)) if 2 * int(sizes[i]) >= n]
-    large_set = set(large_ids)
-    small_items = [(masks[i], float(vals[i]))
-                   for i in range(len(vals))
-                   if i not in large_set and vals[i] != 0.0]
-    all_items = [(masks[i], float(vals[i]))
-                 for i in range(len(vals)) if vals[i] != 0.0]
+    large_ids = np.flatnonzero(2 * catalog.sizes() >= graph.n).tolist()
+    supports = _by_support(catalog, vals)
+    small_items = [(m, w) for m, w in supports.items()
+                   if 2 * m.bit_count() < graph.n]
     z_small = _disjoint_sum(small_items, 0, 0)
-    ratios = {}
-    reconstructed = z_small
-    for i in large_ids:
-        cond = _disjoint_sum(small_items, 0, masks[i])
-        ratios[i] = cond / z_small
-        reconstructed += float(vals[i]) * cond
-    tail_abs = float(np.sum(np.abs(vals[large_ids]))) if large_ids else 0.0
-    unique_large = True
-    for i, j in itertools.combinations(large_ids, 2):
-        if not masks[i] & masks[j]:
-            unique_large = False
-            logger.warning(
-                "two node-disjoint large polymers (ids %d, %d); "
-                "single-large-polymer split is not exact here", i, j)
-            break
+    large = {i: catalog.polymers[i].node_bitmask() for i in large_ids}
+    # one id per large support: its polymers share cond and overlap
+    witness = {m: i for i, m in large.items()}
+    cond = {m: _disjoint_sum(small_items, 0, m) for m in witness}
+    ratios = {i: cond[m] / z_small for i, m in large.items()}
+    reconstructed = z_small + sum(w * cond[m] for m, w in supports.items()
+                                  if m in cond)
+    pair = next(((i, j) for (mi, i), (mj, j)
+                 in itertools.combinations(witness.items(), 2)
+                 if not mi & mj), None)
+    if pair is not None:
+        logger.warning("two node-disjoint large polymers (ids %d, %d); "
+                       "single-large-polymer split is not exact here", *pair)
     return SplitReport(
-        n=n,
+        n=graph.n,
         z_small=z_small,
-        tail_abs=tail_abs,
+        tail_abs=float(np.sum(np.abs(vals[large_ids]))),
         large_ids=tuple(large_ids),
         ratios=ratios,
         reconstructed=reconstructed,
-        z_polymer_all=_disjoint_sum(all_items, 0, 0),
-        unique_large=unique_large,
+        z_polymer_all=_disjoint_sum(list(supports.items()), 0, 0),
+        unique_large=pair is None,
         truncated=not catalog.covers_host,
     )
 

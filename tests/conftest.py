@@ -15,6 +15,7 @@ from hypothesis import settings
 from hypothesis import strategies as st
 
 from loopexp.graphs import CheckGraph, EdgeSubset
+from loopexp.loopseries import connected_labeled_graphs
 from loopexp.model import FactorSpec, factor_value
 
 # Property tests draw the same examples on every run, so tier-1 results are
@@ -70,12 +71,13 @@ def two_k4s():
 
 
 @st.composite
-def small_hosts(draw, max_nodes=6, max_edges=8):
+def small_hosts(draw, max_nodes=6, max_edges=8, min_nodes=1, min_edges=0):
     """Irregular hosts from ``CheckGraph.from_edges``: trees, disconnected
     and edgeless graphs included, small enough for the 2^|E| oracles."""
-    n = draw(st.integers(1, max_nodes))
+    n = draw(st.integers(min_nodes, max_nodes))
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    num_edges = draw(st.integers(0, min(max_edges, len(pairs))))
+    top = min(max_edges, len(pairs))
+    num_edges = draw(st.integers(min(min_edges, top), top))
     return CheckGraph.from_edges(n, draw(st.permutations(pairs))[:num_edges])
 
 
@@ -205,6 +207,57 @@ def brute_polymers(graph, node_cap):
         if sub.is_polymer() and sub.size <= node_cap:
             out.append(frozenset(sub.edge_ids))
     return set(out)
+
+
+def brute_polymer_sum(masks, activities, used=0):
+    """Hard-core sum of prod K over pairwise node-disjoint polymers.
+
+    Recurses over polymers one by one, never grouping those on one node
+    support; collections may not touch the nodes in ``used``.
+    """
+    items = [(m, float(v)) for m, v in zip(masks, activities) if v != 0.0]
+
+    def rec(start, taken):
+        total = 1.0
+        for j in range(start, len(items)):
+            m, v = items[j]
+            if not m & taken:
+                total += v * rec(j + 1, taken | m)
+        return total
+
+    return rec(0, used)
+
+
+def dense_mayer_orders(catalog, activities, M_max):
+    """Mayer orders over the dense per-polymer intersection matrix.
+
+    Every connected labeled graph on M slots is summed on its own, with sign
+    (-1)^{#edges}, as an einsum over the P x P matrix built pair by pair.
+    """
+    vals = np.asarray(activities, dtype=np.float64)
+    masks = catalog.node_bitmasks()
+    keep = [i for i in range(len(vals)) if vals[i] != 0.0]
+    K = vals[keep]
+    P = len(keep)
+    X = np.zeros((P, P))
+    for i in range(P):
+        for j in range(i, P):
+            if masks[keep[i]] & masks[keep[j]]:
+                X[i, j] = X[j, i] = 1.0
+    letters = "abcde"
+    orders = []
+    for M in range(1, M_max + 1):
+        total = 0.0
+        for edges in connected_labeled_graphs(M):
+            subs = [letters[i] for i in range(M)]
+            ops = [K] * M
+            for u, v in edges:
+                subs.append(letters[u] + letters[v])
+                ops.append(X)
+            hom = np.einsum(",".join(subs) + "->", *ops, optimize=True)
+            total += (-1.0) ** len(edges) * float(hom)
+        orders.append(total / math.factorial(M))
+    return orders
 
 
 def ratio_message_update(graph, spec, eta, a, c):

@@ -209,6 +209,14 @@ class TestExpanderCheck:
         assert 0.0 <= frac <= 1.0
         assert f"pass_fraction={frac:.4f}" in capsys.readouterr().out
 
+    def test_zero_samples_is_precondition(self, tmp_path, capsys):
+        out = tmp_path / "expander.csv"
+        code = main(["expander-check", "-n", "8", "-d", "3",
+                     "--samples", "0", "-o", str(out)])
+        assert code == 2
+        assert "samples must be at least 1" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestCriterionReport:
     def test_sweep_rows(self, tmp_path, capsys):

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from loopexp.bounds import activity_bound_violations
 from loopexp.bp import MessageSet, bethe_log_partition, solve_fixed_point
 from loopexp.channel import sample_bsc
 from loopexp.exceptions import BudgetError
@@ -23,7 +24,8 @@ from loopexp.loopseries import (ActivityTable, ExpansionReport,
 from loopexp.model import FactorSpec
 
 from conftest import (arbitrary_messages, brute_correction,
-                      brute_node_activity, brute_scan, factor_specs, incoming,
+                      brute_node_activity, brute_polymer_sum, brute_scan,
+                      dense_mayer_orders, factor_specs, incoming,
                       ratio_message_update, small_hosts)
 
 
@@ -350,7 +352,133 @@ class TestConvergenceCriterion:
             2 * one, rel=1e-12)
 
 
+def signed_activities(size):
+    """Activities in [-1, 1], exact zeros included."""
+    return st.lists(st.one_of(st.just(0.0), st.floats(-1.0, 1.0)),
+                    min_size=size, max_size=size).map(np.array)
+
+
+def assert_matches_oracles(cat, vals, M_max):
+    """Grouped Mayer orders and polymer form against the per-polymer
+    oracles, each to 1e-12 of a bound on the size of its terms."""
+    mex = mayer_expansion(cat, vals, M_max=M_max)
+    scale = 1.0 + float(np.sum(np.abs(vals)))  # scale^M bounds order M
+    want = dense_mayer_orders(cat, vals, M_max)
+    for M, (g, w) in enumerate(zip(mex.orders, want), start=1):
+        assert abs(g - w) <= 1e-12 * max(abs(w), scale ** M)
+    masks = cat.node_bitmasks()
+    want = brute_polymer_sum(masks, vals)
+    assert abs(z_corr_polymer_form(cat, vals) - want) <= (
+        1e-12 * brute_polymer_sum(masks, np.abs(vals)))
+    return mex
+
+
+class TestSupportGrouping:
+    """Sums over node supports against the per-polymer oracles."""
+
+    @given(data=st.data())
+    def test_mayer_and_polymer_form_match_dense_oracles(self, data):
+        g = data.draw(small_hosts(min_nodes=4, min_edges=5))
+        cap = data.draw(st.one_of(st.just(g.n), st.integers(0, g.n)))
+        cat = enumerate_polymers(g, cap)
+        vals = data.draw(signed_activities(len(cat)))
+        mex = assert_matches_oracles(cat, vals, 3)
+        masks = cat.node_bitmasks()
+        assert mex.num_polymers == np.count_nonzero(vals)
+        assert mex.num_supports == len({m for m, v in zip(masks, vals) if v})
+
+    @given(vals=signed_activities(14))
+    def test_shared_supports_on_k4(self, vals):
+        k4 = CheckGraph(4, 3, list(itertools.combinations(range(4), 2)))
+        cat = enumerate_polymers(k4, 4)
+        assert len(set(cat.node_bitmasks())) == 5
+        assert_matches_oracles(cat, vals, 4)
+
+    @given(data=st.data())
+    def test_split_report_matches_ungrouped_sums(self, data):
+        g = data.draw(small_hosts(min_nodes=4, min_edges=5))
+        spec = data.draw(factor_specs(g))
+        msgs = MessageSet(eta=data.draw(arbitrary_messages(g)))
+        cat = enumerate_polymers(g, data.draw(st.integers(0, g.n)))
+        rep = split_report(g, spec, msgs, catalog=cat)
+        vals = ActivityTable(g, spec, msgs).polymer_activities(cat)
+        masks = cat.node_bitmasks()
+        large = [i for i, p in enumerate(cat.polymers) if 2 * p.size >= g.n]
+        small = [i for i in range(len(cat)) if i not in large]
+        tol = 1e-12 * brute_polymer_sum(masks, np.abs(vals))
+
+        def small_sum(used=0):
+            return brute_polymer_sum([masks[i] for i in small], vals[small],
+                                     used)
+
+        cond = {i: small_sum(masks[i]) for i in large}
+        assert rep.large_ids == tuple(large)
+        assert abs(rep.z_small - small_sum()) <= tol
+        assert abs(rep.z_polymer_all - brute_polymer_sum(masks, vals)) <= tol
+        assert abs(rep.reconstructed - small_sum()
+                   - sum(vals[i] * cond[i] for i in large)) <= tol
+        assert rep.ratios.keys() == cond.keys()
+        for i in large:
+            assert abs(rep.ratios[i] * rep.z_small - cond[i]) <= tol
+        assert rep.tail_abs == pytest.approx(np.sum(np.abs(vals[large])),
+                                             rel=1e-12, abs=0.0)
+        assert rep.unique_large == all(
+            masks[i] & masks[j] for i, j in itertools.combinations(large, 2))
+
+    def test_criterion_stays_per_polymer(self, k4, caplog):
+        # two opposite activities on the full support cancel in every
+        # grouped sum, but each still counts in the criterion
+        cat = enumerate_polymers(k4, 4)
+        on_full = [i for i, m in enumerate(cat.node_bitmasks()) if m == 0b1111]
+        vals = np.zeros(len(cat))
+        vals[on_full[:2]] = (0.5, -0.5)
+        with caplog.at_level(logging.DEBUG, logger="loopexp.loopseries"):
+            mex = mayer_expansion(cat, vals, M_max=3)
+        assert "2 polymers on 1 supports" in caplog.text
+        assert (mex.num_polymers, mex.num_supports) == (2, 1)
+        assert mex.orders == (0.0, 0.0, 0.0)
+        assert z_corr_polymer_form(cat, vals) == 1.0
+        assert convergence_criterion(cat, vals) == pytest.approx(
+            math.exp(4.0), rel=1e-12)
+
+    def test_mayer_budget_fails_before_allocating(self):
+        # the 4,495 triangles of K_31 lie on as many supports; their dense
+        # intersection matrix would take 160 MB
+        k31 = CheckGraph.from_edges(31, itertools.combinations(range(31), 2))
+        cat = enumerate_polymers(k31, 3)
+        vals = np.ones(len(cat))
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetError, match="entries"):
+                mayer_expansion(cat, vals)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("call", [
+    mayer_expansion, z_corr_polymer_form, convergence_criterion,
+    lambda cat, vals: activity_bound_violations(cat, vals, 0.1)],
+    ids=["mayer", "polymer_form", "criterion", "bound_violations"])
+@pytest.mark.parametrize("delta", [-3, 3])
+def test_rejects_activity_length_mismatch(prism, call, delta):
+    cat = enumerate_polymers(prism, prism.n)
+    with pytest.raises(ValueError, match=f"activities for {len(cat)} polymers"):
+        call(cat, np.full(len(cat) + delta, 0.1))
+
+
 class TestSplitReport:
+    def test_rejects_catalog_or_table_of_another_host(self, k4, prism):
+        spec = FactorSpec.cycle_code(np.zeros(9))
+        msgs = MessageSet.zeros(prism)
+        with pytest.raises(ValueError, match="host graph"):
+            split_report(prism, spec, msgs, catalog=enumerate_polymers(k4, 4))
+        table = ActivityTable(k4, FactorSpec.cycle_code(np.zeros(6)),
+                              MessageSet.zeros(k4))
+        with pytest.raises(ValueError, match="host graph"):
+            split_report(prism, spec, msgs, table=table)
+
     def test_k4_zero_field(self, k4):
         spec = FactorSpec.cycle_code(np.zeros(6))
         rep = split_report(k4, spec, MessageSet.zeros(k4))
