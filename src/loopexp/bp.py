@@ -108,9 +108,21 @@ def _half_fields(graph: CheckGraph, spec: FactorSpec, lay: _Layout) -> np.ndarra
     return hh
 
 
-def _raw_sweep(graph: CheckGraph, spec: FactorSpec, flat: np.ndarray) -> np.ndarray:
+def _sweep_inputs(graph: CheckGraph, spec: FactorSpec, damping: float):
+    """Layout, half fields and parity couplings for sweeps of one model.
+
+    Raises ValueError for a damping outside [0, 1) (1 freezes the messages,
+    larger values overflow) and for fields or couplings of the wrong length.
+    """
+    if not 0.0 <= damping < 1.0:
+        raise ValueError(f"damping must lie in [0, 1), got {damping}")
+    t = spec.parity_couplings(graph)
     lay = _layout(graph)
-    hh = _half_fields(graph, spec, lay)
+    return lay, _half_fields(graph, spec, lay), t
+
+
+def _raw_sweep(lay: _Layout, hh: np.ndarray, t: np.ndarray,
+               flat: np.ndarray) -> np.ndarray:
     eta_ext = np.append(flat, 0.0)
     T = np.tanh(eta_ext[lay.inc] + hh)
     T[lay.pad] = 1.0
@@ -118,7 +130,6 @@ def _raw_sweep(graph: CheckGraph, spec: FactorSpec, flat: np.ndarray) -> np.ndar
     for k in range(lay.dmax):
         cols = [j for j in range(lay.dmax) if j != k]
         loo[:, k] = np.prod(T[:, cols], axis=1) if cols else 1.0
-    t = spec.parity_couplings(graph)
     with np.errstate(invalid="ignore", divide="ignore"):
         upd = hh + np.arctanh(t[:, None] * loo)
     real = ~lay.pad
@@ -136,8 +147,9 @@ def bp_sweep(graph: CheckGraph, spec: FactorSpec, messages: MessageSet,
     Returns the damped, clamped messages with the undamped residual recorded.
     Raises DivergenceError if the raw update is non-finite.
     """
+    inputs = _sweep_inputs(graph, spec, damping)
     flat = messages.flat()
-    raw = _raw_sweep(graph, spec, flat)
+    raw = _raw_sweep(*inputs, flat)
     residual = float(np.max(np.abs(raw - flat))) if flat.size else 0.0
     mixed = (1.0 - damping) * raw + damping * flat
     overflow = bool(messages.overflow or np.any(np.abs(mixed) > clamp))
@@ -156,8 +168,10 @@ def solve_fixed_point(graph: CheckGraph, spec: FactorSpec,
     Convergence means the *undamped* residual dropped to ``tol``; the returned
     messages are the pre-update ones, so one further undamped sweep moves no
     message by more than ``tol``.  Non-convergence and divergence are reported
-    through the flags, never raised.
+    through the flags, never raised; a damping outside [0, 1) raises
+    ValueError.
     """
+    inputs = _sweep_inputs(graph, spec, damping)
     if init is None:
         flat = np.zeros(2 * graph.num_edges)
     elif isinstance(init, MessageSet):
@@ -168,7 +182,7 @@ def solve_fixed_point(graph: CheckGraph, spec: FactorSpec,
     residual = math.inf
     for k in range(1, max_sweeps + 1):
         try:
-            raw = _raw_sweep(graph, spec, flat)
+            raw = _raw_sweep(*inputs, flat)
         except DivergenceError:
             return MessageSet(eta=flat.reshape(-1, 2), sweeps=k,
                               residual=math.inf, converged=False, overflow=True)

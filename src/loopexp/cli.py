@@ -6,6 +6,10 @@ version, the resolved configuration, the master seed, and wall-clock info;
 trials use RNG streams keyed by (master seed, trial index), so reruns with
 the same config and seed reproduce identical scalar results.
 
+Each subcommand declares a parameter once, as a ``(name, conversion,
+default, help)`` entry that gives its flag, config key and default; a flag
+overrides the config file, which overrides the default.
+
 Exit codes: 0 success, 1 usage error, 2 precondition violation,
 3 all trials diverged.
 """
@@ -27,7 +31,7 @@ from . import __version__
 from .bounds import (ALPHA_D_DEFAULT, ALPHA_MID_DEFAULT,
                      activity_bound_violations, scan_exponent)
 from .bp import bethe_log_partition, solve_fixed_point, write_messages_csv
-from .channel import (P_MIN, conditional_entropy_per_node, half_llr_magnitude,
+from .channel import (conditional_entropy_per_node, half_llr_magnitude,
                       sample_bsc)
 from .exceptions import (AllTrialsDivergedError, BudgetError, DivergenceError,
                          PairingError)
@@ -46,6 +50,49 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+def _to_bool(text) -> bool:
+    return text.lower() in ("1", "true", "yes", "on")
+
+
+def _int_list(text) -> list[int]:
+    return [int(tok) for tok in text.split(",") if tok.strip()]
+
+
+def _float_list(text) -> list[float]:
+    return [float(tok) for tok in text.split(",") if tok.strip()]
+
+
+def _kind(*allowed):
+    """Conversion that accepts only ``allowed`` model kinds."""
+    def conv(text):
+        if text not in allowed:
+            raise ValueError(f"unknown model kind {text!r} "
+                             f"(choose from {', '.join(allowed)})")
+        return text
+    conv.choices = allowed
+    return conv
+
+
+_SEED = ("seed", int, 0, "master RNG seed")
+_D = ("d", int, 3, "node degree")
+_EPS = ("eps", float, 0.1, "softening (softened kind)")
+_COUPLING = ("coupling", float, 0.05, "J (high-temperature kind)")
+_FIELD_BOUND = ("field_bound", float, 0.2, "field bound (high-temperature)")
+_EXACT_CAP = ("exact_cap", int, 26, "edge cap of the exact ln Z")
+_SCAN_CAP = ("scan_cap", int, 22, "edge cap of the correction scan")
+_ALPHA_D = ("alpha_d", float, ALPHA_D_DEFAULT, "alpha_d of the bound")
+_ALPHA_MID = ("alpha_mid", float, ALPHA_MID_DEFAULT, "alpha_mid of the bound")
+
+_COMMANDS: dict[str, tuple] = {}   # name -> (function, help, parameter table)
+
+
+def _command(name: str, help: str, *table):
+    def register(func):
+        _COMMANDS[name] = (func, help, table)
+        return func
+    return register
+
+
 def _load_config_file(path) -> dict:
     out = {}
     with open(path) as fh:
@@ -60,47 +107,33 @@ def _load_config_file(path) -> dict:
     return out
 
 
-def _to_bool(text) -> bool:
-    if isinstance(text, bool):
-        return text
-    return str(text).lower() in ("1", "true", "yes", "on")
+def _resolve(args: argparse.Namespace) -> dict:
+    """Flag values override config-file values override table defaults.
 
-
-def _int_list(text) -> list[int]:
-    return [int(tok) for tok in str(text).split(",") if tok.strip()]
-
-
-def _float_list(text) -> list[float]:
-    return [float(tok) for tok in str(text).split(",") if tok.strip()]
-
-
-class Cfg:
-    """Flag values override config-file values override defaults."""
-
-    def __init__(self, args: argparse.Namespace):
-        self.args = args
-        self.file = {}
-        if getattr(args, "config", None):
-            self.file = _load_config_file(args.config)
-        self.resolved = {}
-
-    def get(self, name, conv, default):
-        val = getattr(self.args, name, None)
+    A config key that no subcommand defines is rejected; keys of other
+    subcommands are accepted, so one file can serve several commands.
+    """
+    file = _load_config_file(args.config) if args.config else {}
+    known = {entry[0] for _, _, table in _COMMANDS.values() for entry in table}
+    unknown = sorted(set(file) - known)
+    if unknown:
+        raise ValueError(f"{args.config}: unknown config key(s) "
+                         f"{', '.join(unknown)}")
+    cfg = {}
+    for name, conv, default, _ in args.table:
+        val = getattr(args, name)
         if val is None:
-            raw = self.file.get(name)
-            val = default if raw is None else conv(raw)
-        elif conv in (_int_list, _float_list) and isinstance(val, str):
-            val = conv(val)
-        self.resolved[name] = val
-        return val
+            val = conv(file[name]) if name in file else default
+        cfg[name] = val
+    return cfg
 
 
-def _meta(command: str, cfg: Cfg, master_seed, t0: float) -> dict:
+def _meta(command: str, cfg: dict, master_seed, t0: float) -> dict:
     return {
         "tool_version": __version__,
         "format_version": 1,
         "command": command,
-        "config": dict(sorted(cfg.resolved.items())),
+        "config": dict(sorted(cfg.items())),
         "master_seed": master_seed,
         "wallclock_utc": datetime.now(timezone.utc).isoformat(),
         "duration_s": round(time.monotonic() - t0, 3),
@@ -122,106 +155,106 @@ def _write_summary_csv(path, meta: dict, header: list[str],
                              for v in row])
 
 
-def _fmt(x) -> str:
-    if x is None:
-        return ""
-    if isinstance(x, float):
-        return repr(x)
-    return str(x)
+def _trials(cfg: dict, key: list, kind: str, n: int, graph=None, **solver):
+    """Yield ``(t, graph, spec, params, messages)`` for each trial.
+
+    Trial t samples a d-regular graph from seed ``[*key, t, 0]`` (unless a
+    fixed ``graph`` is given) and its fields from ``[*key, t, 1]``, then
+    solves BP with the ``solver`` keywords.  ``params`` echoes the model
+    parameters of the trial.
+    """
+    for t in range(cfg["trials"]):
+        g = graph if graph is not None else \
+            sample_regular_graph(n, cfg["d"], [*key, t, 0])
+        chan_seed = [*key, t, 1]
+        if kind == "high-temperature":
+            J, bound = cfg["coupling"], cfg["field_bound"]
+            h = np.random.default_rng(chan_seed).uniform(-bound, bound,
+                                                         g.num_edges)
+            spec = FactorSpec.high_temperature(h, J)
+            params = {"J": J, "field_bound": bound}
+        else:
+            params = {"p": cfg["p"]}
+            if kind == "softened-cycle-code":
+                params["eps"] = cfg["eps"]
+            spec = FactorSpec(kind, sample_bsc(g, cfg["p"], chan_seed).h,
+                              eps=params.get("eps", 0.0))
+        yield t, g, spec, params, solve_fixed_point(g, spec, **solver)
 
 
-def _make_instance(kind: str, graph, *, p, eps, coupling, field_bound,
-                   chan_seed):
-    """FactorSpec for one trial plus the per-trial parameter echo."""
-    if kind == "cycle-code":
-        real = sample_bsc(graph, p, chan_seed)
-        return FactorSpec.cycle_code(real.h), {"p": p}
-    if kind == "softened-cycle-code":
-        real = sample_bsc(graph, p, chan_seed)
-        return FactorSpec.softened(real.h, eps), {"p": p, "eps": eps}
-    if kind == "high-temperature":
-        rng = np.random.default_rng(chan_seed)
-        h = rng.uniform(-field_bound, field_bound, graph.num_edges)
-        return (FactorSpec.high_temperature(h, coupling),
-                {"J": coupling, "field_bound": field_bound})
-    raise ValueError(f"unknown model kind {kind!r}")
+def _mean_stderr(vals) -> tuple[float, float]:
+    mean = float(np.mean(vals)) if vals else math.nan
+    stderr = (float(np.std(vals, ddof=1)) / math.sqrt(len(vals))
+              if len(vals) > 1 else math.nan)
+    return mean, stderr
+
+
+def _check_converged(trials: int, converged: int) -> None:
+    """Raise AllTrialsDivergedError if trials were asked and none converged."""
+    if trials and not converged:
+        raise AllTrialsDivergedError("no trial reached a BP fixed point")
 
 
 # ---------------------------------------------------------------- commands
 
 
-def cmd_gen_graph(args) -> int:
-    cfg = Cfg(args)
-    n = cfg.get("n", int, 8)
-    d = cfg.get("d", int, 3)
-    seed = cfg.get("seed", int, 0)
-    out = cfg.get("out", str, "graph.txt")
+@_command("gen-graph", "sample a d-regular graph to a file",
+          ("n", int, 8, "nodes"), _D, _SEED,
+          ("out", str, "graph.txt", "output path"))
+def cmd_gen_graph(cfg: dict) -> int:
     t0 = time.monotonic()
-    g = sample_regular_graph(n, d, seed)
-    write_graph(g, out)
-    meta = _meta("gen-graph", cfg, seed, t0)
+    g = sample_regular_graph(cfg["n"], cfg["d"], cfg["seed"])
+    write_graph(g, cfg["out"])
+    meta = _meta("gen-graph", cfg, cfg["seed"], t0)
     print(json.dumps({**meta, "n": g.n, "d": g.d, "num_edges": g.num_edges,
-                      "components": len(g.components()), "path": str(out)}))
+                      "components": len(g.components()), "path": cfg["out"]}))
     return 0
 
 
-def cmd_verify_identity(args) -> int:
-    cfg = Cfg(args)
-    n = cfg.get("n", int, 8)
-    d = cfg.get("d", int, 3)
-    model = cfg.get("model", str, "cycle-code")
-    p = cfg.get("p", float, 0.45)
-    eps = cfg.get("eps", float, 0.1)
-    coupling = cfg.get("coupling", float, 0.05)
-    field_bound = cfg.get("field_bound", float, 0.2)
-    trials = cfg.get("trials", int, 10)
-    seed = cfg.get("seed", int, 0)
-    tol = cfg.get("tol", float, 1e-12)
-    damping = cfg.get("damping", float, 0.5)
-    max_sweeps = cfg.get("max_sweeps", int, 10_000)
-    exact_cap = cfg.get("exact_cap", int, 26)
-    scan_cap = cfg.get("scan_cap", int, 22)
-    node_cap = cfg.get("node_cap", int, 0)
-    mayer_max = cfg.get("mayer_max", int, 3)
-    out_dir = Path(cfg.get("out_dir", str, "loopexp-verify"))
-    graph_file = cfg.get("graph", str, "")
-    save_messages = cfg.get("save_messages", _to_bool, False)
-    if model not in KINDS:
-        raise ValueError(f"unknown model kind {model!r}")
+@_command("verify-identity", "check ln Z = Bethe + ln Z_corr per trial",
+          ("n", int, 8, "nodes"), _D,
+          ("model", _kind(*KINDS), "cycle-code", "model kind"),
+          ("p", float, 0.45, "BSC flip probability"), _EPS, _COUPLING,
+          _FIELD_BOUND, ("trials", int, 10, "number of trials"), _SEED,
+          ("tol", float, 1e-12, "BP residual tolerance"),
+          ("damping", float, 0.5, "BP damping in [0, 1)"),
+          ("max_sweeps", int, 10_000, "BP sweep limit"), _EXACT_CAP, _SCAN_CAP,
+          ("node_cap", int, 0, "polymer node cap; 0 = n"),
+          ("mayer_max", int, 3, "highest Mayer order"),
+          ("out_dir", str, "loopexp-verify", "output directory"),
+          ("graph", str, "", "fixed graph file instead of sampling"),
+          ("save_messages", _to_bool, False,
+           "write fixed-point message CSVs next to reports"))
+def cmd_verify_identity(cfg: dict) -> int:
+    seed, trials = cfg["seed"], cfg["trials"]
     t0 = time.monotonic()
+    out_dir = Path(cfg["out_dir"])
     reports_dir = out_dir / "reports"
     reports_dir.mkdir(parents=True, exist_ok=True)
-    fixed_graph = read_graph(graph_file) if graph_file else None
+    fixed = read_graph(cfg["graph"]) if cfg["graph"] else None
     rows = []
     excluded = 0
     max_residual = 0.0
-    for t in range(trials):
-        g = fixed_graph if fixed_graph is not None else \
-            sample_regular_graph(n, d, [seed, t, 0])
-        spec, params = _make_instance(model, g, p=p, eps=eps,
-                                      coupling=coupling,
-                                      field_bound=field_bound,
-                                      chan_seed=[seed, t, 1])
-        msgs = solve_fixed_point(g, spec, tol=tol, damping=damping,
-                                 max_sweeps=max_sweeps)
+    for t, g, spec, params, msgs in _trials(
+            cfg, [seed], cfg["model"], cfg["n"], fixed, tol=cfg["tol"],
+            damping=cfg["damping"], max_sweeps=cfg["max_sweeps"]):
         report = build_expansion_report(
-            g, spec, msgs, exact_cap=exact_cap, scan_cap=scan_cap,
-            node_cap=node_cap or None, mayer_max=mayer_max,
+            g, spec, msgs, exact_cap=cfg["exact_cap"],
+            scan_cap=cfg["scan_cap"], node_cap=cfg["node_cap"] or None,
+            mayer_max=cfg["mayer_max"],
             params={**params, "trial": t, "master_seed": seed,
                     "graph_seed": [seed, t, 0], "channel_seed": [seed, t, 1]})
         report.save_json(reports_dir / f"trial_{t:04d}.json")
-        if save_messages:
+        if cfg["save_messages"]:
             write_messages_csv(g, msgs, reports_dir / f"messages_{t:04d}.csv")
         residual = report.identity_residual()
         if msgs.converged and residual is not None:
             max_residual = max(max_residual, residual)
         else:
             excluded += 1
-        rows.append([t, int(msgs.converged), msgs.sweeps,
-                     _fmt(msgs.residual), _fmt(report.exact_log_z),
-                     _fmt(report.bethe_total), _fmt(report.z_corr_all),
-                     _fmt(report.ln_z_corr()), _fmt(residual),
-                     _fmt(report.criterion)])
+        rows.append([t, int(msgs.converged), msgs.sweeps, msgs.residual,
+                     report.exact_log_z, report.bethe_total, report.z_corr_all,
+                     report.ln_z_corr(), residual, report.criterion])
     meta = _meta("verify-identity", cfg, seed, t0)
     meta["excluded_not_converged"] = excluded
     _write_summary_csv(out_dir / "summary.csv", meta,
@@ -232,218 +265,173 @@ def cmd_verify_identity(args) -> int:
     print(f"trials={trials} converged={trials - excluded} "
           f"excluded={excluded} max_identity_residual={max_residual:.3e}")
     print(f"reports in {reports_dir}, summary in {out_dir / 'summary.csv'}")
-    if trials and excluded == trials:
-        raise AllTrialsDivergedError("no trial reached a BP fixed point")
+    _check_converged(trials, trials - excluded)
     return 0
 
 
-def cmd_correction_decay(args) -> int:
-    cfg = Cfg(args)
-    n_list = cfg.get("n_list", _int_list, [4, 6, 8, 10, 12])
-    d = cfg.get("d", int, 3)
-    model = cfg.get("model", str, "both")
-    p = cfg.get("p", float, 0.48)
-    coupling = cfg.get("coupling", float, 0.05)
-    field_bound = cfg.get("field_bound", float, 0.2)
-    eps = cfg.get("eps", float, 0.1)
-    trials = cfg.get("trials", int, 50)
-    seed = cfg.get("seed", int, 0)
-    scan_cap = cfg.get("scan_cap", int, 22)
-    out = cfg.get("out", str, "correction-decay.csv")
-    kinds = list(KINDS[:1]) + [KINDS[2]] if model == "both" else [model]
-    for kind in kinds:
-        if kind not in KINDS:
-            raise ValueError(f"unknown model kind {kind!r}")
+@_command("correction-decay", "mean |ln Z_corr|/n versus n",
+          ("n_list", _int_list, [4, 6, 8, 10, 12], "comma list of sizes"), _D,
+          ("model", _kind("both", *KINDS), "both",
+           "model kind; both = cycle-code and high-temperature"),
+          ("p", float, 0.48, "BSC flip probability"), _COUPLING,
+          _FIELD_BOUND, _EPS, ("trials", int, 50, "trials per size"), _SEED,
+          _SCAN_CAP, ("out", str, "correction-decay.csv", "output CSV"))
+def cmd_correction_decay(cfg: dict) -> int:
+    seed, trials, model = cfg["seed"], cfg["trials"], cfg["model"]
+    kinds = [KINDS[0], KINDS[2]] if model == "both" else [model]
     t0 = time.monotonic()
     rows = []
     total_converged = 0
     for kind in kinds:
-        for n in n_list:
+        for n in cfg["n_list"]:
             vals = []
-            excluded = 0
-            for t in range(trials):
-                g = sample_regular_graph(n, d, [seed, n, t, 0])
-                spec, _ = _make_instance(kind, g, p=p, eps=eps,
-                                         coupling=coupling,
-                                         field_bound=field_bound,
-                                         chan_seed=[seed, n, t, 1])
-                msgs = solve_fixed_point(g, spec)
+            for _, g, spec, _, msgs in _trials(cfg, [seed, n], kind, n):
                 if not msgs.converged:
-                    excluded += 1
                     continue
                 table = ActivityTable(g, spec, msgs)
-                z = scan_correction(g, table, max_edges=scan_cap).z_all
-                if z <= 0:
-                    excluded += 1
-                    continue
-                vals.append(abs(math.log(z)) / n)
+                z = scan_correction(g, table, max_edges=cfg["scan_cap"]).z_all
+                if z > 0:
+                    vals.append(abs(math.log(z)) / n)
             total_converged += len(vals)
-            mean = float(np.mean(vals)) if vals else math.nan
-            stderr = (float(np.std(vals, ddof=1)) / math.sqrt(len(vals))
-                      if len(vals) > 1 else math.nan)
-            rows.append([kind, n, trials, len(vals), excluded, mean, stderr])
+            rows.append([kind, n, trials, len(vals), trials - len(vals),
+                         *_mean_stderr(vals)])
     meta = _meta("correction-decay", cfg, seed, t0)
-    _write_summary_csv(out, meta,
+    _write_summary_csv(cfg["out"], meta,
                        ["model", "n", "trials", "converged", "excluded",
                         "mean_abs_f_corr", "stderr"],
                        rows)
     for row in rows:
         print(f"model={row[0]} n={row[1]} mean|f_corr|={row[5]:.6g} "
-              f"stderr={_fmt(row[6])}")
-    print(f"table in {out}")
-    if trials and total_converged == 0:
-        raise AllTrialsDivergedError("no trial reached a BP fixed point")
+              f"stderr={row[6]}")
+    print(f"table in {cfg['out']}")
+    _check_converged(trials, total_converged)
     return 0
 
 
-def cmd_exponent_scan(args) -> int:
-    cfg = Cfg(args)
-    d = cfg.get("d", int, 3)
-    h = cfg.get("h", float, 0.1)
-    step = cfg.get("step", float, 0.01)
-    n = cfg.get("n", int, 0)
-    alpha_d = cfg.get("alpha_d", float, ALPHA_D_DEFAULT)
-    alpha_mid = cfg.get("alpha_mid", float, ALPHA_MID_DEFAULT)
-    out = cfg.get("out", str, "exponent-surface.csv")
+@_command("exponent-scan", "grid scan of the large-n exponent over Delta",
+          _D, ("h", float, 0.1, "field magnitude"),
+          ("step", float, 0.01, "grid step"),
+          ("n", int, 0, "finite size; 0 = large-n limit"), _ALPHA_D,
+          _ALPHA_MID, ("out", str, "exponent-surface.csv", "output CSV"))
+def cmd_exponent_scan(cfg: dict) -> int:
     t0 = time.monotonic()
-    scan = scan_exponent(d, h, step, n=n or None,
-                         alpha_d=alpha_d, alpha_mid=alpha_mid)
+    scan = scan_exponent(cfg["d"], cfg["h"], cfg["step"], n=cfg["n"] or None,
+                         alpha_d=cfg["alpha_d"], alpha_mid=cfg["alpha_mid"])
     meta = _meta("exponent-scan", cfg, None, t0)
     meta["config"] = json.dumps(meta["config"], sort_keys=True)
-    scan.write_csv(out, meta=meta)
+    scan.write_csv(cfg["out"], meta=meta)
     print(f"argmax={scan.argmax} max={scan.max_value:.6g} "
           f"all_negative={scan.all_negative}")
-    print(f"surface in {out}")
+    print(f"surface in {cfg['out']}")
     return 0
 
 
-def cmd_expander_check(args) -> int:
-    cfg = Cfg(args)
-    n = cfg.get("n", int, 14)
-    d = cfg.get("d", int, 3)
-    samples = cfg.get("samples", int, 200)
-    kappa = cfg.get("kappa", float, 0.18 * d)
-    seed = cfg.get("seed", int, 0)
-    exhaustive_limit = cfg.get("exhaustive_limit", int, 20)
-    subset_samples = cfg.get("subset_samples", int, 20_000)
-    out = cfg.get("out", str, "expander-check.csv")
+@_command("expander-check", "edge-expansion verdicts over sampled graphs",
+          ("n", int, 14, "nodes"), _D,
+          ("samples", int, 200, "number of sampled graphs"),
+          ("kappa", float, None, "expansion constant (default 0.18*d)"),
+          _SEED, ("exhaustive_limit", int, 20, "largest exhaustive n"),
+          ("subset_samples", int, 20_000, "subsets sampled above the limit"),
+          ("out", str, "expander-check.csv", "output CSV"))
+def cmd_expander_check(cfg: dict) -> int:
+    seed, samples = cfg["seed"], cfg["samples"]
+    if cfg["kappa"] is None:
+        cfg["kappa"] = 0.18 * cfg["d"]
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
     t0 = time.monotonic()
     rows = []
     passed = 0
     for s in range(samples):
-        g = sample_regular_graph(n, d, [seed, s, 0])
-        verdict = check_edge_expansion(g, kappa,
-                                       exhaustive_limit=exhaustive_limit,
-                                       num_samples=subset_samples,
-                                       seed=[seed, s, 1])
-        ok = verdict.is_expander is True
-        passed += ok
-        rows.append([s, verdict.mode, _fmt(verdict.is_expander),
+        g = sample_regular_graph(cfg["n"], cfg["d"], [seed, s, 0])
+        verdict = check_edge_expansion(
+            g, cfg["kappa"], exhaustive_limit=cfg["exhaustive_limit"],
+            num_samples=cfg["subset_samples"], seed=[seed, s, 1])
+        passed += verdict.is_expander is True
+        rows.append([s, verdict.mode, verdict.is_expander,
                      len(verdict.witness) if verdict.witness else ""])
     frac = passed / samples
     meta = _meta("expander-check", cfg, seed, t0)
     meta["pass_fraction"] = repr(frac)
-    _write_summary_csv(out, meta,
+    _write_summary_csv(cfg["out"], meta,
                        ["sample", "mode", "is_expander", "witness_size"],
                        rows)
-    print(f"samples={samples} kappa={kappa} pass_fraction={frac:.4f}")
-    print(f"verdicts in {out}")
+    print(f"samples={samples} kappa={cfg['kappa']} pass_fraction={frac:.4f}")
+    print(f"verdicts in {cfg['out']}")
     return 0
 
 
-def cmd_criterion_report(args) -> int:
-    cfg = Cfg(args)
-    n = cfg.get("n", int, 10)
-    d = cfg.get("d", int, 3)
-    model = cfg.get("model", str, "high-temperature")
-    values = cfg.get("values", _float_list,
-                     [0.01, 0.02, 0.05, 0.1, 0.15, 0.2])
-    field_bound = cfg.get("field_bound", float, 0.2)
-    eps = cfg.get("eps", float, 0.1)
-    trials = cfg.get("trials", int, 10)
-    seed = cfg.get("seed", int, 0)
-    node_cap = cfg.get("cap", int, 8)
-    alpha_d = cfg.get("alpha_d", float, ALPHA_D_DEFAULT)
-    alpha_mid = cfg.get("alpha_mid", float, ALPHA_MID_DEFAULT)
-    out = cfg.get("out", str, "criterion-report.csv")
-    if model not in KINDS:
-        raise ValueError(f"unknown model kind {model!r}")
+@_command("criterion-report", "convergence criterion along a parameter sweep",
+          ("n", int, 10, "nodes"), _D,
+          ("model", _kind(*KINDS), "high-temperature", "model kind"),
+          ("values", _float_list, [0.01, 0.02, 0.05, 0.1, 0.15, 0.2],
+           "comma list of sweep values (J or p)"),
+          _FIELD_BOUND, _EPS, ("trials", int, 10, "trials per value"), _SEED,
+          ("cap", int, 8, "polymer node cap"), _ALPHA_D, _ALPHA_MID,
+          ("out", str, "criterion-report.csv", "output CSV"))
+def cmd_criterion_report(cfg: dict) -> int:
+    seed, trials, model = cfg["seed"], cfg["trials"], cfg["model"]
     t0 = time.monotonic()
     rows = []
     threshold = None
-    for vi, value in enumerate(values):
+    total_converged = 0
+    for vi, value in enumerate(cfg["values"]):
         crits = []
         violations = 0
-        excluded = 0
-        for t in range(trials):
-            g = sample_regular_graph(n, d, [seed, vi, t, 0])
-            kw = dict(p=value, eps=eps, coupling=value,
-                      field_bound=field_bound)
-            spec, _ = _make_instance(model, g, chan_seed=[seed, vi, t, 1],
-                                     **kw)
-            msgs = solve_fixed_point(g, spec)
+        swept = {**cfg, "p": value, "coupling": value}
+        h_sup = (half_llr_magnitude(value)
+                 if model != "high-temperature" else cfg["field_bound"])
+        for _, g, spec, _, msgs in _trials(swept, [seed, vi], model, cfg["n"]):
             if not msgs.converged:
-                excluded += 1
                 continue
-            catalog = enumerate_polymers(g, node_cap)
-            table = ActivityTable(g, spec, msgs)
-            acts = table.polymer_activities(catalog)
+            catalog = enumerate_polymers(g, cfg["cap"])
+            acts = ActivityTable(g, spec, msgs).polymer_activities(catalog)
             crits.append(convergence_criterion(catalog, acts))
-            h_sup = (half_llr_magnitude(value)
-                     if model != "high-temperature" else field_bound)
             if h_sup > 0:
                 try:
                     violations += len(activity_bound_violations(
-                        catalog, acts, h_sup,
-                        alpha_d=alpha_d, alpha_mid=alpha_mid))
+                        catalog, acts, h_sup, alpha_d=cfg["alpha_d"],
+                        alpha_mid=cfg["alpha_mid"]))
                 except ValueError:
                     violations = -1  # bound inapplicable at this h
-        mean = float(np.mean(crits)) if crits else math.nan
+        total_converged += len(crits)
+        mean = _mean_stderr(crits)[0]
         cmax = float(np.max(crits)) if crits else math.nan
-        if threshold is None and crits and mean >= 1.0:
+        if threshold is None and mean >= 1.0:
             threshold = value
-        rows.append([value, trials, len(crits), excluded, mean, cmax,
-                     violations])
+        rows.append([value, trials, len(crits), trials - len(crits), mean,
+                     cmax, violations])
     meta = _meta("criterion-report", cfg, seed, t0)
     meta["threshold_value"] = "" if threshold is None else repr(threshold)
-    _write_summary_csv(out, meta,
+    _write_summary_csv(cfg["out"], meta,
                        ["value", "trials", "converged", "excluded",
-                        "criterion_mean", "criterion_max",
-                        "bound_violations"],
+                        "criterion_mean", "criterion_max", "bound_violations"],
                        rows)
     for row in rows:
         print(f"value={row[0]} criterion_mean={row[4]:.6g} "
               f"criterion_max={row[5]:.6g}")
     print(f"threshold={'none observed' if threshold is None else threshold}")
-    print(f"report in {out}")
+    print(f"report in {cfg['out']}")
+    _check_converged(trials, total_converged)
     return 0
 
 
-def cmd_entropy(args) -> int:
-    cfg = Cfg(args)
-    n = cfg.get("n", int, 8)
-    d = cfg.get("d", int, 3)
-    p = cfg.get("p", float, 0.45)
-    trials = cfg.get("trials", int, 20)
-    seed = cfg.get("seed", int, 0)
-    exact_cap = cfg.get("exact_cap", int, 26)
-    bits = cfg.get("bits", _to_bool, False)
-    out = cfg.get("out", str, "entropy.csv")
+@_command("entropy", "conditional entropy per node from BP",
+          ("n", int, 8, "nodes"), _D,
+          ("p", float, 0.45, "BSC flip probability"),
+          ("trials", int, 20, "number of trials"), _SEED, _EXACT_CAP,
+          ("bits", _to_bool, False, "report in bits instead of nats"),
+          ("out", str, "entropy.csv", "output CSV"))
+def cmd_entropy(cfg: dict) -> int:
+    p, trials, exact_cap = cfg["p"], cfg["trials"], cfg["exact_cap"]
     t0 = time.monotonic()
-    unit = math.log(2.0) if bits else 1.0
-    unit_name = "bits" if bits else "nats"
+    unit = math.log(2.0) if cfg["bits"] else 1.0
+    unit_name = "bits" if cfg["bits"] else "nats"
     rows = []
     f_vals = []
-    excluded = 0
-    for t in range(trials):
-        g = sample_regular_graph(n, d, [seed, t, 0])
-        real = sample_bsc(g, p, [seed, t, 1])
-        spec = FactorSpec.cycle_code(real.h)
-        msgs = solve_fixed_point(g, spec)
+    for t, g, spec, _, msgs in _trials(cfg, [cfg["seed"]], "cycle-code",
+                                       cfg["n"]):
         if not msgs.converged:
-            excluded += 1
             rows.append([t, 0, "", "", "", ""])
             continue
         f_bethe = bethe_log_partition(g, spec, msgs).total / g.n
@@ -453,33 +441,28 @@ def cmd_entropy(args) -> int:
         ent_e = (conditional_entropy_per_node(f_exact, p) / unit
                  if f_exact is not None else None)
         f_vals.append(f_bethe)
-        rows.append([t, 1, f_bethe, _fmt(f_exact), ent_b, _fmt(ent_e)])
-    meta = _meta("entropy", cfg, seed, t0)
-    meta["excluded_not_converged"] = excluded
+        rows.append([t, 1, f_bethe, f_exact, ent_b, ent_e])
+    meta = _meta("entropy", cfg, cfg["seed"], t0)
+    meta["excluded_not_converged"] = trials - len(f_vals)
     meta["unit"] = unit_name
-    _write_summary_csv(out, meta,
+    _write_summary_csv(cfg["out"], meta,
                        ["trial", "converged", "f_bethe", "f_exact",
                         "entropy_bethe", "entropy_exact"],
                        rows)
     if f_vals:
-        mean_f = float(np.mean(f_vals))
+        mean_f, stderr = _mean_stderr(f_vals)
         ent = conditional_entropy_per_node(mean_f, p) / unit
-        se = (float(np.std(f_vals, ddof=1)) / math.sqrt(len(f_vals)) / unit
-              if len(f_vals) > 1 else math.nan)
         print(f"trials={trials} converged={len(f_vals)} "
-              f"H(X|Y)/n={ent:.6f} {unit_name} (stderr {se:.2g})")
-    print(f"table in {out}")
-    if trials and not f_vals:
-        raise AllTrialsDivergedError("no trial reached a BP fixed point")
+              f"H(X|Y)/n={ent:.6f} {unit_name} (stderr {stderr / unit:.2g})")
+    print(f"table in {cfg['out']}")
+    _check_converged(trials, len(f_vals))
     return 0
 
 
 # ---------------------------------------------------------------- parser
 
 
-def _add_common(sp):
-    sp.add_argument("--seed", type=int, help="master RNG seed (default 0)")
-    sp.add_argument("--config", help="key=value config file; flags override")
+_SHORT = {"n": ("-n",), "d": ("-d",), "p": ("-p",), "out": ("-o", "--out")}
 
 
 def build_parser() -> _Parser:
@@ -488,117 +471,30 @@ def build_parser() -> _Parser:
                                  "experiments for cycle codes on the BSC.")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("gen-graph", help="sample a d-regular graph to a file")
-    sp.add_argument("-n", type=int, help="nodes (default 8)")
-    sp.add_argument("-d", type=int, help="degree (default 3)")
-    sp.add_argument("-o", "--out", help="output path (default graph.txt)")
-    _add_common(sp)
-    sp.set_defaults(func=cmd_gen_graph)
-
-    sp = sub.add_parser("verify-identity",
-                        help="check ln Z = Bethe + ln Z_corr per trial")
-    sp.add_argument("-n", type=int)
-    sp.add_argument("-d", type=int)
-    sp.add_argument("--model", choices=list(KINDS))
-    sp.add_argument("-p", type=float, help="BSC flip probability")
-    sp.add_argument("--eps", type=float, help="softening (softened kind)")
-    sp.add_argument("--coupling", type=float, help="J (high-temperature kind)")
-    sp.add_argument("--field-bound", type=float,
-                    help="uniform field bound (high-temperature kind)")
-    sp.add_argument("--trials", type=int)
-    sp.add_argument("--tol", type=float)
-    sp.add_argument("--damping", type=float)
-    sp.add_argument("--max-sweeps", type=int)
-    sp.add_argument("--exact-cap", type=int)
-    sp.add_argument("--scan-cap", type=int)
-    sp.add_argument("--node-cap", type=int,
-                    help="polymer node cap; 0 = all touched-node counts")
-    sp.add_argument("--mayer-max", type=int)
-    sp.add_argument("--graph", help="fixed graph file instead of sampling")
-    sp.add_argument("--save-messages", action="store_const", const=True,
-                    help="write fixed-point message CSVs next to reports")
-    sp.add_argument("--out-dir")
-    _add_common(sp)
-    sp.set_defaults(func=cmd_verify_identity)
-
-    sp = sub.add_parser("correction-decay",
-                        help="mean |ln Z_corr|/n versus n")
-    sp.add_argument("--n-list", help="comma list, default 4,6,8,10,12")
-    sp.add_argument("-d", type=int)
-    sp.add_argument("--model",
-                    choices=["both", *KINDS])
-    sp.add_argument("-p", type=float)
-    sp.add_argument("--coupling", type=float)
-    sp.add_argument("--field-bound", type=float)
-    sp.add_argument("--eps", type=float)
-    sp.add_argument("--trials", type=int)
-    sp.add_argument("--scan-cap", type=int)
-    sp.add_argument("-o", "--out")
-    _add_common(sp)
-    sp.set_defaults(func=cmd_correction_decay)
-
-    sp = sub.add_parser("exponent-scan",
-                        help="grid scan of the large-n exponent over Delta")
-    sp.add_argument("-d", type=int)
-    sp.add_argument("--h", type=float)
-    sp.add_argument("--step", type=float)
-    sp.add_argument("-n", type=int, help="finite size; 0 = large-n limit")
-    sp.add_argument("--alpha-d", type=float)
-    sp.add_argument("--alpha-mid", type=float)
-    sp.add_argument("-o", "--out")
-    _add_common(sp)
-    sp.set_defaults(func=cmd_exponent_scan)
-
-    sp = sub.add_parser("expander-check",
-                        help="edge-expansion verdicts over sampled graphs")
-    sp.add_argument("-n", type=int)
-    sp.add_argument("-d", type=int)
-    sp.add_argument("--samples", type=int)
-    sp.add_argument("--kappa", type=float, help="default 0.18*d")
-    sp.add_argument("--exhaustive-limit", type=int)
-    sp.add_argument("--subset-samples", type=int)
-    sp.add_argument("-o", "--out")
-    _add_common(sp)
-    sp.set_defaults(func=cmd_expander_check)
-
-    sp = sub.add_parser("criterion-report",
-                        help="convergence criterion along a parameter sweep")
-    sp.add_argument("-n", type=int)
-    sp.add_argument("-d", type=int)
-    sp.add_argument("--model", choices=list(KINDS))
-    sp.add_argument("--values", help="comma list of sweep values (J or p)")
-    sp.add_argument("--field-bound", type=float)
-    sp.add_argument("--eps", type=float)
-    sp.add_argument("--trials", type=int)
-    sp.add_argument("--cap", type=int, help="polymer node cap (default 8)")
-    sp.add_argument("--alpha-d", type=float)
-    sp.add_argument("--alpha-mid", type=float)
-    sp.add_argument("-o", "--out")
-    _add_common(sp)
-    sp.set_defaults(func=cmd_criterion_report)
-
-    sp = sub.add_parser("entropy",
-                        help="conditional entropy per node from BP")
-    sp.add_argument("-n", type=int)
-    sp.add_argument("-d", type=int)
-    sp.add_argument("-p", type=float)
-    sp.add_argument("--trials", type=int)
-    sp.add_argument("--exact-cap", type=int)
-    sp.add_argument("--bits", action="store_const", const=True,
-                    help="report in bits instead of nats")
-    sp.add_argument("-o", "--out")
-    _add_common(sp)
-    sp.set_defaults(func=cmd_entropy)
-
+    for command, (func, help, table) in _COMMANDS.items():
+        sp = sub.add_parser(command, help=help)
+        for name, conv, default, text in table:
+            flags = _SHORT.get(name, ("--" + name.replace("_", "-"),))
+            shown = (",".join(map(str, default))
+                     if isinstance(default, list) else default)
+            kw = {"dest": name, "help": text if default in (None, "")
+                  else f"{text} (default {shown})"}
+            if conv is _to_bool:
+                kw.update(action="store_const", const=True)
+            elif hasattr(conv, "choices"):
+                kw["choices"] = conv.choices
+            else:
+                kw["type"] = conv
+            sp.add_argument(*flags, **kw)
+        sp.add_argument("--config", help="key=value config file (flags win)")
+        sp.set_defaults(func=func, table=table)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(_resolve(args))
     except AllTrialsDivergedError as exc:
         print(f"loopexp: {exc}", file=sys.stderr)
         return 3

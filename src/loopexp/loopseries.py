@@ -63,7 +63,7 @@ _MAX_TABLE_DEGREE = 16
 
 
 def _node_table(graph: CheckGraph, spec: FactorSpec, eta: np.ndarray,
-                a: int) -> np.ndarray:
+                a: int, t: float) -> np.ndarray:
     """K_a(S) for every local subset S, indexed by bitmask over a's edge slots."""
     eids = graph.adjacency[a]
     deg = len(eids)
@@ -80,7 +80,6 @@ def _node_table(graph: CheckGraph, spec: FactorSpec, eta: np.ndarray,
     S = 1.0 - 2.0 * bits
     expo = S @ w if deg else np.zeros(1)
     shift = float(np.max(expo))
-    t = spec.parity_coupling(a)
     weights = 0.5 * (1.0 + t * np.prod(S, axis=1)) * np.exp(expo - shift)
     Z = float(np.sum(weights))
     if not (math.isfinite(Z) and Z > 0.0):
@@ -111,8 +110,10 @@ class ActivityTable:
                  messages: MessageSet):
         self.graph = graph
         self.spec = spec
+        t = spec.parity_couplings(graph)
         eta = messages.eta
-        self.K = [_node_table(graph, spec, eta, a) for a in range(graph.n)]
+        self.K = [_node_table(graph, spec, eta, a, t[a])
+                  for a in range(graph.n)]
         self.pos = [
             {e: k for k, e in enumerate(graph.adjacency[a])}
             for a in range(graph.n)

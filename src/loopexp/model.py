@@ -78,6 +78,14 @@ class FactorSpec:
         return math.tanh(float(J[0] if len(J) == 1 else J[a]))
 
     def parity_couplings(self, graph: CheckGraph) -> np.ndarray:
+        """t_a for every node of ``graph``.
+
+        This is where a spec meets a graph: it raises ValueError unless
+        ``h`` has one entry per edge and ``J`` is scalar or per node.
+        """
+        if len(self.h) != graph.num_edges:
+            raise ValueError(f"field vector has {len(self.h)} entries, "
+                             f"graph has {graph.num_edges} edges")
         if self.kind == "cycle-code":
             return np.ones(graph.n)
         if self.kind == "softened-cycle-code":
@@ -121,10 +129,8 @@ def exact_log_partition(graph: CheckGraph, spec: FactorSpec,
     E = graph.num_edges
     if E > max_edges:
         raise BudgetError(f"{E} edges exceeds exact-sum cap {max_edges}")
-    if len(spec.h) != E:
-        raise ValueError("field vector length does not match edge count")
-    plan = plan_elimination(graph)
     t = spec.parity_couplings(graph)
+    plan = plan_elimination(graph)
     tables = []
     for a, eids in enumerate(graph.adjacency):
         # local bitmask bit k set means the spin on eids[k] is -1

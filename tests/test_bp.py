@@ -166,6 +166,15 @@ class TestSolveFixedPoint:
         assert not msgs.converged
         assert msgs.sweeps == 5
 
+    @pytest.mark.parametrize("damping", [1.0, 1.5, -0.5, math.nan])
+    def test_damping_outside_unit_interval_rejected(self, k4, damping):
+        # 1.0 never moves a message; 1.5 overflows; both must fail fast
+        spec = FactorSpec.cycle_code(np.full(6, 0.08))
+        with pytest.raises(ValueError, match="damping"):
+            solve_fixed_point(k4, spec, damping=damping)
+        with pytest.raises(ValueError, match="damping"):
+            bp_sweep(k4, spec, MessageSet.zeros(k4), damping=damping)
+
 
 class TestBetheValue:
     def test_edge_term_at_zero_messages(self, prism):

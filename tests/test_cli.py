@@ -1,10 +1,18 @@
 import csv
 import json
+import math
 
+import numpy as np
 import pytest
 
+from loopexp.bp import solve_fixed_point
+from loopexp.channel import sample_bsc
 from loopexp.cli import main
-from loopexp.graphs import CheckGraph, read_graph, write_graph
+from loopexp.graphs import (CheckGraph, enumerate_polymers, read_graph,
+                            sample_regular_graph, write_graph)
+from loopexp.loopseries import (ActivityTable, convergence_criterion,
+                                scan_correction)
+from loopexp.model import FactorSpec, exact_log_partition
 
 
 def read_summary(path):
@@ -47,11 +55,46 @@ class TestExitCodes:
             main(["--version"])
         assert ei.value.code == 0
 
-    def test_invalid_model_flag_is_usage(self, tmp_path):
+    def test_invalid_model_flag_is_usage(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as ei:
             main(["verify-identity", "--model", "nonsense",
                   "--out-dir", str(tmp_path / "v")])
         assert ei.value.code == 1
+        assert "high-temperature" in capsys.readouterr().err
+
+    def test_exponent_scan_takes_no_seed(self, tmp_path):
+        with pytest.raises(SystemExit) as ei:
+            main(["exponent-scan", "--seed", "3",
+                  "-o", str(tmp_path / "s.csv")])
+        assert ei.value.code == 1
+
+    def test_help_shows_defaults(self, capsys):
+        with pytest.raises(SystemExit) as ei:
+            main(["verify-identity", "--help"])
+        assert ei.value.code == 0
+        printed = capsys.readouterr().out
+        for text in ("(default 0.45)", "(default 10)", "(default 1e-12)",
+                     "(default cycle-code)", "(default loopexp-verify)"):
+            assert text in printed
+
+    def test_unknown_config_key_is_precondition(self, tmp_path, capsys):
+        out = tmp_path / "g.txt"
+        cfgfile = tmp_path / "cfg.txt"
+        cfgfile.write_text(f"n=6\ntrails=2\nout={out}\n")
+        code = main(["gen-graph", "--config", str(cfgfile)])
+        assert code == 2
+        assert "trails" in capsys.readouterr().err
+        assert not out.exists()
+        # keys of other subcommands are fine: one file serves them all
+        cfgfile.write_text(f"n=6\ntrials=2\nsamples=3\nout={out}\n")
+        assert main(["gen-graph", "--config", str(cfgfile)]) == 0
+        assert out.exists()
+
+    def test_damping_out_of_range_is_precondition(self, tmp_path, capsys):
+        code = main(["verify-identity", "-n", "6", "--trials", "1",
+                     "--damping", "1.5", "--out-dir", str(tmp_path / "v")])
+        assert code == 2
+        assert "damping" in capsys.readouterr().err
 
     def test_invalid_model_from_config_is_precondition(self, tmp_path,
                                                        capsys):
@@ -75,6 +118,16 @@ class TestExitCodes:
                      "--out-dir", str(tmp_path / "diverged")])
         assert code == 3
         assert "no trial reached" in capsys.readouterr().err
+
+    def test_criterion_report_all_diverged_is_three(self, tmp_path, capsys):
+        # p = 0.01 on K4: every BP run saturates
+        out = tmp_path / "criterion.csv"
+        code = main(["criterion-report", "-n", "4", "--model", "cycle-code",
+                     "--values", "0.01", "--trials", "3", "-o", str(out)])
+        assert code == 3
+        assert "no trial reached" in capsys.readouterr().err
+        _, _, rows = read_summary(out)
+        assert rows[0][2] == "0"
 
 
 class TestGenGraph:
@@ -267,3 +320,64 @@ class TestEntropy:
         assert "nats" in printed
         meta, _, _ = read_summary(out)
         assert meta["unit"] == "nats"
+
+
+class TestSeedLayout:
+    """Trial t of a sweep point draws its graph from [*key, t, 0] and its
+    fields from [*key, t, 1]; these rebuild CLI rows through the API."""
+
+    def test_correction_decay_row(self, tmp_path):
+        out = tmp_path / "decay.csv"
+        assert main(["correction-decay", "--n-list", "4,6", "--trials", "3",
+                     "--model", "cycle-code", "-p", "0.45", "--seed", "9",
+                     "-o", str(out)]) == 0
+        _, _, rows = read_summary(out)
+        vals = []
+        for t in range(3):
+            g = sample_regular_graph(6, 3, [9, 6, t, 0])
+            spec = FactorSpec.cycle_code(sample_bsc(g, 0.45, [9, 6, t, 1]).h)
+            msgs = solve_fixed_point(g, spec)
+            assert msgs.converged
+            z = scan_correction(g, ActivityTable(g, spec, msgs)).z_all
+            vals.append(abs(math.log(z)) / 6)
+        assert rows[1][:4] == ["cycle-code", "6", "3", "3"]
+        assert float(rows[1][5]) == pytest.approx(np.mean(vals), rel=1e-12)
+
+    def test_criterion_report_row(self, tmp_path):
+        out = tmp_path / "criterion.csv"
+        assert main(["criterion-report", "-n", "6", "--values", "0.02,0.1",
+                     "--trials", "2", "--cap", "6", "--seed", "4",
+                     "-o", str(out)]) == 0
+        _, _, rows = read_summary(out)
+        crits = []
+        for t in range(2):
+            g = sample_regular_graph(6, 3, [4, 1, t, 0])
+            rng = np.random.default_rng([4, 1, t, 1])
+            spec = FactorSpec.high_temperature(
+                rng.uniform(-0.2, 0.2, g.num_edges), 0.1)
+            msgs = solve_fixed_point(g, spec)
+            catalog = enumerate_polymers(g, 6)
+            acts = ActivityTable(g, spec, msgs).polymer_activities(catalog)
+            crits.append(convergence_criterion(catalog, acts))
+        assert rows[1][0] == "0.1"
+        assert float(rows[1][4]) == pytest.approx(np.mean(crits), rel=1e-12)
+        assert float(rows[1][5]) == pytest.approx(max(crits), rel=1e-12)
+
+    def test_verify_identity_report_seeds(self, tmp_path):
+        out_dir = tmp_path / "verify"
+        assert main(["verify-identity", "-n", "6", "--trials", "3",
+                     "--model", "high-temperature", "--seed", "5",
+                     "--out-dir", str(out_dir)]) == 0
+        for t in range(3):
+            doc = json.loads(
+                (out_dir / "reports" / f"trial_{t:04d}.json").read_text())
+            params = doc["params"]
+            assert params["graph_seed"] == [5, t, 0]
+            assert params["channel_seed"] == [5, t, 1]
+            g = sample_regular_graph(6, 3, params["graph_seed"])
+            bound = params["field_bound"]
+            rng = np.random.default_rng(params["channel_seed"])
+            spec = FactorSpec.high_temperature(
+                rng.uniform(-bound, bound, g.num_edges), params["J"])
+            assert doc["exact_log_z"] == pytest.approx(
+                exact_log_partition(g, spec), rel=1e-12)

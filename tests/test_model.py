@@ -7,9 +7,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from loopexp.bp import (MessageSet, bethe_log_partition, bp_sweep,
+                        solve_fixed_point)
 from loopexp.channel import sample_bsc
 from loopexp.exceptions import BudgetError
 from loopexp.graphs import CheckGraph, sample_regular_graph
+from loopexp.loopseries import ActivityTable
 from loopexp.model import KINDS, FactorSpec, exact_log_partition, factor_value
 
 from conftest import brute_log_z, factor_specs, small_hosts
@@ -46,6 +49,25 @@ class TestFactorSpec:
                                                         abs=1e-15)
         couplings = spec.parity_couplings(triangle)
         assert couplings == pytest.approx(np.tanh([0.1, 0.2, 0.3]), abs=1e-15)
+
+    @pytest.mark.parametrize("entry", [
+        lambda g, s: solve_fixed_point(g, s),
+        lambda g, s: bp_sweep(g, s, MessageSet.zeros(g)),
+        lambda g, s: bethe_log_partition(g, s, MessageSet.zeros(g)),
+        lambda g, s: ActivityTable(g, s, MessageSet.zeros(g)),
+        lambda g, s: exact_log_partition(g, s),
+    ], ids=["solve", "sweep", "bethe", "table", "exact"])
+    @pytest.mark.parametrize("spec", [
+        FactorSpec.cycle_code(np.full(8, 0.1)),
+        FactorSpec.cycle_code(np.full(4, 0.1)),
+        FactorSpec.high_temperature(np.zeros(6), [0.1, 0.2, 0.3]),
+        FactorSpec.high_temperature(np.zeros(6), [0.1] * 5),
+    ], ids=["h_long", "h_short", "J_short", "J_long"])
+    def test_length_mismatch_rejected_where_spec_meets_graph(self, k4, entry,
+                                                             spec):
+        # K4 has 6 edges and 4 nodes
+        with pytest.raises(ValueError, match="field vector|J must"):
+            entry(k4, spec)
 
 
 class TestFactorValue:
