@@ -18,13 +18,13 @@ from __future__ import annotations
 
 import csv
 import math
-import weakref
 from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
 from scipy.special import logsumexp
 
+from ._layout import Layout, layout, spins
 from .exceptions import DivergenceError
 from .graphs import CheckGraph
 from .model import FactorSpec
@@ -66,48 +66,6 @@ class MessageSet:
         return MessageSet(eta=eta)
 
 
-class _Layout:
-    """Per-graph gather/scatter indices for vectorized flooding sweeps."""
-
-    def __init__(self, graph: CheckGraph):
-        n = graph.n
-        dmax = max(graph.degrees) if n else 0
-        E = graph.num_edges
-        self.inc = np.full((n, dmax), 2 * E, dtype=np.int64)  # dummy slot
-        self.out = np.full((n, dmax), -1, dtype=np.int64)
-        self.eid = np.zeros((n, dmax), dtype=np.int64)
-        self.pad = np.ones((n, dmax), dtype=bool)
-        for a in range(n):
-            for k, e in enumerate(graph.adjacency[a]):
-                _, v = graph.edges[e]
-                in_dir = 0 if a == v else 1
-                self.inc[a, k] = 2 * e + in_dir
-                self.out[a, k] = 2 * e + (1 - in_dir)
-                self.eid[a, k] = e
-                self.pad[a, k] = False
-        self.dmax = dmax
-
-
-# weak keys: the entry dies with the graph, so a recycled object address
-# can never serve a stale layout
-_layout_cache: "weakref.WeakKeyDictionary[CheckGraph, _Layout]" = \
-    weakref.WeakKeyDictionary()
-
-
-def _layout(graph: CheckGraph) -> _Layout:
-    lay = _layout_cache.get(graph)
-    if lay is None:
-        lay = _Layout(graph)
-        _layout_cache[graph] = lay
-    return lay
-
-
-def _half_fields(graph: CheckGraph, spec: FactorSpec, lay: _Layout) -> np.ndarray:
-    hh = 0.5 * spec.h[lay.eid]
-    hh[lay.pad] = 0.0
-    return hh
-
-
 def _sweep_inputs(graph: CheckGraph, spec: FactorSpec, damping: float):
     """Layout, half fields and parity couplings for sweeps of one model.
 
@@ -117,11 +75,11 @@ def _sweep_inputs(graph: CheckGraph, spec: FactorSpec, damping: float):
     if not 0.0 <= damping < 1.0:
         raise ValueError(f"damping must lie in [0, 1), got {damping}")
     t = spec.parity_couplings(graph)
-    lay = _layout(graph)
-    return lay, _half_fields(graph, spec, lay), t
+    lay = layout(graph)
+    return lay, lay.half_fields(spec.h), t
 
 
-def _raw_sweep(lay: _Layout, hh: np.ndarray, t: np.ndarray,
+def _raw_sweep(lay: Layout, hh: np.ndarray, t: np.ndarray,
                flat: np.ndarray) -> np.ndarray:
     eta_ext = np.append(flat, 0.0)
     T = np.tanh(eta_ext[lay.inc] + hh)
@@ -212,18 +170,6 @@ class BetheValue:
         return self.node_term - self.edge_term
 
 
-_spin_cache: dict[int, np.ndarray] = {}
-
-
-def _spin_matrix(deg: int) -> np.ndarray:
-    S = _spin_cache.get(deg)
-    if S is None:
-        bits = (np.arange(1 << deg)[:, None] >> np.arange(deg)) & 1
-        S = 1.0 - 2.0 * bits
-        _spin_cache[deg] = S
-    return S
-
-
 def bethe_log_partition(graph: CheckGraph, spec: FactorSpec,
                         messages: MessageSet) -> BetheValue:
     """Bethe functional at the given messages (any messages, not only fixed points).
@@ -232,24 +178,22 @@ def bethe_log_partition(graph: CheckGraph, spec: FactorSpec,
     messages), each node sum taken over all 2^deg local configurations.
     Edge term: sum over edges of ln 2 cosh(eta_{a->b} + eta_{b->a}).
     """
-    eta = messages.eta
     t = spec.parity_couplings(graph)
-    node_term = 0.0
-    for a in range(graph.n):
-        eids = graph.adjacency[a]
-        deg = len(eids)
-        w = np.empty(deg)
-        for k, e in enumerate(eids):
-            _, v = graph.edges[e]
-            in_dir = 0 if a == v else 1
-            w[k] = eta[e, in_dir] + 0.5 * spec.h[e]
-        S = _spin_matrix(deg)
-        pi = np.prod(S, axis=1)
-        weights = 0.5 * (1.0 + t[a] * pi)
-        val = logsumexp(S @ w, b=weights)
-        if not math.isfinite(val):
-            raise ValueError(f"node sum vanished at node {a}")
-        node_term += float(val)
+    lay = layout(graph)
+    hh = lay.half_fields(spec.h)
+    ext = np.append(messages.flat(), 0.0)
+    vals = np.empty(graph.n)
+    with np.errstate(divide="ignore"):
+        for d, nodes in lay.blocks(lambda d: 1 << d):
+            S, parity = spins(d)
+            W = ext[lay.inc[nodes, :d]] + hh[nodes, :d]
+            vals[nodes] = logsumexp(W @ S.T, axis=1,
+                                    b=0.5 * (1.0 + t[nodes, None] * parity))
+    bad = np.flatnonzero(~np.isfinite(vals))
+    if bad.size:
+        raise ValueError(f"node sum vanished at node {bad[0]}")
+    node_term = float(np.sum(vals))
+    eta = messages.eta
     # ln 2 cosh q = |q| + ln(1 + e^{-2|q|}), overflow-safe for large q
     q = eta[:, 0] + eta[:, 1]
     edge_term = float(np.sum(np.abs(q) + np.log1p(np.exp(-2.0 * np.abs(q)))))

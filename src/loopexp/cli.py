@@ -55,11 +55,18 @@ def _to_bool(text) -> bool:
 
 
 def _int_list(text) -> list[int]:
-    return [int(tok) for tok in text.split(",") if tok.strip()]
+    return _nonempty([int(tok) for tok in text.split(",") if tok.strip()])
 
 
 def _float_list(text) -> list[float]:
-    return [float(tok) for tok in text.split(",") if tok.strip()]
+    return _nonempty([float(tok) for tok in text.split(",") if tok.strip()])
+
+
+def _nonempty(values: list) -> list:
+    """A sweep list must name at least one value; an empty one runs nothing."""
+    if not values:
+        raise ValueError("empty list")
+    return values
 
 
 def _kind(*allowed):
@@ -122,8 +129,13 @@ def _resolve(args: argparse.Namespace) -> dict:
     cfg = {}
     for name, conv, default, _ in args.table:
         val = getattr(args, name)
-        if val is None:
-            val = conv(file[name]) if name in file else default
+        if val is None and name in file:
+            try:
+                val = conv(file[name])
+            except ValueError as exc:
+                raise ValueError(f"{args.config}: {name}: {exc}") from None
+        elif val is None:
+            val = default
         cfg[name] = val
     return cfg
 
@@ -233,7 +245,7 @@ def cmd_verify_identity(cfg: dict) -> int:
     reports_dir.mkdir(parents=True, exist_ok=True)
     fixed = read_graph(cfg["graph"]) if cfg["graph"] else None
     rows = []
-    excluded = 0
+    excluded = over_cap = 0
     max_residual = 0.0
     for t, g, spec, params, msgs in _trials(
             cfg, [seed], cfg["model"], cfg["n"], fixed, tol=cfg["tol"],
@@ -248,22 +260,26 @@ def cmd_verify_identity(cfg: dict) -> int:
         if cfg["save_messages"]:
             write_messages_csv(g, msgs, reports_dir / f"messages_{t:04d}.csv")
         residual = report.identity_residual()
-        if msgs.converged and residual is not None:
-            max_residual = max(max_residual, residual)
-        else:
+        if not msgs.converged:
             excluded += 1
+        elif report.exact_log_z is None or report.z_corr_all is None:
+            over_cap += 1
+        elif residual is not None:
+            max_residual = max(max_residual, residual)
         rows.append([t, int(msgs.converged), msgs.sweeps, msgs.residual,
                      report.exact_log_z, report.bethe_total, report.z_corr_all,
                      report.ln_z_corr(), residual, report.criterion])
     meta = _meta("verify-identity", cfg, seed, t0)
     meta["excluded_not_converged"] = excluded
+    meta["excluded_over_cap"] = over_cap
     _write_summary_csv(out_dir / "summary.csv", meta,
                        ["trial", "converged", "sweeps", "bp_residual",
                         "exact_log_z", "bethe_total", "z_corr",
                         "ln_z_corr", "identity_residual", "criterion"],
                        rows)
     print(f"trials={trials} converged={trials - excluded} "
-          f"excluded={excluded} max_identity_residual={max_residual:.3e}")
+          f"excluded={excluded} over_cap={over_cap} "
+          f"max_identity_residual={max_residual:.3e}")
     print(f"reports in {reports_dir}, summary in {out_dir / 'summary.csv'}")
     _check_converged(trials, trials - excluded)
     return 0

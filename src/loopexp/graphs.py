@@ -19,6 +19,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from ._bitops import bits_of, iter_chunks, popcount
+from ._layout import BLOCK_ENTRIES, Layout, layout
 from .exceptions import BudgetError, PairingError
 
 __all__ = [
@@ -333,28 +334,136 @@ class PolymerCatalog:
         return vals
 
 
+# Largest number of walk states the short-cycle search may hold at once
+# (2^24 int64 entries, 128 MiB per array).
+_MAX_WALK_STATES = 1 << 24
+
+
 def enumerate_polymers(graph: CheckGraph, node_cap: int,
                        max_polymers: int = 200_000) -> PolymerCatalog:
     """Enumerate all polymers touching at most ``node_cap`` nodes.
 
-    Connected edge subsets are connected vertex sets of the line graph, so the
-    enumeration anchors each subset at its minimal edge index and grows it with
-    larger-indexed edges through an exclusive-neighborhood extension list; each
-    connected subset is visited exactly once.  Subsets whose touched-node count
-    exceeds the cap are pruned (supersets only touch more nodes).  Caps below 3
-    yield an empty catalog, since a polymer touches at least three nodes.
+    Locality: a polymer gamma with at most c = ``node_cap`` nodes has
+    minimum degree 2, so it contains a cycle C, of length at most c; every
+    node of gamma is joined to C by a path inside gamma through nodes off C,
+    so it lies within distance c - |C| <= c - 3 of C.  The search therefore
+    marks the nodes of the host that lie on a cycle of length <= c, grows
+    the marked set by c - 3 hops, and grows polymers only on the subgraph
+    induced by that region.  A graph of large girth has O(1) short cycles,
+    so the region, and the work, stays small however large the host.
+
+    Inside the region, connected edge subsets are connected vertex sets of
+    the line graph: each subset is anchored at its minimal edge index and
+    grown with larger-indexed edges through an exclusive-neighborhood
+    extension list, so each connected subset is visited exactly once.
+    Subsets whose touched-node count exceeds the cap are pruned (supersets
+    only touch more nodes).  Edge indices keep their host order, so the
+    polymers come out in the order of a search over the whole host.  Caps
+    below 3 yield an empty catalog, since a polymer touches at least three
+    nodes.  BudgetError: more than ``max_polymers`` polymers, or a cap so
+    large that the short-cycle search would hold more than 2^24 walks.
     """
     if node_cap < 0:
         raise ValueError("node_cap must be nonnegative")
-    E = graph.num_edges
-    line_adj = [set() for _ in range(E)]
-    for a in range(graph.n):
-        inc = graph.adjacency[a]
-        for i, e in enumerate(inc):
-            for f in inc[i + 1:]:
-                line_adj[e].add(f)
-                line_adj[f].add(e)
-    line_adj = [sorted(s) for s in line_adj]
+    polymers = []
+    if node_cap >= 3 and graph.num_edges:
+        region = _near_short_cycles(layout(graph), node_cap)
+        polymers = _grow_polymers(graph, node_cap, max_polymers, region)
+    per_node = [[] for _ in range(graph.n)]
+    for idx, p in enumerate(polymers):
+        for a in p.touched_nodes:
+            per_node[a].append(idx)
+    return PolymerCatalog(
+        host=graph,
+        node_cap=node_cap,
+        polymers=tuple(polymers),
+        per_node=tuple(tuple(ids) for ids in per_node),
+    )
+
+
+def _near_short_cycles(lay: Layout, c: int) -> np.ndarray:
+    """Nodes within distance c - 3 of a cycle of length <= c, ascending."""
+    n, dmax = lay.nbr.shape
+    # walks per source: at most dmax^(c/2), and at most one per first step
+    # and directed edge once merged
+    step = max(1, BLOCK_ENTRIES // min(dmax ** ((c + 1) // 2),
+                                       2 * dmax * len(lay.ends)))
+    mark = np.zeros(n + 1, dtype=bool)   # entry n: the padding neighbour
+    for lo in range(0, n, step):
+        mark[_on_short_cycle(lay, c, np.arange(lo, min(lo + step, n)))] = True
+    for _ in range(c - 3):
+        grown = mark.copy()
+        grown[:n] |= np.any(mark[lay.nbr], axis=1)
+        if np.array_equal(grown, mark):
+            break
+        mark = grown
+    return np.flatnonzero(mark[:n])
+
+
+def _on_short_cycle(lay: Layout, c: int, sources: np.ndarray) -> np.ndarray:
+    """The nodes of ``sources`` that lie on a cycle of length <= c.
+
+    A node x lies on such a cycle iff two non-backtracking walks from x
+    that never return to x, with different first steps and lengths l1, l2
+    <= ceil(c/2), end at one node with l1 + l2 <= c: together they hold a
+    path between two neighbours of x that avoids x.  The walks advance
+    for all sources at once, each one a sortable integer key; walks that
+    agree in start, first step and last directed edge are merged, so their
+    number stays polynomial.
+    """
+    n, dmax = lay.nbr.shape
+    top = (c + 1) // 2     # longest walk
+    # bit widths of the packed keys: node, first step, directed edge, length
+    nb, fb = n.bit_length(), (dmax - 1).bit_length()
+    db, lb = (2 * len(lay.ends)).bit_length(), top.bit_length()
+    tails = lay.ends.ravel()    # directed edge 2e + j runs from tails[2e + j]
+    real = ~lay.pad[sources].ravel()
+    start = np.repeat(sources, dmax)[real]
+    first = np.tile(np.arange(dmax), len(sources))[real]
+    dedge = lay.out[sources].ravel()[real]
+    seen = []   # (start, end, first step, length) of every walk
+    for length in range(1, top + 1):
+        cur = tails[dedge ^ 1]
+        seen.append((((start << nb | cur) << fb | first) << lb) | length)
+        if length == top:
+            break
+        if len(cur) * dmax > _MAX_WALK_STATES:
+            raise BudgetError(f"short-cycle search for node cap {c} would "
+                              f"hold {len(cur) * dmax:,} walks")
+        nxt = lay.nbr[cur]
+        i, k = np.nonzero((nxt < n) & (nxt != tails[dedge][:, None])
+                          & (nxt != start[:, None]))
+        if not len(i):
+            break
+        state = np.sort((start[i] << fb | first[i]) << db
+                        | lay.out[cur[i], k])
+        state = state[np.r_[True, state[1:] != state[:-1]]]
+        start, first = state >> (fb + db), state >> db & ((1 << fb) - 1)
+        dedge = state & ((1 << db) - 1)
+    # the shortest walk per (start, end, first step), then the two shortest
+    # with different first steps per (start, end)
+    key = np.sort(np.concatenate(seen))
+    walk = key >> lb
+    keep = np.r_[True, walk[1:] != walk[:-1]]
+    key = np.sort(walk[keep] >> fb << lb | key[keep] & ((1 << lb) - 1))
+    ends, lengths = key >> lb, key & ((1 << lb) - 1)
+    leader = np.r_[True, ends[1:] != ends[:-1]]
+    pair = leader[:-1] & ~leader[1:] & (lengths[:-1] + lengths[1:] <= c)
+    return ends[:-1][pair] >> nb
+
+
+def _grow_polymers(graph: CheckGraph, node_cap: int, max_polymers: int,
+                   nodes) -> list[EdgeSubset]:
+    """Polymers of at most ``node_cap`` nodes in the subgraph induced by
+    ``nodes``, as subsets of the host's edges, in anchor order."""
+    inside = set(nodes.tolist())
+    line_adj: dict[int, list[int]] = {}
+    for a in inside:
+        inc = [e for e, b in zip(graph.adjacency[a], graph.neighbors[a])
+               if b in inside]
+        for e in inc:
+            line_adj.setdefault(e, []).extend(f for f in inc if f != e)
+    line_adj = {e: sorted(adj) for e, adj in line_adj.items()}
 
     polymers: list[EdgeSubset] = []
 
@@ -382,24 +491,12 @@ def enumerate_polymers(graph: CheckGraph, node_cap: int,
             extend(mask | (1 << w), new_deg, ext[i + 1:] + fresh,
                    new_near, anchor)
 
-    for anchor in range(E):
+    for anchor in sorted(line_adj):
         u, v = graph.edges[anchor]
-        if node_cap < 2:
-            break
         ext0 = [f for f in line_adj[anchor] if f > anchor]
         near0 = {anchor} | set(ext0)
         extend(1 << anchor, {u: 1, v: 1}, ext0, near0, anchor)
-
-    per_node = [[] for _ in range(graph.n)]
-    for idx, p in enumerate(polymers):
-        for a in p.touched_nodes:
-            per_node[a].append(idx)
-    return PolymerCatalog(
-        host=graph,
-        node_cap=node_cap,
-        polymers=tuple(polymers),
-        per_node=tuple(tuple(ids) for ids in per_node),
-    )
+    return polymers
 
 
 def edge_boundary(graph: CheckGraph, nodes: Iterable[int]) -> int:

@@ -37,6 +37,7 @@ import numpy as np
 
 from ._bitops import bits_of, popcount
 from ._elim import MAX_ENTRIES, contract, plan_elimination
+from ._layout import layout, node_tables, spins
 from .bp import MessageSet, bethe_log_partition
 from .exceptions import BudgetError
 from .graphs import CheckGraph, EdgeSubset, PolymerCatalog, enumerate_polymers
@@ -60,42 +61,7 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 _MAX_TABLE_DEGREE = 16
-
-
-def _node_table(graph: CheckGraph, spec: FactorSpec, eta: np.ndarray,
-                a: int, t: float) -> np.ndarray:
-    """K_a(S) for every local subset S, indexed by bitmask over a's edge slots."""
-    eids = graph.adjacency[a]
-    deg = len(eids)
-    if deg > _MAX_TABLE_DEGREE:
-        raise BudgetError(f"node degree {deg} exceeds activity-table cap")
-    w = np.empty(deg)
-    q = np.empty(deg)
-    for k, e in enumerate(eids):
-        _, v = graph.edges[e]
-        in_dir = 0 if a == v else 1
-        w[k] = eta[e, in_dir] + 0.5 * spec.h[e]
-        q[k] = eta[e, 0] + eta[e, 1]
-    bits = (np.arange(1 << deg)[:, None] >> np.arange(deg)) & 1
-    S = 1.0 - 2.0 * bits
-    expo = S @ w if deg else np.zeros(1)
-    shift = float(np.max(expo))
-    weights = 0.5 * (1.0 + t * np.prod(S, axis=1)) * np.exp(expo - shift)
-    Z = float(np.sum(weights))
-    if not (math.isfinite(Z) and Z > 0.0):
-        raise ValueError(f"local normalizer vanished at node {a}")
-    # factor contributed by each member edge: sigma * exp(-sigma q)
-    F = S * np.exp(-S * q)
-    K = np.empty(1 << deg)
-    for m in range(1 << deg):
-        v = weights
-        mm = m
-        while mm:
-            low = mm & -mm
-            v = v * F[:, low.bit_length() - 1]
-            mm ^= low
-        K[m] = float(np.sum(v)) / Z
-    return K
+_GATHER_BLOCK = 256    # subsets per block of ActivityTable._activities
 
 
 class ActivityTable:
@@ -104,6 +70,13 @@ class ActivityTable:
     The table is an immutable snapshot: perturbing messages means building a
     new table.  ``K[a]`` holds K_a(S) for every subset S of a's incident
     edges, indexed by the local bitmask aligned with ``graph.adjacency[a]``.
+
+    With incoming fields w_k = eta_{b_k->a} + h_k/2 and edge sums
+    q_k = eta_{a->b_k} + eta_{b_k->a}, K_a(S) is the average under the
+    tilted local weights of prod_{k in S} sigma_k exp(-sigma_k q_k).  The
+    tables are built for a block of nodes of one degree at a time; a degree
+    above 16 raises BudgetError before any table is allocated, and a
+    vanishing local normalizer raises ValueError naming the first such node.
     """
 
     def __init__(self, graph: CheckGraph, spec: FactorSpec,
@@ -111,37 +84,78 @@ class ActivityTable:
         self.graph = graph
         self.spec = spec
         t = spec.parity_couplings(graph)
-        eta = messages.eta
-        self.K = [_node_table(graph, spec, eta, a, t[a])
-                  for a in range(graph.n)]
-        self.pos = [
-            {e: k for k, e in enumerate(graph.adjacency[a])}
-            for a in range(graph.n)
-        ]
+        lay = layout(graph)
+        if lay.dmax > _MAX_TABLE_DEGREE:
+            a = int(np.argmax(lay.deg > _MAX_TABLE_DEGREE))
+            raise BudgetError(f"node degree {lay.deg[a]} exceeds "
+                              f"activity-table cap (node {a})")
+        hh = lay.half_fields(spec.h)
+        ext = np.append(messages.flat(), 0.0)
+        q = np.sum(messages.eta, axis=1)
+        bad = []
+
+        def activities(d, nodes):
+            S, parity = spins(d)
+            expo = (ext[lay.inc[nodes, :d]] + hh[nodes, :d]) @ S.T
+            weights = 0.5 * (1.0 + t[nodes, None] * parity) * np.exp(
+                expo - np.max(expo, axis=1, keepdims=True))
+            Z = np.sum(weights, axis=1)
+            bad.extend(nodes[~(np.isfinite(Z) & (Z > 0.0))])
+            # factor of each member edge k in configuration s, then the
+            # product over every subset m: P[:, m, s], built bit by bit
+            F = S * np.exp(-S * q[lay.eid[nodes, :d]][:, None, :])
+            P = np.empty((len(nodes), 1 << d, 1 << d))
+            P[:, 0] = weights
+            for k in range(d):
+                P[:, 1 << k:2 << k] = P[:, :1 << k] * F[:, None, :, k]
+            return np.sum(P, axis=2) / Z[:, None]
+
+        with np.errstate(invalid="ignore", divide="ignore"):
+            self.K = node_tables(lay, lambda d: 1 << 2 * d, activities)
+        if bad:
+            raise ValueError(f"local normalizer vanished at node {min(bad)}")
 
     def node_activity(self, a: int, edges: Iterable[int]) -> float:
+        adjacency = self.graph.adjacency[a]
         mask = 0
         for e in edges:
-            k = self.pos[a].get(e)
-            if k is None:
+            if e not in adjacency:
                 raise ValueError(f"edge {e} is not incident to node {a}")
-            mask |= 1 << k
+            mask |= 1 << adjacency.index(e)
         return float(self.K[a][mask])
 
     def subgraph_activity(self, subset: EdgeSubset) -> float:
         """K(g) = prod over touched nodes of K_a(g restricted to a's edges)."""
-        out = 1.0
-        for a in subset.touched_nodes:
-            mask = 0
-            for e in subset.edge_ids:
-                k = self.pos[a].get(e)
-                if k is not None:
-                    mask |= 1 << k
-            out *= self.K[a][mask]
-        return float(out)
+        return float(self._activities([subset])[0])
 
     def polymer_activities(self, catalog: PolymerCatalog) -> np.ndarray:
-        return np.array([self.subgraph_activity(p) for p in catalog.polymers])
+        return self._activities(catalog.polymers)
+
+    def _activities(self, subsets) -> np.ndarray:
+        """K(g) of every subset, gathered from the flat tables.
+
+        Each member edge sets its slot bit at both endpoints; the local
+        masks of every (subset, node) pair are OR-ed together and the
+        tables multiplied per subset in ascending node order.  Subsets are
+        taken ``_GATHER_BLOCK`` at a time, so temporaries stay small.
+        """
+        lay = layout(self.graph)
+        n = self.graph.n
+        out = np.ones(len(subsets))
+        for lo in range(0, len(subsets), _GATHER_BLOCK):
+            block = subsets[lo:lo + _GATHER_BLOCK]
+            sizes = [s.num_edges for s in block]
+            edges = np.fromiter(itertools.chain.from_iterable(
+                s.edge_ids for s in block), np.int64, sum(sizes))
+            owner = np.tile(np.repeat(np.arange(lo, lo + len(block)), sizes),
+                            2)
+            pairs, inverse = np.unique(owner * n + lay.ends[edges].T.ravel(),
+                                       return_inverse=True)
+            masks = np.zeros(len(pairs), dtype=np.int64)
+            np.bitwise_or.at(masks, inverse, 1 << lay.slot[edges].T.ravel())
+            np.multiply.at(out, pairs // n,
+                           self.K.values[self.K.offsets[pairs % n] + masks])
+        return out
 
 
 @dataclass(frozen=True)

@@ -23,6 +23,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ._elim import contract, plan_elimination
+from ._layout import layout, node_tables, spins
 from .exceptions import BudgetError
 from .graphs import CheckGraph
 
@@ -131,13 +132,15 @@ def exact_log_partition(graph: CheckGraph, spec: FactorSpec,
         raise BudgetError(f"{E} edges exceeds exact-sum cap {max_edges}")
     t = spec.parity_couplings(graph)
     plan = plan_elimination(graph)
-    tables = []
-    for a, eids in enumerate(graph.adjacency):
-        # local bitmask bit k set means the spin on eids[k] is -1
-        bits = (np.arange(1 << len(eids))[:, None] >> np.arange(len(eids))) & 1
-        S = 1.0 - 2.0 * bits
-        tables.append(0.5 * (1.0 + t[a] * np.prod(S, axis=1))
-                      * np.exp(0.5 * (S @ spec.h[list(eids)])))
+    lay = layout(graph)
+    hh = lay.half_fields(spec.h)
+
+    def factor_tables(d, nodes):
+        S, parity = spins(d)
+        return (0.5 * (1.0 + t[nodes, None] * parity)
+                * np.exp(hh[nodes, :d] @ S.T))
+
+    tables = node_tables(lay, lambda d: 1 << d, factor_tables)
     vals, log_scale = contract(plan, tables)
     if not vals[0] > 0.0:
         raise ValueError("partition function vanished")

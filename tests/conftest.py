@@ -13,7 +13,9 @@ import numpy as np
 import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
+from scipy.special import logsumexp
 
+from loopexp.exceptions import BudgetError
 from loopexp.graphs import CheckGraph, EdgeSubset
 from loopexp.loopseries import connected_labeled_graphs
 from loopexp.model import FactorSpec, factor_value
@@ -65,6 +67,12 @@ def two_k4s():
     edges = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
     edges += [(u + 4, v + 4) for u, v in edges[:6]]
     return CheckGraph(8, 3, edges)
+
+
+def mixed_host():
+    """Degrees 0 to 3 on one host: a triangle with a pendant edge at node 2,
+    a lone edge (4, 5) and the isolated node 6."""
+    return CheckGraph.from_edges(7, [(0, 1), (0, 2), (1, 2), (2, 3), (4, 5)])
 
 
 # ----------------------------------------------------- hypothesis hosts
@@ -258,6 +266,112 @@ def dense_mayer_orders(catalog, activities, M_max):
             total += (-1.0) ** len(edges) * float(hom)
         orders.append(total / math.factorial(M))
     return orders
+
+
+def loop_bethe_node_term(graph, spec, eta):
+    """Bethe node term, one node at a time in node order."""
+    t = spec.parity_couplings(graph)
+    node_term = 0.0
+    for a in range(graph.n):
+        eids = graph.adjacency[a]
+        w = np.array([incoming(graph, eta, a, e) + 0.5 * spec.h[e]
+                      for e in eids])
+        bits = (np.arange(1 << len(eids))[:, None] >> np.arange(len(eids))) & 1
+        S = 1.0 - 2.0 * bits
+        weights = 0.5 * (1.0 + t[a] * np.prod(S, axis=1))
+        val = logsumexp(S @ w, b=weights)
+        if not math.isfinite(val):
+            raise ValueError(f"node sum vanished at node {a}")
+        node_term += float(val)
+    return node_term
+
+
+def loop_node_table(graph, spec, eta, a):
+    """K_a(S) for every local bitmask S, one subset at a time."""
+    t = spec.parity_couplings(graph)[a]
+    eids = graph.adjacency[a]
+    deg = len(eids)
+    w = np.array([incoming(graph, eta, a, e) + 0.5 * spec.h[e]
+                  for e in eids])
+    q = np.array([eta[e, 0] + eta[e, 1] for e in eids])
+    bits = (np.arange(1 << deg)[:, None] >> np.arange(deg)) & 1
+    S = 1.0 - 2.0 * bits
+    expo = S @ w if deg else np.zeros(1)
+    weights = (0.5 * (1.0 + t * np.prod(S, axis=1))
+               * np.exp(expo - np.max(expo)))
+    Z = float(np.sum(weights))
+    if not (math.isfinite(Z) and Z > 0.0):
+        raise ValueError(f"local normalizer vanished at node {a}")
+    F = S * np.exp(-S * q)
+    K = np.empty(1 << deg)
+    for m in range(1 << deg):
+        v = weights
+        for k in range(deg):
+            if m >> k & 1:
+                v = v * F[:, k]
+        K[m] = float(np.sum(v)) / Z
+    return K
+
+
+def loop_polymer_activities(table, catalog):
+    """K(gamma) per polymer: one local mask per (polymer, touched node)."""
+    graph = table.graph
+    out = []
+    for p in catalog.polymers:
+        value = 1.0
+        for a in p.touched_nodes:
+            mask = 0
+            for k, e in enumerate(graph.adjacency[a]):
+                if e in p.edge_ids:
+                    mask |= 1 << k
+            value *= table.K[a][mask]
+        out.append(value)
+    return np.array(out)
+
+
+def global_polymers(graph, node_cap, max_polymers=200_000):
+    """Polymers grown from every edge of the host, in anchor order.
+
+    Each connected edge subset is a connected vertex set of the line graph,
+    anchored at its minimal edge and grown with larger-indexed edges through
+    an exclusive-neighbourhood extension list; no locality pruning.
+    """
+    E = graph.num_edges
+    line_adj = [set() for _ in range(E)]
+    for a in range(graph.n):
+        inc = graph.adjacency[a]
+        for i, e in enumerate(inc):
+            for f in inc[i + 1:]:
+                line_adj[e].add(f)
+                line_adj[f].add(e)
+    line_adj = [sorted(s) for s in line_adj]
+    polymers = []
+
+    def extend(mask, node_deg, ext, near, anchor):
+        if min(node_deg.values()) >= 2:
+            if len(polymers) >= max_polymers:
+                raise BudgetError(
+                    f"polymer catalog exceeds max_polymers={max_polymers}")
+            polymers.append(EdgeSubset(graph, bitmask=mask))
+        for i, w in enumerate(ext):
+            u, v = graph.edges[w]
+            grown = (u not in node_deg) + (v not in node_deg)
+            if len(node_deg) + grown > node_cap:
+                continue
+            new_deg = dict(node_deg)
+            new_deg[u] = new_deg.get(u, 0) + 1
+            new_deg[v] = new_deg.get(v, 0) + 1
+            fresh = [f for f in line_adj[w] if f > anchor and f not in near]
+            extend(mask | (1 << w), new_deg, ext[i + 1:] + fresh,
+                   near | set(fresh), anchor)
+
+    if node_cap >= 2:
+        for anchor in range(E):
+            u, v = graph.edges[anchor]
+            ext0 = [f for f in line_adj[anchor] if f > anchor]
+            extend(1 << anchor, {u: 1, v: 1}, ext0, {anchor} | set(ext0),
+                   anchor)
+    return polymers
 
 
 def ratio_message_update(graph, spec, eta, a, c):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from loopexp.bp import (MessageSet, bethe_log_partition, bp_sweep,
                         read_messages_csv, solve_fixed_point,
@@ -11,7 +13,9 @@ from loopexp.exceptions import DivergenceError
 from loopexp.graphs import CheckGraph, sample_regular_graph
 from loopexp.model import FactorSpec, exact_log_partition
 
-from conftest import ratio_message_update
+from conftest import (arbitrary_messages, factor_specs,
+                      loop_bethe_node_term, mixed_host, ratio_message_update,
+                      small_hosts)
 
 
 def spec_for(kind, h, eps=0.1, J=0.05):
@@ -226,6 +230,31 @@ class TestBetheValue:
         msgs2 = solve_fixed_point(g2, spec2)
         assert bethe_log_partition(g2, spec2, msgs2).total == pytest.approx(
             base, abs=1e-10)
+
+
+class TestBatchedBethe:
+    """The node term, batched per degree class, against the node loop."""
+
+    @given(st.data())
+    def test_matches_node_loop(self, data):
+        g = data.draw(st.one_of(st.just(mixed_host()), small_hosts()))
+        spec = data.draw(factor_specs(g))
+        eta = data.draw(arbitrary_messages(g))
+        got = bethe_log_partition(g, spec, MessageSet(eta=eta)).node_term
+        want = loop_bethe_node_term(g, spec, eta)
+        assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+
+    def test_first_vanishing_node_is_named(self):
+        # nan messages on edges (2, 3) and (4, 5): nodes 2..5 fail, and the
+        # lowest of them has the highest degree, so its class comes last
+        g = mixed_host()
+        eta = np.zeros((g.num_edges, 2))
+        eta[[g.edge_index[(2, 3)], g.edge_index[(4, 5)]]] = np.nan
+        spec = FactorSpec.cycle_code(np.zeros(g.num_edges))
+        with pytest.raises(ValueError, match="vanished at node 2$"):
+            loop_bethe_node_term(g, spec, eta)
+        with pytest.raises(ValueError, match="vanished at node 2$"):
+            bethe_log_partition(g, spec, MessageSet(eta=eta))
 
 
 class TestMessageCSV:

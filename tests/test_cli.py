@@ -119,6 +119,26 @@ class TestExitCodes:
         assert code == 3
         assert "no trial reached" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command,key", [("correction-decay", "n_list"),
+                                             ("criterion-report", "values")])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_empty_sweep_list_is_rejected(self, tmp_path, capsys, command,
+                                          key, source):
+        # an empty sweep runs nothing; it fails like a malformed list,
+        # before any output is written
+        out = tmp_path / "out.csv"
+        argv = [command, "-o", str(out)]
+        if source == "flag":
+            with pytest.raises(SystemExit) as ei:
+                main(argv + ["--" + key.replace("_", "-"), " , "])
+            assert ei.value.code == 1
+        else:
+            cfgfile = tmp_path / "cfg.txt"
+            cfgfile.write_text(f"{key}=\n")
+            assert main(argv + ["--config", str(cfgfile)]) == 2
+            assert key in capsys.readouterr().err
+        assert not out.exists()
+
     def test_criterion_report_all_diverged_is_three(self, tmp_path, capsys):
         # p = 0.01 on K4: every BP run saturates
         out = tmp_path / "criterion.csv"
@@ -188,6 +208,20 @@ class TestVerifyIdentity:
             assert doc["converged"] is True
             assert doc["identity_residual"] <= 1e-8
             assert (out_dir / "reports" / f"messages_{t:04d}.csv").exists()
+
+    def test_over_cap_trials_are_not_divergence(self, tmp_path, capsys):
+        # both trials converge, but their exact sums are over the caps:
+        # they are counted apart from the diverged ones, and the run is ok
+        out_dir = tmp_path / "v"
+        code = main(["verify-identity", "-n", "6", "--trials", "2",
+                     "--model", "high-temperature", "--exact-cap", "8",
+                     "--scan-cap", "8", "--out-dir", str(out_dir)])
+        assert code == 0
+        meta, header, rows = read_summary(out_dir / "summary.csv")
+        assert int(meta["excluded_not_converged"]) == 0
+        assert int(meta["excluded_over_cap"]) == 2
+        assert [row[1] for row in rows] == ["1", "1"]
+        assert "over_cap=2" in capsys.readouterr().out
 
     def test_reruns_reproduce_scalars(self, tmp_path):
         args = ["verify-identity", "-n", "6", "--trials", "2",

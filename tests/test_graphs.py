@@ -2,14 +2,17 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given
 
+from loopexp._layout import layout
 from loopexp.exceptions import BudgetError, PairingError
-from loopexp.graphs import (CheckGraph, EdgeSubset, check_edge_expansion,
-                            edge_boundary, enumerate_polymers, is_loop,
+from loopexp.graphs import (CheckGraph, EdgeSubset, _near_short_cycles,
+                            check_edge_expansion, edge_boundary,
+                            enumerate_polymers, is_loop,
                             read_graph, sample_regular_graph,
                             subgraph_degree_profile, write_graph)
 
-from conftest import brute_polymers
+from conftest import brute_polymers, global_polymers, small_hosts
 
 
 class TestCheckGraph:
@@ -204,6 +207,36 @@ class TestPolymerEnumeration:
         cat = enumerate_polymers(g, 8)
         got = {frozenset(p.edge_ids) for p in cat.polymers}
         assert got == brute_polymers(g, 8)
+
+
+class TestLocalCatalog:
+    """The catalog grown near short cycles against the global grower."""
+
+    @given(small_hosts(max_nodes=8, max_edges=11))
+    def test_same_polymers_in_same_order(self, g):
+        for cap in range(g.n + 1):
+            got = enumerate_polymers(g, cap).polymers
+            assert ([p.bitmask for p in got]
+                    == [p.bitmask for p in global_polymers(g, cap)])
+
+    @pytest.mark.parametrize("cap", [5, 6])
+    def test_sampled_cubic_graph(self, cap):
+        g = sample_regular_graph(2000, 3, 17)
+        got = enumerate_polymers(g, cap).polymers
+        want = global_polymers(g, cap)
+        assert want
+        assert [p.bitmask for p in got] == [p.bitmask for p in want]
+
+    @pytest.mark.parametrize("cap", [3, 5, 6, 12])
+    def test_region_is_near_short_cycles(self, cap):
+        # a triangle with a long path hanging off node 2: the region holds
+        # the triangle and the cap - 3 path nodes closest to it
+        edges = [(0, 1), (0, 2), (1, 2)] + [(i, i + 1) for i in range(2, 40)]
+        g = CheckGraph.from_edges(41, edges)
+        region = _near_short_cycles(layout(g), cap)
+        assert region.tolist() == list(range(cap))
+        assert [p.edge_ids for p in enumerate_polymers(g, cap).polymers] \
+            == [(0, 1, 2)]
 
 
 class TestExpansion:

@@ -26,6 +26,7 @@ from loopexp.model import FactorSpec
 from conftest import (arbitrary_messages, brute_correction,
                       brute_node_activity, brute_polymer_sum, brute_scan,
                       dense_mayer_orders, factor_specs, incoming,
+                      loop_node_table, loop_polymer_activities, mixed_host,
                       ratio_message_update, small_hosts)
 
 
@@ -99,6 +100,70 @@ class TestNodeActivity:
         far = [e for e in range(6) if e not in k4.adjacency[0]][0]
         with pytest.raises(ValueError):
             table.node_activity(a, [far])
+
+
+class TestBatchedTable:
+    """Tables built per degree class, and activities gathered by array
+    indexing, against the per-node and per-polymer loops."""
+
+    @given(st.data())
+    def test_matches_subset_loop(self, data):
+        g = data.draw(st.one_of(st.just(mixed_host()), small_hosts()))
+        spec = data.draw(factor_specs(g))
+        eta = data.draw(arbitrary_messages(g))
+        table = ActivityTable(g, spec, MessageSet(eta=eta))
+        assert len(table.K) == g.n
+        for a in range(g.n):
+            want = loop_node_table(g, spec, eta, a)
+            assert np.all(np.abs(table.K[a] - want)
+                          <= 1e-12 * np.maximum(1.0, np.abs(want)))
+
+    def test_first_vanishing_node_is_named(self):
+        # as for the Bethe node term: nodes 2..5 fail, node 2 comes last
+        g = mixed_host()
+        eta = np.zeros((g.num_edges, 2))
+        eta[[g.edge_index[(2, 3)], g.edge_index[(4, 5)]]] = np.nan
+        spec = FactorSpec.cycle_code(np.zeros(g.num_edges))
+        with pytest.raises(ValueError, match="vanished at node 2$"):
+            loop_node_table(g, spec, eta, 2)
+        with pytest.raises(ValueError, match="vanished at node 2$"):
+            ActivityTable(g, spec, MessageSet(eta=eta))
+
+    def test_degree_over_cap_raises_before_allocating(self):
+        # one node of degree 17: its table alone would hold 2^17 entries
+        g = CheckGraph.from_edges(18, [(0, i) for i in range(1, 18)])
+        spec = FactorSpec.cycle_code(np.zeros(17))
+        msgs = MessageSet.zeros(g)
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetError, match="node degree 17"):
+                ActivityTable(g, spec, msgs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 256 * 1024
+
+    @given(st.data())
+    def test_polymer_activities_match_per_polymer_masks(self, data):
+        g = data.draw(small_hosts())
+        spec = data.draw(factor_specs(g))
+        eta = data.draw(arbitrary_messages(g))
+        table = ActivityTable(g, spec, MessageSet(eta=eta))
+        catalog = enumerate_polymers(g, g.n)
+        got = table.polymer_activities(catalog)
+        want = loop_polymer_activities(table, catalog)
+        assert got.shape == (len(catalog),)
+        assert np.all(np.abs(got - want) <= 1e-15 * np.abs(want))
+
+    def test_polymer_activities_on_uncapped_catalog(self):
+        g = sample_regular_graph(12, 3, 1)
+        spec = FactorSpec.cycle_code(sample_bsc(g, 0.45, 2).h)
+        table = ActivityTable(g, spec, solve_fixed_point(g, spec))
+        catalog = enumerate_polymers(g, g.n)
+        got = table.polymer_activities(catalog)
+        want = loop_polymer_activities(table, catalog)
+        assert len(got) == 2206
+        assert np.all(np.abs(got - want) <= 1e-15 * np.abs(want))
 
 
 class TestSubgraphActivity:
