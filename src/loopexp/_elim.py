@@ -35,12 +35,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from ._layout import MAX_ENTRIES
 from .exceptions import BudgetError
 from .graphs import CheckGraph
-
-# Largest intermediate (entries times payload length) a plan may build:
-# 2^24 float64 entries is 128 MiB.
-MAX_ENTRIES = 1 << 24
 
 
 @dataclass(frozen=True)

@@ -24,6 +24,10 @@ import numpy as np
 if TYPE_CHECKING:
     from .graphs import CheckGraph
 
+# Largest array a layer may build (entries; for the elimination, entries
+# times payload length): 2^24 float64 entries is 128 MiB.
+MAX_ENTRIES = 1 << 24
+
 # Entries per block of a batched node computation (512 KiB of float64), so
 # temporaries stay bounded whatever the number of nodes.
 BLOCK_ENTRIES = 1 << 16

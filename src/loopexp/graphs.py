@@ -19,7 +19,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from ._bitops import bits_of, iter_chunks, popcount
-from ._layout import BLOCK_ENTRIES, Layout, layout
+from ._layout import BLOCK_ENTRIES, MAX_ENTRIES, Layout, layout
 from .exceptions import BudgetError, PairingError
 
 __all__ = [
@@ -334,11 +334,6 @@ class PolymerCatalog:
         return vals
 
 
-# Largest number of walk states the short-cycle search may hold at once
-# (2^24 int64 entries, 128 MiB per array).
-_MAX_WALK_STATES = 1 << 24
-
-
 def enumerate_polymers(graph: CheckGraph, node_cap: int,
                        max_polymers: int = 200_000) -> PolymerCatalog:
     """Enumerate all polymers touching at most ``node_cap`` nodes.
@@ -427,7 +422,7 @@ def _on_short_cycle(lay: Layout, c: int, sources: np.ndarray) -> np.ndarray:
         seen.append((((start << nb | cur) << fb | first) << lb) | length)
         if length == top:
             break
-        if len(cur) * dmax > _MAX_WALK_STATES:
+        if len(cur) * dmax > MAX_ENTRIES:
             raise BudgetError(f"short-cycle search for node cap {c} would "
                               f"hold {len(cur) * dmax:,} walks")
         nxt = lay.nbr[cur]

@@ -36,8 +36,8 @@ from typing import Iterable, Optional
 import numpy as np
 
 from ._bitops import bits_of, popcount
-from ._elim import MAX_ENTRIES, contract, plan_elimination
-from ._layout import layout, node_tables, spins
+from ._elim import contract, plan_elimination
+from ._layout import MAX_ENTRIES, layout, node_tables, spins
 from .bp import MessageSet, bethe_log_partition
 from .exceptions import BudgetError
 from .graphs import CheckGraph, EdgeSubset, PolymerCatalog, enumerate_polymers
