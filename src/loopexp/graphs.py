@@ -14,6 +14,7 @@ machinery; sampled and file-loaded graphs are validated as exactly d-regular.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -77,15 +78,19 @@ class CheckGraph:
         self.adjacency = tuple(tuple(a) for a in adjacency)
         self.neighbors = tuple(tuple(a) for a in neighbors)
         self.degrees = tuple(len(a) for a in self.adjacency)
-        # bitmask over edge indices incident to each node
-        self.incident_mask = tuple(
-            sum(1 << e for e in a) for a in self.adjacency
-        )
         self.edge_index = {uv: e for e, uv in enumerate(self.edges)}
 
     @property
     def num_edges(self) -> int:
         return len(self.edges)
+
+    @cached_property
+    def incident_mask(self) -> tuple[int, ...]:
+        """Per node, the bitmask over its incident edge indices.
+
+        Built on first use: together the masks hold about n·E/2 bits.
+        """
+        return tuple(sum(1 << e for e in a) for a in self.adjacency)
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]],
