@@ -47,17 +47,15 @@ class Layout:
         n, E = graph.n, graph.num_edges
         ends = np.fromiter(itertools.chain.from_iterable(graph.edges),
                            np.int64, 2 * E).reshape(E, 2)
-        deg = np.bincount(ends.ravel(), minlength=n)
+        deg = np.fromiter(graph.degrees, np.int64, n)
         dmax = int(deg.max())
-        # every edge as a stub at u (side 0) and at v (side 1); adjacency
-        # lists edges in ascending order, so sorting stubs by (node, edge)
-        # puts each node's stubs in slot order
-        node = ends.T.ravel()
-        edge = np.tile(np.arange(E), 2)
-        side = np.repeat(np.arange(2), E)
-        order = np.lexsort((edge, node))
-        slot = np.empty(2 * E, dtype=np.int64)
-        slot[order] = np.arange(2 * E) - (np.cumsum(deg) - deg)[node[order]]
+        # every (node, incident edge) stub in slot order, and whether the
+        # node is the edge's v (side 1) or its u (side 0)
+        edge = np.fromiter(itertools.chain.from_iterable(graph.adjacency),
+                           np.int64, 2 * E)
+        node = np.repeat(np.arange(n), deg)
+        slot = np.arange(2 * E) - np.repeat(np.cumsum(deg) - deg, deg)
+        side = (ends[edge, 1] == node).astype(np.int64)
         self.inc = np.full((n, dmax), 2 * E, dtype=np.int64)
         self.out = np.full((n, dmax), 2 * E, dtype=np.int64)
         self.eid = np.zeros((n, dmax), dtype=np.int64)
@@ -70,9 +68,10 @@ class Layout:
         self.deg = deg
         self.dmax = dmax
         self.ends = ends
-        self.slot = slot.reshape(2, E).T
+        self.slot = np.empty((E, 2), dtype=np.int64)
+        self.slot[edge, side] = slot
         self.classes = tuple((int(d), np.flatnonzero(deg == d))
-                             for d in np.unique(deg))
+                             for d in np.flatnonzero(np.bincount(deg)))
 
     def blocks(self, row_entries) -> Iterator[tuple[int, np.ndarray]]:
         """``(deg, nodes)`` per degree class, split into blocks of nodes

@@ -349,8 +349,9 @@ def enumerate_polymers(graph: CheckGraph, node_cap: int,
     so it lies within distance c - |C| <= c - 3 of C.  The search therefore
     marks the nodes of the host that lie on a cycle of length <= c, grows
     the marked set by c - 3 hops, and grows polymers only on the subgraph
-    induced by that region.  A graph of large girth has O(1) short cycles,
-    so the region, and the work, stays small however large the host.
+    induced by that region (the whole host when c >= n).  A random regular
+    graph has O(1) cycles of each fixed length, so the region, and the
+    work, stays small however large the host.
 
     Inside the region, connected edge subsets are connected vertex sets of
     the line graph: each subset is anchored at its minimal edge index and
@@ -367,7 +368,9 @@ def enumerate_polymers(graph: CheckGraph, node_cap: int,
         raise ValueError("node_cap must be nonnegative")
     polymers = []
     if node_cap >= 3 and graph.num_edges:
-        region = _near_short_cycles(layout(graph), node_cap)
+        # a cap of n or more excludes no polymer: the region is the host
+        region = (np.arange(graph.n) if node_cap >= graph.n
+                  else _near_short_cycles(layout(graph), node_cap))
         polymers = _grow_polymers(graph, node_cap, max_polymers, region)
     per_node = [[] for _ in range(graph.n)]
     for idx, p in enumerate(polymers):

@@ -3,7 +3,9 @@
 The oracles recompute everything from first principles (itertools over spin
 configurations, 2^|E| subset filters, ratio-form message updates) so the
 library's vectorized/closed-form code paths are checked against independent
-implementations, never against themselves.
+implementations, never against themselves.  The per-node loops of the Bethe
+node term and the activity tables, and the polymer grower over the whole
+host, are kept here as the references for their batched and local versions.
 """
 
 import itertools

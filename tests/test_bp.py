@@ -244,6 +244,18 @@ class TestBatchedBethe:
         want = loop_bethe_node_term(g, spec, eta)
         assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
 
+    @pytest.mark.parametrize("kind", ["cycle-code", "softened-cycle-code",
+                                      "high-temperature"])
+    def test_mixed_degrees_match_node_loop(self, kind):
+        # degrees 0 to 3 on one host, so every class runs
+        g = mixed_host()
+        rng = np.random.default_rng(4)
+        spec = spec_for(kind, rng.uniform(-1.0, 1.0, g.num_edges))
+        eta = rng.uniform(-1.0, 1.0, (g.num_edges, 2))
+        got = bethe_log_partition(g, spec, MessageSet(eta=eta)).node_term
+        want = loop_bethe_node_term(g, spec, eta)
+        assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+
     def test_first_vanishing_node_is_named(self):
         # nan messages on edges (2, 3) and (4, 5): nodes 2..5 fail, and the
         # lowest of them has the highest degree, so its class comes last

@@ -118,6 +118,19 @@ class TestBatchedTable:
             assert np.all(np.abs(table.K[a] - want)
                           <= 1e-12 * np.maximum(1.0, np.abs(want)))
 
+    @pytest.mark.parametrize("kind", ["cycle-code", "softened-cycle-code",
+                                      "high-temperature"])
+    def test_mixed_degrees_match_subset_loop(self, kind):
+        g = mixed_host()
+        rng = np.random.default_rng(4)
+        spec = spec_for(kind, rng.uniform(-1.0, 1.0, g.num_edges))
+        eta = rng.uniform(-1.0, 1.0, (g.num_edges, 2))
+        table = ActivityTable(g, spec, MessageSet(eta=eta))
+        for a in range(g.n):
+            want = loop_node_table(g, spec, eta, a)
+            assert np.all(np.abs(table.K[a] - want)
+                          <= 1e-12 * np.maximum(1.0, np.abs(want)))
+
     def test_first_vanishing_node_is_named(self):
         # as for the Bethe node term: nodes 2..5 fail, node 2 comes last
         g = mixed_host()
