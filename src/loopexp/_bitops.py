@@ -10,10 +10,11 @@ from __future__ import annotations
 import numpy as np
 
 
-def iter_chunks(num_bits: int, chunk_bits: int = 18):
-    """Yield uint64 arrays covering range(2**num_bits) in deterministic order."""
+def iter_chunks(num_bits: int):
+    """Yield uint64 arrays covering range(2**num_bits) in deterministic order,
+    2^18 values (2 MiB) at a time."""
     total = 1 << num_bits
-    step = 1 << min(chunk_bits, num_bits)
+    step = 1 << min(18, num_bits)
     for start in range(0, total, step):
         stop = min(start + step, total)
         yield np.arange(start, stop, dtype=np.uint64)

@@ -32,6 +32,10 @@ from .model import FactorSpec
 __all__ = ["MessageSet", "BetheValue", "bp_sweep", "solve_fixed_point",
            "bethe_log_partition", "write_messages_csv", "read_messages_csv"]
 
+# Messages are clipped to [-CLAMP, CLAMP] after each sweep; clipping sets the
+# overflow flag.
+CLAMP = 30.0
+
 
 @dataclass(frozen=True)
 class MessageSet:
@@ -99,7 +103,7 @@ def _raw_sweep(lay: Layout, hh: np.ndarray, t: np.ndarray,
 
 
 def bp_sweep(graph: CheckGraph, spec: FactorSpec, messages: MessageSet,
-             damping: float = 0.0, clamp: float = 30.0) -> MessageSet:
+             damping: float = 0.0) -> MessageSet:
     """One flooding sweep: all directed edges updated from the old messages.
 
     Returns the damped, clamped messages with the undamped residual recorded.
@@ -110,8 +114,8 @@ def bp_sweep(graph: CheckGraph, spec: FactorSpec, messages: MessageSet,
     raw = _raw_sweep(*inputs, flat)
     residual = float(np.max(np.abs(raw - flat))) if flat.size else 0.0
     mixed = (1.0 - damping) * raw + damping * flat
-    overflow = bool(messages.overflow or np.any(np.abs(mixed) > clamp))
-    eta = np.clip(mixed, -clamp, clamp).reshape(-1, 2)
+    overflow = bool(messages.overflow or np.any(np.abs(mixed) > CLAMP))
+    eta = np.clip(mixed, -CLAMP, CLAMP).reshape(-1, 2)
     return MessageSet(eta=eta, sweeps=messages.sweeps + 1,
                       residual=residual, converged=False, overflow=overflow)
 
@@ -119,8 +123,8 @@ def bp_sweep(graph: CheckGraph, spec: FactorSpec, messages: MessageSet,
 def solve_fixed_point(graph: CheckGraph, spec: FactorSpec,
                       tol: float = 1e-12, damping: float = 0.5,
                       max_sweeps: int = 10_000,
-                      init: Optional[Union[MessageSet, np.ndarray]] = None,
-                      clamp: float = 30.0) -> MessageSet:
+                      init: Optional[Union[MessageSet, np.ndarray]] = None
+                      ) -> MessageSet:
     """Iterate damped flooding sweeps to a fixed point.
 
     Convergence means the *undamped* residual dropped to ``tol``; the returned
@@ -150,9 +154,9 @@ def solve_fixed_point(graph: CheckGraph, spec: FactorSpec,
                               residual=residual, converged=True,
                               overflow=overflow)
         mixed = (1.0 - damping) * raw + damping * flat
-        if np.any(np.abs(mixed) > clamp):
+        if np.any(np.abs(mixed) > CLAMP):
             overflow = True
-            mixed = np.clip(mixed, -clamp, clamp)
+            mixed = np.clip(mixed, -CLAMP, CLAMP)
         flat = mixed
     return MessageSet(eta=flat.reshape(-1, 2), sweeps=max_sweeps,
                       residual=residual, converged=False, overflow=overflow)

@@ -85,8 +85,6 @@ _D = ("d", int, 3, "node degree")
 _EPS = ("eps", float, 0.1, "softening (softened kind)")
 _COUPLING = ("coupling", float, 0.05, "J (high-temperature kind)")
 _FIELD_BOUND = ("field_bound", float, 0.2, "field bound (high-temperature)")
-_EXACT_CAP = ("exact_cap", int, 26, "edge cap of the exact ln Z")
-_SCAN_CAP = ("scan_cap", int, 22, "edge cap of the correction scan")
 _ALPHA_D = ("alpha_d", float, ALPHA_D_DEFAULT, "alpha_d of the bound")
 _ALPHA_MID = ("alpha_mid", float, ALPHA_MID_DEFAULT, "alpha_mid of the bound")
 
@@ -230,7 +228,7 @@ def cmd_gen_graph(cfg: dict) -> int:
           _FIELD_BOUND, ("trials", int, 10, "number of trials"), _SEED,
           ("tol", float, 1e-12, "BP residual tolerance"),
           ("damping", float, 0.5, "BP damping in [0, 1)"),
-          ("max_sweeps", int, 10_000, "BP sweep limit"), _EXACT_CAP, _SCAN_CAP,
+          ("max_sweeps", int, 10_000, "BP sweep limit"),
           ("node_cap", int, 0, "polymer node cap; 0 = n"),
           ("mayer_max", int, 3, "highest Mayer order"),
           ("out_dir", str, "loopexp-verify", "output directory"),
@@ -251,8 +249,7 @@ def cmd_verify_identity(cfg: dict) -> int:
             cfg, [seed], cfg["model"], cfg["n"], fixed, tol=cfg["tol"],
             damping=cfg["damping"], max_sweeps=cfg["max_sweeps"]):
         report = build_expansion_report(
-            g, spec, msgs, exact_cap=cfg["exact_cap"],
-            scan_cap=cfg["scan_cap"], node_cap=cfg["node_cap"] or None,
+            g, spec, msgs, node_cap=cfg["node_cap"] or None,
             mayer_max=cfg["mayer_max"],
             params={**params, "trial": t, "master_seed": seed,
                     "graph_seed": [seed, t, 0], "channel_seed": [seed, t, 1]})
@@ -291,7 +288,7 @@ def cmd_verify_identity(cfg: dict) -> int:
            "model kind; both = cycle-code and high-temperature"),
           ("p", float, 0.48, "BSC flip probability"), _COUPLING,
           _FIELD_BOUND, _EPS, ("trials", int, 50, "trials per size"), _SEED,
-          _SCAN_CAP, ("out", str, "correction-decay.csv", "output CSV"))
+          ("out", str, "correction-decay.csv", "output CSV"))
 def cmd_correction_decay(cfg: dict) -> int:
     seed, trials, model = cfg["seed"], cfg["trials"], cfg["model"]
     kinds = [KINDS[0], KINDS[2]] if model == "both" else [model]
@@ -305,7 +302,7 @@ def cmd_correction_decay(cfg: dict) -> int:
                 if not msgs.converged:
                     continue
                 table = ActivityTable(g, spec, msgs)
-                z = scan_correction(g, table, max_edges=cfg["scan_cap"]).z_all
+                z = scan_correction(g, table).z_all
                 if z > 0:
                     vals.append(abs(math.log(z)) / n)
             total_converged += len(vals)
@@ -435,11 +432,11 @@ def cmd_criterion_report(cfg: dict) -> int:
 @_command("entropy", "conditional entropy per node from BP",
           ("n", int, 8, "nodes"), _D,
           ("p", float, 0.45, "BSC flip probability"),
-          ("trials", int, 20, "number of trials"), _SEED, _EXACT_CAP,
+          ("trials", int, 20, "number of trials"), _SEED,
           ("bits", _to_bool, False, "report in bits instead of nats"),
           ("out", str, "entropy.csv", "output CSV"))
 def cmd_entropy(cfg: dict) -> int:
-    p, trials, exact_cap = cfg["p"], cfg["trials"], cfg["exact_cap"]
+    p, trials = cfg["p"], cfg["trials"]
     t0 = time.monotonic()
     unit = math.log(2.0) if cfg["bits"] else 1.0
     unit_name = "bits" if cfg["bits"] else "nats"
@@ -451,8 +448,10 @@ def cmd_entropy(cfg: dict) -> int:
             rows.append([t, 0, "", "", "", ""])
             continue
         f_bethe = bethe_log_partition(g, spec, msgs).total / g.n
-        f_exact = (exact_log_partition(g, spec, max_edges=exact_cap) / g.n
-                   if g.num_edges <= exact_cap else None)
+        try:
+            f_exact = exact_log_partition(g, spec) / g.n
+        except BudgetError:
+            f_exact = None
         ent_b = conditional_entropy_per_node(f_bethe, p) / unit
         ent_e = (conditional_entropy_per_node(f_exact, p) / unit
                  if f_exact is not None else None)

@@ -14,7 +14,6 @@ machinery; sampled and file-loaded graphs are validated as exactly d-regular.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -83,14 +82,6 @@ class CheckGraph:
     @property
     def num_edges(self) -> int:
         return len(self.edges)
-
-    @cached_property
-    def incident_mask(self) -> tuple[int, ...]:
-        """Per node, the bitmask over its incident edge indices.
-
-        Built on first use: together the masks hold about n·E/2 bits.
-        """
-        return tuple(sum(1 << e for e in a) for a in self.adjacency)
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]],

@@ -60,7 +60,6 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
-_MAX_TABLE_DEGREE = 16
 _GATHER_BLOCK = 256    # subsets per block of ActivityTable._activities
 
 
@@ -74,9 +73,11 @@ class ActivityTable:
     With incoming fields w_k = eta_{b_k->a} + h_k/2 and edge sums
     q_k = eta_{a->b_k} + eta_{b_k->a}, K_a(S) is the average under the
     tilted local weights of prod_{k in S} sigma_k exp(-sigma_k q_k).  The
-    tables are built for a block of nodes of one degree at a time; a degree
-    above 16 raises BudgetError before any table is allocated, and a
-    vanishing local normalizer raises ValueError naming the first such node.
+    tables are built for a block of nodes of one degree at a time.  A node
+    of degree d builds a 2^d x 2^d block of its own, so a degree with
+    4^d > MAX_ENTRIES (above 12) raises BudgetError before any table is
+    allocated; a vanishing local normalizer raises ValueError naming the
+    first such node.
     """
 
     def __init__(self, graph: CheckGraph, spec: FactorSpec,
@@ -85,8 +86,8 @@ class ActivityTable:
         self.spec = spec
         t = spec.parity_couplings(graph)
         lay = layout(graph)
-        if lay.dmax > _MAX_TABLE_DEGREE:
-            a = int(np.argmax(lay.deg > _MAX_TABLE_DEGREE))
+        if 4 ** lay.dmax > MAX_ENTRIES:
+            a = int(np.argmax(4.0 ** lay.deg > MAX_ENTRIES))
             raise BudgetError(f"node degree {lay.deg[a]} exceeds "
                               f"activity-table cap (node {a})")
         hh = lay.half_fields(spec.h)
@@ -169,8 +170,7 @@ class CorrectionScan:
     num_subsets: int
 
 
-def scan_correction(graph: CheckGraph, table: ActivityTable,
-                    max_edges: int = 22) -> CorrectionScan:
+def scan_correction(graph: CheckGraph, table: ActivityTable) -> CorrectionScan:
     """All four subset sums, each as one contraction of the K_a network.
 
     Every output is a bucket elimination over edge-membership variables
@@ -179,12 +179,9 @@ def scan_correction(graph: CheckGraph, table: ActivityTable,
     touched nodes, saturating at ceil(n/2), for ``tail_abs``; ``|K_a|`` in
     the (max, x) semiring with an "any degree-one node" flag for
     ``max_nonloop_abs``.  ``z_all`` never comes from ln Z, so the identity
-    check stays non-circular.  Raises BudgetError above ``max_edges`` edges
-    or when the elimination would build too large a table.
+    check stays non-circular.  Raises BudgetError, before any table is
+    allocated, when the elimination would build too large a table.
     """
-    E = graph.num_edges
-    if E > max_edges:
-        raise BudgetError(f"{E} edges exceeds correction scan cap {max_edges}")
     # ties at exactly n/2 touched nodes count as large, matching the split
     # rule: 2 * touched >= n  <=>  touched >= ceil(n/2)
     half = (graph.n + 1) // 2
@@ -203,7 +200,7 @@ def scan_correction(graph: CheckGraph, table: ActivityTable,
         z_loops=_scaled(z_loops, 0),
         max_nonloop_abs=_scaled(nonloop, 1),
         tail_abs=_scaled(tail, half),
-        num_subsets=1 << E,
+        num_subsets=1 << graph.num_edges,
     )
 
 
@@ -512,33 +509,31 @@ class ExpansionReport:
 
 def build_expansion_report(graph: CheckGraph, spec: FactorSpec,
                            messages: MessageSet, *,
-                           exact_cap: int = 26, scan_cap: int = 22,
                            node_cap: Optional[int] = None,
                            mayer_max: int = 3,
-                           with_polymers: bool = True,
                            params: Optional[dict] = None) -> ExpansionReport:
     """Assemble the full per-instance report at the given messages.
 
-    Pieces above their brute-force caps are left as None rather than raised,
-    so large instances still produce criterion/polymer data.
+    An exact sum whose elimination plan is over the ``MAX_ENTRIES`` budget
+    leaves its fields None, and the refusal, which names the width, is
+    logged at INFO; large instances still produce criterion/polymer data.
     """
     bv = bethe_log_partition(graph, spec, messages)
-    exact = None
-    if graph.num_edges <= exact_cap:
-        exact = exact_log_partition(graph, spec, max_edges=exact_cap)
     table = ActivityTable(graph, spec, messages)
-    scan = None
-    if graph.num_edges <= scan_cap:
-        scan = scan_correction(graph, table, max_edges=scan_cap)
-    cat = None
-    vals = None
-    if with_polymers:
-        cap = graph.n if node_cap is None else node_cap
-        cat = enumerate_polymers(graph, cap)
-        vals = table.polymer_activities(cat)
-    mayer = None
-    if cat is not None and len(cat) and mayer_max >= 1:
-        mayer = mayer_expansion(cat, vals, M_max=mayer_max)
+    exact = scan = None
+    # Both orders are planned from the graph alone, and the scan's budget is
+    # the stricter one (its payload is >= 1): a refused ln Z means a refused
+    # scan, so skipping it leaves a trial at most one refused plan to pay.
+    try:
+        exact = exact_log_partition(graph, spec)
+        scan = scan_correction(graph, table)
+    except BudgetError as exc:
+        logger.info("%s left unset: %s", "correction scan" if exact is not None
+                    else "exact ln Z and correction scan", exc)
+    cat = enumerate_polymers(graph, graph.n if node_cap is None else node_cap)
+    vals = table.polymer_activities(cat)
+    mayer = (mayer_expansion(cat, vals, M_max=mayer_max)
+             if len(cat) and mayer_max >= 1 else None)
     return ExpansionReport(
         n=graph.n, d=graph.d, num_edges=graph.num_edges,
         kind=spec.kind, params=params or {},
@@ -550,11 +545,10 @@ def build_expansion_report(graph: CheckGraph, spec: FactorSpec,
         z_corr_loops=None if scan is None else scan.z_loops,
         max_nonloop_abs=None if scan is None else scan.max_nonloop_abs,
         tail_abs=None if scan is None else scan.tail_abs,
-        z_corr_polymer=None if cat is None else
-            z_corr_polymer_form(cat, vals),
-        catalog_size=None if cat is None else len(cat),
-        catalog_cap=None if cat is None else cat.node_cap,
-        catalog_truncated=None if cat is None else not cat.covers_host,
-        criterion=None if cat is None else convergence_criterion(cat, vals),
+        z_corr_polymer=z_corr_polymer_form(cat, vals),
+        catalog_size=len(cat),
+        catalog_cap=cat.node_cap,
+        catalog_truncated=not cat.covers_host,
+        criterion=convergence_criterion(cat, vals),
         mayer_orders=None if mayer is None else mayer.orders,
     )

@@ -24,7 +24,6 @@ import numpy as np
 
 from ._elim import contract, plan_elimination
 from ._layout import layout, node_tables, spins
-from .exceptions import BudgetError
 from .graphs import CheckGraph
 
 __all__ = ["FactorSpec", "factor_value", "exact_log_partition", "KINDS"]
@@ -117,19 +116,15 @@ def factor_value(spec: FactorSpec, graph: CheckGraph, a: int,
     return 0.5 * (1.0 + t * prod) * math.exp(expo)
 
 
-def exact_log_partition(graph: CheckGraph, spec: FactorSpec,
-                        max_edges: int = 26) -> float:
+def exact_log_partition(graph: CheckGraph, spec: FactorSpec) -> float:
     """ln Z, summed exactly over all 2^{|E|} spin configurations.
 
     The sum is contracted by bucket elimination over the edge spins, with
     the factor tables f_a as node tensors; its cost follows the elimination
-    width, not 2^{|E|}.  Raises BudgetError above ``max_edges`` edges or
+    width, not 2^{|E|}.  Raises BudgetError, before any table is allocated,
     when the elimination would build too large a table, and ValueError if
     Z vanishes.
     """
-    E = graph.num_edges
-    if E > max_edges:
-        raise BudgetError(f"{E} edges exceeds exact-sum cap {max_edges}")
     t = spec.parity_couplings(graph)
     plan = plan_elimination(graph)
     lay = layout(graph)

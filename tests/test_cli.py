@@ -1,4 +1,5 @@
 import csv
+import itertools
 import json
 import math
 
@@ -89,6 +90,24 @@ class TestExitCodes:
         cfgfile.write_text(f"n=6\ntrials=2\nsamples=3\nout={out}\n")
         assert main(["gen-graph", "--config", str(cfgfile)]) == 0
         assert out.exists()
+
+    @pytest.mark.parametrize("line", ["exact_cap=26", "scan_cap=22"])
+    def test_removed_cap_key_is_precondition(self, tmp_path, capsys, line):
+        cfgfile = tmp_path / "cfg.txt"
+        cfgfile.write_text(f"n=6\ntrials=1\n{line}\n")
+        out_dir = tmp_path / "v"
+        code = main(["verify-identity", "--config", str(cfgfile),
+                     "--out-dir", str(out_dir)])
+        assert code == 2
+        assert line.partition("=")[0] in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    def test_removed_cap_flag_is_usage(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as ei:
+            main(["verify-identity", "-n", "6", "--exact-cap", "8",
+                  "--out-dir", str(tmp_path / "v")])
+        assert ei.value.code == 1
+        assert "--exact-cap" in capsys.readouterr().err
 
     def test_damping_out_of_range_is_precondition(self, tmp_path, capsys):
         code = main(["verify-identity", "-n", "6", "--trials", "1",
@@ -210,17 +229,22 @@ class TestVerifyIdentity:
             assert (out_dir / "reports" / f"messages_{t:04d}.csv").exists()
 
     def test_over_cap_trials_are_not_divergence(self, tmp_path, capsys):
-        # both trials converge, but their exact sums are over the caps:
-        # they are counted apart from the diverged ones, and the run is ok
+        # both trials converge, but K_10's elimination width is over the
+        # budget of the exact sums: they are counted apart from the
+        # diverged ones, and the run is ok
+        graph_file = tmp_path / "k10.txt"
+        write_graph(CheckGraph.from_edges(
+            10, itertools.combinations(range(10), 2)), graph_file)
         out_dir = tmp_path / "v"
-        code = main(["verify-identity", "-n", "6", "--trials", "2",
-                     "--model", "high-temperature", "--exact-cap", "8",
-                     "--scan-cap", "8", "--out-dir", str(out_dir)])
+        code = main(["verify-identity", "--graph", str(graph_file),
+                     "--node-cap", "3", "--trials", "2",
+                     "--out-dir", str(out_dir)])
         assert code == 0
         meta, header, rows = read_summary(out_dir / "summary.csv")
         assert int(meta["excluded_not_converged"]) == 0
         assert int(meta["excluded_over_cap"]) == 2
         assert [row[1] for row in rows] == ["1", "1"]
+        assert [row[4] for row in rows] == ["", ""]     # exact_log_z
         assert "over_cap=2" in capsys.readouterr().out
 
     def test_reruns_reproduce_scalars(self, tmp_path):
@@ -251,6 +275,15 @@ class TestCorrectionDecay:
         for row in rows:
             assert row[0] == "cycle-code"
             assert float(row[5]) > 0
+
+    def test_beyond_the_old_edge_cap(self, tmp_path):
+        # 24 edges: only the elimination width limits the scan now
+        out = tmp_path / "decay.csv"
+        code = main(["correction-decay", "--n-list", "16", "--trials", "1",
+                     "-o", str(out)])
+        assert code == 0
+        _, _, rows = read_summary(out)
+        assert [r[3] for r in rows] == ["1", "1"]    # converged per model
 
     def test_both_models(self, tmp_path):
         out = tmp_path / "decay.csv"

@@ -47,12 +47,6 @@ class TestCheckGraph:
         assert two_k4s.components() == [[0, 1, 2, 3], [4, 5, 6, 7]]
         assert prism.components() == [[0, 1, 2, 3, 4, 5]]
 
-    def test_incident_mask(self, k4):
-        for a in range(4):
-            mask = k4.incident_mask[a]
-            assert [e for e in range(6) if mask >> e & 1] == \
-                list(k4.adjacency[a])
-
 
 class TestSampling:
     def test_seed_determinism(self):

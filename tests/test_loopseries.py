@@ -21,7 +21,7 @@ from loopexp.loopseries import (ActivityTable, ExpansionReport,
                                 convergence_criterion, mayer_expansion,
                                 scan_correction, split_report,
                                 z_corr_polymer_form)
-from loopexp.model import FactorSpec
+from loopexp.model import FactorSpec, exact_log_partition
 
 from conftest import (arbitrary_messages, brute_correction,
                       brute_node_activity, brute_polymer_sum, brute_scan,
@@ -143,18 +143,22 @@ class TestBatchedTable:
             ActivityTable(g, spec, MessageSet(eta=eta))
 
     def test_degree_over_cap_raises_before_allocating(self):
-        # one node of degree 17: its table alone would hold 2^17 entries
-        g = CheckGraph.from_edges(18, [(0, i) for i in range(1, 18)])
-        spec = FactorSpec.cycle_code(np.zeros(17))
-        msgs = MessageSet.zeros(g)
-        tracemalloc.start()
-        try:
-            with pytest.raises(BudgetError, match="node degree 17"):
-                ActivityTable(g, spec, msgs)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 256 * 1024
+        # one node of degree d builds a 2^d x 2^d block: 2^26 entries (512
+        # MiB) at degree 13, over the 2^24 budget that degree 12 meets
+        for degree in (13, 17):
+            g = CheckGraph.from_edges(degree + 1,
+                                      [(0, i) for i in range(1, degree + 1)])
+            spec = FactorSpec.cycle_code(np.zeros(degree))
+            msgs = MessageSet.zeros(g)
+            tracemalloc.start()
+            try:
+                with pytest.raises(BudgetError, match=rf"node degree "
+                                   rf"{degree} .*\(node 0\)"):
+                    ActivityTable(g, spec, msgs)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 256 * 1024
 
     @given(st.data())
     def test_polymer_activities_match_per_polymer_masks(self, data):
@@ -275,21 +279,15 @@ class TestCorrectionScan:
                                                      rel=1e-10, abs=1e-12)
         assert scan.num_subsets == 2 ** graph.num_edges
 
-    def test_budget_cap(self, k4):
-        table = ActivityTable(k4, FactorSpec.cycle_code(np.zeros(6)),
-                              MessageSet.zeros(k4))
-        with pytest.raises(BudgetError):
-            scan_correction(k4, table, max_edges=5)
-
     def test_width_budget_fails_before_allocating(self):
-        # K_10 passes a raised edge cap, but its elimination width does not
+        # K_10 has only 45 edges, but its elimination width is over budget
         k10 = CheckGraph.from_edges(10, itertools.combinations(range(10), 2))
         table = ActivityTable(k10, FactorSpec.cycle_code(np.zeros(45)),
                               MessageSet.zeros(k10))
         tracemalloc.start()
         try:
             with pytest.raises(BudgetError, match="entries"):
-                scan_correction(k10, table, max_edges=45)
+                scan_correction(k10, table)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -654,18 +652,41 @@ class TestExpansionReport:
         assert doc["identity_residual"] == rep.identity_residual()
         assert doc["mayer_orders"] == list(rep.mayer_orders)
 
-    def test_caps_leave_fields_unset(self, prism):
-        spec = FactorSpec.cycle_code(np.zeros(9))
-        msgs = solve_fixed_point(prism, spec)
-        rep = build_expansion_report(prism, spec, msgs, exact_cap=5,
-                                     scan_cap=5, with_polymers=False)
-        assert rep.exact_log_z is None
-        assert rep.z_corr_all is None
+    def test_caps_leave_fields_unset(self, caplog):
+        # K_10's elimination width is over budget for both sums; the
+        # polymer fields do not depend on it
+        k10 = CheckGraph.from_edges(10, itertools.combinations(range(10), 2))
+        spec = FactorSpec.cycle_code(np.zeros(k10.num_edges))
+        with caplog.at_level(logging.INFO, logger="loopexp.loopseries"):
+            rep = build_expansion_report(k10, spec, MessageSet.zeros(k10),
+                                         node_cap=3)
+        for name in ("exact_log_z", "z_corr_all", "z_corr_loops",
+                     "max_nonloop_abs", "tail_abs"):
+            assert getattr(rep, name) is None
         assert rep.ln_z_corr() is None
         assert rep.identity_residual() is None
         assert rep.correction_per_node() is None
-        assert rep.z_corr_polymer is None
-        assert rep.criterion is None
+        assert rep.catalog_size == 120     # the triangles of K_10
+        assert rep.z_corr_polymer is not None
+        assert rep.criterion is not None
+        assert len(rep.mayer_orders) == 3
+        refusals = [r.message for r in caplog.records if "2^" in r.message]
+        assert len(refusals) == 1
+        assert "exact ln Z and correction scan" in refusals[0]
+
+    def test_scan_refused_by_its_payload_alone(self, caplog):
+        # n = 60 at width 20: 2^20 fits the budget for ln Z, but not the
+        # scan's tail payload of ceil(n/2) + 1 = 31 entries per table
+        g = sample_regular_graph(60, 3, 1)
+        spec = FactorSpec.cycle_code(sample_bsc(g, 0.45, 2).h)
+        msgs = solve_fixed_point(g, spec)
+        with caplog.at_level(logging.INFO, logger="loopexp.loopseries"):
+            rep = build_expansion_report(g, spec, msgs, node_cap=4)
+        assert rep.exact_log_z == exact_log_partition(g, spec)
+        assert rep.z_corr_all is None and rep.tail_abs is None
+        assert rep.criterion is not None
+        assert any("correction scan left unset" in r.message
+                   and "x 31 " in r.message for r in caplog.records)
 
     def test_node_cap_marks_truncation(self, prism):
         spec = FactorSpec.cycle_code(np.zeros(9))
