@@ -10,8 +10,7 @@ __version__ = "0.1.0"
 from .exceptions import BudgetError, DivergenceError, PairingError
 from .graphs import (CheckGraph, EdgeSubset, ExpansionVerdict, PolymerCatalog,
                      check_edge_expansion, edge_boundary, enumerate_polymers,
-                     is_loop, read_graph, sample_regular_graph,
-                     subgraph_degree_profile, write_graph)
+                     is_loop, read_graph, sample_regular_graph, write_graph)
 from .channel import (ChannelRealization, conditional_entropy_per_node,
                       half_llr_magnitude, read_channel_csv, sample_bsc,
                       write_channel_csv)

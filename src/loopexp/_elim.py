@@ -83,10 +83,8 @@ def plan_elimination(graph: CheckGraph, payload: int = 1) -> EliminationPlan:
     # reshaping the flat bitmask table needs no transpose
     scopes: list[tuple[int, ...]] = [tuple(reversed(adj))
                                      for adj in graph.adjacency]
-    holders: list[list[int]] = [[] for _ in range(graph.num_edges)]
-    for a, scope in enumerate(scopes):
-        for e in scope:
-            holders[e].append(a)
+    # the tables that hold each edge: at first, those of its two ends
+    holders: list[list[int]] = graph.layout.ends.tolist()
 
     def union(e: int) -> tuple[int, ...]:
         first = scopes[holders[e][0]]

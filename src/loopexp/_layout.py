@@ -1,11 +1,13 @@
 """Per-node slot arrays shared by the node-local layers.
 
-Row a of each array describes node a's incident edges in the order of
-``graph.adjacency[a]`` (slot k is ``adjacency[a][k]``, the bit k of every
-local bitmask); rows are padded to the largest degree.  BP gathers and
-scatters messages through them; the Bethe node term, the activity table
-and the exact ln Z build their node tables one degree class at a time, in
-blocks of nodes; the capped polymer catalog walks the neighbour array.
+Row a of each array describes node a's incident edges in ascending edge
+order (slot k is ``graph.adjacency[a][k]``, the bit k of every local
+bitmask); rows are padded to the largest degree.  They are the stored
+form of a graph: ``CheckGraph`` builds its layout once, from the
+validated endpoint array.  BP gathers and scatters messages through them;
+the Bethe node term, the activity table and the exact ln Z build their
+node tables one degree class at a time, in blocks of nodes; the capped
+polymer catalog walks the neighbour array.
 
 Message ``eta[e, 0]`` (u->v of edge e = (u, v)) is entry ``2e`` of the flat
 directed-edge vector and ``eta[e, 1]`` entry ``2e + 1``; padded slots point
@@ -14,15 +16,10 @@ at the dummy entry ``2E`` of that vector extended by one zero.
 
 from __future__ import annotations
 
-import itertools
-import weakref
 from functools import cache
-from typing import TYPE_CHECKING, Iterator
+from typing import Iterator
 
 import numpy as np
-
-if TYPE_CHECKING:
-    from .graphs import CheckGraph
 
 # Largest array a layer may build (entries; for the elimination, entries
 # times payload length): 2^24 float64 entries is 128 MiB.
@@ -43,33 +40,34 @@ class Layout:
     and at v.  ``classes`` lists ``(deg, nodes)`` per degree.
     """
 
-    def __init__(self, graph: "CheckGraph"):
-        n, E = graph.n, graph.num_edges
-        ends = np.fromiter(itertools.chain.from_iterable(graph.edges),
-                           np.int64, 2 * E).reshape(E, 2)
-        deg = np.fromiter(graph.degrees, np.int64, n)
+    def __init__(self, n: int, ends: np.ndarray):
+        E = len(ends)
+        tails = ends.ravel()
+        # stub 2e + j is endpoint j of edge e and the message out of it
+        # along e; sorting by node, then stub, lists each node's edges in
+        # ascending order
+        stub = np.sort(tails * (2 * E) + np.arange(2 * E)) % (2 * E)
+        deg = np.bincount(tails, minlength=n)
         dmax = int(deg.max())
-        # every (node, incident edge) stub in slot order, and whether the
-        # node is the edge's v (side 1) or its u (side 0)
-        edge = np.fromiter(itertools.chain.from_iterable(graph.adjacency),
-                           np.int64, 2 * E)
-        node = np.repeat(np.arange(n), deg)
         slot = np.arange(2 * E) - np.repeat(np.cumsum(deg) - deg, deg)
-        side = (ends[edge, 1] == node).astype(np.int64)
-        self.inc = np.full((n, dmax), 2 * E, dtype=np.int64)
-        self.out = np.full((n, dmax), 2 * E, dtype=np.int64)
-        self.eid = np.zeros((n, dmax), dtype=np.int64)
-        self.nbr = np.full((n, dmax), n, dtype=np.int64)
-        self.inc[node, slot] = 2 * edge + 1 - side
-        self.out[node, slot] = 2 * edge + side
-        self.eid[node, slot] = edge
-        self.nbr[node, slot] = ends[edge, 1 - side]
+        pos = np.repeat(np.arange(n), deg) * dmax + slot
+
+        def padded(values, fill):
+            rows = np.full(n * dmax, fill, dtype=np.int64)
+            rows[pos] = values
+            return rows.reshape(n, dmax)
+
+        self.inc = padded(stub ^ 1, 2 * E)
+        self.out = padded(stub, 2 * E)
+        self.eid = padded(stub >> 1, 0)
+        self.nbr = padded(tails[stub ^ 1], n)
         self.pad = self.nbr == n
         self.deg = deg
         self.dmax = dmax
         self.ends = ends
-        self.slot = np.empty((E, 2), dtype=np.int64)
-        self.slot[edge, side] = slot
+        slot_of = np.empty(2 * E, dtype=np.int64)
+        slot_of[stub] = slot
+        self.slot = slot_of.reshape(E, 2)
         self.classes = tuple((int(d), np.flatnonzero(deg == d))
                              for d in np.flatnonzero(np.bincount(deg)))
 
@@ -87,19 +85,6 @@ class Layout:
         hh = 0.5 * h[self.eid]
         hh[self.pad] = 0.0
         return hh
-
-
-# weak keys: the entry dies with the graph, so a recycled object address
-# can never serve a stale layout
-_cache: "weakref.WeakKeyDictionary[CheckGraph, Layout]" = \
-    weakref.WeakKeyDictionary()
-
-
-def layout(graph: "CheckGraph") -> Layout:
-    lay = _cache.get(graph)
-    if lay is None:
-        lay = _cache[graph] = Layout(graph)
-    return lay
 
 
 @cache

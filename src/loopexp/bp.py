@@ -24,7 +24,7 @@ from typing import Optional, Union
 import numpy as np
 from scipy.special import logsumexp
 
-from ._layout import Layout, layout, spins
+from ._layout import Layout, spins
 from .exceptions import DivergenceError
 from .graphs import CheckGraph
 from .model import FactorSpec
@@ -64,9 +64,8 @@ class MessageSet:
                   graph: CheckGraph) -> "MessageSet":
         """Copy with eta_{a->b} shifted by delta; metadata flags cleared."""
         e = graph.edge_index[(min(a, b), max(a, b))]
-        direction = 0 if (a, b) == graph.edges[e] else 1
         eta = self.eta.copy()
-        eta[e, direction] += delta
+        eta[e, int(a > b)] += delta
         return MessageSet(eta=eta)
 
 
@@ -79,7 +78,7 @@ def _sweep_inputs(graph: CheckGraph, spec: FactorSpec, damping: float):
     if not 0.0 <= damping < 1.0:
         raise ValueError(f"damping must lie in [0, 1), got {damping}")
     t = spec.parity_couplings(graph)
-    lay = layout(graph)
+    lay = graph.layout
     return lay, lay.half_fields(spec.h), t
 
 
@@ -183,7 +182,7 @@ def bethe_log_partition(graph: CheckGraph, spec: FactorSpec,
     Edge term: sum over edges of ln 2 cosh(eta_{a->b} + eta_{b->a}).
     """
     t = spec.parity_couplings(graph)
-    lay = layout(graph)
+    lay = graph.layout
     hh = lay.half_fields(spec.h)
     ext = np.append(messages.flat(), 0.0)
     vals = np.empty(graph.n)
@@ -234,7 +233,9 @@ def read_messages_csv(graph: CheckGraph, path) -> MessageSet:
                 continue
             rows.append(line)
     reader = csv.reader(rows)
-    next(reader)  # header
+    header = next(reader, None)
+    if header is None or header[:3] != ["a", "b", "eta"]:
+        raise ValueError(f"{path}: expected header a,b,eta, got {header}")
     eta = np.full((graph.num_edges, 2), np.nan)
     for row in reader:
         a, b = int(row[0]), int(row[1])
@@ -242,7 +243,9 @@ def read_messages_csv(graph: CheckGraph, path) -> MessageSet:
         if key not in graph.edge_index:
             raise ValueError(f"{path}: edge {key} not present in the graph")
         e = graph.edge_index[key]
-        direction = 0 if (a, b) == graph.edges[e] else 1
+        direction = int(a > b)    # edge e is (min, max)
+        if not np.isnan(eta[e, direction]):
+            raise ValueError(f"{path}: directed edge {a}->{b} repeated")
         eta[e, direction] = float(row[2])
     if np.any(np.isnan(eta)):
         raise ValueError(f"{path}: missing directed edges")

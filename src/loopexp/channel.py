@@ -50,16 +50,15 @@ class ChannelRealization:
         return half_llr_magnitude(self.p)
 
 
-def sample_bsc(graph: CheckGraph, p: float, seed,
-               p_min: float = P_MIN) -> ChannelRealization:
+def sample_bsc(graph: CheckGraph, p: float, seed) -> ChannelRealization:
     """Draw sign flips for every edge of ``graph`` at flip probability p.
 
-    p must lie in [p_min, 1/2]; smaller values make the fields numerically
+    p must lie in [P_MIN, 1/2]; smaller values make the fields numerically
     degenerate (|h| grows like ln(1/p)) and p > 1/2 has no decoding meaning
     under the all-one convention.
     """
-    if not p_min <= p <= 0.5:
-        raise ValueError(f"flip probability {p} outside [{p_min}, 0.5]")
+    if not P_MIN <= p <= 0.5:
+        raise ValueError(f"flip probability {p} outside [{P_MIN}, 0.5]")
     rng = np.random.default_rng(seed)
     flips = rng.random(graph.num_edges) < p
     signs = np.where(flips, -1.0, 1.0)
@@ -110,8 +109,8 @@ def read_channel_csv(path) -> ChannelRealization:
     if p is None:
         raise ValueError(f"{path}: missing '# p=' header")
     reader = csv.reader(rows)
-    header = next(reader)
-    if header[:3] != ["edge", "sign", "h"]:
+    header = next(reader, None)
+    if header is None or header[:3] != ["edge", "sign", "h"]:
         raise ValueError(f"{path}: unexpected header {header}")
     signs, h = [], []
     for idx, row in enumerate(reader):

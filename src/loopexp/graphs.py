@@ -14,12 +14,13 @@ machinery; sampled and file-loaded graphs are validated as exactly d-regular.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
 from ._bitops import bits_of, iter_chunks, popcount
-from ._layout import BLOCK_ENTRIES, MAX_ENTRIES, Layout, layout
+from ._layout import BLOCK_ENTRIES, MAX_ENTRIES, Layout
 from .exceptions import BudgetError, PairingError
 
 __all__ = [
@@ -30,58 +31,79 @@ __all__ = [
     "sample_regular_graph",
     "read_graph",
     "write_graph",
-    "subgraph_degree_profile",
     "is_loop",
     "enumerate_polymers",
     "edge_boundary",
     "check_edge_expansion",
 ]
 
+# Pairings ``sample_regular_graph`` draws before it gives up, and the
+# largest catalog ``enumerate_polymers`` builds.
+MAX_PAIRINGS = 10_000
+MAX_POLYMERS = 200_000
+
 
 class CheckGraph:
-    """Simple undirected graph with canonically ordered edge list.
+    """Simple undirected graph, stored as its validated slot arrays.
 
     Attributes
     ----------
     n : number of nodes
     d : nominal degree (exact for sampled/loaded graphs, max degree otherwise)
-    edges : tuple of (u, v) pairs with u < v, lexicographically sorted
-    adjacency : per node, tuple of incident edge indices (ascending)
-    neighbors : per node, tuple of neighbor nodes aligned with ``adjacency``
+    layout : the ``Layout`` of the graph: endpoints ``ends`` (u < v, rows
+        lexicographically sorted), degrees ``deg`` and the per-node slot
+        arrays, each node's edges in ascending order
+
+    ``edges``, ``adjacency`` and ``edge_index`` are tuple views of the
+    arrays for small-graph code, built on first use.
     """
 
-    def __init__(self, n: int, d: int, edges: Sequence[tuple[int, int]]):
+    def __init__(self, n: int, d: int,
+                 edges: Sequence[tuple[int, int]] | np.ndarray):
+        """``edges``: (u, v) pairs or an (E, 2) integer array, any order
+        and orientation; ValueError names a self-loop, an out-of-range
+        edge or a duplicate edge."""
         if n <= 0:
             raise ValueError("need at least one node")
-        canon = []
-        for u, v in edges:
-            if u == v:
-                raise ValueError(f"self-loop at node {u}")
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u},{v}) out of range for n={n}")
-            canon.append((min(u, v), max(u, v)))
-        canon.sort()
-        for i in range(1, len(canon)):
-            if canon[i] == canon[i - 1]:
-                raise ValueError(f"duplicate edge {canon[i]}")
+        pairs = np.asarray(edges, dtype=np.int64).reshape(len(edges), 2)
+        u = np.minimum(pairs[:, 0], pairs[:, 1])
+        v = np.maximum(pairs[:, 0], pairs[:, 1])
+        bad = (u == v) | (u < 0) | (v >= n)
+        if np.any(bad):
+            a, b = pairs[np.argmax(bad)].tolist()
+            if a == b:
+                raise ValueError(f"self-loop at node {a}")
+            raise ValueError(f"edge ({a},{b}) out of range for n={n}")
+        # sorting the keys u*n + v sorts the edges lexicographically
+        key = np.sort(u * n + v)
+        dup = key[1:] == key[:-1]
+        if dup.any():
+            k = int(key[dup.argmax()])
+            raise ValueError(f"duplicate edge {divmod(k, n)}")
         self.n = int(n)
         self.d = int(d)
-        self.edges: tuple[tuple[int, int], ...] = tuple(canon)
-        adjacency = [[] for _ in range(n)]
-        neighbors = [[] for _ in range(n)]
-        for e, (u, v) in enumerate(self.edges):
-            adjacency[u].append(e)
-            neighbors[u].append(v)
-            adjacency[v].append(e)
-            neighbors[v].append(u)
-        self.adjacency = tuple(tuple(a) for a in adjacency)
-        self.neighbors = tuple(tuple(a) for a in neighbors)
-        self.degrees = tuple(len(a) for a in self.adjacency)
-        self.edge_index = {uv: e for e, uv in enumerate(self.edges)}
+        self.layout = Layout(self.n, np.column_stack([key // n, key % n]))
 
     @property
     def num_edges(self) -> int:
-        return len(self.edges)
+        return len(self.layout.ends)
+
+    @cached_property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        """(u, v) pairs with u < v, lexicographically sorted."""
+        return tuple(map(tuple, self.layout.ends.tolist()))
+
+    @cached_property
+    def adjacency(self) -> tuple[tuple[int, ...], ...]:
+        """Per node, its incident edge indices, ascending: the slot order."""
+        lay = self.layout
+        return tuple(tuple(row[:k]) for row, k
+                     in zip(lay.eid.tolist(), lay.deg.tolist()))
+
+    @cached_property
+    def edge_index(self) -> dict[tuple[int, int], int]:
+        """Edge index of every (u, v) pair with u < v."""
+        return {uv: e for e, uv in enumerate(self.edges)}
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]],
@@ -91,21 +113,18 @@ class CheckGraph:
         When ``d`` is omitted it is set to the maximum degree; regularity is
         not required here (oracle hosts may be trees or disconnected).
         """
-        edges = list(edges)
+        graph = cls(n, 0 if d is None else d, list(edges))
         if d is None:
-            deg = [0] * n
-            for u, v in edges:
-                deg[u] += 1
-                deg[v] += 1
-            d = max(deg) if deg else 0
-        return cls(n, d, edges)
+            graph.d = graph.layout.dmax
+        return graph
 
     def is_regular(self) -> bool:
-        return all(deg == self.d for deg in self.degrees)
+        return bool(np.all(self.layout.deg == self.d))
 
     def components(self) -> list[list[int]]:
         """Connected components as sorted node lists, in order of smallest node."""
-        seen = [False] * self.n
+        nbr = self.layout.nbr.tolist()
+        seen = [False] * self.n + [True]    # entry n: padded slots
         comps = []
         for start in range(self.n):
             if seen[start]:
@@ -116,7 +135,7 @@ class CheckGraph:
             while stack:
                 a = stack.pop()
                 comp.append(a)
-                for b in self.neighbors[a]:
+                for b in nbr[a]:
                     if not seen[b]:
                         seen[b] = True
                         stack.append(b)
@@ -127,12 +146,13 @@ class CheckGraph:
         return f"CheckGraph(n={self.n}, d={self.d}, edges={self.num_edges})"
 
 
-def sample_regular_graph(n: int, d: int, seed, max_tries: int = 10_000) -> CheckGraph:
+def sample_regular_graph(n: int, d: int, seed) -> CheckGraph:
     """Sample a uniform simple d-regular graph by pairing half-edges.
 
     Each node contributes d stubs; a uniform perfect matching of the stubs is
     drawn and the result is rejected until it contains no self-loops or
     parallel edges.  Conditioned on acceptance the simple graph is uniform.
+    PairingError after ``MAX_PAIRINGS`` rejected pairings.
     """
     if d < 1:
         raise ValueError("degree must be at least 1")
@@ -142,19 +162,18 @@ def sample_regular_graph(n: int, d: int, seed, max_tries: int = 10_000) -> Check
         raise ValueError("n*d must be even")
     rng = np.random.default_rng(seed)
     stubs = np.repeat(np.arange(n), d)
-    for _ in range(max_tries):
-        perm = rng.permutation(stubs)
-        pairs = perm.reshape(-1, 2)
+    for _ in range(MAX_PAIRINGS):
+        pairs = rng.permutation(stubs).reshape(-1, 2)
         u = np.minimum(pairs[:, 0], pairs[:, 1])
         v = np.maximum(pairs[:, 0], pairs[:, 1])
-        if np.any(u == v):
+        if (u == v).any():
             continue
-        edges = {(int(a), int(b)) for a, b in zip(u, v)}
-        if len(edges) < len(u):
-            continue
-        return CheckGraph(n, d, sorted(edges))
+        key = np.sort(u * n + v)    # np.unique is far slower
+        if (key[1:] != key[:-1]).all():
+            return CheckGraph(n, d, pairs)
     raise PairingError(
-        f"no simple {d}-regular graph on {n} nodes after {max_tries} pairings"
+        f"no simple {d}-regular graph on {n} nodes after {MAX_PAIRINGS} "
+        f"pairings"
     )
 
 
@@ -162,8 +181,7 @@ def write_graph(graph: CheckGraph, path) -> None:
     """Write the edge-list format: first line ``n d``, then sorted ``u v`` lines."""
     with open(path, "w") as fh:
         fh.write(f"{graph.n} {graph.d}\n")
-        for u, v in graph.edges:
-            fh.write(f"{u} {v}\n")
+        np.savetxt(fh, graph.layout.ends, fmt="%d")
 
 
 def read_graph(path) -> CheckGraph:
@@ -217,11 +235,10 @@ class EdgeSubset:
             raise ValueError("edge index out of range")
         self.bitmask = int(bitmask)
         self.edge_ids = tuple(bits_of(self.bitmask))
-        deg = {}
-        for e in self.edge_ids:
-            u, v = graph.edges[e]
-            deg[u] = deg.get(u, 0) + 1
-            deg[v] = deg.get(v, 0) + 1
+        ends = graph.layout.ends.take(self.edge_ids, axis=0)
+        deg: dict[int, int] = {}
+        for a in ends.ravel().tolist():
+            deg[a] = deg.get(a, 0) + 1
         self._node_degree = deg
         self.touched_nodes = tuple(sorted(deg))
         profile = [0] * graph.d
@@ -246,8 +263,8 @@ class EdgeSubset:
         if not self.edge_ids:
             return True
         adj = {a: [] for a in self.touched_nodes}
-        for e in self.edge_ids:
-            u, v = self.graph.edges[e]
+        ends = self.graph.layout.ends.take(self.edge_ids, axis=0)
+        for u, v in ends.tolist():
             adj[u].append(v)
             adj[v].append(u)
         start = self.touched_nodes[0]
@@ -283,13 +300,6 @@ class EdgeSubset:
 
     def __repr__(self) -> str:
         return f"EdgeSubset(edges={self.edge_ids})"
-
-
-def subgraph_degree_profile(graph: CheckGraph, subset: EdgeSubset) -> tuple[int, ...]:
-    """Degree profile (n_1, ..., n_d): counts of touched nodes by induced degree."""
-    if subset.graph is not graph:
-        raise ValueError("subset belongs to a different graph")
-    return subset.degree_profile
 
 
 def is_loop(subset: EdgeSubset) -> bool:
@@ -330,8 +340,7 @@ class PolymerCatalog:
         return vals
 
 
-def enumerate_polymers(graph: CheckGraph, node_cap: int,
-                       max_polymers: int = 200_000) -> PolymerCatalog:
+def enumerate_polymers(graph: CheckGraph, node_cap: int) -> PolymerCatalog:
     """Enumerate all polymers touching at most ``node_cap`` nodes.
 
     Locality: a polymer gamma with at most c = ``node_cap`` nodes has
@@ -352,7 +361,7 @@ def enumerate_polymers(graph: CheckGraph, node_cap: int,
     only touch more nodes).  Edge indices keep their host order, so the
     polymers come out in the order of a search over the whole host.  Caps
     below 3 yield an empty catalog, since a polymer touches at least three
-    nodes.  BudgetError: more than ``max_polymers`` polymers, or a cap so
+    nodes.  BudgetError: more than ``MAX_POLYMERS`` polymers, or a cap so
     large that the short-cycle search would hold more than 2^24 walks.
     """
     if node_cap < 0:
@@ -361,8 +370,8 @@ def enumerate_polymers(graph: CheckGraph, node_cap: int,
     if node_cap >= 3 and graph.num_edges:
         # a cap of n or more excludes no polymer: the region is the host
         region = (np.arange(graph.n) if node_cap >= graph.n
-                  else _near_short_cycles(layout(graph), node_cap))
-        polymers = _grow_polymers(graph, node_cap, max_polymers, region)
+                  else _near_short_cycles(graph.layout, node_cap))
+        polymers = _grow_polymers(graph, node_cap, region)
     per_node = [[] for _ in range(graph.n)]
     for idx, p in enumerate(polymers):
         for a in p.touched_nodes:
@@ -446,34 +455,39 @@ def _on_short_cycle(lay: Layout, c: int, sources: np.ndarray) -> np.ndarray:
     return ends[:-1][pair] >> nb
 
 
-def _grow_polymers(graph: CheckGraph, node_cap: int, max_polymers: int,
-                   nodes) -> list[EdgeSubset]:
+def _grow_polymers(graph: CheckGraph, node_cap: int,
+                   nodes: np.ndarray) -> list[EdgeSubset]:
     """Polymers of at most ``node_cap`` nodes in the subgraph induced by
     ``nodes``, as subsets of the host's edges, in anchor order."""
-    inside = set(nodes.tolist())
+    lay = graph.layout
+    inside = np.zeros(graph.n + 1, dtype=bool)   # entry n: padded slots
+    inside[nodes] = True
+    # per region node, its edges to other region nodes (-1 elsewhere)
+    rows = np.where(inside[lay.nbr[nodes]], lay.eid[nodes], -1).tolist()
     line_adj: dict[int, list[int]] = {}
-    for a in inside:
-        inc = [e for e, b in zip(graph.adjacency[a], graph.neighbors[a])
-               if b in inside]
+    for row in rows:
+        inc = [e for e in row if e >= 0]
         for e in inc:
             line_adj.setdefault(e, []).extend(f for f in inc if f != e)
     line_adj = {e: sorted(adj) for e, adj in line_adj.items()}
+    anchors = sorted(line_adj)
+    ends = dict(zip(anchors, lay.ends[anchors].tolist()))
 
     polymers: list[EdgeSubset] = []
 
     def consider(mask: int, node_deg: dict[int, int]) -> None:
         # connected by construction; polymer iff min degree >= 2
         if min(node_deg.values()) >= 2:
-            if len(polymers) >= max_polymers:
+            if len(polymers) >= MAX_POLYMERS:
                 raise BudgetError(
-                    f"polymer catalog exceeds max_polymers={max_polymers}")
+                    f"polymer catalog exceeds {MAX_POLYMERS:,} polymers")
             polymers.append(EdgeSubset(graph, bitmask=mask))
 
     def extend(mask: int, node_deg: dict[int, int], ext: list[int],
                near: set[int], anchor: int) -> None:
         consider(mask, node_deg)
         for i, w in enumerate(ext):
-            u, v = graph.edges[w]
+            u, v = ends[w]
             grown = (u not in node_deg) + (v not in node_deg)
             if len(node_deg) + grown > node_cap:
                 continue
@@ -485,8 +499,8 @@ def _grow_polymers(graph: CheckGraph, node_cap: int, max_polymers: int,
             extend(mask | (1 << w), new_deg, ext[i + 1:] + fresh,
                    new_near, anchor)
 
-    for anchor in sorted(line_adj):
-        u, v = graph.edges[anchor]
+    for anchor in anchors:
+        u, v = ends[anchor]
         ext0 = [f for f in line_adj[anchor] if f > anchor]
         near0 = {anchor} | set(ext0)
         extend(1 << anchor, {u: 1, v: 1}, ext0, near0, anchor)
@@ -495,8 +509,10 @@ def _grow_polymers(graph: CheckGraph, node_cap: int, max_polymers: int,
 
 def edge_boundary(graph: CheckGraph, nodes: Iterable[int]) -> int:
     """Number of edges with exactly one endpoint in ``nodes``."""
-    inside = set(nodes)
-    return sum(1 for u, v in graph.edges if (u in inside) != (v in inside))
+    inside = np.zeros(graph.n, dtype=bool)
+    inside[list(nodes)] = True
+    u, v = graph.layout.ends.T
+    return int(np.count_nonzero(inside[u] != inside[v]))
 
 
 @dataclass(frozen=True)
@@ -533,10 +549,10 @@ def check_edge_expansion(graph: CheckGraph, kappa: float,
         return ExpansionVerdict("components", kappa, False,
                                 tuple(smallest), 0)
     half = n // 2
-    endpoints = np.array(graph.edges, dtype=np.uint64) if graph.edges else \
-        np.zeros((0, 2), dtype=np.uint64)
     if n <= exhaustive_limit:
         checked = 0
+        bits = np.arange(n, dtype=np.uint64)
+        u, v = graph.layout.ends.T
         for configs in iter_chunks(n):
             sizes = popcount(configs)
             keep = (sizes >= 1) & (sizes <= half)
@@ -544,11 +560,8 @@ def check_edge_expansion(graph: CheckGraph, kappa: float,
                 continue
             configs = configs[keep]
             sizes = sizes[keep]
-            boundary = np.zeros(configs.shape, dtype=np.int64)
-            for u, v in endpoints:
-                bu = (configs >> u) & np.uint64(1)
-                bv = (configs >> v) & np.uint64(1)
-                boundary += (bu ^ bv).astype(np.int64)
+            inside = (configs[:, None] >> bits & np.uint64(1)).astype(bool)
+            boundary = np.count_nonzero(inside[:, u] != inside[:, v], axis=1)
             checked += configs.size
             bad = boundary < kappa * sizes.astype(np.float64)
             if np.any(bad):

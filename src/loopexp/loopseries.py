@@ -37,7 +37,7 @@ import numpy as np
 
 from ._bitops import bits_of, popcount
 from ._elim import contract, plan_elimination
-from ._layout import MAX_ENTRIES, layout, node_tables, spins
+from ._layout import MAX_ENTRIES, node_tables, spins
 from .bp import MessageSet, bethe_log_partition
 from .exceptions import BudgetError
 from .graphs import CheckGraph, EdgeSubset, PolymerCatalog, enumerate_polymers
@@ -85,7 +85,7 @@ class ActivityTable:
         self.graph = graph
         self.spec = spec
         t = spec.parity_couplings(graph)
-        lay = layout(graph)
+        lay = graph.layout
         if 4 ** lay.dmax > MAX_ENTRIES:
             a = int(np.argmax(4.0 ** lay.deg > MAX_ENTRIES))
             raise BudgetError(f"node degree {lay.deg[a]} exceeds "
@@ -140,7 +140,7 @@ class ActivityTable:
         tables multiplied per subset in ascending node order.  Subsets are
         taken ``_GATHER_BLOCK`` at a time, so temporaries stay small.
         """
-        lay = layout(self.graph)
+        lay = self.graph.layout
         n = self.graph.n
         out = np.ones(len(subsets))
         for lo in range(0, len(subsets), _GATHER_BLOCK):
@@ -400,7 +400,8 @@ def split_report(graph: CheckGraph, spec: FactorSpec, messages: MessageSet,
         table = ActivityTable(graph, spec, messages)
     if catalog is None:
         catalog = enumerate_polymers(graph, graph.n)
-    if len({(g.n, g.edges) for g in (graph, catalog.host, table.graph)}) > 1:
+    if len({(g.n, g.layout.ends.tobytes())
+            for g in (graph, catalog.host, table.graph)}) > 1:
         raise ValueError("catalog and table must belong to the host graph")
     vals = table.polymer_activities(catalog)
     large_ids = np.flatnonzero(2 * catalog.sizes() >= graph.n).tolist()

@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ._elim import contract, plan_elimination
-from ._layout import layout, node_tables, spins
+from ._layout import node_tables, spins
 from .graphs import CheckGraph
 
 __all__ = ["FactorSpec", "factor_value", "exact_log_partition", "KINDS"]
@@ -127,7 +127,7 @@ def exact_log_partition(graph: CheckGraph, spec: FactorSpec) -> float:
     """
     t = spec.parity_couplings(graph)
     plan = plan_elimination(graph)
-    lay = layout(graph)
+    lay = graph.layout
     hh = lay.half_fields(spec.h)
 
     def factor_tables(d, nodes):

@@ -119,6 +119,52 @@ def arbitrary_messages(draw, graph):
 # ----------------------------------------------------------------- oracles
 
 
+def tuple_graph(n, edges):
+    """The Python constructor the graph's arrays replaced: canonical edges,
+    per-node incident edges and neighbours, and the edge index, with the
+    same ValueError for a self-loop, an out-of-range or a duplicate edge."""
+    if n <= 0:
+        raise ValueError("need at least one node")
+    canon = []
+    for u, v in edges:
+        if u == v:
+            raise ValueError(f"self-loop at node {u}")
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"edge ({u},{v}) out of range for n={n}")
+        canon.append((min(u, v), max(u, v)))
+    canon.sort()
+    for i in range(1, len(canon)):
+        if canon[i] == canon[i - 1]:
+            raise ValueError(f"duplicate edge {canon[i]}")
+    adjacency = [[] for _ in range(n)]
+    neighbors = [[] for _ in range(n)]
+    for e, (u, v) in enumerate(canon):
+        adjacency[u].append(e)
+        neighbors[u].append(v)
+        adjacency[v].append(e)
+        neighbors[v].append(u)
+    return (tuple(canon), tuple(tuple(a) for a in adjacency),
+            tuple(tuple(a) for a in neighbors),
+            {uv: e for e, uv in enumerate(canon)})
+
+
+def set_sampler_edges(n, d, seed, max_tries=10_000):
+    """Edges of the pairing sampler with a Python-set duplicate test, making
+    the same RNG calls as ``sample_regular_graph``."""
+    rng = np.random.default_rng(seed)
+    stubs = np.repeat(np.arange(n), d)
+    for _ in range(max_tries):
+        pairs = rng.permutation(stubs).reshape(-1, 2)
+        u = np.minimum(pairs[:, 0], pairs[:, 1])
+        v = np.maximum(pairs[:, 0], pairs[:, 1])
+        if np.any(u == v):
+            continue
+        edges = {(int(a), int(b)) for a, b in zip(u, v)}
+        if len(edges) == len(u):
+            return tuple(sorted(edges))
+    raise AssertionError("no simple pairing")
+
+
 def brute_log_z(graph, spec):
     """ln Z via itertools over edge-spin tuples; no bit tricks, no chunking."""
     total = 0.0

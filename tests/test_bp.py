@@ -289,3 +289,26 @@ class TestMessageCSV:
         write_messages_csv(k4, msgs, path)
         with pytest.raises(ValueError):
             read_messages_csv(prism, path)
+
+    def test_no_header_row_rejected(self, tmp_path, k4):
+        path = tmp_path / "messages.csv"
+        path.write_text("# sweeps=3\n")
+        with pytest.raises(ValueError, match="expected header a,b,eta"):
+            read_messages_csv(k4, path)
+
+    def test_headerless_rows_rejected(self, tmp_path, k4):
+        # without the header check the first row would be dropped silently
+        path = tmp_path / "messages.csv"
+        write_messages_csv(k4, MessageSet.zeros(k4), path)
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(ln for ln in lines if ln != "a,b,eta"))
+        with pytest.raises(ValueError, match="expected header a,b,eta"):
+            read_messages_csv(k4, path)
+
+    def test_repeated_directed_edge_rejected(self, tmp_path, k4):
+        path = tmp_path / "messages.csv"
+        write_messages_csv(k4, MessageSet.zeros(k4), path)
+        with open(path, "a") as fh:
+            fh.write("0,1,9.9\n")
+        with pytest.raises(ValueError, match="0->1 repeated"):
+            read_messages_csv(k4, path)

@@ -92,3 +92,9 @@ class TestChannelCSV:
         assert back.seed == real.seed
         assert np.array_equal(back.signs, real.signs)
         assert np.array_equal(back.h, real.h)
+
+    def test_no_header_row_rejected(self, tmp_path):
+        path = tmp_path / "chan.csv"
+        path.write_text("# p=0.1\n")
+        with pytest.raises(ValueError, match="unexpected header"):
+            read_channel_csv(path)

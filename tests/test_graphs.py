@@ -1,18 +1,21 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
-from loopexp._layout import layout
+import loopexp as lx
+from loopexp import graphs
 from loopexp.exceptions import BudgetError, PairingError
 from loopexp.graphs import (CheckGraph, EdgeSubset, _near_short_cycles,
                             check_edge_expansion, edge_boundary,
                             enumerate_polymers, is_loop,
-                            read_graph, sample_regular_graph,
-                            subgraph_degree_profile, write_graph)
+                            read_graph, sample_regular_graph, write_graph)
 
-from conftest import brute_polymers, global_polymers, small_hosts
+from conftest import (brute_polymers, global_polymers, set_sampler_edges,
+                      small_hosts, tuple_graph)
 
 
 class TestCheckGraph:
@@ -23,7 +26,7 @@ class TestCheckGraph:
 
     def test_adjacency_alignment(self, prism):
         for a in range(prism.n):
-            for e, b in zip(prism.adjacency[a], prism.neighbors[a]):
+            for e, b in zip(prism.adjacency[a], prism.layout.nbr[a]):
                 assert tuple(sorted((a, b))) == prism.edges[e]
 
     def test_rejects_self_loop(self):
@@ -41,14 +44,81 @@ class TestCheckGraph:
     def test_from_edges_infers_max_degree(self, path3):
         assert path3.d == 2
         assert not path3.is_regular()
-        assert path3.degrees == (1, 2, 1)
+        assert path3.layout.deg.tolist() == [1, 2, 1]
 
     def test_components(self, two_k4s, prism):
         assert two_k4s.components() == [[0, 1, 2, 3], [4, 5, 6, 7]]
         assert prism.components() == [[0, 1, 2, 3, 4, 5]]
 
 
+@st.composite
+def pair_lists(draw):
+    """(n, pairs) of either orientation, now and then with a self-loop, an
+    out-of-range or a duplicate edge."""
+    n = draw(st.integers(2, 7))
+    pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+    bad = [(1, 1), (0, n), (-1, 1)]
+    return n, draw(st.lists(st.sampled_from(pairs + bad), max_size=10))
+
+
+class TestArrayGraph:
+    """The array-built graph against the Python constructor it replaced."""
+
+    @staticmethod
+    def check(n, pairs):
+        try:
+            edges, adjacency, neighbors, edge_index = tuple_graph(n, pairs)
+        except ValueError as err:
+            for given_pairs in (pairs, np.array(pairs, dtype=np.int64)):
+                with pytest.raises(ValueError, match=re.escape(str(err))):
+                    CheckGraph(n, 3, given_pairs)
+            return
+        for given_pairs in (pairs, np.array(pairs, dtype=np.int64)):
+            g = CheckGraph(n, 3, given_pairs)
+            assert g.edges == edges
+            assert g.adjacency == adjacency
+            assert g.edge_index == edge_index
+            lay = g.layout
+            for a in range(n):
+                pad = [n] * (lay.dmax - len(neighbors[a]))
+                assert lay.nbr[a].tolist() == list(neighbors[a]) + pad
+
+    @given(st.data())
+    def test_small_hosts(self, data):
+        g = data.draw(small_hosts())
+        pairs = data.draw(st.permutations(g.edges))
+        flips = data.draw(st.lists(st.booleans(), min_size=len(pairs),
+                                   max_size=len(pairs)))
+        self.check(g.n, [(v, u) if f else (u, v)
+                         for (u, v), f in zip(pairs, flips)])
+
+    @given(pair_lists())
+    def test_pair_lists(self, case):
+        self.check(*case)
+
+    def test_large_n_path_builds_no_tuple_view(self):
+        # the call sequence of the large-n benchmark path
+        g = lx.sample_regular_graph(2000, 3, [3, 0])
+        spec = lx.FactorSpec.cycle_code(lx.sample_bsc(g, 0.3, [3, 1]).h)
+        msgs = lx.solve_fixed_point(g, spec, tol=1e-10)
+        lx.bethe_log_partition(g, spec, msgs)
+        table = lx.ActivityTable(g, spec, msgs)
+        catalog = lx.enumerate_polymers(g, 5)
+        acts = table.polymer_activities(catalog)
+        lx.convergence_criterion(catalog, acts)
+        lx.activity_bound_violations(catalog, acts,
+                                     h=lx.half_llr_magnitude(0.3))
+        assert len(catalog) > 0
+        assert not {"edges", "adjacency", "edge_index"} & set(vars(g))
+
+
 class TestSampling:
+    @pytest.mark.parametrize("n", [8, 20, 200])
+    def test_matches_set_sampler(self, n):
+        for seed in range(50):
+            assert (sample_regular_graph(n, 3, seed).edges
+                    == set_sampler_edges(n, 3, seed))
+
     def test_seed_determinism(self):
         g1 = sample_regular_graph(10, 3, 42)
         g2 = sample_regular_graph(10, 3, 42)
@@ -71,12 +141,13 @@ class TestSampling:
         with pytest.raises((ValueError, PairingError)):
             sample_regular_graph(3, 3, 0)
 
-    def test_retry_budget_raises(self):
-        # max_tries=1 cannot reliably produce a simple pairing at this size
+    def test_retry_budget_raises(self, monkeypatch):
+        # one pairing cannot reliably be simple at this size
+        monkeypatch.setattr(graphs, "MAX_PAIRINGS", 1)
         failed = 0
         for s in range(40):
             try:
-                sample_regular_graph(8, 3, s, max_tries=1)
+                sample_regular_graph(8, 3, s)
             except PairingError:
                 failed += 1
         assert failed > 0
@@ -136,8 +207,10 @@ class TestEdgeSubset:
         assert sub.node_bitmask() == (1 << 1) | (1 << 2) | (1 << 3)
 
     def test_profile_helper_matches(self, prism):
+        # edges (0,1), (0,2), (0,3), (3,4): node 0 has degree 3, node 3
+        # degree 2, nodes 1, 2 and 4 degree 1
         sub = EdgeSubset(prism, [0, 1, 2, 6])
-        assert subgraph_degree_profile(prism, sub) == sub.degree_profile
+        assert sub.degree_profile == (3, 1, 1)
 
 
 class TestPolymerEnumeration:
@@ -192,9 +265,10 @@ class TestPolymerEnumeration:
                       if a in p.touched_nodes}
             assert set(cat.per_node[a]) == expect
 
-    def test_budget_error(self, prism):
+    def test_budget_error(self, prism, monkeypatch):
+        monkeypatch.setattr(graphs, "MAX_POLYMERS", 3)
         with pytest.raises(BudgetError):
-            enumerate_polymers(prism, 6, max_polymers=3)
+            enumerate_polymers(prism, 6)
 
     def test_larger_host_against_brute(self):
         g = sample_regular_graph(8, 3, 5)
@@ -227,7 +301,7 @@ class TestLocalCatalog:
         # the triangle and the cap - 3 path nodes closest to it
         edges = [(0, 1), (0, 2), (1, 2)] + [(i, i + 1) for i in range(2, 40)]
         g = CheckGraph.from_edges(41, edges)
-        region = _near_short_cycles(layout(g), cap)
+        region = _near_short_cycles(g.layout, cap)
         assert region.tolist() == list(range(cap))
         assert [p.edge_ids for p in enumerate_polymers(g, cap).polymers] \
             == [(0, 1, 2)]
