@@ -17,10 +17,9 @@ import itertools
 
 import numpy as np
 
-from loopexp import (ActivityTable, CheckGraph, EdgeSubset, FactorSpec,
+from loopexp import (ActivityTable, CheckGraph, FactorSpec,
                      activity_bound, activity_bound_violations,
-                     enumerate_polymers, is_loop, loop_profile,
-                     mackay_probability_bound, sample_bsc,
+                     enumerate_polymers, mackay_probability_bound, sample_bsc,
                      sample_regular_graph, scan_exponent, solve_fixed_point,
                      subgraph_count_bound, tail_probability_bound)
 
@@ -36,11 +35,11 @@ def measured_vs_bound():
     acts = table.polymer_activities(catalog)
     h = float(np.max(np.abs(real.h)))
     bad = activity_bound_violations(catalog, acts, h)
-    print(f"1) activities vs bound: {len(catalog.polymers)} polymers, "
+    print(f"1) activities vs bound: {len(catalog)} polymers, "
           f"h_max={h:.4f}, violations={len(bad)}")
     ratios = []
-    for k, poly in enumerate(catalog.polymers):
-        b = activity_bound(loop_profile(poly), h)
+    for k, profile in enumerate(catalog.profiles.tolist()):
+        b = activity_bound(profile, h)
         if b > 0:
             ratios.append((abs(float(acts[k])) / b, abs(float(acts[k])), b))
     for r, a, b in sorted(ratios, reverse=True)[:3]:
@@ -69,9 +68,11 @@ def count_vs_bound():
     counts = {}
     for r in range(1, host.num_edges + 1):
         for edges in itertools.combinations(range(host.num_edges), r):
-            sub = EdgeSubset(host, edges)
-            if is_loop(sub):
-                prof = tuple(sub.degree_profile[1:])
+            # induced degree of every node, then nodes per degree
+            deg = np.bincount(host.layout.ends[list(edges)].ravel(),
+                              minlength=n)
+            if not np.any(deg == 1):
+                prof = tuple(np.bincount(deg, minlength=n)[2:].tolist())
                 counts[prof] = counts.get(prof, 0) + 1
     worst = None
     for prof, c in counts.items():

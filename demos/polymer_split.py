@@ -28,7 +28,7 @@ def main():
     catalog = enumerate_polymers(graph, node_cap=n)
     table = ActivityTable(graph, spec, msgs)
     acts = table.polymer_activities(catalog)
-    print(f"polymers up to {n} nodes: {len(catalog.polymers)}")
+    print(f"polymers up to {n} nodes: {len(catalog)}")
     print(f"largest |activity|: {np.max(np.abs(acts)):.6e}")
 
     z_loops = scan_correction(graph, table).z_loops

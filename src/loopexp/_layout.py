@@ -99,8 +99,8 @@ def spins(deg: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 class Rows:
-    """Per-node tables stored flat: ``rows[a]`` is node a's table, a view of
-    ``values[offsets[a]:offsets[a + 1]]``."""
+    """Rows of varying length stored flat (a node's table, a polymer's
+    edges): ``rows[i]`` is a view of ``values[offsets[i]:offsets[i + 1]]``."""
 
     def __init__(self, values: np.ndarray, offsets: np.ndarray):
         self.values = values
@@ -109,12 +109,12 @@ class Rows:
     def __len__(self) -> int:
         return len(self.offsets) - 1
 
-    def __getitem__(self, a: int) -> np.ndarray:
-        a = range(len(self))[a]
-        return self.values[self.offsets[a]:self.offsets[a + 1]]
+    def __getitem__(self, i: int) -> np.ndarray:
+        i = range(len(self))[i]
+        return self.values[self.offsets[i]:self.offsets[i + 1]]
 
     def __iter__(self) -> Iterator[np.ndarray]:
-        return (self[a] for a in range(len(self)))
+        return (self[i] for i in range(len(self)))
 
 
 def node_tables(lay: Layout, row_entries, fill) -> Rows:

@@ -300,9 +300,8 @@ def activity_bound_violations(catalog, activities, h: float,
     """
     activities = catalog.activity_vector(activities)
     out = []
-    for idx, poly in enumerate(catalog.polymers):
-        bound = activity_bound(loop_profile(poly), h,
-                               alpha_d=alpha_d, alpha_mid=alpha_mid)
+    for idx, profile in enumerate(catalog.profiles.tolist()):
+        bound = activity_bound(profile, h, alpha_d=alpha_d, alpha_mid=alpha_mid)
         measured = abs(float(activities[idx]))
         if measured > bound * (1.0 + rtol) + 1e-15:
             out.append((idx, measured, bound))

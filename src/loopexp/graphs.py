@@ -13,6 +13,7 @@ machinery; sampled and file-loaded graphs are validated as exactly d-regular.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional, Sequence
@@ -20,7 +21,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from ._bitops import bits_of, iter_chunks, popcount
-from ._layout import BLOCK_ENTRIES, MAX_ENTRIES, Layout
+from ._layout import BLOCK_ENTRIES, MAX_ENTRIES, Layout, Rows
 from .exceptions import BudgetError, PairingError
 
 __all__ = [
@@ -49,7 +50,8 @@ class CheckGraph:
     Attributes
     ----------
     n : number of nodes
-    d : nominal degree (exact for sampled/loaded graphs, max degree otherwise)
+    d : nominal degree, no smaller than any node's degree (exact for
+        sampled/loaded graphs, the max degree when ``from_edges`` infers it)
     layout : the ``Layout`` of the graph: endpoints ``ends`` (u < v, rows
         lexicographically sorted), degrees ``deg`` and the per-node slot
         arrays, each node's edges in ascending order
@@ -62,7 +64,7 @@ class CheckGraph:
                  edges: Sequence[tuple[int, int]] | np.ndarray):
         """``edges``: (u, v) pairs or an (E, 2) integer array, any order
         and orientation; ValueError names a self-loop, an out-of-range
-        edge or a duplicate edge."""
+        edge, a duplicate edge or a node of degree above ``d``."""
         if n <= 0:
             raise ValueError("need at least one node")
         pairs = np.asarray(edges, dtype=np.int64).reshape(len(edges), 2)
@@ -83,6 +85,10 @@ class CheckGraph:
         self.n = int(n)
         self.d = int(d)
         self.layout = Layout(self.n, np.column_stack([key // n, key % n]))
+        if self.layout.dmax > self.d:
+            a = int(np.argmax(self.layout.deg > self.d))
+            raise ValueError(f"node {a} has degree {self.layout.deg[a]}, "
+                             f"above the nominal degree {self.d}")
 
     @property
     def num_edges(self) -> int:
@@ -113,7 +119,8 @@ class CheckGraph:
         When ``d`` is omitted it is set to the maximum degree; regularity is
         not required here (oracle hosts may be trees or disconnected).
         """
-        graph = cls(n, 0 if d is None else d, list(edges))
+        # no node of a simple graph on n nodes has degree above n - 1
+        graph = cls(n, n - 1 if d is None else d, list(edges))
         if d is None:
             graph.d = graph.layout.dmax
         return graph
@@ -222,7 +229,7 @@ class EdgeSubset:
     """
 
     __slots__ = ("graph", "bitmask", "edge_ids", "touched_nodes",
-                 "_node_degree", "degree_profile")
+                 "degree_profile")
 
     def __init__(self, graph: CheckGraph, edges: Iterable[int] = (),
                  bitmask: Optional[int] = None):
@@ -236,15 +243,10 @@ class EdgeSubset:
         self.bitmask = int(bitmask)
         self.edge_ids = tuple(bits_of(self.bitmask))
         ends = graph.layout.ends.take(self.edge_ids, axis=0)
-        deg: dict[int, int] = {}
-        for a in ends.ravel().tolist():
-            deg[a] = deg.get(a, 0) + 1
-        self._node_degree = deg
+        deg = Counter(ends.ravel().tolist())
         self.touched_nodes = tuple(sorted(deg))
-        profile = [0] * graph.d
-        for k in deg.values():
-            profile[k - 1] += 1
-        self.degree_profile = tuple(profile)
+        counts = Counter(deg.values())
+        self.degree_profile = tuple(counts[k] for k in range(1, graph.d + 1))
 
     @property
     def num_edges(self) -> int:
@@ -254,9 +256,6 @@ class EdgeSubset:
     def size(self) -> int:
         """Polymer size: the number of touched nodes."""
         return len(self.touched_nodes)
-
-    def node_degree(self, a: int) -> int:
-        return self._node_degree.get(a, 0)
 
     def is_connected(self) -> bool:
         """True when the touched nodes form one component under member edges."""
@@ -280,15 +279,10 @@ class EdgeSubset:
 
     def is_polymer(self) -> bool:
         """Connected, nonempty, and min induced degree >= 2."""
-        return (bool(self.edge_ids)
-                and min(self._node_degree.values()) >= 2
-                and self.is_connected())
+        return bool(self.edge_ids) and is_loop(self) and self.is_connected()
 
     def node_bitmask(self) -> int:
-        mask = 0
-        for a in self.touched_nodes:
-            mask |= 1 << a
-        return mask
+        return sum(1 << a for a in self.touched_nodes)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, EdgeSubset)
@@ -299,7 +293,7 @@ class EdgeSubset:
         return hash((id(self.graph), self.bitmask))
 
     def __repr__(self) -> str:
-        return f"EdgeSubset(edges={self.edge_ids})"
+        return f"{type(self).__name__}(edges={self.edge_ids})"
 
 
 def is_loop(subset: EdgeSubset) -> bool:
@@ -308,28 +302,29 @@ def is_loop(subset: EdgeSubset) -> bool:
     return not profile or profile[0] == 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)    # arrays have no single truth value
 class PolymerCatalog:
-    """All polymers of a host up to a node-count cap, with a per-node index."""
+    """All polymers of a host up to a node-count cap, as flat arrays.
+
+    Polymer i has the member edges ``edges[i]``, ascending, the touched
+    nodes ``node_masks[i]`` and the tail profile ``profiles[i]``: its
+    numbers (n_2, ..., n_d) of nodes of induced degree 2..d, d = ``host.d``,
+    which sum to its size.
+    """
 
     host: CheckGraph
     node_cap: int
-    polymers: tuple[EdgeSubset, ...]
-    per_node: tuple[tuple[int, ...], ...]  # polymer indices touching each node
+    edges: Rows                  # int64 edge ids, one row per polymer
+    node_masks: tuple[int, ...]  # bitmasks
+    profiles: np.ndarray         # (len, d - 1) int64
 
     def __len__(self) -> int:
-        return len(self.polymers)
+        return len(self.node_masks)
 
     @property
     def covers_host(self) -> bool:
         """Cap at least the host size, so no polymer was excluded."""
         return self.node_cap >= self.host.n
-
-    def sizes(self) -> np.ndarray:
-        return np.array([p.size for p in self.polymers], dtype=np.int64)
-
-    def node_bitmasks(self) -> list[int]:
-        return [p.node_bitmask() for p in self.polymers]
 
     def activity_vector(self, activities) -> np.ndarray:
         """``activities`` as floats, one per polymer, or ValueError."""
@@ -366,22 +361,12 @@ def enumerate_polymers(graph: CheckGraph, node_cap: int) -> PolymerCatalog:
     """
     if node_cap < 0:
         raise ValueError("node_cap must be nonnegative")
-    polymers = []
+    region = np.arange(0)
     if node_cap >= 3 and graph.num_edges:
         # a cap of n or more excludes no polymer: the region is the host
         region = (np.arange(graph.n) if node_cap >= graph.n
                   else _near_short_cycles(graph.layout, node_cap))
-        polymers = _grow_polymers(graph, node_cap, region)
-    per_node = [[] for _ in range(graph.n)]
-    for idx, p in enumerate(polymers):
-        for a in p.touched_nodes:
-            per_node[a].append(idx)
-    return PolymerCatalog(
-        host=graph,
-        node_cap=node_cap,
-        polymers=tuple(polymers),
-        per_node=tuple(tuple(ids) for ids in per_node),
-    )
+    return _grow_polymers(graph, node_cap, region)
 
 
 def _near_short_cycles(lay: Layout, c: int) -> np.ndarray:
@@ -456,9 +441,9 @@ def _on_short_cycle(lay: Layout, c: int, sources: np.ndarray) -> np.ndarray:
 
 
 def _grow_polymers(graph: CheckGraph, node_cap: int,
-                   nodes: np.ndarray) -> list[EdgeSubset]:
-    """Polymers of at most ``node_cap`` nodes in the subgraph induced by
-    ``nodes``, as subsets of the host's edges, in anchor order."""
+                   nodes: np.ndarray) -> PolymerCatalog:
+    """The catalog of polymers of at most ``node_cap`` nodes in the
+    subgraph induced by ``nodes``, in anchor order."""
     lay = graph.layout
     inside = np.zeros(graph.n + 1, dtype=bool)   # entry n: padded slots
     inside[nodes] = True
@@ -473,19 +458,26 @@ def _grow_polymers(graph: CheckGraph, node_cap: int,
     anchors = sorted(line_adj)
     ends = dict(zip(anchors, lay.ends[anchors].tolist()))
 
-    polymers: list[EdgeSubset] = []
+    edge_ids: list[int] = []
+    offsets = [0]
+    node_masks: list[int] = []
+    profiles: list[int] = []    # d + 1 node counts per polymer, by degree
 
-    def consider(mask: int, node_deg: dict[int, int]) -> None:
+    def consider(edges: list[int], node_deg: dict[int, int]) -> None:
         # connected by construction; polymer iff min degree >= 2
         if min(node_deg.values()) >= 2:
-            if len(polymers) >= MAX_POLYMERS:
+            if len(node_masks) >= MAX_POLYMERS:
                 raise BudgetError(
                     f"polymer catalog exceeds {MAX_POLYMERS:,} polymers")
-            polymers.append(EdgeSubset(graph, bitmask=mask))
+            edge_ids.extend(sorted(edges))
+            offsets.append(len(edge_ids))
+            node_masks.append(sum(1 << a for a in node_deg))
+            counts = Counter(node_deg.values())
+            profiles.extend(counts[k] for k in range(graph.d + 1))
 
-    def extend(mask: int, node_deg: dict[int, int], ext: list[int],
+    def extend(edges: list[int], node_deg: dict[int, int], ext: list[int],
                near: set[int], anchor: int) -> None:
-        consider(mask, node_deg)
+        consider(edges, node_deg)
         for i, w in enumerate(ext):
             u, v = ends[w]
             grown = (u not in node_deg) + (v not in node_deg)
@@ -495,16 +487,23 @@ def _grow_polymers(graph: CheckGraph, node_cap: int,
             new_deg[u] = new_deg.get(u, 0) + 1
             new_deg[v] = new_deg.get(v, 0) + 1
             fresh = [f for f in line_adj[w] if f > anchor and f not in near]
-            new_near = near | set(fresh)
-            extend(mask | (1 << w), new_deg, ext[i + 1:] + fresh,
-                   new_near, anchor)
+            extend(edges + [w], new_deg, ext[i + 1:] + fresh,
+                   near | set(fresh), anchor)
 
     for anchor in anchors:
         u, v = ends[anchor]
         ext0 = [f for f in line_adj[anchor] if f > anchor]
         near0 = {anchor} | set(ext0)
-        extend(1 << anchor, {u: 1, v: 1}, ext0, near0, anchor)
-    return polymers
+        extend([anchor], {u: 1, v: 1}, ext0, near0, anchor)
+
+    return PolymerCatalog(
+        host=graph,
+        node_cap=node_cap,
+        edges=Rows(np.array(edge_ids, dtype=np.int64), np.array(offsets)),
+        node_masks=tuple(node_masks),
+        profiles=np.array(profiles, dtype=np.int64).reshape(
+            -1, graph.d + 1)[:, 2:],
+    )
 
 
 def edge_boundary(graph: CheckGraph, nodes: Iterable[int]) -> int:

@@ -37,7 +37,7 @@ import numpy as np
 
 from ._bitops import bits_of, popcount
 from ._elim import contract, plan_elimination
-from ._layout import MAX_ENTRIES, node_tables, spins
+from ._layout import MAX_ENTRIES, Rows, node_tables, spins
 from .bp import MessageSet, bethe_log_partition
 from .exceptions import BudgetError
 from .graphs import CheckGraph, EdgeSubset, PolymerCatalog, enumerate_polymers
@@ -127,13 +127,15 @@ class ActivityTable:
 
     def subgraph_activity(self, subset: EdgeSubset) -> float:
         """K(g) = prod over touched nodes of K_a(g restricted to a's edges)."""
-        return float(self._activities([subset])[0])
+        one_row = Rows(np.array(subset.edge_ids, dtype=np.int64),
+                       np.array([0, subset.num_edges]))
+        return float(self._activities(one_row)[0])
 
     def polymer_activities(self, catalog: PolymerCatalog) -> np.ndarray:
-        return self._activities(catalog.polymers)
+        return self._activities(catalog.edges)
 
-    def _activities(self, subsets) -> np.ndarray:
-        """K(g) of every subset, gathered from the flat tables.
+    def _activities(self, subsets: Rows) -> np.ndarray:
+        """K(g) of every row of edge ids, gathered from the flat tables.
 
         Each member edge sets its slot bit at both endpoints; the local
         masks of every (subset, node) pair are OR-ed together and the
@@ -142,16 +144,15 @@ class ActivityTable:
         """
         lay = self.graph.layout
         n = self.graph.n
+        off = subsets.offsets
         out = np.ones(len(subsets))
         for lo in range(0, len(subsets), _GATHER_BLOCK):
-            block = subsets[lo:lo + _GATHER_BLOCK]
-            sizes = [s.num_edges for s in block]
-            edges = np.fromiter(itertools.chain.from_iterable(
-                s.edge_ids for s in block), np.int64, sum(sizes))
-            owner = np.tile(np.repeat(np.arange(lo, lo + len(block)), sizes),
-                            2)
-            pairs, inverse = np.unique(owner * n + lay.ends[edges].T.ravel(),
-                                       return_inverse=True)
+            hi = min(lo + _GATHER_BLOCK, len(subsets))
+            edges = subsets.values[off[lo]:off[hi]]
+            owner = np.repeat(np.arange(lo, hi), np.diff(off[lo:hi + 1]))
+            pairs, inverse = np.unique(
+                np.tile(owner, 2) * n + lay.ends[edges].T.ravel(),
+                return_inverse=True)
             masks = np.zeros(len(pairs), dtype=np.int64)
             np.bitwise_or.at(masks, inverse, 1 << lay.slot[edges].T.ravel())
             np.multiply.at(out, pairs // n,
@@ -225,7 +226,7 @@ def _by_support(catalog: PolymerCatalog, activities) -> dict[int, float]:
     """
     vals = catalog.activity_vector(activities)
     weights: dict[int, float] = {}
-    for m, v in zip(catalog.node_bitmasks(), vals):
+    for m, v in zip(catalog.node_masks, vals):
         if v != 0.0:
             weights[m] = weights.get(m, 0.0) + float(v)
     logger.debug("%d polymers on %d supports",
@@ -366,9 +367,16 @@ def convergence_criterion(catalog: PolymerCatalog,
     An empty catalog gives 0.
     """
     weighted = np.abs(catalog.activity_vector(activities)) * np.exp(
-        catalog.sizes())
-    return max((float(np.sum(weighted[list(ids)]))
-                for ids in catalog.per_node if ids), default=0.0)
+        catalog.profiles.sum(axis=1))
+    rows, n = catalog.edges, catalog.host.n
+    owner = np.repeat(np.arange(len(rows)), np.diff(rows.offsets))
+    # every (polymer, touched node) pair once, as polymer * n + node;
+    # np.unique is far slower than the sort
+    keys = np.sort(owner[:, None] * n + catalog.host.layout.ends[rows.values],
+                   axis=None)
+    pairs = keys[np.diff(keys, prepend=-1) > 0]
+    return float(np.max(np.bincount(pairs % n, weighted[pairs // n],
+                                    minlength=n)))
 
 
 @dataclass(frozen=True)
@@ -404,12 +412,13 @@ def split_report(graph: CheckGraph, spec: FactorSpec, messages: MessageSet,
             for g in (graph, catalog.host, table.graph)}) > 1:
         raise ValueError("catalog and table must belong to the host graph")
     vals = table.polymer_activities(catalog)
-    large_ids = np.flatnonzero(2 * catalog.sizes() >= graph.n).tolist()
+    large_ids = np.flatnonzero(
+        2 * catalog.profiles.sum(axis=1) >= graph.n).tolist()
     supports = _by_support(catalog, vals)
     small_items = [(m, w) for m, w in supports.items()
                    if 2 * m.bit_count() < graph.n]
     z_small = _disjoint_sum(small_items, 0, 0)
-    large = {i: catalog.polymers[i].node_bitmask() for i in large_ids}
+    large = {i: catalog.node_masks[i] for i in large_ids}
     # one id per large support: its polymers share cond and overlap
     witness = {m: i for i, m in large.items()}
     cond = {m: _disjoint_sum(small_items, 0, m) for m in witness}

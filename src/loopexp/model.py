@@ -68,15 +68,6 @@ class FactorSpec:
     def high_temperature(cls, h, J) -> "FactorSpec":
         return cls(kind="high-temperature", h=h, J=J)
 
-    def parity_coupling(self, a: int) -> float:
-        """t_a as used in the unified factor shape."""
-        if self.kind == "cycle-code":
-            return 1.0
-        if self.kind == "softened-cycle-code":
-            return 1.0 - self.eps
-        J = self.J
-        return math.tanh(float(J[0] if len(J) == 1 else J[a]))
-
     def parity_couplings(self, graph: CheckGraph) -> np.ndarray:
         """t_a for every node of ``graph``.
 
@@ -102,12 +93,13 @@ def factor_value(spec: FactorSpec, graph: CheckGraph, a: int,
                  local_spins: Sequence[float]) -> float:
     """f_a evaluated on the spins of a's incident edges.
 
-    ``local_spins`` is aligned with ``graph.adjacency[a]``.
+    ``local_spins`` is aligned with ``graph.adjacency[a]``.  ValueError,
+    as from ``spec.parity_couplings``, unless ``spec`` fits ``graph``.
     """
     eids = graph.adjacency[a]
     if len(local_spins) != len(eids):
         raise ValueError(f"node {a} has degree {len(eids)}")
-    t = spec.parity_coupling(a)
+    t = spec.parity_couplings(graph)[a]
     prod = 1.0
     expo = 0.0
     for e, s in zip(eids, local_spins):

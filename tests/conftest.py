@@ -291,7 +291,7 @@ def dense_mayer_orders(catalog, activities, M_max):
     (-1)^{#edges}, as an einsum over the P x P matrix built pair by pair.
     """
     vals = np.asarray(activities, dtype=np.float64)
-    masks = catalog.node_bitmasks()
+    masks = catalog.node_masks
     keep = [i for i in range(len(vals)) if vals[i] != 0.0]
     K = vals[keep]
     P = len(keep)
@@ -365,7 +365,8 @@ def loop_polymer_activities(table, catalog):
     """K(gamma) per polymer: one local mask per (polymer, touched node)."""
     graph = table.graph
     out = []
-    for p in catalog.polymers:
+    for edges in catalog.edges:
+        p = EdgeSubset(graph, edges.tolist())
         value = 1.0
         for a in p.touched_nodes:
             mask = 0
@@ -375,6 +376,32 @@ def loop_polymer_activities(table, catalog):
             value *= table.K[a][mask]
         out.append(value)
     return np.array(out)
+
+
+def loop_criterion(catalog, activities):
+    """sup over nodes of sum e^{|gamma|} |K(gamma)| over the polymers
+    touching the node, from a per-node list of polymer indices."""
+    per_node = [[] for _ in range(catalog.host.n)]
+    for idx, mask in enumerate(catalog.node_masks):
+        for a in range(catalog.host.n):
+            if mask >> a & 1:
+                per_node[a].append(idx)
+    sizes = [mask.bit_count() for mask in catalog.node_masks]
+    weighted = np.abs(activities) * np.exp(sizes)
+    return max((float(np.sum(weighted[ids])) for ids in per_node if ids),
+               default=0.0)
+
+
+def assert_catalog_is(catalog, polymers):
+    """The catalog's arrays describe ``polymers`` (EdgeSubsets), in order."""
+    assert catalog.edges.values.dtype == catalog.profiles.dtype == np.int64
+    assert catalog.profiles.shape == (len(polymers),
+                                      max(catalog.host.d - 1, 0))
+    assert [tuple(row.tolist()) for row in catalog.edges] \
+        == [p.edge_ids for p in polymers]
+    assert catalog.node_masks == tuple(p.node_bitmask() for p in polymers)
+    assert catalog.profiles.tolist() \
+        == [list(p.degree_profile[1:]) for p in polymers]
 
 
 def global_polymers(graph, node_cap, max_polymers=200_000):

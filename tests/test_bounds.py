@@ -290,7 +290,7 @@ class TestActivityBoundViolations:
         h = 0.1
         vals = np.zeros(len(cat))
         target = 0
-        bound = activity_bound(loop_profile(cat.polymers[target]), h)
+        bound = activity_bound(cat.profiles[target].tolist(), h)
         vals[target] = 2 * bound
         out = activity_bound_violations(cat, vals, h)
         assert len(out) == 1
@@ -302,9 +302,17 @@ class TestActivityBoundViolations:
     def test_within_tolerance_not_reported(self, k4):
         cat = enumerate_polymers(k4, 4)
         h = 0.1
-        vals = np.array([activity_bound(loop_profile(p), h)
-                         for p in cat.polymers])
+        vals = np.array([activity_bound(p, h)
+                         for p in cat.profiles.tolist()])
         assert activity_bound_violations(cat, vals, h) == []
+
+    def test_empty_catalog_checks_no_bound(self, k4):
+        # h = 1 makes every bound inapplicable, yet nothing is bounded
+        cat = enumerate_polymers(k4, 2)
+        assert activity_bound_violations(cat, np.array([]), 1.0) == []
+        with pytest.raises(ValueError, match="too large"):
+            activity_bound_violations(enumerate_polymers(k4, 3),
+                                      np.zeros(4), 1.0)
 
     def test_sampled_instance_logged_not_asserted(self):
         # empirical constants: violations are returned as data

@@ -14,8 +14,13 @@ from loopexp.graphs import (CheckGraph, EdgeSubset, _near_short_cycles,
                             enumerate_polymers, is_loop,
                             read_graph, sample_regular_graph, write_graph)
 
-from conftest import (brute_polymers, global_polymers, set_sampler_edges,
-                      small_hosts, tuple_graph)
+from conftest import (assert_catalog_is, brute_polymers, global_polymers,
+                      set_sampler_edges, small_hosts, tuple_graph)
+
+
+def edge_sets(catalog):
+    """The catalog's polymers as sets of edge ids."""
+    return {frozenset(row.tolist()) for row in catalog.edges}
 
 
 class TestCheckGraph:
@@ -40,6 +45,14 @@ class TestCheckGraph:
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             CheckGraph(3, 2, [(0, 3)])
+
+    def test_rejects_degree_above_nominal(self):
+        k4 = list(itertools.combinations(range(4), 2))
+        with pytest.raises(ValueError, match="node 0 has degree 3"):
+            CheckGraph(4, 2, k4)
+        with pytest.raises(ValueError, match="node 2 has degree 2"):
+            CheckGraph.from_edges(3, [(0, 2), (1, 2)], d=1)
+        assert CheckGraph.from_edges(4, k4).d == 3
 
     def test_from_edges_infers_max_degree(self, path3):
         assert path3.d == 2
@@ -66,15 +79,16 @@ class TestArrayGraph:
 
     @staticmethod
     def check(n, pairs):
+        # nominal degree n - 1 covers every simple graph on n nodes
         try:
             edges, adjacency, neighbors, edge_index = tuple_graph(n, pairs)
         except ValueError as err:
             for given_pairs in (pairs, np.array(pairs, dtype=np.int64)):
                 with pytest.raises(ValueError, match=re.escape(str(err))):
-                    CheckGraph(n, 3, given_pairs)
+                    CheckGraph(n, n - 1, given_pairs)
             return
         for given_pairs in (pairs, np.array(pairs, dtype=np.int64)):
-            g = CheckGraph(n, 3, given_pairs)
+            g = CheckGraph(n, n - 1, given_pairs)
             assert g.edges == edges
             assert g.adjacency == adjacency
             assert g.edge_index == edge_index
@@ -96,8 +110,9 @@ class TestArrayGraph:
     def test_pair_lists(self, case):
         self.check(*case)
 
-    def test_large_n_path_builds_no_tuple_view(self):
+    def test_large_n_path_builds_no_tuple_view(self, monkeypatch):
         # the call sequence of the large-n benchmark path
+        monkeypatch.setattr(EdgeSubset, "__init__", no_edge_subset)
         g = lx.sample_regular_graph(2000, 3, [3, 0])
         spec = lx.FactorSpec.cycle_code(lx.sample_bsc(g, 0.3, [3, 1]).h)
         msgs = lx.solve_fixed_point(g, spec, tol=1e-10)
@@ -110,6 +125,21 @@ class TestArrayGraph:
                                      h=lx.half_llr_magnitude(0.3))
         assert len(catalog) > 0
         assert not {"edges", "adjacency", "edge_index"} & set(vars(g))
+
+    def test_polymer_layer_builds_no_edge_subset(self, monkeypatch):
+        monkeypatch.setattr(EdgeSubset, "__init__", no_edge_subset)
+        g = lx.sample_regular_graph(10, 3, 4)
+        spec = lx.FactorSpec.cycle_code(lx.sample_bsc(g, 0.45, 5).h)
+        msgs = lx.solve_fixed_point(g, spec)
+        report = lx.build_expansion_report(g, spec, msgs)
+        split = lx.split_report(g, spec, msgs)
+        assert report.catalog_size > 0 and not report.catalog_truncated
+        assert split.reconstructed == pytest.approx(split.z_polymer_all,
+                                                    rel=1e-12)
+
+
+def no_edge_subset(*args, **kwargs):
+    raise AssertionError("EdgeSubset built")
 
 
 class TestSampling:
@@ -216,30 +246,24 @@ class TestEdgeSubset:
 class TestPolymerEnumeration:
     @pytest.mark.parametrize("cap", [3, 4])
     def test_k4_matches_brute_force(self, k4, cap):
-        cat = enumerate_polymers(k4, cap)
-        got = {frozenset(p.edge_ids) for p in cat.polymers}
-        assert got == brute_polymers(k4, cap)
+        assert edge_sets(enumerate_polymers(k4, cap)) \
+            == brute_polymers(k4, cap)
 
     def test_k4_full_census(self, k4):
         # 4 triangles, 3 four-cycles, and 4 + 3 + 1 subsets on all 4 nodes
         cat = enumerate_polymers(k4, 4)
-        by_size = {}
-        for p in cat.polymers:
-            by_size[p.size] = by_size.get(p.size, 0) + 1
-        assert by_size[3] == 4
+        assert np.count_nonzero(cat.profiles.sum(axis=1) == 3) == 4
         # 4 nodes: the 3 4-cycles, the 4 "triangle plus spoke-pair"... count
         # against the oracle rather than by hand
         assert len(cat) == len(brute_polymers(k4, 4))
 
     def test_prism_matches_brute_force(self, prism):
-        cat = enumerate_polymers(prism, 6)
-        got = {frozenset(p.edge_ids) for p in cat.polymers}
-        assert got == brute_polymers(prism, 6)
+        assert edge_sets(enumerate_polymers(prism, 6)) \
+            == brute_polymers(prism, 6)
 
     def test_disconnected_host(self, two_k4s):
-        cat = enumerate_polymers(two_k4s, 8)
-        got = {frozenset(p.edge_ids) for p in cat.polymers}
-        assert got == brute_polymers(two_k4s, 8)
+        assert edge_sets(enumerate_polymers(two_k4s, 8)) \
+            == brute_polymers(two_k4s, 8)
 
     def test_tree_host_has_no_polymers(self, path3):
         assert len(enumerate_polymers(path3, 3)) == 0
@@ -247,7 +271,9 @@ class TestPolymerEnumeration:
     def test_triangle_host_single_polymer(self, triangle):
         cat = enumerate_polymers(triangle, 3)
         assert len(cat) == 1
-        assert cat.polymers[0].edge_ids == (0, 1, 2)
+        assert cat.edges[0].tolist() == [0, 1, 2]
+        assert cat.node_masks == (0b111,)
+        assert cat.profiles.tolist() == [[3]]
         assert cat.covers_host
 
     def test_cap_below_three_is_empty(self, k4):
@@ -255,15 +281,8 @@ class TestPolymerEnumeration:
 
     def test_node_cap_prunes(self, prism):
         small = enumerate_polymers(prism, 3)
-        assert {p.size for p in small.polymers} == {3}
+        assert set(small.profiles.sum(axis=1).tolist()) == {3}
         assert not small.covers_host
-
-    def test_per_node_index(self, k4):
-        cat = enumerate_polymers(k4, 4)
-        for a in range(4):
-            expect = {i for i, p in enumerate(cat.polymers)
-                      if a in p.touched_nodes}
-            assert set(cat.per_node[a]) == expect
 
     def test_budget_error(self, prism, monkeypatch):
         monkeypatch.setattr(graphs, "MAX_POLYMERS", 3)
@@ -272,9 +291,7 @@ class TestPolymerEnumeration:
 
     def test_larger_host_against_brute(self):
         g = sample_regular_graph(8, 3, 5)
-        cat = enumerate_polymers(g, 8)
-        got = {frozenset(p.edge_ids) for p in cat.polymers}
-        assert got == brute_polymers(g, 8)
+        assert edge_sets(enumerate_polymers(g, 8)) == brute_polymers(g, 8)
 
 
 class TestLocalCatalog:
@@ -283,17 +300,15 @@ class TestLocalCatalog:
     @given(small_hosts(max_nodes=8, max_edges=11))
     def test_same_polymers_in_same_order(self, g):
         for cap in range(g.n + 1):
-            got = enumerate_polymers(g, cap).polymers
-            assert ([p.bitmask for p in got]
-                    == [p.bitmask for p in global_polymers(g, cap)])
+            assert_catalog_is(enumerate_polymers(g, cap),
+                              global_polymers(g, cap))
 
     @pytest.mark.parametrize("cap", [5, 6])
     def test_sampled_cubic_graph(self, cap):
         g = sample_regular_graph(2000, 3, 17)
-        got = enumerate_polymers(g, cap).polymers
         want = global_polymers(g, cap)
         assert want
-        assert [p.bitmask for p in got] == [p.bitmask for p in want]
+        assert_catalog_is(enumerate_polymers(g, cap), want)
 
     @pytest.mark.parametrize("cap", [3, 5, 6, 12])
     def test_region_is_near_short_cycles(self, cap):
@@ -303,8 +318,8 @@ class TestLocalCatalog:
         g = CheckGraph.from_edges(41, edges)
         region = _near_short_cycles(g.layout, cap)
         assert region.tolist() == list(range(cap))
-        assert [p.edge_ids for p in enumerate_polymers(g, cap).polymers] \
-            == [(0, 1, 2)]
+        assert [row.tolist() for row in enumerate_polymers(g, cap).edges] \
+            == [[0, 1, 2]]
 
 
 class TestExpansion:

@@ -26,7 +26,8 @@ from loopexp.model import FactorSpec, exact_log_partition
 from conftest import (arbitrary_messages, brute_correction,
                       brute_node_activity, brute_polymer_sum, brute_scan,
                       dense_mayer_orders, factor_specs, incoming,
-                      loop_node_table, loop_polymer_activities, mixed_host,
+                      loop_criterion, loop_node_table,
+                      loop_polymer_activities, mixed_host,
                       ratio_message_update, small_hosts)
 
 
@@ -427,6 +428,14 @@ class TestConvergenceCriterion:
         assert convergence_criterion(cat, 2 * vals) == pytest.approx(
             2 * one, rel=1e-12)
 
+    @given(data=st.data())
+    def test_matches_per_node_loop(self, data):
+        g = data.draw(small_hosts())
+        cat = enumerate_polymers(g, data.draw(st.integers(0, g.n)))
+        vals = data.draw(signed_activities(len(cat)))
+        assert convergence_criterion(cat, vals) == pytest.approx(
+            loop_criterion(cat, vals), rel=1e-13, abs=0.0)
+
 
 def signed_activities(size):
     """Activities in [-1, 1], exact zeros included."""
@@ -442,7 +451,7 @@ def assert_matches_oracles(cat, vals, M_max):
     want = dense_mayer_orders(cat, vals, M_max)
     for M, (g, w) in enumerate(zip(mex.orders, want), start=1):
         assert abs(g - w) <= 1e-12 * max(abs(w), scale ** M)
-    masks = cat.node_bitmasks()
+    masks = cat.node_masks
     want = brute_polymer_sum(masks, vals)
     assert abs(z_corr_polymer_form(cat, vals) - want) <= (
         1e-12 * brute_polymer_sum(masks, np.abs(vals)))
@@ -459,7 +468,7 @@ class TestSupportGrouping:
         cat = enumerate_polymers(g, cap)
         vals = data.draw(signed_activities(len(cat)))
         mex = assert_matches_oracles(cat, vals, 3)
-        masks = cat.node_bitmasks()
+        masks = cat.node_masks
         assert mex.num_polymers == np.count_nonzero(vals)
         assert mex.num_supports == len({m for m, v in zip(masks, vals) if v})
 
@@ -467,7 +476,7 @@ class TestSupportGrouping:
     def test_shared_supports_on_k4(self, vals):
         k4 = CheckGraph(4, 3, list(itertools.combinations(range(4), 2)))
         cat = enumerate_polymers(k4, 4)
-        assert len(set(cat.node_bitmasks())) == 5
+        assert len(set(cat.node_masks)) == 5
         assert_matches_oracles(cat, vals, 4)
 
     @given(data=st.data())
@@ -478,8 +487,8 @@ class TestSupportGrouping:
         cat = enumerate_polymers(g, data.draw(st.integers(0, g.n)))
         rep = split_report(g, spec, msgs, catalog=cat)
         vals = ActivityTable(g, spec, msgs).polymer_activities(cat)
-        masks = cat.node_bitmasks()
-        large = [i for i, p in enumerate(cat.polymers) if 2 * p.size >= g.n]
+        masks = cat.node_masks
+        large = [i for i, m in enumerate(masks) if 2 * m.bit_count() >= g.n]
         small = [i for i in range(len(cat)) if i not in large]
         tol = 1e-12 * brute_polymer_sum(masks, np.abs(vals))
 
@@ -505,7 +514,7 @@ class TestSupportGrouping:
         # two opposite activities on the full support cancel in every
         # grouped sum, but each still counts in the criterion
         cat = enumerate_polymers(k4, 4)
-        on_full = [i for i, m in enumerate(cat.node_bitmasks()) if m == 0b1111]
+        on_full = [i for i, m in enumerate(cat.node_masks) if m == 0b1111]
         vals = np.zeros(len(cat))
         vals[on_full[:2]] = (0.5, -0.5)
         with caplog.at_level(logging.DEBUG, logger="loopexp.loopseries"):

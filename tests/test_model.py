@@ -25,11 +25,11 @@ class TestFactorSpec:
 
     def test_cycle_code_coupling_is_one(self, k4):
         spec = FactorSpec.cycle_code(np.zeros(6))
-        assert spec.parity_coupling(2) == 1.0
+        assert spec.parity_couplings(k4)[2] == 1.0
 
-    def test_softened_coupling(self):
+    def test_softened_coupling(self, k4):
         spec = FactorSpec.softened(np.zeros(6), 0.1)
-        assert spec.parity_coupling(0) == pytest.approx(0.9, abs=1e-15)
+        assert spec.parity_couplings(k4)[0] == pytest.approx(0.9, abs=1e-15)
 
     def test_softening_domain(self):
         with pytest.raises(ValueError):
@@ -40,13 +40,13 @@ class TestFactorSpec:
     def test_high_temperature_scalar_broadcast(self, k4):
         spec = FactorSpec.high_temperature(np.zeros(6), 0.05)
         for a in range(4):
-            assert spec.parity_coupling(a) == pytest.approx(
+            assert spec.parity_couplings(k4)[a] == pytest.approx(
                 math.tanh(0.05), abs=1e-15)
 
     def test_high_temperature_per_node(self, triangle):
         spec = FactorSpec.high_temperature(np.zeros(3), [0.1, 0.2, 0.3])
-        assert spec.parity_coupling(1) == pytest.approx(math.tanh(0.2),
-                                                        abs=1e-15)
+        assert spec.parity_couplings(triangle)[1] == pytest.approx(
+            math.tanh(0.2), abs=1e-15)
         couplings = spec.parity_couplings(triangle)
         assert couplings == pytest.approx(np.tanh([0.1, 0.2, 0.3]), abs=1e-15)
 
@@ -101,6 +101,16 @@ class TestFactorValue:
         spec = FactorSpec.cycle_code(np.zeros(3))
         with pytest.raises(ValueError):
             factor_value(spec, triangle, 0, [1, 1, 1])
+
+    @pytest.mark.parametrize("spec", [
+        FactorSpec.cycle_code(np.zeros(5)),
+        FactorSpec.softened(np.zeros(2), 0.1),
+        FactorSpec.high_temperature(np.zeros(3), [0.1, 0.2, 0.3, 0.4]),
+        FactorSpec.high_temperature(np.zeros(3), [0.1, 0.2]),
+    ], ids=["h_long", "h_short", "J_long", "J_short"])
+    def test_spec_must_fit_graph(self, triangle, spec):
+        with pytest.raises(ValueError, match="entries|per node"):
+            factor_value(spec, triangle, 0, [1, 1])
 
 
 class TestExactLogPartition:
