@@ -8,9 +8,9 @@ the correction over polymers, and evaluates the bounds that control it.
 __version__ = "0.1.0"
 
 from .exceptions import BudgetError, DivergenceError, PairingError
-from .graphs import (CheckGraph, EdgeSubset, ExpansionVerdict, PolymerCatalog,
+from .graphs import (CheckGraph, ExpansionVerdict, PolymerCatalog,
                      check_edge_expansion, edge_boundary, enumerate_polymers,
-                     is_loop, read_graph, sample_regular_graph, write_graph)
+                     read_graph, sample_regular_graph, write_graph)
 from .channel import (ChannelRealization, conditional_entropy_per_node,
                       half_llr_magnitude, read_channel_csv, sample_bsc,
                       write_channel_csv)
@@ -24,6 +24,6 @@ from .loopseries import (ActivityTable, CorrectionScan, ExpansionReport,
                          z_corr_polymer_form)
 from .bounds import (DegreeProfileVector, ScanResult, activity_bound,
                      activity_bound_violations, expander_activity_bound,
-                     exponent_function, loop_profile, mackay_probability_bound,
+                     exponent_function, mackay_probability_bound,
                      scan_exponent, subgraph_count_bound,
                      tail_probability_bound)

@@ -16,12 +16,9 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.special import comb, gammaln, xlogy
 
-from .graphs import EdgeSubset
-
 __all__ = [
     "ALPHA_D_DEFAULT",
     "ALPHA_MID_DEFAULT",
-    "loop_profile",
     "activity_bound",
     "expander_activity_bound",
     "mackay_probability_bound",
@@ -36,14 +33,6 @@ __all__ = [
 
 ALPHA_D_DEFAULT = 0.9
 ALPHA_MID_DEFAULT = 1.2
-
-
-def loop_profile(subset: EdgeSubset) -> tuple[int, ...]:
-    """Tail profile (n_2..n_d) of a loop subset; degree-1 nodes are an error."""
-    profile = subset.degree_profile
-    if profile and profile[0]:
-        raise ValueError("subset has degree-1 nodes; not a loop")
-    return tuple(profile[1:])
 
 
 def _log_falling(m: float, k: float) -> float:

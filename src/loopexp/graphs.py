@@ -1,7 +1,8 @@
-"""Graphs, edge subsets, and polymer enumeration.
+"""Graphs, polymer enumeration and edge-expansion checks.
 
 A check graph is a simple d-regular graph whose edges carry spins and whose
-nodes carry factors.  Subgraphs are identified with subsets of the edge set.
+nodes carry factors.  Subgraphs are identified with subsets of the edge set,
+stored as rows of edge ids.
 A *loop* is an edge subset with no node of induced degree one; a *polymer* is
 a connected edge subset in which every touched node has induced degree at
 least two (hence it touches at least three nodes).
@@ -20,19 +21,16 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from ._bitops import bits_of, iter_chunks, popcount
 from ._layout import BLOCK_ENTRIES, MAX_ENTRIES, Layout, Rows
 from .exceptions import BudgetError, PairingError
 
 __all__ = [
     "CheckGraph",
-    "EdgeSubset",
     "PolymerCatalog",
     "ExpansionVerdict",
     "sample_regular_graph",
     "read_graph",
     "write_graph",
-    "is_loop",
     "enumerate_polymers",
     "edge_boundary",
     "check_edge_expansion",
@@ -219,87 +217,6 @@ def read_graph(path) -> CheckGraph:
     if not g.is_regular():
         raise ValueError(f"{path}: graph is not {d}-regular")
     return g
-
-
-class EdgeSubset:
-    """A subset of a graph's edges, with touched nodes and degree profile.
-
-    Identity is the edge set: two subsets of the same host compare equal iff
-    they contain the same edge indices.
-    """
-
-    __slots__ = ("graph", "bitmask", "edge_ids", "touched_nodes",
-                 "degree_profile")
-
-    def __init__(self, graph: CheckGraph, edges: Iterable[int] = (),
-                 bitmask: Optional[int] = None):
-        self.graph = graph
-        if bitmask is None:
-            bitmask = 0
-            for e in edges:
-                bitmask |= 1 << e
-        if bitmask >> graph.num_edges:
-            raise ValueError("edge index out of range")
-        self.bitmask = int(bitmask)
-        self.edge_ids = tuple(bits_of(self.bitmask))
-        ends = graph.layout.ends.take(self.edge_ids, axis=0)
-        deg = Counter(ends.ravel().tolist())
-        self.touched_nodes = tuple(sorted(deg))
-        counts = Counter(deg.values())
-        self.degree_profile = tuple(counts[k] for k in range(1, graph.d + 1))
-
-    @property
-    def num_edges(self) -> int:
-        return len(self.edge_ids)
-
-    @property
-    def size(self) -> int:
-        """Polymer size: the number of touched nodes."""
-        return len(self.touched_nodes)
-
-    def is_connected(self) -> bool:
-        """True when the touched nodes form one component under member edges."""
-        if not self.edge_ids:
-            return True
-        adj = {a: [] for a in self.touched_nodes}
-        ends = self.graph.layout.ends.take(self.edge_ids, axis=0)
-        for u, v in ends.tolist():
-            adj[u].append(v)
-            adj[v].append(u)
-        start = self.touched_nodes[0]
-        seen = {start}
-        stack = [start]
-        while stack:
-            a = stack.pop()
-            for b in adj[a]:
-                if b not in seen:
-                    seen.add(b)
-                    stack.append(b)
-        return len(seen) == len(self.touched_nodes)
-
-    def is_polymer(self) -> bool:
-        """Connected, nonempty, and min induced degree >= 2."""
-        return bool(self.edge_ids) and is_loop(self) and self.is_connected()
-
-    def node_bitmask(self) -> int:
-        return sum(1 << a for a in self.touched_nodes)
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, EdgeSubset)
-                and self.graph is other.graph
-                and self.bitmask == other.bitmask)
-
-    def __hash__(self) -> int:
-        return hash((id(self.graph), self.bitmask))
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}(edges={self.edge_ids})"
-
-
-def is_loop(subset: EdgeSubset) -> bool:
-    """True when no touched node has induced degree one (empty set counts)."""
-    profile = subset.degree_profile
-    return not profile or profile[0] == 0
 
 
 @dataclass(frozen=True, eq=False)    # arrays have no single truth value
@@ -538,8 +455,10 @@ def check_edge_expansion(graph: CheckGraph, kappa: float,
 
     Hosts with several connected components fail immediately (the smallest
     component has empty boundary).  Up to ``exhaustive_limit`` nodes all
-    subsets are scanned; larger graphs are spot-checked on uniform random
-    subsets of admissible sizes.
+    subsets are scanned (BudgetError, before scanning, when 2^n exceeds
+    ``MAX_ENTRIES``); larger graphs are spot-checked on uniform random
+    subsets of admissible sizes, the first violator in draw order being the
+    witness.
     """
     n = graph.n
     comps = graph.components()
@@ -548,33 +467,48 @@ def check_edge_expansion(graph: CheckGraph, kappa: float,
         return ExpansionVerdict("components", kappa, False,
                                 tuple(smallest), 0)
     half = n // 2
+    u, v = graph.layout.ends.T
+
+    def first_violator(inside: np.ndarray, sizes: np.ndarray) -> Optional[int]:
+        # row of the first node set in ``inside`` (one set per row) whose
+        # edge boundary is below kappa times its size
+        boundary = np.count_nonzero(inside[:, u] != inside[:, v], axis=1)
+        bad = boundary < kappa * sizes
+        return int(np.argmax(bad)) if bad.any() else None
+
     if n <= exhaustive_limit:
+        if 1 << n > MAX_ENTRIES:
+            raise BudgetError(f"exhaustive expansion check of 2^{n} node "
+                              f"sets exceeds the cap of {MAX_ENTRIES:,}")
         checked = 0
         bits = np.arange(n, dtype=np.uint64)
-        u, v = graph.layout.ends.T
-        for configs in iter_chunks(n):
-            sizes = popcount(configs)
+        step = 1 << min(18, n)     # 2^18 sets (2 MiB of uint64) per block
+        for lo in range(0, 1 << n, step):
+            configs = np.arange(lo, lo + step, dtype=np.uint64)
+            sizes = np.bitwise_count(configs)
             keep = (sizes >= 1) & (sizes <= half)
-            if not np.any(keep):
-                continue
-            configs = configs[keep]
-            sizes = sizes[keep]
-            inside = (configs[:, None] >> bits & np.uint64(1)).astype(bool)
-            boundary = np.count_nonzero(inside[:, u] != inside[:, v], axis=1)
-            checked += configs.size
-            bad = boundary < kappa * sizes.astype(np.float64)
-            if np.any(bad):
-                c = int(configs[np.argmax(bad)])
-                witness = tuple(bits_of(c))
+            inside = (configs[keep, None] >> bits & np.uint64(1)).astype(bool)
+            checked += len(inside)
+            j = first_violator(inside, sizes[keep])
+            if j is not None:
+                witness = tuple(np.flatnonzero(inside[j]).tolist())
                 return ExpansionVerdict("exhaustive", kappa, False,
                                         witness, checked)
         return ExpansionVerdict("exhaustive", kappa, True, None, checked)
 
+    # each block draws its sets one by one, with the RNG calls of a
+    # set-by-set check, then counts their boundaries in one gather
     rng = np.random.default_rng(seed)
-    for k in range(num_samples):
-        size = int(rng.integers(1, half + 1))
-        nodes = rng.choice(n, size=size, replace=False)
-        if edge_boundary(graph, nodes) < kappa * size:
-            return ExpansionVerdict("sampled", kappa, False,
-                                    tuple(sorted(int(a) for a in nodes)), k + 1)
+    step = max(1, BLOCK_ENTRIES // n)
+    for lo in range(0, num_samples, step):
+        inside = np.zeros((min(step, num_samples - lo), n), dtype=bool)
+        sizes = np.empty(len(inside), dtype=np.int64)
+        for k in range(len(inside)):
+            sizes[k] = size = int(rng.integers(1, half + 1))
+            inside[k, rng.choice(n, size=size, replace=False)] = True
+        j = first_violator(inside, sizes)
+        if j is not None:
+            witness = tuple(np.flatnonzero(inside[j]).tolist())
+            return ExpansionVerdict("sampled", kappa, False, witness,
+                                    lo + j + 1)
     return ExpansionVerdict("sampled", kappa, None, None, num_samples)

@@ -31,16 +31,15 @@ import logging
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterable, Optional
+from typing import Optional
 
 import numpy as np
 
-from ._bitops import bits_of, popcount
 from ._elim import contract, plan_elimination
-from ._layout import MAX_ENTRIES, Rows, node_tables, spins
+from ._layout import MAX_ENTRIES, node_tables, spins
 from .bp import MessageSet, bethe_log_partition
 from .exceptions import BudgetError
-from .graphs import CheckGraph, EdgeSubset, PolymerCatalog, enumerate_polymers
+from .graphs import CheckGraph, PolymerCatalog, enumerate_polymers
 from .model import FactorSpec, exact_log_partition
 
 __all__ = [
@@ -60,7 +59,7 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
-_GATHER_BLOCK = 256    # subsets per block of ActivityTable._activities
+_GATHER_BLOCK = 256    # polymers per block of polymer_activities
 
 
 class ActivityTable:
@@ -116,39 +115,22 @@ class ActivityTable:
         if bad:
             raise ValueError(f"local normalizer vanished at node {min(bad)}")
 
-    def node_activity(self, a: int, edges: Iterable[int]) -> float:
-        adjacency = self.graph.adjacency[a]
-        mask = 0
-        for e in edges:
-            if e not in adjacency:
-                raise ValueError(f"edge {e} is not incident to node {a}")
-            mask |= 1 << adjacency.index(e)
-        return float(self.K[a][mask])
-
-    def subgraph_activity(self, subset: EdgeSubset) -> float:
-        """K(g) = prod over touched nodes of K_a(g restricted to a's edges)."""
-        one_row = Rows(np.array(subset.edge_ids, dtype=np.int64),
-                       np.array([0, subset.num_edges]))
-        return float(self._activities(one_row)[0])
-
     def polymer_activities(self, catalog: PolymerCatalog) -> np.ndarray:
-        return self._activities(catalog.edges)
-
-    def _activities(self, subsets: Rows) -> np.ndarray:
-        """K(g) of every row of edge ids, gathered from the flat tables.
+        """K(gamma) of every polymer, gathered from the flat tables.
 
         Each member edge sets its slot bit at both endpoints; the local
-        masks of every (subset, node) pair are OR-ed together and the
-        tables multiplied per subset in ascending node order.  Subsets are
-        taken ``_GATHER_BLOCK`` at a time, so temporaries stay small.
+        masks of every (polymer, node) pair are OR-ed together and the
+        tables multiplied per polymer in ascending node order.  Polymers
+        are taken ``_GATHER_BLOCK`` at a time, so temporaries stay small.
         """
+        rows = catalog.edges
         lay = self.graph.layout
         n = self.graph.n
-        off = subsets.offsets
-        out = np.ones(len(subsets))
-        for lo in range(0, len(subsets), _GATHER_BLOCK):
-            hi = min(lo + _GATHER_BLOCK, len(subsets))
-            edges = subsets.values[off[lo]:off[hi]]
+        off = rows.offsets
+        out = np.ones(len(rows))
+        for lo in range(0, len(rows), _GATHER_BLOCK):
+            hi = min(lo + _GATHER_BLOCK, len(rows))
+            edges = rows.values[off[lo]:off[hi]]
             owner = np.repeat(np.arange(lo, hi), np.diff(off[lo:hi + 1]))
             pairs, inverse = np.unique(
                 np.tile(owner, 2) * n + lay.ends[edges].T.ravel(),
@@ -187,7 +169,7 @@ def scan_correction(graph: CheckGraph, table: ActivityTable) -> CorrectionScan:
     # rule: 2 * touched >= n  <=>  touched >= ceil(n/2)
     half = (graph.n + 1) // 2
     plan = plan_elimination(graph, payload=half + 1)
-    local_sizes = [popcount(np.arange(len(K), dtype=np.uint64)) for K in table.K]
+    local_sizes = [np.bitwise_count(np.arange(len(K))) for K in table.K]
     z_all = contract(plan, table.K)
     z_loops = contract(plan, [np.where(deg == 1, 0.0, K)
                               for K, deg in zip(table.K, local_sizes)])
@@ -234,6 +216,24 @@ def _by_support(catalog: PolymerCatalog, activities) -> dict[int, float]:
     return weights
 
 
+def _hard_core_sum(items: list[tuple[int, float]], used: int = 0) -> float:
+    """Sum of prod(w) over collections of pairwise node-disjoint supports
+    that avoid the nodes in ``used``.
+
+    The supports are split into groups that share no node; collections
+    from different groups never conflict, so the sum is the product of the
+    sums per group, each over its supports in the order of ``items``.
+    """
+    groups: list[int] = []    # node sets of the groups, pairwise disjoint
+    for m, _ in items:
+        # the groups that m touches are disjoint: their sum is their union
+        touched = sum(g for g in groups if g & m)
+        groups = [g for g in groups if not g & m] + [m | touched]
+    sums = (_disjoint_sum([it for it in items if it[0] & g], 0, used)
+            for g in groups)
+    return math.prod(sums, start=1.0)
+
+
 def _disjoint_sum(items: list[tuple[int, float]], start: int, used: int) -> float:
     """Sum of prod(w) over collections of pairwise node-disjoint supports."""
     total = 1.0
@@ -252,7 +252,7 @@ def z_corr_polymer_form(catalog: PolymerCatalog,
     Exact when the catalog covers the host (node_cap >= n); with a smaller
     cap this is the truncation to small polymers.
     """
-    return _disjoint_sum(list(_by_support(catalog, activities).items()), 0, 0)
+    return _hard_core_sum(list(_by_support(catalog, activities).items()))
 
 
 @lru_cache(maxsize=None)
@@ -321,6 +321,16 @@ class MayerExpansion:
         return self.partial_sums[-1] if self.orders else 0.0
 
 
+def _bits_of(mask: int) -> list[int]:
+    """Indices of the set bits of ``mask``, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
 def mayer_expansion(catalog: PolymerCatalog, activities: np.ndarray,
                     M_max: int = 3) -> MayerExpansion:
     """Mayer/cluster expansion of ln Z_corr through order ``M_max`` (<= 5).
@@ -339,7 +349,7 @@ def mayer_expansion(catalog: PolymerCatalog, activities: np.ndarray,
         raise BudgetError(f"Mayer matrix of {S}^2 = {S * S:,} entries "
                           f"exceeds the cap of {MAX_ENTRIES:,}")
     K = np.fromiter(supports.values(), np.float64, S)
-    pairs = [(i, a) for i, m in enumerate(supports) for a in bits_of(m)]
+    pairs = [(i, a) for i, m in enumerate(supports) for a in _bits_of(m)]
     rows, nodes = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
     used, cols = np.unique(nodes, return_inverse=True)
     A = np.zeros((S, len(used)))  # support x touched-node incidence
@@ -417,11 +427,11 @@ def split_report(graph: CheckGraph, spec: FactorSpec, messages: MessageSet,
     supports = _by_support(catalog, vals)
     small_items = [(m, w) for m, w in supports.items()
                    if 2 * m.bit_count() < graph.n]
-    z_small = _disjoint_sum(small_items, 0, 0)
+    z_small = _hard_core_sum(small_items)
     large = {i: catalog.node_masks[i] for i in large_ids}
     # one id per large support: its polymers share cond and overlap
     witness = {m: i for i, m in large.items()}
-    cond = {m: _disjoint_sum(small_items, 0, m) for m in witness}
+    cond = {m: _hard_core_sum(small_items, m) for m in witness}
     ratios = {i: cond[m] / z_small for i, m in large.items()}
     reconstructed = z_small + sum(w * cond[m] for m, w in supports.items()
                                   if m in cond)
@@ -438,7 +448,7 @@ def split_report(graph: CheckGraph, spec: FactorSpec, messages: MessageSet,
         large_ids=tuple(large_ids),
         ratios=ratios,
         reconstructed=reconstructed,
-        z_polymer_all=_disjoint_sum(list(supports.items()), 0, 0),
+        z_polymer_all=_hard_core_sum(list(supports.items())),
         unique_large=pair is None,
         truncated=not catalog.covers_host,
     )

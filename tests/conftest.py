@@ -4,8 +4,9 @@ The oracles recompute everything from first principles (itertools over spin
 configurations, 2^|E| subset filters, ratio-form message updates) so the
 library's vectorized/closed-form code paths are checked against independent
 implementations, never against themselves.  The per-node loops of the Bethe
-node term and the activity tables, and the polymer grower over the whole
-host, are kept here as the references for their batched and local versions.
+node term and the activity tables, the polymer grower over the whole host
+and the set-by-set sampled expansion check are kept here as the references
+for their batched and local versions.  Edge subsets are tuples of edge ids.
 """
 
 import itertools
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 from scipy.special import logsumexp
 
 from loopexp.exceptions import BudgetError
-from loopexp.graphs import CheckGraph, EdgeSubset
+from loopexp.graphs import CheckGraph
 from loopexp.loopseries import connected_labeled_graphs
 from loopexp.model import FactorSpec, factor_value
 
@@ -254,15 +255,53 @@ def brute_scan(graph, spec, eta):
     return z_loops, tail_abs, max_nonloop_abs
 
 
+def induced_degrees(graph, edges):
+    """Touched node -> number of the given edge ids that meet it."""
+    deg = {}
+    for e in edges:
+        for a in graph.edges[e]:
+            deg[a] = deg.get(a, 0) + 1
+    return deg
+
+
+def local_mask(graph, a, edges):
+    """Node a's local bitmask of the given edge ids: bit k for slot k."""
+    return sum(1 << k for k, e in enumerate(graph.adjacency[a]) if e in edges)
+
+
+def loop_profile_tally(host):
+    """Nonempty loop subsets of ``host`` (no node of induced degree one),
+    counted per tail profile (n_2, ..., n_d) over all edge combinations."""
+    tally = {}
+    for r in range(1, host.num_edges + 1):
+        for edges in itertools.combinations(range(host.num_edges), r):
+            degs = list(induced_degrees(host, edges).values())
+            if 1 in degs:
+                continue
+            prof = tuple(degs.count(k) for k in range(2, host.d + 1))
+            tally[prof] = tally.get(prof, 0) + 1
+    return tally
+
+
 def brute_polymers(graph, node_cap):
     """All connected min-degree-2 edge subsets touching 3..node_cap nodes."""
     E = graph.num_edges
-    out = []
+    out = set()
     for mask in range(1, 1 << E):
-        sub = EdgeSubset(graph, [e for e in range(E) if mask >> e & 1])
-        if sub.is_polymer() and sub.size <= node_cap:
-            out.append(frozenset(sub.edge_ids))
-    return set(out)
+        edges = [e for e in range(E) if mask >> e & 1]
+        deg = induced_degrees(graph, edges)
+        if min(deg.values()) < 2 or len(deg) > node_cap:
+            continue
+        reach, left = set(graph.edges[edges[0]]), edges[1:]
+        while left:
+            joined = [e for e in left if reach & set(graph.edges[e])]
+            if not joined:
+                break
+            reach.update(a for e in joined for a in graph.edges[e])
+            left = [e for e in left if e not in joined]
+        if not left:
+            out.add(frozenset(edges))
+    return out
 
 
 def brute_polymer_sum(masks, activities, used=0):
@@ -365,15 +404,11 @@ def loop_polymer_activities(table, catalog):
     """K(gamma) per polymer: one local mask per (polymer, touched node)."""
     graph = table.graph
     out = []
-    for edges in catalog.edges:
-        p = EdgeSubset(graph, edges.tolist())
+    for row in catalog.edges:
+        edges = row.tolist()
         value = 1.0
-        for a in p.touched_nodes:
-            mask = 0
-            for k, e in enumerate(graph.adjacency[a]):
-                if e in p.edge_ids:
-                    mask |= 1 << k
-            value *= table.K[a][mask]
+        for a in sorted(induced_degrees(graph, edges)):
+            value *= table.K[a][local_mask(graph, a, edges)]
         out.append(value)
     return np.array(out)
 
@@ -393,19 +428,23 @@ def loop_criterion(catalog, activities):
 
 
 def assert_catalog_is(catalog, polymers):
-    """The catalog's arrays describe ``polymers`` (EdgeSubsets), in order."""
+    """The catalog's arrays describe ``polymers`` (ascending edge-id
+    tuples), in order."""
+    graph = catalog.host
     assert catalog.edges.values.dtype == catalog.profiles.dtype == np.int64
-    assert catalog.profiles.shape == (len(polymers),
-                                      max(catalog.host.d - 1, 0))
-    assert [tuple(row.tolist()) for row in catalog.edges] \
-        == [p.edge_ids for p in polymers]
-    assert catalog.node_masks == tuple(p.node_bitmask() for p in polymers)
-    assert catalog.profiles.tolist() \
-        == [list(p.degree_profile[1:]) for p in polymers]
+    assert catalog.profiles.shape == (len(polymers), max(graph.d - 1, 0))
+    assert [tuple(row.tolist()) for row in catalog.edges] == list(polymers)
+    degs = [induced_degrees(graph, p) for p in polymers]
+    assert catalog.node_masks == tuple(sum(1 << a for a in deg)
+                                       for deg in degs)
+    assert catalog.profiles.tolist() == [
+        [list(deg.values()).count(k) for k in range(2, graph.d + 1)]
+        for deg in degs]
 
 
 def global_polymers(graph, node_cap, max_polymers=200_000):
-    """Polymers grown from every edge of the host, in anchor order.
+    """Polymers grown from every edge of the host, in anchor order, as
+    ascending edge-id tuples.
 
     Each connected edge subset is a connected vertex set of the line graph,
     anchored at its minimal edge and grown with larger-indexed edges through
@@ -427,7 +466,7 @@ def global_polymers(graph, node_cap, max_polymers=200_000):
             if len(polymers) >= max_polymers:
                 raise BudgetError(
                     f"polymer catalog exceeds max_polymers={max_polymers}")
-            polymers.append(EdgeSubset(graph, bitmask=mask))
+            polymers.append(tuple(e for e in range(E) if mask >> e & 1))
         for i, w in enumerate(ext):
             u, v = graph.edges[w]
             grown = (u not in node_deg) + (v not in node_deg)
@@ -466,6 +505,20 @@ def ratio_message_update(graph, spec, eta, a, c):
         num += s_ac * w
         den += w
     return math.atanh(num / den)
+
+
+def sampled_expansion(graph, kappa, num_samples, seed):
+    """(is_expander, witness, subsets_checked) of the sampled edge-expansion
+    check, one random node set and one boundary count at a time."""
+    half = graph.n // 2
+    rng = np.random.default_rng(seed)
+    for k in range(num_samples):
+        size = int(rng.integers(1, half + 1))
+        nodes = set(rng.choice(graph.n, size=size, replace=False).tolist())
+        boundary = sum((u in nodes) != (v in nodes) for u, v in graph.edges)
+        if boundary < kappa * size:
+            return False, tuple(sorted(nodes)), k + 1
+    return None, None, num_samples
 
 
 # ----------------------------------------- acceptance criterion reporting

@@ -26,15 +26,14 @@ from loopexp.bounds import (DegreeProfileVector, exponent_function,
                             subgraph_count_bound)
 from loopexp.bp import MessageSet, bethe_log_partition, solve_fixed_point
 from loopexp.channel import conditional_entropy_per_node, sample_bsc
-from loopexp.graphs import (CheckGraph, EdgeSubset, check_edge_expansion,
-                            enumerate_polymers, is_loop,
-                            sample_regular_graph)
+from loopexp.graphs import (CheckGraph, check_edge_expansion,
+                            enumerate_polymers, sample_regular_graph)
 from loopexp.loopseries import (ActivityTable, connected_labeled_graphs,
                                 convergence_criterion, mayer_expansion,
                                 scan_correction, z_corr_polymer_form)
 from loopexp.model import FactorSpec, exact_log_partition
 
-from conftest import CRITERION_LINES
+from conftest import CRITERION_LINES, loop_profile_tally
 
 LN2 = math.log(2.0)
 
@@ -293,15 +292,7 @@ def test_criterion_8_counting_bounds():
     for n in range(3, 7):
         host = CheckGraph(n, n - 1,
                           list(itertools.combinations(range(n), 2)))
-        tally = {}
-        for r in range(1, host.num_edges + 1):
-            for edges in itertools.combinations(range(host.num_edges), r):
-                sub = EdgeSubset(host, edges)
-                if not is_loop(sub):
-                    continue
-                prof = tuple(sub.degree_profile[1:])
-                tally[prof] = tally.get(prof, 0) + 1
-        for prof, count in tally.items():
+        for prof, count in loop_profile_tally(host).items():
             bound = subgraph_count_bound(prof, n)
             worst_ratio = min(worst_ratio, bound / count)
             if bound < count:

@@ -7,26 +7,16 @@ import pytest
 from loopexp.bounds import (DegreeProfileVector, activity_bound,
                             activity_bound_violations,
                             expander_activity_bound, exponent_function,
-                            loop_profile, mackay_probability_bound,
+                            mackay_probability_bound,
                             scan_exponent, subgraph_count_bound,
                             tail_probability_bound)
 from loopexp.bp import MessageSet
-from loopexp.graphs import (CheckGraph, EdgeSubset, enumerate_polymers,
-                            is_loop, sample_regular_graph)
+from loopexp.graphs import (CheckGraph, enumerate_polymers,
+                            sample_regular_graph)
 from loopexp.loopseries import ActivityTable
 from loopexp.model import FactorSpec
 
-
-class TestLoopProfile:
-    def test_triangle_in_k4(self, k4):
-        tri = EdgeSubset(k4, [k4.edge_index[(0, 1)], k4.edge_index[(1, 2)],
-                              k4.edge_index[(0, 2)]])
-        assert loop_profile(tri) == (3, 0)
-
-    def test_degree_one_rejected(self, k4):
-        path = EdgeSubset(k4, [k4.edge_index[(0, 1)], k4.edge_index[(1, 2)]])
-        with pytest.raises(ValueError):
-            loop_profile(path)
+from conftest import loop_profile_tally
 
 
 class TestActivityBound:
@@ -146,14 +136,7 @@ class TestSubgraphCountBound:
     def test_upper_bounds_exhaustive_counts(self, n):
         host = CheckGraph(n, n - 1,
                           list(itertools.combinations(range(n), 2)))
-        counts = {}
-        for r in range(1, host.num_edges + 1):
-            for edges in itertools.combinations(range(host.num_edges), r):
-                sub = EdgeSubset(host, edges)
-                if not is_loop(sub):
-                    continue
-                prof = tuple(sub.degree_profile[1:])
-                counts[prof] = counts.get(prof, 0) + 1
+        counts = loop_profile_tally(host)
         assert counts
         for prof, count in counts.items():
             assert subgraph_count_bound(prof, n) >= count

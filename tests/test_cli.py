@@ -337,6 +337,16 @@ class TestExpanderCheck:
         assert "samples must be at least 1" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_exhaustive_scan_over_budget_is_precondition(self, tmp_path,
+                                                        capsys):
+        out = tmp_path / "expander.csv"
+        code = main(["expander-check", "-n", "25", "-d", "4",
+                     "--exhaustive-limit", "25", "--samples", "1",
+                     "-o", str(out)])
+        assert code == 2
+        assert "2^25 node sets" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestCriterionReport:
     def test_sweep_rows(self, tmp_path, capsys):

@@ -1,5 +1,6 @@
 import itertools
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,13 +10,14 @@ from hypothesis import strategies as st
 import loopexp as lx
 from loopexp import graphs
 from loopexp.exceptions import BudgetError, PairingError
-from loopexp.graphs import (CheckGraph, EdgeSubset, _near_short_cycles,
+from loopexp.graphs import (CheckGraph, _near_short_cycles,
                             check_edge_expansion, edge_boundary,
-                            enumerate_polymers, is_loop,
-                            read_graph, sample_regular_graph, write_graph)
+                            enumerate_polymers, read_graph,
+                            sample_regular_graph, write_graph)
 
 from conftest import (assert_catalog_is, brute_polymers, global_polymers,
-                      set_sampler_edges, small_hosts, tuple_graph)
+                      sampled_expansion, set_sampler_edges, small_hosts,
+                      tuple_graph)
 
 
 def edge_sets(catalog):
@@ -110,9 +112,8 @@ class TestArrayGraph:
     def test_pair_lists(self, case):
         self.check(*case)
 
-    def test_large_n_path_builds_no_tuple_view(self, monkeypatch):
+    def test_large_n_path_builds_no_tuple_view(self):
         # the call sequence of the large-n benchmark path
-        monkeypatch.setattr(EdgeSubset, "__init__", no_edge_subset)
         g = lx.sample_regular_graph(2000, 3, [3, 0])
         spec = lx.FactorSpec.cycle_code(lx.sample_bsc(g, 0.3, [3, 1]).h)
         msgs = lx.solve_fixed_point(g, spec, tol=1e-10)
@@ -125,21 +126,6 @@ class TestArrayGraph:
                                      h=lx.half_llr_magnitude(0.3))
         assert len(catalog) > 0
         assert not {"edges", "adjacency", "edge_index"} & set(vars(g))
-
-    def test_polymer_layer_builds_no_edge_subset(self, monkeypatch):
-        monkeypatch.setattr(EdgeSubset, "__init__", no_edge_subset)
-        g = lx.sample_regular_graph(10, 3, 4)
-        spec = lx.FactorSpec.cycle_code(lx.sample_bsc(g, 0.45, 5).h)
-        msgs = lx.solve_fixed_point(g, spec)
-        report = lx.build_expansion_report(g, spec, msgs)
-        split = lx.split_report(g, spec, msgs)
-        assert report.catalog_size > 0 and not report.catalog_truncated
-        assert split.reconstructed == pytest.approx(split.z_polymer_all,
-                                                    rel=1e-12)
-
-
-def no_edge_subset(*args, **kwargs):
-    raise AssertionError("EdgeSubset built")
 
 
 class TestSampling:
@@ -196,51 +182,6 @@ class TestGraphIO:
         path.write_text("3 2\n0 1\n1 2\n")
         with pytest.raises(ValueError):
             read_graph(path)
-
-
-class TestEdgeSubset:
-    def test_degree_profile_triangle_in_k4(self, k4):
-        tri = [k4.edge_index[e] for e in [(0, 1), (0, 2), (1, 2)]]
-        sub = EdgeSubset(k4, tri)
-        assert sub.size == 3
-        assert sub.degree_profile == (0, 3, 0)  # (n_1, n_2, n_3)
-        assert sub.is_connected()
-        assert sub.is_polymer()
-        assert is_loop(sub)
-
-    def test_path_is_not_loop(self, k4):
-        sub = EdgeSubset(k4, [k4.edge_index[(0, 1)], k4.edge_index[(1, 2)]])
-        assert sub.degree_profile == (2, 1, 0)
-        assert not is_loop(sub)
-        assert not sub.is_polymer()
-
-    def test_two_node_subset_is_not_polymer(self, k4):
-        sub = EdgeSubset(k4, [0])
-        assert sub.size == 2
-        assert not sub.is_polymer()
-
-    def test_disconnected_subset(self, two_triangles):
-        sub = EdgeSubset(two_triangles, list(range(6)))
-        assert not sub.is_connected()
-        assert not sub.is_polymer()
-        assert is_loop(sub)
-
-    def test_eq_and_hash_on_edge_set(self, k4):
-        s1 = EdgeSubset(k4, [0, 1, 3])
-        s2 = EdgeSubset(k4, [3, 0, 1])
-        assert s1 == s2
-        assert hash(s1) == hash(s2)
-        assert s1 != EdgeSubset(k4, [0, 1])
-
-    def test_node_bitmask(self, k4):
-        sub = EdgeSubset(k4, [k4.edge_index[(1, 2)], k4.edge_index[(1, 3)]])
-        assert sub.node_bitmask() == (1 << 1) | (1 << 2) | (1 << 3)
-
-    def test_profile_helper_matches(self, prism):
-        # edges (0,1), (0,2), (0,3), (3,4): node 0 has degree 3, node 3
-        # degree 2, nodes 1, 2 and 4 degree 1
-        sub = EdgeSubset(prism, [0, 1, 2, 6])
-        assert sub.degree_profile == (3, 1, 1)
 
 
 class TestPolymerEnumeration:
@@ -368,3 +309,32 @@ class TestExpansion:
         # sampling can only ever certify failure or report no counterexample
         if v.is_expander is False:
             assert edge_boundary(g, list(v.witness)) < 0.54 * len(v.witness)
+
+    @pytest.mark.parametrize("kappa", [0.54, 1.2, 1.25, 1.6])
+    def test_sampled_blocks_match_set_by_set_check(self, kappa):
+        # at kappa = 1.2 and 1.25 some graphs first violate after several
+        # blocks of draws, at 1.6 every graph violates within a few draws
+        for s in range(6):
+            g = sample_regular_graph(100, 3, [s, 0])
+            v = check_edge_expansion(g, kappa, num_samples=4000,
+                                     seed=[s, 1])
+            assert v.mode == "sampled"
+            assert (v.is_expander, v.witness, v.subsets_checked) \
+                == sampled_expansion(g, kappa, 4000, [s, 1])
+            if kappa == 1.6:
+                assert v.is_expander is False
+
+    def test_exhaustive_budget_raises_before_scanning(self):
+        # 2^25 node sets are over the 2^24 budget; one block of the scan
+        # would allocate several MiB
+        g = sample_regular_graph(25, 4, 1)
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetError, match=r"2\^25 node sets"):
+                check_edge_expansion(g, 0.54, exhaustive_limit=25)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert check_edge_expansion(g, 0.54, exhaustive_limit=24,
+                                    num_samples=10).mode == "sampled"

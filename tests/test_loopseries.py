@@ -13,7 +13,7 @@ from loopexp.bounds import activity_bound_violations
 from loopexp.bp import MessageSet, bethe_log_partition, solve_fixed_point
 from loopexp.channel import sample_bsc
 from loopexp.exceptions import BudgetError
-from loopexp.graphs import (CheckGraph, EdgeSubset, enumerate_polymers,
+from loopexp.graphs import (CheckGraph, enumerate_polymers,
                             sample_regular_graph)
 from loopexp.loopseries import (ActivityTable, ExpansionReport,
                                 build_expansion_report,
@@ -26,7 +26,7 @@ from loopexp.model import FactorSpec, exact_log_partition
 from conftest import (arbitrary_messages, brute_correction,
                       brute_node_activity, brute_polymer_sum, brute_scan,
                       dense_mayer_orders, factor_specs, incoming,
-                      loop_criterion, loop_node_table,
+                      local_mask, loop_criterion, loop_node_table,
                       loop_polymer_activities, mixed_host,
                       ratio_message_update, small_hosts)
 
@@ -53,7 +53,7 @@ class TestNodeActivity:
         msgs = random_messages(prism, 9)
         table = ActivityTable(prism, spec, msgs)
         for a in range(prism.n):
-            assert table.node_activity(a, []) == 1.0
+            assert table.K[a][local_mask(prism, a, [])] == 1.0
 
     @pytest.mark.parametrize("kind", ["cycle-code", "softened-cycle-code",
                                       "high-temperature"])
@@ -67,8 +67,8 @@ class TestNodeActivity:
             for r in range(len(inc) + 1):
                 for sub in itertools.combinations(inc, r):
                     want = brute_node_activity(k4, spec, msgs.eta, a, sub)
-                    assert table.node_activity(a, sub) == pytest.approx(
-                        want, abs=1e-12)
+                    assert table.K[a][local_mask(k4, a, sub)] \
+                        == pytest.approx(want, abs=1e-12)
 
     def test_zero_field_pair_and_triple(self, k4):
         # even-parity uniform measure: pair correlations vanish, the full
@@ -79,9 +79,9 @@ class TestNodeActivity:
         for a in range(4):
             inc = k4.adjacency[a]
             for pair in itertools.combinations(inc, 2):
-                assert table.node_activity(a, pair) == pytest.approx(
+                assert table.K[a][local_mask(k4, a, pair)] == pytest.approx(
                     0.0, abs=1e-15)
-            assert table.node_activity(a, inc) == pytest.approx(
+            assert table.K[a][local_mask(k4, a, inc)] == pytest.approx(
                 1.0, abs=1e-15)
 
     def test_degree_one_vanishes_at_fixed_point(self, prism):
@@ -92,15 +92,7 @@ class TestNodeActivity:
         table = ActivityTable(prism, spec, msgs)
         for a in range(prism.n):
             for e in prism.adjacency[a]:
-                assert abs(table.node_activity(a, [e])) <= 1e-10
-
-    def test_non_incident_edge_rejected(self, k4):
-        table = ActivityTable(k4, FactorSpec.cycle_code(np.zeros(6)),
-                              MessageSet.zeros(k4))
-        a = 0
-        far = [e for e in range(6) if e not in k4.adjacency[0]][0]
-        with pytest.raises(ValueError):
-            table.node_activity(a, [far])
+                assert abs(table.K[a][local_mask(prism, a, [e])]) <= 1e-10
 
 
 class TestBatchedTable:
@@ -185,38 +177,30 @@ class TestBatchedTable:
 
 
 class TestSubgraphActivity:
-    def test_empty_subset(self, k4):
-        table = ActivityTable(k4, FactorSpec.cycle_code(np.zeros(6)),
-                              MessageSet.zeros(k4))
-        assert table.subgraph_activity(EdgeSubset(k4, [])) == 1.0
+    """K(gamma) of single polymers against the brute local sums."""
 
     def test_product_over_touched_nodes(self, prism):
         rng = np.random.default_rng(8)
         spec = FactorSpec.softened(rng.uniform(-0.3, 0.3, 9), 0.2)
         msgs = random_messages(prism, 2)
         table = ActivityTable(prism, spec, msgs)
-        sub = EdgeSubset(prism, [0, 1, 2])
+        cat = enumerate_polymers(prism, 3)
+        rows = [row.tolist() for row in cat.edges]
+        tri = sorted(prism.edge_index[uv] for uv in [(0, 1), (0, 2), (1, 2)])
         want = 1.0
-        for a in sub.touched_nodes:
-            local = [e for e in sub.edge_ids if e in prism.adjacency[a]]
+        for a in (0, 1, 2):
+            local = [e for e in tri if e in prism.adjacency[a]]
             want *= brute_node_activity(prism, spec, msgs.eta, a, local)
-        assert table.subgraph_activity(sub) == pytest.approx(want, rel=1e-12)
+        got = table.polymer_activities(cat)[rows.index(tri)]
+        assert got == pytest.approx(want, rel=1e-12)
 
     def test_full_k4_at_zero_field(self, k4):
         table = ActivityTable(k4, FactorSpec.cycle_code(np.zeros(6)),
                               MessageSet.zeros(k4))
-        assert table.subgraph_activity(
-            EdgeSubset(k4, range(6))) == pytest.approx(1.0, abs=1e-15)
-
-    def test_degree_one_subset_vanishes_at_fixed_point(self, k4):
-        real = sample_bsc(k4, 0.48, 3)
-        spec = FactorSpec.cycle_code(real.h)
-        msgs = solve_fixed_point(k4, spec)
-        assert msgs.converged
-        table = ActivityTable(k4, spec, msgs)
-        # a path subset always has degree-one endpoints
-        path = EdgeSubset(k4, [k4.edge_index[(0, 1)], k4.edge_index[(1, 2)]])
-        assert abs(table.subgraph_activity(path)) <= 1e-10
+        cat = enumerate_polymers(k4, 4)
+        rows = [row.tolist() for row in cat.edges]
+        got = table.polymer_activities(cat)[rows.index(list(range(6)))]
+        assert got == pytest.approx(1.0, abs=1e-15)
 
 
 class TestCorrectionScan:
@@ -509,6 +493,27 @@ class TestSupportGrouping:
                                              rel=1e-12, abs=0.0)
         assert rep.unique_large == all(
             masks[i] & masks[j] for i, j in itertools.combinations(large, 2))
+
+    def test_disjoint_triangles_factorise(self):
+        # 40 node-disjoint triangles: 40 groups of one support each, where
+        # a walk over all collections would visit 2^40 of them
+        tri = [(0, 1), (0, 2), (1, 2)]
+        g = CheckGraph.from_edges(120, [(3 * i + u, 3 * i + v)
+                                        for i in range(40) for u, v in tri])
+        rng = np.random.default_rng(6)
+        spec = FactorSpec.cycle_code(rng.uniform(-1.0, 1.0, g.num_edges))
+        msgs = random_messages(g, 7)
+        table = ActivityTable(g, spec, msgs)
+        cat = enumerate_polymers(g, 3)
+        vals = table.polymer_activities(cat)
+        assert len(cat) == 40 and np.all(vals != 0.0)
+        want = math.prod(1.0 + vals)
+        assert z_corr_polymer_form(cat, vals) == pytest.approx(want,
+                                                               rel=1e-12)
+        rep = split_report(g, spec, msgs, catalog=cat, table=table)
+        assert rep.large_ids == ()
+        assert rep.z_small == pytest.approx(want, rel=1e-12)
+        assert rep.z_polymer_all == pytest.approx(want, rel=1e-12)
 
     def test_criterion_stays_per_polymer(self, k4, caplog):
         # two opposite activities on the full support cancel in every
