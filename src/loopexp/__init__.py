@@ -14,7 +14,7 @@ from .graphs import (CheckGraph, ExpansionVerdict, PolymerCatalog,
 from .channel import (ChannelRealization, conditional_entropy_per_node,
                       half_llr_magnitude, read_channel_csv, sample_bsc,
                       write_channel_csv)
-from .model import FactorSpec, exact_log_partition, factor_value
+from .model import FactorSpec, exact_log_partition
 from .bp import (BetheValue, MessageSet, bethe_log_partition, bp_sweep,
                  read_messages_csv, solve_fixed_point, write_messages_csv)
 from .loopseries import (ActivityTable, CorrectionScan, ExpansionReport,

@@ -60,14 +60,6 @@ class MessageSet:
         """Directed-edge vector: index 2e + dir."""
         return self.eta.reshape(-1)
 
-    def perturbed(self, a: int, b: int, delta: float,
-                  graph: CheckGraph) -> "MessageSet":
-        """Copy with eta_{a->b} shifted by delta; metadata flags cleared."""
-        e = graph.edge_index[(min(a, b), max(a, b))]
-        eta = self.eta.copy()
-        eta[e, int(a > b)] += delta
-        return MessageSet(eta=eta)
-
 
 def _sweep_inputs(graph: CheckGraph, spec: FactorSpec, damping: float):
     """Layout, half fields and parity couplings for sweeps of one model.

@@ -14,10 +14,9 @@ machinery; sampled and file-loaded graphs are validated as exactly d-regular.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -227,6 +226,9 @@ class PolymerCatalog:
     nodes ``node_masks[i]`` and the tail profile ``profiles[i]``: its
     numbers (n_2, ..., n_d) of nodes of induced degree 2..d, d = ``host.d``,
     which sum to its size.
+
+    Order: by node mask ascending, then by the edge-id row compared as a
+    tuple, so the polymers on one node set are contiguous.
     """
 
     host: CheckGraph
@@ -265,16 +267,19 @@ def enumerate_polymers(graph: CheckGraph, node_cap: int) -> PolymerCatalog:
     graph has O(1) cycles of each fixed length, so the region, and the
     work, stays small however large the host.
 
-    Inside the region, connected edge subsets are connected vertex sets of
-    the line graph: each subset is anchored at its minimal edge index and
-    grown with larger-indexed edges through an exclusive-neighborhood
-    extension list, so each connected subset is visited exactly once.
-    Subsets whose touched-node count exceeds the cap are pruned (supersets
-    only touch more nodes).  Edge indices keep their host order, so the
-    polymers come out in the order of a search over the whole host.  Caps
-    below 3 yield an empty catalog, since a polymer touches at least three
-    nodes.  BudgetError: more than ``MAX_POLYMERS`` polymers, or a cap so
-    large that the short-cycle search would hold more than 2^24 walks.
+    Inside the region the walk has two levels.  A node set V is the node
+    set of some polymer iff the induced subgraph G[V] is connected with
+    minimum degree 2, and the polymers on V are exactly the connected
+    spanning subgraphs of G[V] of minimum degree 2.  The first level
+    enumerates the connected node sets of at most c nodes once each (ESU,
+    anchored at the least node) and keeps those of minimum induced degree
+    2; the second removes edges of G[V] while both ends keep degree 2 and
+    G[V] stays connected (for d = 3, a matching on the degree-3 nodes).
+    Region nodes keep their host order, so a capped catalog lists its
+    polymers in the order of a walk over the whole host.  Caps below 3
+    yield an empty catalog, since a polymer touches at least three nodes.
+    BudgetError: more than ``MAX_POLYMERS`` polymers, or a cap so large
+    that the short-cycle search would hold more than 2^24 walks.
     """
     if node_cap < 0:
         raise ValueError("node_cap must be nonnegative")
@@ -360,58 +365,44 @@ def _on_short_cycle(lay: Layout, c: int, sources: np.ndarray) -> np.ndarray:
 def _grow_polymers(graph: CheckGraph, node_cap: int,
                    nodes: np.ndarray) -> PolymerCatalog:
     """The catalog of polymers of at most ``node_cap`` nodes in the
-    subgraph induced by ``nodes``, in anchor order."""
+    subgraph induced by ``nodes`` (ascending), in catalog order."""
     lay = graph.layout
-    inside = np.zeros(graph.n + 1, dtype=bool)   # entry n: padded slots
-    inside[nodes] = True
-    # per region node, its edges to other region nodes (-1 elsewhere)
-    rows = np.where(inside[lay.nbr[nodes]], lay.eid[nodes], -1).tolist()
-    line_adj: dict[int, list[int]] = {}
-    for row in rows:
-        inc = [e for e in row if e >= 0]
-        for e in inc:
-            line_adj.setdefault(e, []).extend(f for f in inc if f != e)
-    line_adj = {e: sorted(adj) for e, adj in line_adj.items()}
-    anchors = sorted(line_adj)
-    ends = dict(zip(anchors, lay.ends[anchors].tolist()))
+    d = graph.d
+    # region nodes are numbered 0..R-1 in host order, so local bitmasks
+    # sort as the host's do; slots leading out of the region are dropped
+    region = nodes.tolist()
+    nbr, eid = lay.nbr[nodes], lay.eid[nodes]
+    pos = np.searchsorted(nodes, nbr)
+    local = np.where(np.append(nodes, -1)[pos] == nbr, pos, -1).tolist()
+    nbm = [sum(1 << b for b in row if b >= 0) for row in local]
+    up = [[(b, e) for b, e in zip(row, erow) if b > a]
+          for a, (row, erow) in enumerate(zip(local, eid.tolist()))]
+
+    blocks = []     # (support, its polymers), in walk order
+    size = 0
+    for support in _supports(nbm, node_cap):
+        members = _bits_of(support)
+        edges = sorted((e, a, b) for a in members for b, e in up[a]
+                       if support >> b & 1)
+        polymers = _spanning_polymers(
+            edges, {a: nbm[a] & support for a in members}, d)
+        size += len(polymers)
+        if size > MAX_POLYMERS:
+            raise BudgetError(
+                f"polymer catalog exceeds {MAX_POLYMERS:,} polymers")
+        blocks.append((support, polymers))
 
     edge_ids: list[int] = []
     offsets = [0]
     node_masks: list[int] = []
-    profiles: list[int] = []    # d + 1 node counts per polymer, by degree
-
-    def consider(edges: list[int], node_deg: dict[int, int]) -> None:
-        # connected by construction; polymer iff min degree >= 2
-        if min(node_deg.values()) >= 2:
-            if len(node_masks) >= MAX_POLYMERS:
-                raise BudgetError(
-                    f"polymer catalog exceeds {MAX_POLYMERS:,} polymers")
-            edge_ids.extend(sorted(edges))
+    profiles: list[int] = []    # n_2, ..., n_d per polymer
+    for support, polymers in sorted(blocks, key=lambda block: block[0]):
+        mask = sum(1 << region[a] for a in _bits_of(support))
+        for row, profile in sorted(polymers):
+            edge_ids.extend(row)
             offsets.append(len(edge_ids))
-            node_masks.append(sum(1 << a for a in node_deg))
-            counts = Counter(node_deg.values())
-            profiles.extend(counts[k] for k in range(graph.d + 1))
-
-    def extend(edges: list[int], node_deg: dict[int, int], ext: list[int],
-               near: set[int], anchor: int) -> None:
-        consider(edges, node_deg)
-        for i, w in enumerate(ext):
-            u, v = ends[w]
-            grown = (u not in node_deg) + (v not in node_deg)
-            if len(node_deg) + grown > node_cap:
-                continue
-            new_deg = dict(node_deg)
-            new_deg[u] = new_deg.get(u, 0) + 1
-            new_deg[v] = new_deg.get(v, 0) + 1
-            fresh = [f for f in line_adj[w] if f > anchor and f not in near]
-            extend(edges + [w], new_deg, ext[i + 1:] + fresh,
-                   near | set(fresh), anchor)
-
-    for anchor in anchors:
-        u, v = ends[anchor]
-        ext0 = [f for f in line_adj[anchor] if f > anchor]
-        near0 = {anchor} | set(ext0)
-        extend([anchor], {u: 1, v: 1}, ext0, near0, anchor)
+            node_masks.append(mask)
+            profiles.extend(profile)
 
     return PolymerCatalog(
         host=graph,
@@ -419,8 +410,110 @@ def _grow_polymers(graph: CheckGraph, node_cap: int,
         edges=Rows(np.array(edge_ids, dtype=np.int64), np.array(offsets)),
         node_masks=tuple(node_masks),
         profiles=np.array(profiles, dtype=np.int64).reshape(
-            -1, graph.d + 1)[:, 2:],
+            len(node_masks), max(d - 1, 0)),
     )
+
+
+def _bits_of(mask: int) -> list[int]:
+    """Indices of the set bits of ``mask``, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def _supports(nbm: list[int], cap: int) -> Iterator[int]:
+    """Connected node sets of at most ``cap`` nodes whose induced subgraph
+    has minimum degree 2, as bitmasks; ``nbm[a]`` is node a's
+    neighbourhood.
+
+    ESU: each connected set is grown once, from its least node, by nodes
+    of its extension set, to which a new node adds only its neighbours
+    that are neither in the set nor next to it.  A member can later gain
+    only neighbours in the extension set, so a branch in which some member
+    has fewer than two neighbours in the set and its extension set holds
+    no support.
+    """
+    for v in range(len(nbm)):
+        above = -2 << v     # the nodes above v
+        # members, set, extension set, set and its neighbours
+        stack = [([v], 1 << v, nbm[v] & above, 1 << v | nbm[v])]
+        while stack:
+            members, S, ext, closed = stack.pop()
+            reach = S | ext
+            if any((nbm[a] & reach).bit_count() < 2 for a in members):
+                continue
+            if all((nbm[a] & S).bit_count() >= 2 for a in members):
+                yield S
+            if len(members) == cap:
+                continue
+            while ext:
+                low = ext & -ext
+                ext ^= low
+                w = low.bit_length() - 1
+                stack.append((members + [w], S | low,
+                              ext | nbm[w] & above & ~closed,
+                              closed | nbm[w]))
+
+
+def _spanning_polymers(edges: list[tuple[int, int, int]],
+                       adj: dict[int, int],
+                       d: int) -> list[tuple[tuple[int, ...], list[int]]]:
+    """(edge-id row, profile) of every connected spanning subgraph of
+    minimum degree 2 of a graph with the edges ``edges`` (id, u, v),
+    ascending, and the neighbourhoods ``adj`` (a bitmask per node).
+
+    The walk removes edges in ascending order, each only if both of its
+    ends keep degree at least 2 and the graph stays connected; a graph
+    that falls apart stays apart, so the walk never extends such a
+    removal.
+    """
+    deg = {a: m.bit_count() for a, m in adj.items()}
+    counts = [0] * (d + 1)
+    for k in deg.values():
+        counts[k] += 1
+    out = []
+
+    def joined(a: int, b: int) -> bool:
+        # b reachable from a
+        seen = front = 1 << a
+        while front:
+            nxt = 0
+            for x in _bits_of(front):
+                nxt |= adj[x]
+            front = nxt & ~seen
+            if front >> b & 1:
+                return True
+            seen |= front
+        return False
+
+    def drop(a: int, step: int) -> None:
+        counts[deg[a]] -= 1
+        deg[a] += step
+        counts[deg[a]] += 1
+
+    def walk(start: int, removed: int) -> None:
+        out.append((tuple(e for i, (e, _, _) in enumerate(edges)
+                          if not removed >> i & 1), counts[2:]))
+        for i in range(start, len(edges)):
+            _, a, b = edges[i]
+            if deg[a] == 2 or deg[b] == 2:
+                continue
+            adj[a] ^= 1 << b
+            adj[b] ^= 1 << a
+            if joined(a, b):
+                drop(a, -1)
+                drop(b, -1)
+                walk(i + 1, removed | 1 << i)
+                drop(a, 1)
+                drop(b, 1)
+            adj[a] ^= 1 << b
+            adj[b] ^= 1 << a
+
+    walk(0, 0)
+    return out
 
 
 def edge_boundary(graph: CheckGraph, nodes: Iterable[int]) -> int:

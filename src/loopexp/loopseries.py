@@ -39,7 +39,7 @@ from ._elim import contract, plan_elimination
 from ._layout import MAX_ENTRIES, node_tables, spins
 from .bp import MessageSet, bethe_log_partition
 from .exceptions import BudgetError
-from .graphs import CheckGraph, PolymerCatalog, enumerate_polymers
+from .graphs import CheckGraph, PolymerCatalog, _bits_of, enumerate_polymers
 from .model import FactorSpec, exact_log_partition
 
 __all__ = [
@@ -123,23 +123,37 @@ class ActivityTable:
         tables multiplied per polymer in ascending node order.  Polymers
         are taken ``_GATHER_BLOCK`` at a time, so temporaries stay small.
         """
-        rows = catalog.edges
-        lay = self.graph.layout
         n = self.graph.n
-        off = rows.offsets
-        out = np.ones(len(rows))
-        for lo in range(0, len(rows), _GATHER_BLOCK):
-            hi = min(lo + _GATHER_BLOCK, len(rows))
-            edges = rows.values[off[lo]:off[hi]]
-            owner = np.repeat(np.arange(lo, hi), np.diff(off[lo:hi + 1]))
-            pairs, inverse = np.unique(
-                np.tile(owner, 2) * n + lay.ends[edges].T.ravel(),
-                return_inverse=True)
-            masks = np.zeros(len(pairs), dtype=np.int64)
-            np.bitwise_or.at(masks, inverse, 1 << lay.slot[edges].T.ravel())
+        out = np.ones(len(catalog))
+        for lo in range(0, len(catalog), _GATHER_BLOCK):
+            pairs, masks = _touched_pairs(
+                catalog, lo, min(lo + _GATHER_BLOCK, len(catalog)))
             np.multiply.at(out, pairs // n,
                            self.K.values[self.K.offsets[pairs % n] + masks])
         return out
+
+
+def _touched_pairs(catalog: PolymerCatalog, lo: int,
+                   hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (polymer, touched node) pairs of polymers lo..hi-1, as keys
+    polymer * n + node, ascending, and per pair the local bitmask of the
+    polymer's member edges at that node.
+
+    Each end of a member edge is one key with its slot appended, so one
+    sort groups them (np.unique is far slower); the slot bits of a pair
+    are distinct, so their sum is their OR.
+    """
+    lay = catalog.host.layout
+    off = catalog.edges.offsets
+    edges = catalog.edges.values[off[lo]:off[hi]]
+    owner = np.repeat(np.arange(lo, hi), np.diff(off[lo:hi + 1]))
+    width = (lay.dmax - 1).bit_length()    # bits of a slot index
+    tagged = np.sort((owner[:, None] * catalog.host.n + lay.ends[edges])
+                     << width | lay.slot[edges], axis=None)
+    keys = tagged >> width
+    first = np.flatnonzero(np.diff(keys, prepend=-1))
+    bits = 1 << (tagged & ((1 << width) - 1))
+    return keys[first], np.add.reduceat(bits, first)
 
 
 @dataclass(frozen=True)
@@ -321,16 +335,6 @@ class MayerExpansion:
         return self.partial_sums[-1] if self.orders else 0.0
 
 
-def _bits_of(mask: int) -> list[int]:
-    """Indices of the set bits of ``mask``, ascending."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
-
-
 def mayer_expansion(catalog: PolymerCatalog, activities: np.ndarray,
                     M_max: int = 3) -> MayerExpansion:
     """Mayer/cluster expansion of ln Z_corr through order ``M_max`` (<= 5).
@@ -378,13 +382,8 @@ def convergence_criterion(catalog: PolymerCatalog,
     """
     weighted = np.abs(catalog.activity_vector(activities)) * np.exp(
         catalog.profiles.sum(axis=1))
-    rows, n = catalog.edges, catalog.host.n
-    owner = np.repeat(np.arange(len(rows)), np.diff(rows.offsets))
-    # every (polymer, touched node) pair once, as polymer * n + node;
-    # np.unique is far slower than the sort
-    keys = np.sort(owner[:, None] * n + catalog.host.layout.ends[rows.values],
-                   axis=None)
-    pairs = keys[np.diff(keys, prepend=-1) > 0]
+    n = catalog.host.n
+    pairs, _ = _touched_pairs(catalog, 0, len(catalog))
     return float(np.max(np.bincount(pairs % n, weighted[pairs // n],
                                     minlength=n)))
 

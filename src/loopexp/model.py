@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -26,7 +26,7 @@ from ._elim import contract, plan_elimination
 from ._layout import node_tables, spins
 from .graphs import CheckGraph
 
-__all__ = ["FactorSpec", "factor_value", "exact_log_partition", "KINDS"]
+__all__ = ["FactorSpec", "exact_log_partition", "KINDS"]
 
 KINDS = ("cycle-code", "softened-cycle-code", "high-temperature")
 
@@ -87,25 +87,6 @@ class FactorSpec:
         if len(J) != graph.n:
             raise ValueError("J must be scalar or one value per node")
         return np.tanh(J)
-
-
-def factor_value(spec: FactorSpec, graph: CheckGraph, a: int,
-                 local_spins: Sequence[float]) -> float:
-    """f_a evaluated on the spins of a's incident edges.
-
-    ``local_spins`` is aligned with ``graph.adjacency[a]``.  ValueError,
-    as from ``spec.parity_couplings``, unless ``spec`` fits ``graph``.
-    """
-    eids = graph.adjacency[a]
-    if len(local_spins) != len(eids):
-        raise ValueError(f"node {a} has degree {len(eids)}")
-    t = spec.parity_couplings(graph)[a]
-    prod = 1.0
-    expo = 0.0
-    for e, s in zip(eids, local_spins):
-        prod *= s
-        expo += 0.5 * spec.h[e] * s
-    return 0.5 * (1.0 + t * prod) * math.exp(expo)
 
 
 def exact_log_partition(graph: CheckGraph, spec: FactorSpec) -> float:

@@ -4,9 +4,10 @@ The oracles recompute everything from first principles (itertools over spin
 configurations, 2^|E| subset filters, ratio-form message updates) so the
 library's vectorized/closed-form code paths are checked against independent
 implementations, never against themselves.  The per-node loops of the Bethe
-node term and the activity tables, the polymer grower over the whole host
-and the set-by-set sampled expansion check are kept here as the references
-for their batched and local versions.  Edge subsets are tuples of edge ids.
+node term and the activity tables, the edge-subset polymer grower over the
+whole host and the set-by-set sampled expansion check are kept here as the
+references for their batched and support-first versions.  Edge subsets are
+tuples of edge ids.
 """
 
 import itertools
@@ -18,10 +19,11 @@ from hypothesis import settings
 from hypothesis import strategies as st
 from scipy.special import logsumexp
 
+from loopexp.bp import MessageSet
 from loopexp.exceptions import BudgetError
 from loopexp.graphs import CheckGraph
 from loopexp.loopseries import connected_labeled_graphs
-from loopexp.model import FactorSpec, factor_value
+from loopexp.model import FactorSpec
 
 # Property tests draw the same examples on every run, so tier-1 results are
 # reproducible; the example count keeps the brute-force oracles to seconds.
@@ -164,6 +166,33 @@ def set_sampler_edges(n, d, seed, max_tries=10_000):
         if len(edges) == len(u):
             return tuple(sorted(edges))
     raise AssertionError("no simple pairing")
+
+
+def factor_value(spec, graph, a, local_spins):
+    """f_a evaluated on the spins of a's incident edges.
+
+    ``local_spins`` is aligned with ``graph.adjacency[a]``.  ValueError,
+    as from ``spec.parity_couplings``, unless ``spec`` fits ``graph``.
+    """
+    eids = graph.adjacency[a]
+    if len(local_spins) != len(eids):
+        raise ValueError(f"node {a} has degree {len(eids)}")
+    t = spec.parity_couplings(graph)[a]
+    prod = 1.0
+    expo = 0.0
+    for e, s in zip(eids, local_spins):
+        prod *= s
+        expo += 0.5 * spec.h[e] * s
+    return 0.5 * (1.0 + t * prod) * math.exp(expo)
+
+
+def perturbed(messages, a, b, delta, graph):
+    """Copy of ``messages`` with eta_{a->b} shifted by delta; solver
+    metadata cleared."""
+    e = graph.edge_index[(min(a, b), max(a, b))]
+    eta = messages.eta.copy()
+    eta[e, int(a > b)] += delta
+    return MessageSet(eta=eta)
 
 
 def brute_log_z(graph, spec):
@@ -440,6 +469,13 @@ def assert_catalog_is(catalog, polymers):
     assert catalog.profiles.tolist() == [
         [list(deg.values()).count(k) for k in range(2, graph.d + 1)]
         for deg in degs]
+
+
+def in_catalog_order(graph, polymers):
+    """``polymers`` (edge-id tuples) in catalog order: by node mask
+    ascending, then by the edge-id tuple."""
+    return sorted(polymers, key=lambda p: (
+        sum(1 << a for a in induced_degrees(graph, p)), p))
 
 
 def global_polymers(graph, node_cap, max_polymers=200_000):

@@ -33,7 +33,7 @@ from loopexp.loopseries import (ActivityTable, connected_labeled_graphs,
                                 scan_correction, z_corr_polymer_form)
 from loopexp.model import FactorSpec, exact_log_partition
 
-from conftest import CRITERION_LINES, loop_profile_tally
+from conftest import CRITERION_LINES, loop_profile_tally, perturbed
 
 LN2 = math.log(2.0)
 
@@ -98,9 +98,9 @@ def test_criterion_2_degree_one_vanishing():
     real = sample_bsc(g, 0.45, 11)
     spec = FactorSpec.cycle_code(real.h)
     msgs = solve_fixed_point(g, spec, tol=1e-12)
-    perturbed = msgs.perturbed(0, 1, 0.1, g)
     control = scan_correction(
-        g, ActivityTable(g, spec, perturbed)).max_nonloop_abs
+        g, ActivityTable(g, spec, perturbed(msgs, 0, 1, 0.1, g))
+    ).max_nonloop_abs
     ok = checked > 0 and worst_fp <= tol and control > control_floor
     line = record(2, ok,
                   f"max degree-one |K(g)| = {worst_fp:.3e} at fixed points "

@@ -14,8 +14,8 @@ from loopexp.graphs import CheckGraph, sample_regular_graph
 from loopexp.model import FactorSpec, exact_log_partition
 
 from conftest import (arbitrary_messages, factor_specs,
-                      loop_bethe_node_term, mixed_host, ratio_message_update,
-                      small_hosts)
+                      loop_bethe_node_term, mixed_host, perturbed,
+                      ratio_message_update, small_hosts)
 
 
 def spec_for(kind, h, eps=0.1, J=0.05):
@@ -133,7 +133,7 @@ class TestSolveFixedPoint:
         worst = 0.0
         for a, b in [(0, 1), (4, 1), (2, 5), (5, 3)]:
             for sign in (delta, -delta):
-                pert = msgs.perturbed(a, b, sign, prism)
+                pert = perturbed(msgs, a, b, sign, prism)
                 val = bethe_log_partition(prism, spec, pert).total
                 worst = max(worst, abs(val - base))
         assert worst <= 1e-4 * delta

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from loopexp import graphs
 from loopexp.bp import solve_fixed_point
 from loopexp.channel import sample_bsc
 from loopexp.cli import main
@@ -123,6 +124,16 @@ class TestExitCodes:
                      "--out-dir", str(tmp_path / "v")])
         assert code == 2
         assert "unknown model kind" in capsys.readouterr().err
+
+    def test_polymer_budget_is_precondition(self, tmp_path, capsys,
+                                            monkeypatch):
+        # the uncapped catalog of a 10-node cubic host is far above 100
+        monkeypatch.setattr(graphs, "MAX_POLYMERS", 100)
+        code = main(["verify-identity", "-n", "10", "--trials", "1",
+                     "--out-dir", str(tmp_path / "v")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "polymer catalog exceeds 100 polymers" in err
 
     def test_odd_stub_total_is_precondition(self, tmp_path, capsys):
         code = main(["gen-graph", "-n", "7", "-d", "3",

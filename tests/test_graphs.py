@@ -16,8 +16,8 @@ from loopexp.graphs import (CheckGraph, _near_short_cycles,
                             sample_regular_graph, write_graph)
 
 from conftest import (assert_catalog_is, brute_polymers, global_polymers,
-                      sampled_expansion, set_sampler_edges, small_hosts,
-                      tuple_graph)
+                      in_catalog_order, sampled_expansion, set_sampler_edges,
+                      small_hosts, tuple_graph)
 
 
 def edge_sets(catalog):
@@ -230,26 +230,65 @@ class TestPolymerEnumeration:
         with pytest.raises(BudgetError):
             enumerate_polymers(prism, 6)
 
+    def test_budget_admits_a_catalog_of_exactly_the_cap(self, prism,
+                                                        monkeypatch):
+        size = len(enumerate_polymers(prism, 6))
+        monkeypatch.setattr(graphs, "MAX_POLYMERS", size)
+        assert len(enumerate_polymers(prism, 6)) == size
+        monkeypatch.setattr(graphs, "MAX_POLYMERS", size - 1)
+        with pytest.raises(BudgetError, match=f"exceeds {size - 1:,}"):
+            enumerate_polymers(prism, 6)
+
     def test_larger_host_against_brute(self):
         g = sample_regular_graph(8, 3, 5)
         assert edge_sets(enumerate_polymers(g, 8)) == brute_polymers(g, 8)
 
 
 class TestLocalCatalog:
-    """The catalog grown near short cycles against the global grower."""
+    """The support-first catalog against the edge-subset grower over the
+    whole host, in catalog order."""
 
     @given(small_hosts(max_nodes=8, max_edges=11))
     def test_same_polymers_in_same_order(self, g):
         for cap in range(g.n + 1):
             assert_catalog_is(enumerate_polymers(g, cap),
-                              global_polymers(g, cap))
+                              in_catalog_order(g, global_polymers(g, cap)))
+
+    @given(small_hosts(max_nodes=8, max_edges=14))
+    def test_polymers_of_one_support_are_contiguous(self, g):
+        ends = g.layout.ends
+        for cap in range(g.n + 1):
+            cat = enumerate_polymers(g, cap)
+            masks = list(cat.node_masks)
+            assert masks == sorted(masks)
+            runs = [m for i, m in enumerate(masks) if i == 0
+                    or m != masks[i - 1]]
+            assert len(runs) == len(set(masks))
+            for row, mask in zip(cat.edges, masks):
+                assert mask == sum(1 << a for a in set(ends[row].ravel()))
 
     @pytest.mark.parametrize("cap", [5, 6])
     def test_sampled_cubic_graph(self, cap):
         g = sample_regular_graph(2000, 3, 17)
         want = global_polymers(g, cap)
         assert want
-        assert_catalog_is(enumerate_polymers(g, cap), want)
+        assert_catalog_is(enumerate_polymers(g, cap),
+                          in_catalog_order(g, want))
+
+    @pytest.mark.parametrize("cap", [5, 6])
+    def test_sampled_quartic_graph(self, cap):
+        g = sample_regular_graph(600, 4, 17)
+        want = global_polymers(g, cap)
+        assert want
+        assert_catalog_is(enumerate_polymers(g, cap),
+                          in_catalog_order(g, want))
+
+    def test_uncapped_cubic_graph(self):
+        g = sample_regular_graph(12, 3, 1)
+        want = global_polymers(g, g.n)
+        assert len(want) == 2206
+        assert_catalog_is(enumerate_polymers(g, g.n),
+                          in_catalog_order(g, want))
 
     @pytest.mark.parametrize("cap", [3, 5, 6, 12])
     def test_region_is_near_short_cycles(self, cap):

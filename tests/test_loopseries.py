@@ -27,7 +27,7 @@ from conftest import (arbitrary_messages, brute_correction,
                       brute_node_activity, brute_polymer_sum, brute_scan,
                       dense_mayer_orders, factor_specs, incoming,
                       local_mask, loop_criterion, loop_node_table,
-                      loop_polymer_activities, mixed_host,
+                      loop_polymer_activities, mixed_host, perturbed,
                       ratio_message_update, small_hosts)
 
 
@@ -229,7 +229,7 @@ class TestCorrectionScan:
     def test_variants_disagree_off_fixed_point(self, prism):
         real = sample_bsc(prism, 0.45, 7)
         spec = FactorSpec.cycle_code(real.h)
-        msgs = solve_fixed_point(prism, spec).perturbed(0, 1, 0.1, prism)
+        msgs = perturbed(solve_fixed_point(prism, spec), 0, 1, 0.1, prism)
         scan = scan_correction(prism, ActivityTable(prism, spec, msgs))
         assert abs(scan.z_all - scan.z_loops) > 1e-6
         assert scan.max_nonloop_abs > 1e-4

@@ -13,9 +13,9 @@ from loopexp.channel import sample_bsc
 from loopexp.exceptions import BudgetError
 from loopexp.graphs import CheckGraph, sample_regular_graph
 from loopexp.loopseries import ActivityTable
-from loopexp.model import KINDS, FactorSpec, exact_log_partition, factor_value
+from loopexp.model import KINDS, FactorSpec, exact_log_partition
 
-from conftest import brute_log_z, factor_specs, small_hosts
+from conftest import brute_log_z, factor_specs, factor_value, small_hosts
 
 
 class TestFactorSpec:
