@@ -37,7 +37,7 @@ import numpy as np
 
 from ._elim import contract, plan_elimination
 from ._layout import MAX_ENTRIES, node_tables, spins
-from .bp import MessageSet, bethe_log_partition
+from .bp import MessageSet, _edge_messages, bethe_log_partition
 from .exceptions import BudgetError
 from .graphs import CheckGraph, PolymerCatalog, _bits_of, enumerate_polymers
 from .model import FactorSpec, exact_log_partition
@@ -76,7 +76,8 @@ class ActivityTable:
     of degree d builds a 2^d x 2^d block of its own, so a degree with
     4^d > MAX_ENTRIES (above 12) raises BudgetError before any table is
     allocated; a vanishing local normalizer raises ValueError naming the
-    first such node.
+    first such node, and messages whose shape does not fit the graph raise
+    ValueError.
     """
 
     def __init__(self, graph: CheckGraph, spec: FactorSpec,
@@ -90,8 +91,9 @@ class ActivityTable:
             raise BudgetError(f"node degree {lay.deg[a]} exceeds "
                               f"activity-table cap (node {a})")
         hh = lay.half_fields(spec.h)
-        ext = np.append(messages.flat(), 0.0)
-        q = np.sum(messages.eta, axis=1)
+        eta = _edge_messages(graph, messages.eta)
+        ext = np.append(eta.reshape(-1), 0.0)
+        q = np.sum(eta, axis=1)
         bad = []
 
         def activities(d, nodes):
@@ -378,14 +380,23 @@ def convergence_criterion(catalog: PolymerCatalog,
     """sup over nodes of sum_{polymers touching the node} e^{|gamma|} |K(gamma)|.
 
     Values below 1 certify absolute convergence of the cluster expansion.
-    An empty catalog gives 0.
+    An empty catalog gives 0.  Every polymer on a support V touches all of
+    V and has |gamma| = |V|, and the polymers of one support are contiguous
+    in the catalog, so |K| is summed per support and e^{|V|} times that sum
+    is added to each node of V.
     """
-    weighted = np.abs(catalog.activity_vector(activities)) * np.exp(
-        catalog.profiles.sum(axis=1))
-    n = catalog.host.n
-    pairs, _ = _touched_pairs(catalog, 0, len(catalog))
-    return float(np.max(np.bincount(pairs % n, weighted[pairs // n],
-                                    minlength=n)))
+    vals = np.abs(catalog.activity_vector(activities))
+    if not len(vals):
+        return 0.0
+    masks = catalog.node_masks
+    starts = [0] + [i for i in range(1, len(masks)) if masks[i] != masks[i - 1]]
+    weighted = np.exp(catalog.profiles[starts].sum(axis=1)) * np.add.reduceat(
+        vals, starts)
+    nodes = [_bits_of(masks[i]) for i in starts]
+    total = np.bincount(np.concatenate(nodes),
+                        np.repeat(weighted, [len(v) for v in nodes]),
+                        minlength=catalog.host.n)
+    return float(np.max(total))
 
 
 @dataclass(frozen=True)

@@ -5,9 +5,10 @@ configurations, 2^|E| subset filters, ratio-form message updates) so the
 library's vectorized/closed-form code paths are checked against independent
 implementations, never against themselves.  The per-node loops of the Bethe
 node term and the activity tables, the edge-subset polymer grower over the
-whole host and the set-by-set sampled expansion check are kept here as the
-references for their batched and support-first versions.  Edge subsets are
-tuples of edge ids.
+whole host, the set-by-set sampled expansion check, the edge-order BP sweep
+and the pair-based convergence criterion are kept here as the references
+for their batched, support-first, slot-major and per-support versions.
+Edge subsets are tuples of edge ids.
 """
 
 import itertools
@@ -19,10 +20,10 @@ from hypothesis import settings
 from hypothesis import strategies as st
 from scipy.special import logsumexp
 
-from loopexp.bp import MessageSet
-from loopexp.exceptions import BudgetError
+from loopexp.bp import CLAMP, MessageSet
+from loopexp.exceptions import BudgetError, DivergenceError
 from loopexp.graphs import CheckGraph
-from loopexp.loopseries import connected_labeled_graphs
+from loopexp.loopseries import _touched_pairs, connected_labeled_graphs
 from loopexp.model import FactorSpec
 
 # Property tests draw the same examples on every run, so tier-1 results are
@@ -541,6 +542,70 @@ def ratio_message_update(graph, spec, eta, a, c):
         num += s_ac * w
         den += w
     return math.atanh(num / den)
+
+
+def loop_raw_sweep(graph, spec, flat):
+    """Undamped update of every directed edge from the flat messages (index
+    2e + dir): the edge-order sweep, one leave-one-out product per slot.
+    Raises DivergenceError if an update is non-finite."""
+    lay = graph.layout
+    hh = lay.half_fields(spec.h)
+    t = spec.parity_couplings(graph)
+    eta_ext = np.append(flat, 0.0)
+    T = np.tanh(eta_ext[lay.inc] + hh)
+    T[lay.pad] = 1.0
+    loo = np.empty_like(T)
+    for k in range(lay.dmax):
+        cols = [j for j in range(lay.dmax) if j != k]
+        loo[:, k] = np.prod(T[:, cols], axis=1) if cols else 1.0
+    with np.errstate(invalid="ignore", divide="ignore"):
+        upd = hh + np.arctanh(t[:, None] * loo)
+    real = ~lay.pad
+    new_flat = np.empty_like(flat)
+    new_flat[lay.out[real]] = upd[real]
+    if not np.all(np.isfinite(new_flat)):
+        raise DivergenceError("non-finite message update (tanh product hit 1)")
+    return new_flat
+
+
+def loop_solve(graph, spec, tol=1e-12, damping=0.5, max_sweeps=10_000,
+               init=None):
+    """``solve_fixed_point`` on edge-order messages: damped sweeps of
+    ``loop_raw_sweep`` until the undamped residual reaches ``tol``."""
+    if init is None:
+        flat = np.zeros(2 * graph.num_edges)
+    else:
+        flat = np.asarray(init, dtype=np.float64).reshape(-1).copy()
+    overflow = False
+    residual = math.inf
+    for k in range(1, max_sweeps + 1):
+        try:
+            raw = loop_raw_sweep(graph, spec, flat)
+        except DivergenceError:
+            return MessageSet(eta=flat.reshape(-1, 2), sweeps=k,
+                              residual=math.inf, converged=False, overflow=True)
+        residual = float(np.max(np.abs(raw - flat))) if flat.size else 0.0
+        if residual <= tol:
+            return MessageSet(eta=flat.reshape(-1, 2), sweeps=k,
+                              residual=residual, converged=True,
+                              overflow=overflow)
+        mixed = (1.0 - damping) * raw + damping * flat
+        if np.any(np.abs(mixed) > CLAMP):
+            overflow = True
+            mixed = np.clip(mixed, -CLAMP, CLAMP)
+        flat = mixed
+    return MessageSet(eta=flat.reshape(-1, 2), sweeps=max_sweeps,
+                      residual=residual, converged=False, overflow=overflow)
+
+
+def pair_criterion(catalog, activities):
+    """The convergence criterion summed over (polymer, touched node) pairs:
+    e^{|gamma|} |K(gamma)| added to the node of every pair."""
+    weighted = np.abs(activities) * np.exp(catalog.profiles.sum(axis=1))
+    n = catalog.host.n
+    pairs, _ = _touched_pairs(catalog, 0, len(catalog))
+    return float(np.max(np.bincount(pairs % n, weighted[pairs // n],
+                                    minlength=n)))
 
 
 def sampled_expansion(graph, kappa, num_samples, seed):

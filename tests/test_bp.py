@@ -1,21 +1,27 @@
+import logging
 import math
+import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from loopexp.bp import (MessageSet, bethe_log_partition, bp_sweep,
+from loopexp import bp
+from loopexp.bp import (CLAMP, MessageSet, bethe_log_partition, bp_sweep,
                         read_messages_csv, solve_fixed_point,
                         write_messages_csv)
 from loopexp.channel import sample_bsc
 from loopexp.exceptions import DivergenceError
 from loopexp.graphs import CheckGraph, sample_regular_graph
+from loopexp.loopseries import ActivityTable
 from loopexp.model import FactorSpec, exact_log_partition
 
 from conftest import (arbitrary_messages, factor_specs,
-                      loop_bethe_node_term, mixed_host, perturbed,
-                      ratio_message_update, small_hosts)
+                      loop_bethe_node_term, loop_raw_sweep, loop_solve,
+                      mixed_host, perturbed, ratio_message_update,
+                      small_hosts)
 
 
 def spec_for(kind, h, eps=0.1, J=0.05):
@@ -178,6 +184,154 @@ class TestSolveFixedPoint:
             solve_fixed_point(k4, spec, damping=damping)
         with pytest.raises(ValueError, match="damping"):
             bp_sweep(k4, spec, MessageSet.zeros(k4), damping=damping)
+
+
+@st.composite
+def regular_hosts(draw):
+    """``sample_regular_graph`` hosts of degree 3, 4 or 5 on 6 to 20 nodes."""
+    d = draw(st.sampled_from([3, 4, 5]))
+    n = 2 * draw(st.integers(3, 10))
+    return sample_regular_graph(n, d, draw(st.integers(0, 1000)))
+
+
+def assert_same_iterates(graph, got, want):
+    """Bit-identical results up to three slots per node; above that the
+    leave-one-out product is associated differently, so the messages and
+    residual may move by a few ulps while sweeps and flags stay equal."""
+    assert got.eta.shape == want.eta.shape
+    assert (got.sweeps, got.converged, got.overflow) == (
+        want.sweeps, want.converged, want.overflow)
+    if graph.layout.dmax <= 3:
+        assert np.array_equal(got.eta, want.eta)
+        assert got.residual == want.residual
+    else:
+        ulps = 4 * np.finfo(float).eps
+        scale = np.maximum(1.0, np.abs(want.eta))
+        assert np.all(np.abs(got.eta - want.eta) <= ulps * scale)
+        assert got.residual == pytest.approx(
+            want.residual, rel=0.0, abs=ulps * float(np.max(scale, initial=1.0)))
+
+
+class TestSweepKernel:
+    """The slot-major sweep against the edge-order oracle ``loop_solve``."""
+
+    @pytest.mark.parametrize("hosts", [small_hosts, regular_hosts],
+                             ids=["irregular", "regular"])
+    @given(data=st.data())
+    def test_solve_matches_edge_order_oracle(self, hosts, data):
+        g = data.draw(hosts())
+        spec = data.draw(factor_specs(g))
+        init = data.draw(st.none() | arbitrary_messages(g))
+        kwargs = dict(tol=1e-12, damping=data.draw(st.sampled_from(
+            [0.0, 0.25, 0.5])), max_sweeps=300, init=init)
+        assert_same_iterates(g, solve_fixed_point(g, spec, **kwargs),
+                             loop_solve(g, spec, **kwargs))
+
+    @pytest.mark.parametrize("hosts", [small_hosts, regular_hosts],
+                             ids=["irregular", "regular"])
+    @given(data=st.data())
+    def test_sweep_matches_edge_order_oracle(self, hosts, data):
+        g = data.draw(hosts())
+        spec = data.draw(factor_specs(g))
+        eta = data.draw(arbitrary_messages(g))
+        damping = data.draw(st.sampled_from([0.0, 0.25, 0.5]))
+        msgs = MessageSet(eta=eta, sweeps=4)
+        try:
+            loop_raw_sweep(g, spec, eta.reshape(-1))
+        except DivergenceError:
+            with pytest.raises(DivergenceError):
+                bp_sweep(g, spec, msgs, damping)
+            return
+        got = bp_sweep(g, spec, msgs, damping)
+        # one damped sweep that never meets its tolerance
+        want = loop_solve(g, spec, tol=-math.inf, damping=damping,
+                          max_sweeps=1, init=eta)
+        assert got.sweeps == 5
+        assert_same_iterates(g, got, MessageSet(
+            eta=want.eta, sweeps=5, residual=want.residual,
+            overflow=want.overflow))
+
+    def test_graph_without_edges(self):
+        g = CheckGraph.from_edges(3, [])
+        spec = FactorSpec.cycle_code(np.zeros(0))
+        msgs = solve_fixed_point(g, spec)
+        assert (msgs.sweeps, msgs.residual, msgs.converged) == (1, 0.0, True)
+        assert msgs.eta.shape == (0, 2)
+        assert_same_iterates(g, msgs, loop_solve(g, spec))
+        out = bp_sweep(g, spec, msgs)
+        assert out.eta.shape == (0, 2) and out.residual == 0.0
+
+    def test_clamp_sets_overflow(self, prism):
+        # fields of 70 push every update to 35 + J, past the clamp; the
+        # coupling tanh J < 1 keeps the raw update finite
+        spec = FactorSpec.high_temperature(np.full(9, 70.0), 0.5)
+        msgs = solve_fixed_point(prism, spec, max_sweeps=20)
+        assert msgs.overflow and not msgs.converged
+        assert np.all(msgs.eta == CLAMP)
+        assert_same_iterates(prism, msgs,
+                             loop_solve(prism, spec, max_sweeps=20))
+        out = bp_sweep(prism, spec, MessageSet.zeros(prism))
+        assert out.overflow and np.all(out.eta == CLAMP)
+        assert not bp_sweep(prism, FactorSpec.high_temperature(
+            np.full(9, 1.0), 0.5), MessageSet.zeros(prism)).overflow
+
+    def test_divergence_stops_at_the_oracle_sweep(self):
+        g = sample_regular_graph(40, 3, [3, 0])
+        spec = FactorSpec.cycle_code(sample_bsc(g, 0.2, [3, 1]).h)
+        msgs = solve_fixed_point(g, spec)
+        assert msgs.overflow and not msgs.converged
+        assert msgs.sweeps == 2319 and msgs.residual == math.inf
+        assert_same_iterates(g, msgs, loop_solve(g, spec))
+
+    def test_restart_from_returned_messages_converges_at_once(self):
+        g = sample_regular_graph(100, 3, 5)
+        spec = FactorSpec.cycle_code(sample_bsc(g, 0.3, 5).h)
+        msgs = solve_fixed_point(g, spec, tol=1e-10)
+        assert msgs.converged and msgs.sweeps > 1
+        for init in (msgs, msgs.eta, msgs.flat()):
+            again = solve_fixed_point(g, spec, tol=1e-10, init=init)
+            assert again.converged and again.sweeps == 1
+            assert np.array_equal(again.eta, msgs.eta)
+
+    @pytest.mark.parametrize("shape", [(22,), (16,), (12, 2), (11, 2),
+                                       (6, 3), (20, 1)])
+    def test_wrong_message_shape_rejected(self, prism, shape):
+        # the prism has 9 edges: messages are (9, 2) or flat (18,)
+        spec = FactorSpec.cycle_code(np.full(9, 0.1))
+        eta = np.zeros(shape)
+        want = re.escape(f"shape {shape} for a graph with 9 edges: "
+                         "expected (9, 2) or (18,)")
+        with pytest.raises(ValueError, match=want):
+            solve_fixed_point(prism, spec, init=eta)
+        msgs = MessageSet(eta=eta)
+        with pytest.raises(ValueError, match=want):
+            solve_fixed_point(prism, spec, init=msgs)
+        with pytest.raises(ValueError, match=want):
+            bp_sweep(prism, spec, msgs)
+        with pytest.raises(ValueError, match=want):
+            bethe_log_partition(prism, spec, msgs)
+        with pytest.raises(ValueError, match=want):
+            ActivityTable(prism, spec, msgs)
+
+    def test_one_debug_record_per_solve(self, prism, caplog):
+        spec = FactorSpec.cycle_code(sample_bsc(prism, 0.45, 3).h)
+        with caplog.at_level(logging.DEBUG, logger="loopexp.bp"):
+            msgs = solve_fixed_point(prism, spec)
+        (record,) = caplog.records
+        assert record.levelno == logging.DEBUG
+        assert record.getMessage().startswith(
+            f"BP on 6 nodes: {msgs.sweeps} sweeps, residual "
+            f"{msgs.residual:.3g}, converged True, overflow False, ")
+
+    def test_no_timing_without_debug(self, prism, caplog, monkeypatch):
+        def clock():
+            raise AssertionError("clock read with DEBUG off")
+
+        monkeypatch.setattr(bp, "time", SimpleNamespace(perf_counter=clock))
+        spec = FactorSpec.cycle_code(sample_bsc(prism, 0.45, 3).h)
+        with caplog.at_level(logging.INFO, logger="loopexp.bp"):
+            assert solve_fixed_point(prism, spec).converged
+        assert not caplog.records
 
 
 class TestBetheValue:

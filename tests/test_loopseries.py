@@ -27,8 +27,8 @@ from conftest import (arbitrary_messages, brute_correction,
                       brute_node_activity, brute_polymer_sum, brute_scan,
                       dense_mayer_orders, factor_specs, incoming,
                       local_mask, loop_criterion, loop_node_table,
-                      loop_polymer_activities, mixed_host, perturbed,
-                      ratio_message_update, small_hosts)
+                      loop_polymer_activities, mixed_host, pair_criterion,
+                      perturbed, ratio_message_update, small_hosts)
 
 
 def spec_for(kind, h, eps=0.1, J=0.05):
@@ -419,6 +419,19 @@ class TestConvergenceCriterion:
         vals = data.draw(signed_activities(len(cat)))
         assert convergence_criterion(cat, vals) == pytest.approx(
             loop_criterion(cat, vals), rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("n, cap, p", [(12, 12, 0.45), (16, 16, 0.45),
+                                           (10_000, 5, 0.3)])
+    def test_per_support_sum_matches_pair_sum(self, n, cap, p):
+        # the per-support sum against the (polymer, node) pair sum, on
+        # catalogs with many polymers per support and on a capped one
+        g = sample_regular_graph(n, 3, 1)
+        spec = FactorSpec.cycle_code(sample_bsc(g, p, 1).h)
+        msgs = solve_fixed_point(g, spec)
+        cat = enumerate_polymers(g, cap)
+        vals = ActivityTable(g, spec, msgs).polymer_activities(cat)
+        assert convergence_criterion(cat, vals) == pytest.approx(
+            pair_criterion(cat, vals), rel=1e-12, abs=0.0)
 
 
 def signed_activities(size):
