@@ -19,9 +19,8 @@ from .bp import (BetheValue, MessageSet, bethe_log_partition, bp_sweep,
                  read_messages_csv, solve_fixed_point, write_messages_csv)
 from .loopseries import (ActivityTable, CorrectionScan, ExpansionReport,
                          MayerExpansion, SplitReport, build_expansion_report,
-                         connected_labeled_graphs, convergence_criterion,
-                         mayer_expansion, scan_correction, split_report,
-                         z_corr_polymer_form)
+                         convergence_criterion, mayer_expansion,
+                         scan_correction, split_report, z_corr_polymer_form)
 from .bounds import (DegreeProfileVector, ScanResult, activity_bound,
                      activity_bound_violations, expander_activity_bound,
                      exponent_function, mackay_probability_bound,

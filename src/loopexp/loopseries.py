@@ -19,8 +19,11 @@ node-disjointness constraint:
              of prod K(gamma).
 
 ln Z_corr then has the Mayer expansion over connected clusters, truncatable
-at order M with Ursell signs, and a convergence criterion
-sup_a sum_{gamma owns a} e^{|gamma|} |K(gamma)| < 1 controlling it.
+at order M with Ursell signs.  With every activity scaled by lambda, Z_corr
+is the hard-core polynomial Xi(lambda), a product over groups of overlapping
+supports, and the order-M term is the lambda^M coefficient of ln Xi, taken
+group by group.  The convergence criterion
+sup_a sum_{gamma owns a} e^{|gamma|} |K(gamma)| < 1 controls the expansion.
 """
 
 from __future__ import annotations
@@ -30,7 +33,6 @@ import json
 import logging
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -47,7 +49,6 @@ __all__ = [
     "CorrectionScan",
     "scan_correction",
     "z_corr_polymer_form",
-    "connected_labeled_graphs",
     "MayerExpansion",
     "mayer_expansion",
     "convergence_criterion",
@@ -216,49 +217,85 @@ def _scaled(result: tuple[np.ndarray, float], k: int) -> float:
     return float(vals[k]) * math.exp(log_scale)
 
 
-def _by_support(catalog: PolymerCatalog, activities) -> dict[int, float]:
-    """Node bitmask -> summed activity of the nonzero-activity polymers on it.
+def _support_starts(masks: tuple[int, ...]) -> np.ndarray:
+    """Index of the first polymer on each support, ascending: the catalog
+    keeps the polymers on one node set contiguous."""
+    return np.flatnonzero([i == 0 or m != masks[i - 1]
+                           for i, m in enumerate(masks)])
+
+
+def _by_support(catalog: PolymerCatalog,
+                activities) -> list[tuple[int, float]]:
+    """(node bitmask, summed activity) of each support that carries a
+    nonzero-activity polymer, in catalog order.
 
     Exact for the hard-core sum and every Mayer order, since two polymers on
     one support always conflict; sums of |K| such as the criterion are not.
     """
     vals = catalog.activity_vector(activities)
-    weights: dict[int, float] = {}
-    for m, v in zip(catalog.node_masks, vals):
-        if v != 0.0:
-            weights[m] = weights.get(m, 0.0) + float(v)
+    starts = _support_starts(catalog.node_masks)
+    sums = np.add.reduceat(vals, starts)
+    live = np.flatnonzero(np.logical_or.reduceat(vals != 0.0, starts))
+    items = [(catalog.node_masks[starts[i]], float(sums[i])) for i in live]
     logger.debug("%d polymers on %d supports",
-                 np.count_nonzero(vals), len(weights))
-    return weights
+                 np.count_nonzero(vals), len(items))
+    return items
 
 
-def _hard_core_sum(items: list[tuple[int, float]], used: int = 0) -> float:
-    """Sum of prod(w) over collections of pairwise node-disjoint supports
-    that avoid the nodes in ``used``.
+def _polynomials(items: list[tuple[int, float]],
+                 top: Optional[int] = None) -> list[list[float]]:
+    """Coefficients of the hard-core polynomial of each group of supports.
 
     The supports are split into groups that share no node; collections
-    from different groups never conflict, so the sum is the product of the
-    sums per group, each over its supports in the order of ``items``.
+    from different groups never conflict, so the hard-core polynomial
+    Xi(lambda) = sum over collections of pairwise node-disjoint supports of
+    prod(lambda w) is the product of one polynomial per group.  For each
+    group this returns c_0..c_t, where c_k sums prod(w) over the sets of k
+    pairwise disjoint supports of the group and t is ``top``, or its support
+    count when ``top`` is None.
+
+    One depth-first walk visits each such set of at most t supports once:
+    each step passes down the later supports of the group, in the order of
+    ``items``, that miss the set chosen so far, and the last level adds
+    prod * sum(w) to c_t without building lists.  The pair comparisons of
+    a step are counted before they are made; BudgetError once the count
+    would pass ``MAX_ENTRIES``.
     """
     groups: list[int] = []    # node sets of the groups, pairwise disjoint
     for m, _ in items:
         # the groups that m touches are disjoint: their sum is their union
         touched = sum(g for g in groups if g & m)
         groups = [g for g in groups if not g & m] + [m | touched]
-    sums = (_disjoint_sum([it for it in items if it[0] & g], 0, used)
-            for g in groups)
-    return math.prod(sums, start=1.0)
+    compared = 0
+
+    def walk(cands, prod, c, k):
+        nonlocal compared
+        c[k] += prod
+        if k + 1 == len(c) - 1:
+            c[k + 1] += prod * sum(v for _, v in cands)
+            return
+        compared += len(cands) * (len(cands) - 1) // 2
+        if compared > MAX_ENTRIES:
+            raise BudgetError(f"hard-core walk over {len(items):,} supports "
+                              f"exceeds {MAX_ENTRIES:,} pair comparisons")
+        for j, (m, v) in enumerate(cands):
+            walk([it for it in cands[j + 1:] if not it[0] & m], prod * v,
+                 c, k + 1)
+
+    out = []
+    for g in groups:
+        members = [it for it in items if it[0] & g]
+        c = [0.0] * (1 + (len(members) if top is None else top))
+        walk(members, 1.0, c, 0)
+        out.append(c)
+    return out
 
 
-def _disjoint_sum(items: list[tuple[int, float]], start: int, used: int) -> float:
-    """Sum of prod(w) over collections of pairwise node-disjoint supports."""
-    total = 1.0
-    for j in range(start, len(items)):
-        m, v = items[j]
-        if m & used:
-            continue
-        total += v * _disjoint_sum(items, j + 1, used | m)
-    return total
+def _hard_core_sum(items: list[tuple[int, float]], used: int = 0) -> float:
+    """Sum of prod(w) over collections of pairwise node-disjoint supports
+    that avoid the nodes in ``used``: the product of the group sums."""
+    free = [it for it in items if not it[0] & used]
+    return math.prod((sum(c) for c in _polynomials(free)), start=1.0)
 
 
 def z_corr_polymer_form(catalog: PolymerCatalog,
@@ -266,58 +303,20 @@ def z_corr_polymer_form(catalog: PolymerCatalog,
     """Z_corr as the hard-core polymer partition function.
 
     Exact when the catalog covers the host (node_cap >= n); with a smaller
-    cap this is the truncation to small polymers.
+    cap this is the truncation to small polymers.  BudgetError as for the
+    walk of ``_polynomials``.
     """
-    return _hard_core_sum(list(_by_support(catalog, activities).items()))
-
-
-@lru_cache(maxsize=None)
-def connected_labeled_graphs(M: int) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """All connected simple graphs on vertices 0..M-1, as sorted edge tuples."""
-    if M < 1:
-        raise ValueError("need at least one vertex")
-    pairs = list(itertools.combinations(range(M), 2))
-    out = []
-    for bits in range(1 << len(pairs)):
-        edges = tuple(pairs[i] for i in range(len(pairs)) if bits >> i & 1)
-        parent = list(range(M))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for u, v in edges:
-            parent[find(u)] = find(v)
-        if len({find(x) for x in range(M)}) == 1:
-            out.append(edges)
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def _iso_classes(M: int) -> tuple[tuple[tuple[tuple[int, int], ...], int], ...]:
-    """Connected labeled graphs grouped by isomorphism: (representative, count)."""
-    classes: dict[tuple, list] = {}
-    perms = list(itertools.permutations(range(M)))
-    for edges in connected_labeled_graphs(M):
-        canon = min(
-            tuple(sorted(tuple(sorted((p[u], p[v]))) for u, v in edges))
-            for p in perms
-        )
-        if canon in classes:
-            classes[canon][1] += 1
-        else:
-            classes[canon] = [edges, 1]
-    return tuple((rep, count) for rep, count in classes.values())
+    return _hard_core_sum(_by_support(catalog, activities))
 
 
 @dataclass(frozen=True)
 class MayerExpansion:
     """Truncated cluster expansion of ln Z_corr.
 
-    ``orders[M-1]`` is the order-M contribution; partial sums approximate
-    ln Z_corr with error controlled by the convergence criterion.
+    ``orders[M-1]`` is the order-M contribution, the lambda^M coefficient of
+    ln Xi(lambda) for the hard-core polynomial Xi, summed over the groups of
+    overlapping supports; partial sums approximate ln Z_corr with error
+    controlled by the convergence criterion.
     """
 
     orders: tuple[float, ...]
@@ -341,37 +340,24 @@ def mayer_expansion(catalog: PolymerCatalog, activities: np.ndarray,
                     M_max: int = 3) -> MayerExpansion:
     """Mayer/cluster expansion of ln Z_corr through order ``M_max`` (<= 5).
 
-    Order M sums over connected graphs on M labeled cluster slots with signs
-    (-1)^{#edges}; each graph's value is an einsum homomorphism count over the
-    intersection matrix of the distinct polymer supports, with summed
-    activities as vertex weights.  Exact per order; cost grows like (number
-    of supports)^M.  BudgetError, before allocating, above ``MAX_ENTRIES``.
+    With every activity scaled by lambda, Z_corr is the hard-core polynomial
+    Xi(lambda), and the order-M Mayer term (connected clusters of M
+    polymers with their Ursell coefficients) is the lambda^M coefficient of
+    ln Xi.  Xi is a product over groups of overlapping supports, so ln Xi is
+    a sum over them: from a group's coefficients c_0..c_{M_max}, those of
+    its logarithm follow from k a_k = k c_k - sum_{j<k} j a_j c_{k-j}.
+    Exact per order.  BudgetError as for the walk of ``_polynomials``.
     """
     if not 1 <= M_max <= 5:
         raise ValueError("M_max must lie in 1..5")
     supports = _by_support(catalog, activities)
-    S = len(supports)
-    if S * S > MAX_ENTRIES:
-        raise BudgetError(f"Mayer matrix of {S}^2 = {S * S:,} entries "
-                          f"exceeds the cap of {MAX_ENTRIES:,}")
-    K = np.fromiter(supports.values(), np.float64, S)
-    pairs = [(i, a) for i, m in enumerate(supports) for a in _bits_of(m)]
-    rows, nodes = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
-    used, cols = np.unique(nodes, return_inverse=True)
-    A = np.zeros((S, len(used)))  # support x touched-node incidence
-    A[rows, cols] = 1.0
-    X = np.minimum(A @ A.T, 1.0)  # 1 where two supports share a node
-    orders = []
-    letters = "abcde"
-    for M in range(1, M_max + 1):
-        total = 0.0
-        for rep, count in _iso_classes(M):
-            subs = [*letters[:M], *(letters[u] + letters[v] for u, v in rep)]
-            hom = float(np.einsum(",".join(subs) + "->", *[K] * M,
-                                  *[X] * len(rep), optimize=True))
-            total += count * (-1.0) ** len(rep) * hom
-        orders.append(total / math.factorial(M))
-    return MayerExpansion(orders=tuple(orders), num_supports=S,
+    orders = [0.0] * M_max
+    for c in _polynomials(supports, M_max):
+        a = [0.0] * (M_max + 1)
+        for k in range(1, M_max + 1):
+            a[k] = c[k] - sum(j * a[j] * c[k - j] for j in range(1, k)) / k
+            orders[k - 1] += a[k]
+    return MayerExpansion(orders=tuple(orders), num_supports=len(supports),
                           num_polymers=int(np.count_nonzero(activities)))
 
 
@@ -389,7 +375,7 @@ def convergence_criterion(catalog: PolymerCatalog,
     if not len(vals):
         return 0.0
     masks = catalog.node_masks
-    starts = [0] + [i for i in range(1, len(masks)) if masks[i] != masks[i - 1]]
+    starts = _support_starts(masks)
     weighted = np.exp(catalog.profiles[starts].sum(axis=1)) * np.add.reduceat(
         vals, starts)
     nodes = [_bits_of(masks[i]) for i in starts]
@@ -435,7 +421,7 @@ def split_report(graph: CheckGraph, spec: FactorSpec, messages: MessageSet,
     large_ids = np.flatnonzero(
         2 * catalog.profiles.sum(axis=1) >= graph.n).tolist()
     supports = _by_support(catalog, vals)
-    small_items = [(m, w) for m, w in supports.items()
+    small_items = [(m, w) for m, w in supports
                    if 2 * m.bit_count() < graph.n]
     z_small = _hard_core_sum(small_items)
     large = {i: catalog.node_masks[i] for i in large_ids}
@@ -443,7 +429,7 @@ def split_report(graph: CheckGraph, spec: FactorSpec, messages: MessageSet,
     witness = {m: i for i, m in large.items()}
     cond = {m: _hard_core_sum(small_items, m) for m in witness}
     ratios = {i: cond[m] / z_small for i, m in large.items()}
-    reconstructed = z_small + sum(w * cond[m] for m, w in supports.items()
+    reconstructed = z_small + sum(w * cond[m] for m, w in supports
                                   if m in cond)
     pair = next(((i, j) for (mi, i), (mj, j)
                  in itertools.combinations(witness.items(), 2)
@@ -458,7 +444,7 @@ def split_report(graph: CheckGraph, spec: FactorSpec, messages: MessageSet,
         large_ids=tuple(large_ids),
         ratios=ratios,
         reconstructed=reconstructed,
-        z_polymer_all=_hard_core_sum(list(supports.items())),
+        z_polymer_all=_hard_core_sum(supports),
         unique_large=pair is None,
         truncated=not catalog.covers_host,
     )

@@ -5,12 +5,14 @@ configurations, 2^|E| subset filters, ratio-form message updates) so the
 library's vectorized/closed-form code paths are checked against independent
 implementations, never against themselves.  The per-node loops of the Bethe
 node term and the activity tables, the edge-subset polymer grower over the
-whole host, the set-by-set sampled expansion check, the edge-order BP sweep
-and the pair-based convergence criterion are kept here as the references
-for their batched, support-first, slot-major and per-support versions.
+whole host, the set-by-set sampled expansion check, the edge-order BP sweep,
+the pair-based convergence criterion and the Mayer sum over connected
+labeled graphs are kept here as the references for their batched,
+support-first, slot-major, per-support and hard-core-polynomial versions.
 Edge subsets are tuples of edge ids.
 """
 
+import functools
 import itertools
 import math
 
@@ -23,7 +25,7 @@ from scipy.special import logsumexp
 from loopexp.bp import CLAMP, MessageSet
 from loopexp.exceptions import BudgetError, DivergenceError
 from loopexp.graphs import CheckGraph
-from loopexp.loopseries import _touched_pairs, connected_labeled_graphs
+from loopexp.loopseries import _touched_pairs
 from loopexp.model import FactorSpec
 
 # Property tests draw the same examples on every run, so tier-1 results are
@@ -351,6 +353,30 @@ def brute_polymer_sum(masks, activities, used=0):
         return total
 
     return rec(0, used)
+
+
+@functools.cache
+def connected_labeled_graphs(M):
+    """All connected simple graphs on vertices 0..M-1, as sorted edge tuples."""
+    if M < 1:
+        raise ValueError("need at least one vertex")
+    pairs = list(itertools.combinations(range(M), 2))
+    out = []
+    for bits in range(1 << len(pairs)):
+        edges = tuple(pairs[i] for i in range(len(pairs)) if bits >> i & 1)
+        parent = list(range(M))
+
+        def find(x):
+            while parent[x] != x:
+                parent[x] = parent[parent[x]]
+                x = parent[x]
+            return x
+
+        for u, v in edges:
+            parent[find(u)] = find(v)
+        if len({find(x) for x in range(M)}) == 1:
+            out.append(edges)
+    return tuple(out)
 
 
 def dense_mayer_orders(catalog, activities, M_max):

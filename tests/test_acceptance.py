@@ -28,12 +28,13 @@ from loopexp.bp import MessageSet, bethe_log_partition, solve_fixed_point
 from loopexp.channel import conditional_entropy_per_node, sample_bsc
 from loopexp.graphs import (CheckGraph, check_edge_expansion,
                             enumerate_polymers, sample_regular_graph)
-from loopexp.loopseries import (ActivityTable, connected_labeled_graphs,
-                                convergence_criterion, mayer_expansion,
-                                scan_correction, z_corr_polymer_form)
+from loopexp.loopseries import (ActivityTable, convergence_criterion,
+                                mayer_expansion, scan_correction,
+                                z_corr_polymer_form)
 from loopexp.model import FactorSpec, exact_log_partition
 
-from conftest import CRITERION_LINES, loop_profile_tally, perturbed
+from conftest import (CRITERION_LINES, connected_labeled_graphs,
+                      loop_profile_tally, perturbed)
 
 LN2 = math.log(2.0)
 

@@ -17,7 +17,6 @@ from loopexp.graphs import (CheckGraph, enumerate_polymers,
                             sample_regular_graph)
 from loopexp.loopseries import (ActivityTable, ExpansionReport,
                                 build_expansion_report,
-                                connected_labeled_graphs,
                                 convergence_criterion, mayer_expansion,
                                 scan_correction, split_report,
                                 z_corr_polymer_form)
@@ -25,10 +24,11 @@ from loopexp.model import FactorSpec, exact_log_partition
 
 from conftest import (arbitrary_messages, brute_correction,
                       brute_node_activity, brute_polymer_sum, brute_scan,
-                      dense_mayer_orders, factor_specs, incoming,
-                      local_mask, loop_criterion, loop_node_table,
-                      loop_polymer_activities, mixed_host, pair_criterion,
-                      perturbed, ratio_message_update, small_hosts)
+                      connected_labeled_graphs, dense_mayer_orders,
+                      factor_specs, incoming, local_mask, loop_criterion,
+                      loop_node_table, loop_polymer_activities, mixed_host,
+                      pair_criterion, perturbed, ratio_message_update,
+                      small_hosts)
 
 
 def spec_for(kind, h, eps=0.1, J=0.05):
@@ -345,11 +345,12 @@ class TestMayer:
         # orders are the alternating harmonic terms of ln 2
         cat = enumerate_polymers(triangle, 3)
         assert len(cat) == 1
-        mex = mayer_expansion(cat, np.array([1.0]), M_max=3)
-        assert mex.orders == pytest.approx((1.0, -0.5, 1.0 / 3.0), abs=1e-12)
-        assert mex.partial_sums == pytest.approx((1.0, 0.5, 5.0 / 6.0),
-                                                 abs=1e-12)
-        assert mex.total == pytest.approx(5.0 / 6.0, abs=1e-12)
+        mex = mayer_expansion(cat, np.array([1.0]), M_max=5)
+        assert mex.orders == pytest.approx(
+            (1.0, -0.5, 1.0 / 3.0, -0.25, 0.2), abs=1e-12)
+        assert mex.partial_sums == pytest.approx(
+            (1.0, 0.5, 5.0 / 6.0, 7.0 / 12.0, 47.0 / 60.0), abs=1e-12)
+        assert mex.total == pytest.approx(47.0 / 60.0, abs=1e-12)
 
     def test_zero_activities_vanish_at_every_order(self, k4):
         cat = enumerate_polymers(k4, 4)
@@ -464,7 +465,7 @@ class TestSupportGrouping:
         cap = data.draw(st.one_of(st.just(g.n), st.integers(0, g.n)))
         cat = enumerate_polymers(g, cap)
         vals = data.draw(signed_activities(len(cat)))
-        mex = assert_matches_oracles(cat, vals, 3)
+        mex = assert_matches_oracles(cat, vals, data.draw(st.integers(1, 3)))
         masks = cat.node_masks
         assert mex.num_polymers == np.count_nonzero(vals)
         assert mex.num_supports == len({m for m, v in zip(masks, vals) if v})
@@ -475,6 +476,20 @@ class TestSupportGrouping:
         cat = enumerate_polymers(k4, 4)
         assert len(set(cat.node_masks)) == 5
         assert_matches_oracles(cat, vals, 4)
+
+    def test_k4_through_order_five(self, k4):
+        cat = enumerate_polymers(k4, 4)
+        vals = np.random.default_rng(5).uniform(-1.0, 1.0, len(cat))
+        assert_matches_oracles(cat, vals, 5)
+
+    def test_sampled_host_at_fixed_point(self):
+        # 568 polymers on 56 supports in one group, with real activities
+        g = sample_regular_graph(10, 3, 1)
+        spec = FactorSpec.cycle_code(sample_bsc(g, 0.45, 1).h)
+        cat = enumerate_polymers(g, g.n)
+        vals = ActivityTable(g, spec, solve_fixed_point(g, spec)
+                             ).polymer_activities(cat)
+        assert_matches_oracles(cat, vals, 3)
 
     @given(data=st.data())
     def test_split_report_matches_ungrouped_sums(self, data):
@@ -544,20 +559,26 @@ class TestSupportGrouping:
         assert convergence_criterion(cat, vals) == pytest.approx(
             math.exp(4.0), rel=1e-12)
 
-    def test_mayer_budget_fails_before_allocating(self):
-        # the 4,495 triangles of K_31 lie on as many supports; their dense
-        # intersection matrix would take 160 MB
+    def test_dense_catalog_refused_by_the_walk(self):
+        # the 4,495 triangles of K_31 overlap in one group whose walk would
+        # compare far more than MAX_ENTRIES pairs of supports
         k31 = CheckGraph.from_edges(31, itertools.combinations(range(31), 2))
         cat = enumerate_polymers(k31, 3)
         vals = np.ones(len(cat))
-        tracemalloc.start()
-        try:
-            with pytest.raises(BudgetError, match="entries"):
-                mayer_expansion(cat, vals)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 1 << 20
+        for call in (mayer_expansion, z_corr_polymer_form):
+            with pytest.raises(BudgetError, match="pair comparisons"):
+                call(cat, vals)
+
+    def test_densest_host_counts_disjoint_triangles(self):
+        # K_13, the densest host with an activity table: 1 + 286 + 17,160
+        # + 200,200 + 200,200 sets of pairwise disjoint triangles
+        k13 = CheckGraph.from_edges(13, itertools.combinations(range(13), 2))
+        cat = enumerate_polymers(k13, 3)
+        vals = np.ones(len(cat))
+        assert z_corr_polymer_form(cat, vals) == 417_847.0
+        mex = mayer_expansion(cat, vals, M_max=3)
+        want = dense_mayer_orders(cat, vals, 3)
+        assert mex.orders == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("call", [
