@@ -14,6 +14,8 @@ machinery; sampled and file-loaded graphs are validated as exactly d-regular.
 
 from __future__ import annotations
 
+import logging
+import time
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Optional, Sequence
@@ -39,6 +41,8 @@ __all__ = [
 # largest catalog ``enumerate_polymers`` builds.
 MAX_PAIRINGS = 10_000
 MAX_POLYMERS = 200_000
+
+logger = logging.getLogger(__name__)
 
 
 class CheckGraph:
@@ -267,28 +271,44 @@ def enumerate_polymers(graph: CheckGraph, node_cap: int) -> PolymerCatalog:
     graph has O(1) cycles of each fixed length, so the region, and the
     work, stays small however large the host.
 
-    Inside the region the walk has two levels.  A node set V is the node
-    set of some polymer iff the induced subgraph G[V] is connected with
-    minimum degree 2, and the polymers on V are exactly the connected
-    spanning subgraphs of G[V] of minimum degree 2.  The first level
+    Inside the region the search has two stages.  A node set V is the
+    node set of some polymer iff the induced subgraph G[V] is connected
+    with minimum degree 2, and the polymers on V are exactly the connected
+    spanning subgraphs of G[V] of minimum degree 2.  The first stage
     enumerates the connected node sets of at most c nodes once each (ESU,
     anchored at the least node) and keeps those of minimum induced degree
-    2; the second removes edges of G[V] while both ends keep degree 2 and
-    G[V] stays connected (for d = 3, a matching on the degree-3 nodes).
-    Region nodes keep their host order, so a capped catalog lists its
-    polymers in the order of a walk over the whole host.  Caps below 3
-    yield an empty catalog, since a polymer touches at least three nodes.
-    BudgetError: more than ``MAX_POLYMERS`` polymers, or a cap so large
-    that the short-cycle search would hold more than 2^24 walks.
+    2, the supports.  The second is one walk over all supports at once,
+    level by level on arrays: level k holds the polymers that are some
+    G[V] minus k edges, each removed edge after the previous one, with
+    both ends of degree above 2 and the graph kept connected (for d = 3, a
+    matching on the degree-3 nodes); connectivity is a rank test on the
+    columns of a cycle-space basis of G[V] over GF(2).  The walk ends at
+    the first level with no polymer, and one sort puts the polymers in
+    catalog order.  Region nodes keep their host order, so a capped
+    catalog lists its polymers in the order of a walk over the whole host.
+    Caps below 3 yield an empty catalog, since a polymer touches at least
+    three nodes.  BudgetError: more than ``MAX_POLYMERS`` polymers,
+    raised during the walk before the level that passes the budget is
+    allocated, or a cap so large that the short-cycle search would hold
+    more than 2^24 walks.  One DEBUG record on this module's logger
+    reports the region size, supports, polymers, walk levels and wall
+    time of the call.
     """
     if node_cap < 0:
         raise ValueError("node_cap must be nonnegative")
+    debug = logger.isEnabledFor(logging.DEBUG)
+    start = time.perf_counter() if debug else 0.0
     region = np.arange(0)
     if node_cap >= 3 and graph.num_edges:
         # a cap of n or more excludes no polymer: the region is the host
         region = (np.arange(graph.n) if node_cap >= graph.n
                   else _near_short_cycles(graph.layout, node_cap))
-    return _grow_polymers(graph, node_cap, region)
+    catalog, supports, levels = _grow_polymers(graph, node_cap, region)
+    if debug:
+        logger.debug("polymers on %d region nodes: %d supports, %d polymers, "
+                     "%d walk levels, %.4f s", len(region), supports,
+                     len(catalog), levels, time.perf_counter() - start)
+    return catalog
 
 
 def _near_short_cycles(lay: Layout, c: int) -> np.ndarray:
@@ -363,55 +383,212 @@ def _on_short_cycle(lay: Layout, c: int, sources: np.ndarray) -> np.ndarray:
 
 
 def _grow_polymers(graph: CheckGraph, node_cap: int,
-                   nodes: np.ndarray) -> PolymerCatalog:
+                   nodes: np.ndarray) -> tuple[PolymerCatalog, int, int]:
     """The catalog of polymers of at most ``node_cap`` nodes in the
-    subgraph induced by ``nodes`` (ascending), in catalog order."""
+    subgraph induced by ``nodes`` (ascending), in catalog order, with its
+    numbers of supports and of walk levels.
+
+    The supports come from ESU (``_supports``); the polymers on all of
+    them from one level walk (``_removal_walk``), each level a batch of
+    arrays.  Every state of the walk is a polymer: one lexsort, by support
+    mask and then by the edge-id row, shorter prefixes first
+    (``_row_keys``), puts them in catalog order.  BudgetError once the
+    supports, or the polymers of the levels so far, number more than
+    ``MAX_POLYMERS``.
+    """
     lay = graph.layout
     d = graph.d
     # region nodes are numbered 0..R-1 in host order, so local bitmasks
     # sort as the host's do; slots leading out of the region are dropped
-    region = nodes.tolist()
-    nbr, eid = lay.nbr[nodes], lay.eid[nodes]
+    nbr = lay.nbr[nodes]
     pos = np.searchsorted(nodes, nbr)
-    local = np.where(np.append(nodes, -1)[pos] == nbr, pos, -1).tolist()
-    nbm = [sum(1 << b for b in row if b >= 0) for row in local]
-    up = [[(b, e) for b, e in zip(row, erow) if b > a]
-          for a, (row, erow) in enumerate(zip(local, eid.tolist()))]
-
-    blocks = []     # (support, its polymers), in walk order
-    size = 0
-    for support in _supports(nbm, node_cap):
-        members = _bits_of(support)
-        edges = sorted((e, a, b) for a in members for b, e in up[a]
-                       if support >> b & 1)
-        polymers = _spanning_polymers(
-            edges, {a: nbm[a] & support for a in members}, d)
-        size += len(polymers)
-        if size > MAX_POLYMERS:
+    local = np.where(np.append(nodes, -1)[pos] == nbr, pos, -1)
+    nbm = [sum(1 << b for b in row if b >= 0) for row in local.tolist()]
+    masks: list[int] = []
+    members: list[list[int]] = []
+    for support, mem in _supports(nbm, node_cap):
+        if len(masks) == MAX_POLYMERS:    # G[V] is a polymer on V
             raise BudgetError(
                 f"polymer catalog exceeds {MAX_POLYMERS:,} polymers")
-        blocks.append((support, polymers))
+        masks.append(support)
+        members.append(mem)
+    S = len(masks)
+    if not S:
+        return PolymerCatalog(
+            host=graph, node_cap=node_cap,
+            edges=Rows(np.zeros(0, dtype=np.int64), np.zeros(1, np.int64)),
+            node_masks=(), profiles=np.zeros((0, max(d - 1, 0)), np.int64),
+        ), 0, 0
 
-    edge_ids: list[int] = []
-    offsets = [0]
-    node_masks: list[int] = []
-    profiles: list[int] = []    # n_2, ..., n_d per polymer
-    for support, polymers in sorted(blocks, key=lambda block: block[0]):
-        mask = sum(1 << region[a] for a in _bits_of(support))
-        for row, profile in sorted(polymers):
-            edge_ids.extend(row)
-            offsets.append(len(edge_ids))
-            node_masks.append(mask)
-            profiles.extend(profile)
-
+    ends, ids, real = _support_edges(lay, nodes, local, members)
+    levels = _removal_walk(ends, real, max(map(len, members)), lay.dmax)
+    sup, kept, deg = (np.concatenate(x) for x in zip(*levels))
+    rank = np.empty(S, dtype=np.int64)
+    rank[sorted(range(S), key=masks.__getitem__)] = np.arange(S)
+    order = np.lexsort((*_row_keys(kept).T[::-1], rank[sup]))
+    sup, kept, deg = sup[order], kept[order], deg[order]
+    region = nodes.tolist()
+    host_masks = [sum(1 << region[a] for a in mem) for mem in members]
     return PolymerCatalog(
         host=graph,
         node_cap=node_cap,
-        edges=Rows(np.array(edge_ids, dtype=np.int64), np.array(offsets)),
-        node_masks=tuple(node_masks),
-        profiles=np.array(profiles, dtype=np.int64).reshape(
-            len(node_masks), max(d - 1, 0)),
-    )
+        edges=Rows(ids[sup][kept],
+                   np.concatenate([[0], np.cumsum(kept.sum(axis=1))])),
+        node_masks=tuple([host_masks[s] for s in sup.tolist()]),
+        profiles=(deg[:, :, None] == np.arange(2, d + 1)).sum(axis=1),
+    ), S, len(levels)
+
+
+def _support_edges(lay: Layout, nodes: np.ndarray, local: np.ndarray,
+                   members: list[list[int]]
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The edges of G[V] for every support V, listed by region-local
+    ``members``: ``ends`` (2, S, M), their ends (a, b), a < b, numbered
+    by the position of the node in V ascending; ``ids`` (S, M), their
+    host edge ids, ascending; ``real`` (S, M), which of the M slots of a
+    support hold an edge.  ``local`` holds the region-local neighbour of
+    each slot of the ``nodes``, -1 outside the region."""
+    R, S = len(nodes), len(members)
+    size = np.array([len(mem) for mem in members])
+    first = np.cumsum(size) - size
+    sid = np.repeat(np.arange(S), size)
+    key = np.sort(sid * R + np.concatenate(members))
+    node = key % R
+    want = sid[:, None] * R + local[node]
+    at = np.minimum(np.searchsorted(key, want), len(key) - 1)
+    a, t = np.nonzero((local[node] > node[:, None]) & (key[at] == want))
+    b = at[a, t]
+    e = lay.eid[nodes[node[a]], t]
+    order = np.lexsort((e, sid[a]))
+    a, b, e = a[order], b[order], e[order]
+    es = sid[a]
+    m = np.bincount(es, minlength=S)
+    j = np.arange(len(es)) - (np.cumsum(m) - m)[es]
+    ends = np.zeros((2, S, int(m.max())), dtype=np.int64)
+    ids = np.zeros((S, ends.shape[2]), dtype=np.int64)
+    ends[:, es, j] = a - first[es], b - first[es]
+    ids[es, j] = e
+    return ends, ids, np.arange(ends.shape[2]) < m[:, None]
+
+
+def _removal_walk(ends: np.ndarray, real: np.ndarray, K: int,
+                  dmax: int) -> list[tuple[np.ndarray, ...]]:
+    """The polymers on every support, as the levels of one walk: per
+    level, the (support, kept-edge row, node degree row) of its states.
+
+    A state is a support V, the edges of G[V] it keeps (a row over the
+    slots of ``ends``, see ``_support_edges``) and the degrees of the K
+    nodes; level 0 holds G[V] for every support.  A state's children
+    remove one kept edge after the last one it removed whose ends both
+    have degree above 2 (its open edges) and whose removal keeps the
+    graph connected.  That test runs for a whole level at once: G[V]
+    minus a set R of edges is connected iff the columns of R in a
+    cycle-space basis of G[V] are linearly independent over GF(2)
+    (``_cycle_columns``), so each state carries its columns reduced
+    modulo those of its removed edges, and an edge may go iff its
+    reduced column is nonzero.  The walk stops at the first level
+    without a child: supports with no open edge (triangles, bare cycles)
+    cost no basis and no level.  BudgetError once the states so far and
+    a level's children number more than ``MAX_POLYMERS``, before the
+    children are allocated.
+    """
+    S, M = real.shape
+    s, e = np.nonzero(real)
+    inc = np.zeros((S, K, M), dtype=bool)
+    inc[s, ends[0, s, e], e] = inc[s, ends[1, s, e], e] = True
+    deg = inc.sum(axis=2, dtype=np.min_scalar_type(dmax))
+    sup, kept = np.arange(S), real
+    row = np.arange(S)[:, None]
+    open_ = real & (deg[row, ends[0]] > 2) & (deg[row, ends[1]] > 2)
+    levels = [(sup, kept, deg)]
+    if not open_.any():
+        return levels
+    red = _cycle_columns(inc)    # reduced columns of each state's edges
+    total = S
+    while True:
+        i, j = np.nonzero(open_ & np.any(red != 0, axis=0))
+        total += len(i)
+        if total > MAX_POLYMERS:
+            raise BudgetError(
+                f"polymer catalog exceeds {MAX_POLYMERS:,} polymers")
+        if not len(i):
+            return levels
+        # eliminate the removed edge's column from every column, on the
+        # lowest coordinate where it is nonzero
+        col = red[:, i, j]
+        word = np.argmax(col != 0, axis=0)
+        low = col[word, np.arange(len(i))]
+        low &= ~low + np.uint64(1)
+        hit = (red[word, i] & low[:, None]) != 0
+        red = red[:, i]
+        np.bitwise_xor(red, col[:, :, None], out=red, where=hit)
+        r = np.arange(len(i))
+        sup, kept, deg, open_ = sup[i], kept[i], deg[i], open_[i]
+        kept[r, j] = False
+        open_ &= np.arange(M) > j[:, None]
+        for a in ends[:, sup, j]:
+            deg[r, a] -= 1
+            open_ &= ~(inc[sup, a] & (deg[r, a] == 2)[:, None])
+        levels.append((sup, kept, deg))
+
+
+def _cycle_columns(inc: np.ndarray) -> np.ndarray:
+    """Columns of a cycle-space basis of each of a batch of connected
+    graphs, given by their node-edge incidences ``inc`` (S, K, M),
+    packed into uint64 words: bit c of ``out[c // 64, s, e]`` is set iff
+    edge e of graph s lies on basis cycle c.
+
+    The cycle space is the null space over GF(2) of the incidence matrix,
+    read off its reduced row echelon form, found row by row for all
+    graphs at once.  Each free column f gives one basis cycle, numbered f:
+    the edge f and the pivot edges of the rows with a 1 in column f.
+    Removing a set R of edges disconnects a graph iff R holds a nonempty
+    cut, a nonzero vector supported on R orthogonal to every cycle: iff
+    the columns of R are linearly dependent.
+    """
+    S, K, M = inc.shape
+    rows = inc.copy()
+    graphs = np.arange(S)
+    pivot = np.full((S, K), -1)
+    for k in range(K):
+        row = rows[:, k].copy()
+        c = row.argmax(axis=1)
+        has = row[graphs, c]
+        other = rows[graphs, :, c] & has[:, None]
+        other[:, k] = False
+        rows ^= other[:, :, None] & row[:, None, :]
+        pivot[has, k] = c[has]
+    g, k = np.nonzero(pivot >= 0)
+    free = inc.any(axis=1)
+    free[g, pivot[g, k]] = False
+    on = np.zeros((S, M, M), dtype=bool)
+    on[g, pivot[g, k]] = rows[g, k] & free[g]
+    g, f = np.nonzero(free)
+    on[g, f, f] = True
+    octets = np.zeros((S, M, -(-M // 64) * 8), dtype=np.uint8)
+    octets[:, :, :-(-M // 8)] = np.packbits(on, axis=2, bitorder="little")
+    return octets.view("<u8").astype(np.uint64).transpose(2, 0, 1)
+
+
+def _row_keys(kept: np.ndarray) -> np.ndarray:
+    """Sort keys of rows of kept edges over one ascending edge list: the
+    rows of ``kept`` (N, M), each with a kept edge, in the lexicographic
+    order of their keys (N, W) are in the order of their edge-id tuples,
+    shorter prefixes first.
+
+    Position j codes 1 if its edge is kept, 2 if not but a later one is,
+    and 0 past the row's last kept edge; two bits a code, 32 codes to a
+    uint64, the first in the top bits.  Two rows first differ where one
+    keeps an edge the other skips: the skipping row is the larger iff it
+    keeps a later edge.
+    """
+    N, M = kept.shape
+    last = M - 1 - np.argmax(kept[:, ::-1], axis=1)
+    bits = np.zeros((N, -(-M // 32) * 32, 2), dtype=bool)
+    bits[:, :M, 0] = ~kept & (np.arange(M) < last[:, None])
+    bits[:, :M, 1] = kept
+    words = np.packbits(bits.reshape(N, -1), axis=1).view(">u8")
+    return words.astype(np.uint64)
 
 
 def _bits_of(mask: int) -> list[int]:
@@ -424,10 +601,10 @@ def _bits_of(mask: int) -> list[int]:
     return out
 
 
-def _supports(nbm: list[int], cap: int) -> Iterator[int]:
+def _supports(nbm: list[int], cap: int) -> Iterator[tuple[int, list[int]]]:
     """Connected node sets of at most ``cap`` nodes whose induced subgraph
-    has minimum degree 2, as bitmasks; ``nbm[a]`` is node a's
-    neighbourhood.
+    has minimum degree 2, as bitmasks with their member lists;
+    ``nbm[a]`` is node a's neighbourhood.
 
     ESU: each connected set is grown once, from its least node, by nodes
     of its extension set, to which a new node adds only its neighbours
@@ -446,7 +623,7 @@ def _supports(nbm: list[int], cap: int) -> Iterator[int]:
             if any((nbm[a] & reach).bit_count() < 2 for a in members):
                 continue
             if all((nbm[a] & S).bit_count() >= 2 for a in members):
-                yield S
+                yield S, members
             if len(members) == cap:
                 continue
             while ext:
@@ -456,64 +633,6 @@ def _supports(nbm: list[int], cap: int) -> Iterator[int]:
                 stack.append((members + [w], S | low,
                               ext | nbm[w] & above & ~closed,
                               closed | nbm[w]))
-
-
-def _spanning_polymers(edges: list[tuple[int, int, int]],
-                       adj: dict[int, int],
-                       d: int) -> list[tuple[tuple[int, ...], list[int]]]:
-    """(edge-id row, profile) of every connected spanning subgraph of
-    minimum degree 2 of a graph with the edges ``edges`` (id, u, v),
-    ascending, and the neighbourhoods ``adj`` (a bitmask per node).
-
-    The walk removes edges in ascending order, each only if both of its
-    ends keep degree at least 2 and the graph stays connected; a graph
-    that falls apart stays apart, so the walk never extends such a
-    removal.
-    """
-    deg = {a: m.bit_count() for a, m in adj.items()}
-    counts = [0] * (d + 1)
-    for k in deg.values():
-        counts[k] += 1
-    out = []
-
-    def joined(a: int, b: int) -> bool:
-        # b reachable from a
-        seen = front = 1 << a
-        while front:
-            nxt = 0
-            for x in _bits_of(front):
-                nxt |= adj[x]
-            front = nxt & ~seen
-            if front >> b & 1:
-                return True
-            seen |= front
-        return False
-
-    def drop(a: int, step: int) -> None:
-        counts[deg[a]] -= 1
-        deg[a] += step
-        counts[deg[a]] += 1
-
-    def walk(start: int, removed: int) -> None:
-        out.append((tuple(e for i, (e, _, _) in enumerate(edges)
-                          if not removed >> i & 1), counts[2:]))
-        for i in range(start, len(edges)):
-            _, a, b = edges[i]
-            if deg[a] == 2 or deg[b] == 2:
-                continue
-            adj[a] ^= 1 << b
-            adj[b] ^= 1 << a
-            if joined(a, b):
-                drop(a, -1)
-                drop(b, -1)
-                walk(i + 1, removed | 1 << i)
-                drop(a, 1)
-                drop(b, 1)
-            adj[a] ^= 1 << b
-            adj[b] ^= 1 << a
-
-    walk(0, 0)
-    return out
 
 
 def edge_boundary(graph: CheckGraph, nodes: Iterable[int]) -> int:

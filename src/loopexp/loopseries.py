@@ -123,16 +123,20 @@ class ActivityTable:
 
         Each member edge sets its slot bit at both endpoints; the local
         masks of every (polymer, node) pair are OR-ed together and the
-        tables multiplied per polymer in ascending node order.  Polymers
-        are taken ``_GATHER_BLOCK`` at a time, so temporaries stay small.
+        tables multiplied per polymer in ascending node order, by one
+        ``np.multiply.reduceat`` over the runs of pairs of one polymer
+        (three or more: a polymer touches at least three nodes).
+        Polymers are taken ``_GATHER_BLOCK`` at a time, so temporaries
+        stay small.
         """
         n = self.graph.n
-        out = np.ones(len(catalog))
+        out = np.empty(len(catalog))
         for lo in range(0, len(catalog), _GATHER_BLOCK):
-            pairs, masks = _touched_pairs(
-                catalog, lo, min(lo + _GATHER_BLOCK, len(catalog)))
-            np.multiply.at(out, pairs // n,
-                           self.K.values[self.K.offsets[pairs % n] + masks])
+            hi = min(lo + _GATHER_BLOCK, len(catalog))
+            pairs, masks = _touched_pairs(catalog, lo, hi)
+            out[lo:hi] = np.multiply.reduceat(
+                self.K.values[self.K.offsets[pairs % n] + masks],
+                np.flatnonzero(np.diff(pairs // n, prepend=-1)))
         return out
 
 

@@ -6,9 +6,10 @@ library's vectorized/closed-form code paths are checked against independent
 implementations, never against themselves.  The per-node loops of the Bethe
 node term and the activity tables, the edge-subset polymer grower over the
 whole host, the set-by-set sampled expansion check, the edge-order BP sweep,
-the pair-based convergence criterion and the Mayer sum over connected
-labeled graphs are kept here as the references for their batched,
-support-first, slot-major, per-support and hard-core-polynomial versions.
+the pair-based convergence criterion, the Mayer sum over connected
+labeled graphs and the recursive removal walk per support are kept here
+as the references for their batched, support-first, slot-major,
+per-support, hard-core-polynomial and level-walk versions.
 Edge subsets are tuples of edge ids.
 """
 
@@ -24,7 +25,7 @@ from scipy.special import logsumexp
 
 from loopexp.bp import CLAMP, MessageSet
 from loopexp.exceptions import BudgetError, DivergenceError
-from loopexp.graphs import CheckGraph
+from loopexp.graphs import CheckGraph, _bits_of, _near_short_cycles, _supports
 from loopexp.loopseries import _touched_pairs
 from loopexp.model import FactorSpec
 
@@ -549,6 +550,100 @@ def global_polymers(graph, node_cap, max_polymers=200_000):
             extend(1 << anchor, {u: 1, v: 1}, ext0, {anchor} | set(ext0),
                    anchor)
     return polymers
+
+
+def spanning_polymers(edges, adj, d):
+    """(edge-id row, profile) of every connected spanning subgraph of
+    minimum degree 2 of a graph with the edges ``edges`` (id, u, v),
+    ascending, and the neighbourhoods ``adj`` (a bitmask per node).
+
+    The walk removes edges in ascending order, each only if both of its
+    ends keep degree at least 2 and the graph stays connected; a graph
+    that falls apart stays apart, so the walk never extends such a
+    removal.
+    """
+    deg = {a: m.bit_count() for a, m in adj.items()}
+    counts = [0] * (d + 1)
+    for k in deg.values():
+        counts[k] += 1
+    out = []
+
+    def joined(a, b):
+        # b reachable from a
+        seen = front = 1 << a
+        while front:
+            nxt = 0
+            for x in _bits_of(front):
+                nxt |= adj[x]
+            front = nxt & ~seen
+            if front >> b & 1:
+                return True
+            seen |= front
+        return False
+
+    def drop(a, step):
+        counts[deg[a]] -= 1
+        deg[a] += step
+        counts[deg[a]] += 1
+
+    def walk(start, removed):
+        out.append((tuple(e for i, (e, _, _) in enumerate(edges)
+                          if not removed >> i & 1), counts[2:]))
+        for i in range(start, len(edges)):
+            _, a, b = edges[i]
+            if deg[a] == 2 or deg[b] == 2:
+                continue
+            adj[a] ^= 1 << b
+            adj[b] ^= 1 << a
+            if joined(a, b):
+                drop(a, -1)
+                drop(b, -1)
+                walk(i + 1, removed | 1 << i)
+                drop(a, 1)
+                drop(b, 1)
+            adj[a] ^= 1 << b
+            adj[b] ^= 1 << a
+
+    walk(0, 0)
+    return out
+
+
+def removal_walk_catalog(graph, node_cap):
+    """(edge ids, offsets, node masks, profiles) of the polymers of at most
+    ``node_cap`` nodes, in catalog order: the package's region and support
+    walk, then ``spanning_polymers`` on each support, one recursion per
+    support, sorted by node mask and then by edge-id row."""
+    d = graph.d
+    nodes = np.arange(0)
+    if node_cap >= 3 and graph.num_edges:
+        nodes = (np.arange(graph.n) if node_cap >= graph.n
+                 else _near_short_cycles(graph.layout, node_cap))
+    lay = graph.layout
+    region = nodes.tolist()
+    nbr, eid = lay.nbr[nodes], lay.eid[nodes]
+    pos = np.searchsorted(nodes, nbr)
+    local = np.where(np.append(nodes, -1)[pos] == nbr, pos, -1).tolist()
+    nbm = [sum(1 << b for b in row if b >= 0) for row in local]
+    up = [[(b, e) for b, e in zip(row, erow) if b > a]
+          for a, (row, erow) in enumerate(zip(local, eid.tolist()))]
+    blocks = []
+    for support, _ in _supports(nbm, node_cap):
+        members = _bits_of(support)
+        edges = sorted((e, a, b) for a in members for b, e in up[a]
+                       if support >> b & 1)
+        blocks.append((support, spanning_polymers(
+            edges, {a: nbm[a] & support for a in members}, d)))
+    edge_ids, offsets, node_masks, profiles = [], [0], [], []
+    for support, polymers in sorted(blocks, key=lambda block: block[0]):
+        mask = sum(1 << region[a] for a in _bits_of(support))
+        for row, profile in sorted(polymers):
+            edge_ids.extend(row)
+            offsets.append(len(edge_ids))
+            node_masks.append(mask)
+            profiles.extend(profile)
+    return (np.array(edge_ids, dtype=np.int64), np.array(offsets),
+            tuple(node_masks), np.array(profiles, dtype=np.int64).reshape(
+                len(node_masks), max(d - 1, 0)))
 
 
 def ratio_message_update(graph, spec, eta, a, c):

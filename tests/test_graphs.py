@@ -1,10 +1,12 @@
 import itertools
+import logging
 import re
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import loopexp as lx
@@ -14,10 +16,12 @@ from loopexp.graphs import (CheckGraph, _near_short_cycles,
                             check_edge_expansion, edge_boundary,
                             enumerate_polymers, read_graph,
                             sample_regular_graph, write_graph)
+from loopexp.loopseries import convergence_criterion
 
 from conftest import (assert_catalog_is, brute_polymers, global_polymers,
-                      in_catalog_order, sampled_expansion, set_sampler_edges,
-                      small_hosts, tuple_graph)
+                      in_catalog_order, loop_criterion, removal_walk_catalog,
+                      sampled_expansion, set_sampler_edges, small_hosts,
+                      tuple_graph)
 
 
 def edge_sets(catalog):
@@ -300,6 +304,114 @@ class TestLocalCatalog:
         assert region.tolist() == list(range(cap))
         assert [row.tolist() for row in enumerate_polymers(g, cap).edges] \
             == [[0, 1, 2]]
+
+
+def assert_same_arrays(catalog, want):
+    """The catalog's edge ids, offsets, node masks and profiles are
+    ``want``'s, dtypes and order included."""
+    values, offsets, masks, profiles = want
+    for got, ref in ((catalog.edges.values, values),
+                     (catalog.edges.offsets, offsets),
+                     (catalog.profiles, profiles)):
+        assert got.dtype == ref.dtype and got.shape == ref.shape
+        assert np.array_equal(got, ref)
+    assert catalog.node_masks == masks
+
+
+class TestLevelWalk:
+    """The level walk against the recursive removal walk per support,
+    array for array, at every cap from 3 to n."""
+
+    @given(small_hosts(max_nodes=8, max_edges=14))
+    def test_irregular_hosts(self, g):
+        for cap in range(3, g.n + 1):
+            assert_same_arrays(enumerate_polymers(g, cap),
+                               removal_walk_catalog(g, cap))
+
+    def check_sampled(self, g, seed):
+        rng = np.random.default_rng(seed)
+        for cap in range(3, g.n + 1):
+            cat = enumerate_polymers(g, cap)
+            assert_same_arrays(cat, removal_walk_catalog(g, cap))
+            vals = rng.uniform(-1.0, 1.0, len(cat))
+            assert convergence_criterion(cat, vals) == pytest.approx(
+                loop_criterion(cat, vals), rel=1e-12, abs=0.0)
+
+    @settings(max_examples=10)
+    @given(n=st.integers(2, 7).map(lambda k: 2 * k),
+           seed=st.integers(0, 2 ** 16))
+    def test_sampled_cubic_hosts(self, n, seed):
+        self.check_sampled(sample_regular_graph(n, 3, seed), seed)
+
+    @settings(max_examples=4)
+    @given(n=st.integers(5, 10), seed=st.integers(0, 2 ** 16))
+    def test_sampled_quartic_hosts(self, n, seed):
+        self.check_sampled(sample_regular_graph(n, 4, seed), seed)
+
+    def test_long_cycle_with_chords(self):
+        # a subdivided K4 with 82 edges on 80 nodes, so the walk's rows
+        # and cycle columns span two 64-bit words; its polymers are those
+        # of K4: 4 triangles, 3 four-cycles, 6 minus an edge and K4
+        edges = [(i, (i + 1) % 80) for i in range(80)] + [(0, 40), (20, 60)]
+        g = CheckGraph.from_edges(80, edges)
+        cat = enumerate_polymers(g, 80)
+        assert_same_arrays(cat, removal_walk_catalog(g, 80))
+        assert len(cat) == 14
+
+    def test_budget_refuses_before_allocating(self, monkeypatch):
+        g = sample_regular_graph(14, 3, 1)     # 7,981 polymers, uncapped
+        budget = 1_000
+        monkeypatch.setattr(graphs, "MAX_POLYMERS", budget)
+        # the arrays of one admitted level of at most ``budget`` states,
+        # with K nodes and M edges (the whole host, uncapped): per state
+        # its support (8 bytes), degree, kept-edge and open-edge rows
+        # (K + 2M) and reduced cycle columns (8M); per support, at most
+        # one a state, its edge ends, ids and slot flags (25M), its
+        # incidence and elimination rows (4KM) and its basis columns
+        # (M^2 + 8M)
+        K, M = g.n, g.num_edges
+        bound = budget * (8 + K + 43 * M + 4 * K * M + M * M)
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetError,
+                               match="polymer catalog exceeds 1,000 "):
+                enumerate_polymers(g, g.n)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < bound
+
+    def test_budget_counts_supports(self, two_triangles, monkeypatch):
+        # two supports and no removable edge: the budget is met or passed
+        # in the support walk alone
+        monkeypatch.setattr(graphs, "MAX_POLYMERS", 2)
+        assert len(enumerate_polymers(two_triangles, 6)) == 2
+        monkeypatch.setattr(graphs, "MAX_POLYMERS", 1)
+        with pytest.raises(BudgetError, match="exceeds 1 polymers"):
+            enumerate_polymers(two_triangles, 6)
+
+    def test_one_debug_record_per_call(self, prism, caplog):
+        with caplog.at_level(logging.DEBUG, logger="loopexp.graphs"):
+            cat = enumerate_polymers(prism, 6)
+        (record,) = caplog.records
+        assert record.levelno == logging.DEBUG
+        ends = prism.layout.ends
+        removed = [np.count_nonzero((m >> ends & 1).all(axis=1)) - len(row)
+                   for m, row in zip(cat.node_masks, cat.edges)]
+        assert record.getMessage().startswith(
+            f"polymers on 6 region nodes: {len(set(cat.node_masks))} "
+            f"supports, {len(cat)} polymers, {max(removed) + 1} walk "
+            f"levels, ")
+
+    def test_no_timing_without_debug(self, prism, caplog, monkeypatch):
+        def clock():
+            raise AssertionError("clock read with DEBUG off")
+
+        monkeypatch.setattr(graphs, "time",
+                            SimpleNamespace(perf_counter=clock))
+        with caplog.at_level(logging.INFO, logger="loopexp.graphs"):
+            assert len(enumerate_polymers(prism, 6))
+        assert not caplog.records
 
 
 class TestExpansion:
