@@ -14,7 +14,8 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.special import comb, gammaln, xlogy
+
+from ._csvio import write_csv
 
 __all__ = [
     "ALPHA_D_DEFAULT",
@@ -35,13 +36,19 @@ ALPHA_D_DEFAULT = 0.9
 ALPHA_MID_DEFAULT = 1.2
 
 
+def _xlogy(x, y):
+    """x ln y elementwise, with 0 wherever x is 0 (so 0 ln 0 = 0)."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(np.equal(x, 0), 0.0, np.multiply(x, np.log(y)))
+
+
 def _log_falling(m: float, k: float) -> float:
     """ln [m]_k = ln m(m-1)...(m-k+1)."""
     if k == 0:
         return 0.0
     if m - k + 1 <= 0:
         raise ValueError(f"falling factorial [m]_k with m={m}, k={k} vanishes")
-    return float(gammaln(m + 1) - gammaln(m - k + 1))
+    return math.lgamma(m + 1) - math.lgamma(m - k + 1)
 
 
 def activity_bound(profile: Sequence[int], h: float,
@@ -63,10 +70,10 @@ def activity_bound(profile: Sequence[int], h: float,
     if base_d < 0:
         raise ValueError(f"h={h} too large: top-degree base is negative")
     n_d = profile[-1]
-    logval = float(xlogy(n_d, base_d))
+    logval = float(_xlogy(n_d, base_d))
     for idx, n_i in enumerate(profile[:-1]):
         i = idx + 2
-        logval += float(xlogy(n_i, alpha_mid * h ** (d - i)))
+        logval += float(_xlogy(n_i, alpha_mid * h ** (d - i)))
     return logval if log else math.exp(logval)
 
 
@@ -112,12 +119,12 @@ def subgraph_count_bound(profile: Sequence[int], n: int,
     if N > n:
         raise ValueError(f"profile places {N} nodes on only {n}")
     s = sum((idx + 2) * n_i for idx, n_i in enumerate(profile))
-    logval = float(gammaln(n + 1) - gammaln(n - N + 1))
-    logval += float(gammaln(s + 1) - gammaln(s / 2.0 + 1)) \
+    logval = math.lgamma(n + 1) - math.lgamma(n - N + 1)
+    logval += math.lgamma(s + 1) - math.lgamma(s / 2.0 + 1) \
         - 0.5 * s * math.log(2.0)
     for idx, n_i in enumerate(profile):
         i = idx + 2
-        logval -= float(gammaln(n_i + 1)) + n_i * float(gammaln(i + 1))
+        logval -= math.lgamma(n_i + 1) + n_i * math.lgamma(i + 1)
     return logval if log else math.exp(logval)
 
 
@@ -169,17 +176,16 @@ def _exponent_grid(x: np.ndarray, d: int, h: float, n: Optional[int],
     rem = np.clip(D - s / 2.0, 0.0, None)
     one_minus = np.clip(1.0 - X, 0.0, None)
     # entropy of the node assignment + pairing count + activity decay
-    val = -np.sum(xlogy(x, x), axis=1) - xlogy(one_minus, one_minus)
-    val += x @ np.log(comb(d, i_vals))
-    val += xlogy(s / 2.0, s / 2.0) + xlogy(rem, rem) - xlogy(D, D)
+    val = -np.sum(_xlogy(x, x), axis=1) - _xlogy(one_minus, one_minus)
+    val += x @ np.log([math.comb(d, i) for i in range(2, d + 1)])
+    val += _xlogy(s / 2.0, s / 2.0) + _xlogy(rem, rem) - _xlogy(D, D)
     base_d = 1.0 - alpha_d * (d / 2.0) * h * h
     if base_d < 0:
         raise ValueError(f"h={h} too large: top-degree base is negative")
-    with np.errstate(divide="ignore"):
-        act = xlogy(x[:, -1], base_d)
-        for idx in range(d - 2):
-            i = idx + 2
-            act = act + xlogy(x[:, idx], alpha_mid * h ** (d - i))
+    act = _xlogy(x[:, -1], base_d)
+    for idx in range(d - 2):
+        i = idx + 2
+        act = act + _xlogy(x[:, idx], alpha_mid * h ** (d - i))
     out = np.asarray(val + act, dtype=np.float64)
     if np.any(infeasible):
         out = np.where(infeasible, -np.inf, out)
@@ -220,18 +226,13 @@ class ScanResult:
     all_negative: bool
 
     def write_csv(self, path, meta: Optional[dict] = None) -> None:
-        with open(path, "w", newline="") as fh:
-            for key, val in (meta or {}).items():
-                fh.write(f"# {key}={val}\n")
-            fh.write(f"# d={self.d}\n# h={self.h!r}\n")
-            fh.write(f"# grid_step={self.grid_step!r}\n")
-            fh.write(f"# n={'' if self.n is None else self.n}\n")
-            fh.write(f"# alpha_d={self.alpha_d!r}\n")
-            fh.write(f"# alpha_mid={self.alpha_mid!r}\n")
-            cols = [f"x_{i}" for i in range(2, self.d + 1)] + ["exponent"]
-            fh.write(",".join(cols) + "\n")
-            for row in self.points:
-                fh.write(",".join(repr(float(v)) for v in row) + "\n")
+        """Rows ``x_2..x_d,exponent`` after ``meta`` and the scan's parameters."""
+        params = {"d": self.d, "h": self.h, "grid_step": self.grid_step,
+                  "n": "" if self.n is None else self.n,
+                  "alpha_d": self.alpha_d, "alpha_mid": self.alpha_mid}
+        cols = [f"x_{i}" for i in range(2, self.d + 1)] + ["exponent"]
+        write_csv(path, {**(meta or {}), **params}, cols,
+                  self.points.tolist())
 
 
 def scan_exponent(d: int, h: float, grid_step: float,

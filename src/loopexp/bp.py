@@ -27,7 +27,6 @@ entry point that takes them.
 
 from __future__ import annotations
 
-import csv
 import logging
 import math
 import time
@@ -35,8 +34,8 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
-from scipy.special import logsumexp
 
+from ._csvio import read_csv, write_csv
 from ._layout import spins
 from .exceptions import DivergenceError
 from .graphs import CheckGraph
@@ -291,12 +290,15 @@ def bethe_log_partition(graph: CheckGraph, spec: FactorSpec,
     hh = lay.half_fields(spec.h)
     ext = np.append(eta.reshape(-1), 0.0)
     vals = np.empty(graph.n)
-    with np.errstate(divide="ignore"):
+    # log terms ln((1 + t parity)/2) + exponent: a configuration the factor
+    # forbids is exactly -inf, so it neither sets the shift nor adds to the sum
+    with np.errstate(divide="ignore", invalid="ignore"):
         for d, nodes in lay.blocks(lambda d: 1 << d):
             S, parity = spins(d)
             W = ext[lay.inc[nodes, :d]] + hh[nodes, :d]
-            vals[nodes] = logsumexp(W @ S.T, axis=1,
-                                    b=0.5 * (1.0 + t[nodes, None] * parity))
+            L = W @ S.T + np.log(0.5 * (1.0 + t[nodes, None] * parity))
+            top = L.max(axis=1, keepdims=True)
+            vals[nodes] = top[:, 0] + np.log(np.exp(L - top).sum(axis=1))
     bad = np.flatnonzero(~np.isfinite(vals))
     if bad.size:
         raise ValueError(f"node sum vanished at node {bad[0]}")
@@ -308,40 +310,25 @@ def bethe_log_partition(graph: CheckGraph, spec: FactorSpec,
 
 
 def write_messages_csv(graph: CheckGraph, messages: MessageSet, path) -> None:
-    """CSV rows ``a,b,eta`` for every directed edge, metadata in comments."""
-    with open(path, "w", newline="") as fh:
-        fh.write(f"# sweeps={messages.sweeps}\n")
-        fh.write(f"# residual={messages.residual!r}\n")
-        fh.write(f"# converged={int(messages.converged)}\n")
-        fh.write(f"# overflow={int(messages.overflow)}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["a", "b", "eta"])
-        for e, (u, v) in enumerate(graph.edges):
-            writer.writerow([u, v, repr(float(messages.eta[e, 0]))])
-            writer.writerow([v, u, repr(float(messages.eta[e, 1]))])
+    """Rows ``a,b,eta`` for every directed edge, with the solver's sweeps,
+    residual and flags as metadata, in the package's CSV format."""
+    meta = {"sweeps": messages.sweeps, "residual": messages.residual,
+            "converged": int(messages.converged),
+            "overflow": int(messages.overflow)}
+    rows = []
+    for e, (u, v) in enumerate(graph.edges):
+        rows += [[u, v, float(messages.eta[e, 0])],
+                 [v, u, float(messages.eta[e, 1])]]
+    write_csv(path, meta, ["a", "b", "eta"], rows)
 
 
 def read_messages_csv(graph: CheckGraph, path) -> MessageSet:
-    meta = {"sweeps": 0, "residual": math.inf, "converged": 0, "overflow": 0}
-    rows = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                key, _, val = line.lstrip("# ").partition("=")
-                key = key.strip()
-                if key in meta:
-                    meta[key] = float(val)
-                continue
-            rows.append(line)
-    reader = csv.reader(rows)
-    header = next(reader, None)
-    if header is None or header[:3] != ["a", "b", "eta"]:
-        raise ValueError(f"{path}: expected header a,b,eta, got {header}")
+    """The messages written by :func:`write_messages_csv`.  Raises ValueError
+    without the header, or for an edge not in ``graph`` or a directed edge
+    repeated or missing."""
+    meta, rows = read_csv(path, ["a", "b", "eta"])
     eta = np.full((graph.num_edges, 2), np.nan)
-    for row in reader:
+    for row in rows:
         a, b = int(row[0]), int(row[1])
         key = (min(a, b), max(a, b))
         if key not in graph.edge_index:
@@ -353,7 +340,7 @@ def read_messages_csv(graph: CheckGraph, path) -> MessageSet:
         eta[e, direction] = float(row[2])
     if np.any(np.isnan(eta)):
         raise ValueError(f"{path}: missing directed edges")
-    return MessageSet(eta=eta, sweeps=int(meta["sweeps"]),
-                      residual=float(meta["residual"]),
-                      converged=bool(meta["converged"]),
-                      overflow=bool(meta["overflow"]))
+    return MessageSet(eta=eta, sweeps=int(float(meta.get("sweeps", 0))),
+                      residual=float(meta.get("residual", math.inf)),
+                      converged=bool(float(meta.get("converged", 0))),
+                      overflow=bool(float(meta.get("overflow", 0))))

@@ -8,12 +8,12 @@ probability p.  Fields are in nats.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._csvio import read_csv, write_csv
 from .graphs import CheckGraph
 
 __all__ = [
@@ -77,46 +77,28 @@ def conditional_entropy_per_node(avg_free_energy: float, p: float) -> float:
 
 
 def write_channel_csv(real: ChannelRealization, path) -> None:
-    """CSV rows: edge index, sign, h value; p kept in a comment header."""
-    with open(path, "w", newline="") as fh:
-        fh.write(f"# p={real.p!r}\n")
-        if isinstance(real.seed, int):
-            fh.write(f"# seed={real.seed}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["edge", "sign", "h"])
-        for e, (s, h) in enumerate(zip(real.signs, real.h)):
-            writer.writerow([e, int(s), repr(float(h))])
+    """Rows ``edge,sign,h`` for every edge, with ``p`` (and an int seed) as
+    metadata, in the package's CSV format."""
+    meta = {"p": real.p}
+    if isinstance(real.seed, int):
+        meta["seed"] = real.seed
+    write_csv(path, meta, ["edge", "sign", "h"],
+              [[e, int(s), float(h)]
+               for e, (s, h) in enumerate(zip(real.signs, real.h))])
 
 
 def read_channel_csv(path) -> ChannelRealization:
-    p = None
-    seed = None
-    rows = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                key, _, val = line.lstrip("# ").partition("=")
-                key = key.strip()
-                if key == "p":
-                    p = float(val)
-                elif key == "seed":
-                    seed = int(val)
-                continue
-            rows.append(line)
-    if p is None:
+    """The realization written by :func:`write_channel_csv`.  Raises
+    ValueError without the header or ``# p=``, or for edges out of order."""
+    meta, rows = read_csv(path, ["edge", "sign", "h"])
+    if "p" not in meta:
         raise ValueError(f"{path}: missing '# p=' header")
-    reader = csv.reader(rows)
-    header = next(reader, None)
-    if header is None or header[:3] != ["edge", "sign", "h"]:
-        raise ValueError(f"{path}: unexpected header {header}")
     signs, h = [], []
-    for idx, row in enumerate(reader):
+    for idx, row in enumerate(rows):
         if int(row[0]) != idx:
             raise ValueError(f"{path}: edge indices out of order")
         signs.append(float(row[1]))
         h.append(float(row[2]))
-    return ChannelRealization(p=p, h=np.array(h), signs=np.array(signs),
-                              seed=seed)
+    return ChannelRealization(
+        p=float(meta["p"]), h=np.array(h), signs=np.array(signs),
+        seed=int(meta["seed"]) if "seed" in meta else None)

@@ -17,7 +17,6 @@ Exit codes: 0 success, 1 usage error, 2 precondition violation,
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import sys
@@ -28,6 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from ._csvio import write_csv
 from .bounds import (ALPHA_D_DEFAULT, ALPHA_MID_DEFAULT,
                      activity_bound_violations, scan_exponent)
 from .bp import bethe_log_partition, solve_fixed_point, write_messages_csv
@@ -150,21 +150,6 @@ def _meta(command: str, cfg: dict, master_seed, t0: float) -> dict:
     }
 
 
-def _write_summary_csv(path, meta: dict, header: list[str],
-                       rows: list[list]) -> None:
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as fh:
-        for key, val in meta.items():
-            if key == "config":
-                val = json.dumps(val, sort_keys=True)
-            fh.write(f"# {key}={val}\n")
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([repr(v) if isinstance(v, float) else v
-                             for v in row])
-
-
 def _trials(cfg: dict, key: list, kind: str, n: int, graph=None, **solver):
     """Yield ``(t, graph, spec, params, messages)`` for each trial.
 
@@ -269,11 +254,10 @@ def cmd_verify_identity(cfg: dict) -> int:
     meta = _meta("verify-identity", cfg, seed, t0)
     meta["excluded_not_converged"] = excluded
     meta["excluded_over_cap"] = over_cap
-    _write_summary_csv(out_dir / "summary.csv", meta,
-                       ["trial", "converged", "sweeps", "bp_residual",
-                        "exact_log_z", "bethe_total", "z_corr",
-                        "ln_z_corr", "identity_residual", "criterion"],
-                       rows)
+    write_csv(out_dir / "summary.csv", meta,
+              ["trial", "converged", "sweeps", "bp_residual", "exact_log_z",
+               "bethe_total", "z_corr", "ln_z_corr", "identity_residual",
+               "criterion"], rows)
     print(f"trials={trials} converged={trials - excluded} "
           f"excluded={excluded} over_cap={over_cap} "
           f"max_identity_residual={max_residual:.3e}")
@@ -309,10 +293,9 @@ def cmd_correction_decay(cfg: dict) -> int:
             rows.append([kind, n, trials, len(vals), trials - len(vals),
                          *_mean_stderr(vals)])
     meta = _meta("correction-decay", cfg, seed, t0)
-    _write_summary_csv(cfg["out"], meta,
-                       ["model", "n", "trials", "converged", "excluded",
-                        "mean_abs_f_corr", "stderr"],
-                       rows)
+    write_csv(cfg["out"], meta,
+              ["model", "n", "trials", "converged", "excluded",
+               "mean_abs_f_corr", "stderr"], rows)
     for row in rows:
         print(f"model={row[0]} n={row[1]} mean|f_corr|={row[5]:.6g} "
               f"stderr={row[6]}")
@@ -330,9 +313,7 @@ def cmd_exponent_scan(cfg: dict) -> int:
     t0 = time.monotonic()
     scan = scan_exponent(cfg["d"], cfg["h"], cfg["step"], n=cfg["n"] or None,
                          alpha_d=cfg["alpha_d"], alpha_mid=cfg["alpha_mid"])
-    meta = _meta("exponent-scan", cfg, None, t0)
-    meta["config"] = json.dumps(meta["config"], sort_keys=True)
-    scan.write_csv(cfg["out"], meta=meta)
+    scan.write_csv(cfg["out"], meta=_meta("exponent-scan", cfg, None, t0))
     print(f"argmax={scan.argmax} max={scan.max_value:.6g} "
           f"all_negative={scan.all_negative}")
     print(f"surface in {cfg['out']}")
@@ -366,9 +347,8 @@ def cmd_expander_check(cfg: dict) -> int:
     frac = passed / samples
     meta = _meta("expander-check", cfg, seed, t0)
     meta["pass_fraction"] = repr(frac)
-    _write_summary_csv(cfg["out"], meta,
-                       ["sample", "mode", "is_expander", "witness_size"],
-                       rows)
+    write_csv(cfg["out"], meta,
+              ["sample", "mode", "is_expander", "witness_size"], rows)
     print(f"samples={samples} kappa={cfg['kappa']} pass_fraction={frac:.4f}")
     print(f"verdicts in {cfg['out']}")
     return 0
@@ -416,10 +396,9 @@ def cmd_criterion_report(cfg: dict) -> int:
                      cmax, violations])
     meta = _meta("criterion-report", cfg, seed, t0)
     meta["threshold_value"] = "" if threshold is None else repr(threshold)
-    _write_summary_csv(cfg["out"], meta,
-                       ["value", "trials", "converged", "excluded",
-                        "criterion_mean", "criterion_max", "bound_violations"],
-                       rows)
+    write_csv(cfg["out"], meta,
+              ["value", "trials", "converged", "excluded", "criterion_mean",
+               "criterion_max", "bound_violations"], rows)
     for row in rows:
         print(f"value={row[0]} criterion_mean={row[4]:.6g} "
               f"criterion_max={row[5]:.6g}")
@@ -460,10 +439,9 @@ def cmd_entropy(cfg: dict) -> int:
     meta = _meta("entropy", cfg, cfg["seed"], t0)
     meta["excluded_not_converged"] = trials - len(f_vals)
     meta["unit"] = unit_name
-    _write_summary_csv(cfg["out"], meta,
-                       ["trial", "converged", "f_bethe", "f_exact",
-                        "entropy_bethe", "entropy_exact"],
-                       rows)
+    write_csv(cfg["out"], meta,
+              ["trial", "converged", "f_bethe", "f_exact", "entropy_bethe",
+               "entropy_exact"], rows)
     if f_vals:
         mean_f, stderr = _mean_stderr(f_vals)
         ent = conditional_entropy_per_node(mean_f, p) / unit

@@ -18,6 +18,7 @@ import logging
 import time
 from dataclasses import dataclass
 from functools import cached_property
+from pathlib import Path
 from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -186,7 +187,9 @@ def sample_regular_graph(n: int, d: int, seed) -> CheckGraph:
 
 
 def write_graph(graph: CheckGraph, path) -> None:
-    """Write the edge-list format: first line ``n d``, then sorted ``u v`` lines."""
+    """Write the edge-list format: first line ``n d``, then sorted ``u v``
+    lines.  Creates the parent directory of ``path`` if it is missing."""
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:
         fh.write(f"{graph.n} {graph.d}\n")
         np.savetxt(fh, graph.layout.ends, fmt="%d")

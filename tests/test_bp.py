@@ -410,6 +410,22 @@ class TestBatchedBethe:
         want = loop_bethe_node_term(g, spec, eta)
         assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
 
+    @pytest.mark.parametrize("kind, want", [
+        ("cycle-code", 4001.098612288668),
+        ("softened-cycle-code", 4796.850387843284),
+        ("high-temperature", 4797.6500481980565)])
+    def test_extreme_messages_match_node_loop(self, k4, kind, want):
+        # messages of +-400: exp overflows unless the shift is taken over
+        # the configurations the factor allows, and forbidden ones stay at
+        # weight 0 rather than inf * 0
+        spec = spec_for(kind, np.zeros(6), eps=0.1, J=0.3)
+        eta = np.full((6, 2), 400.0)
+        eta[0, 0] = -400.0
+        got = bethe_log_partition(k4, spec, MessageSet(eta=eta)).node_term
+        assert got == pytest.approx(loop_bethe_node_term(k4, spec, eta),
+                                    rel=1e-12)
+        assert got == pytest.approx(want, rel=1e-12)
+
     def test_first_vanishing_node_is_named(self):
         # nan messages on edges (2, 3) and (4, 5): nodes 2..5 fail, and the
         # lowest of them has the highest degree, so its class comes last

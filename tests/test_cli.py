@@ -70,6 +70,18 @@ class TestExitCodes:
                   "-o", str(tmp_path / "s.csv")])
         assert ei.value.code == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["gen-graph", "-n", "6"],
+        ["correction-decay", "--n-list", "4", "--trials", "1"],
+        ["exponent-scan", "--step", "0.1"],
+        ["expander-check", "-n", "6", "--samples", "1"],
+        ["criterion-report", "-n", "6", "--values", "0.1", "--trials", "1"],
+        ["entropy", "-n", "6", "--trials", "1"]], ids=lambda a: a[0])
+    def test_output_directory_is_created(self, tmp_path, capsys, argv):
+        out = tmp_path / "new" / "deeper" / "out.csv"
+        assert main([*argv, "-o", str(out)]) == 0
+        assert out.is_file()
+
     def test_help_shows_defaults(self, capsys):
         with pytest.raises(SystemExit) as ei:
             main(["verify-identity", "--help"])

@@ -1,0 +1,21 @@
+"""numpy is the package's only runtime dependency."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_import_loads_no_scipy():
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                         os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, loopexp; "
+         "print(sorted(m for m in sys.modules if m.startswith('scipy')))"],
+        capture_output=True, text=True, timeout=120, cwd=ROOT,
+        env={**os.environ, "PYTHONPATH": path})
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
