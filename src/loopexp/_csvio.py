@@ -11,13 +11,16 @@ from pathlib import Path
 
 
 def write_csv(path, meta: dict, header: list[str], rows) -> None:
-    """Write ``meta`` (dict and list values as sorted JSON), ``header`` and
+    """Write ``meta`` (dict and list values as sorted JSON, None as an
+    empty value, as ``csv.writer`` writes it in rows), ``header`` and
     ``rows``, creating the parent directory of ``path`` if it is missing."""
     Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
         for key, val in meta.items():
             if isinstance(val, (dict, list)):
                 val = json.dumps(val, sort_keys=True)
+            elif val is None:
+                val = ""
             fh.write(f"# {key}={val}\n")
         writer = csv.writer(fh)
         writer.writerow(header)

@@ -65,16 +65,24 @@ def activity_bound(profile: Sequence[int], h: float,
         raise ValueError("alpha_i must exceed 1")
     if h < 0:
         raise ValueError("h must be nonnegative")
-    d = len(profile) + 1
+    logval = float(_log_activity_bounds(np.array([profile]), h, alpha_d,
+                                        alpha_mid)[0])
+    return logval if log else math.exp(logval)
+
+
+def _log_activity_bounds(profiles: np.ndarray, h: float, alpha_d: float,
+                         alpha_mid: float) -> np.ndarray:
+    """ln of the activity bound of every row (n_2, ..., n_d) of ``profiles``:
+    n_d ln base_d, then n_i ln(alpha_mid h^{d-i}) for i = 2..d-1, 0 ln 0 =
+    0.  ValueError when the base 1 - alpha_d (d/2) h^2 is negative."""
+    d = profiles.shape[1] + 1
     base_d = 1.0 - alpha_d * (d / 2.0) * h * h
     if base_d < 0:
         raise ValueError(f"h={h} too large: top-degree base is negative")
-    n_d = profile[-1]
-    logval = float(_xlogy(n_d, base_d))
-    for idx, n_i in enumerate(profile[:-1]):
-        i = idx + 2
-        logval += float(_xlogy(n_i, alpha_mid * h ** (d - i)))
-    return logval if log else math.exp(logval)
+    out = _xlogy(profiles[:, -1], base_d)
+    for i in range(2, d):
+        out = out + _xlogy(profiles[:, i - 2], alpha_mid * h ** (d - i))
+    return out
 
 
 def expander_activity_bound(size: int, h: float) -> float:
@@ -148,11 +156,6 @@ class DegreeProfileVector:
             raise ValueError(f"x must be (x_2..x_d), length {self.d - 1}")
         object.__setattr__(self, "x", tuple(float(v) for v in self.x))
 
-    @classmethod
-    def from_counts(cls, profile: Sequence[int], n: int, d: int, h: float,
-                    **kw) -> "DegreeProfileVector":
-        return cls(x=tuple(c / n for c in profile), d=d, h=h, n=n, **kw)
-
 
 def _exponent_grid(x: np.ndarray, d: int, h: float, n: Optional[int],
                    alpha_d: float, alpha_mid: float,
@@ -179,13 +182,7 @@ def _exponent_grid(x: np.ndarray, d: int, h: float, n: Optional[int],
     val = -np.sum(_xlogy(x, x), axis=1) - _xlogy(one_minus, one_minus)
     val += x @ np.log([math.comb(d, i) for i in range(2, d + 1)])
     val += _xlogy(s / 2.0, s / 2.0) + _xlogy(rem, rem) - _xlogy(D, D)
-    base_d = 1.0 - alpha_d * (d / 2.0) * h * h
-    if base_d < 0:
-        raise ValueError(f"h={h} too large: top-degree base is negative")
-    act = _xlogy(x[:, -1], base_d)
-    for idx in range(d - 2):
-        i = idx + 2
-        act = act + _xlogy(x[:, idx], alpha_mid * h ** (d - i))
+    act = _log_activity_bounds(x, h, alpha_d, alpha_mid)
     out = np.asarray(val + act, dtype=np.float64)
     if np.any(infeasible):
         out = np.where(infeasible, -np.inf, out)
@@ -228,7 +225,7 @@ class ScanResult:
     def write_csv(self, path, meta: Optional[dict] = None) -> None:
         """Rows ``x_2..x_d,exponent`` after ``meta`` and the scan's parameters."""
         params = {"d": self.d, "h": self.h, "grid_step": self.grid_step,
-                  "n": "" if self.n is None else self.n,
+                  "n": self.n,
                   "alpha_d": self.alpha_d, "alpha_mid": self.alpha_mid}
         cols = [f"x_{i}" for i in range(2, self.d + 1)] + ["exponent"]
         write_csv(path, {**(meta or {}), **params}, cols,
@@ -287,12 +284,16 @@ def activity_bound_violations(catalog, activities, h: float,
 
     Returns (polymer index, |K|, bound) triples; callers log or tabulate them
     (the constants are empirical, so violations are data, not failures).
+    Bounds and ValueErrors are ``activity_bound``'s; an empty catalog: [].
     """
-    activities = catalog.activity_vector(activities)
-    out = []
-    for idx, profile in enumerate(catalog.profiles.tolist()):
-        bound = activity_bound(profile, h, alpha_d=alpha_d, alpha_mid=alpha_mid)
-        measured = abs(float(activities[idx]))
-        if measured > bound * (1.0 + rtol) + 1e-15:
-            out.append((idx, measured, bound))
-    return out
+    measured = np.abs(catalog.activity_vector(activities))
+    if not len(measured):
+        return []
+    activity_bound(catalog.profiles[0], h, alpha_d, alpha_mid)  # ValueErrors
+    # math.exp, as in activity_bound: np.exp may differ in the last bit
+    bounds = np.fromiter(map(math.exp, _log_activity_bounds(
+        catalog.profiles, h, alpha_d, alpha_mid).tolist()), float,
+        len(measured))
+    bad = np.flatnonzero(measured > bounds * (1.0 + rtol) + 1e-15)
+    return [(int(i), float(measured[i]), float(bounds[i]))
+            for i in bad.tolist()]

@@ -229,23 +229,36 @@ def read_graph(path) -> CheckGraph:
 class PolymerCatalog:
     """All polymers of a host up to a node-count cap, as flat arrays.
 
-    Polymer i has the member edges ``edges[i]``, ascending, the touched
-    nodes ``node_masks[i]`` and the tail profile ``profiles[i]``: its
-    numbers (n_2, ..., n_d) of nodes of induced degree 2..d, d = ``host.d``,
-    which sum to its size.
+    Polymer i has the member edges ``edges[i]``, ascending, and the tail
+    profile ``profiles[i]``: its numbers (n_2, ..., n_d) of nodes of
+    induced degree 2..d, d = ``host.d``, which sum to its size.  It
+    touches exactly the nodes of support s = ``support[i]``: the bitmask
+    ``support_masks[s]``, and the host ids ``support_nodes[s]``, ascending
+    and padded with ``host.n``.  ``slot_masks[i, k]`` is its local bitmask
+    at node ``support_nodes[s, k]`` (bit j for slot j, as in
+    ``ActivityTable.K``), 0 where padded.
 
-    Order: by node mask ascending, then by the edge-id row compared as a
-    tuple, so the polymers on one node set are contiguous.
+    Order: by support mask ascending, then by the edge-id row compared as
+    a tuple, so the polymers on one node set are contiguous.
     """
 
     host: CheckGraph
     node_cap: int
     edges: Rows                  # int64 edge ids, one row per polymer
-    node_masks: tuple[int, ...]  # bitmasks
-    profiles: np.ndarray         # (len, d - 1) int64
+    profiles: np.ndarray         # (P, d - 1) int64
+    support: np.ndarray          # (P,) int64 support index
+    support_masks: tuple[int, ...]   # (S,) host bitmasks, ascending
+    support_nodes: np.ndarray    # (S, K) int64 host node ids, padded
+    slot_masks: np.ndarray       # (P, K) unsigned local bitmasks
 
     def __len__(self) -> int:
-        return len(self.node_masks)
+        return len(self.support)
+
+    @cached_property
+    def node_masks(self) -> tuple[int, ...]:
+        """Host bitmask of the nodes each polymer touches."""
+        return tuple(map(self.support_masks.__getitem__,
+                         self.support.tolist()))
 
     @property
     def covers_host(self) -> bool:
@@ -397,7 +410,7 @@ def _grow_polymers(graph: CheckGraph, node_cap: int,
     mask and then by the edge-id row, shorter prefixes first
     (``_row_keys``), puts them in catalog order.  BudgetError once the
     supports, or the polymers of the levels so far, number more than
-    ``MAX_POLYMERS``.
+    ``MAX_POLYMERS``, and from ``_support_edges``.
     """
     lay = graph.layout
     d = graph.d
@@ -417,49 +430,67 @@ def _grow_polymers(graph: CheckGraph, node_cap: int,
         members.append(mem)
     S = len(masks)
     if not S:
+        empty = np.zeros(0, np.int64)
         return PolymerCatalog(
             host=graph, node_cap=node_cap,
-            edges=Rows(np.zeros(0, dtype=np.int64), np.zeros(1, np.int64)),
-            node_masks=(), profiles=np.zeros((0, max(d - 1, 0)), np.int64),
-        ), 0, 0
-
-    ends, ids, real = _support_edges(lay, nodes, local, members)
-    levels = _removal_walk(ends, real, max(map(len, members)), lay.dmax)
-    sup, kept, deg = (np.concatenate(x) for x in zip(*levels))
+            edges=Rows(empty, np.zeros(1, np.int64)), support=empty,
+            profiles=np.zeros((0, max(d - 1, 0)), np.int64),
+            support_masks=(), support_nodes=empty.reshape(0, 0),
+            slot_masks=np.zeros((0, 0), np.uint8)), 0, 0
+    rows, slots, ends, bits, ids, real = _support_edges(lay, nodes, local,
+                                                        members)
+    levels = _removal_walk(ends, bits, real, slots)
+    sup, kept, slots = (np.concatenate(x) for x in zip(*levels))
+    by_mask = sorted(range(S), key=masks.__getitem__)
     rank = np.empty(S, dtype=np.int64)
-    rank[sorted(range(S), key=masks.__getitem__)] = np.arange(S)
+    rank[by_mask] = np.arange(S)
     order = np.lexsort((*_row_keys(kept).T[::-1], rank[sup]))
-    sup, kept, deg = sup[order], kept[order], deg[order]
+    sup, kept, slots = sup[order], kept[order], slots[order]
     region = nodes.tolist()
-    host_masks = [sum(1 << region[a] for a in mem) for mem in members]
     return PolymerCatalog(
         host=graph,
         node_cap=node_cap,
         edges=Rows(ids[sup][kept],
                    np.concatenate([[0], np.cumsum(kept.sum(axis=1))])),
-        node_masks=tuple([host_masks[s] for s in sup.tolist()]),
-        profiles=(deg[:, :, None] == np.arange(2, d + 1)).sum(axis=1),
+        profiles=(np.bitwise_count(slots)[:, :, None]
+                  == np.arange(2, d + 1)).sum(axis=1),
+        support=rank[sup],
+        support_masks=tuple([sum(1 << region[a] for a in members[s])
+                             for s in by_mask]),
+        support_nodes=rows[by_mask],
+        slot_masks=slots,
     ), S, len(levels)
 
 
 def _support_edges(lay: Layout, nodes: np.ndarray, local: np.ndarray,
-                   members: list[list[int]]
-                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The edges of G[V] for every support V, listed by region-local
-    ``members``: ``ends`` (2, S, M), their ends (a, b), a < b, numbered
-    by the position of the node in V ascending; ``ids`` (S, M), their
-    host edge ids, ascending; ``real`` (S, M), which of the M slots of a
-    support hold an edge.  ``local`` holds the region-local neighbour of
-    each slot of the ``nodes``, -1 outside the region."""
+                   members: list[list[int]]) -> tuple[np.ndarray, ...]:
+    """The nodes and edges of G[V] for every support V, listed by
+    region-local ``members``: ``rows`` (S, K), its host nodes, ascending,
+    padded with n; ``slots`` (S, K), their slot masks in G[V] (0 where
+    padded) in the least unsigned dtype with a bit per slot, BudgetError
+    past 64; ``ends`` (2, S, M), the ends (a, b), a < b, of its edges as
+    positions in the row; ``bits`` (2, S, M), their slot bits at a and b;
+    ``ids`` (S, M), their host edge ids, ascending; ``real`` (S, M), which
+    of the M slots hold an edge.  ``local`` holds the region-local
+    neighbour of each slot of the ``nodes``, -1 outside the region."""
+    word = np.min_scalar_type((1 << lay.dmax) - 1)
+    if word.kind != "u":
+        raise BudgetError(f"node degree {lay.dmax} exceeds 64 slot bits")
     R, S = len(nodes), len(members)
     size = np.array([len(mem) for mem in members])
     first = np.cumsum(size) - size
     sid = np.repeat(np.arange(S), size)
     key = np.sort(sid * R + np.concatenate(members))
     node = key % R
+    in_row = np.arange(size.max()) < size[:, None]
+    rows = np.full(in_row.shape, len(lay.deg))
+    rows[in_row] = nodes[node]
     want = sid[:, None] * R + local[node]
     at = np.minimum(np.searchsorted(key, want), len(key) - 1)
-    a, t = np.nonzero((local[node] > node[:, None]) & (key[at] == want))
+    inside = (local[node] >= 0) & (key[at] == want)    # slot stays in V
+    slots = np.zeros(in_row.shape, dtype=word)    # distinct bits: sum = OR
+    slots[in_row] = (inside << np.arange(local.shape[1])).sum(axis=1)
+    a, t = np.nonzero(inside & (local[node] > node[:, None]))
     b = at[a, t]
     e = lay.eid[nodes[node[a]], t]
     order = np.lexsort((e, sid[a]))
@@ -468,23 +499,28 @@ def _support_edges(lay: Layout, nodes: np.ndarray, local: np.ndarray,
     m = np.bincount(es, minlength=S)
     j = np.arange(len(es)) - (np.cumsum(m) - m)[es]
     ends = np.zeros((2, S, int(m.max())), dtype=np.int64)
+    bits = np.zeros(ends.shape, dtype=word)
     ids = np.zeros((S, ends.shape[2]), dtype=np.int64)
     ends[:, es, j] = a - first[es], b - first[es]
+    # a is the lower end, in the region as in the host: its slot is slot[e, 0]
+    bits[:, es, j] = (1 << lay.slot[e].T).astype(word)
     ids[es, j] = e
-    return ends, ids, np.arange(ends.shape[2]) < m[:, None]
+    return (rows, slots, ends, bits, ids,
+            np.arange(ends.shape[2]) < m[:, None])
 
 
-def _removal_walk(ends: np.ndarray, real: np.ndarray, K: int,
-                  dmax: int) -> list[tuple[np.ndarray, ...]]:
+def _removal_walk(ends: np.ndarray, bits: np.ndarray, real: np.ndarray,
+                  slots: np.ndarray) -> list[tuple[np.ndarray, ...]]:
     """The polymers on every support, as the levels of one walk: per
-    level, the (support, kept-edge row, node degree row) of its states.
+    level, the (support, kept-edge row, slot-mask row) of its states.
 
     A state is a support V, the edges of G[V] it keeps (a row over the
-    slots of ``ends``, see ``_support_edges``) and the degrees of the K
-    nodes; level 0 holds G[V] for every support.  A state's children
-    remove one kept edge after the last one it removed whose ends both
-    have degree above 2 (its open edges) and whose removal keeps the
-    graph connected.  That test runs for a whole level at once: G[V]
+    slots of ``ends``, see ``_support_edges``) and the slot masks of its
+    nodes, whose popcounts are the degrees; level 0 holds G[V], with the
+    masks ``slots``, for every support.  A state's children remove one
+    kept edge after the last one it removed whose ends both have degree
+    above 2 (its open edges) and whose removal keeps the graph
+    connected.  That test runs for a whole level at once: G[V]
     minus a set R of edges is connected iff the columns of R in a
     cycle-space basis of G[V] are linearly independent over GF(2)
     (``_cycle_columns``), so each state carries its columns reduced
@@ -495,17 +531,17 @@ def _removal_walk(ends: np.ndarray, real: np.ndarray, K: int,
     a level's children number more than ``MAX_POLYMERS``, before the
     children are allocated.
     """
-    S, M = real.shape
-    s, e = np.nonzero(real)
-    inc = np.zeros((S, K, M), dtype=bool)
-    inc[s, ends[0, s, e], e] = inc[s, ends[1, s, e], e] = True
-    deg = inc.sum(axis=2, dtype=np.min_scalar_type(dmax))
+    (S, K), M = slots.shape, real.shape[1]
+    deg = np.bitwise_count(slots)
     sup, kept = np.arange(S), real
     row = np.arange(S)[:, None]
     open_ = real & (deg[row, ends[0]] > 2) & (deg[row, ends[1]] > 2)
-    levels = [(sup, kept, deg)]
+    levels = [(sup, kept, slots)]
     if not open_.any():
         return levels
+    s, e = np.nonzero(real)
+    inc = np.zeros((S, K, M), dtype=bool)
+    inc[s, ends[0, s, e], e] = inc[s, ends[1, s, e], e] = True
     red = _cycle_columns(inc)    # reduced columns of each state's edges
     total = S
     while True:
@@ -526,13 +562,14 @@ def _removal_walk(ends: np.ndarray, real: np.ndarray, K: int,
         red = red[:, i]
         np.bitwise_xor(red, col[:, :, None], out=red, where=hit)
         r = np.arange(len(i))
-        sup, kept, deg, open_ = sup[i], kept[i], deg[i], open_[i]
+        sup, kept, slots, open_ = sup[i], kept[i], slots[i], open_[i]
         kept[r, j] = False
         open_ &= np.arange(M) > j[:, None]
-        for a in ends[:, sup, j]:
-            deg[r, a] -= 1
-            open_ &= ~(inc[sup, a] & (deg[r, a] == 2)[:, None])
-        levels.append((sup, kept, deg))
+        for a, bit in zip(ends[:, sup, j], bits[:, sup, j]):
+            slots[r, a] ^= bit
+            open_ &= ~(inc[sup, a]
+                       & (np.bitwise_count(slots[r, a]) == 2)[:, None])
+        levels.append((sup, kept, slots))
 
 
 def _cycle_columns(inc: np.ndarray) -> np.ndarray:
@@ -592,16 +629,6 @@ def _row_keys(kept: np.ndarray) -> np.ndarray:
     bits[:, :M, 1] = kept
     words = np.packbits(bits.reshape(N, -1), axis=1).view(">u8")
     return words.astype(np.uint64)
-
-
-def _bits_of(mask: int) -> list[int]:
-    """Indices of the set bits of ``mask``, ascending."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
 
 
 def _supports(nbm: list[int], cap: int) -> Iterator[tuple[int, list[int]]]:

@@ -41,7 +41,7 @@ from ._elim import contract, plan_elimination
 from ._layout import MAX_ENTRIES, node_tables, spins
 from .bp import MessageSet, _edge_messages, bethe_log_partition
 from .exceptions import BudgetError
-from .graphs import CheckGraph, PolymerCatalog, _bits_of, enumerate_polymers
+from .graphs import CheckGraph, PolymerCatalog, enumerate_polymers
 from .model import FactorSpec, exact_log_partition
 
 __all__ = [
@@ -59,8 +59,6 @@ __all__ = [
 ]
 
 logger = logging.getLogger(__name__)
-
-_GATHER_BLOCK = 256    # polymers per block of polymer_activities
 
 
 class ActivityTable:
@@ -121,46 +119,17 @@ class ActivityTable:
     def polymer_activities(self, catalog: PolymerCatalog) -> np.ndarray:
         """K(gamma) of every polymer, gathered from the flat tables.
 
-        Each member edge sets its slot bit at both endpoints; the local
-        masks of every (polymer, node) pair are OR-ed together and the
-        tables multiplied per polymer in ascending node order, by one
-        ``np.multiply.reduceat`` over the runs of pairs of one polymer
-        (three or more: a polymer touches at least three nodes).
-        Polymers are taken ``_GATHER_BLOCK`` at a time, so temporaries
-        stay small.
+        The catalog's slot masks index each support node's table directly,
+        and the product runs over the columns of ``slot_masks``, in
+        ascending node order, one column at a time, so temporaries hold
+        one entry per polymer.  Padded entries (node n, mask 0) read the
+        1.0 appended past the last table.
         """
-        n = self.graph.n
-        out = np.empty(len(catalog))
-        for lo in range(0, len(catalog), _GATHER_BLOCK):
-            hi = min(lo + _GATHER_BLOCK, len(catalog))
-            pairs, masks = _touched_pairs(catalog, lo, hi)
-            out[lo:hi] = np.multiply.reduceat(
-                self.K.values[self.K.offsets[pairs % n] + masks],
-                np.flatnonzero(np.diff(pairs // n, prepend=-1)))
+        values, out = np.append(self.K.values, 1.0), np.ones(len(catalog))
+        for start, masks in zip(self.K.offsets[catalog.support_nodes.T],
+                                catalog.slot_masks.T):
+            out *= values[start[catalog.support] + masks]
         return out
-
-
-def _touched_pairs(catalog: PolymerCatalog, lo: int,
-                   hi: int) -> tuple[np.ndarray, np.ndarray]:
-    """The (polymer, touched node) pairs of polymers lo..hi-1, as keys
-    polymer * n + node, ascending, and per pair the local bitmask of the
-    polymer's member edges at that node.
-
-    Each end of a member edge is one key with its slot appended, so one
-    sort groups them (np.unique is far slower); the slot bits of a pair
-    are distinct, so their sum is their OR.
-    """
-    lay = catalog.host.layout
-    off = catalog.edges.offsets
-    edges = catalog.edges.values[off[lo]:off[hi]]
-    owner = np.repeat(np.arange(lo, hi), np.diff(off[lo:hi + 1]))
-    width = (lay.dmax - 1).bit_length()    # bits of a slot index
-    tagged = np.sort((owner[:, None] * catalog.host.n + lay.ends[edges])
-                     << width | lay.slot[edges], axis=None)
-    keys = tagged >> width
-    first = np.flatnonzero(np.diff(keys, prepend=-1))
-    bits = 1 << (tagged & ((1 << width) - 1))
-    return keys[first], np.add.reduceat(bits, first)
 
 
 @dataclass(frozen=True)
@@ -221,13 +190,6 @@ def _scaled(result: tuple[np.ndarray, float], k: int) -> float:
     return float(vals[k]) * math.exp(log_scale)
 
 
-def _support_starts(masks: tuple[int, ...]) -> np.ndarray:
-    """Index of the first polymer on each support, ascending: the catalog
-    keeps the polymers on one node set contiguous."""
-    return np.flatnonzero([i == 0 or m != masks[i - 1]
-                           for i, m in enumerate(masks)])
-
-
 def _by_support(catalog: PolymerCatalog,
                 activities) -> list[tuple[int, float]]:
     """(node bitmask, summed activity) of each support that carries a
@@ -237,13 +199,20 @@ def _by_support(catalog: PolymerCatalog,
     one support always conflict; sums of |K| such as the criterion are not.
     """
     vals = catalog.activity_vector(activities)
-    starts = _support_starts(catalog.node_masks)
-    sums = np.add.reduceat(vals, starts)
-    live = np.flatnonzero(np.logical_or.reduceat(vals != 0.0, starts))
-    items = [(catalog.node_masks[starts[i]], float(sums[i])) for i in live]
+    sums = _support_sums(catalog, vals)
+    live = np.flatnonzero(_support_sums(catalog, vals != 0.0))
+    items = [(catalog.support_masks[i], float(sums[i])) for i in live]
     logger.debug("%d polymers on %d supports",
                  np.count_nonzero(vals), len(items))
     return items
+
+
+def _support_sums(catalog: PolymerCatalog, values: np.ndarray) -> np.ndarray:
+    """Sum of ``values`` over each run of ``catalog.support``, one per
+    support, in ``np.add.reduceat``'s order (bincount's moves last bits)."""
+    starts = np.searchsorted(catalog.support,
+                             np.arange(len(catalog.support_masks)))
+    return np.add.reduceat(values, starts)
 
 
 def _polynomials(items: list[tuple[int, float]],
@@ -371,22 +340,18 @@ def convergence_criterion(catalog: PolymerCatalog,
 
     Values below 1 certify absolute convergence of the cluster expansion.
     An empty catalog gives 0.  Every polymer on a support V touches all of
-    V and has |gamma| = |V|, and the polymers of one support are contiguous
-    in the catalog, so |K| is summed per support and e^{|V|} times that sum
-    is added to each node of V.
+    V and has |gamma| = |V|, so |K| is summed per support and e^{|V|}
+    times that sum is added to each node of V.
     """
     vals = np.abs(catalog.activity_vector(activities))
     if not len(vals):
         return 0.0
-    masks = catalog.node_masks
-    starts = _support_starts(masks)
-    weighted = np.exp(catalog.profiles[starts].sum(axis=1)) * np.add.reduceat(
-        vals, starts)
-    nodes = [_bits_of(masks[i]) for i in starts]
-    total = np.bincount(np.concatenate(nodes),
-                        np.repeat(weighted, [len(v) for v in nodes]),
-                        minlength=catalog.host.n)
-    return float(np.max(total))
+    nodes, n = catalog.support_nodes, catalog.host.n
+    weighted = np.exp(np.count_nonzero(nodes < n, axis=1)) * _support_sums(
+        catalog, vals)
+    total = np.bincount(nodes.ravel(), np.repeat(weighted, nodes.shape[1]),
+                        minlength=n + 1)    # entry n: padded entries
+    return float(np.max(total[:n]))
 
 
 @dataclass(frozen=True)
@@ -424,15 +389,16 @@ def split_report(graph: CheckGraph, spec: FactorSpec, messages: MessageSet,
     vals = table.polymer_activities(catalog)
     large_ids = np.flatnonzero(
         2 * catalog.profiles.sum(axis=1) >= graph.n).tolist()
+    large_masks = [catalog.support_masks[s]
+                   for s in catalog.support[large_ids].tolist()]
     supports = _by_support(catalog, vals)
     small_items = [(m, w) for m, w in supports
                    if 2 * m.bit_count() < graph.n]
     z_small = _hard_core_sum(small_items)
-    large = {i: catalog.node_masks[i] for i in large_ids}
     # one id per large support: its polymers share cond and overlap
-    witness = {m: i for i, m in large.items()}
+    witness = dict(zip(large_masks, large_ids))
     cond = {m: _hard_core_sum(small_items, m) for m in witness}
-    ratios = {i: cond[m] / z_small for i, m in large.items()}
+    ratios = {i: cond[m] / z_small for i, m in zip(large_ids, large_masks)}
     reconstructed = z_small + sum(w * cond[m] for m, w in supports
                                   if m in cond)
     pair = next(((i, j) for (mi, i), (mj, j)

@@ -7,9 +7,10 @@ implementations, never against themselves.  The per-node loops of the Bethe
 node term and the activity tables, the edge-subset polymer grower over the
 whole host, the set-by-set sampled expansion check, the edge-order BP sweep,
 the pair-based convergence criterion, the Mayer sum over connected
-labeled graphs and the recursive removal walk per support are kept here
-as the references for their batched, support-first, slot-major,
-per-support, hard-core-polynomial and level-walk versions.
+labeled graphs, the recursive removal walk per support and the
+polymer-by-polymer bound check are kept here as the references for their
+batched, support-first, slot-major, per-support, hard-core-polynomial,
+level-walk and array versions.
 Edge subsets are tuples of edge ids.
 """
 
@@ -25,8 +26,7 @@ from scipy.special import logsumexp
 
 from loopexp.bp import CLAMP, MessageSet
 from loopexp.exceptions import BudgetError, DivergenceError
-from loopexp.graphs import CheckGraph, _bits_of, _near_short_cycles, _supports
-from loopexp.loopseries import _touched_pairs
+from loopexp.graphs import CheckGraph, _near_short_cycles, _supports
 from loopexp.model import FactorSpec
 
 # Property tests draw the same examples on every run, so tier-1 results are
@@ -302,6 +302,35 @@ def local_mask(graph, a, edges):
     return sum(1 << k for k, e in enumerate(graph.adjacency[a]) if e in edges)
 
 
+def loop_log_activity_bound(profile, h, alpha_d, alpha_mid):
+    """ln of the activity bound of one profile (n_2, ..., n_d), term by
+    term: n_d ln base_d, then n_i ln(alpha_mid h^{d-i}) for i = 2..d-1,
+    with 0 ln 0 = 0."""
+    d = len(profile) + 1
+    base_d = 1.0 - alpha_d * (d / 2.0) * h * h
+    with np.errstate(divide="ignore"):
+        logval = 0.0 if profile[-1] == 0 else float(
+            profile[-1] * np.log(base_d))
+        for i, n_i in enumerate(profile[:-1], start=2):
+            if n_i:
+                logval += float(n_i * np.log(alpha_mid * h ** (d - i)))
+    return logval
+
+
+def loop_bound_violations(catalog, activities, h, alpha_d, alpha_mid,
+                          rtol=1e-9):
+    """(index, |K|, bound) of every polymer over its bound, one polymer
+    at a time."""
+    out = []
+    for idx, profile in enumerate(catalog.profiles.tolist()):
+        bound = math.exp(loop_log_activity_bound(profile, h, alpha_d,
+                                                 alpha_mid))
+        measured = abs(float(activities[idx]))
+        if measured > bound * (1.0 + rtol) + 1e-15:
+            out.append((idx, measured, bound))
+    return out
+
+
 def loop_profile_tally(host):
     """Nonempty loop subsets of ``host`` (no node of induced degree one),
     counted per tail profile (n_2, ..., n_d) over all edge combinations."""
@@ -492,11 +521,45 @@ def assert_catalog_is(catalog, polymers):
     assert catalog.profiles.shape == (len(polymers), max(graph.d - 1, 0))
     assert [tuple(row.tolist()) for row in catalog.edges] == list(polymers)
     degs = [induced_degrees(graph, p) for p in polymers]
-    assert catalog.node_masks == tuple(sum(1 << a for a in deg)
-                                       for deg in degs)
+    masks = tuple(sum(1 << a for a in deg) for deg in degs)
+    assert catalog.node_masks == masks
     assert catalog.profiles.tolist() == [
         [list(deg.values()).count(k) for k in range(2, graph.d + 1)]
         for deg in degs]
+    want = support_arrays(graph, masks, polymers)
+    for name, ref in zip(("support", "support_nodes", "slot_masks"),
+                         want[1:]):
+        got = getattr(catalog, name)
+        assert got.shape == ref.shape and np.array_equal(got, ref)
+    assert catalog.support_masks == want[0]
+    assert catalog.support.dtype == catalog.support_nodes.dtype == np.int64
+    assert_wide_enough(catalog)
+
+
+def support_arrays(graph, masks, polymers):
+    """(support masks, support, support nodes, slot masks) of polymers
+    (edge-id tuples, in catalog order) with the node masks ``masks``: the
+    distinct masks ascending, each polymer's index among them, their
+    nodes padded with n, and each polymer's ``local_mask`` at those nodes,
+    0 where padded."""
+    support_masks = tuple(sorted(set(masks)))
+    nodes = [_bits_of(m) for m in support_masks]
+    K = max(map(len, nodes), default=0)
+    support = [support_masks.index(m) for m in masks]
+    slots = [[local_mask(graph, a, p) for a in nodes[s]]
+             + [0] * (K - len(nodes[s])) for s, p in zip(support, polymers)]
+    return (support_masks, np.array(support, dtype=np.int64),
+            np.array([v + [graph.n] * (K - len(v)) for v in nodes],
+                     dtype=np.int64).reshape(len(nodes), K),
+            np.array(slots, dtype=np.int64).reshape(len(masks), K))
+
+
+def assert_wide_enough(catalog):
+    """``slot_masks`` is unsigned, with a bit for every slot of the host."""
+    dtype = catalog.slot_masks.dtype
+    assert dtype.kind == "u"
+    if len(catalog):
+        assert 8 * dtype.itemsize >= catalog.host.layout.dmax
 
 
 def in_catalog_order(graph, polymers):
@@ -609,10 +672,12 @@ def spanning_polymers(edges, adj, d):
 
 
 def removal_walk_catalog(graph, node_cap):
-    """(edge ids, offsets, node masks, profiles) of the polymers of at most
-    ``node_cap`` nodes, in catalog order: the package's region and support
-    walk, then ``spanning_polymers`` on each support, one recursion per
-    support, sorted by node mask and then by edge-id row."""
+    """(edge ids, offsets, node masks, profiles, support masks, support,
+    support nodes, slot masks) of the polymers of at most ``node_cap``
+    nodes, in catalog order: the package's region and support walk, then
+    ``spanning_polymers`` on each support, one recursion per support,
+    sorted by node mask and then by edge-id row; the support arrays are
+    ``support_arrays``'s."""
     d = graph.d
     nodes = np.arange(0)
     if node_cap >= 3 and graph.num_edges:
@@ -633,7 +698,7 @@ def removal_walk_catalog(graph, node_cap):
                        if support >> b & 1)
         blocks.append((support, spanning_polymers(
             edges, {a: nbm[a] & support for a in members}, d)))
-    edge_ids, offsets, node_masks, profiles = [], [0], [], []
+    edge_ids, offsets, node_masks, profiles, rows = [], [0], [], [], []
     for support, polymers in sorted(blocks, key=lambda block: block[0]):
         mask = sum(1 << region[a] for a in _bits_of(support))
         for row, profile in sorted(polymers):
@@ -641,9 +706,11 @@ def removal_walk_catalog(graph, node_cap):
             offsets.append(len(edge_ids))
             node_masks.append(mask)
             profiles.extend(profile)
+            rows.append(row)
     return (np.array(edge_ids, dtype=np.int64), np.array(offsets),
             tuple(node_masks), np.array(profiles, dtype=np.int64).reshape(
-                len(node_masks), max(d - 1, 0)))
+                len(node_masks), max(d - 1, 0)),
+            *support_arrays(graph, node_masks, rows))
 
 
 def ratio_message_update(graph, spec, eta, a, c):
@@ -717,6 +784,38 @@ def loop_solve(graph, spec, tol=1e-12, damping=0.5, max_sweeps=10_000,
         flat = mixed
     return MessageSet(eta=flat.reshape(-1, 2), sweeps=max_sweeps,
                       residual=residual, converged=False, overflow=overflow)
+
+
+def _bits_of(mask):
+    """Indices of the set bits of ``mask``, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def _touched_pairs(catalog, lo, hi):
+    """The (polymer, touched node) pairs of polymers lo..hi-1, as keys
+    polymer * n + node, ascending, and per pair the local bitmask of the
+    polymer's member edges at that node, from the catalog's edge rows.
+
+    Each end of a member edge is one key with its slot appended, so one
+    sort groups them; the slot bits of a pair are distinct, so their sum
+    is their OR.
+    """
+    lay = catalog.host.layout
+    off = catalog.edges.offsets
+    edges = catalog.edges.values[off[lo]:off[hi]]
+    owner = np.repeat(np.arange(lo, hi), np.diff(off[lo:hi + 1]))
+    width = (lay.dmax - 1).bit_length()    # bits of a slot index
+    tagged = np.sort((owner[:, None] * catalog.host.n + lay.ends[edges])
+                     << width | lay.slot[edges], axis=None)
+    keys = tagged >> width
+    first = np.flatnonzero(np.diff(keys, prepend=-1))
+    bits = 1 << (tagged & ((1 << width) - 1))
+    return keys[first], np.add.reduceat(bits, first)
 
 
 def pair_criterion(catalog, activities):

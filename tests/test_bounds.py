@@ -3,8 +3,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from loopexp.bounds import (DegreeProfileVector, activity_bound,
+from loopexp.bounds import (DegreeProfileVector, _log_activity_bounds,
+                            activity_bound,
                             activity_bound_violations,
                             expander_activity_bound, exponent_function,
                             mackay_probability_bound,
@@ -16,7 +19,8 @@ from loopexp.graphs import (CheckGraph, enumerate_polymers,
 from loopexp.loopseries import ActivityTable
 from loopexp.model import FactorSpec
 
-from conftest import loop_profile_tally
+from conftest import (loop_bound_violations, loop_log_activity_bound,
+                      loop_profile_tally, small_hosts)
 
 
 class TestActivityBound:
@@ -51,6 +55,44 @@ class TestActivityBound:
         with pytest.raises(ValueError):
             # top-degree base goes negative
             activity_bound((0, 1), 2.0, alpha_d=0.9)
+
+
+# the field h includes 0, where every mid-degree factor is 0 ln 0 or -inf
+FIELDS = st.one_of(st.just(0.0), st.floats(0.0, 0.5))
+ALPHAS = {"alpha_d": st.floats(0.05, 0.95), "alpha_mid": st.floats(1.01, 3.0)}
+
+
+class TestBoundArrays:
+    """The batched log bound against the scalar bound, row by row."""
+
+    @given(profiles=st.integers(2, 5).flatmap(lambda d: st.lists(
+               st.lists(st.integers(0, 8), min_size=d - 1, max_size=d - 1),
+               min_size=1, max_size=6)),
+           h=FIELDS, **ALPHAS)
+    def test_rows_match_scalar_bound(self, profiles, h, alpha_d,
+                                     alpha_mid):
+        got = _log_activity_bounds(np.array(profiles), h, alpha_d,
+                                   alpha_mid).tolist()
+        assert got == [activity_bound(p, h, alpha_d, alpha_mid, log=True)
+                       for p in profiles]
+        assert got == [loop_log_activity_bound(p, h, alpha_d, alpha_mid)
+                       for p in profiles]
+
+    @given(data=st.data(), h=FIELDS, **ALPHAS)
+    def test_violations_match_polymer_loop(self, data, h, alpha_d,
+                                           alpha_mid):
+        g = data.draw(small_hosts(max_nodes=7, max_edges=10))
+        cat = enumerate_polymers(g, g.n)
+        bounds = [activity_bound(p, h, alpha_d, alpha_mid)
+                  for p in cat.profiles.tolist()]
+        # each activity below, at, just above or well above its bound
+        scale = data.draw(st.lists(st.sampled_from(
+            [0.0, 0.5, 1.0, 1.0 + 1e-12, 1.0 + 1e-6, 2.0]),
+            min_size=len(cat), max_size=len(cat)))
+        vals = np.array(bounds) * scale * data.draw(st.sampled_from([1, -1]))
+        assert activity_bound_violations(
+            cat, vals, h, alpha_d=alpha_d, alpha_mid=alpha_mid) \
+            == loop_bound_violations(cat, vals, h, alpha_d, alpha_mid)
 
 
 class TestExpanderActivityBound:
@@ -188,11 +230,6 @@ class TestExponentFunction:
             gaps.append(abs(approx - exact) / n)
         assert gaps[0] > gaps[1] > gaps[2]
         assert gaps[2] < 1e-3
-
-    def test_from_counts(self):
-        v = DegreeProfileVector.from_counts((200, 500), 1000, 3, 0.1)
-        assert v.x == (0.2, 0.5)
-        assert v.n == 1000
 
 
 class TestScanExponent:

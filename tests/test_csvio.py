@@ -27,7 +27,7 @@ class TestRoundTrip:
         write_csv(path, {"config": {"b": 1, "a": [2, 1]}, "seed": None},
                   ["x"], [[1]])
         meta, rows = read_csv(path, ["x"])
-        assert meta == {"config": '{"a": [2, 1], "b": 1}', "seed": "None"}
+        assert meta == {"config": '{"a": [2, 1], "b": 1}', "seed": ""}
         assert rows == [["1"]]
 
     def test_comment_after_header_is_metadata(self, tmp_path):
@@ -65,3 +65,13 @@ def test_exponent_scan_config_is_json(tmp_path):
         "alpha_d": ALPHA_D_DEFAULT, "alpha_mid": ALPHA_MID_DEFAULT, "d": 3,
         "h": 0.02, "n": 0, "out": str(out), "step": 0.05}
     assert rows
+
+
+def test_exponent_scan_writes_no_value_one_way(tmp_path):
+    # the large-n limit (n) and the seedless command (master_seed) both
+    # leave their values empty
+    out = tmp_path / "surface.csv"
+    assert main(["exponent-scan", "--h", "0.02", "--step", "0.05",
+                 "-o", str(out)]) == 0
+    meta, _ = read_csv(out, ["x_2", "x_3", "exponent"])
+    assert meta["n"] == meta["master_seed"] == ""

@@ -18,10 +18,10 @@ from loopexp.graphs import (CheckGraph, _near_short_cycles,
                             sample_regular_graph, write_graph)
 from loopexp.loopseries import convergence_criterion
 
-from conftest import (assert_catalog_is, brute_polymers, global_polymers,
-                      in_catalog_order, loop_criterion, removal_walk_catalog,
-                      sampled_expansion, set_sampler_edges, small_hosts,
-                      tuple_graph)
+from conftest import (assert_catalog_is, assert_wide_enough, brute_polymers,
+                      global_polymers, in_catalog_order, loop_criterion,
+                      removal_walk_catalog, sampled_expansion,
+                      set_sampler_edges, small_hosts, tuple_graph)
 
 
 def edge_sets(catalog):
@@ -306,16 +306,58 @@ class TestLocalCatalog:
             == [[0, 1, 2]]
 
 
+def wheel(spokes):
+    """A hub, node 0, joined to every node of a cycle on 1..spokes."""
+    return CheckGraph.from_edges(spokes + 1, [(0, i) for i in range(
+        1, spokes + 1)] + [(i, i % spokes + 1) for i in range(1, spokes + 1)])
+
+
+class TestWideSlotMasks:
+    """Hosts from ``from_edges`` may have nodes of degree above 8: the slot
+    masks get one bit per slot, up to 64."""
+
+    @pytest.mark.parametrize("spokes, dtype", [(8, np.uint8),
+                                               (12, np.uint16),
+                                               (20, np.uint32)])
+    def test_hub_slots(self, spokes, dtype):
+        g = wheel(spokes)
+        cat = enumerate_polymers(g, 4)
+        assert cat.slot_masks.dtype == dtype
+        assert_catalog_is(cat, in_catalog_order(g, global_polymers(g, 4)))
+
+    def test_sixty_four_slots(self):
+        cat = enumerate_polymers(wheel(64), 3)
+        assert cat.slot_masks.dtype == np.uint64
+        # the triangle on the hub's last two slots
+        assert cat.slot_masks[-1, 0] == 3 << 62
+        assert_wide_enough(cat)
+
+    def test_more_slots_refused(self):
+        with pytest.raises(BudgetError, match="node degree 65 exceeds"):
+            enumerate_polymers(wheel(65), 3)
+        # no support, no masks: the empty catalog is still built
+        star = CheckGraph.from_edges(70, [(0, i) for i in range(1, 70)])
+        assert len(enumerate_polymers(star, 70)) == 0
+
+
 def assert_same_arrays(catalog, want):
-    """The catalog's edge ids, offsets, node masks and profiles are
-    ``want``'s, dtypes and order included."""
-    values, offsets, masks, profiles = want
+    """The catalog's edge ids, offsets, node masks, profiles and support
+    arrays are ``want``'s, order included; dtypes too, but for the slot
+    masks, which need only be wide enough."""
+    values, offsets, masks, profiles, support_masks, *support = want
     for got, ref in ((catalog.edges.values, values),
                      (catalog.edges.offsets, offsets),
-                     (catalog.profiles, profiles)):
+                     (catalog.profiles, profiles),
+                     (catalog.support, support[0]),
+                     (catalog.support_nodes, support[1])):
         assert got.dtype == ref.dtype and got.shape == ref.shape
         assert np.array_equal(got, ref)
+    assert catalog.slot_masks.shape == support[2].shape
+    assert np.array_equal(catalog.slot_masks, support[2])
+    assert_wide_enough(catalog)
     assert catalog.node_masks == masks
+    assert catalog.support_masks == support_masks
+    assert np.all(np.diff(catalog.support) >= 0)
 
 
 class TestLevelWalk:
@@ -364,7 +406,7 @@ class TestLevelWalk:
         monkeypatch.setattr(graphs, "MAX_POLYMERS", budget)
         # the arrays of one admitted level of at most ``budget`` states,
         # with K nodes and M edges (the whole host, uncapped): per state
-        # its support (8 bytes), degree, kept-edge and open-edge rows
+        # its support (8 bytes), slot-mask, kept-edge and open-edge rows
         # (K + 2M) and reduced cycle columns (8M); per support, at most
         # one a state, its edge ends, ids and slot flags (25M), its
         # incidence and elimination rows (4KM) and its basis columns

@@ -16,6 +16,7 @@ from loopexp.exceptions import BudgetError
 from loopexp.graphs import (CheckGraph, enumerate_polymers,
                             sample_regular_graph)
 from loopexp.loopseries import (ActivityTable, ExpansionReport,
+                                _by_support, _support_sums,
                                 build_expansion_report,
                                 convergence_criterion, mayer_expansion,
                                 scan_correction, split_report,
@@ -25,7 +26,8 @@ from loopexp.model import FactorSpec, exact_log_partition
 from conftest import (arbitrary_messages, brute_correction,
                       brute_node_activity, brute_polymer_sum, brute_scan,
                       connected_labeled_graphs, dense_mayer_orders,
-                      factor_specs, incoming, local_mask, loop_criterion,
+                      factor_specs, global_polymers, in_catalog_order,
+                      incoming, induced_degrees, local_mask, loop_criterion,
                       loop_node_table, loop_polymer_activities, mixed_host,
                       pair_criterion, perturbed, ratio_message_update,
                       small_hosts)
@@ -174,6 +176,23 @@ class TestBatchedTable:
         want = loop_polymer_activities(table, catalog)
         assert len(got) == 2206
         assert np.all(np.abs(got - want) <= 1e-15 * np.abs(want))
+
+    @pytest.mark.parametrize("g, cap", [
+        (sample_regular_graph(2000, 3, 17), 6),
+        (CheckGraph.from_edges(13, [(0, i) for i in range(1, 13)]
+                               + [(i, i % 12 + 1) for i in range(1, 13)]), 4),
+    ], ids=["capped-n2000", "wheel-hub-degree-12"])
+    def test_gather_on_region_and_wide_hosts(self, g, cap):
+        # a capped catalog of a large host, whose region-local node ids are
+        # not the host's, and a hub whose slot masks pass 8 bits: the
+        # product over ascending nodes is the oracle's, bit for bit
+        rng = np.random.default_rng(4)
+        spec = FactorSpec.softened(rng.uniform(-0.5, 0.5, g.num_edges), 0.2)
+        table = ActivityTable(g, spec, random_messages(g, 5))
+        catalog = enumerate_polymers(g, cap)
+        assert len(catalog)
+        got = table.polymer_activities(catalog)
+        assert np.array_equal(got, loop_polymer_activities(table, catalog))
 
 
 class TestSubgraphActivity:
@@ -542,6 +561,32 @@ class TestSupportGrouping:
         assert rep.large_ids == ()
         assert rep.z_small == pytest.approx(want, rel=1e-12)
         assert rep.z_polymer_all == pytest.approx(want, rel=1e-12)
+
+    @given(data=st.data())
+    def test_support_sums_match_oracle_catalog(self, data):
+        # sum K and sum |K| per support against per-polymer sums over the
+        # oracle's catalog, grouped by node mask
+        g = data.draw(small_hosts(max_nodes=8, max_edges=12))
+        cap = data.draw(st.integers(0, g.n))
+        cat = enumerate_polymers(g, cap)
+        vals = data.draw(signed_activities(len(cat)))
+        want = {}
+        for row, v in zip(in_catalog_order(g, global_polymers(g, cap)),
+                          vals.tolist()):
+            mask = sum(1 << a for a in induced_degrees(g, row))
+            want.setdefault(mask, []).append(v)
+        masks = sorted(want)
+        assert cat.support_masks == tuple(masks)
+        assert _support_sums(cat, vals) == pytest.approx(
+            [math.fsum(want[m]) for m in masks], rel=1e-12, abs=1e-15)
+        assert _support_sums(cat, np.abs(vals)) == pytest.approx(
+            [math.fsum(map(abs, want[m])) for m in masks], rel=1e-12,
+            abs=1e-15)
+        live = [m for m in masks if any(want[m])]
+        items = _by_support(cat, vals)
+        assert [m for m, _ in items] == live
+        assert [w for _, w in items] == pytest.approx(
+            [math.fsum(want[m]) for m in live], rel=1e-12, abs=1e-15)
 
     def test_criterion_stays_per_polymer(self, k4, caplog):
         # two opposite activities on the full support cancel in every
