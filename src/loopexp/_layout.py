@@ -5,8 +5,7 @@ order (slot k is ``graph.adjacency[a][k]``, the bit k of every local
 bitmask); rows are padded to the largest degree.  They are the stored
 form of a graph: ``CheckGraph`` builds its layout once, from the
 validated endpoint array.  BP gathers and scatters messages through them;
-the Bethe node term, the activity table and the exact ln Z build their
-node tables one degree class at a time, in blocks of nodes; the capped
+the node tables of ``model`` are built per degree class; the capped
 polymer catalog walks the neighbour array.
 
 Message ``eta[e, 0]`` (u->v of edge e = (u, v)) is entry ``2e`` of the flat
@@ -16,7 +15,6 @@ at the dummy entry ``2E`` of that vector extended by one zero.
 
 from __future__ import annotations
 
-from functools import cache
 from typing import Iterator
 
 import numpy as np
@@ -71,31 +69,11 @@ class Layout:
         self.classes = tuple((int(d), np.flatnonzero(deg == d))
                              for d in np.flatnonzero(np.bincount(deg)))
 
-    def blocks(self, row_entries) -> Iterator[tuple[int, np.ndarray]]:
-        """``(deg, nodes)`` per degree class, split into blocks of nodes
-        whose rows of ``row_entries(deg)`` entries fill at most
-        ``BLOCK_ENTRIES``."""
-        for d, nodes in self.classes:
-            step = max(1, BLOCK_ENTRIES // row_entries(d))
-            for i in range(0, len(nodes), step):
-                yield d, nodes[i:i + step]
-
     def half_fields(self, h: np.ndarray) -> np.ndarray:
         """h/2 of the edge in every slot, zero on padded slots."""
         hh = 0.5 * h[self.eid]
         hh[self.pad] = 0.0
         return hh
-
-
-@cache
-def spins(deg: int) -> tuple[np.ndarray, np.ndarray]:
-    """Spin matrix S (row s, column k: -1 where bit k of s is set, else +1)
-    over all 2**deg local configurations, and the parity of each row."""
-    bits = (np.arange(1 << deg)[:, None] >> np.arange(deg)) & 1
-    S = 1.0 - 2.0 * bits
-    parity = np.prod(S, axis=1)
-    S.flags.writeable = parity.flags.writeable = False
-    return S, parity
 
 
 class Rows:
@@ -117,11 +95,11 @@ class Rows:
         return (self[i] for i in range(len(self)))
 
 
-def node_tables(lay: Layout, row_entries, fill) -> Rows:
-    """Per-node tables of ``2**deg`` entries, computed a block at a time:
-    ``fill(deg, nodes)`` returns the block's tables as rows."""
+def node_tables(lay: Layout, blocks) -> Rows:
+    """Per-node tables of ``2**deg`` entries from ``(deg, nodes, rows)``
+    blocks that hold every node once, row i the table of ``nodes[i]``."""
     offsets = np.concatenate([[0], np.cumsum(1 << lay.deg)])
     values = np.empty(int(offsets[-1]))
-    for d, nodes in lay.blocks(row_entries):
-        values[offsets[nodes][:, None] + np.arange(1 << d)] = fill(d, nodes)
+    for d, nodes, rows in blocks:
+        values[offsets[nodes][:, None] + np.arange(1 << d)] = rows
     return Rows(values, offsets)

@@ -36,10 +36,9 @@ from typing import Optional, Union
 import numpy as np
 
 from ._csvio import read_csv, write_csv
-from ._layout import spins
 from .exceptions import DivergenceError
 from .graphs import CheckGraph
-from .model import FactorSpec
+from .model import FactorSpec, _log_factor_blocks
 
 __all__ = ["MessageSet", "BetheValue", "bp_sweep", "solve_fixed_point",
            "bethe_log_partition", "write_messages_csv", "read_messages_csv"]
@@ -282,21 +281,17 @@ def bethe_log_partition(graph: CheckGraph, spec: FactorSpec,
     Node term: sum over nodes of ln sum_{local configs} f_a * exp(incoming
     messages), each node sum taken over all 2^deg local configurations.
     Edge term: sum over edges of ln 2 cosh(eta_{a->b} + eta_{b->a}).
-    Messages whose shape does not fit the graph raise ValueError.
+    ValueError for messages whose shape does not fit the graph and for a
+    vanishing node sum; BudgetError, before anything is allocated, for a
+    node of degree 20 or more (its 2^deg x deg spins pass 2^24 entries).
     """
-    t = spec.parity_couplings(graph)
     eta = _edge_messages(graph, messages.eta)
-    lay = graph.layout
-    hh = lay.half_fields(spec.h)
-    ext = np.append(eta.reshape(-1), 0.0)
     vals = np.empty(graph.n)
-    # log terms ln((1 + t parity)/2) + exponent: a configuration the factor
-    # forbids is exactly -inf, so it neither sets the shift nor adds to the sum
+    # a configuration the factor forbids is exactly -inf, so it neither
+    # sets the shift nor adds to the sum
     with np.errstate(divide="ignore", invalid="ignore"):
-        for d, nodes in lay.blocks(lambda d: 1 << d):
-            S, parity = spins(d)
-            W = ext[lay.inc[nodes, :d]] + hh[nodes, :d]
-            L = W @ S.T + np.log(0.5 * (1.0 + t[nodes, None] * parity))
+        for _, nodes, L in _log_factor_blocks(graph, spec, lambda d: 1 << d,
+                                              eta):
             top = L.max(axis=1, keepdims=True)
             vals[nodes] = top[:, 0] + np.log(np.exp(L - top).sum(axis=1))
     bad = np.flatnonzero(~np.isfinite(vals))

@@ -22,6 +22,7 @@ import math
 import sys
 import time
 from datetime import datetime, timezone
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -276,31 +277,49 @@ def cmd_verify_identity(cfg: dict) -> int:
           ("out", str, "correction-decay.csv", "output CSV"))
 def cmd_correction_decay(cfg: dict) -> int:
     """Mean |ln Z_corr|/n per size over the converged trials, with ln Z_corr
-    = ln Z - ln Z_Bethe at the fixed point (no subset scan)."""
+    = ln Z - ln Z_Bethe at the fixed point (no subset scan).  A converged
+    trial whose sums are over the size budget is refused: it counts in
+    ``excluded`` and in the ``excluded_over_cap`` metadata, and a size with
+    no value leaves its mean and stderr empty."""
     seed, trials, model = cfg["seed"], cfg["trials"], cfg["model"]
     kinds = [KINDS[0], KINDS[2]] if model == "both" else [model]
     t0 = time.monotonic()
     rows = []
+    refused = []    # (kind, n, trials refused, reason) per refused size
     total_converged = 0
     for kind in kinds:
         for n in cfg["n_list"]:
             vals = []
+            converged = over_cap = 0
             for _, g, spec, _, msgs in _trials(cfg, [seed, n], kind, n):
                 if not msgs.converged:
                     continue
-                ln_z_corr = (exact_log_partition(g, spec)
-                             - bethe_log_partition(g, spec, msgs).total)
+                converged += 1
+                try:
+                    ln_z_corr = (exact_log_partition(g, spec)
+                                 - bethe_log_partition(g, spec, msgs).total)
+                except BudgetError as exc:
+                    over_cap, reason = over_cap + 1, str(exc)
+                    continue
                 vals.append(abs(ln_z_corr) / n)
-            total_converged += len(vals)
-            rows.append([kind, n, trials, len(vals), trials - len(vals),
-                         *_mean_stderr(vals)])
+            total_converged += converged
+            if over_cap:
+                refused.append((kind, n, over_cap, reason))
+            rows.append([kind, n, trials, converged, trials - len(vals),
+                         *(_mean_stderr(vals) if vals else ("", ""))])
     meta = _meta("correction-decay", cfg, seed, t0)
+    meta["excluded_over_cap"] = {f"{kind} {n}": count
+                                 for kind, n, count, _ in refused}
     write_csv(cfg["out"], meta,
               ["model", "n", "trials", "converged", "excluded",
                "mean_abs_f_corr", "stderr"], rows)
     for row in rows:
-        print(f"model={row[0]} n={row[1]} mean|f_corr|={row[5]:.6g} "
+        mean = "" if row[5] == "" else f"{row[5]:.6g}"
+        print(f"model={row[0]} n={row[1]} mean|f_corr|={mean} "
               f"stderr={row[6]}")
+    for kind, n, count, reason in refused:
+        print(f"model={kind} n={n} refused {count} of {trials} trials: "
+              f"{reason}")
     print(f"table in {cfg['out']}")
     _check_converged(trials, total_converged)
     return 0
@@ -460,7 +479,10 @@ def cmd_entropy(cfg: dict) -> int:
 _SHORT = {"n": ("-n",), "d": ("-d",), "p": ("-p",), "out": ("-o", "--out")}
 
 
+@cache
 def build_parser() -> _Parser:
+    """The parser of every subcommand, built once per process (parsing does
+    not change it)."""
     parser = _Parser(prog="loopexp",
                      description="Loop-series and polymer-expansion "
                                  "experiments for cycle codes on the BSC.")

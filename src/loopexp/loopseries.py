@@ -38,11 +38,11 @@ from typing import Optional
 import numpy as np
 
 from ._elim import contract, plan_elimination
-from ._layout import MAX_ENTRIES, node_tables, spins
+from ._layout import MAX_ENTRIES, node_tables
 from .bp import MessageSet, _edge_messages, bethe_log_partition
 from .exceptions import BudgetError
 from .graphs import CheckGraph, PolymerCatalog, enumerate_polymers
-from .model import FactorSpec, exact_log_partition
+from .model import FactorSpec, _log_factor_blocks, exact_log_partition
 
 __all__ = [
     "ActivityTable",
@@ -70,51 +70,48 @@ class ActivityTable:
 
     With incoming fields w_k = eta_{b_k->a} + h_k/2 and edge sums
     q_k = eta_{a->b_k} + eta_{b_k->a}, K_a(S) is the average under the
-    tilted local weights of prod_{k in S} sigma_k exp(-sigma_k q_k).  The
-    tables are built for a block of nodes of one degree at a time.  A node
-    of degree d builds a 2^d x 2^d block of its own, so a degree with
-    4^d > MAX_ENTRIES (above 12) raises BudgetError before any table is
-    allocated; a vanishing local normalizer raises ValueError naming the
-    first such node, and messages whose shape does not fit the graph raise
-    ValueError.
+    tilted local weights (the model's log factor tables, shifted by their
+    largest entry) of prod_{k in S} sigma_k exp(-sigma_k q_k).  A node of
+    degree d builds a 2^d x 2^d block, so a degree above 12 raises
+    BudgetError before any table is allocated.  ValueError names the first
+    node whose local normalizer vanished or, failing that, whose table is
+    not finite, and refuses messages whose shape does not fit the graph.
     """
 
     def __init__(self, graph: CheckGraph, spec: FactorSpec,
                  messages: MessageSet):
         self.graph = graph
         self.spec = spec
-        t = spec.parity_couplings(graph)
-        lay = graph.layout
-        if 4 ** lay.dmax > MAX_ENTRIES:
-            a = int(np.argmax(4.0 ** lay.deg > MAX_ENTRIES))
-            raise BudgetError(f"node degree {lay.deg[a]} exceeds "
-                              f"activity-table cap (node {a})")
-        hh = lay.half_fields(spec.h)
         eta = _edge_messages(graph, messages.eta)
-        ext = np.append(eta.reshape(-1), 0.0)
+        blocks = _log_factor_blocks(graph, spec, lambda d: 1 << 2 * d, eta)
         q = np.sum(eta, axis=1)
         bad = []
 
-        def activities(d, nodes):
-            S, parity = spins(d)
-            expo = (ext[lay.inc[nodes, :d]] + hh[nodes, :d]) @ S.T
-            weights = 0.5 * (1.0 + t[nodes, None] * parity) * np.exp(
-                expo - np.max(expo, axis=1, keepdims=True))
-            Z = np.sum(weights, axis=1)
-            bad.extend(nodes[~(np.isfinite(Z) & (Z > 0.0))])
-            # factor of each member edge k in configuration s, then the
-            # product over every subset m: P[:, m, s], built bit by bit
-            F = S * np.exp(-S * q[lay.eid[nodes, :d]][:, None, :])
-            P = np.empty((len(nodes), 1 << d, 1 << d))
-            P[:, 0] = weights
-            for k in range(d):
-                P[:, 1 << k:2 << k] = P[:, :1 << k] * F[:, None, :, k]
-            return np.sum(P, axis=2) / Z[:, None]
+        def activities():
+            for d, nodes, L in blocks:
+                weights = np.exp(L - np.max(L, axis=1, keepdims=True))
+                Z = np.sum(weights, axis=1)
+                bad.extend(nodes[~(np.isfinite(Z) & (Z > 0.0))])
+                # sigma exp(-sigma q_k) of member edge k, spread over the
+                # configurations s (sigma_k = -1 where bit k is set), then
+                # the product over every subset m: P[:, m, s], bit by bit
+                qk = q[graph.layout.eid[nodes, :d]]
+                F = np.stack([np.exp(-qk), -np.exp(qk)], axis=-1)
+                P = np.empty((len(nodes), 1 << d, 1 << d))
+                P[:, 0] = weights
+                for k in range(d):
+                    Fk = np.tile(F[:, k].repeat(1 << k, 1), 1 << d - k - 1)
+                    P[:, 1 << k:2 << k] = P[:, :1 << k] * Fk[:, None]
+                yield d, nodes, np.sum(P, axis=2) / Z[:, None]
 
-        with np.errstate(invalid="ignore", divide="ignore"):
-            self.K = node_tables(lay, lambda d: 1 << 2 * d, activities)
+        with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+            self.K = node_tables(graph.layout, activities())
         if bad:
             raise ValueError(f"local normalizer vanished at node {min(bad)}")
+        infinite = np.flatnonzero(~np.isfinite(self.K.values))
+        if infinite.size:
+            a = np.searchsorted(self.K.offsets, infinite[0], side="right") - 1
+            raise ValueError(f"activity table not finite at node {a}")
 
     def polymer_activities(self, catalog: PolymerCatalog) -> np.ndarray:
         """K(gamma) of every polymer, gathered from the flat tables.

@@ -23,7 +23,8 @@ from typing import Optional
 import numpy as np
 
 from ._elim import contract, plan_elimination
-from ._layout import node_tables, spins
+from ._layout import BLOCK_ENTRIES, MAX_ENTRIES, node_tables
+from .exceptions import BudgetError
 from .graphs import CheckGraph
 
 __all__ = ["FactorSpec", "exact_log_partition", "KINDS"]
@@ -89,26 +90,55 @@ class FactorSpec:
         return np.tanh(J)
 
 
+def _log_factor_blocks(graph: CheckGraph, spec: FactorSpec, row_entries,
+                       eta: Optional[np.ndarray] = None):
+    """``(deg, nodes, L)`` per degree class, in blocks of nodes whose rows of
+    ``row_entries(deg)`` entries fill at most ``BLOCK_ENTRIES``: L[i, s] is
+    ln f_a at node a = ``nodes[i]``, plus the incoming messages if ``eta``
+    (E x 2) is given, in local configuration s (bit k set: spin -1 on slot
+    k), and exactly -inf where f_a forbids s.  Raised on the call, before
+    anything is allocated: ValueError unless ``spec`` fits ``graph``, and
+    BudgetError naming the first node whose block row or 2^deg x deg spin
+    matrix would pass ``MAX_ENTRIES`` entries."""
+    t = spec.parity_couplings(graph)
+    lay = graph.layout
+    over = [nodes[0] for d, nodes in lay.classes
+            if max(row_entries(d), d << d) > MAX_ENTRIES]
+    if over:
+        a = min(over)
+        raise BudgetError(f"node degree {lay.deg[a]} exceeds the node-table "
+                          f"budget of {MAX_ENTRIES:,} entries (node {a})")
+    hh = lay.half_fields(spec.h)
+    ext = None if eta is None else np.append(eta.reshape(-1), 0.0)
+
+    def blocks():
+        for d, members in lay.classes:
+            S = 1.0 - 2.0 * ((np.arange(1 << d)[:, None] >> np.arange(d)) & 1)
+            parity = np.prod(S, axis=1)
+            step = max(1, BLOCK_ENTRIES // row_entries(d))
+            for nodes in np.split(members, range(step, len(members), step)):
+                W = hh[nodes, :d] if ext is None else \
+                    ext[lay.inc[nodes, :d]] + hh[nodes, :d]
+                with np.errstate(divide="ignore"):    # ln 0 = -inf is meant
+                    log_c = np.log(0.5 * (1.0 + t[nodes, None] * parity))
+                yield d, nodes, W @ S.T + log_c
+
+    return blocks()
+
+
 def exact_log_partition(graph: CheckGraph, spec: FactorSpec) -> float:
     """ln Z, summed exactly over all 2^{|E|} spin configurations.
 
     The sum is contracted by bucket elimination over the edge spins, with
     the factor tables f_a as node tensors; its cost follows the elimination
     width, not 2^{|E|}.  Raises BudgetError, before any table is allocated,
-    when the elimination would build too large a table, and ValueError if
-    Z vanishes.
+    when the elimination would build too large a table or a node has degree
+    20 or more, and ValueError if Z vanishes.
     """
-    t = spec.parity_couplings(graph)
+    blocks = _log_factor_blocks(graph, spec, lambda d: 1 << d)
     plan = plan_elimination(graph)
-    lay = graph.layout
-    hh = lay.half_fields(spec.h)
-
-    def factor_tables(d, nodes):
-        S, parity = spins(d)
-        return (0.5 * (1.0 + t[nodes, None] * parity)
-                * np.exp(hh[nodes, :d] @ S.T))
-
-    tables = node_tables(lay, lambda d: 1 << d, factor_tables)
+    tables = node_tables(graph.layout, ((d, nodes, np.exp(L))
+                                        for d, nodes, L in blocks))
     vals, log_scale = contract(plan, tables)
     if not vals[0] > 0.0:
         raise ValueError("partition function vanished")

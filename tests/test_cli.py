@@ -41,6 +41,18 @@ def triangle_file(tmp_path):
     return path
 
 
+class TestParser:
+    def test_flag_does_not_carry_into_the_next_call(self, tmp_path):
+        # the parser is built once per process; each call parses afresh
+        argv = ["verify-identity", "-n", "4", "--trials", "1"]
+        assert main([*argv, "--save-messages",
+                     "--out-dir", str(tmp_path / "a")]) == 0
+        assert main([*argv, "--out-dir", str(tmp_path / "b")]) == 0
+        assert (tmp_path / "a" / "reports" / "messages_0000.csv").exists()
+        assert not (tmp_path / "b" / "reports" / "messages_0000.csv").exists()
+        assert (tmp_path / "b" / "reports" / "trial_0000.json").exists()
+
+
 class TestExitCodes:
     def test_usage_error_is_one(self, capsys):
         with pytest.raises(SystemExit) as ei:
@@ -307,6 +319,26 @@ class TestCorrectionDecay:
         assert code == 0
         _, _, rows = read_summary(out)
         assert [r[3] for r in rows] == ["1", "1"]    # converged per model
+
+    def test_refused_size_keeps_the_others(self, tmp_path, capsys):
+        # n = 120 is over the elimination budget: its trials are refused,
+        # but the n = 6 row is still written
+        out = tmp_path / "decay.csv"
+        code = main(["correction-decay", "--n-list", "6,120", "--trials", "2",
+                     "--model", "cycle-code", "-o", str(out)])
+        assert code == 0
+        meta, header, rows = read_summary(out)
+        assert header == ["model", "n", "trials", "converged", "excluded",
+                          "mean_abs_f_corr", "stderr"]
+        assert rows[0][:5] == ["cycle-code", "6", "2", "2", "0"]
+        assert float(rows[0][5]) > 0
+        assert rows[1] == ["cycle-code", "120", "2", "2", "2", "", ""]
+        assert json.loads(meta["excluded_over_cap"]) == {"cycle-code 120": 2}
+        refusals = [line for line in capsys.readouterr().out.splitlines()
+                    if " refused " in line]
+        assert len(refusals) == 1
+        assert refusals[0].startswith("model=cycle-code n=120 refused 2 of 2 "
+                                      "trials: elimination would build")
 
     def test_both_models(self, tmp_path):
         out = tmp_path / "decay.csv"

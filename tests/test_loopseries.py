@@ -137,6 +137,18 @@ class TestBatchedTable:
         with pytest.raises(ValueError, match="vanished at node 2$"):
             ActivityTable(g, spec, MessageSet(eta=eta))
 
+    @pytest.mark.parametrize("kind", ["cycle-code", "softened-cycle-code",
+                                      "high-temperature"])
+    def test_first_non_finite_node_is_named(self, kind):
+        # q = 800 on edge (2, 3): exp(800) overflows in the tables of nodes
+        # 2 and 3, whose normalizers stay finite; node 2's class comes last
+        g = mixed_host()
+        eta = np.zeros((g.num_edges, 2))
+        eta[g.edge_index[(2, 3)]] = 400.0
+        spec = spec_for(kind, np.zeros(g.num_edges))
+        with pytest.raises(ValueError, match="not finite at node 2$"):
+            ActivityTable(g, spec, MessageSet(eta=eta))
+
     def test_degree_over_cap_raises_before_allocating(self):
         # one node of degree d builds a 2^d x 2^d block: 2^26 entries (512
         # MiB) at degree 13, over the 2^24 budget that degree 12 meets

@@ -7,15 +7,18 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from loopexp._layout import BLOCK_ENTRIES
 from loopexp.bp import (MessageSet, bethe_log_partition, bp_sweep,
                         solve_fixed_point)
 from loopexp.channel import sample_bsc
 from loopexp.exceptions import BudgetError
 from loopexp.graphs import CheckGraph, sample_regular_graph
 from loopexp.loopseries import ActivityTable
-from loopexp.model import KINDS, FactorSpec, exact_log_partition
+from loopexp.model import (KINDS, FactorSpec, _log_factor_blocks,
+                           exact_log_partition)
 
-from conftest import brute_log_z, factor_specs, factor_value, small_hosts
+from conftest import (arbitrary_messages, brute_log_z, factor_specs,
+                      factor_value, incoming, small_hosts)
 
 
 class TestFactorSpec:
@@ -111,6 +114,54 @@ class TestFactorValue:
     def test_spec_must_fit_graph(self, triangle, spec):
         with pytest.raises(ValueError, match="entries|per node"):
             factor_value(spec, triangle, 0, [1, 1])
+
+
+class TestLogFactorBlocks:
+    """The one log-factor kernel behind exact ln Z, the Bethe node term and
+    the activity table."""
+
+    @given(st.data())
+    def test_blocks_cover_nodes_and_match_factor_value(self, data):
+        g = data.draw(small_hosts())
+        spec = data.draw(factor_specs(g))
+        eta = data.draw(st.none() | arbitrary_messages(g))
+        per_block = data.draw(st.integers(1, 4))
+        seen = []
+        for d, nodes, L in _log_factor_blocks(
+                g, spec, lambda d: BLOCK_ENTRIES // per_block, eta):
+            assert 1 <= len(nodes) <= per_block
+            assert L.shape == (len(nodes), 1 << d)
+            for a, row in zip(nodes, L):
+                eids = g.adjacency[a]
+                assert len(eids) == d
+                w = [0.0 if eta is None else incoming(g, eta, a, e)
+                     for e in eids]
+                for s, got in enumerate(row):
+                    local = [-1.0 if s >> k & 1 else 1.0 for k in range(d)]
+                    want = factor_value(spec, g, a, local) * math.exp(
+                        np.dot(local, w))
+                    if want == 0.0:
+                        assert got == -math.inf
+                    assert abs(math.exp(got) - want) <= 1e-14 * want
+            seen.extend(nodes)
+        assert sorted(seen) == list(range(g.n))
+
+    def test_degree_over_budget_raises_before_allocating(self):
+        # a degree-20 node's spin matrix has 20 * 2^20 entries, over 2^24
+        g = CheckGraph.from_edges(21, [(0, i) for i in range(1, 21)])
+        spec = FactorSpec.cycle_code(np.zeros(20))
+        msgs = MessageSet.zeros(g)
+        for call in (lambda: exact_log_partition(g, spec),
+                     lambda: bethe_log_partition(g, spec, msgs)):
+            tracemalloc.start()
+            try:
+                with pytest.raises(BudgetError,
+                                   match=r"node degree 20 .*\(node 0\)"):
+                    call()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 256 * 1024
 
 
 class TestExactLogPartition:
