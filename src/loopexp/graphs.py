@@ -17,7 +17,7 @@ from __future__ import annotations
 import logging
 import time
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from pathlib import Path
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -42,6 +42,10 @@ __all__ = [
 # largest catalog ``enumerate_polymers`` builds.
 MAX_PAIRINGS = 10_000
 MAX_POLYMERS = 200_000
+
+# Widest row of walks per source the short-cycle search builds at once;
+# past it the search deepens one walk length at a time.
+SHALLOW_ROW = 1 << 12
 
 logger = logging.getLogger(__name__)
 
@@ -285,7 +289,10 @@ def enumerate_polymers(graph: CheckGraph, node_cap: int) -> PolymerCatalog:
     the marked set by c - 3 hops, and grows polymers only on the subgraph
     induced by that region (the whole host when c >= n).  A random regular
     graph has O(1) cycles of each fixed length, so the region, and the
-    work, stays small however large the host.
+    work, stays small however large the host.  The marked nodes are found
+    from one row per node of its non-backtracking walks of up to
+    ceil(c/2) steps (``_ShortCycleSearch``): two walks with different
+    first steps that meet close a cycle.
 
     Inside the region the search has two stages.  A node set V is the
     node set of some polymer iff the induced subgraph G[V] is connected
@@ -305,38 +312,75 @@ def enumerate_polymers(graph: CheckGraph, node_cap: int) -> PolymerCatalog:
     Caps below 3 yield an empty catalog, since a polymer touches at least
     three nodes.  BudgetError: more than ``MAX_POLYMERS`` polymers,
     raised during the walk before the level that passes the budget is
-    allocated, or a cap so large that the short-cycle search would hold
-    more than 2^24 walks.  One DEBUG record on this module's logger
-    reports the region size, supports, polymers, walk levels and wall
-    time of the call.
+    allocated, or, before anything is allocated, a cap c < n so large
+    that one node's row of walks, dmax (1 + (dmax - 1) + ... + (dmax -
+    1)^(ceil(c/2) - 1)) of them, would pass 2^24 (from c = 45 for dmax
+    = 3, 29 for 4, 17 for 8, 9 for 32 to 64).  One DEBUG record on this
+    module's logger reports the region size, supports, polymers, walk
+    levels and wall time of the catalog, and the short-cycle search's
+    row width, source blocks, rows that repeat an end node and wall time.
     """
     if node_cap < 0:
         raise ValueError("node_cap must be nonnegative")
     debug = logger.isEnabledFor(logging.DEBUG)
     start = time.perf_counter() if debug else 0.0
     region = np.arange(0)
+    tally = dict(width=0, blocks=0, repeats=0)
     if node_cap >= 3 and graph.num_edges:
         # a cap of n or more excludes no polymer: the region is the host
         region = (np.arange(graph.n) if node_cap >= graph.n
-                  else _near_short_cycles(graph.layout, node_cap))
+                  else _near_short_cycles(graph.layout, node_cap, tally))
+    searched = time.perf_counter() if debug else 0.0
     catalog, supports, levels = _grow_polymers(graph, node_cap, region)
     if debug:
         logger.debug("polymers on %d region nodes: %d supports, %d polymers, "
-                     "%d walk levels, %.4f s", len(region), supports,
-                     len(catalog), levels, time.perf_counter() - start)
+                     "%d walk levels, %.4f s; short-cycle search: rows of "
+                     "%d walks, %d source blocks, %d rows repeat an end "
+                     "node, %.4f s", len(region), supports, len(catalog),
+                     levels, time.perf_counter() - searched, tally["width"],
+                     tally["blocks"], tally["repeats"], searched - start)
     return catalog
 
 
-def _near_short_cycles(lay: Layout, c: int) -> np.ndarray:
-    """Nodes within distance c - 3 of a cycle of length <= c, ascending."""
+def _near_short_cycles(lay: Layout, c: int,
+                       tally: Optional[dict] = None) -> np.ndarray:
+    """Nodes within distance c - 3 of a cycle of length <= c, ascending.
+
+    The sources go through ``_ShortCycleSearch`` in blocks of at most
+    ``BLOCK_ENTRIES`` walks.  A row grows as (dmax - 1)^ceil(c/2), while
+    a small host's nodes lie on short cycles whatever the cap, so past
+    rows of ``SHALLOW_ROW`` walks the search deepens one length at a
+    time, on the sources not yet found on a cycle.  ``tally``, when
+    given, receives the widest row ``width``, the number of source
+    ``blocks`` and the ``repeats``, the rows that repeat an end node.
+    BudgetError, before anything is allocated, when one source's row
+    would pass ``MAX_ENTRIES`` walks.
+    """
     n, dmax = lay.nbr.shape
-    # walks per source: at most dmax^(c/2), and at most one per first step
-    # and directed edge once merged
-    step = max(1, BLOCK_ENTRIES // min(dmax ** ((c + 1) // 2),
-                                       2 * dmax * len(lay.ends)))
+    top = (c + 1) // 2     # longest walk
+    width = _row_width(dmax, top)
+    if width > MAX_ENTRIES:
+        raise BudgetError(f"short-cycle search for node cap {c} would "
+                          f"hold {width:,} walks")
     mark = np.zeros(n + 1, dtype=bool)   # entry n: the padding neighbour
-    for lo in range(0, n, step):
-        mark[_on_short_cycle(lay, c, np.arange(lo, min(lo + step, n)))] = True
+    blocks = repeats = 0
+    if width:
+        search = _ShortCycleSearch(lay, c)
+        shallow = top
+        while shallow > 2 and _row_width(dmax, shallow) > SHALLOW_ROW:
+            shallow -= 1
+        pending = np.arange(n)
+        for longest in range(shallow, top + 1):
+            step = max(1, BLOCK_ENTRIES // _row_width(dmax, longest))
+            for lo in range(0, len(pending), step):
+                sources = pending[lo:lo + step]
+                hits, rows = search.on_short_cycle(sources, longest)
+                mark[sources[hits]] = True
+                blocks += 1
+                repeats += rows
+            pending = pending[~mark[pending]]
+    if tally is not None:
+        tally.update(width=width, blocks=blocks, repeats=repeats)
     for _ in range(c - 3):
         grown = mark.copy()
         grown[:n] |= np.any(mark[lay.nbr], axis=1)
@@ -346,56 +390,113 @@ def _near_short_cycles(lay: Layout, c: int) -> np.ndarray:
     return np.flatnonzero(mark[:n])
 
 
-def _on_short_cycle(lay: Layout, c: int, sources: np.ndarray) -> np.ndarray:
-    """The nodes of ``sources`` that lie on a cycle of length <= c.
+def _row_width(dmax: int, top: int) -> int:
+    """Non-backtracking walks of lengths 1..top from a node of degree dmax
+    in a dmax-regular tree."""
+    return dmax * sum((dmax - 1) ** l for l in range(top))
+
+
+class _ShortCycleSearch:
+    """Which nodes lie on a cycle of length <= c, by non-backtracking
+    walks laid out in one fixed-shape row per source.
 
     A node x lies on such a cycle iff two non-backtracking walks from x
-    that never return to x, with different first steps and lengths l1, l2
-    <= ceil(c/2), end at one node with l1 + l2 <= c: together they hold a
-    path between two neighbours of x that avoids x.  The walks advance
-    for all sources at once, each one a sortable integer key; walks that
-    agree in start, first step and last directed edge are merged, so their
-    number stays polynomial.
+    that never return to x, with different first steps and lengths l1 +
+    l2 <= c, end at one node: together they hold a path between two
+    neighbours of x that avoids x, and a cycle of length l through x gives
+    two such walks of lengths floor(l/2) and ceil(l/2) that meet at the
+    node opposite x.  Walks of lengths up to ceil(c/2) find every such x.
+
+    A walk is held as its state ``b << sh | j``: it stands at node b,
+    which it entered through b's slot j (``sh`` bits hold a slot).  Level
+    l of a source is ``dmax (dmax - 1)^(l - 1)`` states, the children of
+    state i of level l - 1 at positions ``(dmax - 1) i ..``, so the first
+    step and the length of every position are fixed.  A level is advanced
+    by one gather from ``turn``, the offsets from slot j to the other
+    slots of a node, and one from ``hop``, the state a step along a slot
+    leads to.  A walk that takes a padded slot, or returns to its source,
+    holds the sentinel state ``n << sh`` (node n) from then on.
     """
-    n, dmax = lay.nbr.shape
-    top = (c + 1) // 2     # longest walk
-    # bit widths of the packed keys: node, first step, directed edge, length
-    nb, fb = n.bit_length(), (dmax - 1).bit_length()
-    db, lb = (2 * len(lay.ends)).bit_length(), top.bit_length()
-    tails = lay.ends.ravel()    # directed edge 2e + j runs from tails[2e + j]
-    real = ~lay.pad[sources].ravel()
-    start = np.repeat(sources, dmax)[real]
-    first = np.tile(np.arange(dmax), len(sources))[real]
-    dedge = lay.out[sources].ravel()[real]
-    seen = []   # (start, end, first step, length) of every walk
-    for length in range(1, top + 1):
-        cur = tails[dedge ^ 1]
-        seen.append((((start << nb | cur) << fb | first) << lb) | length)
-        if length == top:
-            break
-        if len(cur) * dmax > MAX_ENTRIES:
-            raise BudgetError(f"short-cycle search for node cap {c} would "
-                              f"hold {len(cur) * dmax:,} walks")
-        nxt = lay.nbr[cur]
-        i, k = np.nonzero((nxt < n) & (nxt != tails[dedge][:, None])
-                          & (nxt != start[:, None]))
-        if not len(i):
-            break
-        state = np.sort((start[i] << fb | first[i]) << db
-                        | lay.out[cur[i], k])
-        state = state[np.r_[True, state[1:] != state[:-1]]]
-        start, first = state >> (fb + db), state >> db & ((1 << fb) - 1)
-        dedge = state & ((1 << db) - 1)
-    # the shortest walk per (start, end, first step), then the two shortest
-    # with different first steps per (start, end)
-    key = np.sort(np.concatenate(seen))
-    walk = key >> lb
-    keep = np.r_[True, walk[1:] != walk[:-1]]
-    key = np.sort(walk[keep] >> fb << lb | key[keep] & ((1 << lb) - 1))
-    ends, lengths = key >> lb, key & ((1 << lb) - 1)
-    leader = np.r_[True, ends[1:] != ends[:-1]]
-    pair = leader[:-1] & ~leader[1:] & (lengths[:-1] + lengths[1:] <= c)
-    return ends[:-1][pair] >> nb
+
+    def __init__(self, lay: Layout, c: int):
+        n, dmax = lay.nbr.shape
+        self.n, self.c, self.dmax = n, c, dmax
+        self.sh = sh = (dmax - 1).bit_length()
+        # the slot of every edge at its far end, 0 on padded slots, whose
+        # neighbour n then makes the sentinel state
+        far = np.append(lay.slot.ravel(), 0)[lay.inc]
+        states = (n + 1) << sh
+        hop = np.full((n + 1, 1 << sh), n << sh, dtype=np.int32
+                      if states <= np.iinfo(np.int32).max else np.int64)
+        hop[:n, :dmax] = lay.nbr << sh | far
+        self.hop = hop.ravel()
+
+    def on_short_cycle(self, sources: np.ndarray,
+                       top: int) -> tuple[np.ndarray, int]:
+        """The positions in ``sources`` of the nodes that two walks of at
+        most ``top`` steps place on a cycle of length <= c, ascending, and
+        the number of sources whose row repeats an end node.
+
+        Only a repeated end node can hold two meeting walks, and on a
+        random regular graph few rows repeat one, so the pair test runs
+        on those rows alone: sorted by end node, then by position (length,
+        then first step), a row qualifies iff some walk has another first
+        step than the shortest walk to its end node, and the two lengths
+        sum to at most c.
+        """
+        n, c, sh = self.n, self.c, self.sh
+        turn, level, first = _walk_positions(self.dmax, top)
+        own = sources[:, None]
+        # np.take: fancy indexing is several times slower on these arrays
+        state = np.take(self.hop.reshape(n + 1, -1), sources,
+                        axis=0)[:, :self.dmax]
+        levels = [state]
+        for length in range(2, top + 1):
+            slot = np.take(turn, state & ((1 << sh) - 1), axis=0)
+            state = np.take(self.hop, (state[..., None] + slot)
+                            .reshape(len(sources), -1))
+            if length > 2:     # x -> a -> x would backtrack
+                state[(state >> sh) == own] = n << sh
+            levels.append(state)
+        ends = np.concatenate(levels, axis=1) >> sh
+        srt = np.sort(ends, axis=1)
+        rows = np.flatnonzero(((srt[:, 1:] == srt[:, :-1])
+                               & (srt[:, 1:] < n)).any(axis=1))
+        if not len(rows):
+            return rows, 0
+        width = ends.shape[1]
+        key = np.sort(ends[rows].astype(np.int64) * width + np.arange(width),
+                      axis=1)
+        end, pos = np.divmod(key, width)
+        length, first = level[pos], first[pos]
+        new = np.ones(end.shape, dtype=bool)
+        new[:, 1:] = end[:, 1:] != end[:, :-1]
+        # position of the shortest walk to each walk's end node
+        lead = np.maximum.accumulate(np.where(new, np.arange(width), 0),
+                                     axis=1)
+        r = np.arange(len(rows))[:, None]
+        hit = ((end < n) & (first != first[r, lead])
+               & (length[r, lead] + length <= c))
+        return rows[hit.any(axis=1)], len(rows)
+
+
+@lru_cache(maxsize=4)
+def _walk_positions(dmax: int, top: int) -> tuple[np.ndarray, ...]:
+    """The tables of ``_ShortCycleSearch`` that depend on the degree
+    ``dmax`` and the longest walk ``top`` alone: ``turn`` (2^sh, dmax - 1),
+    the offsets from each slot j < dmax to the other slots of a node,
+    ascending; and the ``level`` (length) and ``first`` step of every
+    position of a row.  Read-only, as they are shared between calls."""
+    k, j = np.arange(dmax - 1), np.arange(dmax)[:, None]
+    turn = np.zeros((1 << (dmax - 1).bit_length(), dmax - 1), dtype=np.int32)
+    turn[:dmax] = k + (k >= j) - j
+    level = np.concatenate([np.full(dmax * (dmax - 1) ** l, l + 1, np.int32)
+                            for l in range(top)])
+    first = np.concatenate([np.repeat(np.arange(dmax, dtype=np.int32),
+                                      (dmax - 1) ** l) for l in range(top)])
+    for table in (turn, level, first):
+        table.flags.writeable = False
+    return turn, level, first
 
 
 def _grow_polymers(graph: CheckGraph, node_cap: int,

@@ -113,7 +113,13 @@ def _log_factor_blocks(graph: CheckGraph, spec: FactorSpec, row_entries,
 
     def blocks():
         for d, members in lay.classes:
-            S = 1.0 - 2.0 * ((np.arange(1 << d)[:, None] >> np.arange(d)) & 1)
+            # the spin matrix in blocks of configurations, so no integer
+            # array of its shape is built beside it
+            S = np.empty((1 << d, d))
+            chunk = BLOCK_ENTRIES // max(d, 1)
+            for lo in range(0, 1 << d, chunk):
+                configs = np.arange(lo, min(lo + chunk, 1 << d))[:, None]
+                S[lo:lo + chunk] = 1.0 - 2.0 * (configs >> np.arange(d) & 1)
             parity = np.prod(S, axis=1)
             step = max(1, BLOCK_ENTRIES // row_entries(d))
             for nodes in np.split(members, range(step, len(members), step)):

@@ -7,13 +7,15 @@ implementations, never against themselves.  The per-node loops of the Bethe
 node term and the activity tables, the edge-subset polymer grower over the
 whole host, the set-by-set sampled expansion check, the edge-order BP sweep,
 the pair-based convergence criterion, the Mayer sum over connected
-labeled graphs, the recursive removal walk per support and the
-polymer-by-polymer bound check are kept here as the references for their
-batched, support-first, slot-major, per-support, hard-core-polynomial,
-level-walk and array versions.
+labeled graphs, the recursive removal walk per support, the
+polymer-by-polymer bound check and a BFS per node for its shortest cycle
+are kept here as the references for their batched, support-first,
+slot-major, per-support, hard-core-polynomial, level-walk, array and
+walk-table versions.
 Edge subsets are tuples of edge ids.
 """
 
+import collections
 import functools
 import itertools
 import math
@@ -567,6 +569,53 @@ def in_catalog_order(graph, polymers):
     ascending, then by the edge-id tuple."""
     return sorted(polymers, key=lambda p: (
         sum(1 << a for a in induced_degrees(graph, p)), p))
+
+
+def neighbour_lists(graph):
+    """Per node, its neighbours, from the edge tuples."""
+    nbrs = [[] for _ in range(graph.n)]
+    for u, v in graph.edges:
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    return nbrs
+
+
+def shortest_cycle_through(graph, nbrs, x):
+    """Length of the shortest cycle through node x, or None.
+
+    A BFS from x labels every node with the branch (neighbour of x) it was
+    reached through; the shortest cycle is the least dist(u) + dist(v) + 1
+    over the edges (u, v) away from x that join two branches.
+    """
+    dist, branch = {x: 0}, {}
+    queue = collections.deque()
+    for b in nbrs[x]:
+        dist[b], branch[b] = 1, b
+        queue.append(b)
+    while queue:
+        a = queue.popleft()
+        for b in nbrs[a]:
+            if b not in dist:
+                dist[b], branch[b] = dist[a] + 1, branch[a]
+                queue.append(b)
+    lengths = [dist[u] + dist[v] + 1 for u, v in graph.edges
+               if u in branch and v in branch and branch[u] != branch[v]]
+    return min(lengths, default=None)
+
+
+def near_short_cycles(graph, c, through=None):
+    """Nodes within c - 3 hops of a node on a cycle of length <= c,
+    ascending: the region of a capped catalog, node by node.  ``through``
+    may hold every node's ``shortest_cycle_through``, for reuse."""
+    nbrs = neighbour_lists(graph)
+    if through is None:
+        through = [shortest_cycle_through(graph, nbrs, x)
+                   for x in range(graph.n)]
+    marked = {x for x, length in enumerate(through)
+              if length is not None and length <= c}
+    for _ in range(c - 3):
+        marked |= {b for a in marked for b in nbrs[a]}
+    return sorted(marked)
 
 
 def global_polymers(graph, node_cap, max_polymers=200_000):

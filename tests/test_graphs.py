@@ -20,8 +20,10 @@ from loopexp.loopseries import convergence_criterion
 
 from conftest import (assert_catalog_is, assert_wide_enough, brute_polymers,
                       global_polymers, in_catalog_order, loop_criterion,
+                      near_short_cycles, neighbour_lists,
                       removal_walk_catalog, sampled_expansion,
-                      set_sampler_edges, small_hosts, tuple_graph)
+                      set_sampler_edges, shortest_cycle_through, small_hosts,
+                      tuple_graph)
 
 
 def edge_sets(catalog):
@@ -340,6 +342,95 @@ class TestWideSlotMasks:
         assert len(enumerate_polymers(star, 70)) == 0
 
 
+def walk_ends(g, x, top):
+    """End nodes of the non-backtracking walks of lengths 1..top from x
+    that do not return to x, one per walk."""
+    nbrs = neighbour_lists(g)
+    ends, walks = [], [(x, b) for b in nbrs[x]]
+    for _ in range(top):
+        ends += [b for _, b in walks]
+        walks = [(b, c) for a, b in walks for c in nbrs[b]
+                 if c != a and c != x]
+    return ends
+
+
+class TestShortCycleSearch:
+    """The walk-table search against a BFS per node: the region is the
+    set of nodes within c - 3 hops of a cycle of length at most c."""
+
+    @given(small_hosts(max_nodes=12, max_edges=20))
+    def test_small_hosts(self, g):
+        for cap in range(3, 9):
+            assert _near_short_cycles(g.layout, cap).tolist() \
+                == near_short_cycles(g, cap)
+
+    @pytest.mark.parametrize("n, d, seed", [(1000, 3, 1), (1000, 4, 2),
+                                            (60, 3, 3), (40, 4, 4)])
+    def test_sampled_hosts(self, n, d, seed):
+        g = sample_regular_graph(n, d, seed)
+        nbrs = neighbour_lists(g)
+        through = [shortest_cycle_through(g, nbrs, x) for x in range(n)]
+        for cap in range(3, 9):
+            assert _near_short_cycles(g.layout, cap).tolist() \
+                == near_short_cycles(g, cap, through)
+
+    @pytest.mark.parametrize("spokes, caps", [(8, range(3, 9)),
+                                              (12, range(3, 7)),
+                                              (20, range(3, 7)),
+                                              (64, range(3, 5))])
+    def test_wheels(self, spokes, caps):
+        g = wheel(spokes)
+        for cap in caps:
+            assert _near_short_cycles(g.layout, cap).tolist() \
+                == near_short_cycles(g, cap)
+
+    def test_deepening(self):
+        # past rows of SHALLOW_ROW walks (cap 21 for d = 3) the search
+        # deepens on the sources not yet found: on the lollipop the path
+        # nodes go through every pass, on the cubic host few do
+        lollipop = CheckGraph.from_edges(41, [(0, 1), (0, 2), (1, 2)] + [
+            (i, i + 1) for i in range(2, 40)])
+        cubic = sample_regular_graph(200, 3, 5)
+        for g, caps in ((lollipop, range(19, 25)), (cubic, range(19, 41))):
+            nbrs = neighbour_lists(g)
+            through = [shortest_cycle_through(g, nbrs, x) for x in range(g.n)]
+            for cap in caps:
+                assert _near_short_cycles(g.layout, cap).tolist() \
+                    == near_short_cycles(g, cap, through)
+
+    def test_tally(self):
+        # cap 5: walks of lengths 1..3, 3 + 6 + 12 per row on a cubic host
+        g = sample_regular_graph(40, 3, 7)
+        tally = {}
+        _near_short_cycles(g.layout, 5, tally)
+        repeats = sum(len(set(ends)) < len(ends)
+                      for ends in (walk_ends(g, x, 3) for x in range(g.n)))
+        assert tally == dict(width=21, blocks=1, repeats=repeats)
+        assert repeats
+
+    def test_budget_refuses_before_allocating(self, monkeypatch):
+        # one source of wheel(64) at cap 9 would hold 64 * (1 + 63 + ...
+        # + 63^4) walks, about 2^30
+        g = wheel(64)
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetError, match="short-cycle search for "
+                               "node cap 9 would hold 1,024,"):
+                enumerate_polymers(g, 9)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        # a cubic host at cap 8 holds 3 + 6 + 12 + 24 walks per source
+        cubic = sample_regular_graph(100, 3, 1)
+        monkeypatch.setattr(graphs, "MAX_ENTRIES", 45)
+        want = _near_short_cycles(cubic.layout, 8)
+        monkeypatch.setattr(graphs, "MAX_ENTRIES", 44)
+        with pytest.raises(BudgetError, match="would hold 45 walks"):
+            _near_short_cycles(cubic.layout, 8)
+        assert want.tolist() == near_short_cycles(cubic, 8)
+
+
 def assert_same_arrays(catalog, want):
     """The catalog's edge ids, offsets, node masks, profiles and support
     arrays are ``want``'s, order included; dtypes too, but for the slot
@@ -444,6 +535,24 @@ class TestLevelWalk:
             f"polymers on 6 region nodes: {len(set(cat.node_masks))} "
             f"supports, {len(cat)} polymers, {max(removed) + 1} walk "
             f"levels, ")
+
+    def test_debug_record_reports_the_search(self, prism, caplog):
+        g = sample_regular_graph(40, 3, 7)
+        tally = {}
+        region = _near_short_cycles(g.layout, 5, tally)
+        with caplog.at_level(logging.DEBUG, logger="loopexp.graphs"):
+            enumerate_polymers(g, 5)
+            enumerate_polymers(prism, 6)    # cap n: no search
+        searched, whole_host = (record.getMessage()
+                                for record in caplog.records)
+        pattern = (r"polymers on (\d+) region nodes: .*, [0-9.]+ s; "
+                   r"short-cycle search: rows of (\d+) walks, (\d+) source "
+                   r"blocks, (\d+) rows repeat an end node, [0-9.]+ s$")
+        assert re.fullmatch(pattern, searched).groups() == tuple(
+            map(str, (len(region), tally["width"], tally["blocks"],
+                      tally["repeats"])))
+        assert re.fullmatch(pattern, whole_host).groups() \
+            == ("6", "0", "0", "0")
 
     def test_no_timing_without_debug(self, prism, caplog, monkeypatch):
         def clock():
