@@ -290,8 +290,7 @@ def bethe_log_partition(graph: CheckGraph, spec: FactorSpec,
     # a configuration the factor forbids is exactly -inf, so it neither
     # sets the shift nor adds to the sum
     with np.errstate(divide="ignore", invalid="ignore"):
-        for _, nodes, L in _log_factor_blocks(graph, spec, lambda d: 1 << d,
-                                              eta):
+        for _, nodes, L in _log_factor_blocks(graph, spec, eta):
             top = L.max(axis=1, keepdims=True)
             vals[nodes] = top[:, 0] + np.log(np.exp(L - top).sum(axis=1))
     bad = np.flatnonzero(~np.isfinite(vals))

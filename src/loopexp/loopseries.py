@@ -38,7 +38,7 @@ from typing import Optional
 import numpy as np
 
 from ._elim import contract, plan_elimination
-from ._layout import MAX_ENTRIES, node_tables
+from ._layout import MAX_ENTRIES, Rows, node_tables
 from .bp import MessageSet, _edge_messages, bethe_log_partition
 from .exceptions import BudgetError
 from .graphs import CheckGraph, PolymerCatalog, enumerate_polymers
@@ -71,9 +71,9 @@ class ActivityTable:
     With incoming fields w_k = eta_{b_k->a} + h_k/2 and edge sums
     q_k = eta_{a->b_k} + eta_{b_k->a}, K_a(S) is the average under the
     tilted local weights (the model's log factor tables, shifted by their
-    largest entry) of prod_{k in S} sigma_k exp(-sigma_k q_k).  A node of
-    degree d builds a 2^d x 2^d block, so a degree above 12 raises
-    BudgetError before any table is allocated.  ValueError names the first
+    largest entry) of prod_{k in S} sigma_k exp(-sigma_k q_k), by one
+    two-point pass per slot over a row of 2^d weights: BudgetError at
+    degree 20, before any table is allocated.  ValueError names the first
     node whose local normalizer vanished or, failing that, whose table is
     not finite, and refuses messages whose shape does not fit the graph.
     """
@@ -83,31 +83,28 @@ class ActivityTable:
         self.graph = graph
         self.spec = spec
         eta = _edge_messages(graph, messages.eta)
-        blocks = _log_factor_blocks(graph, spec, lambda d: 1 << 2 * d, eta)
+        blocks = _log_factor_blocks(graph, spec, eta)
         q = np.sum(eta, axis=1)
-        bad = []
 
         def activities():
             for d, nodes, L in blocks:
-                weights = np.exp(L - np.max(L, axis=1, keepdims=True))
-                Z = np.sum(weights, axis=1)
-                bad.extend(nodes[~(np.isfinite(Z) & (Z > 0.0))])
-                # sigma exp(-sigma q_k) of member edge k, spread over the
-                # configurations s (sigma_k = -1 where bit k is set), then
-                # the product over every subset m: P[:, m, s], bit by bit
-                qk = q[graph.layout.eid[nodes, :d]]
-                F = np.stack([np.exp(-qk), -np.exp(qk)], axis=-1)
-                P = np.empty((len(nodes), 1 << d, 1 << d))
-                P[:, 0] = weights
+                K = np.exp(L - np.max(L, axis=1, keepdims=True))
+                qk = q[graph.layout.eid[nodes, :d]][:, :, None, None]
+                down, up = np.exp(-qk), np.exp(qk)
+                # slot k pairs the entries with bit k clear and set: spin +1
+                # and -1 before the pass, subset without and with k after
                 for k in range(d):
-                    Fk = np.tile(F[:, k].repeat(1 << k, 1), 1 << d - k - 1)
-                    P[:, 1 << k:2 << k] = P[:, :1 << k] * Fk[:, None]
-                yield d, nodes, np.sum(P, axis=2) / Z[:, None]
+                    pairs = K.reshape(len(nodes), -1, 2, 1 << k)
+                    x0, x1 = pairs[:, :, 0], pairs[:, :, 1]
+                    x0[...], x1[...] = x0 + x1, down[:, k] * x0 - up[:, k] * x1
+                # entry 0 sums all weights: NaN here if the normalizer vanished
+                yield d, nodes, K / K[:, :1]
 
         with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
             self.K = node_tables(graph.layout, activities())
-        if bad:
-            raise ValueError(f"local normalizer vanished at node {min(bad)}")
+        bad = np.flatnonzero(np.isnan(self.K.values[self.K.offsets[:-1]]))
+        if bad.size:
+            raise ValueError(f"local normalizer vanished at node {bad[0]}")
         infinite = np.flatnonzero(~np.isfinite(self.K.values))
         if infinite.size:
             a = np.searchsorted(self.K.offsets, infinite[0], side="right") - 1
@@ -120,8 +117,10 @@ class ActivityTable:
         and the product runs over the columns of ``slot_masks``, in
         ascending node order, one column at a time, so temporaries hold
         one entry per polymer.  Padded entries (node n, mask 0) read the
-        1.0 appended past the last table.
+        1.0 appended past the last table.  ValueError for a catalog of
+        another host.
         """
+        _check_host(self.graph, catalog.host)
         values, out = np.append(self.K.values, 1.0), np.ones(len(catalog))
         for start, masks in zip(self.K.offsets[catalog.support_nodes.T],
                                 catalog.slot_masks.T):
@@ -149,22 +148,22 @@ def scan_correction(graph: CheckGraph, table: ActivityTable) -> CorrectionScan:
     touched nodes, saturating at ceil(n/2), for ``tail_abs``; ``|K_a|`` in
     the (max, x) semiring with an "any degree-one node" flag for
     ``max_nonloop_abs``.  ``z_all`` never comes from ln Z, so the identity
-    check stays non-circular.  Raises BudgetError, before any table is
-    allocated, when the elimination would build too large a table.
+    check stays non-circular.  ValueError for a table of another host;
+    BudgetError, before any table is allocated, for too large a plan.
     """
+    _check_host(graph, table.graph)
     # ties at exactly n/2 touched nodes count as large, matching the split
     # rule: 2 * touched >= n  <=>  touched >= ceil(n/2)
     half = (graph.n + 1) // 2
     plan = plan_elimination(graph, payload=half + 1)
-    local_sizes = [np.bitwise_count(np.arange(len(K))) for K in table.K]
+    K, offsets = table.K.values, table.K.offsets
+    # the subset size of every entry: the popcount of its local bitmask
+    size = np.bitwise_count(np.arange(len(K)) - np.repeat(offsets[:-1],
+                                                          np.diff(offsets)))
     z_all = contract(plan, table.K)
-    z_loops = contract(plan, [np.where(deg == 1, 0.0, K)
-                              for K, deg in zip(table.K, local_sizes)])
-    tail = contract(plan, [_tagged(np.abs(K), deg > 0, half + 1)
-                           for K, deg in zip(table.K, local_sizes)])
-    nonloop = contract(plan, [_tagged(np.abs(K), deg == 1, 2)
-                              for K, deg in zip(table.K, local_sizes)],
-                       maximize=True)
+    z_loops = contract(plan, Rows(np.where(size == 1, 0.0, K), offsets))
+    tail = contract(plan, _tagged(table.K, size > 0, half + 1))
+    nonloop = contract(plan, _tagged(table.K, size == 1, 2), maximize=True)
     return CorrectionScan(
         z_all=_scaled(z_all, 0),
         z_loops=_scaled(z_loops, 0),
@@ -174,11 +173,19 @@ def scan_correction(graph: CheckGraph, table: ActivityTable) -> CorrectionScan:
     )
 
 
-def _tagged(values: np.ndarray, tag: np.ndarray, length: int) -> np.ndarray:
-    """Node tensor with payload: ``values`` placed at payload index ``tag``."""
-    out = np.zeros((len(values), length))
-    out[np.arange(len(values)), tag.astype(np.int64)] = values
-    return out
+def _check_host(graph: CheckGraph, *hosts: CheckGraph) -> None:
+    """ValueError unless all ``hosts`` have ``graph``'s nodes and edges."""
+    if any(g.n != graph.n or not np.array_equal(g.layout.ends,
+                                                graph.layout.ends)
+           for g in hosts):
+        raise ValueError("table or catalog built on another host graph")
+
+
+def _tagged(table: Rows, tag: np.ndarray, length: int) -> Rows:
+    """|table| with a payload axis: each entry at payload index ``tag``."""
+    out = np.zeros((len(table.values), length))
+    out[np.arange(len(out)), tag.astype(np.int64)] = np.abs(table.values)
+    return Rows(out, table.offsets)
 
 
 def _scaled(result: tuple[np.ndarray, float], k: int) -> float:
@@ -295,11 +302,7 @@ class MayerExpansion:
 
     @property
     def partial_sums(self) -> tuple[float, ...]:
-        out, acc = [], 0.0
-        for x in self.orders:
-            acc += x
-            out.append(acc)
-        return tuple(out)
+        return tuple(itertools.accumulate(self.orders))
 
     @property
     def total(self) -> float:
@@ -380,9 +383,7 @@ def split_report(graph: CheckGraph, spec: FactorSpec, messages: MessageSet,
         table = ActivityTable(graph, spec, messages)
     if catalog is None:
         catalog = enumerate_polymers(graph, graph.n)
-    if len({(g.n, g.layout.ends.tobytes())
-            for g in (graph, catalog.host, table.graph)}) > 1:
-        raise ValueError("catalog and table must belong to the host graph")
+    _check_host(graph, catalog.host, table.graph)
     vals = table.polymer_activities(catalog)
     large_ids = np.flatnonzero(
         2 * catalog.profiles.sum(axis=1) >= graph.n).tolist()

@@ -90,20 +90,19 @@ class FactorSpec:
         return np.tanh(J)
 
 
-def _log_factor_blocks(graph: CheckGraph, spec: FactorSpec, row_entries,
+def _log_factor_blocks(graph: CheckGraph, spec: FactorSpec,
                        eta: Optional[np.ndarray] = None):
     """``(deg, nodes, L)`` per degree class, in blocks of nodes whose rows of
-    ``row_entries(deg)`` entries fill at most ``BLOCK_ENTRIES``: L[i, s] is
-    ln f_a at node a = ``nodes[i]``, plus the incoming messages if ``eta``
-    (E x 2) is given, in local configuration s (bit k set: spin -1 on slot
-    k), and exactly -inf where f_a forbids s.  Raised on the call, before
-    anything is allocated: ValueError unless ``spec`` fits ``graph``, and
-    BudgetError naming the first node whose block row or 2^deg x deg spin
-    matrix would pass ``MAX_ENTRIES`` entries."""
+    2^deg entries fill at most ``BLOCK_ENTRIES``: L[i, s] is ln f_a at node
+    a = ``nodes[i]``, plus the incoming messages if ``eta`` (E x 2) is
+    given, in local configuration s (bit k set: spin -1 on slot k), and
+    exactly -inf where f_a forbids s.  Raised on the call, before anything
+    is allocated: ValueError unless ``spec`` fits ``graph``, and BudgetError
+    naming the first node whose 2^deg x deg spin matrix would pass
+    ``MAX_ENTRIES`` entries (degree 20 and above)."""
     t = spec.parity_couplings(graph)
     lay = graph.layout
-    over = [nodes[0] for d, nodes in lay.classes
-            if max(row_entries(d), d << d) > MAX_ENTRIES]
+    over = [nodes[0] for d, nodes in lay.classes if d << d > MAX_ENTRIES]
     if over:
         a = min(over)
         raise BudgetError(f"node degree {lay.deg[a]} exceeds the node-table "
@@ -121,7 +120,7 @@ def _log_factor_blocks(graph: CheckGraph, spec: FactorSpec, row_entries,
                 configs = np.arange(lo, min(lo + chunk, 1 << d))[:, None]
                 S[lo:lo + chunk] = 1.0 - 2.0 * (configs >> np.arange(d) & 1)
             parity = np.prod(S, axis=1)
-            step = max(1, BLOCK_ENTRIES // row_entries(d))
+            step = max(1, BLOCK_ENTRIES >> d)
             for nodes in np.split(members, range(step, len(members), step)):
                 W = hh[nodes, :d] if ext is None else \
                     ext[lay.inc[nodes, :d]] + hh[nodes, :d]
@@ -141,7 +140,7 @@ def exact_log_partition(graph: CheckGraph, spec: FactorSpec) -> float:
     when the elimination would build too large a table or a node has degree
     20 or more, and ValueError if Z vanishes.
     """
-    blocks = _log_factor_blocks(graph, spec, lambda d: 1 << d)
+    blocks = _log_factor_blocks(graph, spec)
     plan = plan_elimination(graph)
     tables = node_tables(graph.layout, ((d, nodes, np.exp(L))
                                         for d, nodes, L in blocks))

@@ -488,6 +488,23 @@ def loop_node_table(graph, spec, eta, a):
     return K
 
 
+def one_subset_activity(graph, spec, eta, a, mask):
+    """K_a of the one local bitmask ``mask``, summed over the 2^deg local
+    configurations slot by slot, so no 2^deg x deg spin matrix is built."""
+    t = spec.parity_couplings(graph)[a]
+    eids = graph.adjacency[a]
+    configs = np.arange(1 << len(eids))
+    expo, parity, term = np.zeros(len(configs)), 1.0, 1.0
+    for k, e in enumerate(eids):
+        sigma = 1.0 - 2.0 * (configs >> k & 1)
+        expo += sigma * (incoming(graph, eta, a, e) + 0.5 * spec.h[e])
+        parity = parity * sigma
+        if mask >> k & 1:
+            term = term * sigma * np.exp(-sigma * (eta[e, 0] + eta[e, 1]))
+    weights = 0.5 * (1.0 + t * parity) * np.exp(expo - np.max(expo))
+    return float(np.sum(weights * term) / np.sum(weights))
+
+
 def loop_polymer_activities(table, catalog):
     """K(gamma) per polymer: one local mask per (polymer, touched node)."""
     graph = table.graph

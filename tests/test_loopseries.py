@@ -29,8 +29,8 @@ from conftest import (arbitrary_messages, brute_correction,
                       factor_specs, global_polymers, in_catalog_order,
                       incoming, induced_degrees, local_mask, loop_criterion,
                       loop_node_table, loop_polymer_activities, mixed_host,
-                      pair_criterion, perturbed, ratio_message_update,
-                      small_hosts)
+                      one_subset_activity, pair_criterion, perturbed,
+                      ratio_message_update, small_hosts)
 
 
 def spec_for(kind, h, eps=0.1, J=0.05):
@@ -150,22 +150,46 @@ class TestBatchedTable:
             ActivityTable(g, spec, MessageSet(eta=eta))
 
     def test_degree_over_cap_raises_before_allocating(self):
-        # one node of degree d builds a 2^d x 2^d block: 2^26 entries (512
-        # MiB) at degree 13, over the 2^24 budget that degree 12 meets
-        for degree in (13, 17):
-            g = CheckGraph.from_edges(degree + 1,
-                                      [(0, i) for i in range(1, degree + 1)])
-            spec = FactorSpec.cycle_code(np.zeros(degree))
-            msgs = MessageSet.zeros(g)
-            tracemalloc.start()
-            try:
-                with pytest.raises(BudgetError, match=rf"node degree "
-                                   rf"{degree} .*\(node 0\)"):
-                    ActivityTable(g, spec, msgs)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert peak < 256 * 1024
+        # the log-factor kernel's budget: a degree-20 node's spin matrix
+        # has 20 * 2^20 entries, over 2^24
+        g = CheckGraph.from_edges(21, [(0, i) for i in range(1, 21)])
+        spec = FactorSpec.cycle_code(np.zeros(20))
+        msgs = MessageSet.zeros(g)
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetError,
+                               match=r"node degree 20 .*\(node 0\)"):
+                ActivityTable(g, spec, msgs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 256 * 1024
+
+    @pytest.mark.parametrize("kind", ["cycle-code", "softened-cycle-code",
+                                      "high-temperature"])
+    def test_degree_13_wheel_matches_subset_loop(self, kind):
+        # degree 13 is the first the 2^d x 2^d block could not build
+        g = CheckGraph.from_edges(14, [(0, i) for i in range(1, 14)]
+                                  + [(i, i % 13 + 1) for i in range(1, 14)])
+        rng = np.random.default_rng(13)
+        spec = spec_for(kind, rng.uniform(-0.5, 0.5, g.num_edges))
+        eta = rng.uniform(-0.5, 0.5, (g.num_edges, 2))
+        table = ActivityTable(g, spec, MessageSet(eta=eta))
+        for a in (0, 1):
+            want = loop_node_table(g, spec, eta, a)
+            assert np.all(np.abs(table.K[a] - want)
+                          <= 1e-12 * np.maximum(1.0, np.abs(want)))
+
+    def test_degree_19_hub_matches_one_subset_sums(self):
+        g = CheckGraph.from_edges(20, [(0, i) for i in range(1, 20)])
+        rng = np.random.default_rng(19)
+        spec = FactorSpec.softened(rng.uniform(-0.5, 0.5, 19), 0.2)
+        eta = rng.uniform(-0.3, 0.3, (19, 2))
+        table = ActivityTable(g, spec, MessageSet(eta=eta))
+        assert table.K[0][0] == 1.0
+        for mask in (1, 1 << 18, 0b1010011, 0x2aaaa, (1 << 19) - 1):
+            want = one_subset_activity(g, spec, eta, 0, mask)
+            assert abs(table.K[0][mask] - want) <= 1e-12 * max(1.0, abs(want))
 
     @given(st.data())
     def test_polymer_activities_match_per_polymer_masks(self, data):
@@ -647,6 +671,26 @@ def test_rejects_activity_length_mismatch(prism, call, delta):
     cat = enumerate_polymers(prism, prism.n)
     with pytest.raises(ValueError, match=f"activities for {len(cat)} polymers"):
         call(cat, np.full(len(cat) + delta, 0.1))
+
+
+@pytest.mark.parametrize("call", [
+    lambda host, spec, table, cat: scan_correction(host, table),
+    lambda host, spec, table, cat: ActivityTable(
+        host, spec, MessageSet.zeros(host)).polymer_activities(cat),
+    lambda host, spec, table, cat: split_report(
+        host, spec, MessageSet.zeros(host), catalog=cat),
+    lambda host, spec, table, cat: split_report(
+        host, spec, MessageSet.zeros(host), table=table),
+], ids=["scan", "polymer_activities", "split_catalog", "split_table"])
+def test_rejects_table_or_catalog_of_another_host(call):
+    # same n and edge count, other edges: the slots would be read silently
+    host = sample_regular_graph(10, 3, 1)
+    other = sample_regular_graph(10, 3, 2)
+    assert host.edges != other.edges
+    spec = FactorSpec.cycle_code(sample_bsc(other, 0.3, 3).h)
+    table = ActivityTable(other, spec, solve_fixed_point(other, spec))
+    with pytest.raises(ValueError, match="another host graph"):
+        call(host, spec, table, enumerate_polymers(other, other.n))
 
 
 class TestSplitReport:

@@ -1,13 +1,14 @@
 import itertools
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from loopexp._layout import BLOCK_ENTRIES
+import loopexp.model
 from loopexp.bp import (MessageSet, bethe_log_partition, bp_sweep,
                         solve_fixed_point)
 from loopexp.channel import sample_bsc
@@ -125,11 +126,13 @@ class TestLogFactorBlocks:
         g = data.draw(small_hosts())
         spec = data.draw(factor_specs(g))
         eta = data.draw(st.none() | arbitrary_messages(g))
-        per_block = data.draw(st.integers(1, 4))
+        # at least the largest degree, so the spin matrix chunks stay whole
+        entries = data.draw(st.integers(8, 64))
         seen = []
-        for d, nodes, L in _log_factor_blocks(
-                g, spec, lambda d: BLOCK_ENTRIES // per_block, eta):
-            assert 1 <= len(nodes) <= per_block
+        with mock.patch.object(loopexp.model, "BLOCK_ENTRIES", entries):
+            blocks = list(_log_factor_blocks(g, spec, eta))
+        for d, nodes, L in blocks:
+            assert 1 <= len(nodes) <= max(1, entries >> d)
             assert L.shape == (len(nodes), 1 << d)
             for a, row in zip(nodes, L):
                 eids = g.adjacency[a]
@@ -167,20 +170,31 @@ class TestLogFactorBlocks:
         # a degree-19 node's spin matrix is 19 * 2^19 float64, 76 MiB.
         # Measured peaks: 96.0 MiB for the Bethe value and 104.0 MiB for
         # exact ln Z, against 152 and 156 MiB while the matrix was built
-        # through an int64 bit array of its own shape.  The bound is the
-        # larger measured peak plus 8 MiB of headroom.
-        g = CheckGraph.from_edges(20, [(0, i) for i in range(1, 20)])
-        spec = FactorSpec.cycle_code(np.linspace(-0.5, 0.5, 19))
-        msgs = MessageSet(eta=np.linspace(-0.3, 0.3, 38).reshape(19, 2))
-        for call in (lambda: exact_log_partition(g, spec),
-                     lambda: bethe_log_partition(g, spec, msgs)):
+        # through an int64 bit array of its own shape, and 108.0 MiB for the
+        # activity table.  At degree 12 the table peaks at 1.3 MiB, against
+        # 193 MiB while it built a 2^d x 2^d block per node.  Each bound is
+        # the measured peak plus 8 MiB of headroom.
+        def star(degree):
+            g = CheckGraph.from_edges(degree + 1,
+                                      [(0, i) for i in range(1, degree + 1)])
+            spec = FactorSpec.cycle_code(np.linspace(-0.5, 0.5, degree))
+            eta = np.linspace(-0.3, 0.3, 2 * degree).reshape(degree, 2)
+            return g, spec, MessageSet(eta=eta)
+
+        g, spec, msgs = star(19)
+        small = star(12)
+        for call, bound in (
+                (lambda: exact_log_partition(g, spec), 112 << 20),
+                (lambda: bethe_log_partition(g, spec, msgs), 112 << 20),
+                (lambda: ActivityTable(g, spec, msgs), 116 << 20),
+                (lambda: ActivityTable(*small), 9.3 * (1 << 20))):
             tracemalloc.start()
             try:
                 call()
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert peak < 112 << 20
+            assert peak < bound
 
 
 class TestExactLogPartition:
