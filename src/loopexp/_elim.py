@@ -9,21 +9,25 @@ value is
 
     sum over x in {0,1}^E of prod_a T_a(x restricted to a's edges),
 
-evaluated by eliminating one edge variable at a time (bucket elimination,
-Dechter 1999).  A variable sits in at most two tables at any time, so each
-step multiplies at most two tables and sums one axis out.
+evaluated by bucket elimination (Dechter 1999).  A variable sits in exactly
+two tables until it is summed out, so each step multiplies two tables and
+sums out all their shared edges: n minus the number of components steps.
 
-A table may carry a trailing payload axis of length L: a per-node count that
-saturates at L - 1.  When two tables multiply, payloads i and j land in
+A table may carry a leading payload axis: a per-node count that saturates
+at L - 1.  When two tables multiply, payloads i and j land in
 min(i + j, L - 1).  The number of touched nodes and the "some node has
-degree one" flag are both such counts.  Contraction runs in the (+, x)
-semiring, or in (max, x) on nonnegative tables for largest-term queries.
+degree one" flag are both such counts.  A table stores its payloads only up
+to its reach, the highest that can be nonzero: a node table's is read from
+its data, a product's is the sum of its factors' reaches, capped at L - 1.
+Contraction runs in the (+, x) semiring, or in (max, x) on nonnegative
+tables for largest-term queries.
 
-The elimination order is greedy: the next edge is the one whose bucket union
-(the variables of the tables that hold it) is smallest, ties to the lowest
-edge index.  It is computed from the graph alone, and a plan whose largest
-intermediate would exceed ``MAX_ENTRIES`` is refused before any table is
-allocated.
+The elimination order is greedy: the next step merges the two tables that
+hold the edge whose bucket union (the variables of those tables) is
+smallest, ties to the lowest edge index.  It depends on the graph alone, so
+one plan, ``CheckGraph.elimination_plan``, serves every contraction on a
+host.  ``check_budget`` refuses, before any table is allocated, a bucket
+over ``MAX_ENTRIES`` entries, or 2^width x L for a payload L.
 """
 
 from __future__ import annotations
@@ -31,173 +35,180 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ._layout import MAX_ENTRIES
+from ._layout import MAX_ENTRIES, Rows
 from .exceptions import BudgetError
-from .graphs import CheckGraph
+
+if TYPE_CHECKING:
+    from .graphs import CheckGraph
 
 
 @dataclass(frozen=True)
 class _Step:
-    """Eliminate one edge: multiply table ``left`` by ``right``, sum ``axis``.
-
-    ``left`` is reshaped to ``left_shape``; ``right`` is transposed by
-    ``right_perm`` and reshaped to ``right_shape``, so both broadcast over
-    the bucket union.  The result is appended as a new table.
+    """Multiply table ``left`` by ``right`` and sum out ``axis``, their
+    shared edges.  Past its payload axis, ``left`` is reshaped to
+    ``left_shape`` and ``right`` transposed by ``right_perm`` and reshaped to
+    ``right_shape``, so both broadcast over the bucket union.  The result is
+    appended as a new table.
     """
 
     left: int
-    right: Optional[int]
+    right: int
     left_shape: tuple[int, ...]
     right_perm: tuple[int, ...]
     right_shape: tuple[int, ...]
-    axis: int
+    axis: tuple[int, ...]
 
 
 @dataclass(frozen=True)
 class EliminationPlan:
-    """A greedy elimination order for one graph, ready to contract.
-
-    ``width`` is the largest bucket union, in variables; ``payload`` is the
-    longest payload axis the plan was budgeted for.
-    """
+    """A greedy elimination order for one graph, ready to contract;
+    ``width`` is the largest bucket union, in variables."""
 
     node_shapes: tuple[tuple[int, ...], ...]
     steps: tuple[_Step, ...]
     finals: tuple[int, ...]     # tables with no variables, never consumed
     width: int
-    payload: int
 
 
-def plan_elimination(graph: CheckGraph, payload: int = 1) -> EliminationPlan:
-    """Greedy order for ``graph``; BudgetError if it would build too much.
+def check_budget(width: int, payload: int) -> None:
+    """BudgetError if 2^width x payload entries pass ``MAX_ENTRIES``."""
+    if (1 << width) * payload > MAX_ENTRIES:
+        raise BudgetError(
+            f"elimination would build a table of 2^{width} x {payload} = "
+            f"{(1 << width) * payload:,} entries, over the cap of "
+            f"{MAX_ENTRIES:,}")
 
-    ``payload`` is the longest payload axis the plan will contract.  The
-    estimate ``2^width * payload`` is checked as the order is built, so a
-    dense host fails before its order is complete.
-    """
+
+def plan_elimination(graph: CheckGraph) -> EliminationPlan:
+    """Greedy order for ``graph``; BudgetError at the first bucket that
+    would build more than ``MAX_ENTRIES`` entries, so a dense host fails
+    before its order is complete."""
     # a table's axes run from the highest local bit to the lowest, so that
     # reshaping the flat bitmask table needs no transpose
     scopes: list[tuple[int, ...]] = [tuple(reversed(adj))
                                      for adj in graph.adjacency]
-    # the tables that hold each edge: at first, those of its two ends
+    sets = [frozenset(sc) for sc in scopes]
+    # the two tables that hold each edge: at first, those of its ends
     holders: list[list[int]] = graph.layout.ends.tolist()
-
-    def union(e: int) -> tuple[int, ...]:
-        first = scopes[holders[e][0]]
-        if len(holders[e]) == 1:
-            return first
-        seen = set(first)
-        return first + tuple(v for v in scopes[holders[e][1]]
-                             if v not in seen)
-
-    size = [len(union(e)) for e in range(graph.num_edges)]
+    size = [len(sets[a] | sets[b]) for a, b in holders]
     heap = [(s, e) for e, s in enumerate(size)]
     heapq.heapify(heap)
-    done = [False] * graph.num_edges
+    done: set[int] = set()    # edges summed out
     steps = []
     width = 0
     while heap:
         s, e = heapq.heappop(heap)
-        if done[e] or s != size[e]:
+        if e in done or s != size[e]:
             continue
-        if (1 << s) * payload > MAX_ENTRIES:
-            raise BudgetError(
-                f"elimination would build a table of 2^{s} x {payload} = "
-                f"{(1 << s) * payload:,} entries, over the cap of "
-                f"{MAX_ENTRIES:,}")
+        check_budget(s, 1)
         width = max(width, s)
-        done[e] = True
-        u = union(e)
-        left, *rest = holders[e]
-        right = rest[0] if rest else None
-        if right is None:
-            step = _Step(left, None, (2,) * len(u), (), (), u.index(e))
-        else:
-            rscope = scopes[right]
-            step = _Step(
-                left, right,
-                (2,) * len(scopes[left]) + (1,) * (len(u) - len(scopes[left])),
-                tuple(rscope.index(v) for v in u if v in rscope),
-                tuple(2 if v in rscope else 1 for v in u),
-                u.index(e))
-        steps.append(step)
+        left, right = holders[e]
+        lscope, rscope = scopes[left], scopes[right]
+        shared = sets[left] & sets[right]
+        rest = [v for v in rscope if v not in shared]
+        u = lscope + tuple(rest)
+        steps.append(_Step(
+            left, right,
+            (2,) * len(lscope) + (1,) * len(rest),
+            (0,) + tuple(1 + rscope.index(v) for v in u if v in rscope),
+            tuple(2 if v in rscope else 1 for v in u),
+            tuple(1 + k for k, v in enumerate(u) if v in shared)))
         new = len(scopes)
-        scopes.append(tuple(v for v in u if v != e))
+        scopes.append(tuple(v for v in u if v not in shared))
+        sets.append(frozenset(scopes[new]))
+        done |= shared
         for v in scopes[new]:
-            holders[v] = [f for f in holders[v] if f not in (left, right)]
-            holders[v].append(new)
-        for v in scopes[new]:
-            size[v] = len(union(v))
+            # v's other holder keeps its place; the new table comes second
+            other = holders[v][holders[v][0] in (left, right)]
+            holders[v] = [other, new]
+            size[v] = len(sets[other] | sets[new])
             heapq.heappush(heap, (size[v], v))
     return EliminationPlan(
         node_shapes=tuple((2,) * len(sc) for sc in scopes[:graph.n]),
         steps=tuple(steps),
         finals=tuple(f for f, sc in enumerate(scopes) if not sc),
         width=width,
-        payload=payload,
     )
 
 
-def _combine(a: np.ndarray, b: np.ndarray, maximize: bool) -> np.ndarray:
-    """Broadcast product of two tables, with their payloads added (saturating)."""
-    L = a.shape[-1]
-    if L == 1:
+def _combine(a: np.ndarray, b: np.ndarray, top: int,
+             maximize: bool) -> np.ndarray:
+    """Broadcast product of two tables, payloads added and saturated at
+    ``top``; the loop runs over the payloads of the table of smaller reach."""
+    if len(a) > len(b):
+        a, b = b, a
+    if len(a) == 1:
         return a * b
     add = np.maximum if maximize else np.add
-    top = L - 1
-    out = np.zeros(np.broadcast_shapes(a.shape, b.shape))
-    for i in range(L):
-        term = a[..., i:i + 1] * b
-        add(out[..., i:top], term[..., :top - i], out=out[..., i:top])
-        add(out[..., top], add.reduce(term[..., top - i:], axis=-1),
-            out=out[..., top])
+    rb = len(b) - 1
+    r = min(len(a) - 1 + rb, top)
+    shape = np.broadcast_shapes(a.shape[1:], b.shape[1:])
+    out = np.zeros((r + 1,) + shape)
+    term = np.empty((rb + 1,) + shape)    # one buffer for every product
+    if len(a) - 1 + rb > top:
+        # tail[j]: b's payloads j and up, which land in r beside a's r - j
+        tail = add.accumulate(b[::-1])[::-1]
+    for i, ai in enumerate(a):
+        if i + rb <= r:
+            np.multiply(ai, b, out=term)
+            add(out[i:i + rb + 1], term, out=out[i:i + rb + 1])
+            continue
+        j = r - i
+        if j:
+            np.multiply(ai, b[:j], out=term[:j])
+            add(out[i:r], term[:j], out=out[i:r])
+        np.multiply(ai, tail[j], out=term[:1])
+        add(out[r:], term[:1], out=out[r:])
     return out
 
 
-def contract(plan: EliminationPlan, tables: Sequence[np.ndarray],
+def contract(plan: EliminationPlan, tables: Rows,
              maximize: bool = False) -> tuple[np.ndarray, float]:
     """Contract the network with node tables ``tables``.
 
-    ``tables[a]`` has shape ``(2**deg_a,)`` or ``(2**deg_a, L)``.  Returns
-    ``(values, log_scale)``: the network's value for payload k is
-    ``values[k] * exp(log_scale)``.  After every step the new table is
-    divided by its largest absolute entry, whose log goes into
-    ``log_scale``; values keep their sign.
+    ``tables.values`` has one row per entry: shape ``(N,)``, or ``(N, L)``
+    with a payload axis of length L; ``tables[a]`` holds node a's
+    ``2**deg_a`` entries.  BudgetError, before any table is allocated, if
+    ``2^width x L`` passes ``MAX_ENTRIES``.  Returns ``(values, log_scale)``:
+    the network's value for payload k is ``values[k] * exp(log_scale)``.
+    After every step the new table is divided by its largest absolute
+    entry, whose log goes into ``log_scale``; values keep their sign.
     """
-    first = np.asarray(tables[0])
-    L = first.shape[1] if first.ndim == 2 else 1
-    if L > plan.payload:
-        raise ValueError(f"payload {L} exceeds the planned {plan.payload}")
-    live: list[Optional[np.ndarray]] = [
-        np.reshape(np.asarray(t, dtype=np.float64), shape + (L,))
-        for t, shape in zip(tables, plan.node_shapes, strict=True)]
+    values = tables.values.reshape(len(tables.values), -1)
+    L = values.shape[1]
+    check_budget(plan.width, L)
+    # each node table's reach: its highest payload with a nonzero entry
+    reach = np.maximum.reduceat(
+        np.max(np.where(values != 0.0, np.arange(L), 0), axis=1),
+        tables.offsets[:-1]).tolist()
+    live: list[np.ndarray | None] = [
+        values[lo:hi, :r + 1].T.reshape((r + 1,) + shape)
+        for lo, hi, r, shape in zip(tables.offsets[:-1].tolist(),
+                                    tables.offsets[1:].tolist(), reach,
+                                    plan.node_shapes, strict=True)]
     reduce = np.maximum.reduce if maximize else np.add.reduce
     log_scale = 0.0
 
     def rescale(t: np.ndarray) -> np.ndarray:
         nonlocal log_scale
-        m = float(np.max(np.abs(t)))
+        m = float(np.abs(t).max())
         if m > 0.0 and math.isfinite(m):
             log_scale += math.log(m)
-            return t / m
+            t /= m
         return t
 
     for st in plan.steps:
-        prod = live[st.left].reshape(st.left_shape + (L,))
-        live[st.left] = None
-        if st.right is not None:
-            right = live[st.right].transpose(
-                st.right_perm + (len(st.right_perm),))
-            live[st.right] = None
-            prod = _combine(prod, right.reshape(st.right_shape + (L,)),
-                            maximize)
+        a, b = live[st.left], live[st.right]
+        live[st.left] = live[st.right] = None
+        prod = _combine(a.reshape((len(a),) + st.left_shape),
+                        b.transpose(st.right_perm).reshape(
+                            (len(b),) + st.right_shape), L - 1, maximize)
         live.append(rescale(reduce(prod, axis=st.axis)))
-    out = np.zeros(L)
-    out[0] = 1.0
+    out = np.ones(1)
     for f in plan.finals:
-        out = rescale(_combine(out, live[f], maximize))
-    return out, log_scale
+        out = rescale(_combine(out, live[f], L - 1, maximize))
+    return np.concatenate([out, np.zeros(L - len(out))]), log_scale

@@ -23,6 +23,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
+from ._elim import EliminationPlan, plan_elimination
 from ._layout import BLOCK_ENTRIES, MAX_ENTRIES, Layout, Rows
 from .exceptions import BudgetError, PairingError
 
@@ -63,7 +64,8 @@ class CheckGraph:
         arrays, each node's edges in ascending order
 
     ``edges``, ``adjacency`` and ``edge_index`` are tuple views of the
-    arrays for small-graph code, built on first use.
+    arrays for small-graph code, and ``elimination_plan`` the order of the
+    exact sums; each is built on first use.
     """
 
     def __init__(self, n: int, d: int,
@@ -116,6 +118,12 @@ class CheckGraph:
     def edge_index(self) -> dict[tuple[int, int], int]:
         """Edge index of every (u, v) pair with u < v."""
         return {uv: e for e, uv in enumerate(self.edges)}
+
+    @cached_property
+    def elimination_plan(self) -> EliminationPlan:
+        """The greedy elimination order (``plan_elimination``) that exact
+        ln Z and the correction scan share; a refused one raises anew."""
+        return plan_elimination(self)
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]],
@@ -509,9 +517,10 @@ def _grow_polymers(graph: CheckGraph, node_cap: int,
     them from one level walk (``_removal_walk``), each level a batch of
     arrays.  Every state of the walk is a polymer: one lexsort, by support
     mask and then by the edge-id row, shorter prefixes first
-    (``_row_keys``), puts them in catalog order.  BudgetError once the
-    supports, or the polymers of the levels so far, number more than
-    ``MAX_POLYMERS``, and from ``_support_edges``.
+    (``_row_keys``), puts them in catalog order (for a one-level walk, the
+    support mask alone).  BudgetError once the supports, or the polymers of
+    the levels so far, number more than ``MAX_POLYMERS``, and from
+    ``_support_edges``.
     """
     lay = graph.layout
     d = graph.d
@@ -545,7 +554,9 @@ def _grow_polymers(graph: CheckGraph, node_cap: int,
     by_mask = sorted(range(S), key=masks.__getitem__)
     rank = np.empty(S, dtype=np.int64)
     rank[by_mask] = np.arange(S)
-    order = np.lexsort((*_row_keys(kept).T[::-1], rank[sup]))
+    # a one-level walk holds only G[V] on each support: rank orders them
+    order = (np.array(by_mask) if len(levels) == 1
+             else np.lexsort((*_row_keys(kept).T[::-1], rank[sup])))
     sup, kept, slots = sup[order], kept[order], slots[order]
     region = nodes.tolist()
     return PolymerCatalog(

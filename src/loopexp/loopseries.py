@@ -37,7 +37,7 @@ from typing import Optional
 
 import numpy as np
 
-from ._elim import contract, plan_elimination
+from ._elim import check_budget, contract
 from ._layout import MAX_ENTRIES, Rows, node_tables
 from .bp import MessageSet, _edge_messages, bethe_log_partition
 from .exceptions import BudgetError
@@ -148,14 +148,17 @@ def scan_correction(graph: CheckGraph, table: ActivityTable) -> CorrectionScan:
     touched nodes, saturating at ceil(n/2), for ``tail_abs``; ``|K_a|`` in
     the (max, x) semiring with an "any degree-one node" flag for
     ``max_nonloop_abs``.  ``z_all`` never comes from ln Z, so the identity
-    check stays non-circular.  ValueError for a table of another host;
-    BudgetError, before any table is allocated, for too large a plan.
+    check stays non-circular.  All four share the host's
+    ``elimination_plan``.  ValueError for a table of another host;
+    BudgetError, before the first contraction, for a plan too large for the
+    tail's payload.
     """
     _check_host(graph, table.graph)
     # ties at exactly n/2 touched nodes count as large, matching the split
     # rule: 2 * touched >= n  <=>  touched >= ceil(n/2)
     half = (graph.n + 1) // 2
-    plan = plan_elimination(graph, payload=half + 1)
+    plan = graph.elimination_plan
+    check_budget(plan.width, half + 1)
     K, offsets = table.K.values, table.K.offsets
     # the subset size of every entry: the popcount of its local bitmask
     size = np.bitwise_count(np.arange(len(K)) - np.repeat(offsets[:-1],
@@ -505,7 +508,7 @@ def build_expansion_report(graph: CheckGraph, spec: FactorSpec,
     bv = bethe_log_partition(graph, spec, messages)
     table = ActivityTable(graph, spec, messages)
     exact = scan = None
-    # Both orders are planned from the graph alone, and the scan's budget is
+    # Both sums contract on the host's one plan, and the scan's budget is
     # the stricter one (its payload is >= 1): a refused ln Z means a refused
     # scan, so skipping it leaves a trial at most one refused plan to pay.
     try:

@@ -22,8 +22,8 @@ from typing import Optional
 
 import numpy as np
 
-from ._elim import contract, plan_elimination
-from ._layout import BLOCK_ENTRIES, MAX_ENTRIES, node_tables
+from ._elim import contract
+from ._layout import BLOCK_ENTRIES, MAX_ENTRIES, Rows, node_tables
 from .exceptions import BudgetError
 from .graphs import CheckGraph
 
@@ -134,17 +134,21 @@ def _log_factor_blocks(graph: CheckGraph, spec: FactorSpec,
 def exact_log_partition(graph: CheckGraph, spec: FactorSpec) -> float:
     """ln Z, summed exactly over all 2^{|E|} spin configurations.
 
-    The sum is contracted by bucket elimination over the edge spins, with
-    the factor tables f_a as node tensors; its cost follows the elimination
-    width, not 2^{|E|}.  Raises BudgetError, before any table is allocated,
-    when the elimination would build too large a table or a node has degree
-    20 or more, and ValueError if Z vanishes.
+    The sum is contracted by bucket elimination over the edge spins, on the
+    host's ``elimination_plan``, with the factor tables f_a, each row
+    shifted by its largest log entry, as node tensors; its cost follows the
+    elimination width, not 2^{|E|}.  Raises BudgetError, before any table is
+    allocated, when the elimination would build too large a table or a node
+    has degree 20 or more, and ValueError if Z vanishes.
     """
     blocks = _log_factor_blocks(graph, spec)
-    plan = plan_elimination(graph)
-    tables = node_tables(graph.layout, ((d, nodes, np.exp(L))
-                                        for d, nodes, L in blocks))
-    vals, log_scale = contract(plan, tables)
+    plan = graph.elimination_plan
+    logs = node_tables(graph.layout, blocks)
+    top = np.maximum.reduceat(logs.values, logs.offsets[:-1])
+    top[top == -np.inf] = 0.0    # a row the factor forbids stays zero
+    vals, log_scale = contract(plan, Rows(
+        np.exp(logs.values - np.repeat(top, 1 << graph.layout.deg)),
+        logs.offsets))
     if not vals[0] > 0.0:
         raise ValueError("partition function vanished")
-    return log_scale + math.log(vals[0])
+    return float(np.sum(top)) + log_scale + math.log(vals[0])

@@ -8,10 +8,11 @@ node term and the activity tables, the edge-subset polymer grower over the
 whole host, the set-by-set sampled expansion check, the edge-order BP sweep,
 the pair-based convergence criterion, the Mayer sum over connected
 labeled graphs, the recursive removal walk per support, the
-polymer-by-polymer bound check and a BFS per node for its shortest cycle
-are kept here as the references for their batched, support-first,
-slot-major, per-support, hard-core-polynomial, level-walk, array and
-walk-table versions.
+polymer-by-polymer bound check, a BFS per node for its shortest cycle
+and the one-edge-a-step greedy elimination order are kept here as the
+references for their batched, support-first, slot-major, per-support,
+hard-core-polynomial, level-walk, array, walk-table and merged-step
+versions.
 Edge subsets are tuples of edge ids.
 """
 
@@ -213,6 +214,50 @@ def brute_log_z(graph, spec):
     if total <= 0.0:
         raise ValueError("partition function vanished")
     return math.log(total)
+
+
+def brute_log_z_log_domain(graph, spec):
+    """ln Z as a log-sum-exp, over edge-spin tuples, of sum_a ln f_a: the
+    oracle for fields whose weights overflow a float."""
+    t = spec.parity_couplings(graph)
+    terms = []
+    for spins in itertools.product((1.0, -1.0), repeat=graph.num_edges):
+        total = 0.0
+        for a in range(graph.n):
+            eids = graph.adjacency[a]
+            parity = math.prod(spins[e] for e in eids)
+            if 1.0 + t[a] * parity <= 0.0:
+                total = -math.inf
+                break
+            total += math.log(0.5 * (1.0 + t[a] * parity)) + sum(
+                0.5 * spec.h[e] * spins[e] for e in eids)
+        terms.append(total)
+    if max(terms) == -math.inf:
+        raise ValueError("partition function vanished")
+    return float(logsumexp(terms))
+
+
+def single_variable_width(graph):
+    """Width of the greedy order that sums out one edge per step: the next
+    edge is the one whose bucket union (the variables of the tables that
+    hold it, one or two) is smallest, ties to the lowest edge index; the
+    union less that edge becomes a new table.  A set per table, a scan
+    over all edges per step."""
+    scopes = [set(adj) for adj in graph.adjacency]
+    holders = [list(uv) for uv in graph.edges]
+    live = set(range(graph.num_edges))
+    width = 0
+    while live:
+        unions = {e: set().union(*(scopes[f] for f in holders[e]))
+                  for e in live}
+        e = min(live, key=lambda v: (len(unions[v]), v))
+        width = max(width, len(unions[e]))
+        live.discard(e)
+        scopes.append(unions[e] - {e})
+        for v in scopes[-1]:
+            holders[v] = [f for f in holders[v] if f not in holders[e]]
+            holders[v].append(len(scopes) - 1)
+    return width
 
 
 def incoming(graph, eta, a, e):

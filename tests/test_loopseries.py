@@ -9,6 +9,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import loopexp.graphs
+from loopexp._elim import plan_elimination
 from loopexp.bounds import activity_bound_violations
 from loopexp.bp import MessageSet, bethe_log_partition, solve_fixed_point
 from loopexp.channel import sample_bsc
@@ -836,6 +838,31 @@ class TestExpansionReport:
         assert rep.criterion is not None
         assert any("correction scan left unset" in r.message
                    and "x 31 " in r.message for r in caplog.records)
+        # the host keeps its plan: a refused scan allocates no table
+        table = ActivityTable(g, spec, msgs)
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetError, match=r"2\^20 x 31 "):
+                scan_correction(g, table)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 1024
+
+    def test_one_plan_per_host(self, monkeypatch):
+        calls = []
+
+        def counted(graph):
+            calls.append(graph)
+            return plan_elimination(graph)
+
+        monkeypatch.setattr(loopexp.graphs, "plan_elimination", counted)
+        g = sample_regular_graph(14, 3, 1)
+        spec = FactorSpec.cycle_code(sample_bsc(g, 0.45, 2).h)
+        rep = build_expansion_report(g, spec, solve_fixed_point(g, spec),
+                                     node_cap=3)
+        assert rep.identity_residual() < 1e-12
+        assert calls == [g]
 
     def test_node_cap_marks_truncation(self, prism):
         spec = FactorSpec.cycle_code(np.zeros(9))

@@ -18,8 +18,9 @@ from loopexp.loopseries import ActivityTable
 from loopexp.model import (KINDS, FactorSpec, _log_factor_blocks,
                            exact_log_partition)
 
-from conftest import (arbitrary_messages, brute_log_z, factor_specs,
-                      factor_value, incoming, small_hosts)
+from conftest import (arbitrary_messages, brute_log_z,
+                      brute_log_z_log_domain, factor_specs, factor_value,
+                      incoming, mixed_host, small_hosts)
 
 
 class TestFactorSpec:
@@ -264,6 +265,39 @@ class TestExactLogPartition:
         spec = FactorSpec.high_temperature(np.zeros(2), -700.0)
         with pytest.raises(ValueError):
             exact_log_partition(path3, spec)
+
+    @pytest.mark.parametrize("kind", ["cycle-code", "high-temperature"])
+    def test_large_fields_do_not_overflow(self, prism, kind):
+        # h = 300: a node table reaches exp(450), the product of two
+        # overflows a float unless each row is shifted by its largest entry
+        h = np.full(prism.num_edges, 300.0)
+        spec = (FactorSpec.cycle_code(h) if kind == "cycle-code"
+                else FactorSpec.high_temperature(h, 0.1))
+        assert exact_log_partition(prism, spec) == pytest.approx(
+            brute_log_z_log_domain(prism, spec), rel=1e-14)
+
+    def test_large_fields_on_a_cubic_host(self):
+        # every other configuration weighs at most exp(-2h) of the all-plus
+        # one: ln Z = E h + n ln((1 + t)/2) to double precision
+        g = sample_regular_graph(10, 3, 1)
+        t = math.tanh(0.1)
+        for h in (240.0, 300.0):
+            field = np.full(g.num_edges, h)
+            assert exact_log_partition(g, FactorSpec.cycle_code(
+                field)) == pytest.approx(15 * h, rel=1e-14)
+            assert exact_log_partition(g, FactorSpec.high_temperature(
+                field, 0.1)) == pytest.approx(
+                    15 * h + 10 * math.log((1 + t) / 2), rel=1e-14)
+
+    def test_forbidden_row_vanishes(self):
+        # t = tanh(-700) = -1 forbids the only configuration of the
+        # isolated node 6: its row is all -inf
+        g = mixed_host()
+        spec = FactorSpec.high_temperature(np.zeros(g.num_edges), -700.0)
+        with pytest.raises(ValueError, match="vanished"):
+            exact_log_partition(g, spec)
+        with pytest.raises(ValueError, match="vanished"):
+            brute_log_z_log_domain(g, spec)
 
     def test_field_length_validation(self, k4):
         spec = FactorSpec.cycle_code(np.zeros(5))
