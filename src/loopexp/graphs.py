@@ -241,23 +241,21 @@ def read_graph(path) -> CheckGraph:
 class PolymerCatalog:
     """All polymers of a host up to a node-count cap, as flat arrays.
 
-    Polymer i has the member edges ``edges[i]``, ascending, and the tail
-    profile ``profiles[i]``: its numbers (n_2, ..., n_d) of nodes of
-    induced degree 2..d, d = ``host.d``, which sum to its size.  It
-    touches exactly the nodes of support s = ``support[i]``: the bitmask
-    ``support_masks[s]``, and the host ids ``support_nodes[s]``, ascending
-    and padded with ``host.n``.  ``slot_masks[i, k]`` is its local bitmask
-    at node ``support_nodes[s, k]`` (bit j for slot j, as in
-    ``ActivityTable.K``), 0 where padded.
+    Polymer i touches exactly the nodes of support s = ``support[i]``: the
+    bitmask ``support_masks[s]``, and the host ids ``support_nodes[s]``,
+    ascending and padded with ``host.n``.  ``slot_masks[i, k]`` is its
+    local bitmask at node ``support_nodes[s, k]`` (bit j for slot j, as in
+    ``ActivityTable.K``), 0 where padded.  The support and the slot masks
+    are the whole polymer: ``edges`` and ``profiles`` are read off them on
+    first use.
 
-    Order: by support mask ascending, then by the edge-id row compared as
-    a tuple, so the polymers on one node set are contiguous.
+    Order: by support mask ascending, so the polymers on one node set are
+    contiguous; on one support, fewer removed edges of G[V] first, then
+    the removed edge ids compared as a tuple.
     """
 
     host: CheckGraph
     node_cap: int
-    edges: Rows                  # int64 edge ids, one row per polymer
-    profiles: np.ndarray         # (P, d - 1) int64
     support: np.ndarray          # (P,) int64 support index
     support_masks: tuple[int, ...]   # (S,) host bitmasks, ascending
     support_nodes: np.ndarray    # (S, K) int64 host node ids, padded
@@ -267,10 +265,27 @@ class PolymerCatalog:
         return len(self.support)
 
     @cached_property
-    def node_masks(self) -> tuple[int, ...]:
-        """Host bitmask of the nodes each polymer touches."""
-        return tuple(map(self.support_masks.__getitem__,
-                         self.support.tolist()))
+    def edges(self) -> Rows:
+        """Each polymer's edge ids, ascending, one row per polymer: the
+        slots of its masks that lead to a higher node.  A node's slots
+        and the lower ends of the host's edges both run in edge order, so
+        the ids come out ascending."""
+        lay = self.host.layout
+        # padded entries have no slot bit, so any row stands in for node n
+        at = np.minimum(self.support_nodes[self.support], self.host.n - 1)
+        slot = np.arange(lay.dmax).astype(self.slot_masks.dtype)
+        keep = ((self.slot_masks[..., None] >> slot & 1).astype(bool)
+                & (lay.nbr[at] > at[..., None]))
+        return Rows(lay.eid[at][keep], np.concatenate(
+            [[0], np.cumsum(keep.sum(axis=(1, 2)))]))
+
+    @cached_property
+    def profiles(self) -> np.ndarray:
+        """(P, d - 1) int64 tail profiles, d = ``host.d``: each polymer's
+        numbers (n_2, ..., n_d) of nodes of induced degree 2..d, the
+        popcounts of its slot masks, which sum to its size."""
+        return (np.bitwise_count(self.slot_masks)[:, :, None]
+                == np.arange(2, self.host.d + 1)).sum(axis=1)
 
     @property
     def covers_host(self) -> bool:
@@ -295,12 +310,14 @@ def enumerate_polymers(graph: CheckGraph, node_cap: int) -> PolymerCatalog:
     so it lies within distance c - |C| <= c - 3 of C.  The search therefore
     marks the nodes of the host that lie on a cycle of length <= c, grows
     the marked set by c - 3 hops, and grows polymers only on the subgraph
-    induced by that region (the whole host when c >= n).  A random regular
-    graph has O(1) cycles of each fixed length, so the region, and the
-    work, stays small however large the host.  The marked nodes are found
-    from one row per node of its non-backtracking walks of up to
-    ceil(c/2) steps (``_ShortCycleSearch``): two walks with different
-    first steps that meet close a cycle.
+    induced by that region.  A random regular graph has O(1) cycles of
+    each fixed length, so the region, and the work, stays small however
+    large the host.  The marked nodes are found from one row per node of
+    its non-backtracking walks of up to ceil(c/2) steps
+    (``_ShortCycleSearch``): two walks with different first steps that
+    meet close a cycle.  The region is the whole host when c >= n, and
+    when a row would hold at least n walks (but no more than the search
+    admits): then one row costs more than the host.
 
     Inside the region the search has two stages.  A node set V is the
     node set of some polymer iff the induced subgraph G[V] is connected
@@ -311,12 +328,13 @@ def enumerate_polymers(graph: CheckGraph, node_cap: int) -> PolymerCatalog:
     2, the supports.  The second is one walk over all supports at once,
     level by level on arrays: level k holds the polymers that are some
     G[V] minus k edges, each removed edge after the previous one, with
-    both ends of degree above 2 and the graph kept connected (for d = 3, a
-    matching on the degree-3 nodes); connectivity is a rank test on the
+    both ends of degree above 2 and the graph still connected (for d = 3,
+    a matching on the degree-3 nodes); connectivity is a rank test on the
     columns of a cycle-space basis of G[V] over GF(2).  The walk ends at
-    the first level with no polymer, and one sort puts the polymers in
-    catalog order.  Region nodes keep their host order, so a capped
-    catalog lists its polymers in the order of a walk over the whole host.
+    the first level with no polymer, and one stable sort by support mask
+    puts the polymers in catalog order (see ``PolymerCatalog``).  Region
+    nodes keep their host order, so a capped catalog lists its polymers
+    in the order of a walk over the whole host.
     Caps below 3 yield an empty catalog, since a polymer touches at least
     three nodes.  BudgetError: more than ``MAX_POLYMERS`` polymers,
     raised during the walk before the level that passes the budget is
@@ -335,8 +353,11 @@ def enumerate_polymers(graph: CheckGraph, node_cap: int) -> PolymerCatalog:
     region = np.arange(0)
     tally = dict(width=0, blocks=0, repeats=0)
     if node_cap >= 3 and graph.num_edges:
-        # a cap of n or more excludes no polymer: the region is the host
-        region = (np.arange(graph.n) if node_cap >= graph.n
+        # a cap of n or more excludes no polymer, and a row of n walks or
+        # more costs more than the host: the region is the host
+        whole = node_cap >= graph.n or graph.n <= _row_width(
+            graph.layout.dmax, (node_cap + 1) // 2) <= MAX_ENTRIES
+        region = (np.arange(graph.n) if whole
                   else _near_short_cycles(graph.layout, node_cap, tally))
     searched = time.perf_counter() if debug else 0.0
     catalog, supports, levels = _grow_polymers(graph, node_cap, region)
@@ -515,15 +536,13 @@ def _grow_polymers(graph: CheckGraph, node_cap: int,
 
     The supports come from ESU (``_supports``); the polymers on all of
     them from one level walk (``_removal_walk``), each level a batch of
-    arrays.  Every state of the walk is a polymer: one lexsort, by support
-    mask and then by the edge-id row, shorter prefixes first
-    (``_row_keys``), puts them in catalog order (for a one-level walk, the
-    support mask alone).  BudgetError once the supports, or the polymers of
-    the levels so far, number more than ``MAX_POLYMERS``, and from
-    ``_support_edges``.
+    arrays.  Every state of the walk is a polymer, and the walk lists them
+    by level, then by ESU support, then by removed edges; one stable sort
+    by support mask puts them in catalog order.  BudgetError once the
+    supports, or the polymers of the levels so far, number more than
+    ``MAX_POLYMERS``, and from ``_support_edges``.
     """
     lay = graph.layout
-    d = graph.d
     # region nodes are numbered 0..R-1 in host order, so local bitmasks
     # sort as the host's do; slots leading out of the region are dropped
     nbr = lay.nbr[nodes]
@@ -540,37 +559,27 @@ def _grow_polymers(graph: CheckGraph, node_cap: int,
         members.append(mem)
     S = len(masks)
     if not S:
-        empty = np.zeros(0, np.int64)
         return PolymerCatalog(
-            host=graph, node_cap=node_cap,
-            edges=Rows(empty, np.zeros(1, np.int64)), support=empty,
-            profiles=np.zeros((0, max(d - 1, 0)), np.int64),
-            support_masks=(), support_nodes=empty.reshape(0, 0),
+            host=graph, node_cap=node_cap, support=np.zeros(0, np.int64),
+            support_masks=(), support_nodes=np.zeros((0, 0), np.int64),
             slot_masks=np.zeros((0, 0), np.uint8)), 0, 0
-    rows, slots, ends, bits, ids, real = _support_edges(lay, nodes, local,
-                                                        members)
+    rows, slots, ends, bits, real = _support_edges(lay, nodes, local,
+                                                   members)
     levels = _removal_walk(ends, bits, real, slots)
-    sup, kept, slots = (np.concatenate(x) for x in zip(*levels))
+    sup, slots = (np.concatenate(x) for x in zip(*levels))
     by_mask = sorted(range(S), key=masks.__getitem__)
     rank = np.empty(S, dtype=np.int64)
     rank[by_mask] = np.arange(S)
-    # a one-level walk holds only G[V] on each support: rank orders them
-    order = (np.array(by_mask) if len(levels) == 1
-             else np.lexsort((*_row_keys(kept).T[::-1], rank[sup])))
-    sup, kept, slots = sup[order], kept[order], slots[order]
+    order = np.argsort(rank[sup], kind="stable")
     region = nodes.tolist()
     return PolymerCatalog(
         host=graph,
         node_cap=node_cap,
-        edges=Rows(ids[sup][kept],
-                   np.concatenate([[0], np.cumsum(kept.sum(axis=1))])),
-        profiles=(np.bitwise_count(slots)[:, :, None]
-                  == np.arange(2, d + 1)).sum(axis=1),
-        support=rank[sup],
+        support=rank[sup[order]],
         support_masks=tuple([sum(1 << region[a] for a in members[s])
                              for s in by_mask]),
         support_nodes=rows[by_mask],
-        slot_masks=slots,
+        slot_masks=slots[order],
     ), S, len(levels)
 
 
@@ -581,10 +590,10 @@ def _support_edges(lay: Layout, nodes: np.ndarray, local: np.ndarray,
     padded with n; ``slots`` (S, K), their slot masks in G[V] (0 where
     padded) in the least unsigned dtype with a bit per slot, BudgetError
     past 64; ``ends`` (2, S, M), the ends (a, b), a < b, of its edges as
-    positions in the row; ``bits`` (2, S, M), their slot bits at a and b;
-    ``ids`` (S, M), their host edge ids, ascending; ``real`` (S, M), which
-    of the M slots hold an edge.  ``local`` holds the region-local
-    neighbour of each slot of the ``nodes``, -1 outside the region."""
+    positions in the row, in ascending order of edge id; ``bits`` (2, S,
+    M), their slot bits at a and b; ``real`` (S, M), which of the M slots
+    hold an edge.  ``local`` holds the region-local neighbour of each slot
+    of the ``nodes``, -1 outside the region."""
     word = np.min_scalar_type((1 << lay.dmax) - 1)
     if word.kind != "u":
         raise BudgetError(f"node degree {lay.dmax} exceeds 64 slot bits")
@@ -602,36 +611,34 @@ def _support_edges(lay: Layout, nodes: np.ndarray, local: np.ndarray,
     inside = (local[node] >= 0) & (key[at] == want)    # slot stays in V
     slots = np.zeros(in_row.shape, dtype=word)    # distinct bits: sum = OR
     slots[in_row] = (inside << np.arange(local.shape[1])).sum(axis=1)
+    # each edge at its lower end: by support, then lower end, then slot,
+    # which is ascending edge id within each support
     a, t = np.nonzero(inside & (local[node] > node[:, None]))
     b = at[a, t]
     e = lay.eid[nodes[node[a]], t]
-    order = np.lexsort((e, sid[a]))
-    a, b, e = a[order], b[order], e[order]
     es = sid[a]
     m = np.bincount(es, minlength=S)
     j = np.arange(len(es)) - (np.cumsum(m) - m)[es]
     ends = np.zeros((2, S, int(m.max())), dtype=np.int64)
     bits = np.zeros(ends.shape, dtype=word)
-    ids = np.zeros((S, ends.shape[2]), dtype=np.int64)
     ends[:, es, j] = a - first[es], b - first[es]
     # a is the lower end, in the region as in the host: its slot is slot[e, 0]
     bits[:, es, j] = (1 << lay.slot[e].T).astype(word)
-    ids[es, j] = e
-    return (rows, slots, ends, bits, ids,
-            np.arange(ends.shape[2]) < m[:, None])
+    return rows, slots, ends, bits, np.arange(ends.shape[2]) < m[:, None]
 
 
 def _removal_walk(ends: np.ndarray, bits: np.ndarray, real: np.ndarray,
                   slots: np.ndarray) -> list[tuple[np.ndarray, ...]]:
     """The polymers on every support, as the levels of one walk: per
-    level, the (support, kept-edge row, slot-mask row) of its states.
+    level, the (support, slot-mask row) of its states, ordered by
+    support and then by the tuple of removed edges.
 
-    A state is a support V, the edges of G[V] it keeps (a row over the
-    slots of ``ends``, see ``_support_edges``) and the slot masks of its
-    nodes, whose popcounts are the degrees; level 0 holds G[V], with the
-    masks ``slots``, for every support.  A state's children remove one
-    kept edge after the last one it removed whose ends both have degree
-    above 2 (its open edges) and whose removal keeps the graph
+    A state is a spanning subgraph of G[V] for a support V (its edges
+    among the slots of ``ends``, see ``_support_edges``), held as the slot
+    masks of its nodes, whose popcounts are the degrees; level 0 holds
+    G[V], with the masks ``slots``, for every support.  A state's children
+    remove one more edge after the last one it removed, whose ends both
+    have degree above 2 (its open edges) and whose removal keeps the graph
     connected.  That test runs for a whole level at once: G[V]
     minus a set R of edges is connected iff the columns of R in a
     cycle-space basis of G[V] are linearly independent over GF(2)
@@ -645,10 +652,10 @@ def _removal_walk(ends: np.ndarray, bits: np.ndarray, real: np.ndarray,
     """
     (S, K), M = slots.shape, real.shape[1]
     deg = np.bitwise_count(slots)
-    sup, kept = np.arange(S), real
-    row = np.arange(S)[:, None]
+    sup = np.arange(S)
+    row = sup[:, None]
     open_ = real & (deg[row, ends[0]] > 2) & (deg[row, ends[1]] > 2)
-    levels = [(sup, kept, slots)]
+    levels = [(sup, slots)]
     if not open_.any():
         return levels
     s, e = np.nonzero(real)
@@ -674,14 +681,13 @@ def _removal_walk(ends: np.ndarray, bits: np.ndarray, real: np.ndarray,
         red = red[:, i]
         np.bitwise_xor(red, col[:, :, None], out=red, where=hit)
         r = np.arange(len(i))
-        sup, kept, slots, open_ = sup[i], kept[i], slots[i], open_[i]
-        kept[r, j] = False
+        sup, slots, open_ = sup[i], slots[i], open_[i]
         open_ &= np.arange(M) > j[:, None]
         for a, bit in zip(ends[:, sup, j], bits[:, sup, j]):
             slots[r, a] ^= bit
             open_ &= ~(inc[sup, a]
                        & (np.bitwise_count(slots[r, a]) == 2)[:, None])
-        levels.append((sup, kept, slots))
+        levels.append((sup, slots))
 
 
 def _cycle_columns(inc: np.ndarray) -> np.ndarray:
@@ -720,27 +726,6 @@ def _cycle_columns(inc: np.ndarray) -> np.ndarray:
     octets = np.zeros((S, M, -(-M // 64) * 8), dtype=np.uint8)
     octets[:, :, :-(-M // 8)] = np.packbits(on, axis=2, bitorder="little")
     return octets.view("<u8").astype(np.uint64).transpose(2, 0, 1)
-
-
-def _row_keys(kept: np.ndarray) -> np.ndarray:
-    """Sort keys of rows of kept edges over one ascending edge list: the
-    rows of ``kept`` (N, M), each with a kept edge, in the lexicographic
-    order of their keys (N, W) are in the order of their edge-id tuples,
-    shorter prefixes first.
-
-    Position j codes 1 if its edge is kept, 2 if not but a later one is,
-    and 0 past the row's last kept edge; two bits a code, 32 codes to a
-    uint64, the first in the top bits.  Two rows first differ where one
-    keeps an edge the other skips: the skipping row is the larger iff it
-    keeps a later edge.
-    """
-    N, M = kept.shape
-    last = M - 1 - np.argmax(kept[:, ::-1], axis=1)
-    bits = np.zeros((N, -(-M // 32) * 32, 2), dtype=bool)
-    bits[:, :M, 0] = ~kept & (np.arange(M) < last[:, None])
-    bits[:, :M, 1] = kept
-    words = np.packbits(bits.reshape(N, -1), axis=1).view(">u8")
-    return words.astype(np.uint64)
 
 
 def _supports(nbm: list[int], cap: int) -> Iterator[tuple[int, list[int]]]:

@@ -388,8 +388,9 @@ def split_report(graph: CheckGraph, spec: FactorSpec, messages: MessageSet,
         catalog = enumerate_polymers(graph, graph.n)
     _check_host(graph, catalog.host, table.graph)
     vals = table.polymer_activities(catalog)
+    size = np.count_nonzero(catalog.support_nodes < graph.n, axis=1)
     large_ids = np.flatnonzero(
-        2 * catalog.profiles.sum(axis=1) >= graph.n).tolist()
+        2 * size[catalog.support] >= graph.n).tolist()
     large_masks = [catalog.support_masks[s]
                    for s in catalog.support[large_ids].tolist()]
     supports = _by_support(catalog, vals)

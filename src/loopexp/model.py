@@ -112,21 +112,22 @@ def _log_factor_blocks(graph: CheckGraph, spec: FactorSpec,
 
     def blocks():
         for d, members in lay.classes:
-            # the spin matrix in blocks of configurations, so no integer
-            # array of its shape is built beside it
-            S = np.empty((1 << d, d))
+            # the spins in chunks of configurations, built for each block
+            # of nodes, so no 2^d x d matrix outlives its chunk
             chunk = BLOCK_ENTRIES // max(d, 1)
-            for lo in range(0, 1 << d, chunk):
-                configs = np.arange(lo, min(lo + chunk, 1 << d))[:, None]
-                S[lo:lo + chunk] = 1.0 - 2.0 * (configs >> np.arange(d) & 1)
-            parity = np.prod(S, axis=1)
             step = max(1, BLOCK_ENTRIES >> d)
             for nodes in np.split(members, range(step, len(members), step)):
                 W = hh[nodes, :d] if ext is None else \
                     ext[lay.inc[nodes, :d]] + hh[nodes, :d]
-                with np.errstate(divide="ignore"):    # ln 0 = -inf is meant
-                    log_c = np.log(0.5 * (1.0 + t[nodes, None] * parity))
-                yield d, nodes, W @ S.T + log_c
+                L = np.empty((len(nodes), 1 << d))
+                for lo in range(0, 1 << d, chunk):
+                    configs = np.arange(lo, min(lo + chunk, 1 << d))[:, None]
+                    S = 1.0 - 2.0 * (configs >> np.arange(d) & 1)
+                    with np.errstate(divide="ignore"):    # ln 0 = -inf
+                        log_c = np.log(0.5 * (1.0 + t[nodes, None]
+                                              * np.prod(S, axis=1)))
+                    L[:, lo:lo + chunk] = W @ S.T + log_c
+                yield d, nodes, L
 
     return blocks()
 

@@ -463,7 +463,7 @@ def dense_mayer_orders(catalog, activities, M_max):
     (-1)^{#edges}, as an einsum over the P x P matrix built pair by pair.
     """
     vals = np.asarray(activities, dtype=np.float64)
-    masks = catalog.node_masks
+    masks = node_masks(catalog)
     keep = [i for i in range(len(vals)) if vals[i] != 0.0]
     K = vals[keep]
     P = len(keep)
@@ -567,11 +567,12 @@ def loop_criterion(catalog, activities):
     """sup over nodes of sum e^{|gamma|} |K(gamma)| over the polymers
     touching the node, from a per-node list of polymer indices."""
     per_node = [[] for _ in range(catalog.host.n)]
-    for idx, mask in enumerate(catalog.node_masks):
+    masks = node_masks(catalog)
+    for idx, mask in enumerate(masks):
         for a in range(catalog.host.n):
             if mask >> a & 1:
                 per_node[a].append(idx)
-    sizes = [mask.bit_count() for mask in catalog.node_masks]
+    sizes = [mask.bit_count() for mask in masks]
     weighted = np.abs(activities) * np.exp(sizes)
     return max((float(np.sum(weighted[ids])) for ids in per_node if ids),
                default=0.0)
@@ -586,7 +587,7 @@ def assert_catalog_is(catalog, polymers):
     assert [tuple(row.tolist()) for row in catalog.edges] == list(polymers)
     degs = [induced_degrees(graph, p) for p in polymers]
     masks = tuple(sum(1 << a for a in deg) for deg in degs)
-    assert catalog.node_masks == masks
+    assert node_masks(catalog) == masks
     assert catalog.profiles.tolist() == [
         [list(deg.values()).count(k) for k in range(2, graph.d + 1)]
         for deg in degs]
@@ -626,11 +627,30 @@ def assert_wide_enough(catalog):
         assert 8 * dtype.itemsize >= catalog.host.layout.dmax
 
 
+def node_masks(catalog):
+    """Host bitmask of the nodes each polymer touches."""
+    return tuple(map(catalog.support_masks.__getitem__,
+                     catalog.support.tolist()))
+
+
+def left_out(ids, polymer):
+    """Order of the polymers (edge-id tuples) on one node set V, whose
+    induced subgraph G[V] has the edges ``ids``, ascending: the number of
+    those edges a polymer leaves out, then their ids."""
+    out = tuple(e for e in ids if e not in polymer)
+    return len(out), out
+
+
 def in_catalog_order(graph, polymers):
     """``polymers`` (edge-id tuples) in catalog order: by node mask
-    ascending, then by the edge-id tuple."""
-    return sorted(polymers, key=lambda p: (
-        sum(1 << a for a in induced_degrees(graph, p)), p))
+    ascending, then by ``left_out`` on their node set."""
+    def key(p):
+        nodes = set(induced_degrees(graph, p))
+        ids = [e for e, (u, v) in enumerate(graph.edges)
+               if u in nodes and v in nodes]
+        return sum(1 << a for a in nodes), left_out(ids, p)
+
+    return sorted(polymers, key=key)
 
 
 def neighbour_lists(graph):
@@ -787,7 +807,7 @@ def removal_walk_catalog(graph, node_cap):
     support nodes, slot masks) of the polymers of at most ``node_cap``
     nodes, in catalog order: the package's region and support walk, then
     ``spanning_polymers`` on each support, one recursion per support,
-    sorted by node mask and then by edge-id row; the support arrays are
+    sorted by node mask, then by ``left_out``; the support arrays are
     ``support_arrays``'s."""
     d = graph.d
     nodes = np.arange(0)
@@ -807,21 +827,23 @@ def removal_walk_catalog(graph, node_cap):
         members = _bits_of(support)
         edges = sorted((e, a, b) for a in members for b, e in up[a]
                        if support >> b & 1)
-        blocks.append((support, spanning_polymers(
-            edges, {a: nbm[a] & support for a in members}, d)))
-    edge_ids, offsets, node_masks, profiles, rows = [], [0], [], [], []
+        ids = [e for e, _, _ in edges]
+        blocks.append((support, sorted(spanning_polymers(
+            edges, {a: nbm[a] & support for a in members}, d),
+            key=lambda polymer: left_out(ids, polymer[0]))))
+    edge_ids, offsets, masks, profiles, rows = [], [0], [], [], []
     for support, polymers in sorted(blocks, key=lambda block: block[0]):
         mask = sum(1 << region[a] for a in _bits_of(support))
-        for row, profile in sorted(polymers):
+        for row, profile in polymers:
             edge_ids.extend(row)
             offsets.append(len(edge_ids))
-            node_masks.append(mask)
+            masks.append(mask)
             profiles.extend(profile)
             rows.append(row)
     return (np.array(edge_ids, dtype=np.int64), np.array(offsets),
-            tuple(node_masks), np.array(profiles, dtype=np.int64).reshape(
-                len(node_masks), max(d - 1, 0)),
-            *support_arrays(graph, node_masks, rows))
+            tuple(masks), np.array(profiles, dtype=np.int64).reshape(
+                len(masks), max(d - 1, 0)),
+            *support_arrays(graph, masks, rows))
 
 
 def ratio_message_update(graph, spec, eta, a, c):

@@ -20,7 +20,7 @@ from loopexp.loopseries import convergence_criterion
 
 from conftest import (assert_catalog_is, assert_wide_enough, brute_polymers,
                       global_polymers, in_catalog_order, loop_criterion,
-                      near_short_cycles, neighbour_lists,
+                      near_short_cycles, neighbour_lists, node_masks,
                       removal_walk_catalog, sampled_expansion,
                       set_sampler_edges, shortest_cycle_through, small_hosts,
                       tuple_graph)
@@ -219,7 +219,7 @@ class TestPolymerEnumeration:
         cat = enumerate_polymers(triangle, 3)
         assert len(cat) == 1
         assert cat.edges[0].tolist() == [0, 1, 2]
-        assert cat.node_masks == (0b111,)
+        assert node_masks(cat) == (0b111,)
         assert cat.profiles.tolist() == [[3]]
         assert cat.covers_host
 
@@ -250,6 +250,12 @@ class TestPolymerEnumeration:
         assert edge_sets(enumerate_polymers(g, 8)) == brute_polymers(g, 8)
 
 
+def lollipop():
+    """A triangle on 0, 1, 2 with a path of 38 edges hanging off node 2."""
+    return CheckGraph.from_edges(41, [(0, 1), (0, 2), (1, 2)] + [
+        (i, i + 1) for i in range(2, 40)])
+
+
 class TestLocalCatalog:
     """The support-first catalog against the edge-subset grower over the
     whole host, in catalog order."""
@@ -265,7 +271,7 @@ class TestLocalCatalog:
         ends = g.layout.ends
         for cap in range(g.n + 1):
             cat = enumerate_polymers(g, cap)
-            masks = list(cat.node_masks)
+            masks = list(node_masks(cat))
             assert masks == sorted(masks)
             runs = [m for i, m in enumerate(masks) if i == 0
                     or m != masks[i - 1]]
@@ -296,12 +302,24 @@ class TestLocalCatalog:
         assert_catalog_is(enumerate_polymers(g, g.n),
                           in_catalog_order(g, want))
 
+    def test_row_spanning_the_host_takes_the_host(self, monkeypatch):
+        # from cap 7 on the lollipop, a row of walks holds at least its 41
+        # nodes: the region is the whole host, and the search never runs
+        def search(*args):
+            raise AssertionError("short-cycle search ran")
+
+        g = lollipop()
+        monkeypatch.setattr(graphs, "_near_short_cycles", search)
+        for cap in range(12, 37):
+            assert graphs._row_width(g.layout.dmax, (cap + 1) // 2) >= g.n
+            assert_catalog_is(enumerate_polymers(g, cap),
+                              in_catalog_order(g, global_polymers(g, cap)))
+
     @pytest.mark.parametrize("cap", [3, 5, 6, 12])
     def test_region_is_near_short_cycles(self, cap):
-        # a triangle with a long path hanging off node 2: the region holds
-        # the triangle and the cap - 3 path nodes closest to it
-        edges = [(0, 1), (0, 2), (1, 2)] + [(i, i + 1) for i in range(2, 40)]
-        g = CheckGraph.from_edges(41, edges)
+        # the region holds the triangle and the cap - 3 path nodes closest
+        # to it
+        g = lollipop()
         region = _near_short_cycles(g.layout, cap)
         assert region.tolist() == list(range(cap))
         assert [row.tolist() for row in enumerate_polymers(g, cap).edges] \
@@ -388,10 +406,8 @@ class TestShortCycleSearch:
         # past rows of SHALLOW_ROW walks (cap 21 for d = 3) the search
         # deepens on the sources not yet found: on the lollipop the path
         # nodes go through every pass, on the cubic host few do
-        lollipop = CheckGraph.from_edges(41, [(0, 1), (0, 2), (1, 2)] + [
-            (i, i + 1) for i in range(2, 40)])
         cubic = sample_regular_graph(200, 3, 5)
-        for g, caps in ((lollipop, range(19, 25)), (cubic, range(19, 41))):
+        for g, caps in ((lollipop(), range(19, 25)), (cubic, range(19, 41))):
             nbrs = neighbour_lists(g)
             through = [shortest_cycle_through(g, nbrs, x) for x in range(g.n)]
             for cap in caps:
@@ -446,7 +462,7 @@ def assert_same_arrays(catalog, want):
     assert catalog.slot_masks.shape == support[2].shape
     assert np.array_equal(catalog.slot_masks, support[2])
     assert_wide_enough(catalog)
-    assert catalog.node_masks == masks
+    assert node_masks(catalog) == masks
     assert catalog.support_masks == support_masks
     assert np.all(np.diff(catalog.support) >= 0)
 
@@ -497,13 +513,12 @@ class TestLevelWalk:
         monkeypatch.setattr(graphs, "MAX_POLYMERS", budget)
         # the arrays of one admitted level of at most ``budget`` states,
         # with K nodes and M edges (the whole host, uncapped): per state
-        # its support (8 bytes), slot-mask, kept-edge and open-edge rows
-        # (K + 2M) and reduced cycle columns (8M); per support, at most
-        # one a state, its edge ends, ids and slot flags (25M), its
-        # incidence and elimination rows (4KM) and its basis columns
-        # (M^2 + 8M)
+        # its support (8 bytes), slot-mask and open-edge rows (K + M) and
+        # reduced cycle columns (8M); per support, at most one a state,
+        # its edge ends and slot flags (17M), its incidence and
+        # elimination rows (4KM) and its basis columns (M^2 + 8M)
         K, M = g.n, g.num_edges
-        bound = budget * (8 + K + 43 * M + 4 * K * M + M * M)
+        bound = budget * (8 + K + 34 * M + 4 * K * M + M * M)
         tracemalloc.start()
         try:
             with pytest.raises(BudgetError,
@@ -530,9 +545,9 @@ class TestLevelWalk:
         assert record.levelno == logging.DEBUG
         ends = prism.layout.ends
         removed = [np.count_nonzero((m >> ends & 1).all(axis=1)) - len(row)
-                   for m, row in zip(cat.node_masks, cat.edges)]
+                   for m, row in zip(node_masks(cat), cat.edges)]
         assert record.getMessage().startswith(
-            f"polymers on 6 region nodes: {len(set(cat.node_masks))} "
+            f"polymers on 6 region nodes: {len(set(node_masks(cat)))} "
             f"supports, {len(cat)} polymers, {max(removed) + 1} walk "
             f"levels, ")
 

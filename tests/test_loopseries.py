@@ -31,8 +31,8 @@ from conftest import (arbitrary_messages, brute_correction,
                       factor_specs, global_polymers, in_catalog_order,
                       incoming, induced_degrees, local_mask, loop_criterion,
                       loop_node_table, loop_polymer_activities, mixed_host,
-                      one_subset_activity, pair_criterion, perturbed,
-                      ratio_message_update, small_hosts)
+                      node_masks, one_subset_activity, pair_criterion,
+                      perturbed, ratio_message_update, small_hosts)
 
 
 def spec_for(kind, h, eps=0.1, J=0.05):
@@ -506,7 +506,7 @@ def assert_matches_oracles(cat, vals, M_max):
     want = dense_mayer_orders(cat, vals, M_max)
     for M, (g, w) in enumerate(zip(mex.orders, want), start=1):
         assert abs(g - w) <= 1e-12 * max(abs(w), scale ** M)
-    masks = cat.node_masks
+    masks = node_masks(cat)
     want = brute_polymer_sum(masks, vals)
     assert abs(z_corr_polymer_form(cat, vals) - want) <= (
         1e-12 * brute_polymer_sum(masks, np.abs(vals)))
@@ -523,7 +523,7 @@ class TestSupportGrouping:
         cat = enumerate_polymers(g, cap)
         vals = data.draw(signed_activities(len(cat)))
         mex = assert_matches_oracles(cat, vals, data.draw(st.integers(1, 3)))
-        masks = cat.node_masks
+        masks = node_masks(cat)
         assert mex.num_polymers == np.count_nonzero(vals)
         assert mex.num_supports == len({m for m, v in zip(masks, vals) if v})
 
@@ -531,7 +531,7 @@ class TestSupportGrouping:
     def test_shared_supports_on_k4(self, vals):
         k4 = CheckGraph(4, 3, list(itertools.combinations(range(4), 2)))
         cat = enumerate_polymers(k4, 4)
-        assert len(set(cat.node_masks)) == 5
+        assert len(set(node_masks(cat))) == 5
         assert_matches_oracles(cat, vals, 4)
 
     def test_k4_through_order_five(self, k4):
@@ -556,7 +556,7 @@ class TestSupportGrouping:
         cat = enumerate_polymers(g, data.draw(st.integers(0, g.n)))
         rep = split_report(g, spec, msgs, catalog=cat)
         vals = ActivityTable(g, spec, msgs).polymer_activities(cat)
-        masks = cat.node_masks
+        masks = node_masks(cat)
         large = [i for i, m in enumerate(masks) if 2 * m.bit_count() >= g.n]
         small = [i for i in range(len(cat)) if i not in large]
         tol = 1e-12 * brute_polymer_sum(masks, np.abs(vals))
@@ -630,7 +630,7 @@ class TestSupportGrouping:
         # two opposite activities on the full support cancel in every
         # grouped sum, but each still counts in the criterion
         cat = enumerate_polymers(k4, 4)
-        on_full = [i for i, m in enumerate(cat.node_masks) if m == 0b1111]
+        on_full = [i for i, m in enumerate(node_masks(cat)) if m == 0b1111]
         vals = np.zeros(len(cat))
         vals[on_full[:2]] = (0.5, -0.5)
         with caplog.at_level(logging.DEBUG, logger="loopexp.loopseries"):
@@ -863,6 +863,23 @@ class TestExpansionReport:
                                      node_cap=3)
         assert rep.identity_residual() < 1e-12
         assert calls == [g]
+
+    def test_report_builds_no_catalog_view(self, monkeypatch):
+        # the report reads supports and slot masks only: the edge rows and
+        # profiles of its catalog are never built
+        built = []
+
+        def record(graph, node_cap):
+            built.append(enumerate_polymers(graph, node_cap))
+            return built[-1]
+
+        monkeypatch.setattr(loopexp.loopseries, "enumerate_polymers", record)
+        g = sample_regular_graph(12, 3, 1)
+        spec = FactorSpec.cycle_code(sample_bsc(g, 0.45, 2).h)
+        rep = build_expansion_report(g, spec, solve_fixed_point(g, spec))
+        (cat,) = built
+        assert rep.catalog_size == len(cat) == 2206
+        assert "edges" not in vars(cat) and "profiles" not in vars(cat)
 
     def test_node_cap_marks_truncation(self, prism):
         spec = FactorSpec.cycle_code(np.zeros(9))

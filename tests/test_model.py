@@ -168,13 +168,14 @@ class TestLogFactorBlocks:
             assert peak < 256 * 1024
 
     def test_spin_matrix_peak(self):
-        # a degree-19 node's spin matrix is 19 * 2^19 float64, 76 MiB.
-        # Measured peaks: 96.0 MiB for the Bethe value and 104.0 MiB for
-        # exact ln Z, against 152 and 156 MiB while the matrix was built
-        # through an int64 bit array of its own shape, and 108.0 MiB for the
-        # activity table.  At degree 12 the table peaks at 1.3 MiB, against
-        # 193 MiB while it built a 2^d x 2^d block per node.  Each bound is
-        # the measured peak plus 8 MiB of headroom.
+        # a degree-19 node's spin matrix would be 19 * 2^19 float64, 76
+        # MiB; it is built one chunk of configurations at a time.  Measured
+        # peaks: 12.0 MiB for the Bethe value, 16.1 MiB for exact ln Z and
+        # 24.0 MiB for the activity table, against 96, 100 and 108 MiB
+        # while the whole matrix lived through each degree class.  At
+        # degree 12 the table peaks at 0.9 MiB, against 193 MiB while it
+        # built a 2^d x 2^d block per node.  Each bound is the measured
+        # peak plus 8 MiB of headroom, rounded up to 0.1 MiB.
         def star(degree):
             g = CheckGraph.from_edges(degree + 1,
                                       [(0, i) for i in range(1, degree + 1)])
@@ -185,10 +186,10 @@ class TestLogFactorBlocks:
         g, spec, msgs = star(19)
         small = star(12)
         for call, bound in (
-                (lambda: exact_log_partition(g, spec), 112 << 20),
-                (lambda: bethe_log_partition(g, spec, msgs), 112 << 20),
-                (lambda: ActivityTable(g, spec, msgs), 116 << 20),
-                (lambda: ActivityTable(*small), 9.3 * (1 << 20))):
+                (lambda: exact_log_partition(g, spec), 24.1 * (1 << 20)),
+                (lambda: bethe_log_partition(g, spec, msgs), 20.1 * (1 << 20)),
+                (lambda: ActivityTable(g, spec, msgs), 32.1 * (1 << 20)),
+                (lambda: ActivityTable(*small), 9.0 * (1 << 20))):
             tracemalloc.start()
             try:
                 call()
