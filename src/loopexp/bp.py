@@ -22,7 +22,8 @@ A raw update that is non-finite before clamping (the tanh product hit +-1)
 raises DivergenceError from ``bp_sweep``; ``solve_fixed_point`` catches it
 and reports a non-converged MessageSet with the overflow flag instead.
 Messages whose shape does not fit the graph raise ValueError at every
-entry point that takes them.
+entry point that takes them; the sweep also refuses non-finite messages,
+while the Bethe value and the activity tables take them.
 """
 
 from __future__ import annotations
@@ -110,7 +111,8 @@ class _Sweeper:
     def __init__(self, graph: CheckGraph, spec: FactorSpec, damping: float):
         if not 0.0 <= damping < 1.0:
             raise ValueError(f"damping must lie in [0, 1), got {damping}")
-        self.t = spec.parity_couplings(graph)
+        t = spec.parity_couplings(graph)
+        self.t = None if np.all(t == 1.0) else t    # x * 1 is x
         lay = graph.layout
         self.hh = np.ascontiguousarray(lay.half_fields(spec.h).T)
         self.damping = damping
@@ -128,7 +130,11 @@ class _Sweeper:
         self.flags = np.empty((dmax, n), dtype=bool)
 
     def load(self, eta: np.ndarray) -> None:
-        """Messages from edge order, shape (E, 2)."""
+        """Messages from edge order, shape (E, 2); ValueError names the
+        first edge whose message is not finite."""
+        bad = np.flatnonzero(~np.isfinite(eta).all(axis=1))
+        if bad.size:
+            raise ValueError(f"message on edge {bad[0]} is not finite")
         self.msg[self.pos] = eta.reshape(-1)
 
     def edge_messages(self) -> np.ndarray:
@@ -137,7 +143,9 @@ class _Sweeper:
 
     def update(self) -> float:
         """Raw update of every message into ``raw``; returns the residual
-        max |raw - eta|, or raises DivergenceError on a non-finite update."""
+        max |raw - eta|, or raises DivergenceError on a non-finite update.
+        The messages are finite (``load`` checks them, ``mix`` clips
+        them), so a non-finite update makes the residual non-finite."""
         T, raw = self.tmp, self.raw
         # every index is valid; "clip" spares the buffered copy that
         # np.take makes of ``out`` under the default "raise"
@@ -147,18 +155,20 @@ class _Sweeper:
         if self.pad is not None:
             np.copyto(T, 1.0, where=self.pad)
         _leave_one_out(T, raw)
-        np.multiply(raw, self.t, out=raw)
+        if self.t is not None:
+            np.multiply(raw, self.t, out=raw)
         with np.errstate(invalid="ignore", divide="ignore"):
             np.arctanh(raw, out=raw)
         np.add(raw, self.hh, out=raw)
         if self.pad is not None:
             np.copyto(raw, 0.0, where=self.pad)
-        if not np.isfinite(raw, out=self.flags).all():
-            raise DivergenceError("non-finite message update (tanh product hit 1)")
         if not raw.size:
             return 0.0
         np.subtract(raw, self.eta, out=T)
-        return float(np.abs(T, out=T).max())
+        residual = float(np.abs(T, out=T).max())
+        if not math.isfinite(residual):
+            raise DivergenceError("non-finite message update (tanh product hit 1)")
+        return residual
 
     def mix(self) -> bool:
         """Damped step ``eta <- (1 - damping) raw + damping eta``, clipped to
@@ -199,7 +209,7 @@ def bp_sweep(graph: CheckGraph, spec: FactorSpec, messages: MessageSet,
     iterates as the edge-order update.  Returns the damped, clamped
     messages with the undamped residual recorded.  Raises DivergenceError
     if the raw update is non-finite and ValueError for messages whose shape
-    does not fit the graph.
+    does not fit the graph or that are not finite.
     """
     sweeper = _Sweeper(graph, spec, damping)
     sweeper.load(_edge_messages(graph, messages.eta))
@@ -220,8 +230,9 @@ def solve_fixed_point(graph: CheckGraph, spec: FactorSpec,
     Convergence means the *undamped* residual dropped to ``tol``; the returned
     messages are the pre-update ones, so one further undamped sweep moves no
     message by more than ``tol``.  Non-convergence and divergence are reported
-    through the flags, never raised; a damping outside [0, 1) and an ``init``
-    whose shape does not fit the graph raise ValueError.
+    through the flags, never raised; a damping outside [0, 1), a NaN
+    ``tol`` (-inf never converges) and an ``init`` whose shape does not fit
+    the graph or whose messages are not finite raise ValueError.
 
     The messages live in slot-major buffers for the whole solve: one
     gather per sweep, leave-one-out products from prefix and suffix
@@ -230,6 +241,8 @@ def solve_fixed_point(graph: CheckGraph, spec: FactorSpec,
     ``_Sweeper``).  One DEBUG record on this module's logger reports the
     size, sweeps, residual, flags and wall time of the solve.
     """
+    if math.isnan(tol):
+        raise ValueError("tol must be a number, got nan")
     debug = logger.isEnabledFor(logging.DEBUG)
     start = time.perf_counter() if debug else 0.0
     sweeper = _Sweeper(graph, spec, damping)

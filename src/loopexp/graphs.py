@@ -15,11 +15,12 @@ machinery; sampled and file-loaded graphs are validated as exactly d-regular.
 from __future__ import annotations
 
 import logging
+import math
 import time
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from pathlib import Path
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -322,11 +323,13 @@ def enumerate_polymers(graph: CheckGraph, node_cap: int) -> PolymerCatalog:
     Inside the region the search has two stages.  A node set V is the
     node set of some polymer iff the induced subgraph G[V] is connected
     with minimum degree 2, and the polymers on V are exactly the connected
-    spanning subgraphs of G[V] of minimum degree 2.  The first stage
-    enumerates the connected node sets of at most c nodes once each (ESU,
-    anchored at the least node) and keeps those of minimum induced degree
-    2, the supports.  The second is one walk over all supports at once,
-    level by level on arrays: level k holds the polymers that are some
+    spanning subgraphs of G[V] of minimum degree 2.  Both stages are
+    level walks, each level a batch of states held as rows of arrays.  The
+    first enumerates the connected node sets of at most c nodes once each
+    (ESU, anchored at the least node), each a row of packed uint64 words,
+    level k holding the sets of k nodes, and keeps those of minimum
+    induced degree 2, the supports (``_support_walk``).  The second is one
+    walk over all supports at once: level k holds the polymers that are some
     G[V] minus k edges, each removed edge after the previous one, with
     both ends of degree above 2 and the graph still connected (for d = 3,
     a matching on the degree-3 nodes); connectivity is a rank test on the
@@ -336,15 +339,18 @@ def enumerate_polymers(graph: CheckGraph, node_cap: int) -> PolymerCatalog:
     nodes keep their host order, so a capped catalog lists its polymers
     in the order of a walk over the whole host.
     Caps below 3 yield an empty catalog, since a polymer touches at least
-    three nodes.  BudgetError: more than ``MAX_POLYMERS`` polymers,
-    raised during the walk before the level that passes the budget is
+    three nodes.  BudgetError: more than ``MAX_POLYMERS`` supports, raised
+    by the support walk once they pass the budget, or polymers, raised
+    during the removal walk before the level that passes the budget is
     allocated, or, before anything is allocated, a cap c < n so large
     that one node's row of walks, dmax (1 + (dmax - 1) + ... + (dmax -
     1)^(ceil(c/2) - 1)) of them, would pass 2^24 (from c = 45 for dmax
     = 3, 29 for 4, 17 for 8, 9 for 32 to 64).  One DEBUG record on this
     module's logger reports the region size, supports, polymers, walk
-    levels and wall time of the catalog, and the short-cycle search's
-    row width, source blocks, rows that repeat an end node and wall time.
+    levels, the support walk's levels and largest level (its sets and the
+    words of one set) and wall time of the catalog, and the short-cycle
+    search's row width, source blocks, rows that repeat an end node and
+    wall time.
     """
     if node_cap < 0:
         raise ValueError("node_cap must be nonnegative")
@@ -360,13 +366,17 @@ def enumerate_polymers(graph: CheckGraph, node_cap: int) -> PolymerCatalog:
         region = (np.arange(graph.n) if whole
                   else _near_short_cycles(graph.layout, node_cap, tally))
     searched = time.perf_counter() if debug else 0.0
-    catalog, supports, levels = _grow_polymers(graph, node_cap, region)
+    grown = {} if debug else None
+    catalog = _grow_polymers(graph, node_cap, region, grown)
     if debug:
         logger.debug("polymers on %d region nodes: %d supports, %d polymers, "
-                     "%d walk levels, %.4f s; short-cycle search: rows of "
+                     "%d walk levels, support walk: %d levels, largest %d "
+                     "sets of %d words, %.4f s; short-cycle search: rows of "
                      "%d walks, %d source blocks, %d rows repeat an end "
-                     "node, %.4f s", len(region), supports, len(catalog),
-                     levels, time.perf_counter() - searched, tally["width"],
+                     "node, %.4f s", len(region), grown["supports"],
+                     len(catalog), grown["levels"], grown["esu_levels"],
+                     grown["largest"], grown["words"],
+                     time.perf_counter() - searched, tally["width"],
                      tally["blocks"], tally["repeats"], searched - start)
     return catalog
 
@@ -528,19 +538,21 @@ def _walk_positions(dmax: int, top: int) -> tuple[np.ndarray, ...]:
     return turn, level, first
 
 
-def _grow_polymers(graph: CheckGraph, node_cap: int,
-                   nodes: np.ndarray) -> tuple[PolymerCatalog, int, int]:
+def _grow_polymers(graph: CheckGraph, node_cap: int, nodes: np.ndarray,
+                   tally: Optional[dict] = None) -> PolymerCatalog:
     """The catalog of polymers of at most ``node_cap`` nodes in the
-    subgraph induced by ``nodes`` (ascending), in catalog order, with its
-    numbers of supports and of walk levels.
+    subgraph induced by ``nodes`` (ascending), in catalog order.
 
-    The supports come from ESU (``_supports``); the polymers on all of
-    them from one level walk (``_removal_walk``), each level a batch of
-    arrays.  Every state of the walk is a polymer, and the walk lists them
-    by level, then by ESU support, then by removed edges; one stable sort
-    by support mask puts them in catalog order.  BudgetError once the
-    supports, or the polymers of the levels so far, number more than
-    ``MAX_POLYMERS``, and from ``_support_edges``.
+    The supports come from one level walk on packed words
+    (``_support_walk``), as a support x region-node membership in
+    ascending order of mask; the polymers on all of them from a second
+    level walk (``_removal_walk``).  Every state of the second walk is a
+    polymer, and it lists them by level, then by support, then by removed
+    edges; one stable sort by support puts them in catalog order.
+    ``tally``, when given, receives the numbers of ``supports`` and of
+    removal-walk ``levels``, and the support walk's own figures.
+    BudgetError once the supports, or the polymers of the levels so far,
+    number more than ``MAX_POLYMERS``, and from ``_support_edges``.
     """
     lay = graph.layout
     # region nodes are numbered 0..R-1 in host order, so local bitmasks
@@ -548,45 +560,176 @@ def _grow_polymers(graph: CheckGraph, node_cap: int,
     nbr = lay.nbr[nodes]
     pos = np.searchsorted(nodes, nbr)
     local = np.where(np.append(nodes, -1)[pos] == nbr, pos, -1)
-    nbm = [sum(1 << b for b in row if b >= 0) for row in local.tolist()]
-    masks: list[int] = []
-    members: list[list[int]] = []
-    for support, mem in _supports(nbm, node_cap):
-        if len(masks) == MAX_POLYMERS:    # G[V] is a polymer on V
-            raise BudgetError(
-                f"polymer catalog exceeds {MAX_POLYMERS:,} polymers")
-        masks.append(support)
-        members.append(mem)
-    S = len(masks)
+    words = _support_walk(local, node_cap, tally)
+    S = len(words)
+    levels = []
+    if S:
+        sid, member = _set_bits(words)
+        rows, slots, ends, bits, real = _support_edges(lay, nodes, local,
+                                                       sid, member, S)
+        levels = _removal_walk(ends, bits, real, slots)
+    if tally is not None:
+        tally.update(supports=S, levels=len(levels))
     if not S:
         return PolymerCatalog(
             host=graph, node_cap=node_cap, support=np.zeros(0, np.int64),
             support_masks=(), support_nodes=np.zeros((0, 0), np.int64),
-            slot_masks=np.zeros((0, 0), np.uint8)), 0, 0
-    rows, slots, ends, bits, real = _support_edges(lay, nodes, local,
-                                                   members)
-    levels = _removal_walk(ends, bits, real, slots)
+            slot_masks=np.zeros((0, 0), np.uint8))
     sup, slots = (np.concatenate(x) for x in zip(*levels))
-    by_mask = sorted(range(S), key=masks.__getitem__)
-    rank = np.empty(S, dtype=np.int64)
-    rank[by_mask] = np.arange(S)
-    order = np.argsort(rank[sup], kind="stable")
-    region = nodes.tolist()
-    return PolymerCatalog(
-        host=graph,
-        node_cap=node_cap,
-        support=rank[sup[order]],
-        support_masks=tuple([sum(1 << region[a] for a in members[s])
-                             for s in by_mask]),
-        support_nodes=rows[by_mask],
-        slot_masks=slots[order],
-    ), S, len(levels)
+    if len(levels) > 1:
+        order = np.argsort(sup, kind="stable")
+        sup, slots = sup[order], slots[order]
+    if len(nodes) == graph.n:     # local masks are host masks
+        raw, step = words.astype("<u8").tobytes(), 8 * words.shape[1]
+        masks = [int.from_bytes(raw[i:i + step], "little")
+                 for i in range(0, len(raw), step)]
+    else:
+        masks = [0] * S
+        for s, a in zip(sid.tolist(), nodes[member].tolist()):
+            masks[s] |= 1 << a
+    return PolymerCatalog(host=graph, node_cap=node_cap, support=sup,
+                          support_masks=tuple(masks), support_nodes=rows,
+                          slot_masks=slots)
+
+
+def _support_walk(local: np.ndarray, cap: int,
+                  tally: Optional[dict] = None) -> np.ndarray:
+    """The connected node sets of at most ``cap`` region nodes whose
+    induced subgraph has minimum degree 2, as rows of W = ceil(R/64)
+    uint64 words (bit a of a row: region node a), ascending by mask;
+    ``local`` holds each region node's region-local neighbours, -1 where
+    a slot leads out of the region or is padded.
+
+    ESU (Wernicke 2006), one level at a time: each connected set is grown
+    once, from its least node, by nodes of its extension set, to which a
+    new node w adds only its neighbours above the least node that are
+    neither in the set nor next to it, and from which it drops w and the
+    nodes below w.  A state is one row of 4W words (the set, its extension
+    set, the set and its neighbours, the nodes above its least node) with
+    its members in order of addition, the least node first; on the last
+    level, ``cap``, only the set is built.  A member can later gain only
+    neighbours in the extension set, so a state in which some member has
+    fewer than two neighbours in the set and its extension set holds no
+    support; one mask test drops those states.  A state's children are
+    the set bits of its extension set, found word by word, so they cost
+    in proportion to their number.  A level is walked in batches of about
+    ``BLOCK_ENTRIES`` entries, depth first, so the states held at once
+    stay bounded whatever the size of a level.  ``tally``, when given,
+    receives the number of ``esu_levels``, the sets of the ``largest``
+    level and the ``words`` of one state.  BudgetError once the supports
+    number more than ``MAX_POLYMERS``.
+    """
+    R = len(local)
+    W = -(-R // 64)
+    cap = min(cap, R)
+    if cap < 3:    # a support has at least three nodes
+        if tally is not None:
+            tally.update(esu_levels=0, largest=0, words=4 * W)
+        return np.zeros((0, W), dtype=np.uint64)
+    a = np.arange(R)
+    one = np.zeros((R + 1, W), dtype=np.uint64)    # row R: no node
+    one[a, a >> 6] = np.uint64(1) << (a & 63).astype(np.uint64)
+    nbm = np.bitwise_or.reduce(one[local], axis=1)
+    one = one[:R]
+    above = ~np.bitwise_or.accumulate(one, axis=0)    # the nodes above
+    # per node: its bit, the nodes above it and its neighbourhood
+    table = np.concatenate([one, above, nbm], axis=1)
+    rows = np.concatenate([one, nbm & above, one | nbm, above], axis=1)
+    sets = [0, R] + [0] * cap    # states tested, per level
+    # level 1: a node with fewer than two neighbours above it
+    keep = _fewest(np.bitwise_count(nbm & above)[:, None]) >= 2
+    stack = [(rows[keep], a[keep, None], True)]
+    found: list[np.ndarray] = []
+    total = 0
+    while stack:
+        rows, members, tested = stack.pop()
+        k = members.shape[1]
+        if tested:
+            # the children: one per set bit of each extension set; on the
+            # last level only their sets are read
+            p, w = _set_bits(rows[:, W:2 * W])
+            members = np.concatenate([members[p], w[:, None]], axis=1)
+            k += 1
+            if k == cap:
+                rows = rows[p, :W] | one[w]
+            else:
+                rows, t = rows[p], table[w]
+                held, ext, closed, anchor = (rows[:, i * W:(i + 1) * W]
+                                             for i in range(4))
+                fresh = t[:, 2 * W:] & anchor
+                fresh &= ~closed
+                ext &= t[:, W:2 * W]
+                ext |= fresh
+                held |= t[:, :W]
+                closed |= t[:, 2 * W:]
+        sets[k] += len(rows)
+        nb = nbm[members]    # (N, k, W): each member's neighbourhood
+        if k < cap:
+            reach = rows[:, :W] | rows[:, W:2 * W]
+            keep = _fewest(np.bitwise_count(nb & reach[:, None])) >= 2
+            rows, members, nb = rows[keep], members[keep], nb[keep]
+        if k >= 3:    # a support has at least three nodes
+            held = rows[:, :W]
+            hits = held[_fewest(np.bitwise_count(nb & held[:, None])) >= 2]
+            total += len(hits)
+            if total > MAX_POLYMERS:    # G[V] is a polymer on V
+                raise BudgetError(
+                    f"polymer catalog exceeds {MAX_POLYMERS:,} polymers")
+            found.append(hits)
+        if k == cap or not len(rows):
+            continue
+        batch = max(1, BLOCK_ENTRIES // ((5 + k) * W))
+        if len(rows) * (R - k) <= batch:    # cannot pass a batch
+            stack.append((rows, members, True))
+            continue
+        kids = np.add.reduce(np.bitwise_count(rows[:, W:2 * W]), axis=1)
+        for lo, hi in _runs(kids, batch):
+            stack.append((rows[lo:hi], members[lo:hi], True))
+    if tally is not None:
+        tally.update(esu_levels=max((k for k, s in enumerate(sets) if s),
+                                    default=0),
+                     largest=max(sets), words=4 * W)
+    if not found:
+        return np.zeros((0, W), dtype=np.uint64)
+    words = np.concatenate(found)
+    return words[np.lexsort(words.T)]
+
+
+def _runs(kids: np.ndarray, batch: int) -> list[tuple[int, int]]:
+    """Bounds (lo, hi) of the runs of consecutive states, with ``kids``
+    children each, that hold at most ``batch`` children (plus one state's),
+    last run first, so that a stack expands the first run first."""
+    if kids.sum() <= batch:
+        return [(0, len(kids))]
+    run = (np.cumsum(kids) - kids) // batch
+    cuts = [0, *(np.flatnonzero(np.diff(run)) + 1).tolist(), len(kids)]
+    return list(zip(cuts, cuts[1:]))[::-1]
+
+
+def _fewest(counts: np.ndarray) -> np.ndarray:
+    """Per state, the least over its members of the popcounts ``counts``
+    (N, k, W) summed over the words."""
+    if counts.shape[2] > 1:
+        counts = np.add.reduce(counts, axis=2, keepdims=True)
+    return np.minimum.reduce(counts, axis=(1, 2))
+
+
+def _set_bits(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(row, bit) of every set bit of the uint64 rows ``words`` (N, W),
+    by row, then bit ascending: only the nonzero words are unpacked."""
+    r, w = np.nonzero(words)
+    octets = words[r, w].astype("<u8", copy=False).view(np.uint8).reshape(
+        -1, 8)
+    i, b = np.nonzero(np.unpackbits(octets, axis=1, bitorder="little"))
+    return r[i], w[i] * 64 + b
 
 
 def _support_edges(lay: Layout, nodes: np.ndarray, local: np.ndarray,
-                   members: list[list[int]]) -> tuple[np.ndarray, ...]:
-    """The nodes and edges of G[V] for every support V, listed by
-    region-local ``members``: ``rows`` (S, K), its host nodes, ascending,
+                   sid: np.ndarray, member: np.ndarray,
+                   S: int) -> tuple[np.ndarray, ...]:
+    """The nodes and edges of G[V] for every support V, from the
+    membership pairs (``sid``, ``member``) (support, region node), by
+    support, then node: ``rows`` (S, K), its host nodes, ascending,
     padded with n; ``slots`` (S, K), their slot masks in G[V] (0 where
     padded) in the least unsigned dtype with a bit per slot, BudgetError
     past 64; ``ends`` (2, S, M), the ends (a, b), a < b, of its edges as
@@ -597,31 +740,30 @@ def _support_edges(lay: Layout, nodes: np.ndarray, local: np.ndarray,
     word = np.min_scalar_type((1 << lay.dmax) - 1)
     if word.kind != "u":
         raise BudgetError(f"node degree {lay.dmax} exceeds 64 slot bits")
-    R, S = len(nodes), len(members)
-    size = np.array([len(mem) for mem in members])
-    first = np.cumsum(size) - size
-    sid = np.repeat(np.arange(S), size)
-    key = np.sort(sid * R + np.concatenate(members))
-    node = key % R
-    in_row = np.arange(size.max()) < size[:, None]
-    rows = np.full(in_row.shape, len(lay.deg))
-    rows[in_row] = nodes[node]
-    want = sid[:, None] * R + local[node]
+    R = len(nodes)
+    size = np.bincount(sid, minlength=S)
+    col = np.arange(len(sid)) - (np.cumsum(size) - size)[sid]    # in row
+    key = sid * R + member    # ascending
+    rows = np.full((S, size.max()), len(lay.deg))
+    rows[sid, col] = nodes[member]
+    nb = local[member]
+    want = sid[:, None] * R + nb
     at = np.minimum(np.searchsorted(key, want), len(key) - 1)
-    inside = (local[node] >= 0) & (key[at] == want)    # slot stays in V
-    slots = np.zeros(in_row.shape, dtype=word)    # distinct bits: sum = OR
-    slots[in_row] = (inside << np.arange(local.shape[1])).sum(axis=1)
+    inside = (nb >= 0) & (key[at] == want)    # slot stays in V
+    slots = np.zeros(rows.shape, dtype=word)    # distinct bits: sum = OR
+    slots[sid, col] = np.add.reduce(inside << np.arange(local.shape[1]),
+                                    axis=1)
     # each edge at its lower end: by support, then lower end, then slot,
     # which is ascending edge id within each support
-    a, t = np.nonzero(inside & (local[node] > node[:, None]))
+    a, t = np.nonzero(inside & (nb > member[:, None]))
     b = at[a, t]
-    e = lay.eid[nodes[node[a]], t]
+    e = lay.eid[nodes[member[a]], t]
     es = sid[a]
     m = np.bincount(es, minlength=S)
     j = np.arange(len(es)) - (np.cumsum(m) - m)[es]
     ends = np.zeros((2, S, int(m.max())), dtype=np.int64)
     bits = np.zeros(ends.shape, dtype=word)
-    ends[:, es, j] = a - first[es], b - first[es]
+    ends[:, es, j] = col[a], col[b]
     # a is the lower end, in the region as in the host: its slot is slot[e, 0]
     bits[:, es, j] = (1 << lay.slot[e].T).astype(word)
     return rows, slots, ends, bits, np.arange(ends.shape[2]) < m[:, None]
@@ -679,14 +821,14 @@ def _removal_walk(ends: np.ndarray, bits: np.ndarray, real: np.ndarray,
         low &= ~low + np.uint64(1)
         hit = (red[word, i] & low[:, None]) != 0
         red = red[:, i]
-        np.bitwise_xor(red, col[:, :, None], out=red, where=hit)
+        red ^= col[:, :, None] * hit    # a masked xor: where= is slower
         r = np.arange(len(i))
         sup, slots, open_ = sup[i], slots[i], open_[i]
         open_ &= np.arange(M) > j[:, None]
-        for a, bit in zip(ends[:, sup, j], bits[:, sup, j]):
-            slots[r, a] ^= bit
-            open_ &= ~(inc[sup, a]
-                       & (np.bitwise_count(slots[r, a]) == 2)[:, None])
+        a = ends[:, sup, j]    # both ends at once: they are two nodes
+        slots[r, a] ^= bits[:, sup, j]
+        low = np.bitwise_count(slots[r, a]) == 2
+        open_ &= ~(inc[sup, a] & low[:, :, None]).any(axis=0)
         levels.append((sup, slots))
 
 
@@ -698,68 +840,46 @@ def _cycle_columns(inc: np.ndarray) -> np.ndarray:
 
     The cycle space is the null space over GF(2) of the incidence matrix,
     read off its reduced row echelon form, found row by row for all
-    graphs at once.  Each free column f gives one basis cycle, numbered f:
-    the edge f and the pivot edges of the rows with a 1 in column f.
-    Removing a set R of edges disconnects a graph iff R holds a nonempty
-    cut, a nonzero vector supported on R orthogonal to every cycle: iff
-    the columns of R are linearly dependent.
+    graphs at once on the rows packed into words (bit e of a row: edge
+    e); each row's pivot is its lowest edge.  Each free column f gives
+    one basis cycle, numbered f: the edge f and the pivot edges of the
+    rows with a 1 in column f.  Removing a set R of edges disconnects a
+    graph iff R holds a nonempty cut, a nonzero vector supported on R
+    orthogonal to every cycle: iff the columns of R are linearly
+    dependent.
     """
     S, K, M = inc.shape
-    rows = inc.copy()
+    rows = _packed(inc)    # (S, K, W)
     graphs = np.arange(S)
-    pivot = np.full((S, K), -1)
+    word = np.zeros((S, K), dtype=np.int64)
+    low = np.zeros((S, K), dtype=np.uint64)
     for k in range(K):
         row = rows[:, k].copy()
-        c = row.argmax(axis=1)
-        has = row[graphs, c]
-        other = rows[graphs, :, c] & has[:, None]
+        word[:, k] = at = np.argmax(row != 0, axis=1)
+        bit = row[graphs, at]
+        bit &= ~bit + np.uint64(1)    # the lowest set bit, 0 if none
+        low[:, k] = bit
+        other = (rows[graphs, :, at] & bit[:, None]) != 0
         other[:, k] = False
-        rows ^= other[:, :, None] & row[:, None, :]
-        pivot[has, k] = c[has]
-    g, k = np.nonzero(pivot >= 0)
+        rows ^= row[:, None, :] * other[:, :, None]
+    g, k = np.nonzero(low)
+    e = word[g, k] * 64 + np.bitwise_count(low[g, k] - np.uint64(1))
     free = inc.any(axis=1)
-    free[g, pivot[g, k]] = False
-    on = np.zeros((S, M, M), dtype=bool)
-    on[g, pivot[g, k]] = rows[g, k] & free[g]
+    free[g, e] = False
+    out = np.zeros((rows.shape[2], S, M), dtype=np.uint64)
+    out[:, g, e] = (rows[g, k] & _packed(free)[g]).T
     g, f = np.nonzero(free)
-    on[g, f, f] = True
-    octets = np.zeros((S, M, -(-M // 64) * 8), dtype=np.uint8)
-    octets[:, :, :-(-M // 8)] = np.packbits(on, axis=2, bitorder="little")
-    return octets.view("<u8").astype(np.uint64).transpose(2, 0, 1)
+    out[f >> 6, g, f] = np.uint64(1) << (f & 63).astype(np.uint64)
+    return out
 
 
-def _supports(nbm: list[int], cap: int) -> Iterator[tuple[int, list[int]]]:
-    """Connected node sets of at most ``cap`` nodes whose induced subgraph
-    has minimum degree 2, as bitmasks with their member lists;
-    ``nbm[a]`` is node a's neighbourhood.
-
-    ESU: each connected set is grown once, from its least node, by nodes
-    of its extension set, to which a new node adds only its neighbours
-    that are neither in the set nor next to it.  A member can later gain
-    only neighbours in the extension set, so a branch in which some member
-    has fewer than two neighbours in the set and its extension set holds
-    no support.
-    """
-    for v in range(len(nbm)):
-        above = -2 << v     # the nodes above v
-        # members, set, extension set, set and its neighbours
-        stack = [([v], 1 << v, nbm[v] & above, 1 << v | nbm[v])]
-        while stack:
-            members, S, ext, closed = stack.pop()
-            reach = S | ext
-            if any((nbm[a] & reach).bit_count() < 2 for a in members):
-                continue
-            if all((nbm[a] & S).bit_count() >= 2 for a in members):
-                yield S, members
-            if len(members) == cap:
-                continue
-            while ext:
-                low = ext & -ext
-                ext ^= low
-                w = low.bit_length() - 1
-                stack.append((members + [w], S | low,
-                              ext | nbm[w] & above & ~closed,
-                              closed | nbm[w]))
+def _packed(flags: np.ndarray) -> np.ndarray:
+    """Boolean rows (..., M) packed into uint64 words (..., ceil(M/64)):
+    bit j of word i is entry 64 i + j."""
+    M = flags.shape[-1]
+    octets = np.zeros(flags.shape[:-1] + (-(-M // 64) * 8,), dtype=np.uint8)
+    octets[..., :-(-M // 8)] = np.packbits(flags, axis=-1, bitorder="little")
+    return octets.view("<u8").astype(np.uint64)
 
 
 def edge_boundary(graph: CheckGraph, nodes: Iterable[int]) -> int:
@@ -797,8 +917,11 @@ def check_edge_expansion(graph: CheckGraph, kappa: float,
     subsets are scanned (BudgetError, before scanning, when 2^n exceeds
     ``MAX_ENTRIES``); larger graphs are spot-checked on uniform random
     subsets of admissible sizes, the first violator in draw order being the
-    witness.
+    witness.  ValueError for a NaN ``kappa``, which no comparison could
+    refute.
     """
+    if math.isnan(kappa):
+        raise ValueError(f"kappa must be a number, got {kappa}")
     n = graph.n
     comps = graph.components()
     if len(comps) > 1 and kappa > 0:

@@ -38,10 +38,11 @@ from typing import Optional
 import numpy as np
 
 from ._elim import check_budget, contract
-from ._layout import MAX_ENTRIES, Rows, node_tables
+from ._layout import BLOCK_ENTRIES, MAX_ENTRIES, Rows, node_tables
 from .bp import MessageSet, _edge_messages, bethe_log_partition
 from .exceptions import BudgetError
-from .graphs import CheckGraph, PolymerCatalog, enumerate_polymers
+from .graphs import (CheckGraph, PolymerCatalog, _runs, _set_bits,
+                     enumerate_polymers)
 from .model import FactorSpec, _log_factor_blocks, exact_log_partition
 
 __all__ = [
@@ -198,9 +199,9 @@ def _scaled(result: tuple[np.ndarray, float], k: int) -> float:
 
 
 def _by_support(catalog: PolymerCatalog,
-                activities) -> list[tuple[int, float]]:
-    """(node bitmask, summed activity) of each support that carries a
-    nonzero-activity polymer, in catalog order.
+                activities) -> tuple[np.ndarray, np.ndarray]:
+    """The supports that carry a nonzero-activity polymer, as indices in
+    catalog order, with their summed activities.
 
     Exact for the hard-core sum and every Mayer order, since two polymers on
     one support always conflict; sums of |K| such as the criterion are not.
@@ -208,10 +209,9 @@ def _by_support(catalog: PolymerCatalog,
     vals = catalog.activity_vector(activities)
     sums = _support_sums(catalog, vals)
     live = np.flatnonzero(_support_sums(catalog, vals != 0.0))
-    items = [(catalog.support_masks[i], float(sums[i])) for i in live]
     logger.debug("%d polymers on %d supports",
-                 np.count_nonzero(vals), len(items))
-    return items
+                 np.count_nonzero(vals), len(live))
+    return live, sums[live]
 
 
 def _support_sums(catalog: PolymerCatalog, values: np.ndarray) -> np.ndarray:
@@ -222,60 +222,197 @@ def _support_sums(catalog: PolymerCatalog, values: np.ndarray) -> np.ndarray:
     return np.add.reduceat(values, starts)
 
 
-def _polynomials(items: list[tuple[int, float]],
-                 top: Optional[int] = None) -> list[list[float]]:
-    """Coefficients of the hard-core polynomial of each group of supports.
+def _polynomials(nodes: np.ndarray, weights: np.ndarray, n: int,
+                 top: Optional[int] = None, part: Optional[np.ndarray] = None,
+                 parts: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """Coefficients of the hard-core polynomial of each group of supports,
+    one row per group; ``nodes`` (G, K) holds each support's host nodes,
+    padded with ``n``, and ``weights`` its weight w.
 
-    The supports are split into groups that share no node; collections
-    from different groups never conflict, so the hard-core polynomial
-    Xi(lambda) = sum over collections of pairwise node-disjoint supports of
-    prod(lambda w) is the product of one polynomial per group.  For each
-    group this returns c_0..c_t, where c_k sums prod(w) over the sets of k
-    pairwise disjoint supports of the group and t is ``top``, or its support
-    count when ``top`` is None.
+    The supports are split into groups that share no node (``_groups``);
+    collections from different groups never conflict, so the hard-core
+    polynomial Xi(lambda) = sum over collections of pairwise node-disjoint
+    supports of prod(lambda w) is the product of one polynomial per group.
+    Row g holds c_0, c_1, ..., where c_k sums prod(w) over the sets of k
+    pairwise disjoint supports of group g, up to c_t for t = ``top``, or
+    else up to the largest such set of any group (zeros past a group's).
+    ``part`` splits the supports into ``parts`` independent problems,
+    whose groups never merge (all in part 0 when None); the second array
+    returned holds each group's part.
 
-    One depth-first walk visits each such set of at most t supports once:
-    each step passes down the later supports of the group, in the order of
-    ``items``, that miss the set chosen so far, and the last level adds
-    prod * sum(w) to c_t without building lists.  The pair comparisons of
-    a step are counted before they are made; BudgetError once the count
-    would pass ``MAX_ENTRIES``.
+    One level walk visits each such set of at most t supports once, in
+    the order of the supports within their group, with the sums and the
+    work budget of a depth-first recursion.  A state of level k is a set
+    of k supports: its group, its product and its candidates, the later
+    supports of the group that miss the set, as a row of packed words.
+    Level 0 (the empty set of each group, c_0 = 1) has the group's
+    supports as children, so level 1 is read off directly: c_1 = sum(w),
+    and each support's candidates are its row of later node-disjoint
+    supports.  A child adds candidate j: it multiplies the product by w_j
+    and ANDs the row with j's.  A state of a group whose t is k + 1 adds
+    prod * sum(w) over its candidates to c_t without children.  Before a
+    batch's children are built, the pair comparisons of the recursion,
+    C(m, 2) for a state with m candidates, are counted over the states
+    that have children; BudgetError once the count of one part passes
+    ``MAX_ENTRIES``.  Levels are walked in batches of about
+    ``BLOCK_ENTRIES`` entries, depth first, so that every level's sums
+    run in the order of the recursion.  One DEBUG record on this module's
+    logger reports the supports, groups, levels and pair comparisons of
+    the walk.
     """
-    groups: list[int] = []    # node sets of the groups, pairwise disjoint
-    for m, _ in items:
-        # the groups that m touches are disjoint: their sum is their union
-        touched = sum(g for g in groups if g & m)
-        groups = [g for g in groups if not g & m] + [m | touched]
-    compared = 0
-
-    def walk(cands, prod, c, k):
-        nonlocal compared
-        c[k] += prod
-        if k + 1 == len(c) - 1:
-            c[k + 1] += prod * sum(v for _, v in cands)
-            return
-        compared += len(cands) * (len(cands) - 1) // 2
-        if compared > MAX_ENTRIES:
-            raise BudgetError(f"hard-core walk over {len(items):,} supports "
+    if part is None:
+        part = np.zeros(len(weights), dtype=np.int64)
+    else:    # each part on its own copy of the nodes
+        nodes = np.where(nodes < n, nodes + part[:, None] * n, n * parts)
+        n *= parts
+    gid, order, size = _groups(nodes, n)
+    ng = len(size)
+    home = np.zeros(ng, dtype=np.int64)    # the part of each group
+    home[gid] = part
+    # from here on the supports are numbered by group, then position;
+    # level 0 is one state per group, whose children are its supports
+    weight, g = weights[order], gid[order]
+    last = np.full(ng, top) if top is not None else size
+    cols = [np.ones(ng), np.bincount(g, weight, minlength=ng)]
+    grow = (last > 1) & (size > 1)    # a lone support has no candidate
+    compared = np.bincount(home, np.where(grow, size * (size - 1) // 2, 0),
+                           minlength=parts)
+    stack = []
+    if grow.any():
+        W = -(-int(size.max()) // 64)
+        start = np.cumsum(size) - size
+        pos = np.arange(len(g)) - start[g]
+        later = _later(nodes[order], n, pos, size[g], W)
+        keep = grow[g]
+        stack.append((1, g[keep], weight[keep], later[keep], False))
+        batch = max(1, BLOCK_ENTRIES // (W + 2))
+    while True:
+        if compared.max() > MAX_ENTRIES:
+            count = np.bincount(part, minlength=parts)[compared.argmax()]
+            raise BudgetError(f"hard-core walk over {count:,} supports "
                               f"exceeds {MAX_ENTRIES:,} pair comparisons")
-        for j, (m, v) in enumerate(cands):
-            walk([it for it in cands[j + 1:] if not it[0] & m], prod * v,
-                 c, k + 1)
+        if not stack:
+            break
+        k, g, prod, cands, tested = stack.pop()
+        if tested:
+            # the children, whose products enter c_{k+1} as they are made
+            r, j = _set_bits(cands)
+            at = start[g[r]] + j
+            g, prod = g[r], prod[r] * weight[at]
+            if k + 1 == len(cols):
+                cols.append(np.zeros(ng))
+            cols[k + 1] += np.bincount(g, prod, minlength=ng)
+            stack.append((k + 1, g, prod, cands[r] & later[at], False))
+            continue
+        done = k + 1 == last[g]
+        if done.any():
+            if k + 1 == len(cols):
+                cols.append(np.zeros(ng))
+            r, j = _set_bits(cands[done])
+            sums = np.bincount(r, weight[start[g[done]][r] + j],
+                               minlength=np.count_nonzero(done))
+            cols[k + 1] += np.bincount(g[done], prod[done] * sums,
+                                       minlength=ng)
+            g, prod, cands = g[~done], prod[~done], cands[~done]
+        kids = np.add.reduce(np.bitwise_count(cands), axis=1, dtype=np.int64)
+        compared += np.bincount(home[g], kids * (kids - 1) // 2,
+                                minlength=parts)
+        has = kids > 0
+        if compared.max() > MAX_ENTRIES or not has.any():
+            continue
+        g, prod, cands = g[has], prod[has], cands[has]
+        for lo, hi in _runs(kids[has], batch):
+            stack.append((k, g[lo:hi], prod[lo:hi], cands[lo:hi], True))
+    if top is not None:
+        cols += [np.zeros(ng)] * (top + 1 - len(cols))
+    logger.debug("hard-core walk: %d supports in %d groups, %d levels, "
+                 "%d pair comparisons", len(weights), ng, len(cols) - 1,
+                 compared.sum())
+    return np.array(cols).T.reshape(ng, len(cols)), home
 
-    out = []
-    for g in groups:
-        members = [it for it in items if it[0] & g]
-        c = [0.0] * (1 + (len(members) if top is None else top))
-        walk(members, 1.0, c, 0)
-        out.append(c)
+
+def _groups(nodes: np.ndarray,
+            n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The groups of the supports ``nodes`` (G, K), padded with ``n``:
+    the connected components of "shares a node".  Returns each support's
+    group, numbered by least support; the supports ordered by group,
+    then index; and each group's size.
+
+    Each support is linked to the least support on each of its nodes, and
+    the components follow by hooking the larger of two linked roots under
+    the smaller and following pointers until no link joins two roots.
+    """
+    G = len(nodes)
+    s, k = np.nonzero(nodes < n)
+    a = nodes[s, k]
+    least = np.full(n, G)
+    np.minimum.at(least, a, s)
+    u, v = s, least[a]
+    label = np.arange(G)
+    while True:
+        lu, lv = label[u], label[v]
+        if not (lu != lv).any():
+            break
+        np.minimum.at(label, np.maximum(lu, lv), np.minimum(lu, lv))
+        while ((up := label[label]) != label).any():
+            label = up
+    # a root is the least support of its group
+    gid = (np.cumsum(label == np.arange(G)) - 1)[label]
+    size = np.bincount(gid)
+    return gid, np.argsort(gid, kind="stable"), size
+
+
+def _below(x: np.ndarray, W: int) -> np.ndarray:
+    """Rows of W uint64 words with the bits below each ``x`` set."""
+    word, col = x[:, None] >> 6, np.arange(W)
+    part = (np.uint64(1) << (x[:, None] & 63).astype(np.uint64)) - 1
+    return np.where(col < word, ~np.uint64(0),
+                    np.where(col == word, part, np.uint64(0)))
+
+
+def _later(nodes: np.ndarray, n: int, pos: np.ndarray, size: np.ndarray,
+           W: int) -> np.ndarray:
+    """Per support (``nodes``, padded with ``n``, at position ``pos`` of a
+    group of ``size``), the later supports of its group that share no
+    node with it, as rows of W words over the positions."""
+    G = len(nodes)
+    s, k = np.nonzero(nodes < n)
+    # on[a]: the positions of the supports on node a (groups share none)
+    on = np.zeros((n + 1, W), dtype=np.uint64)
+    np.bitwise_or.at(on, (nodes[s, k], pos[s] >> 6),
+                     np.uint64(1) << (pos[s] & 63).astype(np.uint64))
+    meets = np.zeros((G, W), dtype=np.uint64)
+    for col in nodes.T:
+        meets |= on[col]
+    return ~meets & _below(size, W) & ~_below(pos + 1, W)
+
+
+def _hard_core_sums(nodes: np.ndarray, weights: np.ndarray, n: int,
+                    part: Optional[np.ndarray] = None,
+                    parts: int = 1) -> list[float]:
+    """Per part, the sum of prod(w) over collections of pairwise
+    node-disjoint supports of that part: the product of its group sums,
+    all from one walk of ``_polynomials``."""
+    c, home = _polynomials(nodes, weights, n, part=part, parts=parts)
+    out = [1.0] * parts
+    for p, row in zip(home.tolist(), c.tolist()):
+        out[p] *= sum(row)
     return out
 
 
-def _hard_core_sum(items: list[tuple[int, float]], used: int = 0) -> float:
-    """Sum of prod(w) over collections of pairwise node-disjoint supports
-    that avoid the nodes in ``used``: the product of the group sums."""
-    free = [it for it in items if not it[0] & used]
-    return math.prod((sum(c) for c in _polynomials(free)), start=1.0)
+def _log_orders(c: np.ndarray, M: int) -> tuple[float, ...]:
+    """The lambda^1..lambda^M coefficients of ln Xi, summed over groups,
+    from each group's coefficients c_0 = 1, c_1, ... (rows of ``c``): k
+    a_k = k c_k - sum_{j<k} j a_j c_{k-j}, with c_k = 0 past the row.
+    ValueError unless 1 <= M <= 5."""
+    if not 1 <= M <= 5:
+        raise ValueError("M_max must lie in 1..5")
+    width = min(M + 1, c.shape[1])
+    c = np.concatenate([c[:, :width].T, np.zeros((M + 1 - width, len(c)))])
+    a = np.zeros_like(c)
+    for k in range(1, M + 1):
+        a[k] = c[k] - sum(j * a[j] * c[k - j] for j in range(1, k)) / k
+    return tuple(np.add.reduce(a[1:], axis=1).tolist())
 
 
 def z_corr_polymer_form(catalog: PolymerCatalog,
@@ -286,7 +423,8 @@ def z_corr_polymer_form(catalog: PolymerCatalog,
     cap this is the truncation to small polymers.  BudgetError as for the
     walk of ``_polynomials``.
     """
-    return _hard_core_sum(_by_support(catalog, activities))
+    live, w = _by_support(catalog, activities)
+    return _hard_core_sums(catalog.support_nodes[live], w, catalog.host.n)[0]
 
 
 @dataclass(frozen=True)
@@ -326,14 +464,9 @@ def mayer_expansion(catalog: PolymerCatalog, activities: np.ndarray,
     """
     if not 1 <= M_max <= 5:
         raise ValueError("M_max must lie in 1..5")
-    supports = _by_support(catalog, activities)
-    orders = [0.0] * M_max
-    for c in _polynomials(supports, M_max):
-        a = [0.0] * (M_max + 1)
-        for k in range(1, M_max + 1):
-            a[k] = c[k] - sum(j * a[j] * c[k - j] for j in range(1, k)) / k
-            orders[k - 1] += a[k]
-    return MayerExpansion(orders=tuple(orders), num_supports=len(supports),
+    live, w = _by_support(catalog, activities)
+    c, _ = _polynomials(catalog.support_nodes[live], w, catalog.host.n, M_max)
+    return MayerExpansion(orders=_log_orders(c, M_max), num_supports=len(live),
                           num_polymers=int(np.count_nonzero(activities)))
 
 
@@ -387,25 +520,40 @@ def split_report(graph: CheckGraph, spec: FactorSpec, messages: MessageSet,
     if catalog is None:
         catalog = enumerate_polymers(graph, graph.n)
     _check_host(graph, catalog.host, table.graph)
+    n = graph.n
     vals = table.polymer_activities(catalog)
-    size = np.count_nonzero(catalog.support_nodes < graph.n, axis=1)
-    large_ids = np.flatnonzero(
-        2 * size[catalog.support] >= graph.n).tolist()
+    size = np.count_nonzero(catalog.support_nodes < n, axis=1)
+    large_ids = np.flatnonzero(2 * size[catalog.support] >= n).tolist()
     large_masks = [catalog.support_masks[s]
                    for s in catalog.support[large_ids].tolist()]
-    supports = _by_support(catalog, vals)
-    small_items = [(m, w) for m, w in supports
-                   if 2 * m.bit_count() < graph.n]
-    z_small = _hard_core_sum(small_items)
+    live, w = _by_support(catalog, vals)
+    nodes = catalog.support_nodes[live]
+    small = np.flatnonzero(2 * size[live] < n)
     # one id per large support: its polymers share cond and overlap
     witness = dict(zip(large_masks, large_ids))
-    cond = {m: _hard_core_sum(small_items, m) for m in witness}
+    big = catalog.support_nodes[catalog.support[list(witness.values())]]
+    hit = np.zeros((len(big), n + 1), dtype=bool)
+    hit[np.arange(len(big))[:, None], big] = True
+    hit[:, n] = False
+    # part 0: every support; 1: the small ones; 2 + i: the small ones that
+    # miss the i-th large support
+    big_at, free = np.nonzero(~hit[:, nodes[small]].any(axis=2))
+    ids = np.concatenate([np.arange(len(live)), small, small[free]])
+    part = np.concatenate([np.zeros(len(live), dtype=np.int64),
+                           np.ones(len(small), dtype=np.int64), 2 + big_at])
+    z_all, z_small, *rest = _hard_core_sums(nodes[ids], w[ids], n, part,
+                                            2 + len(big))
+    cond = dict(zip(witness, rest))
     ratios = {i: cond[m] / z_small for i, m in zip(large_ids, large_masks)}
-    reconstructed = z_small + sum(w * cond[m] for m, w in supports
-                                  if m in cond)
-    pair = next(((i, j) for (mi, i), (mj, j)
-                 in itertools.combinations(witness.items(), 2)
-                 if not mi & mj), None)
+    reconstructed = z_small + sum(
+        v * cond[m] for m, v in zip(
+            (catalog.support_masks[s] for s in live.tolist()), w.tolist())
+        if m in cond)
+    # the first two large supports, in witness order, that share no node
+    meet = hit.astype(np.int64) @ hit.T
+    apart = np.argwhere(np.triu(meet == 0, k=1))
+    first = list(witness.values())
+    pair = (first[apart[0, 0]], first[apart[0, 1]]) if len(apart) else None
     if pair is not None:
         logger.warning("two node-disjoint large polymers (ids %d, %d); "
                        "single-large-polymer split is not exact here", *pair)
@@ -416,7 +564,7 @@ def split_report(graph: CheckGraph, spec: FactorSpec, messages: MessageSet,
         large_ids=tuple(large_ids),
         ratios=ratios,
         reconstructed=reconstructed,
-        z_polymer_all=_hard_core_sum(supports),
+        z_polymer_all=z_all,
         unique_large=pair is None,
         truncated=not catalog.covers_host,
     )
@@ -505,6 +653,10 @@ def build_expansion_report(graph: CheckGraph, spec: FactorSpec,
     An exact sum whose elimination plan is over the ``MAX_ENTRIES`` budget
     leaves its fields None, and the refusal, which names the width, is
     logged at INFO; large instances still produce criterion/polymer data.
+    The polymer form and the Mayer orders come from one hard-core walk
+    (``_polynomials``): Z_corr is the product of the group sums, and the
+    orders are the coefficients of ln Xi (``_log_orders``), as
+    ``z_corr_polymer_form`` and ``mayer_expansion`` give them.
     """
     bv = bethe_log_partition(graph, spec, messages)
     table = ActivityTable(graph, spec, messages)
@@ -520,7 +672,11 @@ def build_expansion_report(graph: CheckGraph, spec: FactorSpec,
                     else "exact ln Z and correction scan", exc)
     cat = enumerate_polymers(graph, graph.n if node_cap is None else node_cap)
     vals = table.polymer_activities(cat)
-    mayer = (mayer_expansion(cat, vals, M_max=mayer_max)
+    # one walk gives the hard-core sum and the Mayer orders
+    live, w = _by_support(cat, vals)
+    c, _ = _polynomials(cat.support_nodes[live], w, graph.n)
+    z_polymer = math.prod((sum(row) for row in c.tolist()), start=1.0)
+    mayer = (_log_orders(c, mayer_max)
              if len(cat) and mayer_max >= 1 else None)
     return ExpansionReport(
         n=graph.n, d=graph.d, num_edges=graph.num_edges,
@@ -533,10 +689,10 @@ def build_expansion_report(graph: CheckGraph, spec: FactorSpec,
         z_corr_loops=None if scan is None else scan.z_loops,
         max_nonloop_abs=None if scan is None else scan.max_nonloop_abs,
         tail_abs=None if scan is None else scan.tail_abs,
-        z_corr_polymer=z_corr_polymer_form(cat, vals),
+        z_corr_polymer=z_polymer,
         catalog_size=len(cat),
         catalog_cap=cat.node_cap,
         catalog_truncated=not cat.covers_host,
         criterion=convergence_criterion(cat, vals),
-        mayer_orders=None if mayer is None else mayer.orders,
+        mayer_orders=mayer,
     )

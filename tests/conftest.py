@@ -8,11 +8,12 @@ node term and the activity tables, the edge-subset polymer grower over the
 whole host, the set-by-set sampled expansion check, the edge-order BP sweep,
 the pair-based convergence criterion, the Mayer sum over connected
 labeled graphs, the recursive removal walk per support, the
-polymer-by-polymer bound check, a BFS per node for its shortest cycle
-and the one-edge-a-step greedy elimination order are kept here as the
+polymer-by-polymer bound check, a BFS per node for its shortest cycle,
+the one-edge-a-step greedy elimination order, ESU one Python step at a
+time and the depth-first hard-core recursion are kept here as the
 references for their batched, support-first, slot-major, per-support,
-hard-core-polynomial, level-walk, array, walk-table and merged-step
-versions.
+hard-core-polynomial, level-walk, array, walk-table, merged-step and
+packed-word versions.
 Edge subsets are tuples of edge ids.
 """
 
@@ -29,7 +30,7 @@ from scipy.special import logsumexp
 
 from loopexp.bp import CLAMP, MessageSet
 from loopexp.exceptions import BudgetError, DivergenceError
-from loopexp.graphs import CheckGraph, _near_short_cycles, _supports
+from loopexp.graphs import CheckGraph, _near_short_cycles
 from loopexp.model import FactorSpec
 
 # Property tests draw the same examples on every run, so tier-1 results are
@@ -432,6 +433,45 @@ def brute_polymer_sum(masks, activities, used=0):
     return rec(0, used)
 
 
+def hard_core_polynomials(items, top=None):
+    """Coefficients of the hard-core polynomial of each group of supports
+    (node bitmask, weight), by one depth-first recursion per group.
+
+    The supports are split into groups that share no node; for each group
+    this returns c_0..c_t, where c_k sums prod(w) over the sets of k
+    pairwise disjoint supports of the group and t is ``top``, or its
+    support count when ``top`` is None, keyed by the group's node set.
+    Each step passes down the later supports of the group, in the order
+    of ``items``, that miss the set chosen so far, and the last level adds
+    prod * sum(w) to c_t.  Also returns the pair comparisons made, C(m, 2)
+    for a step with m candidates that has children.
+    """
+    groups = []    # node sets of the groups, pairwise disjoint
+    for m, _ in items:
+        touched = sum(g for g in groups if g & m)
+        groups = [g for g in groups if not g & m] + [m | touched]
+    compared = 0
+
+    def walk(cands, prod, c, k):
+        nonlocal compared
+        c[k] += prod
+        if k + 1 == len(c) - 1:
+            c[k + 1] += prod * sum(v for _, v in cands)
+            return
+        compared += len(cands) * (len(cands) - 1) // 2
+        for j, (m, v) in enumerate(cands):
+            walk([it for it in cands[j + 1:] if not it[0] & m], prod * v,
+                 c, k + 1)
+
+    out = {}
+    for g in groups:
+        members = [it for it in items if it[0] & g]
+        c = [0.0] * (1 + (len(members) if top is None else top))
+        walk(members, 1.0, c, 0)
+        out[g] = c
+    return out, compared
+
+
 @functools.cache
 def connected_labeled_graphs(M):
     """All connected simple graphs on vertices 0..M-1, as sorted edge tuples."""
@@ -802,11 +842,58 @@ def spanning_polymers(edges, adj, d):
     return out
 
 
+def esu_supports(nbm, cap, tested=None):
+    """Connected node sets of at most ``cap`` nodes whose induced subgraph
+    has minimum degree 2, as bitmasks with their member lists;
+    ``nbm[a]`` is node a's neighbourhood.  ``tested``, when given (a
+    Counter), counts the sets the walk tests, by size.
+
+    ESU one Python step at a time: each connected set is grown once, from
+    its least node, by nodes of its extension set, to which a new node
+    adds only its neighbours that are neither in the set nor next to it.
+    A member can later gain only neighbours in the extension set, so a
+    branch in which some member has fewer than two neighbours in the set
+    and its extension set holds no support.
+    """
+    for v in range(len(nbm)):
+        above = -2 << v     # the nodes above v
+        # members, set, extension set, set and its neighbours
+        stack = [([v], 1 << v, nbm[v] & above, 1 << v | nbm[v])]
+        while stack:
+            members, S, ext, closed = stack.pop()
+            if tested is not None:
+                tested[len(members)] += 1
+            reach = S | ext
+            if any((nbm[a] & reach).bit_count() < 2 for a in members):
+                continue
+            if all((nbm[a] & S).bit_count() >= 2 for a in members):
+                yield S, members
+            if len(members) >= cap:
+                continue
+            while ext:
+                low = ext & -ext
+                ext ^= low
+                w = low.bit_length() - 1
+                stack.append((members + [w], S | low,
+                              ext | nbm[w] & above & ~closed,
+                              closed | nbm[w]))
+
+
+def region_neighbourhoods(graph, nodes):
+    """Region-local neighbourhood bitmask of every node of ``nodes``
+    (ascending host ids), the package's numbering of a region."""
+    nbr = graph.layout.nbr[nodes]
+    pos = np.searchsorted(nodes, nbr)
+    local = np.where(np.append(nodes, -1)[pos] == nbr, pos, -1).tolist()
+    return [sum(1 << b for b in row if b >= 0) for row in local]
+
+
 def removal_walk_catalog(graph, node_cap):
     """(edge ids, offsets, node masks, profiles, support masks, support,
     support nodes, slot masks) of the polymers of at most ``node_cap``
-    nodes, in catalog order: the package's region and support walk, then
-    ``spanning_polymers`` on each support, one recursion per support,
+    nodes, in catalog order: the package's region, ESU one step at a time
+    (``esu_supports``), then ``spanning_polymers`` on each support, one
+    recursion per support,
     sorted by node mask, then by ``left_out``; the support arrays are
     ``support_arrays``'s."""
     d = graph.d
@@ -823,7 +910,7 @@ def removal_walk_catalog(graph, node_cap):
     up = [[(b, e) for b, e in zip(row, erow) if b > a]
           for a, (row, erow) in enumerate(zip(local, eid.tolist()))]
     blocks = []
-    for support, _ in _supports(nbm, node_cap):
+    for support, _ in esu_supports(nbm, node_cap):
         members = _bits_of(support)
         edges = sorted((e, a, b) for a in members for b, e in up[a]
                        if support >> b & 1)

@@ -313,6 +313,33 @@ class TestSweepKernel:
         with pytest.raises(ValueError, match=want):
             ActivityTable(prism, spec, msgs)
 
+    def test_nan_tol_rejected(self, prism):
+        # tol = nan would run to max_sweeps: no residual is <= nan
+        spec = FactorSpec.cycle_code(np.full(9, 0.1))
+        with pytest.raises(ValueError, match="tol must be a number"):
+            solve_fixed_point(prism, spec, tol=math.nan)
+        out = solve_fixed_point(prism, spec, tol=-math.inf, max_sweeps=3)
+        assert out.sweeps == 3 and not out.converged
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_messages_rejected_by_the_sweep(self, prism, bad):
+        spec = FactorSpec.cycle_code(np.full(9, 0.1))
+        eta = np.zeros((9, 2))
+        eta[4, 1] = bad
+        msgs = MessageSet(eta=eta)
+        for call in (lambda: solve_fixed_point(prism, spec, init=eta),
+                     lambda: solve_fixed_point(prism, spec, init=msgs),
+                     lambda: bp_sweep(prism, spec, msgs)):
+            with pytest.raises(ValueError, match="message on edge 4 is not "
+                               "finite"):
+                call()
+        # the Bethe value and the activity table still take them
+        if math.isnan(bad):
+            with pytest.raises(ValueError, match="vanished at node"):
+                bethe_log_partition(prism, spec, msgs)
+            with pytest.raises(ValueError, match="vanished at node"):
+                ActivityTable(prism, spec, msgs)
+
     def test_one_debug_record_per_solve(self, prism, caplog):
         spec = FactorSpec.cycle_code(sample_bsc(prism, 0.45, 3).h)
         with caplog.at_level(logging.DEBUG, logger="loopexp.bp"):

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import logging
 import re
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import loopexp as lx
-from loopexp import graphs
+from loopexp import cli, graphs
 from loopexp.exceptions import BudgetError, PairingError
 from loopexp.graphs import (CheckGraph, _near_short_cycles,
                             check_edge_expansion, edge_boundary,
@@ -19,8 +20,9 @@ from loopexp.graphs import (CheckGraph, _near_short_cycles,
 from loopexp.loopseries import convergence_criterion
 
 from conftest import (assert_catalog_is, assert_wide_enough, brute_polymers,
-                      global_polymers, in_catalog_order, loop_criterion,
-                      near_short_cycles, neighbour_lists, node_masks,
+                      esu_supports, global_polymers, in_catalog_order,
+                      loop_criterion, mixed_host, near_short_cycles,
+                      neighbour_lists, node_masks, region_neighbourhoods,
                       removal_walk_catalog, sampled_expansion,
                       set_sampler_edges, shortest_cycle_through, small_hosts,
                       tuple_graph)
@@ -580,6 +582,106 @@ class TestLevelWalk:
         assert not caplog.records
 
 
+def word_supports(g, nodes, cap):
+    """The support walk on the region ``nodes`` of ``g``, as region-local
+    bitmasks, in the walk's order."""
+    nbr = g.layout.nbr[nodes]
+    pos = np.searchsorted(nodes, nbr)
+    local = np.where(np.append(nodes, -1)[pos] == nbr, pos, -1)
+    return [int.from_bytes(row.astype("<u8").tobytes(), "little")
+            for row in graphs._support_walk(local, cap)]
+
+
+def oracle_supports(g, nodes, cap):
+    """ESU one step at a time on the same region, masks ascending."""
+    nbm = region_neighbourhoods(g, nodes)
+    return sorted(mask for mask, _ in esu_supports(nbm, cap))
+
+
+class TestSupportWalk:
+    """The support walk on packed words against ESU one Python step at a
+    time: the same supports, ascending, at every cap."""
+
+    @given(small_hosts(max_nodes=8, max_edges=14))
+    def test_small_hosts_at_every_cap(self, g):
+        for cap in range(0, g.n + 1):
+            assert word_supports(g, np.arange(g.n), cap) \
+                == oracle_supports(g, np.arange(g.n), cap)
+
+    def test_mixed_host_at_every_cap(self):
+        g = mixed_host()
+        for cap in range(0, g.n + 1):
+            assert word_supports(g, np.arange(g.n), cap) \
+                == oracle_supports(g, np.arange(g.n), cap)
+        assert word_supports(g, np.arange(g.n), 7) == [0b111]
+
+    def test_hundred_node_cycle(self):
+        # one support of 100 nodes, two words a row, grown over 100 levels
+        g = CheckGraph.from_edges(100, [(i, (i + 1) % 100)
+                                        for i in range(100)])
+        assert word_supports(g, np.arange(100), 100) == [(1 << 100) - 1]
+        cat = enumerate_polymers(g, 100)
+        assert len(cat) == 1
+        assert_same_arrays(cat, removal_walk_catalog(g, 100))
+
+    def test_lollipop(self):
+        # at these caps a row of walks holds at least 41 walks, so the
+        # region is the whole host: one support, the triangle, after 36
+        # levels on the path
+        g = lollipop()
+        for cap in range(12, 37):
+            assert word_supports(g, np.arange(g.n), cap) \
+                == oracle_supports(g, np.arange(g.n), cap) == [0b111]
+            assert enumerate_polymers(g, cap).support_masks == (0b111,)
+
+    @pytest.mark.parametrize("n, d, seed, cap", [
+        (10_000, 3, 0, 5), (10_000, 3, 1, 5), (10_000, 3, 0, 6),
+        (10_000, 3, 1, 6), (600, 4, 17, 6)])
+    def test_wide_regions(self, n, d, seed, cap):
+        # regions of 92 to 504 nodes, two to eight words a row
+        g = sample_regular_graph(n, d, seed)
+        region = _near_short_cycles(g.layout, cap)
+        assert len(region) > 64
+        got = word_supports(g, region, cap)
+        assert got == oracle_supports(g, region, cap)
+        assert got
+
+    def test_over_budget_walk_refuses_in_bounded_memory(self, monkeypatch):
+        # uncapped on 40 nodes the supports start at 10 nodes, and the
+        # level of 17-node sets alone holds about 425,000 sets (over 70 MiB
+        # of rows and members); the walk holds one batch of a level at a
+        # time, depth first, and refuses once the supports pass the budget
+        g = sample_regular_graph(40, 3, 1)
+        monkeypatch.setattr(graphs, "MAX_POLYMERS", 20_000)
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetError,
+                               match="polymer catalog exceeds 20,000 "):
+                enumerate_polymers(g, 39)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 << 20
+
+    def test_batches_leave_the_catalog_alone(self, monkeypatch):
+        # levels cut into runs of a few states, walked depth first
+        g = sample_regular_graph(14, 3, 2)
+        want = removal_walk_catalog(g, 14)
+        monkeypatch.setattr(graphs, "BLOCK_ENTRIES", 40)
+        assert_same_arrays(enumerate_polymers(g, 14), want)
+
+    def test_debug_record_reports_the_walk(self, prism, caplog):
+        tested = collections.Counter()
+        list(esu_supports(region_neighbourhoods(prism, np.arange(6)), 6,
+                          tested))
+        with caplog.at_level(logging.DEBUG, logger="loopexp.graphs"):
+            enumerate_polymers(prism, 6)
+        (record,) = caplog.records
+        assert (f"support walk: {max(tested)} levels, largest "
+                f"{max(tested.values())} sets of 4 words, "
+                in record.getMessage())
+
+
 class TestExpansion:
     def test_edge_boundary(self, prism):
         assert edge_boundary(prism, [0, 1, 2]) == 3
@@ -640,6 +742,22 @@ class TestExpansion:
                 == sampled_expansion(g, kappa, 4000, [s, 1])
             if kappa == 1.6:
                 assert v.is_expander is False
+
+    @pytest.mark.parametrize("n", [8, 200])
+    def test_nan_kappa_rejected(self, n):
+        # exhaustive (n = 8) and sampled (n = 200): every comparison with
+        # nan is False, so nan once certified every graph
+        g = sample_regular_graph(n, 3, 1)
+        with pytest.raises(ValueError, match="kappa must be a number"):
+            check_edge_expansion(g, float("nan"))
+
+    def test_nan_kappa_cli_exits_2_without_output(self, tmp_path, capsys):
+        out = tmp_path / "verdicts.csv"
+        code = cli.main(["expander-check", "-n", "8", "--samples", "2",
+                            "--kappa", "nan", "--out", str(out)])
+        assert code == 2
+        assert "kappa must be a number" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_exhaustive_budget_raises_before_scanning(self):
         # 2^25 node sets are over the 2^24 budget; one block of the scan

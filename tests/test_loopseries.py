@@ -17,8 +17,10 @@ from loopexp.channel import sample_bsc
 from loopexp.exceptions import BudgetError
 from loopexp.graphs import (CheckGraph, enumerate_polymers,
                             sample_regular_graph)
+from loopexp import loopseries
 from loopexp.loopseries import (ActivityTable, ExpansionReport,
-                                _by_support, _support_sums,
+                                _by_support, _groups, _polynomials,
+                                _support_sums,
                                 build_expansion_report,
                                 convergence_criterion, mayer_expansion,
                                 scan_correction, split_report,
@@ -28,7 +30,8 @@ from loopexp.model import FactorSpec, exact_log_partition
 from conftest import (arbitrary_messages, brute_correction,
                       brute_node_activity, brute_polymer_sum, brute_scan,
                       connected_labeled_graphs, dense_mayer_orders,
-                      factor_specs, global_polymers, in_catalog_order,
+                      factor_specs, global_polymers, hard_core_polynomials,
+                      in_catalog_order,
                       incoming, induced_degrees, local_mask, loop_criterion,
                       loop_node_table, loop_polymer_activities, mixed_host,
                       node_masks, one_subset_activity, pair_criterion,
@@ -621,9 +624,9 @@ class TestSupportGrouping:
             [math.fsum(map(abs, want[m])) for m in masks], rel=1e-12,
             abs=1e-15)
         live = [m for m in masks if any(want[m])]
-        items = _by_support(cat, vals)
-        assert [m for m, _ in items] == live
-        assert [w for _, w in items] == pytest.approx(
+        ids, sums = _by_support(cat, vals)
+        assert [cat.support_masks[i] for i in ids.tolist()] == live
+        assert sums.tolist() == pytest.approx(
             [math.fsum(want[m]) for m in live], rel=1e-12, abs=1e-15)
 
     def test_criterion_stays_per_polymer(self, k4, caplog):
@@ -693,6 +696,121 @@ def test_rejects_table_or_catalog_of_another_host(call):
     table = ActivityTable(other, spec, solve_fixed_point(other, spec))
     with pytest.raises(ValueError, match="another host graph"):
         call(host, spec, table, enumerate_polymers(other, other.n))
+
+
+@st.composite
+def weighted_supports(draw):
+    """Up to 12 node sets on at most 9 nodes, repeats allowed, with
+    weights in [-2, 2], exact zeros included: one to several groups."""
+    n = draw(st.integers(1, 9))
+    masks = draw(st.lists(st.integers(1, (1 << n) - 1), max_size=12))
+    weights = draw(st.lists(st.one_of(st.just(0.0), st.floats(-2.0, 2.0)),
+                            min_size=len(masks), max_size=len(masks)))
+    return n, masks, weights
+
+
+def support_rows(n, masks):
+    """The node sets ``masks`` as ascending rows padded with n."""
+    rows = [[a for a in range(n) if m >> a & 1] for m in masks]
+    K = max(map(len, rows), default=0)
+    return np.array([r + [n] * (K - len(r)) for r in rows],
+                    dtype=np.int64).reshape(len(masks), K)
+
+
+class TestHardCoreWalk:
+    """The level walk on packed words against the depth-first recursion:
+    the same coefficients per group and the same pair comparisons."""
+
+    @given(data=st.data())
+    def test_matches_recursion(self, data):
+        n, masks, weights = data.draw(weighted_supports())
+        top = data.draw(st.sampled_from([None, 1, 2, 3, 4, 5]))
+        nodes, w = support_rows(n, masks), np.array(weights)
+        c, home = _polynomials(nodes, w, n, top)
+        want, compared = hard_core_polynomials(list(zip(masks, weights)),
+                                               top)
+        # each coefficient to 1e-13 of the sum of its terms' magnitudes
+        scale, _ = hard_core_polynomials(
+            [(m, abs(v)) for m, v in zip(masks, weights)], top)
+        gid, _, _ = _groups(nodes, n)
+        groups = [0] * len(c)
+        for g, m in zip(gid.tolist(), masks):
+            groups[g] |= m
+        assert sorted(groups) == sorted(want) and not home.any()
+        for row, m in zip(c.tolist(), groups):
+            width = max(len(row), len(want[m]))
+            pad = [0.0] * width
+            for x, y, s in zip(row + pad, want[m] + pad, scale[m] + pad):
+                assert abs(x - y) <= 1e-13 * s
+            assert row[0] == 1.0 and len(row) >= (top or 0) + 1
+        # the budget counts the recursion's comparisons exactly
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(loopseries, "MAX_ENTRIES", compared)
+            _polynomials(nodes, w, n, top)
+            if compared:
+                patch.setattr(loopseries, "MAX_ENTRIES", compared - 1)
+                with pytest.raises(BudgetError, match="pair comparisons"):
+                    _polynomials(nodes, w, n, top)
+
+    def test_batches_leave_the_sums_alone(self, monkeypatch):
+        # levels cut into runs of a few states, walked depth first
+        g = sample_regular_graph(14, 3, 2)
+        cat = enumerate_polymers(g, g.n)
+        vals = np.random.default_rng(2).uniform(-0.5, 0.5, len(cat))
+        live, w = _by_support(cat, vals)
+        nodes = cat.support_nodes[live]
+        want, _ = _polynomials(nodes, w, g.n)
+        monkeypatch.setattr(loopseries, "BLOCK_ENTRIES", 6)
+        got, _ = _polynomials(nodes, w, g.n)
+        assert got.shape == want.shape
+        assert np.allclose(got, want, rtol=1e-13, atol=0.0)
+
+    def test_parts_walk_apart(self):
+        # the same supports as two parts: groups never merge across them,
+        # and each part's sums are those of a walk of its own
+        n, masks = 6, [0b000111, 0b001100, 0b110000, 0b011000]
+        nodes, w = support_rows(n, masks), np.array([0.5, -0.25, 2.0, 1.5])
+        alone, _ = _polynomials(nodes, w, n)
+        both, home = _polynomials(np.vstack([nodes, nodes]),
+                                  np.concatenate([w, w]), n,
+                                  part=np.repeat([0, 1], 4), parts=2)
+        assert home.tolist() == [0] * len(alone) + [1] * len(alone)
+        assert np.array_equal(both, np.vstack([alone, alone]))
+
+    def test_debug_record_counts_the_comparisons(self, caplog):
+        masks = [0b0111, 0b1110, 0b1000, 0b0001, 0b0110]
+        nodes, w = support_rows(4, masks), np.ones(5)
+        _, compared = hard_core_polynomials([(m, 1.0) for m in masks], 3)
+        with caplog.at_level(logging.DEBUG, logger="loopexp.loopseries"):
+            c, _ = _polynomials(nodes, w, 4, 3)
+        assert compared and len(c) == 1
+        assert (f"hard-core walk: 5 supports in 1 groups, 3 levels, "
+                f"{compared} pair comparisons") in caplog.text
+
+    def test_over_budget_level_refused_before_it_is_built(self,
+                                                          monkeypatch):
+        # K_13's 286 triangles: the level of 3 disjoint triangles holds
+        # 200,200 sets (about 11 MiB of rows); a budget that admits the
+        # comparisons of levels 0 and 1 refuses when level 2 would build it
+        k13 = CheckGraph.from_edges(13, itertools.combinations(range(13), 2))
+        cat = enumerate_polymers(k13, 3)
+        masks = cat.support_masks
+        later = [sum(1 for m in masks[j + 1:] if not m & mj)
+                 for j, mj in enumerate(masks)]
+        first_two = math.comb(len(masks), 2) + sum(math.comb(k, 2)
+                                                   for k in later)
+        monkeypatch.setattr(loopseries, "MAX_ENTRIES", first_two)
+        vals = np.ones(len(cat))
+        assert len(mayer_expansion(cat, vals, M_max=2).orders) == 2
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetError, match="over 286 supports "
+                               f"exceeds {first_two:,} pair comparisons"):
+                z_corr_polymer_form(cat, vals)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 << 20
 
 
 class TestSplitReport:
