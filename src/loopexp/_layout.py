@@ -11,6 +11,9 @@ polymer catalog walks the neighbour array.
 Message ``eta[e, 0]`` (u->v of edge e = (u, v)) is entry ``2e`` of the flat
 directed-edge vector and ``eta[e, 1]`` entry ``2e + 1``; padded slots point
 at the dummy entry ``2E`` of that vector extended by one zero.
+
+The helpers at the end handle packed rows, the sets of positions that the
+polymer walks hold as uint64 words.
 """
 
 from __future__ import annotations
@@ -103,3 +106,44 @@ def node_tables(lay: Layout, blocks) -> Rows:
     for d, nodes, rows in blocks:
         values[offsets[nodes][:, None] + np.arange(1 << d)] = rows
     return Rows(values, offsets)
+
+
+# Packed rows: a set of positions is a row of uint64 words, bit j of word
+# i holding position 64 i + j.
+
+def word_bit(x: np.ndarray) -> np.ndarray:
+    """The uint64 word of each position ``x`` with its bit x % 64 set."""
+    return np.uint64(1) << (x & 63).astype(np.uint64)
+
+
+def packed(flags: np.ndarray) -> np.ndarray:
+    """Boolean rows (..., M) packed into uint64 words (..., ceil(M/64))."""
+    M = flags.shape[-1]
+    octets = np.zeros(flags.shape[:-1] + (-(-M // 64) * 8,), dtype=np.uint8)
+    octets[..., :-(-M // 8)] = np.packbits(flags, axis=-1, bitorder="little")
+    return octets.view("<u8").astype(np.uint64)
+
+
+def set_bits(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(row, position) of every set bit of the rows ``words`` (N, W), by
+    row, then position ascending.  Rows of one word are unpacked whole;
+    wider rows only at their nonzero words."""
+    if words.shape[1] == 1:
+        octets = words.astype("<u8", copy=False).view(np.uint8)
+        return np.nonzero(np.unpackbits(octets, axis=1, bitorder="little"))
+    r, w = np.nonzero(words)
+    octets = words[r, w].astype("<u8", copy=False).view(np.uint8).reshape(
+        -1, 8)
+    i, b = np.nonzero(np.unpackbits(octets, axis=1, bitorder="little"))
+    return r[i], w[i] * 64 + b
+
+
+def runs(kids: np.ndarray, batch: int) -> list[tuple[int, int]]:
+    """Bounds (lo, hi) of the runs of consecutive states, with ``kids``
+    children each, that hold at most ``batch`` children (plus one state's),
+    last run first, so that a stack expands the first run first."""
+    if kids.sum() <= batch:
+        return [(0, len(kids))]
+    run = (np.cumsum(kids) - kids) // batch
+    cuts = [0, *(np.flatnonzero(np.diff(run)) + 1).tolist(), len(kids)]
+    return list(zip(cuts, cuts[1:]))[::-1]

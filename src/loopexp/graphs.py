@@ -25,7 +25,8 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from ._elim import EliminationPlan, plan_elimination
-from ._layout import BLOCK_ENTRIES, MAX_ENTRIES, Layout, Rows
+from ._layout import (BLOCK_ENTRIES, MAX_ENTRIES, Layout, Rows, packed,
+                      runs, set_bits, word_bit)
 from .exceptions import BudgetError, PairingError
 
 __all__ = [
@@ -559,12 +560,12 @@ def _grow_polymers(graph: CheckGraph, node_cap: int, nodes: np.ndarray,
     # sort as the host's do; slots leading out of the region are dropped
     nbr = lay.nbr[nodes]
     pos = np.searchsorted(nodes, nbr)
-    local = np.where(np.append(nodes, -1)[pos] == nbr, pos, -1)
+    local = np.where(nodes.take(pos, mode="clip") == nbr, pos, -1)
     words = _support_walk(local, node_cap, tally)
     S = len(words)
     levels = []
     if S:
-        sid, member = _set_bits(words)
+        sid, member = set_bits(words)
         rows, slots, ends, bits, real = _support_edges(lay, nodes, local,
                                                        sid, member, S)
         levels = _removal_walk(ends, bits, real, slots)
@@ -575,8 +576,10 @@ def _grow_polymers(graph: CheckGraph, node_cap: int, nodes: np.ndarray,
             host=graph, node_cap=node_cap, support=np.zeros(0, np.int64),
             support_masks=(), support_nodes=np.zeros((0, 0), np.int64),
             slot_masks=np.zeros((0, 0), np.uint8))
-    sup, slots = (np.concatenate(x) for x in zip(*levels))
-    if len(levels) > 1:
+    if len(levels) == 1:
+        sup, slots = levels[0]
+    else:
+        sup, slots = (np.concatenate(x) for x in zip(*levels))
         order = np.argsort(sup, kind="stable")
         sup, slots = sup[order], slots[order]
     if len(nodes) == graph.n:     # local masks are host masks
@@ -602,126 +605,103 @@ def _support_walk(local: np.ndarray, cap: int,
 
     ESU (Wernicke 2006), one level at a time: each connected set is grown
     once, from its least node, by nodes of its extension set, to which a
-    new node w adds only its neighbours above the least node that are
-    neither in the set nor next to it, and from which it drops w and the
-    nodes below w.  A state is one row of 4W words (the set, its extension
-    set, the set and its neighbours, the nodes above its least node) with
-    its members in order of addition, the least node first; on the last
-    level, ``cap``, only the set is built.  A member can later gain only
-    neighbours in the extension set, so a state in which some member has
-    fewer than two neighbours in the set and its extension set holds no
-    support; one mask test drops those states.  A state's children are
-    the set bits of its extension set, found word by word, so they cost
-    in proportion to their number.  A level is walked in batches of about
-    ``BLOCK_ENTRIES`` entries, depth first, so the states held at once
-    stay bounded whatever the size of a level.  ``tally``, when given,
-    receives the number of ``esu_levels``, the sets of the ``largest``
-    level and the ``words`` of one state.  BudgetError once the supports
-    number more than ``MAX_POLYMERS``.
+    new node w adds only its open neighbours (above the least node, neither
+    in the set nor next to it), and from which it drops w and the nodes
+    below w.  Level k is one array of 3 + k blocks of W words per state,
+    states last: the set, its extension set, its open nodes, then the
+    neighbourhood of each member in order of addition, the least node
+    first; on the last level, ``cap``, only the set is updated.  A member
+    can later gain only neighbours in the extension set, so a state in
+    which some member has fewer than two neighbours in the set and its
+    extension set holds no support; one mask test drops those states, and
+    the same counts find the supports.  A state's children are the set bits
+    of its extension set, so they cost in proportion to their number.  A
+    level past the first is walked in batches of about ``BLOCK_ENTRIES``
+    entries, depth first, so the states held at once stay bounded whatever
+    the size of a level; level 1 and the node table take 4W words per
+    region node.  ``tally``, when given, receives the number of
+    ``esu_levels``, the sets of the ``largest`` level and the ``words`` of
+    one of its states.  BudgetError once the supports number more than
+    ``MAX_POLYMERS``.
     """
     R = len(local)
     W = -(-R // 64)
     cap = min(cap, R)
     if cap < 3:    # a support has at least three nodes
         if tally is not None:
-            tally.update(esu_levels=0, largest=0, words=4 * W)
+            tally.update(esu_levels=0, largest=0, words=0)
         return np.zeros((0, W), dtype=np.uint64)
+    # per node w: its bit, its neighbours, the nodes above it and its
+    # non-neighbours, for the update of a state that adds w
     a = np.arange(R)
-    one = np.zeros((R + 1, W), dtype=np.uint64)    # row R: no node
-    one[a, a >> 6] = np.uint64(1) << (a & 63).astype(np.uint64)
-    nbm = np.bitwise_or.reduce(one[local], axis=1)
-    one = one[:R]
-    above = ~np.bitwise_or.accumulate(one, axis=0)    # the nodes above
-    # per node: its bit, the nodes above it and its neighbourhood
-    table = np.concatenate([one, above, nbm], axis=1)
-    rows = np.concatenate([one, nbm & above, one | nbm, above], axis=1)
-    sets = [0, R] + [0] * cap    # states tested, per level
-    # level 1: a node with fewer than two neighbours above it
-    keep = _fewest(np.bitwise_count(nbm & above)[:, None]) >= 2
-    stack = [(rows[keep], a[keep, None], True)]
-    found: list[np.ndarray] = []
+    table = np.zeros((4, W, R + 1), dtype=np.uint64)    # column R: no node
+    one, nbm, above, apart = table
+    one[a >> 6, a] = word_bit(a)
+    np.bitwise_or.reduce(one[:, local], axis=2, out=nbm[:, :R])
+    np.invert(np.bitwise_or.accumulate(one, axis=1, out=above), out=above)
+    np.invert(nbm, out=apart)
+    table = table[:, :, :R]
+    # level 1: each node, its neighbours above it, the other nodes above
+    # it and its neighbours
+    states = table[[0, 2, 3, 1]]
+    states[1:3] &= table[1:3]
+    sets = [0] * (cap + 1)    # states tested, per level
+    stack = [(states, False)]
+    found = [np.zeros((W, 0), dtype=np.uint64)]
     total = 0
     while stack:
-        rows, members, tested = stack.pop()
-        k = members.shape[1]
+        states, tested = stack.pop()
         if tested:
-            # the children: one per set bit of each extension set; on the
-            # last level only their sets are read
-            p, w = _set_bits(rows[:, W:2 * W])
-            members = np.concatenate([members[p], w[:, None]], axis=1)
-            k += 1
-            if k == cap:
-                rows = rows[p, :W] | one[w]
-            else:
-                rows, t = rows[p], table[w]
-                held, ext, closed, anchor = (rows[:, i * W:(i + 1) * W]
-                                             for i in range(4))
-                fresh = t[:, 2 * W:] & anchor
-                fresh &= ~closed
-                ext &= t[:, W:2 * W]
-                ext |= fresh
-                held |= t[:, :W]
-                closed |= t[:, 2 * W:]
-        sets[k] += len(rows)
-        nb = nbm[members]    # (N, k, W): each member's neighbourhood
+            # the children: one per set bit of each extension set
+            # (np.take keeps the states last in memory, where fancy
+            # indexing would not)
+            p, w = set_bits(states[1].T)
+            t = np.take(table, w, axis=2)
+            child = np.empty((len(states) + 1, W, len(p)), dtype=np.uint64)
+            np.take(states, p, axis=2, out=child[:-1], mode="clip")
+            child[-1] = t[1]
+            states = child
+            if len(states) < 3 + cap:
+                t[1] &= states[2]    # w's open neighbours
+                # extension set: drop w and below; open: drop w's nbrs
+                states[1:3] &= t[2:]
+                states[:2] |= t[:2]
+            else:    # on the last level only the set is read
+                states[0] |= t[0]
+        k, N = len(states) - 3, states.shape[2]
+        sets[k] += N
+        # per member, its neighbours in the set, and in the set and the
+        # extension set
+        counts = np.bitwise_count(states[3:, None] & states[None, :2])
+        counts = (np.add.reduce(counts, axis=2) if W > 1
+                  else counts.reshape(k, 2, N))
         if k < cap:
-            reach = rows[:, :W] | rows[:, W:2 * W]
-            keep = _fewest(np.bitwise_count(nb & reach[:, None])) >= 2
-            rows, members, nb = rows[keep], members[keep], nb[keep]
-        if k >= 3:    # a support has at least three nodes
-            held = rows[:, :W]
-            hits = held[_fewest(np.bitwise_count(nb & held[:, None])) >= 2]
-            total += len(hits)
+            counts[:, 1] += counts[:, 0]
+        least = np.minimum.reduce(counts) >= 2
+        if k >= 3:
+            hits = states[0].compress(least[0], axis=1)
+            total += hits.shape[1]
             if total > MAX_POLYMERS:    # G[V] is a polymer on V
                 raise BudgetError(
                     f"polymer catalog exceeds {MAX_POLYMERS:,} polymers")
             found.append(hits)
-        if k == cap or not len(rows):
+        if k == cap:
             continue
-        batch = max(1, BLOCK_ENTRIES // ((5 + k) * W))
-        if len(rows) * (R - k) <= batch:    # cannot pass a batch
-            stack.append((rows, members, True))
+        states = states.compress(least[1], axis=2)
+        batch = max(1, BLOCK_ENTRIES // ((10 + 5 * k) * W))
+        if states.shape[2] * (R - k) <= batch:    # cannot pass a batch
+            if states.shape[2]:
+                stack.append((states, True))
             continue
-        kids = np.add.reduce(np.bitwise_count(rows[:, W:2 * W]), axis=1)
-        for lo, hi in _runs(kids, batch):
-            stack.append((rows[lo:hi], members[lo:hi], True))
+        kids = np.add.reduce(np.bitwise_count(states[1]), axis=0)
+        for lo, hi in runs(kids, batch):
+            stack.append((states[:, :, lo:hi], True))
     if tally is not None:
-        tally.update(esu_levels=max((k for k, s in enumerate(sets) if s),
-                                    default=0),
-                     largest=max(sets), words=4 * W)
-    if not found:
-        return np.zeros((0, W), dtype=np.uint64)
-    words = np.concatenate(found)
-    return words[np.lexsort(words.T)]
-
-
-def _runs(kids: np.ndarray, batch: int) -> list[tuple[int, int]]:
-    """Bounds (lo, hi) of the runs of consecutive states, with ``kids``
-    children each, that hold at most ``batch`` children (plus one state's),
-    last run first, so that a stack expands the first run first."""
-    if kids.sum() <= batch:
-        return [(0, len(kids))]
-    run = (np.cumsum(kids) - kids) // batch
-    cuts = [0, *(np.flatnonzero(np.diff(run)) + 1).tolist(), len(kids)]
-    return list(zip(cuts, cuts[1:]))[::-1]
-
-
-def _fewest(counts: np.ndarray) -> np.ndarray:
-    """Per state, the least over its members of the popcounts ``counts``
-    (N, k, W) summed over the words."""
-    if counts.shape[2] > 1:
-        counts = np.add.reduce(counts, axis=2, keepdims=True)
-    return np.minimum.reduce(counts, axis=(1, 2))
-
-
-def _set_bits(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(row, bit) of every set bit of the uint64 rows ``words`` (N, W),
-    by row, then bit ascending: only the nonzero words are unpacked."""
-    r, w = np.nonzero(words)
-    octets = words[r, w].astype("<u8", copy=False).view(np.uint8).reshape(
-        -1, 8)
-    i, b = np.nonzero(np.unpackbits(octets, axis=1, bitorder="little"))
-    return r[i], w[i] * 64 + b
+        k = max(k for k, s in enumerate(sets) if s)
+        tally.update(esu_levels=k, largest=max(sets),
+                     words=(3 + sets.index(max(sets))) * W)
+    words = np.concatenate(found, axis=1)
+    return words.T[np.lexsort(words)]
 
 
 def _support_edges(lay: Layout, nodes: np.ndarray, local: np.ndarray,
@@ -742,7 +722,7 @@ def _support_edges(lay: Layout, nodes: np.ndarray, local: np.ndarray,
         raise BudgetError(f"node degree {lay.dmax} exceeds 64 slot bits")
     R = len(nodes)
     size = np.bincount(sid, minlength=S)
-    col = np.arange(len(sid)) - (np.cumsum(size) - size)[sid]    # in row
+    col = np.arange(len(sid)) - np.searchsorted(sid, sid)    # in row
     key = sid * R + member    # ascending
     rows = np.full((S, size.max()), len(lay.deg))
     rows[sid, col] = nodes[member]
@@ -760,7 +740,7 @@ def _support_edges(lay: Layout, nodes: np.ndarray, local: np.ndarray,
     e = lay.eid[nodes[member[a]], t]
     es = sid[a]
     m = np.bincount(es, minlength=S)
-    j = np.arange(len(es)) - (np.cumsum(m) - m)[es]
+    j = np.arange(len(es)) - np.searchsorted(es, es)
     ends = np.zeros((2, S, int(m.max())), dtype=np.int64)
     bits = np.zeros(ends.shape, dtype=word)
     ends[:, es, j] = col[a], col[b]
@@ -795,9 +775,11 @@ def _removal_walk(ends: np.ndarray, bits: np.ndarray, real: np.ndarray,
     (S, K), M = slots.shape, real.shape[1]
     deg = np.bitwise_count(slots)
     sup = np.arange(S)
+    levels = [(sup, slots)]
+    if deg.max() <= 2:    # bare cycles
+        return levels
     row = sup[:, None]
     open_ = real & (deg[row, ends[0]] > 2) & (deg[row, ends[1]] > 2)
-    levels = [(sup, slots)]
     if not open_.any():
         return levels
     s, e = np.nonzero(real)
@@ -849,7 +831,7 @@ def _cycle_columns(inc: np.ndarray) -> np.ndarray:
     dependent.
     """
     S, K, M = inc.shape
-    rows = _packed(inc)    # (S, K, W)
+    rows = packed(inc)    # (S, K, W)
     graphs = np.arange(S)
     word = np.zeros((S, K), dtype=np.int64)
     low = np.zeros((S, K), dtype=np.uint64)
@@ -867,19 +849,10 @@ def _cycle_columns(inc: np.ndarray) -> np.ndarray:
     free = inc.any(axis=1)
     free[g, e] = False
     out = np.zeros((rows.shape[2], S, M), dtype=np.uint64)
-    out[:, g, e] = (rows[g, k] & _packed(free)[g]).T
+    out[:, g, e] = (rows[g, k] & packed(free)[g]).T
     g, f = np.nonzero(free)
-    out[f >> 6, g, f] = np.uint64(1) << (f & 63).astype(np.uint64)
+    out[f >> 6, g, f] = word_bit(f)
     return out
-
-
-def _packed(flags: np.ndarray) -> np.ndarray:
-    """Boolean rows (..., M) packed into uint64 words (..., ceil(M/64)):
-    bit j of word i is entry 64 i + j."""
-    M = flags.shape[-1]
-    octets = np.zeros(flags.shape[:-1] + (-(-M // 64) * 8,), dtype=np.uint8)
-    octets[..., :-(-M // 8)] = np.packbits(flags, axis=-1, bitorder="little")
-    return octets.view("<u8").astype(np.uint64)
 
 
 def edge_boundary(graph: CheckGraph, nodes: Iterable[int]) -> int:

@@ -38,11 +38,11 @@ from typing import Optional
 import numpy as np
 
 from ._elim import check_budget, contract
-from ._layout import BLOCK_ENTRIES, MAX_ENTRIES, Rows, node_tables
+from ._layout import (BLOCK_ENTRIES, MAX_ENTRIES, Rows, node_tables, runs,
+                      set_bits, word_bit)
 from .bp import MessageSet, _edge_messages, bethe_log_partition
 from .exceptions import BudgetError
-from .graphs import (CheckGraph, PolymerCatalog, _runs, _set_bits,
-                     enumerate_polymers)
+from .graphs import CheckGraph, PolymerCatalog, enumerate_polymers
 from .model import FactorSpec, _log_factor_blocks, exact_log_partition
 
 __all__ = [
@@ -250,15 +250,16 @@ def _polynomials(nodes: np.ndarray, weights: np.ndarray, n: int,
     and each support's candidates are its row of later node-disjoint
     supports.  A child adds candidate j: it multiplies the product by w_j
     and ANDs the row with j's.  A state of a group whose t is k + 1 adds
-    prod * sum(w) over its candidates to c_t without children.  Before a
-    batch's children are built, the pair comparisons of the recursion,
-    C(m, 2) for a state with m candidates, are counted over the states
-    that have children; BudgetError once the count of one part passes
-    ``MAX_ENTRIES``.  Levels are walked in batches of about
-    ``BLOCK_ENTRIES`` entries, depth first, so that every level's sums
-    run in the order of the recursion.  One DEBUG record on this module's
-    logger reports the supports, groups, levels and pair comparisons of
-    the walk.
+    prod * sum(w) over its candidates to c_t without children.  The
+    groups are walked by width, those of W words a row (up to 64 W
+    supports) together.  The pair comparisons of the recursion, C(m, 2)
+    for a state with m candidates, are counted over the states that have
+    children, the empty sets first, before anything is built for them;
+    BudgetError once the count of one part passes ``MAX_ENTRIES``.
+    Levels are walked in batches of about ``BLOCK_ENTRIES`` entries, depth
+    first, so that every level's sums run in the order of the recursion.
+    One DEBUG record on this module's logger reports the supports,
+    groups, levels and pair comparisons of the walk.
     """
     if part is None:
         part = np.zeros(len(weights), dtype=np.int64)
@@ -271,58 +272,64 @@ def _polynomials(nodes: np.ndarray, weights: np.ndarray, n: int,
     home[gid] = part
     # from here on the supports are numbered by group, then position;
     # level 0 is one state per group, whose children are its supports
-    weight, g = weights[order], gid[order]
+    nodes, weight, g = nodes[order], weights[order], gid[order]
     last = np.full(ng, top) if top is not None else size
     cols = [np.ones(ng), np.bincount(g, weight, minlength=ng)]
     grow = (last > 1) & (size > 1)    # a lone support has no candidate
     compared = np.bincount(home, np.where(grow, size * (size - 1) // 2, 0),
                            minlength=parts)
-    stack = []
-    if grow.any():
-        W = -(-int(size.max()) // 64)
-        start = np.cumsum(size) - size
-        pos = np.arange(len(g)) - start[g]
-        later = _later(nodes[order], n, pos, size[g], W)
-        keep = grow[g]
-        stack.append((1, g[keep], weight[keep], later[keep], False))
-        batch = max(1, BLOCK_ENTRIES // (W + 2))
-    while True:
+
+    def check():
         if compared.max() > MAX_ENTRIES:
             count = np.bincount(part, minlength=parts)[compared.argmax()]
             raise BudgetError(f"hard-core walk over {count:,} supports "
                               f"exceeds {MAX_ENTRIES:,} pair comparisons")
-        if not stack:
-            break
-        k, g, prod, cands, tested = stack.pop()
-        if tested:
-            # the children, whose products enter c_{k+1} as they are made
-            r, j = _set_bits(cands)
-            at = start[g[r]] + j
-            g, prod = g[r], prod[r] * weight[at]
-            if k + 1 == len(cols):
-                cols.append(np.zeros(ng))
-            cols[k + 1] += np.bincount(g, prod, minlength=ng)
-            stack.append((k + 1, g, prod, cands[r] & later[at], False))
-            continue
-        done = k + 1 == last[g]
-        if done.any():
-            if k + 1 == len(cols):
-                cols.append(np.zeros(ng))
-            r, j = _set_bits(cands[done])
-            sums = np.bincount(r, weight[start[g[done]][r] + j],
-                               minlength=np.count_nonzero(done))
-            cols[k + 1] += np.bincount(g[done], prod[done] * sums,
-                                       minlength=ng)
-            g, prod, cands = g[~done], prod[~done], cands[~done]
-        kids = np.add.reduce(np.bitwise_count(cands), axis=1, dtype=np.int64)
-        compared += np.bincount(home[g], kids * (kids - 1) // 2,
-                                minlength=parts)
-        has = kids > 0
-        if compared.max() > MAX_ENTRIES or not has.any():
-            continue
-        g, prod, cands = g[has], prod[has], cands[has]
-        for lo, hi in _runs(kids[has], batch):
-            stack.append((k, g[lo:hi], prod[lo:hi], cands[lo:hi], True))
+
+    check()
+    start = np.cumsum(size) - size
+    width = -(-size // 64)
+    for W in np.unique(width[grow]).tolist():
+        # this width's supports, and each group's first among them
+        sel = np.flatnonzero((grow & (width == W))[g])
+        first = np.searchsorted(sel, start)
+        w = weight[sel]
+        later = _later(nodes[sel], n, sel - start[g[sel]], size[g[sel]], W)
+        stack = [(1, g[sel], w, later, False)]
+        batch = max(1, BLOCK_ENTRIES // (W + 2))
+        while stack:
+            k, gs, prod, cands, tested = stack.pop()
+            if tested:
+                # the children, whose products enter c_{k+1} as they are
+                # made
+                r, j = set_bits(cands)
+                at = first[gs[r]] + j
+                gs, prod = gs[r], prod[r] * w[at]
+                if k + 1 == len(cols):
+                    cols.append(np.zeros(ng))
+                cols[k + 1] += np.bincount(gs, prod, minlength=ng)
+                stack.append((k + 1, gs, prod, cands[r] & later[at], False))
+                continue
+            done = k + 1 == last[gs]
+            if done.any():
+                if k + 1 == len(cols):
+                    cols.append(np.zeros(ng))
+                r, j = set_bits(cands[done])
+                sums = np.bincount(r, w[first[gs[done]][r] + j],
+                                   minlength=np.count_nonzero(done))
+                cols[k + 1] += np.bincount(gs[done], prod[done] * sums,
+                                           minlength=ng)
+                gs, prod, cands = gs[~done], prod[~done], cands[~done]
+            kids = np.add.reduce(np.bitwise_count(cands), axis=1,
+                                 dtype=np.int64)
+            compared += np.bincount(home[gs], kids * (kids - 1) // 2,
+                                    minlength=parts)
+            check()
+            has = kids > 0
+            if not has.any():
+                continue
+            gs, prod, cands = gs[has], prod[has], cands[has]
+            for lo, hi in runs(kids[has], batch):
+                stack.append((k, gs[lo:hi], prod[lo:hi], cands[lo:hi], True))
     if top is not None:
         cols += [np.zeros(ng)] * (top + 1 - len(cols))
     logger.debug("hard-core walk: %d supports in %d groups, %d levels, "
@@ -363,11 +370,11 @@ def _groups(nodes: np.ndarray,
 
 
 def _below(x: np.ndarray, W: int) -> np.ndarray:
-    """Rows of W uint64 words with the bits below each ``x`` set."""
+    """Rows of W uint64 words with the positions below each ``x`` set."""
     word, col = x[:, None] >> 6, np.arange(W)
-    part = (np.uint64(1) << (x[:, None] & 63).astype(np.uint64)) - 1
     return np.where(col < word, ~np.uint64(0),
-                    np.where(col == word, part, np.uint64(0)))
+                    np.where(col == word, word_bit(x[:, None]) - 1,
+                             np.uint64(0)))
 
 
 def _later(nodes: np.ndarray, n: int, pos: np.ndarray, size: np.ndarray,
@@ -379,8 +386,7 @@ def _later(nodes: np.ndarray, n: int, pos: np.ndarray, size: np.ndarray,
     s, k = np.nonzero(nodes < n)
     # on[a]: the positions of the supports on node a (groups share none)
     on = np.zeros((n + 1, W), dtype=np.uint64)
-    np.bitwise_or.at(on, (nodes[s, k], pos[s] >> 6),
-                     np.uint64(1) << (pos[s] & 63).astype(np.uint64))
+    np.bitwise_or.at(on, (nodes[s, k], pos[s] >> 6), word_bit(pos[s]))
     meets = np.zeros((G, W), dtype=np.uint64)
     for col in nodes.T:
         meets |= on[col]

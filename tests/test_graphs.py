@@ -677,9 +677,12 @@ class TestSupportWalk:
         with caplog.at_level(logging.DEBUG, logger="loopexp.graphs"):
             enumerate_polymers(prism, 6)
         (record,) = caplog.records
-        assert (f"support walk: {max(tested)} levels, largest "
-                f"{max(tested.values())} sets of 4 words, "
-                in record.getMessage())
+        most = max(tested.values())
+        # a state of level k holds 3 + k words: set, extension set, open
+        # nodes and one neighbourhood per member
+        level = min(k for k, sets in tested.items() if sets == most)
+        assert (f"support walk: {max(tested)} levels, largest {most} sets "
+                f"of {3 + level} words, " in record.getMessage())
 
 
 class TestExpansion:

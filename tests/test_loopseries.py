@@ -777,6 +777,25 @@ class TestHardCoreWalk:
         assert home.tolist() == [0] * len(alone) + [1] * len(alone)
         assert np.array_equal(both, np.vstack([alone, alone]))
 
+    def test_over_budget_group_refused_before_its_rows(self):
+        # 6,000 supports on one shared node: one group, whose 6,000 rows
+        # of later disjoint supports would take 94 words each (4.5 MiB);
+        # its C(6000, 2) comparisons pass the budget before any is built
+        G = 6_000
+        nodes = np.stack([np.zeros(G, dtype=np.int64),
+                          np.arange(1, G + 1)], axis=1)
+        w = np.ones(G)
+        assert math.comb(G, 2) > loopseries.MAX_ENTRIES
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetError, match="over 6,000 supports "
+                               "exceeds .* pair comparisons"):
+                _polynomials(nodes, w, G + 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
     def test_debug_record_counts_the_comparisons(self, caplog):
         masks = [0b0111, 0b1110, 0b1000, 0b0001, 0b0110]
         nodes, w = support_rows(4, masks), np.ones(5)
