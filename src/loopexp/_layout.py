@@ -98,6 +98,23 @@ class Rows:
         return (self[i] for i in range(len(self)))
 
 
+def component_roots(u: np.ndarray, v: np.ndarray, size: int) -> np.ndarray:
+    """Each of ``size`` items' least linked item, the root of its connected
+    component under the links (u[i], v[i]).
+
+    Hooks the larger of two linked roots under the smaller and follows
+    pointers until no link joins two roots.
+    """
+    label = np.arange(size)
+    while True:
+        lu, lv = label[u], label[v]
+        if not (lu != lv).any():
+            return label
+        np.minimum.at(label, np.maximum(lu, lv), np.minimum(lu, lv))
+        while ((up := label[label]) != label).any():
+            label = up
+
+
 def node_tables(lay: Layout, blocks) -> Rows:
     """Per-node tables of ``2**deg`` entries from ``(deg, nodes, rows)``
     blocks that hold every node once, row i the table of ``nodes[i]``."""

@@ -65,9 +65,10 @@ def activity_bound(profile: Sequence[int], h: float,
         raise ValueError("alpha_i must exceed 1")
     if h < 0:
         raise ValueError("h must be nonnegative")
-    logval = float(_log_activity_bounds(np.array([profile]), h, alpha_d,
-                                        alpha_mid)[0])
-    return logval if log else math.exp(logval)
+    logval = _log_activity_bounds(np.array([profile]), h, alpha_d,
+                                  alpha_mid)
+    # np.exp, as in activity_bound_violations, so the two agree to the bit
+    return float((logval if log else np.exp(logval))[0])
 
 
 def _log_activity_bounds(profiles: np.ndarray, h: float, alpha_d: float,
@@ -290,10 +291,8 @@ def activity_bound_violations(catalog, activities, h: float,
     if not len(measured):
         return []
     activity_bound(catalog.profiles[0], h, alpha_d, alpha_mid)  # ValueErrors
-    # math.exp, as in activity_bound: np.exp may differ in the last bit
-    bounds = np.fromiter(map(math.exp, _log_activity_bounds(
-        catalog.profiles, h, alpha_d, alpha_mid).tolist()), float,
-        len(measured))
+    bounds = np.exp(_log_activity_bounds(catalog.profiles, h, alpha_d,
+                                         alpha_mid))
     bad = np.flatnonzero(measured > bounds * (1.0 + rtol) + 1e-15)
     return [(int(i), float(measured[i]), float(bounds[i]))
             for i in bad.tolist()]

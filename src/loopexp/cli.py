@@ -216,7 +216,7 @@ def cmd_gen_graph(cfg: dict) -> int:
           ("damping", float, 0.5, "BP damping in [0, 1)"),
           ("max_sweeps", int, 10_000, "BP sweep limit"),
           ("node_cap", int, 0, "polymer node cap; 0 = n"),
-          ("mayer_max", int, 3, "highest Mayer order"),
+          ("mayer_max", int, 3, "highest Mayer order, 0..5; 0 = none"),
           ("out_dir", str, "loopexp-verify", "output directory"),
           ("graph", str, "", "fixed graph file instead of sampling"),
           ("save_messages", _to_bool, False,

@@ -25,8 +25,8 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from ._elim import EliminationPlan, plan_elimination
-from ._layout import (BLOCK_ENTRIES, MAX_ENTRIES, Layout, Rows, packed,
-                      runs, set_bits, word_bit)
+from ._layout import (BLOCK_ENTRIES, MAX_ENTRIES, Layout, Rows,
+                      component_roots, packed, runs, set_bits, word_bit)
 from .exceptions import BudgetError, PairingError
 
 __all__ = [
@@ -146,24 +146,12 @@ class CheckGraph:
 
     def components(self) -> list[list[int]]:
         """Connected components as sorted node lists, in order of smallest node."""
-        nbr = self.layout.nbr.tolist()
-        seen = [False] * self.n + [True]    # entry n: padded slots
-        comps = []
-        for start in range(self.n):
-            if seen[start]:
-                continue
-            stack = [start]
-            seen[start] = True
-            comp = []
-            while stack:
-                a = stack.pop()
-                comp.append(a)
-                for b in nbr[a]:
-                    if not seen[b]:
-                        seen[b] = True
-                        stack.append(b)
-            comps.append(sorted(comp))
-        return comps
+        ends = self.layout.ends
+        root = component_roots(ends[:, 0], ends[:, 1], self.n)
+        # the stable sort keeps each component's nodes ascending
+        order = np.argsort(root, kind="stable")
+        cuts = np.flatnonzero(np.diff(root[order])) + 1
+        return [c.tolist() for c in np.split(order, cuts)]
 
     def __repr__(self) -> str:
         return f"CheckGraph(n={self.n}, d={self.d}, edges={self.num_edges})"
@@ -243,23 +231,22 @@ def read_graph(path) -> CheckGraph:
 class PolymerCatalog:
     """All polymers of a host up to a node-count cap, as flat arrays.
 
-    Polymer i touches exactly the nodes of support s = ``support[i]``: the
-    bitmask ``support_masks[s]``, and the host ids ``support_nodes[s]``,
-    ascending and padded with ``host.n``.  ``slot_masks[i, k]`` is its
-    local bitmask at node ``support_nodes[s, k]`` (bit j for slot j, as in
-    ``ActivityTable.K``), 0 where padded.  The support and the slot masks
-    are the whole polymer: ``edges`` and ``profiles`` are read off them on
-    first use.
+    Polymer i touches exactly the nodes of support s = ``support[i]``, the
+    host ids ``support_nodes[s]``, ascending and padded with ``host.n``; a
+    support index is the only identity of a node set.  ``slot_masks[i, k]``
+    is the polymer's local bitmask at node ``support_nodes[s, k]`` (bit j
+    for slot j, as in ``ActivityTable.K``), 0 where padded.  The support
+    and the slot masks are the whole polymer: ``edges`` and ``profiles``
+    are read off them on first use.
 
-    Order: by support mask ascending, so the polymers on one node set are
-    contiguous; on one support, fewer removed edges of G[V] first, then
-    the removed edge ids compared as a tuple.
+    Order: supports ascending as host bitmasks of their nodes, so the
+    polymers on one node set are contiguous; on one support, fewer removed
+    edges of G[V] first, then the removed edge ids compared as a tuple.
     """
 
     host: CheckGraph
     node_cap: int
-    support: np.ndarray          # (P,) int64 support index
-    support_masks: tuple[int, ...]   # (S,) host bitmasks, ascending
+    support: np.ndarray          # (P,) int64 support index, nondecreasing
     support_nodes: np.ndarray    # (S, K) int64 host node ids, padded
     slot_masks: np.ndarray       # (P, K) unsigned local bitmasks
 
@@ -574,7 +561,7 @@ def _grow_polymers(graph: CheckGraph, node_cap: int, nodes: np.ndarray,
     if not S:
         return PolymerCatalog(
             host=graph, node_cap=node_cap, support=np.zeros(0, np.int64),
-            support_masks=(), support_nodes=np.zeros((0, 0), np.int64),
+            support_nodes=np.zeros((0, 0), np.int64),
             slot_masks=np.zeros((0, 0), np.uint8))
     if len(levels) == 1:
         sup, slots = levels[0]
@@ -582,17 +569,8 @@ def _grow_polymers(graph: CheckGraph, node_cap: int, nodes: np.ndarray,
         sup, slots = (np.concatenate(x) for x in zip(*levels))
         order = np.argsort(sup, kind="stable")
         sup, slots = sup[order], slots[order]
-    if len(nodes) == graph.n:     # local masks are host masks
-        raw, step = words.astype("<u8").tobytes(), 8 * words.shape[1]
-        masks = [int.from_bytes(raw[i:i + step], "little")
-                 for i in range(0, len(raw), step)]
-    else:
-        masks = [0] * S
-        for s, a in zip(sid.tolist(), nodes[member].tolist()):
-            masks[s] |= 1 << a
     return PolymerCatalog(host=graph, node_cap=node_cap, support=sup,
-                          support_masks=tuple(masks), support_nodes=rows,
-                          slot_masks=slots)
+                          support_nodes=rows, slot_masks=slots)
 
 
 def _support_walk(local: np.ndarray, cap: int,

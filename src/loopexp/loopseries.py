@@ -38,8 +38,8 @@ from typing import Optional
 import numpy as np
 
 from ._elim import check_budget, contract
-from ._layout import (BLOCK_ENTRIES, MAX_ENTRIES, Rows, node_tables, runs,
-                      set_bits, word_bit)
+from ._layout import (BLOCK_ENTRIES, MAX_ENTRIES, Rows, component_roots,
+                      node_tables, runs, set_bits, word_bit)
 from .bp import MessageSet, _edge_messages, bethe_log_partition
 from .exceptions import BudgetError
 from .graphs import CheckGraph, PolymerCatalog, enumerate_polymers
@@ -218,7 +218,7 @@ def _support_sums(catalog: PolymerCatalog, values: np.ndarray) -> np.ndarray:
     """Sum of ``values`` over each run of ``catalog.support``, one per
     support, in ``np.add.reduceat``'s order (bincount's moves last bits)."""
     starts = np.searchsorted(catalog.support,
-                             np.arange(len(catalog.support_masks)))
+                             np.arange(len(catalog.support_nodes)))
     return np.add.reduceat(values, starts)
 
 
@@ -345,24 +345,15 @@ def _groups(nodes: np.ndarray,
     group, numbered by least support; the supports ordered by group,
     then index; and each group's size.
 
-    Each support is linked to the least support on each of its nodes, and
-    the components follow by hooking the larger of two linked roots under
-    the smaller and following pointers until no link joins two roots.
+    Each support is linked to the least support on each of its nodes
+    (``component_roots``).
     """
     G = len(nodes)
     s, k = np.nonzero(nodes < n)
     a = nodes[s, k]
     least = np.full(n, G)
     np.minimum.at(least, a, s)
-    u, v = s, least[a]
-    label = np.arange(G)
-    while True:
-        lu, lv = label[u], label[v]
-        if not (lu != lv).any():
-            break
-        np.minimum.at(label, np.maximum(lu, lv), np.minimum(lu, lv))
-        while ((up := label[label]) != label).any():
-            label = up
+    label = component_roots(s, least[a], G)
     # a root is the least support of its group
     gid = (np.cumsum(label == np.arange(G)) - 1)[label]
     size = np.bincount(gid)
@@ -409,10 +400,8 @@ def _hard_core_sums(nodes: np.ndarray, weights: np.ndarray, n: int,
 def _log_orders(c: np.ndarray, M: int) -> tuple[float, ...]:
     """The lambda^1..lambda^M coefficients of ln Xi, summed over groups,
     from each group's coefficients c_0 = 1, c_1, ... (rows of ``c``): k
-    a_k = k c_k - sum_{j<k} j a_j c_{k-j}, with c_k = 0 past the row.
-    ValueError unless 1 <= M <= 5."""
-    if not 1 <= M <= 5:
-        raise ValueError("M_max must lie in 1..5")
+    a_k = k c_k - sum_{j<k} j a_j c_{k-j}, with c_k = 0 past the row;
+    the callers check 1 <= M <= 5."""
     width = min(M + 1, c.shape[1])
     c = np.concatenate([c[:, :width].T, np.zeros((M + 1 - width, len(c)))])
     a = np.zeros_like(c)
@@ -529,15 +518,14 @@ def split_report(graph: CheckGraph, spec: FactorSpec, messages: MessageSet,
     n = graph.n
     vals = table.polymer_activities(catalog)
     size = np.count_nonzero(catalog.support_nodes < n, axis=1)
-    large_ids = np.flatnonzero(2 * size[catalog.support] >= n).tolist()
-    large_masks = [catalog.support_masks[s]
-                   for s in catalog.support[large_ids].tolist()]
+    large_ids = np.flatnonzero(2 * size[catalog.support] >= n)
+    large_sup = catalog.support[large_ids]
     live, w = _by_support(catalog, vals)
     nodes = catalog.support_nodes[live]
     small = np.flatnonzero(2 * size[live] < n)
-    # one id per large support: its polymers share cond and overlap
-    witness = dict(zip(large_masks, large_ids))
-    big = catalog.support_nodes[catalog.support[list(witness.values())]]
+    # the large supports, ascending: their polymers share cond and overlap
+    large = np.unique(large_sup)
+    big = catalog.support_nodes[large]
     hit = np.zeros((len(big), n + 1), dtype=bool)
     hit[np.arange(len(big))[:, None], big] = True
     hit[:, n] = False
@@ -549,17 +537,17 @@ def split_report(graph: CheckGraph, spec: FactorSpec, messages: MessageSet,
                            np.ones(len(small), dtype=np.int64), 2 + big_at])
     z_all, z_small, *rest = _hard_core_sums(nodes[ids], w[ids], n, part,
                                             2 + len(big))
-    cond = dict(zip(witness, rest))
-    ratios = {i: cond[m] / z_small for i, m in zip(large_ids, large_masks)}
+    cond = dict(zip(large.tolist(), rest))
+    ratios = {i: cond[s] / z_small
+              for i, s in zip(large_ids.tolist(), large_sup.tolist())}
     reconstructed = z_small + sum(
-        v * cond[m] for m, v in zip(
-            (catalog.support_masks[s] for s in live.tolist()), w.tolist())
-        if m in cond)
-    # the first two large supports, in witness order, that share no node
+        v * cond[s] for s, v in zip(live.tolist(), w.tolist()) if s in cond)
+    # the first two large supports that share no node, each named by its
+    # last polymer
     meet = hit.astype(np.int64) @ hit.T
     apart = np.argwhere(np.triu(meet == 0, k=1))
-    first = list(witness.values())
-    pair = (first[apart[0, 0]], first[apart[0, 1]]) if len(apart) else None
+    last = np.searchsorted(catalog.support, large, side="right") - 1
+    pair = tuple(last[apart[0]].tolist()) if len(apart) else None
     if pair is not None:
         logger.warning("two node-disjoint large polymers (ids %d, %d); "
                        "single-large-polymer split is not exact here", *pair)
@@ -567,7 +555,7 @@ def split_report(graph: CheckGraph, spec: FactorSpec, messages: MessageSet,
         n=graph.n,
         z_small=z_small,
         tail_abs=float(np.sum(np.abs(vals[large_ids]))),
-        large_ids=tuple(large_ids),
+        large_ids=tuple(large_ids.tolist()),
         ratios=ratios,
         reconstructed=reconstructed,
         z_polymer_all=z_all,
@@ -663,7 +651,14 @@ def build_expansion_report(graph: CheckGraph, spec: FactorSpec,
     (``_polynomials``): Z_corr is the product of the group sums, and the
     orders are the coefficients of ln Xi (``_log_orders``), as
     ``z_corr_polymer_form`` and ``mayer_expansion`` give them.
+    ``mayer_max`` 0 leaves ``mayer_orders`` None, as does an empty
+    catalog.  ValueError, before any work, unless 0 <= ``mayer_max`` <= 5
+    and ``node_cap`` is None (the host size) or at least 0.
     """
+    if not 0 <= mayer_max <= 5:
+        raise ValueError("mayer_max must lie in 0..5")
+    if node_cap is not None and node_cap < 0:
+        raise ValueError("node_cap must be nonnegative")
     bv = bethe_log_partition(graph, spec, messages)
     table = ActivityTable(graph, spec, messages)
     exact = scan = None
@@ -682,8 +677,7 @@ def build_expansion_report(graph: CheckGraph, spec: FactorSpec,
     live, w = _by_support(cat, vals)
     c, _ = _polynomials(cat.support_nodes[live], w, graph.n)
     z_polymer = math.prod((sum(row) for row in c.tolist()), start=1.0)
-    mayer = (_log_orders(c, mayer_max)
-             if len(cat) and mayer_max >= 1 else None)
+    mayer = _log_orders(c, mayer_max) if len(cat) and mayer_max else None
     return ExpansionReport(
         n=graph.n, d=graph.d, num_edges=graph.num_edges,
         kind=spec.kind, params=params or {},

@@ -37,7 +37,9 @@ class FactorSpec:
     """Factor kind plus its parameters: per-edge fields and the parity coupling.
 
     ``h`` has one entry per edge.  ``eps`` applies to the softened kind;
-    ``J`` (scalar or per-node) to the high-temperature kind.
+    ``J`` (scalar or per-node) to the high-temperature kind.  ValueError
+    for a NaN or infinite field and a NaN ``J``; an infinite ``J`` is a
+    hard parity constraint, t = +-1.
     """
 
     kind: str
@@ -49,6 +51,10 @@ class FactorSpec:
         if self.kind not in KINDS:
             raise ValueError(f"unknown factor kind {self.kind!r}")
         object.__setattr__(self, "h", np.asarray(self.h, dtype=np.float64))
+        bad = np.flatnonzero(~np.isfinite(self.h))
+        if bad.size:
+            raise ValueError(f"field h[{bad[0]}] = {self.h.flat[bad[0]]} "
+                             f"is not finite")
         if self.kind == "softened-cycle-code" and not 0 <= self.eps <= 1:
             raise ValueError("eps must lie in [0, 1]")
         if self.kind == "high-temperature":
@@ -56,6 +62,8 @@ class FactorSpec:
                 raise ValueError("high-temperature kind needs J")
             object.__setattr__(self, "J",
                                np.atleast_1d(np.asarray(self.J, dtype=np.float64)))
+            if np.isnan(self.J).any():
+                raise ValueError("coupling J is NaN")
 
     @classmethod
     def cycle_code(cls, h) -> "FactorSpec":

@@ -9,6 +9,7 @@ whole host, the set-by-set sampled expansion check, the edge-order BP sweep,
 the pair-based convergence criterion, the Mayer sum over connected
 labeled graphs, the recursive removal walk per support, the
 polymer-by-polymer bound check, a BFS per node for its shortest cycle,
+a BFS for the connected components,
 the one-edge-a-step greedy elimination order, ESU one Python step at a
 time and the depth-first hard-core recursion are kept here as the
 references for their batched, support-first, slot-major, per-support,
@@ -100,6 +101,46 @@ def small_hosts(draw, max_nodes=6, max_edges=8, min_nodes=1, min_edges=0):
     top = min(max_edges, len(pairs))
     num_edges = draw(st.integers(min(min_edges, top), top))
     return CheckGraph.from_edges(n, draw(st.permutations(pairs))[:num_edges])
+
+
+@st.composite
+def interleaved_hosts(draw, max_nodes=30, max_parts=5):
+    """``from_edges`` hosts whose components interleave in node order:
+    each node draws a part, and the edges are any subset of the pairs
+    within a part, so parts split further, and isolated nodes and
+    edgeless hosts occur."""
+    n = draw(st.integers(1, max_nodes))
+    part = draw(st.lists(st.integers(0, max_parts - 1), min_size=n,
+                         max_size=n))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)
+             if part[u] == part[v]]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) \
+        if pairs else []
+    return CheckGraph.from_edges(n, edges)
+
+
+def bfs_components(graph):
+    """Connected components as sorted node lists, in order of smallest
+    node, by a breadth-first search from each unseen node."""
+    nbrs = [[] for _ in range(graph.n)]
+    for u, v in graph.edges:
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    seen, comps = set(), []
+    for start in range(graph.n):
+        if start in seen:
+            continue
+        seen.add(start)
+        queue, comp = collections.deque([start]), []
+        while queue:
+            a = queue.popleft()
+            comp.append(a)
+            for b in nbrs[a]:
+                if b not in seen:
+                    seen.add(b)
+                    queue.append(b)
+        comps.append(sorted(comp))
+    return comps
 
 
 @st.composite
@@ -368,11 +409,13 @@ def loop_log_activity_bound(profile, h, alpha_d, alpha_mid):
 def loop_bound_violations(catalog, activities, h, alpha_d, alpha_mid,
                           rtol=1e-9):
     """(index, |K|, bound) of every polymer over its bound, one polymer
-    at a time."""
+    at a time; each bound is ``np.exp`` of the scalar log bound, the
+    package's exponential, which can differ from ``math.exp`` in the last
+    bit."""
     out = []
     for idx, profile in enumerate(catalog.profiles.tolist()):
-        bound = math.exp(loop_log_activity_bound(profile, h, alpha_d,
-                                                 alpha_mid))
+        bound = float(np.exp(loop_log_activity_bound(profile, h, alpha_d,
+                                                     alpha_mid)))
         measured = abs(float(activities[idx]))
         if measured > bound * (1.0 + rtol) + 1e-15:
             out.append((idx, measured, bound))
@@ -636,7 +679,7 @@ def assert_catalog_is(catalog, polymers):
                          want[1:]):
         got = getattr(catalog, name)
         assert got.shape == ref.shape and np.array_equal(got, ref)
-    assert catalog.support_masks == want[0]
+    assert support_masks(catalog) == want[0]
     assert catalog.support.dtype == catalog.support_nodes.dtype == np.int64
     assert_wide_enough(catalog)
 
@@ -647,13 +690,13 @@ def support_arrays(graph, masks, polymers):
     distinct masks ascending, each polymer's index among them, their
     nodes padded with n, and each polymer's ``local_mask`` at those nodes,
     0 where padded."""
-    support_masks = tuple(sorted(set(masks)))
-    nodes = [_bits_of(m) for m in support_masks]
+    distinct = tuple(sorted(set(masks)))
+    nodes = [_bits_of(m) for m in distinct]
     K = max(map(len, nodes), default=0)
-    support = [support_masks.index(m) for m in masks]
+    support = [distinct.index(m) for m in masks]
     slots = [[local_mask(graph, a, p) for a in nodes[s]]
              + [0] * (K - len(nodes[s])) for s, p in zip(support, polymers)]
-    return (support_masks, np.array(support, dtype=np.int64),
+    return (distinct, np.array(support, dtype=np.int64),
             np.array([v + [graph.n] * (K - len(v)) for v in nodes],
                      dtype=np.int64).reshape(len(nodes), K),
             np.array(slots, dtype=np.int64).reshape(len(masks), K))
@@ -667,9 +710,16 @@ def assert_wide_enough(catalog):
         assert 8 * dtype.itemsize >= catalog.host.layout.dmax
 
 
+def support_masks(catalog):
+    """Host bitmask of each support's nodes, from ``support_nodes``."""
+    n = catalog.host.n
+    return tuple(sum(1 << a for a in row if a < n)
+                 for row in catalog.support_nodes.tolist())
+
+
 def node_masks(catalog):
     """Host bitmask of the nodes each polymer touches."""
-    return tuple(map(catalog.support_masks.__getitem__,
+    return tuple(map(support_masks(catalog).__getitem__,
                      catalog.support.tolist()))
 
 

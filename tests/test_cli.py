@@ -140,6 +140,21 @@ class TestExitCodes:
         assert code == 2
         assert "damping" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--mayer-max", "6"], "mayer_max must lie in 0..5"),
+        (["--node-cap", "-1"], "node_cap must be nonnegative"),
+        (["--model", "high-temperature", "--coupling", "nan"],
+         "coupling J is NaN"),
+    ], ids=["mayer_max", "node_cap", "coupling"])
+    def test_bad_report_scalar_is_precondition(self, tmp_path, capsys, flags,
+                                               message):
+        out = tmp_path / "v"
+        code = main(["verify-identity", "-n", "6", "--trials", "2",
+                     *flags, "--out-dir", str(out)])
+        assert code == 2
+        assert f"loopexp: {message}" in capsys.readouterr().err
+        assert not list(out.rglob("trial_*.json"))
+
     def test_invalid_model_from_config_is_precondition(self, tmp_path,
                                                        capsys):
         cfgfile = tmp_path / "cfg.txt"

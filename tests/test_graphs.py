@@ -19,13 +19,14 @@ from loopexp.graphs import (CheckGraph, _near_short_cycles,
                             sample_regular_graph, write_graph)
 from loopexp.loopseries import convergence_criterion
 
-from conftest import (assert_catalog_is, assert_wide_enough, brute_polymers,
-                      esu_supports, global_polymers, in_catalog_order,
+from conftest import (assert_catalog_is, assert_wide_enough,
+                      bfs_components, brute_polymers, esu_supports,
+                      global_polymers, in_catalog_order, interleaved_hosts,
                       loop_criterion, mixed_host, near_short_cycles,
                       neighbour_lists, node_masks, region_neighbourhoods,
                       removal_walk_catalog, sampled_expansion,
                       set_sampler_edges, shortest_cycle_through, small_hosts,
-                      tuple_graph)
+                      support_masks, tuple_graph)
 
 
 def edge_sets(catalog):
@@ -72,6 +73,18 @@ class TestCheckGraph:
     def test_components(self, two_k4s, prism):
         assert two_k4s.components() == [[0, 1, 2, 3], [4, 5, 6, 7]]
         assert prism.components() == [[0, 1, 2, 3, 4, 5]]
+        assert CheckGraph.from_edges(1, []).components() == [[0]]
+        assert CheckGraph.from_edges(4, []).components() == [[0], [1], [2],
+                                                             [3]]
+        # interleaved, with isolated nodes 2 and 6
+        assert CheckGraph.from_edges(
+            7, [(0, 3), (3, 5), (1, 4)]).components() \
+            == [[0, 3, 5], [1, 4], [2], [6]]
+
+    @given(st.one_of(small_hosts(max_nodes=9, max_edges=12),
+                     interleaved_hosts()))
+    def test_components_match_bfs(self, graph):
+        assert graph.components() == bfs_components(graph)
 
 
 @st.composite
@@ -453,7 +466,7 @@ def assert_same_arrays(catalog, want):
     """The catalog's edge ids, offsets, node masks, profiles and support
     arrays are ``want``'s, order included; dtypes too, but for the slot
     masks, which need only be wide enough."""
-    values, offsets, masks, profiles, support_masks, *support = want
+    values, offsets, masks, profiles, distinct, *support = want
     for got, ref in ((catalog.edges.values, values),
                      (catalog.edges.offsets, offsets),
                      (catalog.profiles, profiles),
@@ -465,7 +478,7 @@ def assert_same_arrays(catalog, want):
     assert np.array_equal(catalog.slot_masks, support[2])
     assert_wide_enough(catalog)
     assert node_masks(catalog) == masks
-    assert catalog.support_masks == support_masks
+    assert support_masks(catalog) == distinct
     assert np.all(np.diff(catalog.support) >= 0)
 
 
@@ -632,7 +645,7 @@ class TestSupportWalk:
         for cap in range(12, 37):
             assert word_supports(g, np.arange(g.n), cap) \
                 == oracle_supports(g, np.arange(g.n), cap) == [0b111]
-            assert enumerate_polymers(g, cap).support_masks == (0b111,)
+            assert support_masks(enumerate_polymers(g, cap)) == (0b111,)
 
     @pytest.mark.parametrize("n, d, seed, cap", [
         (10_000, 3, 0, 5), (10_000, 3, 1, 5), (10_000, 3, 0, 6),

@@ -35,7 +35,8 @@ from conftest import (arbitrary_messages, brute_correction,
                       incoming, induced_degrees, local_mask, loop_criterion,
                       loop_node_table, loop_polymer_activities, mixed_host,
                       node_masks, one_subset_activity, pair_criterion,
-                      perturbed, ratio_message_update, small_hosts)
+                      perturbed, ratio_message_update, small_hosts,
+                      support_masks)
 
 
 def spec_for(kind, h, eps=0.1, J=0.05):
@@ -617,7 +618,7 @@ class TestSupportGrouping:
             mask = sum(1 << a for a in induced_degrees(g, row))
             want.setdefault(mask, []).append(v)
         masks = sorted(want)
-        assert cat.support_masks == tuple(masks)
+        assert support_masks(cat) == tuple(masks)
         assert _support_sums(cat, vals) == pytest.approx(
             [math.fsum(want[m]) for m in masks], rel=1e-12, abs=1e-15)
         assert _support_sums(cat, np.abs(vals)) == pytest.approx(
@@ -625,7 +626,7 @@ class TestSupportGrouping:
             abs=1e-15)
         live = [m for m in masks if any(want[m])]
         ids, sums = _by_support(cat, vals)
-        assert [cat.support_masks[i] for i in ids.tolist()] == live
+        assert [support_masks(cat)[i] for i in ids.tolist()] == live
         assert sums.tolist() == pytest.approx(
             [math.fsum(want[m]) for m in live], rel=1e-12, abs=1e-15)
 
@@ -813,7 +814,7 @@ class TestHardCoreWalk:
         # comparisons of levels 0 and 1 refuses when level 2 would build it
         k13 = CheckGraph.from_edges(13, itertools.combinations(range(13), 2))
         cat = enumerate_polymers(k13, 3)
-        masks = cat.support_masks
+        masks = support_masks(cat)
         later = [sum(1 for m in masks[j + 1:] if not m & mj)
                  for j, mj in enumerate(masks)]
         first_two = math.comb(len(masks), 2) + sum(math.comb(k, 2)
@@ -1017,6 +1018,32 @@ class TestExpansionReport:
         (cat,) = built
         assert rep.catalog_size == len(cat) == 2206
         assert "edges" not in vars(cat) and "profiles" not in vars(cat)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"mayer_max": 6}, r"mayer_max must lie in 0\.\.5"),
+        ({"mayer_max": -2}, r"mayer_max must lie in 0\.\.5"),
+        ({"node_cap": -1}, "node_cap must be nonnegative"),
+    ], ids=["mayer_6", "mayer_negative", "cap_negative"])
+    def test_scalars_checked_before_any_work(self, prism, monkeypatch,
+                                             kwargs, message):
+        def never(*args):
+            raise AssertionError("the report began its work")
+
+        for name in ("bethe_log_partition", "exact_log_partition",
+                     "enumerate_polymers"):
+            monkeypatch.setattr(loopexp.loopseries, name, never)
+        spec = FactorSpec.cycle_code(np.zeros(9))
+        with pytest.raises(ValueError, match=message):
+            build_expansion_report(prism, spec, MessageSet.zeros(prism),
+                                   **kwargs)
+
+    def test_mayer_max_zero_leaves_orders_unset(self, prism):
+        spec = FactorSpec.cycle_code(np.full(9, 0.3))
+        msgs = solve_fixed_point(prism, spec)
+        rep = build_expansion_report(prism, spec, msgs, mayer_max=0)
+        assert rep.mayer_orders is None
+        assert rep.z_corr_polymer == build_expansion_report(
+            prism, spec, msgs).z_corr_polymer
 
     def test_node_cap_marks_truncation(self, prism):
         spec = FactorSpec.cycle_code(np.zeros(9))

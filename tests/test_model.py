@@ -55,6 +55,32 @@ class TestFactorSpec:
         couplings = spec.parity_couplings(triangle)
         assert couplings == pytest.approx(np.tanh([0.1, 0.2, 0.3]), abs=1e-15)
 
+    @pytest.mark.parametrize("make, message", [
+        (lambda: FactorSpec.cycle_code([0.1, math.nan, 0.2]),
+         r"field h\[1\] = nan is not finite"),
+        (lambda: FactorSpec.softened([math.inf, 0.1], 0.1),
+         r"field h\[0\] = inf is not finite"),
+        (lambda: FactorSpec.high_temperature([0.1, -math.inf], 0.1),
+         r"field h\[1\] = -inf is not finite"),
+        (lambda: FactorSpec.high_temperature([0.1], math.nan),
+         "coupling J is NaN"),
+        (lambda: FactorSpec.high_temperature([0.1], [0.2, math.nan]),
+         "coupling J is NaN"),
+    ], ids=["nan_h", "inf_h", "minus_inf_h", "nan_J", "nan_J_entry"])
+    def test_non_finite_entries_refused(self, make, message):
+        with pytest.raises(ValueError, match=message):
+            make()
+
+    @pytest.mark.parametrize("J", [math.inf, -math.inf])
+    def test_infinite_coupling_is_a_hard_parity(self, triangle, J):
+        # t = +-1: J = +inf is the cycle code
+        spec = FactorSpec.high_temperature(np.full(3, 0.2), J)
+        assert spec.parity_couplings(triangle).tolist() == [math.copysign(
+            1.0, J)] * 3
+        if J > 0:
+            assert exact_log_partition(triangle, spec) == exact_log_partition(
+                triangle, FactorSpec.cycle_code(np.full(3, 0.2)))
+
     @pytest.mark.parametrize("entry", [
         lambda g, s: solve_fixed_point(g, s),
         lambda g, s: bp_sweep(g, s, MessageSet.zeros(g)),
