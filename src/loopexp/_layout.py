@@ -115,13 +115,32 @@ def component_roots(u: np.ndarray, v: np.ndarray, size: int) -> np.ndarray:
             label = up
 
 
+def consecutive(nodes: np.ndarray) -> bool:
+    """Whether ascending ``nodes`` are a run n0, n0 + 1, ... (every block
+    of a regular graph)."""
+    return nodes[-1] - nodes[0] == len(nodes) - 1
+
+
+def columns(a: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+    """``a[:, nodes]`` for ascending ``nodes``, a view if they are
+    consecutive."""
+    if consecutive(nodes):
+        return a[:, nodes[0]:nodes[-1] + 1]
+    return np.take(a, nodes, axis=1)
+
+
 def node_tables(lay: Layout, blocks) -> Rows:
-    """Per-node tables of ``2**deg`` entries from ``(deg, nodes, rows)``
-    blocks that hold every node once, row i the table of ``nodes[i]``."""
+    """Per-node tables of ``2**deg`` entries from config-major ``(deg,
+    nodes, cols)`` blocks that hold every node once: column i of ``cols``
+    (2**deg, len(nodes)) is the table of ``nodes[i]``."""
     offsets = np.concatenate([[0], np.cumsum(1 << lay.deg)])
     values = np.empty(int(offsets[-1]))
-    for d, nodes, rows in blocks:
-        values[offsets[nodes][:, None] + np.arange(1 << d)] = rows
+    for d, nodes, cols in blocks:
+        if consecutive(nodes):    # their tables are one run of values
+            lo = offsets[nodes[0]]
+            values[lo:lo + cols.size].reshape(-1, 1 << d)[...] = cols.T
+        else:
+            values[np.arange(1 << d)[:, None] + offsets[nodes]] = cols
     return Rows(values, offsets)
 
 

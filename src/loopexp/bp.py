@@ -109,8 +109,7 @@ class _Sweeper:
     """
 
     def __init__(self, graph: CheckGraph, spec: FactorSpec, damping: float):
-        if not 0.0 <= damping < 1.0:
-            raise ValueError(f"damping must lie in [0, 1), got {damping}")
+        _check_damping(damping)
         t = spec.parity_couplings(graph)
         self.t = None if np.all(t == 1.0) else t    # x * 1 is x
         lay = graph.layout
@@ -201,6 +200,20 @@ def _leave_one_out(T: np.ndarray, L: np.ndarray) -> None:
         suffix = np.multiply(suffix, T[k], out=L[0])
 
 
+def _check_damping(damping: float) -> None:
+    if not 0.0 <= damping < 1.0:
+        raise ValueError(f"damping must lie in [0, 1), got {damping}")
+
+
+def _check_solve_args(tol: float, damping: float, max_sweeps: int) -> None:
+    """ValueError unless ``solve_fixed_point`` takes these scalars."""
+    if math.isnan(tol):
+        raise ValueError("tol must be a number, got nan")
+    _check_damping(damping)
+    if max_sweeps < 0:
+        raise ValueError(f"max_sweeps must be nonnegative, got {max_sweeps}")
+
+
 def bp_sweep(graph: CheckGraph, spec: FactorSpec, messages: MessageSet,
              damping: float = 0.0) -> MessageSet:
     """One flooding sweep: all directed edges updated from the old messages.
@@ -231,8 +244,9 @@ def solve_fixed_point(graph: CheckGraph, spec: FactorSpec,
     messages are the pre-update ones, so one further undamped sweep moves no
     message by more than ``tol``.  Non-convergence and divergence are reported
     through the flags, never raised; a damping outside [0, 1), a NaN
-    ``tol`` (-inf never converges) and an ``init`` whose shape does not fit
-    the graph or whose messages are not finite raise ValueError.
+    ``tol`` (-inf never converges), a negative ``max_sweeps`` (0 returns
+    the initial messages, not converged) and an ``init`` whose shape does
+    not fit the graph or whose messages are not finite raise ValueError.
 
     The messages live in slot-major buffers for the whole solve: one
     gather per sweep, leave-one-out products from prefix and suffix
@@ -241,8 +255,7 @@ def solve_fixed_point(graph: CheckGraph, spec: FactorSpec,
     ``_Sweeper``).  One DEBUG record on this module's logger reports the
     size, sweeps, residual, flags and wall time of the solve.
     """
-    if math.isnan(tol):
-        raise ValueError("tol must be a number, got nan")
+    _check_solve_args(tol, damping, max_sweeps)
     debug = logger.isEnabledFor(logging.DEBUG)
     start = time.perf_counter() if debug else 0.0
     sweeper = _Sweeper(graph, spec, damping)
@@ -294,18 +307,34 @@ def bethe_log_partition(graph: CheckGraph, spec: FactorSpec,
     Node term: sum over nodes of ln sum_{local configs} f_a * exp(incoming
     messages), each node sum taken over all 2^deg local configurations.
     Edge term: sum over edges of ln 2 cosh(eta_{a->b} + eta_{b->a}).
-    ValueError for messages whose shape does not fit the graph and for a
-    vanishing node sum; BudgetError, before anything is allocated, for a
-    node of degree 20 or more (its 2^deg x deg spins pass 2^24 entries).
+    The node sums are log-sum-exps down the columns of the model's
+    config-major log factor tables, each column summed by folding its
+    halves, so a node's value does not depend on how its degree class is
+    split into blocks.  ValueError for messages whose shape does not fit
+    the graph and for a vanishing node sum; BudgetError, before anything
+    is allocated, for a node of degree 20 or more (its table would cost
+    deg passes over 2^deg entries, past 2^24).  One DEBUG record on this
+    module's logger reports the nodes, degree classes, blocks and wall
+    time of the call.
     """
+    debug = logger.isEnabledFor(logging.DEBUG)
+    start = time.perf_counter() if debug else 0.0
     eta = _edge_messages(graph, messages.eta)
     vals = np.empty(graph.n)
+    blocks = 0
     # a configuration the factor forbids is exactly -inf, so it neither
     # sets the shift nor adds to the sum
     with np.errstate(divide="ignore", invalid="ignore"):
-        for _, nodes, L in _log_factor_blocks(graph, spec, eta):
-            top = L.max(axis=1, keepdims=True)
-            vals[nodes] = top[:, 0] + np.log(np.exp(L - top).sum(axis=1))
+        for d, nodes, L in _log_factor_blocks(graph, spec, eta):
+            top = np.maximum.reduce(L)
+            L -= top
+            weights = np.exp(L, out=L)
+            # fold the rows in halves, so each node's sum is added in one
+            # order, however many nodes share its block
+            for k in reversed(range(d)):
+                weights[:1 << k] += weights[1 << k:2 << k]
+            vals[nodes] = top + np.log(weights[0])
+            blocks += 1
     bad = np.flatnonzero(~np.isfinite(vals))
     if bad.size:
         raise ValueError(f"node sum vanished at node {bad[0]}")
@@ -313,6 +342,10 @@ def bethe_log_partition(graph: CheckGraph, spec: FactorSpec,
     # ln 2 cosh q = |q| + ln(1 + e^{-2|q|}), overflow-safe for large q
     q = eta[:, 0] + eta[:, 1]
     edge_term = float(np.sum(np.abs(q) + np.log1p(np.exp(-2.0 * np.abs(q)))))
+    if debug:
+        logger.debug("Bethe value on %d nodes: %d degree classes, %d blocks, "
+                     "%.4f s", graph.n, len(graph.layout.classes), blocks,
+                     time.perf_counter() - start)
     return BetheValue(node_term=node_term, edge_term=edge_term)
 
 

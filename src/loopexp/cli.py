@@ -31,15 +31,16 @@ from . import __version__
 from ._csvio import write_csv
 from .bounds import (ALPHA_D_DEFAULT, ALPHA_MID_DEFAULT,
                      activity_bound_violations, scan_exponent)
-from .bp import bethe_log_partition, solve_fixed_point, write_messages_csv
+from .bp import (_check_solve_args, bethe_log_partition, solve_fixed_point,
+                 write_messages_csv)
 from .channel import (conditional_entropy_per_node, half_llr_magnitude,
                       sample_bsc)
 from .exceptions import (AllTrialsDivergedError, BudgetError, DivergenceError,
                          PairingError)
 from .graphs import (check_edge_expansion, enumerate_polymers, read_graph,
                      sample_regular_graph, write_graph)
-from .loopseries import (ActivityTable, build_expansion_report,
-                         convergence_criterion)
+from .loopseries import (ActivityTable, _check_report_args,
+                         build_expansion_report, convergence_criterion)
 from .model import KINDS, FactorSpec, exact_log_partition
 
 
@@ -224,10 +225,13 @@ def cmd_gen_graph(cfg: dict) -> int:
 def cmd_verify_identity(cfg: dict) -> int:
     seed, trials = cfg["seed"], cfg["trials"]
     t0 = time.monotonic()
+    # refuse bad scalars and read the graph before making the out dir
+    _check_solve_args(cfg["tol"], cfg["damping"], cfg["max_sweeps"])
+    _check_report_args(cfg["node_cap"] or None, cfg["mayer_max"])
+    fixed = read_graph(cfg["graph"]) if cfg["graph"] else None
     out_dir = Path(cfg["out_dir"])
     reports_dir = out_dir / "reports"
     reports_dir.mkdir(parents=True, exist_ok=True)
-    fixed = read_graph(cfg["graph"]) if cfg["graph"] else None
     rows = []
     excluded = over_cap = 0
     max_residual = 0.0

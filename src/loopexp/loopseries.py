@@ -32,14 +32,15 @@ import itertools
 import json
 import logging
 import math
+import time
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
 from ._elim import check_budget, contract
-from ._layout import (BLOCK_ENTRIES, MAX_ENTRIES, Rows, component_roots,
-                      node_tables, runs, set_bits, word_bit)
+from ._layout import (BLOCK_ENTRIES, MAX_ENTRIES, Rows, columns,
+                      component_roots, node_tables, runs, set_bits, word_bit)
 from .bp import MessageSet, _edge_messages, bethe_log_partition
 from .exceptions import BudgetError
 from .graphs import CheckGraph, PolymerCatalog, enumerate_polymers
@@ -71,35 +72,51 @@ class ActivityTable:
 
     With incoming fields w_k = eta_{b_k->a} + h_k/2 and edge sums
     q_k = eta_{a->b_k} + eta_{b_k->a}, K_a(S) is the average under the
-    tilted local weights (the model's log factor tables, shifted by their
-    largest entry) of prod_{k in S} sigma_k exp(-sigma_k q_k), by one
-    two-point pass per slot over a row of 2^d weights: BudgetError at
-    degree 20, before any table is allocated.  ValueError names the first
+    tilted local weights (the model's config-major log factor tables,
+    shifted by their largest entry) of prod_{k in S} sigma_k
+    exp(-sigma_k q_k), by one two-point pass per slot over the 2^d rows of
+    a block, each row one entry per node: BudgetError at degree 20 (a
+    node's table would cost deg passes over 2^deg entries, past 2^24),
+    before any table is allocated.  ValueError names the first
     node whose local normalizer vanished or, failing that, whose table is
     not finite, and refuses messages whose shape does not fit the graph.
+    One DEBUG record on this module's logger reports the nodes, degree
+    classes, blocks and wall time of a table built.
     """
 
     def __init__(self, graph: CheckGraph, spec: FactorSpec,
                  messages: MessageSet):
+        debug = logger.isEnabledFor(logging.DEBUG)
+        start = time.perf_counter() if debug else 0.0
         self.graph = graph
         self.spec = spec
         eta = _edge_messages(graph, messages.eta)
         blocks = _log_factor_blocks(graph, spec, eta)
         q = np.sum(eta, axis=1)
+        count = 0
 
         def activities():
+            nonlocal count
             for d, nodes, L in blocks:
-                K = np.exp(L - np.max(L, axis=1, keepdims=True))
-                qk = q[graph.layout.eid[nodes, :d]][:, :, None, None]
+                count += 1
+                L -= np.maximum.reduce(L)
+                K = np.exp(L, out=L)
+                qk = q[columns(graph.layout.eid.T[:d], nodes)]
                 down, up = np.exp(-qk), np.exp(qk)
-                # slot k pairs the entries with bit k clear and set: spin +1
-                # and -1 before the pass, subset without and with k after
+                # slot k pairs the rows with bit k clear and set: spin +1
+                # and -1 before the pass, subset without and with k after;
+                # (x0, x1) <- (x0 + x1, down x0 - up x1)
                 for k in range(d):
-                    pairs = K.reshape(len(nodes), -1, 2, 1 << k)
-                    x0, x1 = pairs[:, :, 0], pairs[:, :, 1]
-                    x0[...], x1[...] = x0 + x1, down[:, k] * x0 - up[:, k] * x1
-                # entry 0 sums all weights: NaN here if the normalizer vanished
-                yield d, nodes, K / K[:, :1]
+                    pairs = K.reshape(-1, 2, 1 << k, len(nodes))
+                    x0, x1 = pairs[:, 0], pairs[:, 1]
+                    total = x0 + x1
+                    x0 *= down[k]
+                    x1 *= up[k]
+                    np.subtract(x0, x1, out=x1)
+                    x0[...] = total
+                # row 0 sums all weights: NaN there if the normalizer vanished
+                K /= K[0]
+                yield d, nodes, K
 
         with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
             self.K = node_tables(graph.layout, activities())
@@ -110,6 +127,10 @@ class ActivityTable:
         if infinite.size:
             a = np.searchsorted(self.K.offsets, infinite[0], side="right") - 1
             raise ValueError(f"activity table not finite at node {a}")
+        if debug:
+            logger.debug("activity table on %d nodes: %d degree classes, %d "
+                         "blocks, %.4f s", graph.n, len(graph.layout.classes),
+                         count, time.perf_counter() - start)
 
     def polymer_activities(self, catalog: PolymerCatalog) -> np.ndarray:
         """K(gamma) of every polymer, gathered from the flat tables.
@@ -637,6 +658,14 @@ class ExpansionReport:
             fh.write("\n")
 
 
+def _check_report_args(node_cap: Optional[int], mayer_max: int) -> None:
+    """ValueError unless ``build_expansion_report`` takes these scalars."""
+    if not 0 <= mayer_max <= 5:
+        raise ValueError("mayer_max must lie in 0..5")
+    if node_cap is not None and node_cap < 0:
+        raise ValueError("node_cap must be nonnegative")
+
+
 def build_expansion_report(graph: CheckGraph, spec: FactorSpec,
                            messages: MessageSet, *,
                            node_cap: Optional[int] = None,
@@ -655,10 +684,7 @@ def build_expansion_report(graph: CheckGraph, spec: FactorSpec,
     catalog.  ValueError, before any work, unless 0 <= ``mayer_max`` <= 5
     and ``node_cap`` is None (the host size) or at least 0.
     """
-    if not 0 <= mayer_max <= 5:
-        raise ValueError("mayer_max must lie in 0..5")
-    if node_cap is not None and node_cap < 0:
-        raise ValueError("node_cap must be nonnegative")
+    _check_report_args(node_cap, mayer_max)
     bv = bethe_log_partition(graph, spec, messages)
     table = ActivityTable(graph, spec, messages)
     exact = scan = None

@@ -23,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from ._elim import contract
-from ._layout import BLOCK_ENTRIES, MAX_ENTRIES, Rows, node_tables
+from ._layout import BLOCK_ENTRIES, MAX_ENTRIES, Rows, columns, node_tables
 from .exceptions import BudgetError
 from .graphs import CheckGraph
 
@@ -100,14 +100,16 @@ class FactorSpec:
 
 def _log_factor_blocks(graph: CheckGraph, spec: FactorSpec,
                        eta: Optional[np.ndarray] = None):
-    """``(deg, nodes, L)`` per degree class, in blocks of nodes whose rows of
-    2^deg entries fill at most ``BLOCK_ENTRIES``: L[i, s] is ln f_a at node
-    a = ``nodes[i]``, plus the incoming messages if ``eta`` (E x 2) is
-    given, in local configuration s (bit k set: spin -1 on slot k), and
-    exactly -inf where f_a forbids s.  Raised on the call, before anything
-    is allocated: ValueError unless ``spec`` fits ``graph``, and BudgetError
-    naming the first node whose 2^deg x deg spin matrix would pass
-    ``MAX_ENTRIES`` entries (degree 20 and above)."""
+    """``(deg, nodes, L)`` per degree class, in blocks of nodes whose tables
+    of 2^deg entries fill at most ``BLOCK_ENTRIES``.  L is config-major, of
+    shape (2^deg, len(nodes)): L[s, i] is ln f_a at node a = ``nodes[i]``,
+    plus the incoming messages if ``eta`` (E x 2) is given, in local
+    configuration s (bit k set: spin -1 on slot k), and exactly -inf where
+    f_a forbids s.  The rows are built by doubling over the slots, so one
+    node's table costs deg passes over 2^deg entries.  Raised on the call,
+    before anything is allocated: ValueError unless ``spec`` fits
+    ``graph``, and BudgetError naming the first node whose deg passes over
+    2^deg entries would pass ``MAX_ENTRIES`` (degree 20 and above)."""
     t = spec.parity_couplings(graph)
     lay = graph.layout
     over = [nodes[0] for d, nodes in lay.classes if d << d > MAX_ENTRIES]
@@ -115,26 +117,30 @@ def _log_factor_blocks(graph: CheckGraph, spec: FactorSpec,
         a = min(over)
         raise BudgetError(f"node degree {lay.deg[a]} exceeds the node-table "
                           f"budget of {MAX_ENTRIES:,} entries (node {a})")
-    hh = lay.half_fields(spec.h)
+    hh = lay.half_fields(spec.h).T
     ext = None if eta is None else np.append(eta.reshape(-1), 0.0)
+    # ln((1 + t_a parity)/2) of every node: row 0 for a configuration of
+    # even parity (an even number of -1 spins), row 1 for odd
+    with np.errstate(divide="ignore"):    # ln 0 = -inf
+        log_c = np.log(0.5 * (1.0 + np.multiply.outer([1.0, -1.0], t)))
 
     def blocks():
         for d, members in lay.classes:
-            # the spins in chunks of configurations, built for each block
-            # of nodes, so no 2^d x d matrix outlives its chunk
-            chunk = BLOCK_ENTRIES // max(d, 1)
             step = max(1, BLOCK_ENTRIES >> d)
+            parity = np.bitwise_count(np.arange(1 << d)) & 1
             for nodes in np.split(members, range(step, len(members), step)):
-                W = hh[nodes, :d] if ext is None else \
-                    ext[lay.inc[nodes, :d]] + hh[nodes, :d]
-                L = np.empty((len(nodes), 1 << d))
-                for lo in range(0, 1 << d, chunk):
-                    configs = np.arange(lo, min(lo + chunk, 1 << d))[:, None]
-                    S = 1.0 - 2.0 * (configs >> np.arange(d) & 1)
-                    with np.errstate(divide="ignore"):    # ln 0 = -inf
-                        log_c = np.log(0.5 * (1.0 + t[nodes, None]
-                                              * np.prod(S, axis=1)))
-                    L[:, lo:lo + chunk] = W @ S.T + log_c
+                W = columns(hh[:d], nodes)
+                if ext is not None:
+                    W = ext[columns(lay.inc.T[:d], nodes)] + W
+                L = np.empty((1 << d, len(nodes)))
+                L[0] = 0.0
+                # slot k: rows [2^k, 2^(k+1)), bit k set, are rows
+                # [0, 2^k) with spin -1 on slot k, and those take +1
+                for k in range(d):
+                    lo = L[:1 << k]
+                    np.subtract(lo, W[k], out=L[1 << k:2 << k])
+                    lo += W[k]
+                L += columns(log_c, nodes)[parity]
                 yield d, nodes, L
 
     return blocks()
@@ -148,7 +154,8 @@ def exact_log_partition(graph: CheckGraph, spec: FactorSpec) -> float:
     shifted by its largest log entry, as node tensors; its cost follows the
     elimination width, not 2^{|E|}.  Raises BudgetError, before any table is
     allocated, when the elimination would build too large a table or a node
-    has degree 20 or more, and ValueError if Z vanishes.
+    has degree 20 or more (its table would cost deg passes over 2^deg
+    entries, past 2^24), and ValueError if Z vanishes.
     """
     blocks = _log_factor_blocks(graph, spec)
     plan = graph.elimination_plan

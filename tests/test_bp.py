@@ -176,6 +176,20 @@ class TestSolveFixedPoint:
         assert not msgs.converged
         assert msgs.sweeps == 5
 
+    def test_negative_max_sweeps_rejected(self, prism):
+        spec = FactorSpec.cycle_code(sample_bsc(prism, 0.45, 2).h)
+        with pytest.raises(ValueError, match="max_sweeps must be "
+                                             "nonnegative, got -3"):
+            solve_fixed_point(prism, spec, max_sweeps=-3)
+
+    def test_zero_sweeps_returns_the_initial_messages(self, prism):
+        spec = FactorSpec.cycle_code(sample_bsc(prism, 0.45, 2).h)
+        init = np.linspace(-0.2, 0.2, 2 * prism.num_edges).reshape(-1, 2)
+        msgs = solve_fixed_point(prism, spec, max_sweeps=0, init=init)
+        assert (msgs.sweeps, msgs.converged) == (0, False)
+        assert np.array_equal(msgs.eta, init)
+        assert np.all(solve_fixed_point(prism, spec, max_sweeps=0).eta == 0)
+
     @pytest.mark.parametrize("damping", [1.0, 1.5, -0.5, math.nan])
     def test_damping_outside_unit_interval_rejected(self, k4, damping):
         # 1.0 never moves a message; 1.5 overflows; both must fail fast
@@ -415,6 +429,16 @@ class TestBetheValue:
 
 class TestBatchedBethe:
     """The node term, batched per degree class, against the node loop."""
+
+    def test_one_debug_record_per_call(self, caplog):
+        g = mixed_host()
+        spec = FactorSpec.cycle_code(np.zeros(g.num_edges))
+        with caplog.at_level(logging.DEBUG, logger="loopexp.bp"):
+            bethe_log_partition(g, spec, MessageSet.zeros(g))
+        (record,) = caplog.records
+        assert record.levelno == logging.DEBUG
+        assert record.getMessage().startswith(
+            "Bethe value on 7 nodes: 4 degree classes, 4 blocks, ")
 
     @given(st.data())
     def test_matches_node_loop(self, data):

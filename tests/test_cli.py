@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from loopexp import graphs
+from loopexp import cli, graphs
 from loopexp.bp import solve_fixed_point
 from loopexp.channel import sample_bsc
 from loopexp.cli import main
@@ -154,6 +154,25 @@ class TestExitCodes:
         assert code == 2
         assert f"loopexp: {message}" in capsys.readouterr().err
         assert not list(out.rglob("trial_*.json"))
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--mayer-max", "6"], "mayer_max must lie in 0..5"),
+        (["--node-cap", "-1"], "node_cap must be nonnegative"),
+        (["--max-sweeps", "-3"], "max_sweeps must be nonnegative, got -3"),
+    ], ids=["mayer_max", "node_cap", "max_sweeps"])
+    def test_bad_scalar_refused_before_sampling(self, tmp_path, capsys,
+                                                monkeypatch, flags, message):
+        def refuse(*args):
+            raise AssertionError("graph sampled before the scalars were "
+                                 "checked")
+
+        monkeypatch.setattr(cli, "sample_regular_graph", refuse)
+        out = tmp_path / "v"
+        code = main(["verify-identity", "-n", "200000", "--trials", "1",
+                     "-p", "0.3", *flags, "--out-dir", str(out)])
+        assert code == 2
+        assert f"loopexp: {message}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_invalid_model_from_config_is_precondition(self, tmp_path,
                                                        capsys):

@@ -1,4 +1,5 @@
-"""numpy is the package's only runtime dependency."""
+"""numpy is the package's only runtime dependency, and `python -m loopexp`
+runs the command line."""
 
 import os
 import subprocess
@@ -19,3 +20,14 @@ def test_import_loads_no_scipy():
         env={**os.environ, "PYTHONPATH": path})
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+def test_module_runs_the_command_line():
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                         os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "loopexp", "--help"],
+        capture_output=True, text=True, timeout=120, cwd=ROOT,
+        env={**os.environ, "PYTHONPATH": path})
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("usage: loopexp ")

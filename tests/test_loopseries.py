@@ -107,6 +107,16 @@ class TestBatchedTable:
     """Tables built per degree class, and activities gathered by array
     indexing, against the per-node and per-polymer loops."""
 
+    def test_one_debug_record_per_table(self, caplog):
+        g = mixed_host()
+        spec = FactorSpec.cycle_code(np.zeros(g.num_edges))
+        with caplog.at_level(logging.DEBUG, logger="loopexp.loopseries"):
+            ActivityTable(g, spec, MessageSet.zeros(g))
+        (record,) = caplog.records
+        assert record.levelno == logging.DEBUG
+        assert record.getMessage().startswith(
+            "activity table on 7 nodes: 4 degree classes, 4 blocks, ")
+
     @given(st.data())
     def test_matches_subset_loop(self, data):
         g = data.draw(st.one_of(st.just(mixed_host()), small_hosts()))
@@ -156,8 +166,8 @@ class TestBatchedTable:
             ActivityTable(g, spec, MessageSet(eta=eta))
 
     def test_degree_over_cap_raises_before_allocating(self):
-        # the log-factor kernel's budget: a degree-20 node's spin matrix
-        # has 20 * 2^20 entries, over 2^24
+        # the log-factor kernel's budget: a degree-20 node's table costs
+        # 20 passes over 2^20 entries, over 2^24
         g = CheckGraph.from_edges(21, [(0, i) for i in range(1, 21)])
         spec = FactorSpec.cycle_code(np.zeros(20))
         msgs = MessageSet.zeros(g)

@@ -153,15 +153,16 @@ class TestLogFactorBlocks:
         g = data.draw(small_hosts())
         spec = data.draw(factor_specs(g))
         eta = data.draw(st.none() | arbitrary_messages(g))
-        # at least the largest degree, so the spin matrix chunks stay whole
         entries = data.draw(st.integers(8, 64))
         seen = []
         with mock.patch.object(loopexp.model, "BLOCK_ENTRIES", entries):
             blocks = list(_log_factor_blocks(g, spec, eta))
         for d, nodes, L in blocks:
             assert 1 <= len(nodes) <= max(1, entries >> d)
-            assert L.shape == (len(nodes), 1 << d)
-            for a, row in zip(nodes, L):
+            # config-major: one row per local configuration, one column
+            # per node of the block
+            assert L.shape == (1 << d, len(nodes))
+            for a, row in zip(nodes, L.T):
                 eids = g.adjacency[a]
                 assert len(eids) == d
                 w = [0.0 if eta is None else incoming(g, eta, a, e)
@@ -176,8 +177,38 @@ class TestLogFactorBlocks:
             seen.extend(nodes)
         assert sorted(seen) == list(range(g.n))
 
+    @pytest.mark.parametrize("host", [
+        mixed_host, lambda: sample_regular_graph(50, 3, 5),
+        # degree classes {0, 4}, {2} and {1, 3}: columns gathered, not sliced
+        lambda: CheckGraph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4),
+                                          (1, 3)])],
+        ids=["mixed", "cubic50", "interleaved"])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_values_do_not_depend_on_the_block_size(self, host, kind):
+        # small blocks split every class of more than one node into
+        # several blocks of columns; no value may move by a single bit
+        g = host()
+        rng = np.random.default_rng(11)
+        spec = FactorSpec(kind, rng.uniform(-1.0, 1.0, g.num_edges),
+                          eps=0.2, J=0.3 if kind == "high-temperature"
+                          else None)
+        msgs = MessageSet(eta=rng.uniform(-1.0, 1.0, (g.num_edges, 2)))
+
+        def values():
+            return (ActivityTable(g, spec, msgs).K.values,
+                    bethe_log_partition(g, spec, msgs).node_term,
+                    exact_log_partition(g, spec))
+
+        want = values()
+        for entries in (2, 8, 16):
+            with mock.patch.object(loopexp.model, "BLOCK_ENTRIES", entries):
+                got = values()
+            assert np.array_equal(got[0], want[0])
+            assert got[1:] == want[1:]
+
     def test_degree_over_budget_raises_before_allocating(self):
-        # a degree-20 node's spin matrix has 20 * 2^20 entries, over 2^24
+        # a degree-20 node's table costs 20 passes over 2^20 entries, over
+        # 2^24
         g = CheckGraph.from_edges(21, [(0, i) for i in range(1, 21)])
         spec = FactorSpec.cycle_code(np.zeros(20))
         msgs = MessageSet.zeros(g)
@@ -195,13 +226,16 @@ class TestLogFactorBlocks:
 
     def test_spin_matrix_peak(self):
         # a degree-19 node's spin matrix would be 19 * 2^19 float64, 76
-        # MiB; it is built one chunk of configurations at a time.  Measured
-        # peaks: 12.0 MiB for the Bethe value, 16.1 MiB for exact ln Z and
-        # 24.0 MiB for the activity table, against 96, 100 and 108 MiB
-        # while the whole matrix lived through each degree class.  At
-        # degree 12 the table peaks at 0.9 MiB, against 193 MiB while it
-        # built a 2^d x 2^d block per node.  Each bound is the measured
-        # peak plus 8 MiB of headroom, rounded up to 0.1 MiB.
+        # MiB; the kernel builds no spin matrix, only the node's table of
+        # 2^19 entries, by one doubling pass per slot.  Measured peaks:
+        # 8.6 MiB for the Bethe value, 16.1 MiB for exact ln Z and 14.5
+        # MiB for the activity table (12.0, 16.1 and 24.0 MiB while the
+        # spins were built one chunk of configurations at a time, and 96,
+        # 100 and 108 MiB while the whole matrix lived through each degree
+        # class).  At degree 12 the table peaks at 0.1 MiB, against 0.9
+        # MiB with chunked spins and 193 MiB while it built a 2^d x 2^d
+        # block per node.  Each bound is the chunked-spin peak plus 8 MiB
+        # of headroom, rounded up to 0.1 MiB.
         def star(degree):
             g = CheckGraph.from_edges(degree + 1,
                                       [(0, i) for i in range(1, degree + 1)])
