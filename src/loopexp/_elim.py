@@ -10,17 +10,22 @@ value is
     sum over x in {0,1}^E of prod_a T_a(x restricted to a's edges),
 
 evaluated by bucket elimination (Dechter 1999).  A variable sits in exactly
-two tables until it is summed out, so each step multiplies two tables and
-sums out all their shared edges: n minus the number of components steps.
+two tables until it is summed out, so each step merges two tables over all
+their shared edges: n minus the number of components steps.  A step is one
+product: the left table as a matrix of (kept, shared) edges times the right
+as one of (shared, kept) edges.  Its inner product is the semiring's: a
+matmul in (+, x), a broadcast product maximised over the shared axis in
+(max, x), so neither builds the table over both tables' edges.
 
 A table may carry a leading payload axis: a per-node count that saturates
 at L - 1.  When two tables multiply, payloads i and j land in
-min(i + j, L - 1).  The number of touched nodes and the "some node has
-degree one" flag are both such counts.  A table stores its payloads only up
-to its reach, the highest that can be nonzero: a node table's is read from
-its data, a product's is the sum of its factors' reaches, capped at L - 1.
-Contraction runs in the (+, x) semiring, or in (max, x) on nonnegative
-tables for largest-term queries.
+min(i + j, L - 1); the step takes the products of all payload pairs at once
+and folds them into their sums i + j in one reduction.  The number of
+touched nodes and the "some node has degree one" flag are both such counts.
+A table stores its payloads only up to its reach, the highest that can be
+nonzero: a node table's is read from its data, a product's is the sum of its
+factors' reaches, capped at L - 1.  Contraction runs in the (+, x)
+semiring, or in (max, x) on nonnegative tables for largest-term queries.
 
 The elimination order is greedy: the next step merges the two tables that
 hold the edge whose bucket union (the variables of those tables) is
@@ -48,19 +53,20 @@ if TYPE_CHECKING:
 
 @dataclass(frozen=True)
 class _Step:
-    """Multiply table ``left`` by ``right`` and sum out ``axis``, their
-    shared edges.  Past its payload axis, ``left`` is reshaped to
-    ``left_shape`` and ``right`` transposed by ``right_perm`` and reshaped to
-    ``right_shape``, so both broadcast over the bucket union.  The result is
-    appended as a new table.
+    """Merge table ``left`` with ``right`` over their shared edges.  Past
+    its payload axis, ``left`` is transposed by ``left_perm`` to its kept
+    edges, then the shared ones, and ``right`` by ``right_perm`` to the
+    shared edges, then its kept ones.  ``sizes`` are 2^kept_left, 2^shared
+    and 2^kept_right, the shapes of the two as matrices.  Their product, a
+    table over the left's kept edges then the right's, is appended as a new
+    table.
     """
 
     left: int
     right: int
-    left_shape: tuple[int, ...]
+    left_perm: tuple[int, ...]
     right_perm: tuple[int, ...]
-    right_shape: tuple[int, ...]
-    axis: tuple[int, ...]
+    sizes: tuple[int, int, int]
 
 
 @dataclass(frozen=True)
@@ -68,7 +74,6 @@ class EliminationPlan:
     """A greedy elimination order for one graph, ready to contract;
     ``width`` is the largest bucket union, in variables."""
 
-    node_shapes: tuple[tuple[int, ...], ...]
     steps: tuple[_Step, ...]
     finals: tuple[int, ...]     # tables with no variables, never consumed
     width: int
@@ -108,19 +113,18 @@ def plan_elimination(graph: CheckGraph) -> EliminationPlan:
         width = max(width, s)
         left, right = holders[e]
         lscope, rscope = scopes[left], scopes[right]
-        shared = sets[left] & sets[right]
-        rest = [v for v in rscope if v not in shared]
-        u = lscope + tuple(rest)
+        shared = tuple(v for v in lscope if v in sets[right])
+        lkept = tuple(v for v in lscope if v not in shared)
+        rkept = tuple(v for v in rscope if v not in shared)
         steps.append(_Step(
             left, right,
-            (2,) * len(lscope) + (1,) * len(rest),
-            (0,) + tuple(1 + rscope.index(v) for v in u if v in rscope),
-            tuple(2 if v in rscope else 1 for v in u),
-            tuple(1 + k for k, v in enumerate(u) if v in shared)))
+            (0,) + tuple(1 + lscope.index(v) for v in lkept + shared),
+            (0,) + tuple(1 + rscope.index(v) for v in shared + rkept),
+            (1 << len(lkept), 1 << len(shared), 1 << len(rkept))))
         new = len(scopes)
-        scopes.append(tuple(v for v in u if v not in shared))
+        scopes.append(lkept + rkept)
         sets.append(frozenset(scopes[new]))
-        done |= shared
+        done.update(shared)
         for v in scopes[new]:
             # v's other holder keeps its place; the new table comes second
             other = holders[v][holders[v][0] in (left, right)]
@@ -128,41 +132,61 @@ def plan_elimination(graph: CheckGraph) -> EliminationPlan:
             size[v] = len(sets[other] | sets[new])
             heapq.heappush(heap, (size[v], v))
     return EliminationPlan(
-        node_shapes=tuple((2,) * len(sc) for sc in scopes[:graph.n]),
         steps=tuple(steps),
         finals=tuple(f for f, sc in enumerate(scopes) if not sc),
         width=width,
     )
 
 
-def _combine(a: np.ndarray, b: np.ndarray, top: int,
-             maximize: bool) -> np.ndarray:
-    """Broadcast product of two tables, payloads added and saturated at
-    ``top``; the loop runs over the payloads of the table of smaller reach."""
-    if len(a) > len(b):
-        a, b = b, a
-    if len(a) == 1:
-        return a * b
+def _inner(a: np.ndarray, b: np.ndarray, maximize: bool,
+           out: np.ndarray | None = None) -> np.ndarray:
+    """The semiring's product of the matrix stacks ``a`` (..., M, S) and
+    ``b`` (..., S, N), broadcast over the leading axes: a matmul in
+    (+, x), a broadcast product maximised over S in (max, x)."""
+    if maximize:
+        return np.maximum.reduce(a[..., None] * b[..., None, :, :], axis=-2,
+                                 out=out)
+    return np.matmul(a, b, out=out)
+
+
+def _merge(a: np.ndarray, b: np.ndarray, top: int, cap: int,
+           maximize: bool) -> np.ndarray:
+    """The product of tables ``a`` (Pa, M, S) and ``b`` (Pb, S, N) over
+    their shared axis S, as (r + 1, M, N): payloads i and j land in
+    min(i + j, ``top``), r = min(Pa + Pb - 2, top).
+
+    A block of a's payloads takes one ``_inner`` product with all of b's.
+    Row i of the block is written i places to the right in a zeroed buffer,
+    so one reduction over the rows adds, or maximises, the pairs of equal
+    i + j; one more folds the payloads past ``top``.  Blocks are sized so
+    that no temporary passes ``cap`` entries.
+    """
+    pa, m, s = a.shape
+    pb, _, n = b.shape
     add = np.maximum if maximize else np.add
-    rb = len(b) - 1
-    r = min(len(a) - 1 + rb, top)
-    shape = np.broadcast_shapes(a.shape[1:], b.shape[1:])
-    out = np.zeros((r + 1,) + shape)
-    term = np.empty((rb + 1,) + shape)    # one buffer for every product
-    if len(a) - 1 + rb > top:
-        # tail[j]: b's payloads j and up, which land in r beside a's r - j
-        tail = add.accumulate(b[::-1])[::-1]
-    for i, ai in enumerate(a):
-        if i + rb <= r:
-            np.multiply(ai, b, out=term)
-            add(out[i:i + rb + 1], term, out=out[i:i + rb + 1])
-            continue
-        j = r - i
-        if j:
-            np.multiply(ai, b[:j], out=term[:j])
-            add(out[i:r], term[:j], out=out[i:r])
-        np.multiply(ai, tail[j], out=term[:1])
-        add(out[r:], term[:1], out=out[r:])
+    step = max(1, cap // (m * n * (s if maximize else 1) * (pa + pb)))
+    out = None if step >= pa else np.zeros((min(pa + pb - 2, top) + 1, m, n))
+    for i0 in range(0, pa, step):
+        ai = a[i0:i0 + step]
+        k = len(ai)
+        if k == 1:    # one row of pairs: nothing to shift
+            part = _inner(ai, b, maximize)
+        else:
+            # the products land in rows of k + pb; seen as rows of
+            # k + pb - 1 (``diag``), row i starts i places to the right, so
+            # diag[i, i + j] is pair (i0 + i, j)
+            buf = np.zeros(k * (k + pb) * m * n)
+            _inner(ai[:, None], b[None], maximize,
+                   out=buf.reshape(k, k + pb, m, n)[:, :pb])
+            diag = buf[:k * (k + pb - 1) * m * n].reshape(k, k + pb - 1, m, n)
+            part = add.reduce(diag, axis=0)    # payloads i0, i0 + 1, ...
+        lo = top - i0
+        if len(part) > lo + 1:
+            part[lo] = add.reduce(part[lo:], axis=0)
+            part = part[:lo + 1]
+        if out is None:
+            return part
+        add(out[i0:i0 + len(part)], part, out=out[i0:i0 + len(part)])
     return out
 
 
@@ -173,29 +197,31 @@ def contract(plan: EliminationPlan, tables: Rows,
     ``tables.values`` has one row per entry: shape ``(N,)``, or ``(N, L)``
     with a payload axis of length L; ``tables[a]`` holds node a's
     ``2**deg_a`` entries.  BudgetError, before any table is allocated, if
-    ``2^width x L`` passes ``MAX_ENTRIES``.  Returns ``(values, log_scale)``:
-    the network's value for payload k is ``values[k] * exp(log_scale)``.
-    After every step the new table is divided by its largest absolute
-    entry, whose log goes into ``log_scale``; values keep their sign.
+    ``2^width x L`` passes ``MAX_ENTRIES``.  Each step is one product of
+    two tables over their shared edges, all payload pairs at once
+    (``_merge``).  Returns ``(values, log_scale)``: the network's value for
+    payload k is ``values[k] * exp(log_scale)``.  After every step the new
+    table is divided by its largest absolute entry, whose log goes into
+    ``log_scale``; values keep their sign.
     """
     values = tables.values.reshape(len(tables.values), -1)
     L = values.shape[1]
     check_budget(plan.width, L)
+    cap = (1 << plan.width) * L
     # each node table's reach: its highest payload with a nonzero entry
     reach = np.maximum.reduceat(
         np.max(np.where(values != 0.0, np.arange(L), 0), axis=1),
         tables.offsets[:-1]).tolist()
     live: list[np.ndarray | None] = [
-        values[lo:hi, :r + 1].T.reshape((r + 1,) + shape)
-        for lo, hi, r, shape in zip(tables.offsets[:-1].tolist(),
-                                    tables.offsets[1:].tolist(), reach,
-                                    plan.node_shapes, strict=True)]
-    reduce = np.maximum.reduce if maximize else np.add.reduce
+        values[lo:hi, :r + 1].T
+        for lo, hi, r in zip(tables.offsets[:-1].tolist(),
+                             tables.offsets[1:].tolist(), reach,
+                             strict=True)]
     log_scale = 0.0
 
     def rescale(t: np.ndarray) -> np.ndarray:
         nonlocal log_scale
-        m = float(np.abs(t).max())
+        m = float(np.maximum.reduce(np.abs(t), axis=None))
         if m > 0.0 and math.isfinite(m):
             log_scale += math.log(m)
             t /= m
@@ -204,11 +230,14 @@ def contract(plan: EliminationPlan, tables: Rows,
     for st in plan.steps:
         a, b = live[st.left], live[st.right]
         live[st.left] = live[st.right] = None
-        prod = _combine(a.reshape((len(a),) + st.left_shape),
-                        b.transpose(st.right_perm).reshape(
-                            (len(b),) + st.right_shape), L - 1, maximize)
-        live.append(rescale(reduce(prod, axis=st.axis)))
-    out = np.ones(1)
+        m, s, n = st.sizes
+        a = a.reshape((len(a),) + (2,) * (len(st.left_perm) - 1)).transpose(
+            st.left_perm).reshape(len(a), m, s)
+        b = b.reshape((len(b),) + (2,) * (len(st.right_perm) - 1)).transpose(
+            st.right_perm).reshape(len(b), s, n)
+        live.append(rescale(_merge(a, b, L - 1, cap, maximize)).reshape(
+            -1, m * n))
+    out = np.ones((1, 1, 1))
     for f in plan.finals:
-        out = rescale(_combine(out, live[f], L - 1, maximize))
-    return np.concatenate([out, np.zeros(L - len(out))]), log_scale
+        out = rescale(_merge(out, live[f][:, :, None], L - 1, cap, maximize))
+    return np.concatenate([out.ravel(), np.zeros(L - len(out))]), log_scale

@@ -126,7 +126,6 @@ class _Sweeper:
         self.eta = self.msg[:-1].reshape(dmax, n)
         self.raw = np.empty((dmax, n))
         self.tmp = np.empty((dmax, n))
-        self.flags = np.empty((dmax, n), dtype=bool)
 
     def load(self, eta: np.ndarray) -> None:
         """Messages from edge order, shape (E, 2); ValueError names the
@@ -142,9 +141,11 @@ class _Sweeper:
 
     def update(self) -> float:
         """Raw update of every message into ``raw``; returns the residual
-        max |raw - eta|, or raises DivergenceError on a non-finite update.
-        The messages are finite (``load`` checks them, ``mix`` clips
-        them), so a non-finite update makes the residual non-finite."""
+        max |raw - eta| (0 without messages), or raises DivergenceError on a
+        non-finite update.  The messages are finite (``load`` checks them,
+        ``mix`` clips them), so a non-finite update makes the residual
+        non-finite.  Callers run it under ``np.errstate`` with invalid and
+        divide ignored, for arctanh at +-1."""
         T, raw = self.tmp, self.raw
         # every index is valid; "clip" spares the buffered copy that
         # np.take makes of ``out`` under the default "raise"
@@ -156,15 +157,13 @@ class _Sweeper:
         _leave_one_out(T, raw)
         if self.t is not None:
             np.multiply(raw, self.t, out=raw)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            np.arctanh(raw, out=raw)
+        np.arctanh(raw, out=raw)
         np.add(raw, self.hh, out=raw)
         if self.pad is not None:
             np.copyto(raw, 0.0, where=self.pad)
-        if not raw.size:
-            return 0.0
         np.subtract(raw, self.eta, out=T)
-        residual = float(np.abs(T, out=T).max())
+        residual = float(np.maximum.reduce(np.abs(T, out=T), axis=None,
+                                           initial=0.0))
         if not math.isfinite(residual):
             raise DivergenceError("non-finite message update (tanh product hit 1)")
         return residual
@@ -176,7 +175,8 @@ class _Sweeper:
         np.multiply(raw, 1.0 - self.damping, out=raw)
         np.multiply(eta, self.damping, out=eta)
         np.add(raw, eta, out=eta)
-        if not np.greater(np.abs(eta, out=T), CLAMP, out=self.flags).any():
+        if not np.maximum.reduce(np.abs(eta, out=T), axis=None,
+                                 initial=0.0) > CLAMP:
             return False
         np.clip(eta, -CLAMP, CLAMP, out=eta)
         return True
@@ -184,19 +184,21 @@ class _Sweeper:
 
 def _leave_one_out(T: np.ndarray, L: np.ndarray) -> None:
     """``L[k]`` = product of the rows ``T[j]``, j != k, as prefix times
-    suffix product; ``L[0]`` holds the running suffix until it is done."""
+    suffix product; ``L[k]`` holds the prefix of rows 0..k-1 for k >= 2 (the
+    first prefix is ``T[0]`` itself), and ``L[0]`` the running suffix until
+    it is done."""
     d = len(T)
     if d < 2:
         L[:] = 1.0
         return
-    L[1] = T[0]
+    prefix = T[0]
     for k in range(2, d):
-        np.multiply(L[k - 1], T[k - 1], out=L[k])
+        prefix = np.multiply(prefix, T[k - 1], out=L[k])
     suffix = T[d - 1]
     if d == 2:
-        L[0] = suffix
+        L[0], L[1] = suffix, T[0]
     for k in range(d - 2, 0, -1):
-        np.multiply(L[k], suffix, out=L[k])
+        np.multiply(L[k] if k > 1 else T[0], suffix, out=L[k])
         suffix = np.multiply(suffix, T[k], out=L[0])
 
 
@@ -226,8 +228,9 @@ def bp_sweep(graph: CheckGraph, spec: FactorSpec, messages: MessageSet,
     """
     sweeper = _Sweeper(graph, spec, damping)
     sweeper.load(_edge_messages(graph, messages.eta))
-    residual = sweeper.update()
-    clipped = sweeper.mix()
+    with np.errstate(invalid="ignore", divide="ignore"):
+        residual = sweeper.update()
+        clipped = sweeper.mix()
     return MessageSet(eta=sweeper.edge_messages(), sweeps=messages.sweeps + 1,
                       residual=residual, converged=False,
                       overflow=bool(messages.overflow or clipped))
@@ -262,7 +265,8 @@ def solve_fixed_point(graph: CheckGraph, spec: FactorSpec,
     if init is not None:
         eta = init.eta if isinstance(init, MessageSet) else init
         sweeper.load(_edge_messages(graph, eta))
-    out = _iterate(sweeper, tol, max_sweeps)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        out = _iterate(sweeper, tol, max_sweeps)
     if debug:
         logger.debug("BP on %d nodes: %d sweeps, residual %.3g, converged %s, "
                      "overflow %s, %.4f s", graph.n, out.sweeps, out.residual,

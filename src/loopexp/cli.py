@@ -41,7 +41,7 @@ from .graphs import (check_edge_expansion, enumerate_polymers, read_graph,
                      sample_regular_graph, write_graph)
 from .loopseries import (ActivityTable, _check_report_args,
                          build_expansion_report, convergence_criterion)
-from .model import KINDS, FactorSpec, exact_log_partition
+from .model import KINDS, FactorSpec, _check_coupling, exact_log_partition
 
 
 class _Parser(argparse.ArgumentParser):
@@ -179,6 +179,15 @@ def _trials(cfg: dict, key: list, kind: str, n: int, graph=None, **solver):
         yield t, g, spec, params, solve_fixed_point(g, spec, **solver)
 
 
+def _check_couplings(kinds, couplings) -> None:
+    """``FactorSpec``'s rule on J for every coupling that a run of
+    ``kinds`` gives a high-temperature spec, so that a bad one is refused
+    before any work; other kinds ignore the coupling."""
+    if "high-temperature" in kinds:
+        for J in couplings:
+            _check_coupling(J)
+
+
 def _mean_stderr(vals) -> tuple[float, float]:
     mean = float(np.mean(vals)) if vals else math.nan
     stderr = (float(np.std(vals, ddof=1)) / math.sqrt(len(vals))
@@ -228,6 +237,7 @@ def cmd_verify_identity(cfg: dict) -> int:
     # refuse bad scalars and read the graph before making the out dir
     _check_solve_args(cfg["tol"], cfg["damping"], cfg["max_sweeps"])
     _check_report_args(cfg["node_cap"] or None, cfg["mayer_max"])
+    _check_couplings([cfg["model"]], [cfg["coupling"]])
     fixed = read_graph(cfg["graph"]) if cfg["graph"] else None
     out_dir = Path(cfg["out_dir"])
     reports_dir = out_dir / "reports"
@@ -287,6 +297,7 @@ def cmd_correction_decay(cfg: dict) -> int:
     no value leaves its mean and stderr empty."""
     seed, trials, model = cfg["seed"], cfg["trials"], cfg["model"]
     kinds = [KINDS[0], KINDS[2]] if model == "both" else [model]
+    _check_couplings(kinds, [cfg["coupling"]])
     t0 = time.monotonic()
     rows = []
     refused = []    # (kind, n, trials refused, reason) per refused size
@@ -389,6 +400,7 @@ def cmd_expander_check(cfg: dict) -> int:
           ("out", str, "criterion-report.csv", "output CSV"))
 def cmd_criterion_report(cfg: dict) -> int:
     seed, trials, model = cfg["seed"], cfg["trials"], cfg["model"]
+    _check_couplings([model], cfg["values"])    # a high-temperature sweep is over J
     t0 = time.monotonic()
     rows = []
     threshold = None

@@ -599,7 +599,9 @@ def _support_walk(local: np.ndarray, cap: int,
     the size of a level; level 1 and the node table take 4W words per
     region node.  ``tally``, when given, receives the number of
     ``esu_levels``, the sets of the ``largest`` level and the ``words`` of
-    one of its states.  BudgetError once the supports number more than
+    one of its states.  BudgetError, before anything is allocated, when
+    the node table's 4W(R + 1) words pass ``MAX_ENTRIES`` (a region of
+    more than about 16,000 nodes), and once the supports number more than
     ``MAX_POLYMERS``.
     """
     R = len(local)
@@ -609,6 +611,10 @@ def _support_walk(local: np.ndarray, cap: int,
         if tally is not None:
             tally.update(esu_levels=0, largest=0, words=0)
         return np.zeros((0, W), dtype=np.uint64)
+    if 4 * W * (R + 1) > MAX_ENTRIES:
+        raise BudgetError(f"support walk over a region of {R:,} nodes would "
+                          f"build a node table of {4 * W * (R + 1):,} words, "
+                          f"over the cap of {MAX_ENTRIES:,}")
     # per node w: its bit, its neighbours, the nodes above it and its
     # non-neighbours, for the update of a state that adds w
     a = np.arange(R)

@@ -162,18 +162,18 @@ class CorrectionScan:
 
 
 def scan_correction(graph: CheckGraph, table: ActivityTable) -> CorrectionScan:
-    """All four subset sums, each as one contraction of the K_a network.
+    """All four subset sums from three contractions of the K_a network.
 
     Every output is a bucket elimination over edge-membership variables
-    with a different node tensor: ``K_a`` for ``z_all``; ``K_a`` with its
-    degree-one entries zeroed for ``z_loops``; ``|K_a|`` with a count of
-    touched nodes, saturating at ceil(n/2), for ``tail_abs``; ``|K_a|`` in
-    the (max, x) semiring with an "any degree-one node" flag for
-    ``max_nonloop_abs``.  ``z_all`` never comes from ln Z, so the identity
-    check stays non-circular.  All four share the host's
-    ``elimination_plan``.  ValueError for a table of another host;
-    BudgetError, before the first contraction, for a plan too large for the
-    tail's payload.
+    with a different node tensor: ``K_a`` with a "this node has degree one"
+    flag, saturating at 1, gives ``z_loops`` as payload 0 and ``z_all`` as
+    payload 0 plus payload 1; ``|K_a|`` with a count of touched nodes,
+    saturating at ceil(n/2), gives ``tail_abs``; ``|K_a|`` in the (max, x)
+    semiring with the degree-one flag gives ``max_nonloop_abs``.
+    ``z_all`` never comes from ln Z, so the identity check stays
+    non-circular.  All three share the host's ``elimination_plan``.
+    ValueError for a table of another host; BudgetError, before the first
+    contraction, for a plan too large for the tail's payload.
     """
     _check_host(graph, table.graph)
     # ties at exactly n/2 touched nodes count as large, matching the split
@@ -185,13 +185,14 @@ def scan_correction(graph: CheckGraph, table: ActivityTable) -> CorrectionScan:
     # the subset size of every entry: the popcount of its local bitmask
     size = np.bitwise_count(np.arange(len(K)) - np.repeat(offsets[:-1],
                                                           np.diff(offsets)))
-    z_all = contract(plan, table.K)
-    z_loops = contract(plan, Rows(np.where(size == 1, 0.0, K), offsets))
-    tail = contract(plan, _tagged(table.K, size > 0, half + 1))
-    nonloop = contract(plan, _tagged(table.K, size == 1, 2), maximize=True)
+    absK = np.abs(K)
+    flagged, scale = contract(plan, _tagged(K, offsets, size == 1, 2))
+    tail = contract(plan, _tagged(absK, offsets, size > 0, half + 1))
+    nonloop = contract(plan, _tagged(absK, offsets, size == 1, 2),
+                       maximize=True)
     return CorrectionScan(
-        z_all=_scaled(z_all, 0),
-        z_loops=_scaled(z_loops, 0),
+        z_all=float(flagged[0] + flagged[1]) * math.exp(scale),
+        z_loops=float(flagged[0]) * math.exp(scale),
         max_nonloop_abs=_scaled(nonloop, 1),
         tail_abs=_scaled(tail, half),
         num_subsets=1 << graph.num_edges,
@@ -206,11 +207,12 @@ def _check_host(graph: CheckGraph, *hosts: CheckGraph) -> None:
         raise ValueError("table or catalog built on another host graph")
 
 
-def _tagged(table: Rows, tag: np.ndarray, length: int) -> Rows:
-    """|table| with a payload axis: each entry at payload index ``tag``."""
-    out = np.zeros((len(table.values), length))
-    out[np.arange(len(out)), tag.astype(np.int64)] = np.abs(table.values)
-    return Rows(out, table.offsets)
+def _tagged(values: np.ndarray, offsets: np.ndarray, tag: np.ndarray,
+            length: int) -> Rows:
+    """``values`` with a payload axis: each entry at payload index ``tag``."""
+    out = np.zeros((len(values), length))
+    out[np.arange(len(out)), tag.astype(np.int64)] = values
+    return Rows(out, offsets)
 
 
 def _scaled(result: tuple[np.ndarray, float], k: int) -> float:
@@ -653,9 +655,10 @@ class ExpansionReport:
         return out
 
     def save_json(self, path) -> None:
+        # one write: json.dump would stream hundreds of small ones
+        text = json.dumps(self.to_json_dict(), indent=2, allow_nan=True)
         with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh, indent=2, allow_nan=True)
-            fh.write("\n")
+            fh.write(text + "\n")
 
 
 def _check_report_args(node_cap: Optional[int], mayer_max: int) -> None:

@@ -32,6 +32,15 @@ __all__ = ["FactorSpec", "exact_log_partition", "KINDS"]
 KINDS = ("cycle-code", "softened-cycle-code", "high-temperature")
 
 
+def _check_coupling(J) -> np.ndarray:
+    """``J`` as a float array of at least one entry; ValueError if an
+    entry is NaN."""
+    J = np.atleast_1d(np.asarray(J, dtype=np.float64))
+    if np.isnan(J).any():
+        raise ValueError("coupling J is NaN")
+    return J
+
+
 @dataclass(frozen=True)
 class FactorSpec:
     """Factor kind plus its parameters: per-edge fields and the parity coupling.
@@ -60,10 +69,7 @@ class FactorSpec:
         if self.kind == "high-temperature":
             if self.J is None:
                 raise ValueError("high-temperature kind needs J")
-            object.__setattr__(self, "J",
-                               np.atleast_1d(np.asarray(self.J, dtype=np.float64)))
-            if np.isnan(self.J).any():
-                raise ValueError("coupling J is NaN")
+            object.__setattr__(self, "J", _check_coupling(self.J))
 
     @classmethod
     def cycle_code(cls, h) -> "FactorSpec":

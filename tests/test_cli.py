@@ -174,6 +174,34 @@ class TestExitCodes:
         assert f"loopexp: {message}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["verify-identity", "-n", "6", "--trials", "1", "--model",
+         "high-temperature", "--coupling", "nan"],
+        ["correction-decay", "--n-list", "6", "--trials", "1",
+         "--coupling", "nan"],
+        ["criterion-report", "-n", "6", "--trials", "1", "--model",
+         "high-temperature", "--values", "0.1,nan"],
+    ], ids=["verify-identity", "correction-decay", "criterion-report"])
+    def test_nan_coupling_refused_before_sampling(self, tmp_path, capsys,
+                                                  monkeypatch, argv):
+        def refuse(*args):
+            raise AssertionError("graph sampled before the coupling was "
+                                 "checked")
+
+        monkeypatch.setattr(cli, "sample_regular_graph", refuse)
+        out = tmp_path / "v"
+        flag = "--out-dir" if argv[0] == "verify-identity" else "--out"
+        code = main([*argv, flag, str(out)])
+        assert code == 2
+        assert "loopexp: coupling J is NaN" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_cycle_code_ignores_the_coupling(self, tmp_path):
+        out = tmp_path / "v"
+        assert main(["verify-identity", "-n", "6", "--trials", "1",
+                     "--coupling", "nan", "--out-dir", str(out)]) == 0
+        assert (out / "summary.csv").exists()
+
     def test_invalid_model_from_config_is_precondition(self, tmp_path,
                                                        capsys):
         cfgfile = tmp_path / "cfg.txt"

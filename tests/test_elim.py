@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,8 +9,10 @@ from hypothesis import strategies as st
 from loopexp import _elim
 from loopexp._elim import contract, plan_elimination
 from loopexp._layout import Rows
+from loopexp.channel import sample_bsc
 from loopexp.exceptions import BudgetError
 from loopexp.graphs import sample_regular_graph
+from loopexp.model import FactorSpec, exact_log_partition
 
 from conftest import single_variable_width, small_hosts
 
@@ -74,12 +77,91 @@ class TestContract:
 
     def test_product_reach_is_the_sum_of_reaches(self):
         # reaches 1 and 3: payloads up to 4, or saturated at the top 3
-        a, b = np.ones((2, 2)), np.ones((4, 2))
+        # as matrices (2 x 1) and (1 x 3); a cap of one entry walks a's
+        # payloads one at a time, a large one takes them in one block
+        a, b = np.ones((2, 2, 1)), np.ones((4, 1, 3))
         for top, want in ((7, [1, 2, 2, 2, 1]), (3, [1, 2, 2, 3])):
-            for maximize in (False, True):
-                out = _elim._combine(a, b, top, maximize)
-                assert out[:, 0].tolist() == ([1] * len(want) if maximize
-                                              else want)
+            for maximize, cap in itertools.product((False, True), (1, 1000)):
+                out = _elim._merge(a, b, top, cap, maximize)
+                assert out.shape == (len(want), 2, 3)
+                assert (out == np.reshape([1] * len(want) if maximize
+                                          else want, (-1, 1, 1))).all()
+
+    @given(st.data())
+    def test_merge_matches_the_pairwise_products(self, data):
+        # every cap, from one payload of a per block to all of them
+        pa, pb = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 5))
+        m, s, n = (data.draw(st.sampled_from((1, 2, 4))) for _ in range(3))
+        top = data.draw(st.integers(pa - 1, pa + pb))
+        cap = data.draw(st.integers(1, 4 * (pa + pb) * m * s * n))
+        maximize = data.draw(st.booleans())
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        a = rng.uniform(0.0 if maximize else -1.0, 1.0, (pa, m, s))
+        b = rng.uniform(0.0 if maximize else -1.0, 1.0, (pb, s, n))
+        want = np.zeros((min(pa + pb - 2, top) + 1, m, n))
+        for i, j in itertools.product(range(pa), range(pb)):
+            k = min(i + j, top)
+            if maximize:
+                term = np.max(a[i][:, :, None] * b[j][None], axis=1)
+                want[k] = np.maximum(want[k], term)
+            else:
+                want[k] += a[i] @ b[j]
+        got = _elim._merge(a, b, top, cap, maximize)
+        assert got.shape == want.shape
+        assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("maximize", [False, True])
+    def test_merge_blocks_stay_within_the_cap(self, maximize):
+        # 8 x 8 payload pairs of (64 x 4) @ (4 x 64): all at once they
+        # would take 4 to 8 times the cap; in blocks, each temporary fits
+        rng = np.random.default_rng(0)
+        a, b = rng.random((8, 64, 4)), rng.random((8, 4, 64))
+        cap = 8 * 64 * 4 * 64    # Pb x M x S x N, never above 2^width x L
+        tracemalloc.start()
+        try:
+            out = _elim._merge(a, b, 20, cap, maximize)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out.shape == (15, 64, 64)
+        assert peak < 8 * (out.size + 2 * cap)
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_payload_heavy_steps_stay_within_the_budget(self, seed):
+        # the tail's network at n = 50: widths 15 and 16, payloads up to 26;
+        # every step takes all payload pairs at once, in blocks
+        g = sample_regular_graph(50, 3, seed)
+        plan = plan_elimination(g)
+        offsets = np.concatenate([[0], np.cumsum(1 << g.layout.deg)])
+        local = np.arange(offsets[-1]) - np.repeat(offsets[:-1],
+                                                   np.diff(offsets))
+        values = np.zeros((offsets[-1], 26))
+        values[np.arange(len(local)), (local > 0).astype(int)] = \
+            np.random.default_rng(seed).uniform(0.1, 1.0, len(local))
+        tables = Rows(values, offsets)
+        tracemalloc.start()
+        try:
+            contract(plan, tables)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * (1 << plan.width) * 26
+
+    def test_exact_log_z_at_width_24_builds_no_union_table(self):
+        # each step multiplies two matrices over the shared edges, and
+        # never builds the table over the union of both tables' edges
+        g = sample_regular_graph(70, 3, 1)
+        assert plan_elimination(g).width == 24
+        spec = FactorSpec.cycle_code(sample_bsc(g, 0.3, [1, 1]).h)
+        g.elimination_plan    # planned first: the peak is the contraction's
+        tracemalloc.start()
+        try:
+            value = exact_log_partition(g, spec)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.isfinite(value)
+        assert peak < 16 << 20
 
 
 class TestPlan:

@@ -676,6 +676,26 @@ class TestSupportWalk:
             tracemalloc.stop()
         assert peak < 16 << 20
 
+    def test_node_table_over_budget_refuses_before_allocating(self,
+                                                              monkeypatch):
+        # the 200-node cycle, uncapped: a node table of 4 x 4 words x 201
+        # columns, 3,216 words
+        g = CheckGraph.from_edges(200, [(i, (i + 1) % 200)
+                                        for i in range(200)])
+        monkeypatch.setattr(graphs, "MAX_ENTRIES", 3_215)
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetError, match="region of 200 nodes "
+                               "would build a node table of 3,216 words"):
+                enumerate_polymers(g, 200)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 3_216
+        # at the cap the walk runs: one support, grown over 200 levels
+        monkeypatch.setattr(graphs, "MAX_ENTRIES", 3_216)
+        assert len(enumerate_polymers(g, 200)) == 1
+
     def test_batches_leave_the_catalog_alone(self, monkeypatch):
         # levels cut into runs of a few states, walked depth first
         g = sample_regular_graph(14, 3, 2)

@@ -10,7 +10,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import loopexp.graphs
-from loopexp._elim import plan_elimination
+from loopexp._elim import contract, plan_elimination
+from loopexp._layout import Rows
 from loopexp.bounds import activity_bound_violations
 from loopexp.bp import MessageSet, bethe_log_partition, solve_fixed_point
 from loopexp.channel import sample_bsc
@@ -334,6 +335,33 @@ class TestCorrectionScan:
         assert scan.max_nonloop_abs == pytest.approx(max_nonloop_abs,
                                                      rel=1e-10, abs=1e-12)
         assert scan.num_subsets == 2 ** graph.num_edges
+
+    @given(st.data())
+    def test_flagged_contraction_splits_loops_from_all(self, data):
+        # payload 1 of the flagged network holds the subsets with a
+        # degree-one node, so payload 0 is z_loops and the two add to z_all
+        graph = data.draw(small_hosts())
+        spec = data.draw(factor_specs(graph))
+        eta = data.draw(arbitrary_messages(graph))
+        K = ActivityTable(graph, spec, MessageSet(eta=eta)).K
+        local = np.arange(len(K.values)) - np.repeat(K.offsets[:-1],
+                                                     np.diff(K.offsets))
+        one = np.bitwise_count(local) == 1
+        plan = plan_elimination(graph)
+
+        def value(tables):
+            vals, log_scale = contract(plan, tables)
+            return vals * math.exp(log_scale)
+
+        flagged = value(loopseries._tagged(K.values, K.offsets, one, 2))
+        # rounding is relative to the sum of |terms|, not to a sum that
+        # may cancel
+        scale = 1e-12 * value(Rows(np.abs(K.values), K.offsets))[0]
+        assert flagged[0] == pytest.approx(
+            value(Rows(np.where(one, 0.0, K.values), K.offsets))[0],
+            rel=1e-12, abs=scale)
+        assert flagged[0] + flagged[1] == pytest.approx(
+            value(K)[0], rel=1e-12, abs=scale)
 
     def test_width_budget_fails_before_allocating(self):
         # K_10 has only 45 edges, but its elimination width is over budget
@@ -950,6 +978,28 @@ class TestExpansionReport:
         assert doc["ln_z_corr"] == rep.ln_z_corr()
         assert doc["identity_residual"] == rep.identity_residual()
         assert doc["mayer_orders"] == list(rep.mayer_orders)
+
+    def test_save_json_writes_the_dumped_text(self, prism, tmp_path,
+                                              monkeypatch):
+        spec = FactorSpec.cycle_code(sample_bsc(prism, 0.3, 7).h)
+        rep = build_expansion_report(prism, spec,
+                                     solve_fixed_point(prism, spec))
+        writes = []
+        real_open = open
+
+        def counting_open(*args, **kwargs):
+            fh = real_open(*args, **kwargs)
+            write = fh.write
+            fh.write = lambda text: writes.append(len(text)) or write(text)
+            return fh
+
+        monkeypatch.setattr("builtins.open", counting_open)
+        path = tmp_path / "report.json"
+        rep.save_json(path)
+        monkeypatch.undo()
+        assert len(writes) == 1
+        assert path.read_bytes() == (json.dumps(rep.to_json_dict(), indent=2)
+                                     + "\n").encode()
 
     def test_caps_leave_fields_unset(self, caplog):
         # K_10's elimination width is over budget for both sums; the
