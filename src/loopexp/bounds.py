@@ -16,6 +16,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ._csvio import write_csv
+from ._layout import MAX_ENTRIES
+from .exceptions import BudgetError
 
 __all__ = [
     "ALPHA_D_DEFAULT",
@@ -241,10 +243,16 @@ def scan_exponent(d: int, h: float, grid_step: float,
 
     The verdict reports whether every grid value is strictly negative (the
     small-h claim); larger h may flip it and is reported, not asserted.
+    BudgetError, before the grid is built, when its m^(d - 1) points of
+    d - 1 coordinates (m per axis) pass ``MAX_ENTRIES`` entries.
     """
     if not 0 < grid_step <= 0.1:
         raise ValueError("grid_step must lie in (0, 0.1]")
     axis = np.arange(0.0, 1.0 + grid_step / 2.0, grid_step)
+    entries = len(axis) ** (d - 1) * (d - 1)
+    if entries > MAX_ENTRIES:
+        raise BudgetError(f"exponent grid for d={d} at step {grid_step} "
+                          f"would hold {entries:,} entries")
     grids = np.meshgrid(*([axis] * (d - 1)), indexing="ij")
     x = np.stack([g.ravel() for g in grids], axis=1)
     total = x.sum(axis=1)

@@ -179,6 +179,12 @@ def _trials(cfg: dict, key: list, kind: str, n: int, graph=None, **solver):
         yield t, g, spec, params, solve_fixed_point(g, spec, **solver)
 
 
+def _check_trials(trials: int) -> None:
+    """A run takes any number of trials from 0 on."""
+    if trials < 0:
+        raise ValueError(f"trials must be nonnegative, got {trials}")
+
+
 def _check_couplings(kinds, couplings) -> None:
     """``FactorSpec``'s rule on J for every coupling that a run of
     ``kinds`` gives a high-temperature spec, so that a bad one is refused
@@ -235,6 +241,7 @@ def cmd_verify_identity(cfg: dict) -> int:
     seed, trials = cfg["seed"], cfg["trials"]
     t0 = time.monotonic()
     # refuse bad scalars and read the graph before making the out dir
+    _check_trials(trials)
     _check_solve_args(cfg["tol"], cfg["damping"], cfg["max_sweeps"])
     _check_report_args(cfg["node_cap"] or None, cfg["mayer_max"])
     _check_couplings([cfg["model"]], [cfg["coupling"]])
@@ -297,6 +304,7 @@ def cmd_correction_decay(cfg: dict) -> int:
     no value leaves its mean and stderr empty."""
     seed, trials, model = cfg["seed"], cfg["trials"], cfg["model"]
     kinds = [KINDS[0], KINDS[2]] if model == "both" else [model]
+    _check_trials(trials)
     _check_couplings(kinds, [cfg["coupling"]])
     t0 = time.monotonic()
     rows = []
@@ -400,6 +408,8 @@ def cmd_expander_check(cfg: dict) -> int:
           ("out", str, "criterion-report.csv", "output CSV"))
 def cmd_criterion_report(cfg: dict) -> int:
     seed, trials, model = cfg["seed"], cfg["trials"], cfg["model"]
+    _check_trials(trials)
+    _check_report_args(cfg["cap"], 0)     # the cap rule; no Mayer orders
     _check_couplings([model], cfg["values"])    # a high-temperature sweep is over J
     t0 = time.monotonic()
     rows = []
@@ -453,6 +463,7 @@ def cmd_criterion_report(cfg: dict) -> int:
           ("out", str, "entropy.csv", "output CSV"))
 def cmd_entropy(cfg: dict) -> int:
     p, trials = cfg["p"], cfg["trials"]
+    _check_trials(trials)
     t0 = time.monotonic()
     unit = math.log(2.0) if cfg["bits"] else 1.0
     unit_name = "bits" if cfg["bits"] else "nats"

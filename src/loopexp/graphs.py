@@ -18,7 +18,7 @@ import logging
 import math
 import time
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
@@ -45,10 +45,6 @@ __all__ = [
 # largest catalog ``enumerate_polymers`` builds.
 MAX_PAIRINGS = 10_000
 MAX_POLYMERS = 200_000
-
-# Widest row of walks per source the short-cycle search builds at once;
-# past it the search deepens one walk length at a time.
-SHALLOW_ROW = 1 << 12
 
 logger = logging.getLogger(__name__)
 
@@ -293,20 +289,29 @@ class PolymerCatalog:
 def enumerate_polymers(graph: CheckGraph, node_cap: int) -> PolymerCatalog:
     """Enumerate all polymers touching at most ``node_cap`` nodes.
 
-    Locality: a polymer gamma with at most c = ``node_cap`` nodes has
-    minimum degree 2, so it contains a cycle C, of length at most c; every
-    node of gamma is joined to C by a path inside gamma through nodes off C,
-    so it lies within distance c - |C| <= c - 3 of C.  The search therefore
-    marks the nodes of the host that lie on a cycle of length <= c, grows
-    the marked set by c - 3 hops, and grows polymers only on the subgraph
-    induced by that region.  A random regular graph has O(1) cycles of
-    each fixed length, so the region, and the work, stays small however
-    large the host.  The marked nodes are found from one row per node of
-    its non-backtracking walks of up to ceil(c/2) steps
-    (``_ShortCycleSearch``): two walks with different first steps that
-    meet close a cycle.  The region is the whole host when c >= n, and
-    when a row would hold at least n walks (but no more than the search
-    admits): then one row costs more than the host.
+    Locality: a polymer gamma on a node set V of at most c = ``node_cap``
+    nodes has minimum degree 2, and every node of V lies within
+    max(0, (c - 5) // 2) hops of a cycle of gamma.  Take x in V on no
+    cycle of gamma.  Every edge at x is then a bridge, so removing x
+    leaves at least two parts A and B, each joined to x by one edge.  In
+    A only the node next to x can have degree below 2, and a forest with
+    that property is empty, so A holds a cycle of gamma; so does B.  The
+    path from x to the nearest cycle node of A has d_A edges, and A holds
+    its d_A - 1 inner nodes and the at least 3 nodes of the cycle, so
+    |V| >= 1 + (d_A + 2) + (d_B + 2), and the nearer of the two cycles
+    lies within (c - 5) / 2 hops of x.  It has at most c nodes, so it is
+    a cycle of the host of length <= c.  The search therefore marks the
+    nodes of the host that lie on a cycle of length <= c, grows the
+    marked set by max(0, (c - 5) // 2) hops, and grows polymers only on
+    the subgraph induced by that region (``_near_short_cycles``).  A
+    random regular graph has O(1) cycles of each fixed length, so the
+    region, and the work, stays small however large the host.  The marked
+    nodes are found from one row per node of its non-backtracking walks
+    of up to ceil(c/2) steps, every node walked once: two walks with
+    different first steps that meet close a cycle.  The region is the
+    whole host when c >= n, and when a row would hold at least n walks
+    (but no more than the search admits): then one row costs more than
+    the host.
 
     Inside the region the search has two stages.  A node set V is the
     node set of some polymer iff the induced subgraph G[V] is connected
@@ -371,17 +376,38 @@ def enumerate_polymers(graph: CheckGraph, node_cap: int) -> PolymerCatalog:
 
 def _near_short_cycles(lay: Layout, c: int,
                        tally: Optional[dict] = None) -> np.ndarray:
-    """Nodes within distance c - 3 of a cycle of length <= c, ascending.
+    """Nodes within max(0, (c - 5) // 2) hops of a cycle of length <= c,
+    ascending: the region of a catalog capped at c nodes (the radius is
+    proved in ``enumerate_polymers``).
 
-    The sources go through ``_ShortCycleSearch`` in blocks of at most
-    ``BLOCK_ENTRIES`` walks.  A row grows as (dmax - 1)^ceil(c/2), while
-    a small host's nodes lie on short cycles whatever the cap, so past
-    rows of ``SHALLOW_ROW`` walks the search deepens one length at a
-    time, on the sources not yet found on a cycle.  ``tally``, when
-    given, receives the widest row ``width``, the number of source
-    ``blocks`` and the ``repeats``, the rows that repeat an end node.
-    BudgetError, before anything is allocated, when one source's row
-    would pass ``MAX_ENTRIES`` walks.
+    A node x lies on a cycle of length <= c iff two non-backtracking walks
+    from x that never return to x, with different first steps and lengths
+    l1 + l2 <= c, end at one node: together they hold a path between two
+    neighbours of x that avoids x, and a cycle of length l through x gives
+    two such walks of lengths floor(l/2) and ceil(l/2) that meet at the
+    node opposite x.  So one row per source, of its walks of lengths up to
+    ceil(c/2), finds every such x, and every source is walked once, in
+    blocks of at most ``BLOCK_ENTRIES`` walks.
+
+    A walk is held as its state ``b << sh | j``: it stands at node b,
+    which it entered through b's slot j (``sh`` bits hold a slot).  Level
+    l of a row is ``dmax (dmax - 1)^(l - 1)`` states, the children of
+    state i of level l - 1 at positions ``(dmax - 1) i ..``, so the first
+    step and the length of every position are fixed.  A level is advanced
+    by one gather from ``turn``, the offsets from slot j to the other
+    slots of a node, and one from ``hop``, the state a step along a slot
+    leads to.  A walk that takes a padded slot, or returns to its source,
+    holds the sentinel state ``n << sh`` (node n) from then on.
+
+    Only a repeated end node can hold two meeting walks, and on a random
+    regular graph few rows repeat one, so the pair test runs on those rows
+    alone: sorted by end node, then by position (length, then first step),
+    a row qualifies iff some walk has another first step than the shortest
+    walk to its end node, and the two lengths sum to at most c.
+    ``tally``, when given, receives the row ``width``, the number of
+    source ``blocks`` and the ``repeats``, the rows that repeat an end
+    node.  BudgetError, before anything is allocated, when one source's
+    row would pass ``MAX_ENTRIES`` walks.
     """
     n, dmax = lay.nbr.shape
     top = (c + 1) // 2     # longest walk
@@ -392,23 +418,59 @@ def _near_short_cycles(lay: Layout, c: int,
     mark = np.zeros(n + 1, dtype=bool)   # entry n: the padding neighbour
     blocks = repeats = 0
     if width:
-        search = _ShortCycleSearch(lay, c)
-        shallow = top
-        while shallow > 2 and _row_width(dmax, shallow) > SHALLOW_ROW:
-            shallow -= 1
-        pending = np.arange(n)
-        for longest in range(shallow, top + 1):
-            step = max(1, BLOCK_ENTRIES // _row_width(dmax, longest))
-            for lo in range(0, len(pending), step):
-                sources = pending[lo:lo + step]
-                hits, rows = search.on_short_cycle(sources, longest)
-                mark[sources[hits]] = True
-                blocks += 1
-                repeats += rows
-            pending = pending[~mark[pending]]
+        sh = (dmax - 1).bit_length()
+        # the slot of every edge at its far end, 0 on padded slots, whose
+        # neighbour n then makes the sentinel state
+        far = np.append(lay.slot.ravel(), 0)[lay.inc]
+        states = (n + 1) << sh
+        hop = np.full((n + 1, 1 << sh), n << sh, dtype=np.int32
+                      if states <= np.iinfo(np.int32).max else np.int64)
+        hop[:n, :dmax] = lay.nbr << sh | far
+        flat = hop.ravel()
+        k, j = np.arange(dmax - 1), np.arange(dmax)[:, None]
+        turn = np.zeros((1 << sh, dmax - 1), dtype=np.int32)
+        turn[:dmax] = k + (k >= j) - j
+        # the length and the first step of every position of a row
+        size = (dmax - 1) ** np.arange(top)
+        level = np.repeat(np.arange(1, top + 1), dmax * size)
+        first = np.repeat(np.arange(dmax * top) % dmax, np.repeat(size, dmax))
+        step = max(1, BLOCK_ENTRIES // width)
+        for lo in range(0, n, step):
+            sources = np.arange(lo, min(lo + step, n))
+            # np.take: fancy indexing is several times slower on these arrays
+            state = np.take(hop, sources, axis=0)[:, :dmax]
+            levels = [state]
+            for length in range(2, top + 1):
+                slot = np.take(turn, state & ((1 << sh) - 1), axis=0)
+                state = np.take(flat, (state[..., None] + slot)
+                                .reshape(len(sources), -1))
+                if length > 2:     # x -> a -> x would backtrack
+                    state[(state >> sh) == sources[:, None]] = n << sh
+                levels.append(state)
+            ends = np.concatenate(levels, axis=1) >> sh
+            srt = np.sort(ends, axis=1)
+            rows = np.flatnonzero(((srt[:, 1:] == srt[:, :-1])
+                                   & (srt[:, 1:] < n)).any(axis=1))
+            blocks += 1
+            repeats += len(rows)
+            if not len(rows):
+                continue
+            key = np.sort(ends[rows].astype(np.int64) * width
+                          + np.arange(width), axis=1)
+            end, pos = np.divmod(key, width)
+            lengths, firsts = level[pos], first[pos]
+            new = np.ones(end.shape, dtype=bool)
+            new[:, 1:] = end[:, 1:] != end[:, :-1]
+            # column of the shortest walk to each walk's end node
+            lead = np.maximum.accumulate(np.where(new, np.arange(width), 0),
+                                         axis=1)
+            r = np.arange(len(rows))[:, None]
+            hit = ((end < n) & (firsts != firsts[r, lead])
+                   & (lengths[r, lead] + lengths <= c))
+            mark[lo + rows[hit.any(axis=1)]] = True
     if tally is not None:
         tally.update(width=width, blocks=blocks, repeats=repeats)
-    for _ in range(c - 3):
+    for _ in range((c - 5) // 2):     # none below c = 7
         grown = mark.copy()
         grown[:n] |= np.any(mark[lay.nbr], axis=1)
         if np.array_equal(grown, mark):
@@ -421,109 +483,6 @@ def _row_width(dmax: int, top: int) -> int:
     """Non-backtracking walks of lengths 1..top from a node of degree dmax
     in a dmax-regular tree."""
     return dmax * sum((dmax - 1) ** l for l in range(top))
-
-
-class _ShortCycleSearch:
-    """Which nodes lie on a cycle of length <= c, by non-backtracking
-    walks laid out in one fixed-shape row per source.
-
-    A node x lies on such a cycle iff two non-backtracking walks from x
-    that never return to x, with different first steps and lengths l1 +
-    l2 <= c, end at one node: together they hold a path between two
-    neighbours of x that avoids x, and a cycle of length l through x gives
-    two such walks of lengths floor(l/2) and ceil(l/2) that meet at the
-    node opposite x.  Walks of lengths up to ceil(c/2) find every such x.
-
-    A walk is held as its state ``b << sh | j``: it stands at node b,
-    which it entered through b's slot j (``sh`` bits hold a slot).  Level
-    l of a source is ``dmax (dmax - 1)^(l - 1)`` states, the children of
-    state i of level l - 1 at positions ``(dmax - 1) i ..``, so the first
-    step and the length of every position are fixed.  A level is advanced
-    by one gather from ``turn``, the offsets from slot j to the other
-    slots of a node, and one from ``hop``, the state a step along a slot
-    leads to.  A walk that takes a padded slot, or returns to its source,
-    holds the sentinel state ``n << sh`` (node n) from then on.
-    """
-
-    def __init__(self, lay: Layout, c: int):
-        n, dmax = lay.nbr.shape
-        self.n, self.c, self.dmax = n, c, dmax
-        self.sh = sh = (dmax - 1).bit_length()
-        # the slot of every edge at its far end, 0 on padded slots, whose
-        # neighbour n then makes the sentinel state
-        far = np.append(lay.slot.ravel(), 0)[lay.inc]
-        states = (n + 1) << sh
-        hop = np.full((n + 1, 1 << sh), n << sh, dtype=np.int32
-                      if states <= np.iinfo(np.int32).max else np.int64)
-        hop[:n, :dmax] = lay.nbr << sh | far
-        self.hop = hop.ravel()
-
-    def on_short_cycle(self, sources: np.ndarray,
-                       top: int) -> tuple[np.ndarray, int]:
-        """The positions in ``sources`` of the nodes that two walks of at
-        most ``top`` steps place on a cycle of length <= c, ascending, and
-        the number of sources whose row repeats an end node.
-
-        Only a repeated end node can hold two meeting walks, and on a
-        random regular graph few rows repeat one, so the pair test runs
-        on those rows alone: sorted by end node, then by position (length,
-        then first step), a row qualifies iff some walk has another first
-        step than the shortest walk to its end node, and the two lengths
-        sum to at most c.
-        """
-        n, c, sh = self.n, self.c, self.sh
-        turn, level, first = _walk_positions(self.dmax, top)
-        own = sources[:, None]
-        # np.take: fancy indexing is several times slower on these arrays
-        state = np.take(self.hop.reshape(n + 1, -1), sources,
-                        axis=0)[:, :self.dmax]
-        levels = [state]
-        for length in range(2, top + 1):
-            slot = np.take(turn, state & ((1 << sh) - 1), axis=0)
-            state = np.take(self.hop, (state[..., None] + slot)
-                            .reshape(len(sources), -1))
-            if length > 2:     # x -> a -> x would backtrack
-                state[(state >> sh) == own] = n << sh
-            levels.append(state)
-        ends = np.concatenate(levels, axis=1) >> sh
-        srt = np.sort(ends, axis=1)
-        rows = np.flatnonzero(((srt[:, 1:] == srt[:, :-1])
-                               & (srt[:, 1:] < n)).any(axis=1))
-        if not len(rows):
-            return rows, 0
-        width = ends.shape[1]
-        key = np.sort(ends[rows].astype(np.int64) * width + np.arange(width),
-                      axis=1)
-        end, pos = np.divmod(key, width)
-        length, first = level[pos], first[pos]
-        new = np.ones(end.shape, dtype=bool)
-        new[:, 1:] = end[:, 1:] != end[:, :-1]
-        # position of the shortest walk to each walk's end node
-        lead = np.maximum.accumulate(np.where(new, np.arange(width), 0),
-                                     axis=1)
-        r = np.arange(len(rows))[:, None]
-        hit = ((end < n) & (first != first[r, lead])
-               & (length[r, lead] + length <= c))
-        return rows[hit.any(axis=1)], len(rows)
-
-
-@lru_cache(maxsize=4)
-def _walk_positions(dmax: int, top: int) -> tuple[np.ndarray, ...]:
-    """The tables of ``_ShortCycleSearch`` that depend on the degree
-    ``dmax`` and the longest walk ``top`` alone: ``turn`` (2^sh, dmax - 1),
-    the offsets from each slot j < dmax to the other slots of a node,
-    ascending; and the ``level`` (length) and ``first`` step of every
-    position of a row.  Read-only, as they are shared between calls."""
-    k, j = np.arange(dmax - 1), np.arange(dmax)[:, None]
-    turn = np.zeros((1 << (dmax - 1).bit_length(), dmax - 1), dtype=np.int32)
-    turn[:dmax] = k + (k >= j) - j
-    level = np.concatenate([np.full(dmax * (dmax - 1) ** l, l + 1, np.int32)
-                            for l in range(top)])
-    first = np.concatenate([np.repeat(np.arange(dmax, dtype=np.int32),
-                                      (dmax - 1) ** l) for l in range(top)])
-    for table in (turn, level, first):
-        table.flags.writeable = False
-    return turn, level, first
 
 
 def _grow_polymers(graph: CheckGraph, node_cap: int, nodes: np.ndarray,

@@ -776,16 +776,17 @@ def shortest_cycle_through(graph, nbrs, x):
 
 
 def near_short_cycles(graph, c, through=None):
-    """Nodes within c - 3 hops of a node on a cycle of length <= c,
-    ascending: the region of a capped catalog, node by node.  ``through``
-    may hold every node's ``shortest_cycle_through``, for reuse."""
+    """Nodes within max(0, (c - 5) // 2) hops of a node on a cycle of
+    length <= c, ascending: the region of a capped catalog, node by node.
+    ``through`` may hold every node's ``shortest_cycle_through``, for
+    reuse."""
     nbrs = neighbour_lists(graph)
     if through is None:
         through = [shortest_cycle_through(graph, nbrs, x)
                    for x in range(graph.n)]
     marked = {x for x, length in enumerate(through)
               if length is not None and length <= c}
-    for _ in range(c - 3):
+    for _ in range((c - 5) // 2):
         marked |= {b for a in marked for b in nbrs[a]}
     return sorted(marked)
 

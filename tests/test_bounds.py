@@ -1,11 +1,13 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from loopexp import bounds
 from loopexp.bounds import (DegreeProfileVector, _log_activity_bounds,
                             activity_bound,
                             activity_bound_violations,
@@ -14,6 +16,7 @@ from loopexp.bounds import (DegreeProfileVector, _log_activity_bounds,
                             scan_exponent, subgraph_count_bound,
                             tail_probability_bound)
 from loopexp.bp import MessageSet
+from loopexp.exceptions import BudgetError
 from loopexp.graphs import (CheckGraph, enumerate_polymers,
                             sample_regular_graph)
 from loopexp.loopseries import ActivityTable
@@ -266,6 +269,26 @@ class TestScanExponent:
             scan_exponent(3, 0.1, 0.0)
         with pytest.raises(ValueError):
             scan_exponent(3, 0.1, 0.2)
+
+    def test_grid_over_budget_refused_before_allocating(self):
+        # d = 6 at step 0.01: 101^5 points of 5 coordinates
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetError, match="exponent grid for d=6 at "
+                               "step 0.01 would hold 52,550,502,505 "):
+                scan_exponent(6, 0.1, 0.01)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_grid_at_the_budget(self, monkeypatch):
+        # d = 3 at step 0.1: 11^2 points of 2 coordinates
+        monkeypatch.setattr(bounds, "MAX_ENTRIES", 242)
+        assert scan_exponent(3, 0.05, 0.1).points.shape[1] == 3
+        monkeypatch.setattr(bounds, "MAX_ENTRIES", 241)
+        with pytest.raises(BudgetError, match="would hold 242 entries"):
+            scan_exponent(3, 0.05, 0.1)
 
     def test_csv_output(self, tmp_path):
         scan = scan_exponent(3, 0.05, 0.1)

@@ -196,6 +196,40 @@ class TestExitCodes:
         assert "loopexp: coupling J is NaN" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv, message", [
+        (["verify-identity", "-n", "6", "--trials", "-2"],
+         "trials must be nonnegative, got -2"),
+        (["correction-decay", "--n-list", "6", "--trials", "-3"],
+         "trials must be nonnegative, got -3"),
+        (["entropy", "-n", "6", "--trials", "-1"],
+         "trials must be nonnegative, got -1"),
+        (["criterion-report", "-n", "6", "--trials", "-2"],
+         "trials must be nonnegative, got -2"),
+        (["criterion-report", "-n", "6", "--trials", "1", "--cap", "-1"],
+         "node_cap must be nonnegative"),
+    ], ids=["verify-identity", "correction-decay", "entropy",
+            "criterion-report", "criterion-report-cap"])
+    def test_bad_count_refused_before_sampling(self, tmp_path, capsys,
+                                               monkeypatch, argv, message):
+        def refuse(*args):
+            raise AssertionError("graph sampled before the counts were "
+                                 "checked")
+
+        monkeypatch.setattr(cli, "sample_regular_graph", refuse)
+        out = tmp_path / "v"
+        flag = "--out-dir" if argv[0] == "verify-identity" else "--out"
+        code = main([*argv, flag, str(out)])
+        assert code == 2
+        assert f"loopexp: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_no_trials_is_legal(self, tmp_path, capsys):
+        out = tmp_path / "v"
+        assert main(["verify-identity", "-n", "6", "--trials", "0",
+                     "--out-dir", str(out)]) == 0
+        assert "trials=0 converged=0" in capsys.readouterr().out
+        assert (out / "summary.csv").exists()
+
     def test_cycle_code_ignores_the_coupling(self, tmp_path):
         out = tmp_path / "v"
         assert main(["verify-identity", "-n", "6", "--trials", "1",
@@ -430,6 +464,12 @@ class TestExponentScan:
         for row in rows[:5]:
             total = float(row[0]) + float(row[1])
             assert 0.5 - 1e-9 <= total <= 1.0 + 1e-9
+
+    def test_grid_over_budget_is_precondition(self, tmp_path, capsys):
+        out = tmp_path / "surface.csv"
+        assert main(["exponent-scan", "-d", "6", "-o", str(out)]) == 2
+        assert "loopexp: exponent grid for d=6" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestExpanderCheck:

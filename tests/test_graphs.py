@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import loopexp as lx
 from loopexp import cli, graphs
 from loopexp.exceptions import BudgetError, PairingError
-from loopexp.graphs import (CheckGraph, _near_short_cycles,
+from loopexp.graphs import (CheckGraph, _grow_polymers, _near_short_cycles,
                             check_edge_expansion, edge_boundary,
                             enumerate_polymers, read_graph,
                             sample_regular_graph, write_graph)
@@ -271,6 +271,15 @@ def lollipop():
         (i, i + 1) for i in range(2, 40)])
 
 
+def assert_same_catalog(got, want):
+    """Two catalogs hold the same support, support nodes and slot masks,
+    order and dtypes included."""
+    for a, b in ((got.support, want.support),
+                 (got.support_nodes, want.support_nodes),
+                 (got.slot_masks, want.slot_masks)):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
 class TestLocalCatalog:
     """The support-first catalog against the edge-subset grower over the
     whole host, in catalog order."""
@@ -330,15 +339,40 @@ class TestLocalCatalog:
             assert_catalog_is(enumerate_polymers(g, cap),
                               in_catalog_order(g, global_polymers(g, cap)))
 
-    @pytest.mark.parametrize("cap", [3, 5, 6, 12])
+    @pytest.mark.parametrize("cap", [3, 5, 6, 7, 9, 12])
     def test_region_is_near_short_cycles(self, cap):
-        # the region holds the triangle and the cap - 3 path nodes closest
-        # to it
+        # the region holds the triangle and the (c - 5) // 2 path nodes
+        # closest to it
         g = lollipop()
         region = _near_short_cycles(g.layout, cap)
-        assert region.tolist() == list(range(cap))
+        assert region.tolist() == list(range(3 + max(0, (cap - 5) // 2)))
         assert [row.tolist() for row in enumerate_polymers(g, cap).edges] \
             == [[0, 1, 2]]
+
+    @given(st.one_of(small_hosts(max_nodes=12, max_edges=18),
+                     interleaved_hosts(max_nodes=16)))
+    def test_region_loses_no_polymer(self, g):
+        # every node of a polymer of at most c nodes lies within
+        # (c - 5) // 2 hops of one of its cycles
+        for cap in range(3, 11):
+            local = _grow_polymers(g, cap, _near_short_cycles(g.layout, cap))
+            assert_same_catalog(local, _grow_polymers(g, cap, np.arange(g.n)))
+
+    def test_cubic_regions_at_caps_7_and_8(self):
+        # the proved radius gives 247 nodes at cap 7; the looser c - 3 hops
+        # give 1,812 and the same catalog
+        g = sample_regular_graph(10_000, 3, 1)
+        cat7, cat8 = enumerate_polymers(g, 7), enumerate_polymers(g, 8)
+        region = _near_short_cycles(g.layout, 7)
+        assert (len(region), len(cat7)) == (247, 22)
+        assert (len(_near_short_cycles(g.layout, 8)), len(cat8)) == (580, 43)
+        wide = np.zeros(g.n + 1, dtype=bool)
+        wide[region] = True
+        for _ in range(3):
+            wide[:g.n] |= wide[g.layout.nbr].any(axis=1)
+        wide = np.flatnonzero(wide[:g.n])
+        assert len(wide) == 1812
+        assert_same_catalog(cat7, _grow_polymers(g, 7, wide))
 
 
 def wheel(spokes):
@@ -389,7 +423,8 @@ def walk_ends(g, x, top):
 
 class TestShortCycleSearch:
     """The walk-table search against a BFS per node: the region is the
-    set of nodes within c - 3 hops of a cycle of length at most c."""
+    set of nodes within max(0, (c - 5) // 2) hops of a cycle of length at
+    most c."""
 
     @given(small_hosts(max_nodes=12, max_edges=20))
     def test_small_hosts(self, g):
@@ -418,14 +453,13 @@ class TestShortCycleSearch:
                 == near_short_cycles(g, cap)
 
     def test_deepening(self):
-        # past rows of SHALLOW_ROW walks (cap 21 for d = 3) the search
-        # deepens on the sources not yet found: on the lollipop the path
-        # nodes go through every pass, on the cubic host few do
+        # caps 19 to 24 for d = 3: every source walked once to its full
+        # depth, rows of 3,069 to 12,285 walks in blocks of 21 to 5 sources
         cubic = sample_regular_graph(200, 3, 5)
-        for g, caps in ((lollipop(), range(19, 25)), (cubic, range(19, 41))):
+        for g in (lollipop(), cubic):
             nbrs = neighbour_lists(g)
             through = [shortest_cycle_through(g, nbrs, x) for x in range(g.n)]
-            for cap in caps:
+            for cap in range(19, 25):
                 assert _near_short_cycles(g.layout, cap).tolist() \
                     == near_short_cycles(g, cap, through)
 
@@ -648,10 +682,10 @@ class TestSupportWalk:
             assert support_masks(enumerate_polymers(g, cap)) == (0b111,)
 
     @pytest.mark.parametrize("n, d, seed, cap", [
-        (10_000, 3, 0, 5), (10_000, 3, 1, 5), (10_000, 3, 0, 6),
-        (10_000, 3, 1, 6), (600, 4, 17, 6)])
+        (10_000, 3, 0, 6), (10_000, 3, 0, 7), (10_000, 3, 1, 7),
+        (10_000, 3, 1, 8), (600, 4, 17, 6)])
     def test_wide_regions(self, n, d, seed, cap):
-        # regions of 92 to 504 nodes, two to eight words a row
+        # regions of 66 to 580 nodes, two to ten words a row
         g = sample_regular_graph(n, d, seed)
         region = _near_short_cycles(g.layout, cap)
         assert len(region) > 64
