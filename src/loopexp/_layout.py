@@ -3,10 +3,11 @@
 Row a of each array describes node a's incident edges in ascending edge
 order (slot k is ``graph.adjacency[a][k]``, the bit k of every local
 bitmask); rows are padded to the largest degree.  They are the stored
-form of a graph: ``CheckGraph`` builds its layout once, from the
-validated endpoint array.  BP gathers and scatters messages through them;
-the node tables of ``model`` are built per degree class; the capped
-polymer catalog walks the neighbour array.
+form of a graph alone (``model`` binds a spec's fields to the slots):
+``CheckGraph`` builds its layout once, from the validated endpoint array.
+BP gathers and scatters messages through them; the node tables of
+``model`` are built per degree class; the capped polymer catalog walks the
+neighbour array.
 
 Message ``eta[e, 0]`` (u->v of edge e = (u, v)) is entry ``2e`` of the flat
 directed-edge vector and ``eta[e, 1]`` entry ``2e + 1``; padded slots point
@@ -71,12 +72,6 @@ class Layout:
         self.slot = slot_of.reshape(E, 2)
         self.classes = tuple((int(d), np.flatnonzero(deg == d))
                              for d in np.flatnonzero(np.bincount(deg)))
-
-    def half_fields(self, h: np.ndarray) -> np.ndarray:
-        """h/2 of the edge in every slot, zero on padded slots."""
-        hh = 0.5 * h[self.eid]
-        hh[self.pad] = 0.0
-        return hh
 
 
 class Rows:

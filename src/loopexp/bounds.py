@@ -53,6 +53,26 @@ def _log_falling(m: float, k: float) -> float:
     return math.lgamma(m + 1) - math.lgamma(m - k + 1)
 
 
+def _check_bound_args(h: float, alpha_d: float, alpha_mid: float) -> None:
+    """ValueError unless the bound's formula takes the field ``h`` and its
+    constants, NaN refused: h >= 0, alpha_d in (0, 1] and alpha_i > 1.
+    The large-n exponent takes the limit alpha_d = 1; a bound on measured
+    activities refuses it as well (``_check_measured_args``)."""
+    if not 0 < alpha_d <= 1:
+        raise ValueError("alpha_d must lie in (0, 1]")
+    if not alpha_mid > 1:
+        raise ValueError("alpha_i must exceed 1")
+    if not h >= 0:
+        raise ValueError(f"h must be nonnegative, got {h}")
+
+
+def _check_measured_args(h: float, alpha_d: float, alpha_mid: float) -> None:
+    """``_check_bound_args``, with alpha_d in (0, 1)."""
+    _check_bound_args(h, alpha_d, alpha_mid)
+    if alpha_d == 1:
+        raise ValueError("alpha_d must lie in (0, 1)")
+
+
 def activity_bound(profile: Sequence[int], h: float,
                    alpha_d: float = ALPHA_D_DEFAULT,
                    alpha_mid: float = ALPHA_MID_DEFAULT,
@@ -61,12 +81,7 @@ def activity_bound(profile: Sequence[int], h: float,
 
     ``profile`` is (n_2, ..., n_d), so d = len(profile) + 1.
     """
-    if not 0 < alpha_d < 1:
-        raise ValueError("alpha_d must lie in (0, 1)")
-    if alpha_mid <= 1:
-        raise ValueError("alpha_i must exceed 1")
-    if h < 0:
-        raise ValueError("h must be nonnegative")
+    _check_measured_args(h, alpha_d, alpha_mid)
     logval = _log_activity_bounds(np.array([profile]), h, alpha_d,
                                   alpha_mid)
     # np.exp, as in activity_bound_violations, so the two agree to the bit
@@ -196,9 +211,11 @@ def exponent_function(profile: DegreeProfileVector) -> float:
     """Per-node large-n exponent of count * containment * activity bounds.
 
     Derived by Stirling's formula from the exact falling-factorial bounds;
-    0*ln(0) terms are 0.  Raises when x lies outside Delta or a log argument
-    would be negative in finite-n mode.
+    0*ln(0) terms are 0.  Raises when x lies outside Delta, a log argument
+    would be negative in finite-n mode, or h or a constant is refused
+    (``_check_bound_args``).
     """
+    _check_bound_args(profile.h, profile.alpha_d, profile.alpha_mid)
     x = np.asarray(profile.x, dtype=np.float64)[None, :]
     if np.any(x < -1e-12):
         raise ValueError("x outside Delta: negative component")
@@ -243,11 +260,14 @@ def scan_exponent(d: int, h: float, grid_step: float,
 
     The verdict reports whether every grid value is strictly negative (the
     small-h claim); larger h may flip it and is reported, not asserted.
-    BudgetError, before the grid is built, when its m^(d - 1) points of
-    d - 1 coordinates (m per axis) pass ``MAX_ENTRIES`` entries.
+    ValueError for a grid step outside (0, 0.1] or a refused h or constant
+    (``_check_bound_args``), and BudgetError, before the grid is built,
+    when its m^(d - 1) points of d - 1 coordinates (m per axis) pass
+    ``MAX_ENTRIES`` entries.
     """
     if not 0 < grid_step <= 0.1:
         raise ValueError("grid_step must lie in (0, 0.1]")
+    _check_bound_args(h, alpha_d, alpha_mid)
     axis = np.arange(0.0, 1.0 + grid_step / 2.0, grid_step)
     entries = len(axis) ** (d - 1) * (d - 1)
     if entries > MAX_ENTRIES:
@@ -298,7 +318,7 @@ def activity_bound_violations(catalog, activities, h: float,
     measured = np.abs(catalog.activity_vector(activities))
     if not len(measured):
         return []
-    activity_bound(catalog.profiles[0], h, alpha_d, alpha_mid)  # ValueErrors
+    _check_measured_args(h, alpha_d, alpha_mid)
     bounds = np.exp(_log_activity_bounds(catalog.profiles, h, alpha_d,
                                          alpha_mid))
     bad = np.flatnonzero(measured > bounds * (1.0 + rtol) + 1e-15)

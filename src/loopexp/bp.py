@@ -9,14 +9,15 @@ with the parity coupling t_a of the factor (1, 1-eps, or tanh J_a).  At a
 fixed point every degree-one loop activity vanishes, which is what reduces
 the correction series to loop subsets.
 
-One kernel runs the sweep for ``bp_sweep`` and ``solve_fixed_point``.  It
-keeps the messages slot-major, as rows of (slot, node) in preallocated
-buffers: a sweep is one fixed gather of the incoming messages, the
-leave-one-out products from prefix and suffix products over the rows, and
-ufuncs writing into the buffers, so it allocates nothing.  Messages are
-converted from edge order once when a solve starts and back once when it
-returns, so ``MessageSet.eta`` keeps its edge order, and the iterates are
-those of the edge-order update (see ``_Sweeper``).
+One kernel runs the sweep for ``bp_sweep`` and ``solve_fixed_point``, on
+the couplings and slot-major h/2 that ``model`` binds.  It keeps the
+messages slot-major, as rows of (slot, node) in preallocated buffers: a
+sweep is one fixed gather of the incoming messages, the leave-one-out
+products from prefix and suffix products over the rows, and ufuncs writing
+into the buffers, so it allocates nothing.  Messages are converted from
+edge order once when a solve starts and back once when it returns, so
+``MessageSet.eta`` keeps its edge order, and the iterates are those of the
+edge-order update (see ``_Sweeper``).
 
 A raw update that is non-finite before clamping (the tanh product hit +-1)
 raises DivergenceError from ``bp_sweep``; ``solve_fixed_point`` catches it
@@ -39,7 +40,7 @@ import numpy as np
 from ._csvio import read_csv, write_csv
 from .exceptions import DivergenceError
 from .graphs import CheckGraph
-from .model import FactorSpec, _log_factor_blocks
+from .model import FactorSpec, _bind, _edge_messages, _tilted_tables
 
 __all__ = ["MessageSet", "BetheValue", "bp_sweep", "solve_fixed_point",
            "bethe_log_partition", "write_messages_csv", "read_messages_csv"]
@@ -75,20 +76,6 @@ class MessageSet:
         return self.eta.reshape(-1)
 
 
-def _edge_messages(graph: CheckGraph, eta) -> np.ndarray:
-    """``eta`` as float messages of shape (E, 2), or ValueError.
-
-    Accepts the (E, 2) array of a MessageSet and the flat directed-edge
-    vector of length 2E; any other shape names itself and the expected one.
-    """
-    eta = np.asarray(eta, dtype=np.float64)
-    E = graph.num_edges
-    if eta.shape not in ((E, 2), (2 * E,)):
-        raise ValueError(f"messages of shape {eta.shape} for a graph with "
-                         f"{E} edges: expected ({E}, 2) or ({2 * E},)")
-    return eta.reshape(E, 2)
-
-
 class _Sweeper:
     """The flooding sweep of one model, run in place on slot-major buffers.
 
@@ -110,10 +97,9 @@ class _Sweeper:
 
     def __init__(self, graph: CheckGraph, spec: FactorSpec, damping: float):
         _check_damping(damping)
-        t = spec.parity_couplings(graph)
+        t, self.hh = _bind(graph, spec)
         self.t = None if np.all(t == 1.0) else t    # x * 1 is x
         lay = graph.layout
-        self.hh = np.ascontiguousarray(lay.half_fields(spec.h).T)
         self.damping = damping
         dmax, n = self.hh.shape
         pos = np.empty(2 * graph.num_edges + 1, dtype=np.intp)
@@ -311,28 +297,22 @@ def bethe_log_partition(graph: CheckGraph, spec: FactorSpec,
     Node term: sum over nodes of ln sum_{local configs} f_a * exp(incoming
     messages), each node sum taken over all 2^deg local configurations.
     Edge term: sum over edges of ln 2 cosh(eta_{a->b} + eta_{b->a}).
-    The node sums are log-sum-exps down the columns of the model's
-    config-major log factor tables, each column summed by folding its
-    halves, so a node's value does not depend on how its degree class is
-    split into blocks.  ValueError for messages whose shape does not fit
-    the graph and for a vanishing node sum; BudgetError, before anything
-    is allocated, for a node of degree 20 or more (its table would cost
-    deg passes over 2^deg entries, past 2^24).  One DEBUG record on this
-    module's logger reports the nodes, degree classes, blocks and wall
-    time of the call.
+    A node's sum is the shift of its tilted table in ``model`` plus the
+    log of its weights, summed by folding their halves, so a node's value
+    does not depend on how its degree class is split into blocks.
+    ValueError for messages whose shape does not fit the graph and for a
+    vanishing node sum; BudgetError, before anything is allocated, for a
+    node of degree 20 or more (its table would cost deg passes over 2^deg
+    entries, past 2^24).  One DEBUG record on this module's logger reports
+    the nodes, degree classes, blocks and wall time of the call.
     """
     debug = logger.isEnabledFor(logging.DEBUG)
     start = time.perf_counter() if debug else 0.0
     eta = _edge_messages(graph, messages.eta)
     vals = np.empty(graph.n)
     blocks = 0
-    # a configuration the factor forbids is exactly -inf, so it neither
-    # sets the shift nor adds to the sum
     with np.errstate(divide="ignore", invalid="ignore"):
-        for d, nodes, L in _log_factor_blocks(graph, spec, eta):
-            top = np.maximum.reduce(L)
-            L -= top
-            weights = np.exp(L, out=L)
+        for d, nodes, top, weights in _tilted_tables(graph, spec, eta):
             # fold the rows in halves, so each node's sum is added in one
             # order, however many nodes share its block
             for k in reversed(range(d)):

@@ -50,6 +50,12 @@ class ChannelRealization:
         return half_llr_magnitude(self.p)
 
 
+def _check_flip_probability(p: float) -> None:
+    """ValueError unless ``sample_bsc`` takes flip probability p."""
+    if not P_MIN <= p <= 0.5:
+        raise ValueError(f"flip probability {p} outside [{P_MIN}, 0.5]")
+
+
 def sample_bsc(graph: CheckGraph, p: float, seed) -> ChannelRealization:
     """Draw sign flips for every edge of ``graph`` at flip probability p.
 
@@ -57,8 +63,7 @@ def sample_bsc(graph: CheckGraph, p: float, seed) -> ChannelRealization:
     degenerate (|h| grows like ln(1/p)) and p > 1/2 has no decoding meaning
     under the all-one convention.
     """
-    if not P_MIN <= p <= 0.5:
-        raise ValueError(f"flip probability {p} outside [{P_MIN}, 0.5]")
+    _check_flip_probability(p)
     rng = np.random.default_rng(seed)
     flips = rng.random(graph.num_edges) < p
     signs = np.where(flips, -1.0, 1.0)

@@ -33,15 +33,17 @@ from .bounds import (ALPHA_D_DEFAULT, ALPHA_MID_DEFAULT,
                      activity_bound_violations, scan_exponent)
 from .bp import (_check_solve_args, bethe_log_partition, solve_fixed_point,
                  write_messages_csv)
-from .channel import (conditional_entropy_per_node, half_llr_magnitude,
-                      sample_bsc)
+from .channel import (_check_flip_probability, conditional_entropy_per_node,
+                      half_llr_magnitude, sample_bsc)
 from .exceptions import (AllTrialsDivergedError, BudgetError, DivergenceError,
                          PairingError)
-from .graphs import (check_edge_expansion, enumerate_polymers, read_graph,
-                     sample_regular_graph, write_graph)
+from .graphs import (_check_graph_size, check_edge_expansion,
+                     enumerate_polymers, read_graph, sample_regular_graph,
+                     write_graph)
 from .loopseries import (ActivityTable, _check_report_args,
                          build_expansion_report, convergence_criterion)
-from .model import KINDS, FactorSpec, _check_coupling, exact_log_partition
+from .model import (KINDS, FactorSpec, _check_coupling, _check_eps,
+                    exact_log_partition)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -185,13 +187,33 @@ def _check_trials(trials: int) -> None:
         raise ValueError(f"trials must be nonnegative, got {trials}")
 
 
-def _check_couplings(kinds, couplings) -> None:
-    """``FactorSpec``'s rule on J for every coupling that a run of
-    ``kinds`` gives a high-temperature spec, so that a bad one is refused
-    before any work; other kinds ignore the coupling."""
+def _check_field_bound(bound: float) -> None:
+    """``_trials`` draws high-temperature fields uniformly from [-bound,
+    bound]: ValueError unless ``bound`` is finite and nonnegative."""
+    if not 0.0 <= bound < math.inf:
+        raise ValueError(f"field_bound must be finite and nonnegative, "
+                         f"got {bound}")
+
+
+def _check_trial_args(cfg: dict, kinds, sizes, sweep=None) -> None:
+    """The rules of the graph sampler and of each kind's spec on every
+    scalar that ``_trials`` reads for ``kinds``, so that a bad one is
+    refused before any graph is read or sampled and any output made: the
+    size of a ``cfg["d"]``-regular graph on each of ``sizes`` nodes, p
+    (cycle codes), eps (softened), J and the field bound
+    (high-temperature).  ``sweep`` holds the values of a run swept over p
+    or J, in place of ``cfg``'s."""
+    for n in sizes:
+        _check_graph_size(n, cfg["d"])
     if "high-temperature" in kinds:
-        for J in couplings:
+        _check_field_bound(cfg["field_bound"])
+        for J in sweep or [cfg["coupling"]]:
             _check_coupling(J)
+    if set(kinds) - {"high-temperature"}:
+        for p in sweep or [cfg["p"]]:
+            _check_flip_probability(p)
+    if "softened-cycle-code" in kinds:
+        _check_eps(cfg["eps"])
 
 
 def _mean_stderr(vals) -> tuple[float, float]:
@@ -244,7 +266,7 @@ def cmd_verify_identity(cfg: dict) -> int:
     _check_trials(trials)
     _check_solve_args(cfg["tol"], cfg["damping"], cfg["max_sweeps"])
     _check_report_args(cfg["node_cap"] or None, cfg["mayer_max"])
-    _check_couplings([cfg["model"]], [cfg["coupling"]])
+    _check_trial_args(cfg, [cfg["model"]], [] if cfg["graph"] else [cfg["n"]])
     fixed = read_graph(cfg["graph"]) if cfg["graph"] else None
     out_dir = Path(cfg["out_dir"])
     reports_dir = out_dir / "reports"
@@ -305,7 +327,7 @@ def cmd_correction_decay(cfg: dict) -> int:
     seed, trials, model = cfg["seed"], cfg["trials"], cfg["model"]
     kinds = [KINDS[0], KINDS[2]] if model == "both" else [model]
     _check_trials(trials)
-    _check_couplings(kinds, [cfg["coupling"]])
+    _check_trial_args(cfg, kinds, cfg["n_list"])
     t0 = time.monotonic()
     rows = []
     refused = []    # (kind, n, trials refused, reason) per refused size
@@ -410,7 +432,7 @@ def cmd_criterion_report(cfg: dict) -> int:
     seed, trials, model = cfg["seed"], cfg["trials"], cfg["model"]
     _check_trials(trials)
     _check_report_args(cfg["cap"], 0)     # the cap rule; no Mayer orders
-    _check_couplings([model], cfg["values"])    # a high-temperature sweep is over J
+    _check_trial_args(cfg, [model], [cfg["n"]], sweep=cfg["values"])
     t0 = time.monotonic()
     rows = []
     threshold = None
@@ -464,6 +486,7 @@ def cmd_criterion_report(cfg: dict) -> int:
 def cmd_entropy(cfg: dict) -> int:
     p, trials = cfg["p"], cfg["trials"]
     _check_trials(trials)
+    _check_trial_args(cfg, ["cycle-code"], [cfg["n"]])
     t0 = time.monotonic()
     unit = math.log(2.0) if cfg["bits"] else 1.0
     unit_name = "bits" if cfg["bits"] else "nats"

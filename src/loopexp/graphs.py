@@ -153,6 +153,16 @@ class CheckGraph:
         return f"CheckGraph(n={self.n}, d={self.d}, edges={self.num_edges})"
 
 
+def _check_graph_size(n: int, d: int) -> None:
+    """ValueError unless a simple d-regular graph on n nodes exists."""
+    if d < 1:
+        raise ValueError("degree must be at least 1")
+    if n < d + 1:
+        raise ValueError(f"need n >= d+1 nodes for a simple {d}-regular graph")
+    if (n * d) % 2 != 0:
+        raise ValueError("n*d must be even")
+
+
 def sample_regular_graph(n: int, d: int, seed) -> CheckGraph:
     """Sample a uniform simple d-regular graph by pairing half-edges.
 
@@ -161,12 +171,7 @@ def sample_regular_graph(n: int, d: int, seed) -> CheckGraph:
     parallel edges.  Conditioned on acceptance the simple graph is uniform.
     PairingError after ``MAX_PAIRINGS`` rejected pairings.
     """
-    if d < 1:
-        raise ValueError("degree must be at least 1")
-    if n < d + 1:
-        raise ValueError(f"need n >= d+1 nodes for a simple {d}-regular graph")
-    if (n * d) % 2 != 0:
-        raise ValueError("n*d must be even")
+    _check_graph_size(n, d)
     rng = np.random.default_rng(seed)
     stubs = np.repeat(np.arange(n), d)
     for _ in range(MAX_PAIRINGS):

@@ -41,10 +41,11 @@ import numpy as np
 from ._elim import check_budget, contract
 from ._layout import (BLOCK_ENTRIES, MAX_ENTRIES, Rows, columns,
                       component_roots, node_tables, runs, set_bits, word_bit)
-from .bp import MessageSet, _edge_messages, bethe_log_partition
+from .bp import MessageSet, bethe_log_partition
 from .exceptions import BudgetError
 from .graphs import CheckGraph, PolymerCatalog, enumerate_polymers
-from .model import FactorSpec, _log_factor_blocks, exact_log_partition
+from .model import (FactorSpec, _edge_messages, _tilted_tables,
+                    exact_log_partition)
 
 __all__ = [
     "ActivityTable",
@@ -72,8 +73,7 @@ class ActivityTable:
 
     With incoming fields w_k = eta_{b_k->a} + h_k/2 and edge sums
     q_k = eta_{a->b_k} + eta_{b_k->a}, K_a(S) is the average under the
-    tilted local weights (the model's config-major log factor tables,
-    shifted by their largest entry) of prod_{k in S} sigma_k
+    model's tilted local weights of prod_{k in S} sigma_k
     exp(-sigma_k q_k), by one two-point pass per slot over the 2^d rows of
     a block, each row one entry per node: BudgetError at degree 20 (a
     node's table would cost deg passes over 2^deg entries, past 2^24),
@@ -91,16 +91,14 @@ class ActivityTable:
         self.graph = graph
         self.spec = spec
         eta = _edge_messages(graph, messages.eta)
-        blocks = _log_factor_blocks(graph, spec, eta)
+        blocks = _tilted_tables(graph, spec, eta)
         q = np.sum(eta, axis=1)
         count = 0
 
         def activities():
             nonlocal count
-            for d, nodes, L in blocks:
+            for d, nodes, _, K in blocks:
                 count += 1
-                L -= np.maximum.reduce(L)
-                K = np.exp(L, out=L)
                 qk = q[columns(graph.layout.eid.T[:d], nodes)]
                 down, up = np.exp(-qk), np.exp(qk)
                 # slot k pairs the rows with bit k clear and set: spin +1
@@ -311,7 +309,7 @@ def _polynomials(nodes: np.ndarray, weights: np.ndarray, n: int,
     check()
     start = np.cumsum(size) - size
     width = -(-size // 64)
-    for W in np.unique(width[grow]).tolist():
+    for W in sorted(set(width[grow].tolist())):
         # this width's supports, and each group's first among them
         sel = np.flatnonzero((grow & (width == W))[g])
         first = np.searchsorted(sel, start)
@@ -546,8 +544,9 @@ def split_report(graph: CheckGraph, spec: FactorSpec, messages: MessageSet,
     live, w = _by_support(catalog, vals)
     nodes = catalog.support_nodes[live]
     small = np.flatnonzero(2 * size[live] < n)
-    # the large supports, ascending: their polymers share cond and overlap
-    large = np.unique(large_sup)
+    # the large supports, ascending (``support`` is nondecreasing): their
+    # polymers share cond and overlap
+    large = large_sup[np.diff(large_sup, prepend=-1) != 0]
     big = catalog.support_nodes[large]
     hit = np.zeros((len(big), n + 1), dtype=bool)
     hit[np.arange(len(big))[:, None], big] = True

@@ -23,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from ._elim import contract
-from ._layout import BLOCK_ENTRIES, MAX_ENTRIES, Rows, columns, node_tables
+from ._layout import BLOCK_ENTRIES, MAX_ENTRIES, columns, node_tables
 from .exceptions import BudgetError
 from .graphs import CheckGraph
 
@@ -39,6 +39,12 @@ def _check_coupling(J) -> np.ndarray:
     if np.isnan(J).any():
         raise ValueError("coupling J is NaN")
     return J
+
+
+def _check_eps(eps: float) -> None:
+    """ValueError unless the softening ``eps`` lies in [0, 1]."""
+    if not 0 <= eps <= 1:
+        raise ValueError("eps must lie in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -64,8 +70,8 @@ class FactorSpec:
         if bad.size:
             raise ValueError(f"field h[{bad[0]}] = {self.h.flat[bad[0]]} "
                              f"is not finite")
-        if self.kind == "softened-cycle-code" and not 0 <= self.eps <= 1:
-            raise ValueError("eps must lie in [0, 1]")
+        if self.kind == "softened-cycle-code":
+            _check_eps(self.eps)
         if self.kind == "high-temperature":
             if self.J is None:
                 raise ValueError("high-temperature kind needs J")
@@ -84,11 +90,8 @@ class FactorSpec:
         return cls(kind="high-temperature", h=h, J=J)
 
     def parity_couplings(self, graph: CheckGraph) -> np.ndarray:
-        """t_a for every node of ``graph``.
-
-        This is where a spec meets a graph: it raises ValueError unless
-        ``h`` has one entry per edge and ``J`` is scalar or per node.
-        """
+        """t_a for every node of ``graph``; ValueError unless ``h`` has one
+        entry per edge and ``J`` is scalar or per node."""
         if len(self.h) != graph.num_edges:
             raise ValueError(f"field vector has {len(self.h)} entries, "
                              f"graph has {graph.num_edges} edges")
@@ -104,26 +107,50 @@ class FactorSpec:
         return np.tanh(J)
 
 
-def _log_factor_blocks(graph: CheckGraph, spec: FactorSpec,
-                       eta: Optional[np.ndarray] = None):
-    """``(deg, nodes, L)`` per degree class, in blocks of nodes whose tables
-    of 2^deg entries fill at most ``BLOCK_ENTRIES``.  L is config-major, of
-    shape (2^deg, len(nodes)): L[s, i] is ln f_a at node a = ``nodes[i]``,
-    plus the incoming messages if ``eta`` (E x 2) is given, in local
-    configuration s (bit k set: spin -1 on slot k), and exactly -inf where
-    f_a forbids s.  The rows are built by doubling over the slots, so one
-    node's table costs deg passes over 2^deg entries.  Raised on the call,
-    before anything is allocated: ValueError unless ``spec`` fits
-    ``graph``, and BudgetError naming the first node whose deg passes over
-    2^deg entries would pass ``MAX_ENTRIES`` (degree 20 and above)."""
+def _edge_messages(graph: CheckGraph, eta) -> np.ndarray:
+    """``eta`` as float messages of shape (E, 2), or ValueError.
+
+    Accepts the (E, 2) array of a MessageSet and the flat directed-edge
+    vector of length 2E; any other shape names itself and the expected one.
+    """
+    eta = np.asarray(eta, dtype=np.float64)
+    E = graph.num_edges
+    if eta.shape not in ((E, 2), (2 * E,)):
+        raise ValueError(f"messages of shape {eta.shape} for a graph with "
+                         f"{E} edges: expected ({E}, 2) or ({2 * E},)")
+    return eta.reshape(E, 2)
+
+
+def _bind(graph: CheckGraph, spec: FactorSpec) -> tuple:
+    """Where a spec meets its host: the couplings t_a and h/2 of every
+    slot's edge, slot-major (dmax, n), contiguous, 0 on padded slots.
+    ValueError unless ``spec`` fits ``graph``."""
     t = spec.parity_couplings(graph)
+    hh = np.ascontiguousarray(0.5 * spec.h[graph.layout.eid.T])
+    hh[graph.layout.pad.T] = 0.0
+    return t, hh
+
+
+def _tilted_tables(graph: CheckGraph, spec: FactorSpec,
+                   eta: Optional[np.ndarray] = None):
+    """``(deg, nodes, top, weights)`` per degree class, in blocks of nodes
+    whose tables of 2^deg entries fill at most ``BLOCK_ENTRIES``: with
+    L[s, i] = ln f_a at node a = ``nodes[i]`` in local configuration s (bit
+    k set: spin -1 on slot k), plus the incoming messages if ``eta`` (E x
+    2) is given, exactly -inf where f_a forbids s, ``top`` is max L[:, i]
+    (0 where f_a forbids every s) and the weights exp(L - top), (2^deg,
+    len(nodes)).  L is built by doubling over the slots: deg passes over
+    2^deg entries per node.  Raised on the call, before anything is
+    allocated: ValueError unless ``spec`` fits ``graph``, and BudgetError
+    naming the first node whose deg passes over 2^deg entries would pass
+    ``MAX_ENTRIES`` (degree 20 and above)."""
+    t, hh = _bind(graph, spec)
     lay = graph.layout
     over = [nodes[0] for d, nodes in lay.classes if d << d > MAX_ENTRIES]
     if over:
         a = min(over)
         raise BudgetError(f"node degree {lay.deg[a]} exceeds the node-table "
                           f"budget of {MAX_ENTRIES:,} entries (node {a})")
-    hh = lay.half_fields(spec.h).T
     ext = None if eta is None else np.append(eta.reshape(-1), 0.0)
     # ln((1 + t_a parity)/2) of every node: row 0 for a configuration of
     # even parity (an even number of -1 spins), row 1 for odd
@@ -147,7 +174,10 @@ def _log_factor_blocks(graph: CheckGraph, spec: FactorSpec,
                     np.subtract(lo, W[k], out=L[1 << k:2 << k])
                     lo += W[k]
                 L += columns(log_c, nodes)[parity]
-                yield d, nodes, L
+                top = np.maximum.reduce(L)
+                top[top == -np.inf] = 0.0    # not NaN weights, but 0
+                L -= top
+                yield d, nodes, top, np.exp(L, out=L)
 
     return blocks()
 
@@ -156,21 +186,23 @@ def exact_log_partition(graph: CheckGraph, spec: FactorSpec) -> float:
     """ln Z, summed exactly over all 2^{|E|} spin configurations.
 
     The sum is contracted by bucket elimination over the edge spins, on the
-    host's ``elimination_plan``, with the factor tables f_a, each row
-    shifted by its largest log entry, as node tensors; its cost follows the
-    elimination width, not 2^{|E|}.  Raises BudgetError, before any table is
-    allocated, when the elimination would build too large a table or a node
-    has degree 20 or more (its table would cost deg passes over 2^deg
-    entries, past 2^24), and ValueError if Z vanishes.
+    host's ``elimination_plan``, with the tilted factor tables as node
+    tensors; its cost follows the elimination width, not 2^{|E|}.  Raises
+    BudgetError, before any table is allocated, when the elimination would
+    build too large a table or a node has degree 20 or more (its table
+    would cost deg passes over 2^deg entries, past 2^24), and ValueError
+    if Z vanishes.
     """
-    blocks = _log_factor_blocks(graph, spec)
+    blocks = _tilted_tables(graph, spec)
     plan = graph.elimination_plan
-    logs = node_tables(graph.layout, blocks)
-    top = np.maximum.reduceat(logs.values, logs.offsets[:-1])
-    top[top == -np.inf] = 0.0    # a row the factor forbids stays zero
-    vals, log_scale = contract(plan, Rows(
-        np.exp(logs.values - np.repeat(top, 1 << graph.layout.deg)),
-        logs.offsets))
+    top = np.empty(graph.n)
+
+    def weights():
+        for d, nodes, shift, weights in blocks:
+            top[nodes] = shift
+            yield d, nodes, weights
+
+    vals, log_scale = contract(plan, node_tables(graph.layout, weights()))
     if not vals[0] > 0.0:
         raise ValueError("partition function vanished")
     return float(np.sum(top)) + log_scale + math.log(vals[0])

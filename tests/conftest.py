@@ -1008,7 +1008,7 @@ def loop_raw_sweep(graph, spec, flat):
     2e + dir): the edge-order sweep, one leave-one-out product per slot.
     Raises DivergenceError if an update is non-finite."""
     lay = graph.layout
-    hh = lay.half_fields(spec.h)
+    hh = np.where(lay.pad, 0.0, 0.5 * spec.h[lay.eid])
     t = spec.parity_couplings(graph)
     eta_ext = np.append(flat, 0.0)
     T = np.tanh(eta_ext[lay.inc] + hh)

@@ -65,6 +65,33 @@ FIELDS = st.one_of(st.just(0.0), st.floats(0.0, 0.5))
 ALPHAS = {"alpha_d": st.floats(0.05, 0.95), "alpha_mid": st.floats(1.01, 3.0)}
 
 
+@pytest.mark.parametrize("h, alpha_d, alpha_mid, message", [
+    (math.nan, 0.9, 1.2, "h must be nonnegative, got nan"),
+    (-0.1, 0.9, 1.2, "h must be nonnegative, got -0.1"),
+    (0.1, math.nan, 1.2, r"alpha_d must lie in \(0, 1\]"),
+    (0.1, 0.9, math.nan, "alpha_i must exceed 1"),
+], ids=["h-nan", "h-negative", "alpha-d-nan", "alpha-mid-nan"])
+def test_one_rule_refuses_the_bound_scalars(k4, monkeypatch, h, alpha_d,
+                                            alpha_mid, message):
+    # every entry point refuses before it builds a grid or a bound
+    def refuse(*args):
+        raise AssertionError("bounds built before the scalars were checked")
+
+    monkeypatch.setattr(bounds, "_log_activity_bounds", refuse)
+    monkeypatch.setattr(bounds.np, "meshgrid", refuse)
+    catalog = enumerate_polymers(k4, 4)
+    for call in (
+            lambda: activity_bound((0, 1), h, alpha_d, alpha_mid),
+            lambda: activity_bound_violations(
+                catalog, np.zeros(len(catalog)), h, alpha_d, alpha_mid),
+            lambda: exponent_function(DegreeProfileVector(
+                (0.0, 1.0), 3, h, alpha_d=alpha_d, alpha_mid=alpha_mid)),
+            lambda: scan_exponent(3, h, 0.05, alpha_d=alpha_d,
+                                  alpha_mid=alpha_mid)):
+        with pytest.raises(ValueError, match=message):
+            call()
+
+
 class TestBoundArrays:
     """The batched log bound against the scalar bound, row by row."""
 

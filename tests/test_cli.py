@@ -223,6 +223,73 @@ class TestExitCodes:
         assert f"loopexp: {message}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv, message", [
+        (["verify-identity", "-n", "6", "-p", "0.7"],
+         "flip probability 0.7 outside [1e-06, 0.5]"),
+        (["verify-identity", "-n", "6", "-p", "nan"],
+         "flip probability nan outside [1e-06, 0.5]"),
+        (["verify-identity", "-n", "6", "--model", "softened-cycle-code",
+          "--eps", "2"], "eps must lie in [0, 1]"),
+        (["verify-identity", "-n", "7"], "n*d must be even"),
+        (["verify-identity", "-n", "2"],
+         "need n >= d+1 nodes for a simple 3-regular graph"),
+        (["verify-identity", "-n", "6", "-d", "0"],
+         "degree must be at least 1"),
+        (["verify-identity", "-n", "6", "--model", "high-temperature",
+          "--field-bound", "-1"],
+         "field_bound must be finite and nonnegative, got -1.0"),
+        (["verify-identity", "-n", "6", "--model", "high-temperature",
+          "--field-bound", "nan"],
+         "field_bound must be finite and nonnegative, got nan"),
+        (["verify-identity", "-n", "6", "--model", "high-temperature",
+          "--field-bound", "inf"],
+         "field_bound must be finite and nonnegative, got inf"),
+        (["correction-decay", "--n-list", "6", "--field-bound", "nan"],
+         "field_bound must be finite and nonnegative, got nan"),
+        (["correction-decay", "--n-list", "6", "--field-bound", "inf"],
+         "field_bound must be finite and nonnegative, got inf"),
+        (["correction-decay", "--n-list", "6,7"], "n*d must be even"),
+        (["correction-decay", "--n-list", "6", "-p", "0.7"],
+         "flip probability 0.7 outside [1e-06, 0.5]"),
+        (["criterion-report", "-n", "6", "--field-bound", "-1"],
+         "field_bound must be finite and nonnegative, got -1.0"),
+        (["criterion-report", "-n", "6", "--field-bound", "nan"],
+         "field_bound must be finite and nonnegative, got nan"),
+        (["criterion-report", "-n", "6", "--field-bound", "inf"],
+         "field_bound must be finite and nonnegative, got inf"),
+        (["criterion-report", "-n", "6", "--model", "cycle-code",
+          "--values", "0.1,0.7"],
+         "flip probability 0.7 outside [1e-06, 0.5]"),
+        (["entropy", "-n", "7"], "n*d must be even"),
+        (["entropy", "-n", "6", "-p", "0.7"],
+         "flip probability 0.7 outside [1e-06, 0.5]"),
+    ], ids=["verify-identity-p", "verify-identity-p-nan",
+            "verify-identity-eps", "verify-identity-n-odd",
+            "verify-identity-n-small", "verify-identity-d",
+            "verify-identity-field-bound-negative",
+            "verify-identity-field-bound-nan",
+            "verify-identity-field-bound-inf",
+            "correction-decay-field-bound-nan",
+            "correction-decay-field-bound-inf", "correction-decay-n-odd",
+            "correction-decay-p", "criterion-report-field-bound-negative",
+            "criterion-report-field-bound-nan",
+            "criterion-report-field-bound-inf", "criterion-report-p",
+            "entropy-n-odd", "entropy-p"])
+    def test_bad_model_scalar_refused_before_sampling(self, tmp_path, capsys,
+                                                      monkeypatch, argv,
+                                                      message):
+        def refuse(*args):
+            raise AssertionError("graph sampled before the model and "
+                                 "graph scalars were checked")
+
+        monkeypatch.setattr(cli, "sample_regular_graph", refuse)
+        out = tmp_path / "v"
+        flag = "--out-dir" if argv[0] == "verify-identity" else "--out"
+        code = main([*argv, "--trials", "1", flag, str(out)])
+        assert code == 2
+        assert f"loopexp: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_no_trials_is_legal(self, tmp_path, capsys):
         out = tmp_path / "v"
         assert main(["verify-identity", "-n", "6", "--trials", "0",
@@ -464,6 +531,19 @@ class TestExponentScan:
         for row in rows[:5]:
             total = float(row[0]) + float(row[1])
             assert 0.5 - 1e-9 <= total <= 1.0 + 1e-9
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--h", "nan"], "h must be nonnegative, got nan"),
+        (["--h", "-0.1"], "h must be nonnegative, got -0.1"),
+        (["--alpha-d", "nan"], "alpha_d must lie in (0, 1]"),
+        (["--alpha-mid", "nan"], "alpha_i must exceed 1"),
+    ], ids=["h-nan", "h-negative", "alpha-d-nan", "alpha-mid-nan"])
+    def test_bad_bound_scalar_is_precondition(self, tmp_path, capsys, flags,
+                                              message):
+        out = tmp_path / "surface.csv"
+        assert main(["exponent-scan", *flags, "-o", str(out)]) == 2
+        assert f"loopexp: {message}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_grid_over_budget_is_precondition(self, tmp_path, capsys):
         out = tmp_path / "surface.csv"

@@ -15,7 +15,7 @@ from loopexp.channel import sample_bsc
 from loopexp.exceptions import BudgetError
 from loopexp.graphs import CheckGraph, sample_regular_graph
 from loopexp.loopseries import ActivityTable
-from loopexp.model import (KINDS, FactorSpec, _log_factor_blocks,
+from loopexp.model import (KINDS, FactorSpec, _tilted_tables,
                            exact_log_partition)
 
 from conftest import (arbitrary_messages, brute_log_z,
@@ -145,8 +145,8 @@ class TestFactorValue:
 
 
 class TestLogFactorBlocks:
-    """The one log-factor kernel behind exact ln Z, the Bethe node term and
-    the activity table."""
+    """The one kernel behind exact ln Z, the Bethe node term and the
+    activity table: log factor tables, given tilted as top + ln W."""
 
     @given(st.data())
     def test_blocks_cover_nodes_and_match_factor_value(self, data):
@@ -156,12 +156,15 @@ class TestLogFactorBlocks:
         entries = data.draw(st.integers(8, 64))
         seen = []
         with mock.patch.object(loopexp.model, "BLOCK_ENTRIES", entries):
-            blocks = list(_log_factor_blocks(g, spec, eta))
-        for d, nodes, L in blocks:
+            blocks = list(_tilted_tables(g, spec, eta))
+        for d, nodes, top, W in blocks:
             assert 1 <= len(nodes) <= max(1, entries >> d)
             # config-major: one row per local configuration, one column
             # per node of the block
-            assert L.shape == (1 << d, len(nodes))
+            assert W.shape == (1 << d, len(nodes))
+            assert top.shape == (len(nodes),)
+            with np.errstate(divide="ignore"):
+                L = top + np.log(W)
             for a, row in zip(nodes, L.T):
                 eids = g.adjacency[a]
                 assert len(eids) == d
@@ -351,14 +354,24 @@ class TestExactLogPartition:
                     15 * h + 10 * math.log((1 + t) / 2), rel=1e-14)
 
     def test_forbidden_row_vanishes(self):
-        # t = tanh(-700) = -1 forbids the only configuration of the
-        # isolated node 6: its row is all -inf
+        # t = tanh(J) = -1 forbids the only configuration of the isolated
+        # node 6: its row is all -inf, and each layer refuses it in its
+        # own words
         g = mixed_host()
-        spec = FactorSpec.high_temperature(np.zeros(g.num_edges), -700.0)
-        with pytest.raises(ValueError, match="vanished"):
-            exact_log_partition(g, spec)
-        with pytest.raises(ValueError, match="vanished"):
-            brute_log_z_log_domain(g, spec)
+        msgs = MessageSet.zeros(g)
+        for J in (-700.0, -math.inf):
+            spec = FactorSpec.high_temperature(np.zeros(g.num_edges), J)
+            with pytest.raises(ValueError,
+                               match="^partition function vanished$"):
+                exact_log_partition(g, spec)
+            with pytest.raises(ValueError, match="vanished"):
+                brute_log_z_log_domain(g, spec)
+            with pytest.raises(ValueError,
+                               match="^node sum vanished at node 6$"):
+                bethe_log_partition(g, spec, msgs)
+            with pytest.raises(ValueError, match="^local normalizer "
+                               "vanished at node 6$"):
+                ActivityTable(g, spec, msgs)
 
     def test_field_length_validation(self, k4):
         spec = FactorSpec.cycle_code(np.zeros(5))
