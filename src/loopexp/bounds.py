@@ -88,13 +88,28 @@ def activity_bound(profile: Sequence[int], h: float,
     return float((logval if log else np.exp(logval))[0])
 
 
+def _top_base(h: float, d: int, alpha_d: float) -> float:
+    """1 - alpha_d (d/2) h^2, the base of the bound's top-degree factor."""
+    return 1.0 - alpha_d * (d / 2.0) * h * h
+
+
+def _bound_applies(h: float, d: int, alpha_d: float,
+                   alpha_mid: float) -> bool:
+    """Whether the activity bound of a degree-d host takes the field ``h``:
+    False when h is too large for it (the top-degree base is negative,
+    which ``activity_bound_violations`` refuses), ValueError for a refused
+    h or constant (``_check_measured_args``)."""
+    _check_measured_args(h, alpha_d, alpha_mid)
+    return _top_base(h, d, alpha_d) >= 0
+
+
 def _log_activity_bounds(profiles: np.ndarray, h: float, alpha_d: float,
                          alpha_mid: float) -> np.ndarray:
     """ln of the activity bound of every row (n_2, ..., n_d) of ``profiles``:
     n_d ln base_d, then n_i ln(alpha_mid h^{d-i}) for i = 2..d-1, 0 ln 0 =
     0.  ValueError when the base 1 - alpha_d (d/2) h^2 is negative."""
     d = profiles.shape[1] + 1
-    base_d = 1.0 - alpha_d * (d / 2.0) * h * h
+    base_d = _top_base(h, d, alpha_d)
     if base_d < 0:
         raise ValueError(f"h={h} too large: top-degree base is negative")
     out = _xlogy(profiles[:, -1], base_d)
@@ -260,11 +275,14 @@ def scan_exponent(d: int, h: float, grid_step: float,
 
     The verdict reports whether every grid value is strictly negative (the
     small-h claim); larger h may flip it and is reported, not asserted.
-    ValueError for a grid step outside (0, 0.1] or a refused h or constant
-    (``_check_bound_args``), and BudgetError, before the grid is built,
-    when its m^(d - 1) points of d - 1 coordinates (m per axis) pass
+    ValueError for d < 2, a grid step outside (0, 0.1] or a refused h or
+    constant (``_check_bound_args``), and BudgetError, before the grid is
+    built, when its m^(d - 1) points of d - 1 coordinates (m per axis) pass
     ``MAX_ENTRIES`` entries.
     """
+    if d < 2:
+        raise ValueError(f"d must be at least 2 for a profile (x_2..x_d), "
+                         f"got {d}")
     if not 0 < grid_step <= 0.1:
         raise ValueError("grid_step must lie in (0, 0.1]")
     _check_bound_args(h, alpha_d, alpha_mid)
@@ -313,12 +331,13 @@ def activity_bound_violations(catalog, activities, h: float,
 
     Returns (polymer index, |K|, bound) triples; callers log or tabulate them
     (the constants are empirical, so violations are data, not failures).
-    Bounds and ValueErrors are ``activity_bound``'s; an empty catalog: [].
+    Bounds and ValueErrors are ``activity_bound``'s, h and the constants
+    checked first; an empty catalog: [].
     """
+    _check_measured_args(h, alpha_d, alpha_mid)
     measured = np.abs(catalog.activity_vector(activities))
     if not len(measured):
         return []
-    _check_measured_args(h, alpha_d, alpha_mid)
     bounds = np.exp(_log_activity_bounds(catalog.profiles, h, alpha_d,
                                          alpha_mid))
     bad = np.flatnonzero(measured > bounds * (1.0 + rtol) + 1e-15)

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import __version__
 from ._csvio import write_csv
-from .bounds import (ALPHA_D_DEFAULT, ALPHA_MID_DEFAULT,
+from .bounds import (ALPHA_D_DEFAULT, ALPHA_MID_DEFAULT, _bound_applies,
                      activity_bound_violations, scan_exponent)
 from .bp import (_check_solve_args, bethe_log_partition, solve_fixed_point,
                  write_messages_csv)
@@ -154,66 +154,66 @@ def _meta(command: str, cfg: dict, master_seed, t0: float) -> dict:
     }
 
 
-def _trials(cfg: dict, key: list, kind: str, n: int, graph=None, **solver):
-    """Yield ``(t, graph, spec, params, messages)`` for each trial.
+def _check_seed(seed) -> None:
+    """A master seed is a nonnegative integer (numpy's seeding rule)."""
+    if seed < 0:
+        raise ValueError(f"seed must be a nonnegative integer, got {seed}")
 
-    Trial t samples a d-regular graph from seed ``[*key, t, 0]`` (unless a
-    fixed ``graph`` is given) and its fields from ``[*key, t, 1]``, then
-    solves BP with the ``solver`` keywords.  ``params`` echoes the model
-    parameters of the trial.
+
+def _trials(cfg: dict, runs, graph=None, **solver) -> list:
+    """Check every scalar that ``runs`` read, then return one lazy sequence
+    of ``(t, graph, spec, params, messages)`` per run.
+
+    Run ``(key, kind, n, swept)`` draws trial t's graph (``cfg["d"]``-regular
+    on n nodes, unless ``graph`` is fixed) from seed ``[*key, t, 0]`` and its
+    fields from ``[*key, t, 1]``, with ``swept`` in place of ``cfg``'s p or
+    coupling, and solves BP with the ``solver`` keywords.  ``params`` echoes
+    the trial's model parameters and seeds (``graph_seed`` None for a fixed
+    graph).  The trial count, the master seed, the solver's scalars and each
+    run's graph size and kind scalars are refused (ValueError) first.
     """
-    for t in range(cfg["trials"]):
-        g = graph if graph is not None else \
-            sample_regular_graph(n, cfg["d"], [*key, t, 0])
-        chan_seed = [*key, t, 1]
+    if cfg["trials"] < 0:
+        raise ValueError(f"trials must be nonnegative, got {cfg['trials']}")
+    _check_seed(cfg["seed"])
+    if solver:
+        _check_solve_args(**solver)
+    runs = [(key, kind, n, {**cfg, **swept}) for key, kind, n, swept in runs]
+    for _, kind, n, run_cfg in runs:
+        if graph is None:
+            _check_graph_size(n, run_cfg["d"])
         if kind == "high-temperature":
-            J, bound = cfg["coupling"], cfg["field_bound"]
-            h = np.random.default_rng(chan_seed).uniform(-bound, bound,
-                                                         g.num_edges)
-            spec = FactorSpec.high_temperature(h, J)
-            params = {"J": J, "field_bound": bound}
+            if not 0.0 <= run_cfg["field_bound"] < math.inf:
+                raise ValueError(f"field_bound must be finite and "
+                                 f"nonnegative, got {run_cfg['field_bound']}")
+            _check_coupling(run_cfg["coupling"])
         else:
-            params = {"p": cfg["p"]}
+            _check_flip_probability(run_cfg["p"])
             if kind == "softened-cycle-code":
-                params["eps"] = cfg["eps"]
-            spec = FactorSpec(kind, sample_bsc(g, cfg["p"], chan_seed).h,
-                              eps=params.get("eps", 0.0))
-        yield t, g, spec, params, solve_fixed_point(g, spec, **solver)
+                _check_eps(run_cfg["eps"])
 
+    def run(key, kind, n, run_cfg):
+        for t in range(run_cfg["trials"]):
+            graph_seed = None if graph is not None else [*key, t, 0]
+            g = graph if graph is not None else \
+                sample_regular_graph(n, run_cfg["d"], graph_seed)
+            chan_seed = [*key, t, 1]
+            if kind == "high-temperature":
+                J, bound = run_cfg["coupling"], run_cfg["field_bound"]
+                h = np.random.default_rng(chan_seed).uniform(-bound, bound,
+                                                             g.num_edges)
+                spec = FactorSpec.high_temperature(h, J)
+                params = {"J": J, "field_bound": bound}
+            else:
+                params = {"p": run_cfg["p"]}
+                if kind == "softened-cycle-code":
+                    params["eps"] = run_cfg["eps"]
+                h = sample_bsc(g, run_cfg["p"], chan_seed).h
+                spec = FactorSpec(kind, h, eps=params.get("eps", 0.0))
+            params.update(trial=t, master_seed=run_cfg["seed"],
+                          graph_seed=graph_seed, channel_seed=chan_seed)
+            yield t, g, spec, params, solve_fixed_point(g, spec, **solver)
 
-def _check_trials(trials: int) -> None:
-    """A run takes any number of trials from 0 on."""
-    if trials < 0:
-        raise ValueError(f"trials must be nonnegative, got {trials}")
-
-
-def _check_field_bound(bound: float) -> None:
-    """``_trials`` draws high-temperature fields uniformly from [-bound,
-    bound]: ValueError unless ``bound`` is finite and nonnegative."""
-    if not 0.0 <= bound < math.inf:
-        raise ValueError(f"field_bound must be finite and nonnegative, "
-                         f"got {bound}")
-
-
-def _check_trial_args(cfg: dict, kinds, sizes, sweep=None) -> None:
-    """The rules of the graph sampler and of each kind's spec on every
-    scalar that ``_trials`` reads for ``kinds``, so that a bad one is
-    refused before any graph is read or sampled and any output made: the
-    size of a ``cfg["d"]``-regular graph on each of ``sizes`` nodes, p
-    (cycle codes), eps (softened), J and the field bound
-    (high-temperature).  ``sweep`` holds the values of a run swept over p
-    or J, in place of ``cfg``'s."""
-    for n in sizes:
-        _check_graph_size(n, cfg["d"])
-    if "high-temperature" in kinds:
-        _check_field_bound(cfg["field_bound"])
-        for J in sweep or [cfg["coupling"]]:
-            _check_coupling(J)
-    if set(kinds) - {"high-temperature"}:
-        for p in sweep or [cfg["p"]]:
-            _check_flip_probability(p)
-    if "softened-cycle-code" in kinds:
-        _check_eps(cfg["eps"])
+    return [run(*r) for r in runs]
 
 
 def _mean_stderr(vals) -> tuple[float, float]:
@@ -237,6 +237,7 @@ def _check_converged(trials: int, converged: int) -> None:
           ("out", str, "graph.txt", "output path"))
 def cmd_gen_graph(cfg: dict) -> int:
     t0 = time.monotonic()
+    _check_seed(cfg["seed"])
     g = sample_regular_graph(cfg["n"], cfg["d"], cfg["seed"])
     write_graph(g, cfg["out"])
     meta = _meta("gen-graph", cfg, cfg["seed"], t0)
@@ -263,25 +264,21 @@ def cmd_verify_identity(cfg: dict) -> int:
     seed, trials = cfg["seed"], cfg["trials"]
     t0 = time.monotonic()
     # refuse bad scalars and read the graph before making the out dir
-    _check_trials(trials)
-    _check_solve_args(cfg["tol"], cfg["damping"], cfg["max_sweeps"])
     _check_report_args(cfg["node_cap"] or None, cfg["mayer_max"])
-    _check_trial_args(cfg, [cfg["model"]], [] if cfg["graph"] else [cfg["n"]])
     fixed = read_graph(cfg["graph"]) if cfg["graph"] else None
+    (sequence,) = _trials(cfg, [([seed], cfg["model"], cfg["n"], {})], fixed,
+                          tol=cfg["tol"], damping=cfg["damping"],
+                          max_sweeps=cfg["max_sweeps"])
     out_dir = Path(cfg["out_dir"])
     reports_dir = out_dir / "reports"
     reports_dir.mkdir(parents=True, exist_ok=True)
     rows = []
     excluded = over_cap = 0
     max_residual = 0.0
-    for t, g, spec, params, msgs in _trials(
-            cfg, [seed], cfg["model"], cfg["n"], fixed, tol=cfg["tol"],
-            damping=cfg["damping"], max_sweeps=cfg["max_sweeps"]):
+    for t, g, spec, params, msgs in sequence:
         report = build_expansion_report(
             g, spec, msgs, node_cap=cfg["node_cap"] or None,
-            mayer_max=cfg["mayer_max"],
-            params={**params, "trial": t, "master_seed": seed,
-                    "graph_seed": [seed, t, 0], "channel_seed": [seed, t, 1]})
+            mayer_max=cfg["mayer_max"], params=params)
         report.save_json(reports_dir / f"trial_{t:04d}.json")
         if cfg["save_messages"]:
             write_messages_csv(g, msgs, reports_dir / f"messages_{t:04d}.csv")
@@ -326,32 +323,31 @@ def cmd_correction_decay(cfg: dict) -> int:
     no value leaves its mean and stderr empty."""
     seed, trials, model = cfg["seed"], cfg["trials"], cfg["model"]
     kinds = [KINDS[0], KINDS[2]] if model == "both" else [model]
-    _check_trials(trials)
-    _check_trial_args(cfg, kinds, cfg["n_list"])
+    runs = [([seed, n], kind, n, {}) for kind in kinds for n in cfg["n_list"]]
+    sequences = _trials(cfg, runs)
     t0 = time.monotonic()
     rows = []
     refused = []    # (kind, n, trials refused, reason) per refused size
     total_converged = 0
-    for kind in kinds:
-        for n in cfg["n_list"]:
-            vals = []
-            converged = over_cap = 0
-            for _, g, spec, _, msgs in _trials(cfg, [seed, n], kind, n):
-                if not msgs.converged:
-                    continue
-                converged += 1
-                try:
-                    ln_z_corr = (exact_log_partition(g, spec)
-                                 - bethe_log_partition(g, spec, msgs).total)
-                except BudgetError as exc:
-                    over_cap, reason = over_cap + 1, str(exc)
-                    continue
-                vals.append(abs(ln_z_corr) / n)
-            total_converged += converged
-            if over_cap:
-                refused.append((kind, n, over_cap, reason))
-            rows.append([kind, n, trials, converged, trials - len(vals),
-                         *(_mean_stderr(vals) if vals else ("", ""))])
+    for (_, kind, n, _), sequence in zip(runs, sequences):
+        vals = []
+        converged = over_cap = 0
+        for _, g, spec, _, msgs in sequence:
+            if not msgs.converged:
+                continue
+            converged += 1
+            try:
+                ln_z_corr = (exact_log_partition(g, spec)
+                             - bethe_log_partition(g, spec, msgs).total)
+            except BudgetError as exc:
+                over_cap, reason = over_cap + 1, str(exc)
+                continue
+            vals.append(abs(ln_z_corr) / n)
+        total_converged += converged
+        if over_cap:
+            refused.append((kind, n, over_cap, reason))
+        rows.append([kind, n, trials, converged, trials - len(vals),
+                     *(_mean_stderr(vals) if vals else ("", ""))])
     meta = _meta("correction-decay", cfg, seed, t0)
     meta["excluded_over_cap"] = {f"{kind} {n}": count
                                  for kind, n, count, _ in refused}
@@ -397,8 +393,10 @@ def cmd_expander_check(cfg: dict) -> int:
     seed, samples = cfg["seed"], cfg["samples"]
     if cfg["kappa"] is None:
         cfg["kappa"] = 0.18 * cfg["d"]
-    if samples < 1:
-        raise ValueError(f"samples must be at least 1, got {samples}")
+    _check_seed(seed)
+    for name in ("samples", "subset_samples"):
+        if cfg[name] < 1:
+            raise ValueError(f"{name} must be at least 1, got {cfg[name]}")
     t0 = time.monotonic()
     rows = []
     passed = 0
@@ -430,32 +428,34 @@ def cmd_expander_check(cfg: dict) -> int:
           ("out", str, "criterion-report.csv", "output CSV"))
 def cmd_criterion_report(cfg: dict) -> int:
     seed, trials, model = cfg["seed"], cfg["trials"], cfg["model"]
-    _check_trials(trials)
+    values = cfg["values"]
     _check_report_args(cfg["cap"], 0)     # the cap rule; no Mayer orders
-    _check_trial_args(cfg, [model], [cfg["n"]], sweep=cfg["values"])
+    swept = "coupling" if model == "high-temperature" else "p"
+    sequences = _trials(cfg, [([seed, vi], model, cfg["n"], {swept: value})
+                              for vi, value in enumerate(values)])
+    # the field bound of each value's trials, and whether the activity
+    # bound takes it (bound_violations -1 when it does not)
+    h_sups = [cfg["field_bound"] if model == "high-temperature"
+              else half_llr_magnitude(value) for value in values]
+    applies = [_bound_applies(h, cfg["d"], cfg["alpha_d"], cfg["alpha_mid"])
+               for h in h_sups]
     t0 = time.monotonic()
     rows = []
     threshold = None
     total_converged = 0
-    for vi, value in enumerate(cfg["values"]):
+    for value, sequence, h_sup, ok in zip(values, sequences, h_sups, applies):
         crits = []
-        violations = 0
-        swept = {**cfg, "p": value, "coupling": value}
-        h_sup = (half_llr_magnitude(value)
-                 if model != "high-temperature" else cfg["field_bound"])
-        for _, g, spec, _, msgs in _trials(swept, [seed, vi], model, cfg["n"]):
+        violations = 0 if ok else -1
+        for _, g, spec, _, msgs in sequence:
             if not msgs.converged:
                 continue
             catalog = enumerate_polymers(g, cfg["cap"])
             acts = ActivityTable(g, spec, msgs).polymer_activities(catalog)
             crits.append(convergence_criterion(catalog, acts))
-            if h_sup > 0:
-                try:
-                    violations += len(activity_bound_violations(
-                        catalog, acts, h_sup, alpha_d=cfg["alpha_d"],
-                        alpha_mid=cfg["alpha_mid"]))
-                except ValueError:
-                    violations = -1  # bound inapplicable at this h
+            if ok and h_sup > 0:
+                violations += len(activity_bound_violations(
+                    catalog, acts, h_sup, alpha_d=cfg["alpha_d"],
+                    alpha_mid=cfg["alpha_mid"]))
         total_converged += len(crits)
         mean = _mean_stderr(crits)[0]
         cmax = float(np.max(crits)) if crits else math.nan
@@ -485,15 +485,13 @@ def cmd_criterion_report(cfg: dict) -> int:
           ("out", str, "entropy.csv", "output CSV"))
 def cmd_entropy(cfg: dict) -> int:
     p, trials = cfg["p"], cfg["trials"]
-    _check_trials(trials)
-    _check_trial_args(cfg, ["cycle-code"], [cfg["n"]])
+    (sequence,) = _trials(cfg, [([cfg["seed"]], "cycle-code", cfg["n"], {})])
     t0 = time.monotonic()
     unit = math.log(2.0) if cfg["bits"] else 1.0
     unit_name = "bits" if cfg["bits"] else "nats"
     rows = []
     f_vals = []
-    for t, g, spec, _, msgs in _trials(cfg, [cfg["seed"]], "cycle-code",
-                                       cfg["n"]):
+    for t, g, spec, _, msgs in sequence:
         if not msgs.converged:
             rows.append([t, 0, "", "", "", ""])
             continue

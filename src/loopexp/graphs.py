@@ -839,10 +839,12 @@ def check_edge_expansion(graph: CheckGraph, kappa: float,
     ``MAX_ENTRIES``); larger graphs are spot-checked on uniform random
     subsets of admissible sizes, the first violator in draw order being the
     witness.  ValueError for a NaN ``kappa``, which no comparison could
-    refute.
+    refute, and for ``num_samples`` below 1.
     """
     if math.isnan(kappa):
         raise ValueError(f"kappa must be a number, got {kappa}")
+    if num_samples < 1:
+        raise ValueError(f"num_samples must be at least 1, got {num_samples}")
     n = graph.n
     comps = graph.components()
     if len(comps) > 1 and kappa > 0:

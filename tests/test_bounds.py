@@ -384,6 +384,27 @@ class TestActivityBoundViolations:
             activity_bound_violations(enumerate_polymers(k4, 3),
                                       np.zeros(4), 1.0)
 
+    def test_empty_catalog_checks_its_scalars(self, k4):
+        cat = enumerate_polymers(k4, 2)
+        with pytest.raises(ValueError, match=r"alpha_d must lie in \(0, 1\)"):
+            activity_bound_violations(cat, np.array([]), 0.1, alpha_d=1.0)
+        with pytest.raises(ValueError, match="h must be nonnegative"):
+            activity_bound_violations(cat, np.array([]), math.nan)
+
+    def test_applicability_matches_the_refusal(self, k4):
+        # _bound_applies is False exactly where the violations refuse h
+        cat = enumerate_polymers(k4, 3)
+        for h in (0.0, 0.5, 0.9, 1.0):
+            applies = bounds._bound_applies(h, 3, 0.9, 1.2)
+            assert applies == (1 - 0.9 * 1.5 * h * h >= 0)
+            if applies:
+                activity_bound_violations(cat, np.zeros(len(cat)), h)
+            else:
+                with pytest.raises(ValueError, match="too large"):
+                    activity_bound_violations(cat, np.zeros(len(cat)), h)
+        with pytest.raises(ValueError, match="alpha_i must exceed 1"):
+            bounds._bound_applies(0.1, 3, 0.9, 0.5)
+
     def test_sampled_instance_logged_not_asserted(self):
         # empirical constants: violations are returned as data
         from loopexp.bp import solve_fixed_point

@@ -207,8 +207,18 @@ class TestExitCodes:
          "trials must be nonnegative, got -2"),
         (["criterion-report", "-n", "6", "--trials", "1", "--cap", "-1"],
          "node_cap must be nonnegative"),
+        (["verify-identity", "-n", "6", "--trials", "1", "--seed", "-1"],
+         "seed must be a nonnegative integer, got -1"),
+        (["correction-decay", "--n-list", "6", "--trials", "1", "--seed",
+          "-1"], "seed must be a nonnegative integer, got -1"),
+        (["entropy", "-n", "6", "--trials", "1", "--seed", "-1"],
+         "seed must be a nonnegative integer, got -1"),
+        (["criterion-report", "-n", "6", "--trials", "1", "--seed", "-1"],
+         "seed must be a nonnegative integer, got -1"),
     ], ids=["verify-identity", "correction-decay", "entropy",
-            "criterion-report", "criterion-report-cap"])
+            "criterion-report", "criterion-report-cap",
+            "verify-identity-seed", "correction-decay-seed", "entropy-seed",
+            "criterion-report-seed"])
     def test_bad_count_refused_before_sampling(self, tmp_path, capsys,
                                                monkeypatch, argv, message):
         def refuse(*args):
@@ -263,6 +273,18 @@ class TestExitCodes:
         (["entropy", "-n", "7"], "n*d must be even"),
         (["entropy", "-n", "6", "-p", "0.7"],
          "flip probability 0.7 outside [1e-06, 0.5]"),
+        (["correction-decay", "--n-list", "6,7", "--model",
+          "high-temperature"], "n*d must be even"),
+        (["criterion-report", "-n", "6", "--model", "cycle-code",
+          "--values", "0.1,nan"],
+         "flip probability nan outside [1e-06, 0.5]"),
+        (["criterion-report", "-n", "10", "--values", "0.05",
+          "--alpha-d", "1.5"], "alpha_d must lie in (0, 1]"),
+        (["criterion-report", "-n", "10", "--values", "0.05",
+          "--alpha-mid", "0.5"], "alpha_i must exceed 1"),
+        (["criterion-report", "-n", "10", "--model", "cycle-code",
+          "--values", "0.5", "--alpha-d", "1"],
+         "alpha_d must lie in (0, 1)"),
     ], ids=["verify-identity-p", "verify-identity-p-nan",
             "verify-identity-eps", "verify-identity-n-odd",
             "verify-identity-n-small", "verify-identity-d",
@@ -274,7 +296,9 @@ class TestExitCodes:
             "correction-decay-p", "criterion-report-field-bound-negative",
             "criterion-report-field-bound-nan",
             "criterion-report-field-bound-inf", "criterion-report-p",
-            "entropy-n-odd", "entropy-p"])
+            "entropy-n-odd", "entropy-p", "correction-decay-second-n-odd",
+            "criterion-report-second-p-nan", "criterion-report-alpha-d",
+            "criterion-report-alpha-mid", "criterion-report-alpha-d-one"])
     def test_bad_model_scalar_refused_before_sampling(self, tmp_path, capsys,
                                                       monkeypatch, argv,
                                                       message):
@@ -288,6 +312,27 @@ class TestExitCodes:
         code = main([*argv, "--trials", "1", flag, str(out)])
         assert code == 2
         assert f"loopexp: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", [
+        name for name, (_, _, table) in cli._COMMANDS.items()
+        if any(entry[0] == "seed" for entry in table)])
+    def test_negative_seed_refused_before_sampling(self, tmp_path, capsys,
+                                                   monkeypatch, command):
+        # every command that takes a seed, including any added later
+        def refuse(*args):
+            raise AssertionError("graph sampled before the seed was checked")
+
+        monkeypatch.setattr(cli, "sample_regular_graph", refuse)
+        _, _, table = cli._COMMANDS[command]
+        out_key = next(entry[0] for entry in table
+                       if entry[0] in ("out", "out_dir"))
+        out = tmp_path / "out"
+        code = main([command, "--seed", "-1",
+                     "--" + out_key.replace("_", "-"), str(out)])
+        assert code == 2
+        assert ("loopexp: seed must be a nonnegative integer, got -1"
+                in capsys.readouterr().err)
         assert not out.exists()
 
     def test_no_trials_is_legal(self, tmp_path, capsys):
@@ -537,7 +582,10 @@ class TestExponentScan:
         (["--h", "-0.1"], "h must be nonnegative, got -0.1"),
         (["--alpha-d", "nan"], "alpha_d must lie in (0, 1]"),
         (["--alpha-mid", "nan"], "alpha_i must exceed 1"),
-    ], ids=["h-nan", "h-negative", "alpha-d-nan", "alpha-mid-nan"])
+        (["-d", "1"], "d must be at least 2 for a profile (x_2..x_d), got 1"),
+        (["-d", "0"], "d must be at least 2 for a profile (x_2..x_d), got 0"),
+    ], ids=["h-nan", "h-negative", "alpha-d-nan", "alpha-mid-nan", "d-one",
+            "d-zero"])
     def test_bad_bound_scalar_is_precondition(self, tmp_path, capsys, flags,
                                               message):
         out = tmp_path / "surface.csv"
@@ -574,6 +622,21 @@ class TestExpanderCheck:
         assert "samples must be at least 1" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_negative_subset_samples_is_precondition(self, tmp_path, capsys,
+                                                     monkeypatch):
+        def refuse(*args):
+            raise AssertionError("graph sampled before the flags were "
+                                 "checked")
+
+        monkeypatch.setattr(cli, "sample_regular_graph", refuse)
+        out = tmp_path / "expander.csv"
+        code = main(["expander-check", "-n", "30", "--samples", "2",
+                     "--subset-samples", "-5", "-o", str(out)])
+        assert code == 2
+        assert ("loopexp: subset_samples must be at least 1, got -5"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
     def test_exhaustive_scan_over_budget_is_precondition(self, tmp_path,
                                                         capsys):
         out = tmp_path / "expander.csv"
@@ -600,6 +663,18 @@ class TestCriterionReport:
         large = float(rows[1][4])
         assert small < large
         assert "threshold_value" in meta
+
+    def test_field_too_large_for_the_bound(self, tmp_path, capsys):
+        # 1 - alpha_d (d/2) h^2 < 0 at h = 1: the bound does not apply, which
+        # is data (-1), not a refusal
+        out = tmp_path / "criterion.csv"
+        code = main(["criterion-report", "-n", "8", "--model",
+                     "high-temperature", "--field-bound", "1.0",
+                     "--values", "0.05", "--trials", "2", "-o", str(out)])
+        assert code == 0
+        _, header, rows = read_summary(out)
+        assert rows[0][header.index("converged")] == "2"
+        assert rows[0][header.index("bound_violations")] == "-1"
 
 
 class TestEntropy:
@@ -695,3 +770,16 @@ class TestSeedLayout:
                 rng.uniform(-bound, bound, g.num_edges), params["J"])
             assert doc["exact_log_z"] == pytest.approx(
                 exact_log_partition(g, spec), rel=1e-12)
+
+    def test_fixed_graph_reports_no_graph_seed(self, tmp_path):
+        graph_file = tmp_path / "g.txt"
+        write_graph(sample_regular_graph(6, 3, 1), graph_file)
+        out_dir = tmp_path / "verify"
+        assert main(["verify-identity", "--graph", str(graph_file),
+                     "--trials", "2", "--seed", "5",
+                     "--out-dir", str(out_dir)]) == 0
+        for t in range(2):
+            doc = json.loads(
+                (out_dir / "reports" / f"trial_{t:04d}.json").read_text())
+            assert doc["params"]["graph_seed"] is None
+            assert doc["params"]["channel_seed"] == [5, t, 1]

@@ -821,6 +821,14 @@ class TestExpansion:
         with pytest.raises(ValueError, match="kappa must be a number"):
             check_edge_expansion(g, float("nan"))
 
+    @pytest.mark.parametrize("n", [8, 200])
+    def test_subset_samples_below_one_rejected(self, n):
+        g = sample_regular_graph(n, 3, 1)
+        for num_samples in (0, -5):
+            with pytest.raises(ValueError,
+                               match="num_samples must be at least 1"):
+                check_edge_expansion(g, 0.54, num_samples=num_samples)
+
     def test_nan_kappa_cli_exits_2_without_output(self, tmp_path, capsys):
         out = tmp_path / "verdicts.csv"
         code = cli.main(["expander-check", "-n", "8", "--samples", "2",
