@@ -44,8 +44,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ._layout import MAX_ENTRIES, Rows
-from .exceptions import BudgetError
+from ._layout import Rows, check_budget
 
 if TYPE_CHECKING:
     from .graphs import CheckGraph
@@ -79,15 +78,6 @@ class EliminationPlan:
     width: int
 
 
-def check_budget(width: int, payload: int) -> None:
-    """BudgetError if 2^width x payload entries pass ``MAX_ENTRIES``."""
-    if (1 << width) * payload > MAX_ENTRIES:
-        raise BudgetError(
-            f"elimination would build a table of 2^{width} x {payload} = "
-            f"{(1 << width) * payload:,} entries, over the cap of "
-            f"{MAX_ENTRIES:,}")
-
-
 def plan_elimination(graph: CheckGraph) -> EliminationPlan:
     """Greedy order for ``graph``; BudgetError at the first bucket that
     would build more than ``MAX_ENTRIES`` entries, so a dense host fails
@@ -109,7 +99,7 @@ def plan_elimination(graph: CheckGraph) -> EliminationPlan:
         s, e = heapq.heappop(heap)
         if e in done or s != size[e]:
             continue
-        check_budget(s, 1)
+        check_budget(1 << s, "elimination table of 2^{} x 1", s)
         width = max(width, s)
         left, right = holders[e]
         lscope, rscope = scopes[left], scopes[right]
@@ -206,8 +196,8 @@ def contract(plan: EliminationPlan, tables: Rows,
     """
     values = tables.values.reshape(len(tables.values), -1)
     L = values.shape[1]
-    check_budget(plan.width, L)
     cap = (1 << plan.width) * L
+    check_budget(cap, "elimination table of 2^{} x {}", plan.width, L)
     # each node table's reach: its highest payload with a nonzero entry
     reach = np.maximum.reduceat(
         np.max(np.where(values != 0.0, np.arange(L), 0), axis=1),

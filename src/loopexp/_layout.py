@@ -19,9 +19,11 @@ polymer walks hold as uint64 words.
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Iterator, Optional
 
 import numpy as np
+
+from .exceptions import BudgetError
 
 # Largest array a layer may build (entries; for the elimination, entries
 # times payload length): 2^24 float64 entries is 128 MiB.
@@ -30,6 +32,23 @@ MAX_ENTRIES = 1 << 24
 # Entries per block of a batched node computation (512 KiB of float64), so
 # temporaries stay bounded whatever the number of nodes.
 BLOCK_ENTRIES = 1 << 16
+
+
+def check_budget(size: int, what: str, *args, unit: str = "entries",
+                 cap: Optional[int] = None) -> None:
+    """The package's one refusal rule, asked before a thing is built:
+    BudgetError when its ``size``, in ``unit``, passes ``cap`` (None:
+    ``MAX_ENTRIES`` as it stands at the call).  The message, built only on
+    refusal, names the thing, ``what.format(*args)``, its size and the cap."""
+    cap = MAX_ENTRIES if cap is None else cap
+    if size > cap:
+        raise BudgetError(f"{what.format(*args)} would need {size:,} "
+                          f"{unit}, over the cap of {cap:,}")
+
+
+def within_budget(size: int) -> bool:
+    """Whether ``check_budget`` admits ``size`` entries."""
+    return size <= MAX_ENTRIES
 
 
 class Layout:

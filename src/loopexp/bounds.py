@@ -16,8 +16,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ._csvio import write_csv
-from ._layout import MAX_ENTRIES
-from .exceptions import BudgetError
+from ._layout import check_budget
 
 __all__ = [
     "ALPHA_D_DEFAULT",
@@ -202,8 +201,6 @@ def _exponent_grid(x: np.ndarray, d: int, h: float, n: Optional[int],
     i_vals = np.arange(2, d + 1)
     s = x @ i_vals
     D = d / 2.0 if n is None else d / 2.0 - 2.0 * d * d / n
-    if D <= 0:
-        raise ValueError(f"n={n} too small: nd/2 does not cover the 2d^2 term")
     infeasible = D - s / 2.0 < -1e-12
     if np.any(infeasible):
         if strict:
@@ -222,15 +219,25 @@ def _exponent_grid(x: np.ndarray, d: int, h: float, n: Optional[int],
     return out
 
 
+def _check_size(d: int, n: Optional[int]) -> None:
+    """ValueError unless ``n`` is None (the large-n limit) or n >= 4d^2/(d
+    - 1), with the feasibility test's slack: the lightest profile of
+    Delta, x_2 = 1/2, has s/2 = 1/2, which D = d/2 - 2d^2/n must reach."""
+    if n is not None and (n <= 0 or d / 2.0 - 2.0 * d * d / n - 0.5 < -1e-12):
+        raise ValueError(f"n={n} too small: nd/2 does not cover the 2d^2 term")
+
+
 def exponent_function(profile: DegreeProfileVector) -> float:
     """Per-node large-n exponent of count * containment * activity bounds.
 
     Derived by Stirling's formula from the exact falling-factorial bounds;
-    0*ln(0) terms are 0.  Raises when x lies outside Delta, a log argument
-    would be negative in finite-n mode, or h or a constant is refused
-    (``_check_bound_args``).
+    0*ln(0) terms are 0.  Raises when h or a constant is refused
+    (``_check_bound_args``), n is too small for any profile
+    (``_check_size``), x lies outside Delta, or a log argument would be
+    negative in finite-n mode.
     """
     _check_bound_args(profile.h, profile.alpha_d, profile.alpha_mid)
+    _check_size(profile.d, profile.n)
     x = np.asarray(profile.x, dtype=np.float64)[None, :]
     if np.any(x < -1e-12):
         raise ValueError("x outside Delta: negative component")
@@ -275,9 +282,10 @@ def scan_exponent(d: int, h: float, grid_step: float,
 
     The verdict reports whether every grid value is strictly negative (the
     small-h claim); larger h may flip it and is reported, not asserted.
-    ValueError for d < 2, a grid step outside (0, 0.1] or a refused h or
-    constant (``_check_bound_args``), and BudgetError, before the grid is
-    built, when its m^(d - 1) points of d - 1 coordinates (m per axis) pass
+    ValueError for d < 2, a grid step outside (0, 0.1], a refused h or
+    constant (``_check_bound_args``) or an n too small for any profile
+    (``_check_size``), and BudgetError, before the grid is built, when its
+    m^(d - 1) points of d - 1 coordinates (m per axis) pass
     ``MAX_ENTRIES`` entries.
     """
     if d < 2:
@@ -286,11 +294,10 @@ def scan_exponent(d: int, h: float, grid_step: float,
     if not 0 < grid_step <= 0.1:
         raise ValueError("grid_step must lie in (0, 0.1]")
     _check_bound_args(h, alpha_d, alpha_mid)
+    _check_size(d, n)
     axis = np.arange(0.0, 1.0 + grid_step / 2.0, grid_step)
-    entries = len(axis) ** (d - 1) * (d - 1)
-    if entries > MAX_ENTRIES:
-        raise BudgetError(f"exponent grid for d={d} at step {grid_step} "
-                          f"would hold {entries:,} entries")
+    check_budget(len(axis) ** (d - 1) * (d - 1),
+                 "exponent grid for d={} at step {}", d, grid_step)
     grids = np.meshgrid(*([axis] * (d - 1)), indexing="ij")
     x = np.stack([g.ravel() for g in grids], axis=1)
     total = x.sum(axis=1)

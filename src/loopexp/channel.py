@@ -74,11 +74,10 @@ def sample_bsc(graph: CheckGraph, p: float, seed) -> ChannelRealization:
 def conditional_entropy_per_node(avg_free_energy: float, p: float) -> float:
     """H(X|Y)/n from the quenched average f = E[ln Z]/n, in nats.
 
-    H/n = f - ((1 - 2p)/2) ln((1-p)/p).
+    H/n = f - (1 - 2p) |h|, with |h| and its range check from
+    ``half_llr_magnitude``.
     """
-    if not 0 < p <= 0.5:
-        raise ValueError(f"flip probability {p} outside (0, 1/2]")
-    return avg_free_energy - ((1.0 - 2.0 * p) / 2.0) * math.log((1.0 - p) / p)
+    return avg_free_energy - (1.0 - 2.0 * p) * half_llr_magnitude(p)
 
 
 def write_channel_csv(real: ChannelRealization, path) -> None:

@@ -37,7 +37,7 @@ from .channel import (_check_flip_probability, conditional_entropy_per_node,
                       half_llr_magnitude, sample_bsc)
 from .exceptions import (AllTrialsDivergedError, BudgetError, DivergenceError,
                          PairingError)
-from .graphs import (_check_graph_size, check_edge_expansion,
+from .graphs import (_check_graph_size, _check_kappa, check_edge_expansion,
                      enumerate_polymers, read_graph, sample_regular_graph,
                      write_graph)
 from .loopseries import (ActivityTable, _check_report_args,
@@ -397,6 +397,7 @@ def cmd_expander_check(cfg: dict) -> int:
     for name in ("samples", "subset_samples"):
         if cfg[name] < 1:
             raise ValueError(f"{name} must be at least 1, got {cfg[name]}")
+    _check_kappa(cfg["kappa"])
     t0 = time.monotonic()
     rows = []
     passed = 0

@@ -15,7 +15,6 @@ machinery; sampled and file-loaded graphs are validated as exactly d-regular.
 from __future__ import annotations
 
 import logging
-import math
 import time
 from dataclasses import dataclass
 from functools import cached_property
@@ -25,9 +24,10 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from ._elim import EliminationPlan, plan_elimination
-from ._layout import (BLOCK_ENTRIES, MAX_ENTRIES, Layout, Rows,
-                      component_roots, packed, runs, set_bits, word_bit)
-from .exceptions import BudgetError, PairingError
+from ._layout import (BLOCK_ENTRIES, Layout, Rows, check_budget,
+                      component_roots, packed, runs, set_bits, word_bit,
+                      within_budget)
+from .exceptions import PairingError
 
 __all__ = [
     "CheckGraph",
@@ -359,8 +359,8 @@ def enumerate_polymers(graph: CheckGraph, node_cap: int) -> PolymerCatalog:
     if node_cap >= 3 and graph.num_edges:
         # a cap of n or more excludes no polymer, and a row of n walks or
         # more costs more than the host: the region is the host
-        whole = node_cap >= graph.n or graph.n <= _row_width(
-            graph.layout.dmax, (node_cap + 1) // 2) <= MAX_ENTRIES
+        whole = node_cap >= graph.n or graph.n <= (row := _row_width(
+            graph.layout.dmax, (node_cap + 1) // 2)) and within_budget(row)
         region = (np.arange(graph.n) if whole
                   else _near_short_cycles(graph.layout, node_cap, tally))
     searched = time.perf_counter() if debug else 0.0
@@ -417,9 +417,7 @@ def _near_short_cycles(lay: Layout, c: int,
     n, dmax = lay.nbr.shape
     top = (c + 1) // 2     # longest walk
     width = _row_width(dmax, top)
-    if width > MAX_ENTRIES:
-        raise BudgetError(f"short-cycle search for node cap {c} would "
-                          f"hold {width:,} walks")
+    check_budget(width, "short-cycle search for node cap {}", c, unit="walks")
     mark = np.zeros(n + 1, dtype=bool)   # entry n: the padding neighbour
     blocks = repeats = 0
     if width:
@@ -575,10 +573,8 @@ def _support_walk(local: np.ndarray, cap: int,
         if tally is not None:
             tally.update(esu_levels=0, largest=0, words=0)
         return np.zeros((0, W), dtype=np.uint64)
-    if 4 * W * (R + 1) > MAX_ENTRIES:
-        raise BudgetError(f"support walk over a region of {R:,} nodes would "
-                          f"build a node table of {4 * W * (R + 1):,} words, "
-                          f"over the cap of {MAX_ENTRIES:,}")
+    check_budget(4 * W * (R + 1), "support walk over a region of {:,} "
+                 "nodes", R, unit="node-table words")
     # per node w: its bit, its neighbours, the nodes above it and its
     # non-neighbours, for the update of a state that adds w
     a = np.arange(R)
@@ -628,10 +624,9 @@ def _support_walk(local: np.ndarray, cap: int,
         least = np.minimum.reduce(counts) >= 2
         if k >= 3:
             hits = states[0].compress(least[0], axis=1)
-            total += hits.shape[1]
-            if total > MAX_POLYMERS:    # G[V] is a polymer on V
-                raise BudgetError(
-                    f"polymer catalog exceeds {MAX_POLYMERS:,} polymers")
+            total += hits.shape[1]    # G[V] is a polymer on V
+            check_budget(total, "polymer catalog", unit="polymers",
+                         cap=MAX_POLYMERS)
             found.append(hits)
         if k == cap:
             continue
@@ -665,9 +660,8 @@ def _support_edges(lay: Layout, nodes: np.ndarray, local: np.ndarray,
     M), their slot bits at a and b; ``real`` (S, M), which of the M slots
     hold an edge.  ``local`` holds the region-local neighbour of each slot
     of the ``nodes``, -1 outside the region."""
+    check_budget(lay.dmax, "node slot mask", unit="slot bits", cap=64)
     word = np.min_scalar_type((1 << lay.dmax) - 1)
-    if word.kind != "u":
-        raise BudgetError(f"node degree {lay.dmax} exceeds 64 slot bits")
     R = len(nodes)
     size = np.bincount(sid, minlength=S)
     col = np.arange(len(sid)) - np.searchsorted(sid, sid)    # in row
@@ -738,9 +732,8 @@ def _removal_walk(ends: np.ndarray, bits: np.ndarray, real: np.ndarray,
     while True:
         i, j = np.nonzero(open_ & np.any(red != 0, axis=0))
         total += len(i)
-        if total > MAX_POLYMERS:
-            raise BudgetError(
-                f"polymer catalog exceeds {MAX_POLYMERS:,} polymers")
+        check_budget(total, "polymer catalog", unit="polymers",
+                     cap=MAX_POLYMERS)
         if not len(i):
             return levels
         # eliminate the removed edge's column from every column, on the
@@ -827,6 +820,13 @@ class ExpansionVerdict:
     subsets_checked: int
 
 
+def _check_kappa(kappa: float) -> None:
+    """ValueError unless kappa >= 0: no comparison could refute a NaN
+    kappa, and every node set meets a negative one."""
+    if not kappa >= 0:
+        raise ValueError(f"kappa must be a number >= 0, got {kappa}")
+
+
 def check_edge_expansion(graph: CheckGraph, kappa: float,
                          exhaustive_limit: int = 20,
                          num_samples: int = 20_000,
@@ -838,11 +838,10 @@ def check_edge_expansion(graph: CheckGraph, kappa: float,
     subsets are scanned (BudgetError, before scanning, when 2^n exceeds
     ``MAX_ENTRIES``); larger graphs are spot-checked on uniform random
     subsets of admissible sizes, the first violator in draw order being the
-    witness.  ValueError for a NaN ``kappa``, which no comparison could
-    refute, and for ``num_samples`` below 1.
+    witness.  ValueError for a NaN or negative ``kappa``
+    (``_check_kappa``) and for ``num_samples`` below 1.
     """
-    if math.isnan(kappa):
-        raise ValueError(f"kappa must be a number, got {kappa}")
+    _check_kappa(kappa)
     if num_samples < 1:
         raise ValueError(f"num_samples must be at least 1, got {num_samples}")
     n = graph.n
@@ -862,9 +861,8 @@ def check_edge_expansion(graph: CheckGraph, kappa: float,
         return int(np.argmax(bad)) if bad.any() else None
 
     if n <= exhaustive_limit:
-        if 1 << n > MAX_ENTRIES:
-            raise BudgetError(f"exhaustive expansion check of 2^{n} node "
-                              f"sets exceeds the cap of {MAX_ENTRIES:,}")
+        check_budget(1 << n, "exhaustive expansion check over {} nodes", n,
+                     unit="node sets")
         checked = 0
         bits = np.arange(n, dtype=np.uint64)
         step = 1 << min(18, n)     # 2^18 sets (2 MiB of uint64) per block

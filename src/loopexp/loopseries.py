@@ -38,8 +38,8 @@ from typing import Optional
 
 import numpy as np
 
-from ._elim import check_budget, contract
-from ._layout import (BLOCK_ENTRIES, MAX_ENTRIES, Rows, columns,
+from ._elim import contract
+from ._layout import (BLOCK_ENTRIES, Rows, check_budget, columns,
                       component_roots, node_tables, runs, set_bits, word_bit)
 from .bp import MessageSet, bethe_log_partition
 from .exceptions import BudgetError
@@ -178,7 +178,8 @@ def scan_correction(graph: CheckGraph, table: ActivityTable) -> CorrectionScan:
     # rule: 2 * touched >= n  <=>  touched >= ceil(n/2)
     half = (graph.n + 1) // 2
     plan = graph.elimination_plan
-    check_budget(plan.width, half + 1)
+    check_budget((1 << plan.width) * (half + 1),
+                 "elimination table of 2^{} x {}", plan.width, half + 1)
     K, offsets = table.K.values, table.K.offsets
     # the subset size of every entry: the popcount of its local bitmask
     size = np.bitwise_count(np.arange(len(K)) - np.repeat(offsets[:-1],
@@ -299,12 +300,12 @@ def _polynomials(nodes: np.ndarray, weights: np.ndarray, n: int,
     grow = (last > 1) & (size > 1)    # a lone support has no candidate
     compared = np.bincount(home, np.where(grow, size * (size - 1) // 2, 0),
                            minlength=parts)
+    supports = np.bincount(part, minlength=parts)
 
     def check():
-        if compared.max() > MAX_ENTRIES:
-            count = np.bincount(part, minlength=parts)[compared.argmax()]
-            raise BudgetError(f"hard-core walk over {count:,} supports "
-                              f"exceeds {MAX_ENTRIES:,} pair comparisons")
+        worst = compared.argmax()
+        check_budget(int(compared[worst]), "hard-core walk over {:,} "
+                     "supports", supports[worst], unit="pair comparisons")
 
     check()
     start = np.cumsum(size) - size

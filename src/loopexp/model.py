@@ -23,8 +23,7 @@ from typing import Optional
 import numpy as np
 
 from ._elim import contract
-from ._layout import BLOCK_ENTRIES, MAX_ENTRIES, columns, node_tables
-from .exceptions import BudgetError
+from ._layout import BLOCK_ENTRIES, check_budget, columns, node_tables
 from .graphs import CheckGraph
 
 __all__ = ["FactorSpec", "exact_log_partition", "KINDS"]
@@ -146,11 +145,10 @@ def _tilted_tables(graph: CheckGraph, spec: FactorSpec,
     ``MAX_ENTRIES`` (degree 20 and above)."""
     t, hh = _bind(graph, spec)
     lay = graph.layout
-    over = [nodes[0] for d, nodes in lay.classes if d << d > MAX_ENTRIES]
-    if over:
-        a = min(over)
-        raise BudgetError(f"node degree {lay.deg[a]} exceeds the node-table "
-                          f"budget of {MAX_ENTRIES:,} entries (node {a})")
+    # by least node: the first class refused holds the least node refused
+    for d, nodes in sorted(lay.classes, key=lambda c: c[1][0]):
+        check_budget(d << d, "node table of degree {} (node {})", d,
+                     nodes[0], unit="entry passes")
     ext = None if eta is None else np.append(eta.reshape(-1), 0.0)
     # ln((1 + t_a parity)/2) of every node: row 0 for a configuration of
     # even parity (an even number of -1 spins), row 1 for odd

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from loopexp import bounds
+from loopexp import _layout, bounds
 from loopexp.bounds import (DegreeProfileVector, _log_activity_bounds,
                             activity_bound,
                             activity_bound_violations,
@@ -244,6 +244,33 @@ class TestExponentFunction:
         with pytest.raises(ValueError):
             exponent_function(DegreeProfileVector((0.0, 1.0), 3, 0.1, n=10))
 
+    @pytest.mark.parametrize("n", [0, -5, 17])
+    def test_finite_n_below_the_lightest_profile_refused(self, monkeypatch,
+                                                         n):
+        # at d = 3 the lightest profile, x_2 = 1/2, needs n >= 4d^2/(d - 1)
+        # = 18; n = 0 once divided by zero, and a negative n or one of
+        # 13..17 once gave a verdict on a surface with no feasible point
+        def refuse(*args):
+            raise AssertionError("grid built before n was checked")
+
+        monkeypatch.setattr(bounds, "_exponent_grid", refuse)
+        monkeypatch.setattr(bounds.np, "meshgrid", refuse)
+        for call in (
+                lambda: scan_exponent(3, 0.1, 0.05, n=n),
+                lambda: exponent_function(
+                    DegreeProfileVector((0.2, 0.8), 3, 0.1, n=n))):
+            with pytest.raises(ValueError, match=rf"^n={n} too small: "):
+                call()
+
+    def test_smallest_finite_n_keeps_the_lightest_profile(self):
+        # n = 18 at d = 3: D = 1/2, so only x_2 = 1/2 is feasible
+        scan = scan_exponent(3, 0.1, 0.05, n=18)
+        feasible = scan.points[np.isfinite(scan.points[:, -1])]
+        assert feasible[:, :-1].tolist() == [[0.5, 0.0]]
+        assert scan.argmax == (0.5, 0.0)
+        assert scan.max_value == exponent_function(
+            DegreeProfileVector((0.5, 0.0), 3, 0.1, n=18))
+
     def test_stirling_matches_exact_evaluation(self):
         # n * exponent vs the exact log of count * containment * activity,
         # at a fixed interior profile; the gap is o(n)
@@ -302,7 +329,8 @@ class TestScanExponent:
         tracemalloc.start()
         try:
             with pytest.raises(BudgetError, match="exponent grid for d=6 at "
-                               "step 0.01 would hold 52,550,502,505 "):
+                               "step 0.01 would need 52,550,502,505 entries, "
+                               "over the cap of 16,777,216$"):
                 scan_exponent(6, 0.1, 0.01)
             _, peak = tracemalloc.get_traced_memory()
         finally:
@@ -311,10 +339,11 @@ class TestScanExponent:
 
     def test_grid_at_the_budget(self, monkeypatch):
         # d = 3 at step 0.1: 11^2 points of 2 coordinates
-        monkeypatch.setattr(bounds, "MAX_ENTRIES", 242)
+        monkeypatch.setattr(_layout, "MAX_ENTRIES", 242)
         assert scan_exponent(3, 0.05, 0.1).points.shape[1] == 3
-        monkeypatch.setattr(bounds, "MAX_ENTRIES", 241)
-        with pytest.raises(BudgetError, match="would hold 242 entries"):
+        monkeypatch.setattr(_layout, "MAX_ENTRIES", 241)
+        with pytest.raises(BudgetError, match="would need 242 entries, over "
+                           "the cap of 241$"):
             scan_exponent(3, 0.05, 0.1)
 
     def test_csv_output(self, tmp_path):

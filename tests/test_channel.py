@@ -76,9 +76,18 @@ class TestEntropyConversion:
         assert conditional_entropy_per_node(1.7, p) == pytest.approx(
             base + 1.7, abs=1e-12)
 
+    @pytest.mark.parametrize("p", [1e-6, 0.1, 0.3, 0.41, 0.45, 0.4999, 0.5])
+    def test_equals_the_closed_form(self, p):
+        # f - (1 - 2p)|h| differs from f - ((1 - 2p)/2) ln((1-p)/p) only by
+        # where an exact 1/2 is applied
+        f = 0.37
+        assert conditional_entropy_per_node(f, p) == (
+            f - ((1.0 - 2.0 * p) / 2.0) * math.log((1.0 - p) / p))
+
     @pytest.mark.parametrize("p", [0.0, 0.6])
     def test_domain(self, p):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=rf"^flip probability {p} "
+                           r"outside \(0, 1/2\]$"):
             conditional_entropy_per_node(0.1, p)
 
 

@@ -365,7 +365,8 @@ class TestExitCodes:
                      "--out-dir", str(tmp_path / "v")])
         assert code == 2
         err = capsys.readouterr().err
-        assert "polymer catalog exceeds 100 polymers" in err
+        assert err.startswith("loopexp: polymer catalog would need ")
+        assert err.endswith(" polymers, over the cap of 100\n")
 
     def test_odd_stub_total_is_precondition(self, tmp_path, capsys):
         code = main(["gen-graph", "-n", "7", "-d", "3",
@@ -545,8 +546,10 @@ class TestCorrectionDecay:
         refusals = [line for line in capsys.readouterr().out.splitlines()
                     if " refused " in line]
         assert len(refusals) == 1
-        assert refusals[0].startswith("model=cycle-code n=120 refused 2 of 2 "
-                                      "trials: elimination would build")
+        assert refusals[0] == ("model=cycle-code n=120 refused 2 of 2 "
+                               "trials: elimination table of 2^28 x 1 would "
+                               "need 268,435,456 entries, over the cap of "
+                               "16,777,216")
 
     def test_both_models(self, tmp_path):
         out = tmp_path / "decay.csv"
@@ -584,8 +587,10 @@ class TestExponentScan:
         (["--alpha-mid", "nan"], "alpha_i must exceed 1"),
         (["-d", "1"], "d must be at least 2 for a profile (x_2..x_d), got 1"),
         (["-d", "0"], "d must be at least 2 for a profile (x_2..x_d), got 0"),
+        (["-n", "-5", "--step", "0.1"],
+         "n=-5 too small: nd/2 does not cover the 2d^2 term"),
     ], ids=["h-nan", "h-negative", "alpha-d-nan", "alpha-mid-nan", "d-one",
-            "d-zero"])
+            "d-zero", "n-negative"])
     def test_bad_bound_scalar_is_precondition(self, tmp_path, capsys, flags,
                                               message):
         out = tmp_path / "surface.csv"
@@ -637,6 +642,21 @@ class TestExpanderCheck:
                 in capsys.readouterr().err)
         assert not out.exists()
 
+    @pytest.mark.parametrize("kappa", ["-1", "nan"])
+    def test_bad_kappa_refused_before_sampling(self, tmp_path, capsys,
+                                               monkeypatch, kappa):
+        def refuse(*args):
+            raise AssertionError("graph sampled before kappa was checked")
+
+        monkeypatch.setattr(cli, "sample_regular_graph", refuse)
+        out = tmp_path / "expander.csv"
+        code = main(["expander-check", "-n", "8", "--samples", "2",
+                     "--kappa", kappa, "-o", str(out)])
+        assert code == 2
+        assert (f"loopexp: kappa must be a number >= 0, got {float(kappa)}"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
     def test_exhaustive_scan_over_budget_is_precondition(self, tmp_path,
                                                         capsys):
         out = tmp_path / "expander.csv"
@@ -644,7 +664,8 @@ class TestExpanderCheck:
                      "--exhaustive-limit", "25", "--samples", "1",
                      "-o", str(out)])
         assert code == 2
-        assert "2^25 node sets" in capsys.readouterr().err
+        assert ("check over 25 nodes would need 33,554,432 node sets, over "
+                "the cap of 16,777,216") in capsys.readouterr().err
         assert not out.exists()
 
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from loopexp import _elim
+from loopexp import _elim, _layout
 from loopexp._elim import contract, plan_elimination
 from loopexp._layout import Rows
 from loopexp.channel import sample_bsc
@@ -65,11 +65,13 @@ class TestContract:
     def test_payload_over_budget_raises_before_allocating(self, monkeypatch,
                                                           k4):
         plan = plan_elimination(k4)
-        monkeypatch.setattr(_elim, "MAX_ENTRIES", 2 << plan.width)
+        monkeypatch.setattr(_layout, "MAX_ENTRIES", 2 << plan.width)
         values = np.zeros((len(k4.adjacency) * 8, 3))
         values[:, 0] = 1.0
         tables = Rows(values, np.arange(0, 33, 8))
-        with pytest.raises(BudgetError, match=rf"2\^{plan.width} x 3 "):
+        with pytest.raises(BudgetError, match=rf"2\^{plan.width} x 3 would "
+                           rf"need {3 << plan.width:,} entries, over the "
+                           rf"cap of {2 << plan.width:,}$"):
             contract(plan, tables)
         vals, log_scale = contract(plan, Rows(values[:, :2], tables.offsets))
         assert vals[0] * np.exp(log_scale) == pytest.approx(64.0)

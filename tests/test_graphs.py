@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import loopexp as lx
-from loopexp import cli, graphs
+from loopexp import _layout, cli, graphs
 from loopexp.exceptions import BudgetError, PairingError
 from loopexp.graphs import (CheckGraph, _grow_polymers, _near_short_cycles,
                             check_edge_expansion, edge_boundary,
@@ -257,7 +257,9 @@ class TestPolymerEnumeration:
         monkeypatch.setattr(graphs, "MAX_POLYMERS", size)
         assert len(enumerate_polymers(prism, 6)) == size
         monkeypatch.setattr(graphs, "MAX_POLYMERS", size - 1)
-        with pytest.raises(BudgetError, match=f"exceeds {size - 1:,}"):
+        with pytest.raises(BudgetError, match=(
+                f"polymer catalog would need {size:,} polymers, over the cap "
+                f"of {size - 1:,}$")):
             enumerate_polymers(prism, 6)
 
     def test_larger_host_against_brute(self):
@@ -402,7 +404,8 @@ class TestWideSlotMasks:
         assert_wide_enough(cat)
 
     def test_more_slots_refused(self):
-        with pytest.raises(BudgetError, match="node degree 65 exceeds"):
+        with pytest.raises(BudgetError, match="node slot mask would need 65 "
+                           "slot bits, over the cap of 64$"):
             enumerate_polymers(wheel(65), 3)
         # no support, no masks: the empty catalog is still built
         star = CheckGraph.from_edges(70, [(0, i) for i in range(1, 70)])
@@ -480,7 +483,8 @@ class TestShortCycleSearch:
         tracemalloc.start()
         try:
             with pytest.raises(BudgetError, match="short-cycle search for "
-                               "node cap 9 would hold 1,024,"):
+                               "node cap 9 would need 1,024,450,624 walks, "
+                               "over the cap of 16,777,216$"):
                 enumerate_polymers(g, 9)
             _, peak = tracemalloc.get_traced_memory()
         finally:
@@ -488,10 +492,11 @@ class TestShortCycleSearch:
         assert peak < 1 << 20
         # a cubic host at cap 8 holds 3 + 6 + 12 + 24 walks per source
         cubic = sample_regular_graph(100, 3, 1)
-        monkeypatch.setattr(graphs, "MAX_ENTRIES", 45)
+        monkeypatch.setattr(_layout, "MAX_ENTRIES", 45)
         want = _near_short_cycles(cubic.layout, 8)
-        monkeypatch.setattr(graphs, "MAX_ENTRIES", 44)
-        with pytest.raises(BudgetError, match="would hold 45 walks"):
+        monkeypatch.setattr(_layout, "MAX_ENTRIES", 44)
+        with pytest.raises(BudgetError, match="would need 45 walks, over the "
+                           "cap of 44$"):
             _near_short_cycles(cubic.layout, 8)
         assert want.tolist() == near_short_cycles(cubic, 8)
 
@@ -570,8 +575,8 @@ class TestLevelWalk:
         bound = budget * (8 + K + 34 * M + 4 * K * M + M * M)
         tracemalloc.start()
         try:
-            with pytest.raises(BudgetError,
-                               match="polymer catalog exceeds 1,000 "):
+            with pytest.raises(BudgetError, match="polymer catalog would "
+                               "need 1,315 polymers, over the cap of 1,000$"):
                 enumerate_polymers(g, g.n)
             _, peak = tracemalloc.get_traced_memory()
         finally:
@@ -584,7 +589,8 @@ class TestLevelWalk:
         monkeypatch.setattr(graphs, "MAX_POLYMERS", 2)
         assert len(enumerate_polymers(two_triangles, 6)) == 2
         monkeypatch.setattr(graphs, "MAX_POLYMERS", 1)
-        with pytest.raises(BudgetError, match="exceeds 1 polymers"):
+        with pytest.raises(BudgetError, match="polymer catalog would need 2 "
+                           "polymers, over the cap of 1$"):
             enumerate_polymers(two_triangles, 6)
 
     def test_one_debug_record_per_call(self, prism, caplog):
@@ -702,8 +708,9 @@ class TestSupportWalk:
         monkeypatch.setattr(graphs, "MAX_POLYMERS", 20_000)
         tracemalloc.start()
         try:
-            with pytest.raises(BudgetError,
-                               match="polymer catalog exceeds 20,000 "):
+            with pytest.raises(BudgetError, match="polymer catalog would "
+                               "need 20,018 polymers, over the cap of "
+                               "20,000$"):
                 enumerate_polymers(g, 39)
             _, peak = tracemalloc.get_traced_memory()
         finally:
@@ -716,18 +723,19 @@ class TestSupportWalk:
         # columns, 3,216 words
         g = CheckGraph.from_edges(200, [(i, (i + 1) % 200)
                                         for i in range(200)])
-        monkeypatch.setattr(graphs, "MAX_ENTRIES", 3_215)
+        monkeypatch.setattr(_layout, "MAX_ENTRIES", 3_215)
         tracemalloc.start()
         try:
-            with pytest.raises(BudgetError, match="region of 200 nodes "
-                               "would build a node table of 3,216 words"):
+            with pytest.raises(BudgetError, match="region of 200 nodes would "
+                               "need 3,216 node-table words, over the cap of "
+                               "3,215$"):
                 enumerate_polymers(g, 200)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 8 * 3_216
         # at the cap the walk runs: one support, grown over 200 levels
-        monkeypatch.setattr(graphs, "MAX_ENTRIES", 3_216)
+        monkeypatch.setattr(_layout, "MAX_ENTRIES", 3_216)
         assert len(enumerate_polymers(g, 200)) == 1
 
     def test_batches_leave_the_catalog_alone(self, monkeypatch):
@@ -822,6 +830,17 @@ class TestExpansion:
             check_edge_expansion(g, float("nan"))
 
     @pytest.mark.parametrize("n", [8, 200])
+    def test_negative_kappa_rejected(self, n):
+        # exhaustive (n = 8) and sampled (n = 200): every node set meets a
+        # negative kappa, so one once certified every graph; kappa = 0
+        # still runs
+        g = sample_regular_graph(n, 3, 1)
+        with pytest.raises(ValueError, match="kappa must be a number >= 0, "
+                           "got -1.0$"):
+            check_edge_expansion(g, -1.0)
+        assert check_edge_expansion(g, 0.0, num_samples=10).witness is None
+
+    @pytest.mark.parametrize("n", [8, 200])
     def test_subset_samples_below_one_rejected(self, n):
         g = sample_regular_graph(n, 3, 1)
         for num_samples in (0, -5):
@@ -843,7 +862,9 @@ class TestExpansion:
         g = sample_regular_graph(25, 4, 1)
         tracemalloc.start()
         try:
-            with pytest.raises(BudgetError, match=r"2\^25 node sets"):
+            with pytest.raises(BudgetError, match="check over 25 nodes would "
+                               "need 33,554,432 node sets, over the cap of "
+                               "16,777,216$"):
                 check_edge_expansion(g, 0.54, exhaustive_limit=25)
             _, peak = tracemalloc.get_traced_memory()
         finally:

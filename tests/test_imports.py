@@ -1,6 +1,8 @@
 """numpy is the package's only runtime dependency, a report does not load
-`numpy.ma`, and `python -m loopexp` runs the command line."""
+`numpy.ma`, `python -m loopexp` runs the command line, and every size
+refusal goes through the one budget rule of `_layout`."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -59,3 +61,35 @@ def test_module_runs_the_command_line():
         env={**os.environ, "PYTHONPATH": path})
     assert done.returncode == 0, done.stderr
     assert done.stdout.startswith("usage: loopexp ")
+
+
+def _name(node) -> str:
+    """The name a Name or an Attribute node reads, else ''."""
+    return getattr(node, "id", None) or getattr(node, "attr", "")
+
+
+def test_one_budget_rule():
+    # only _layout.check_budget raises BudgetError, and only _layout reads
+    # MAX_ENTRIES: a layer refuses a size by asking that rule, so a module
+    # added later cannot grow a refusal, a cap or a message of its own
+    raises, reads = [], []
+    for path in sorted((ROOT / "src" / "loopexp").glob("*.py")):
+        module = path.stem
+        tree = ast.parse(path.read_text(), filename=str(path))
+        # the function that holds each node ("" at module level)
+        owner = {}
+        for func in ast.walk(tree):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for node in ast.walk(func):
+                    owner[node] = func.name    # innermost last
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = getattr(node.exc, "func", node.exc)
+                if _name(exc) == "BudgetError":
+                    raises.append((module, owner.get(node, "")))
+            names = ([a.name for a in node.names]
+                     if isinstance(node, ast.ImportFrom) else [_name(node)])
+            if "MAX_ENTRIES" in names and module != "_layout":
+                reads.append((module, node.lineno))
+    assert set(raises) == {("_layout", "check_budget")}
+    assert reads == []

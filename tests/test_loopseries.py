@@ -18,7 +18,7 @@ from loopexp.channel import sample_bsc
 from loopexp.exceptions import BudgetError
 from loopexp.graphs import (CheckGraph, enumerate_polymers,
                             sample_regular_graph)
-from loopexp import loopseries
+from loopexp import _layout, loopseries
 from loopexp.loopseries import (ActivityTable, ExpansionReport,
                                 _by_support, _groups, _polynomials,
                                 _support_sums,
@@ -174,8 +174,10 @@ class TestBatchedTable:
         msgs = MessageSet.zeros(g)
         tracemalloc.start()
         try:
-            with pytest.raises(BudgetError,
-                               match=r"node degree 20 .*\(node 0\)"):
+            with pytest.raises(BudgetError, match=(
+                    r"node table of degree 20 \(node 0\) would need "
+                    r"20,971,520 entry passes, over the cap of "
+                    r"16,777,216$")):
                 ActivityTable(g, spec, msgs)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -370,7 +372,9 @@ class TestCorrectionScan:
                               MessageSet.zeros(k10))
         tracemalloc.start()
         try:
-            with pytest.raises(BudgetError, match="entries"):
+            with pytest.raises(BudgetError, match=(
+                    r"elimination table of 2\^28 x 1 would need 268,435,456 "
+                    r"entries, over the cap of 16,777,216$")):
                 scan_correction(k10, table)
             _, peak = tracemalloc.get_traced_memory()
         finally:
@@ -784,11 +788,13 @@ class TestHardCoreWalk:
             assert row[0] == 1.0 and len(row) >= (top or 0) + 1
         # the budget counts the recursion's comparisons exactly
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(loopseries, "MAX_ENTRIES", compared)
+            patch.setattr(_layout, "MAX_ENTRIES", compared)
             _polynomials(nodes, w, n, top)
             if compared:
-                patch.setattr(loopseries, "MAX_ENTRIES", compared - 1)
-                with pytest.raises(BudgetError, match="pair comparisons"):
+                patch.setattr(_layout, "MAX_ENTRIES", compared - 1)
+                with pytest.raises(BudgetError, match=(
+                        f"would need {compared:,} pair comparisons, over the "
+                        f"cap of {compared - 1:,}$")):
                     _polynomials(nodes, w, n, top)
 
     def test_batches_leave_the_sums_alone(self, monkeypatch):
@@ -824,11 +830,12 @@ class TestHardCoreWalk:
         nodes = np.stack([np.zeros(G, dtype=np.int64),
                           np.arange(1, G + 1)], axis=1)
         w = np.ones(G)
-        assert math.comb(G, 2) > loopseries.MAX_ENTRIES
+        assert math.comb(G, 2) > _layout.MAX_ENTRIES
         tracemalloc.start()
         try:
-            with pytest.raises(BudgetError, match="over 6,000 supports "
-                               "exceeds .* pair comparisons"):
+            with pytest.raises(BudgetError, match="hard-core walk over 6,000 "
+                               "supports would need 17,997,000 pair "
+                               "comparisons, over the cap of 16,777,216$"):
                 _polynomials(nodes, w, G + 1)
             _, peak = tracemalloc.get_traced_memory()
         finally:
@@ -857,13 +864,14 @@ class TestHardCoreWalk:
                  for j, mj in enumerate(masks)]
         first_two = math.comb(len(masks), 2) + sum(math.comb(k, 2)
                                                    for k in later)
-        monkeypatch.setattr(loopseries, "MAX_ENTRIES", first_two)
+        monkeypatch.setattr(_layout, "MAX_ENTRIES", first_two)
         vals = np.ones(len(cat))
         assert len(mayer_expansion(cat, vals, M_max=2).orders) == 2
         tracemalloc.start()
         try:
-            with pytest.raises(BudgetError, match="over 286 supports "
-                               f"exceeds {first_two:,} pair comparisons"):
+            with pytest.raises(BudgetError, match="over 286 supports would "
+                               "need [0-9,]+ pair comparisons, over the cap "
+                               f"of {first_two:,}$"):
                 z_corr_polymer_form(cat, vals)
             _, peak = tracemalloc.get_traced_memory()
         finally:
@@ -1040,7 +1048,9 @@ class TestExpansionReport:
         table = ActivityTable(g, spec, msgs)
         tracemalloc.start()
         try:
-            with pytest.raises(BudgetError, match=r"2\^20 x 31 "):
+            with pytest.raises(BudgetError, match=(
+                    r"elimination table of 2\^20 x 31 would need 32,505,856 "
+                    r"entries, over the cap of 16,777,216$")):
                 scan_correction(g, table)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
