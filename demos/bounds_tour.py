@@ -54,7 +54,8 @@ def containment_frequency():
     hits = 0
     for s in range(samples):
         g = sample_regular_graph(n, d, seed=[21, s])
-        hits += all((a, b) in g.edge_index for a, b in shape)
+        ends = set(map(tuple, g.layout.ends.tolist()))
+        hits += all(e in ends for e in shape)
     freq = hits / samples
     sigma = np.sqrt(freq * (1.0 - freq) / samples)
     bound = mackay_probability_bound(profile, n, d)

@@ -4,7 +4,7 @@ Both exact sums of the package, ln Z over edge spins and Z_corr over edge
 subsets, are the same tensor network: a binary variable x_e on every edge
 and, on every node a, a table T_a over a's incident edges.  A table is
 indexed by the local bitmask whose bit k is the variable of
-``graph.adjacency[a][k]``, the layout of ``ActivityTable.K``.  The network's
+``graph.layout.eid[a, k]``, the layout of ``ActivityTable.K``.  The network's
 value is
 
     sum over x in {0,1}^E of prod_a T_a(x restricted to a's edges),
@@ -84,11 +84,13 @@ def plan_elimination(graph: CheckGraph) -> EliminationPlan:
     before its order is complete."""
     # a table's axes run from the highest local bit to the lowest, so that
     # reshaping the flat bitmask table needs no transpose
-    scopes: list[tuple[int, ...]] = [tuple(reversed(adj))
-                                     for adj in graph.adjacency]
+    lay = graph.layout
+    scopes: list[tuple[int, ...]] = [
+        tuple(row[:k][::-1])
+        for row, k in zip(lay.eid.tolist(), lay.deg.tolist())]
     sets = [frozenset(sc) for sc in scopes]
     # the two tables that hold each edge: at first, those of its ends
-    holders: list[list[int]] = graph.layout.ends.tolist()
+    holders: list[list[int]] = lay.ends.tolist()
     size = [len(sets[a] | sets[b]) for a, b in holders]
     heap = [(s, e) for e, s in enumerate(size)]
     heapq.heapify(heap)

@@ -1,8 +1,8 @@
 """Per-node slot arrays shared by the node-local layers.
 
 Row a of each array describes node a's incident edges in ascending edge
-order (slot k is ``graph.adjacency[a][k]``, the bit k of every local
-bitmask); rows are padded to the largest degree.  They are the stored
+order (slot k is edge ``graph.layout.eid[a, k]``, the bit k of every
+local bitmask); rows are padded to the largest degree.  They are the stored
 form of a graph alone (``model`` binds a spec's fields to the slots):
 ``CheckGraph`` builds its layout once, from the validated endpoint array.
 BP gathers and scatters messages through them; the node tables of

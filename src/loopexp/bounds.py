@@ -10,6 +10,7 @@ are empirical configuration values, defaulting to 0.9, 1.2, and 1.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -72,6 +73,15 @@ def _check_measured_args(h: float, alpha_d: float, alpha_mid: float) -> None:
         raise ValueError("alpha_d must lie in (0, 1)")
 
 
+def _check_profile(profile: Sequence[int]) -> None:
+    """ValueError naming the first entry of a profile (n_2, ..., n_d) that
+    is not a nonnegative integer (a Python or numpy integer)."""
+    for i, n_i in enumerate(profile, start=2):
+        if not (isinstance(n_i, numbers.Integral) and n_i >= 0):
+            raise ValueError(f"profile entry n_{i}={n_i} is not a "
+                             f"nonnegative integer")
+
+
 def activity_bound(profile: Sequence[int], h: float,
                    alpha_d: float = ALPHA_D_DEFAULT,
                    alpha_mid: float = ALPHA_MID_DEFAULT,
@@ -80,6 +90,7 @@ def activity_bound(profile: Sequence[int], h: float,
 
     ``profile`` is (n_2, ..., n_d), so d = len(profile) + 1.
     """
+    _check_profile(profile)
     _check_measured_args(h, alpha_d, alpha_mid)
     logval = _log_activity_bounds(np.array([profile]), h, alpha_d,
                                   alpha_mid)
@@ -121,8 +132,8 @@ def expander_activity_bound(size: int, h: float) -> float:
     """(2h)^{0.18 |gamma|} for a polymer touching ``size`` nodes."""
     if not 0 < h <= 0.5:
         raise ValueError("h must lie in (0, 1/2]")
-    if size < 0:
-        raise ValueError("size must be nonnegative")
+    if not size >= 0:
+        raise ValueError(f"size must be nonnegative, got {size}")
     return (2.0 * h) ** (0.18 * size)
 
 
@@ -133,6 +144,7 @@ def mackay_probability_bound(profile: Sequence[int], n: int, d: int,
     prod_i [d]_i^{n_i} / (2^{s/2} [nd/2 - 2d^2]_{s/2}) with s = sum i*n_i and
     [m]_k the falling factorial.  Valid while s/2 + 2d^2 <= nd/2.
     """
+    _check_profile(profile)
     if len(profile) != d - 1:
         raise ValueError(f"profile must be (n_2..n_d), length {d - 1}")
     s = sum((idx + 2) * n_i for idx, n_i in enumerate(profile))
@@ -155,6 +167,7 @@ def subgraph_count_bound(profile: Sequence[int], n: int,
     n!/((n-N)! prod n_i!) * s!/((s/2)! 2^{s/2} prod (i!)^{n_i}) with
     N = sum n_i and s = sum i*n_i.  Not integral in general.
     """
+    _check_profile(profile)
     N = sum(profile)
     if N > n:
         raise ValueError(f"profile places {N} nodes on only {n}")
@@ -323,10 +336,15 @@ def tail_probability_bound(delta: float, h: float, d: int, n: int,
                            alpha_d: float = ALPHA_D_DEFAULT) -> float:
     """(C/delta) exp(-n alpha_d (d/2) h^2): Markov bound on the large-loop tail.
 
-    Often vacuous (>= 1) at desk scale; reported as computed.
+    Often vacuous (>= 1) at desk scale; reported as computed.  ValueError
+    unless delta > 0, C > 0, h >= 0 and n >= 1 (NaN refused).
     """
-    if delta <= 0 or C <= 0:
+    if not (delta > 0 and C > 0):
         raise ValueError("delta and C must be positive")
+    if not h >= 0:
+        raise ValueError(f"h must be nonnegative, got {h}")
+    if not n >= 1:
+        raise ValueError(f"n must be at least 1, got {n}")
     return (C / delta) * math.exp(-n * alpha_d * (d / 2.0) * h * h)
 
 

@@ -29,6 +29,7 @@ while the Bethe value and the activity tables take them.
 
 from __future__ import annotations
 
+import bisect
 import logging
 import math
 import time
@@ -340,29 +341,34 @@ def write_messages_csv(graph: CheckGraph, messages: MessageSet, path) -> None:
             "converged": int(messages.converged),
             "overflow": int(messages.overflow)}
     rows = []
-    for e, (u, v) in enumerate(graph.edges):
-        rows += [[u, v, float(messages.eta[e, 0])],
-                 [v, u, float(messages.eta[e, 1])]]
+    eta = _edge_messages(graph, messages.eta).tolist()
+    for (u, v), (fwd, back) in zip(graph.layout.ends.tolist(), eta):
+        rows += [[u, v, fwd], [v, u, back]]
     write_csv(path, meta, ["a", "b", "eta"], rows)
 
 
 def read_messages_csv(graph: CheckGraph, path) -> MessageSet:
-    """The messages written by :func:`write_messages_csv`.  Raises ValueError
-    without the header, or for an edge not in ``graph`` or a directed edge
-    repeated or missing."""
+    """The messages written by :func:`write_messages_csv`, rows in any
+    order; every value, NaN and +-inf included, reads back as written.
+    Raises ValueError without the header, or for an edge not in ``graph``
+    or a directed edge repeated or missing."""
     meta, rows = read_csv(path, ["a", "b", "eta"])
-    eta = np.full((graph.num_edges, 2), np.nan)
+    n, ends = graph.n, graph.layout.ends
+    keys = (ends[:, 0] * n + ends[:, 1]).tolist()    # sorted, as ends are
+    eta = np.zeros((len(keys), 2))
+    read = np.zeros((len(keys), 2), dtype=bool)
     for row in rows:
         a, b = int(row[0]), int(row[1])
-        key = (min(a, b), max(a, b))
-        if key not in graph.edge_index:
-            raise ValueError(f"{path}: edge {key} not present in the graph")
-        e = graph.edge_index[key]
+        u, v = min(a, b), max(a, b)
+        e = bisect.bisect_left(keys, u * n + v)
+        if not (0 <= u and v < n and e < len(keys) and keys[e] == u * n + v):
+            raise ValueError(f"{path}: edge {(u, v)} not present in the graph")
         direction = int(a > b)    # edge e is (min, max)
-        if not np.isnan(eta[e, direction]):
+        if read[e, direction]:
             raise ValueError(f"{path}: directed edge {a}->{b} repeated")
+        read[e, direction] = True
         eta[e, direction] = float(row[2])
-    if np.any(np.isnan(eta)):
+    if not read.all():
         raise ValueError(f"{path}: missing directed edges")
     return MessageSet(eta=eta, sweeps=int(float(meta.get("sweeps", 0))),
                       residual=float(meta.get("residual", math.inf)),

@@ -93,16 +93,29 @@ def write_channel_csv(real: ChannelRealization, path) -> None:
 
 def read_channel_csv(path) -> ChannelRealization:
     """The realization written by :func:`write_channel_csv`.  Raises
-    ValueError without the header or ``# p=``, or for edges out of order."""
+    ValueError without the header or ``# p=``, for a p that ``sample_bsc``
+    refuses, for edges out of order, and at the first edge whose sign is
+    not +-1 or whose h is not sign * |h(p)|, the value ``sample_bsc``
+    draws."""
     meta, rows = read_csv(path, ["edge", "sign", "h"])
     if "p" not in meta:
         raise ValueError(f"{path}: missing '# p=' header")
+    p = float(meta["p"])
+    _check_flip_probability(p)
+    magnitude = half_llr_magnitude(p)
     signs, h = [], []
     for idx, row in enumerate(rows):
         if int(row[0]) != idx:
             raise ValueError(f"{path}: edge indices out of order")
-        signs.append(float(row[1]))
-        h.append(float(row[2]))
+        sign, value = float(row[1]), float(row[2])
+        if sign not in (1.0, -1.0):
+            raise ValueError(f"{path}: edge {idx} has sign {row[1]}, "
+                             f"expected 1 or -1")
+        if value != sign * magnitude:
+            raise ValueError(f"{path}: edge {idx} has h={row[2]}, expected "
+                             f"{sign * magnitude!r} at p={p!r}")
+        signs.append(sign)
+        h.append(value)
     return ChannelRealization(
-        p=float(meta["p"]), h=np.array(h), signs=np.array(signs),
+        p=p, h=np.array(h), signs=np.array(signs),
         seed=int(meta["seed"]) if "seed" in meta else None)

@@ -59,11 +59,11 @@ class CheckGraph:
         sampled/loaded graphs, the max degree when ``from_edges`` infers it)
     layout : the ``Layout`` of the graph: endpoints ``ends`` (u < v, rows
         lexicographically sorted), degrees ``deg`` and the per-node slot
-        arrays, each node's edges in ascending order
+        arrays, each node's edges in ascending order: edge e is
+        ``ends[e]``, and node a's incident edges are ``eid[a, :deg[a]]``
 
-    ``edges``, ``adjacency`` and ``edge_index`` are tuple views of the
-    arrays for small-graph code, and ``elimination_plan`` the order of the
-    exact sums; each is built on first use.
+    ``elimination_plan``, the order of the exact sums, is built on first
+    use.
     """
 
     def __init__(self, n: int, d: int,
@@ -99,23 +99,6 @@ class CheckGraph:
     @property
     def num_edges(self) -> int:
         return len(self.layout.ends)
-
-    @cached_property
-    def edges(self) -> tuple[tuple[int, int], ...]:
-        """(u, v) pairs with u < v, lexicographically sorted."""
-        return tuple(map(tuple, self.layout.ends.tolist()))
-
-    @cached_property
-    def adjacency(self) -> tuple[tuple[int, ...], ...]:
-        """Per node, its incident edge indices, ascending: the slot order."""
-        lay = self.layout
-        return tuple(tuple(row[:k]) for row, k
-                     in zip(lay.eid.tolist(), lay.deg.tolist()))
-
-    @cached_property
-    def edge_index(self) -> dict[tuple[int, int], int]:
-        """Edge index of every (u, v) pair with u < v."""
-        return {uv: e for e, uv in enumerate(self.edges)}
 
     @cached_property
     def elimination_plan(self) -> EliminationPlan:

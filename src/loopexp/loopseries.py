@@ -69,7 +69,8 @@ class ActivityTable:
 
     The table is an immutable snapshot: perturbing messages means building a
     new table.  ``K[a]`` holds K_a(S) for every subset S of a's incident
-    edges, indexed by the local bitmask aligned with ``graph.adjacency[a]``.
+    edges, indexed by the local bitmask whose bit k is edge
+    ``graph.layout.eid[a, k]``.
 
     With incoming fields w_k = eta_{b_k->a} + h_k/2 and edge sums
     q_k = eta_{a->b_k} + eta_{b_k->a}, K_a(S) is the average under the

@@ -15,7 +15,9 @@ time and the depth-first hard-core recursion are kept here as the
 references for their batched, support-first, slot-major, per-support,
 hard-core-polynomial, level-walk, array, walk-table, merged-step and
 packed-word versions.
-Edge subsets are tuples of edge ids.
+Edge subsets are tuples of edge ids.  The oracles read a host's edges,
+incident edges and neighbours as Python tuples built by ``tuple_graph``
+from its edge list, with that constructor's own slot order.
 """
 
 import collections
@@ -122,10 +124,7 @@ def interleaved_hosts(draw, max_nodes=30, max_parts=5):
 def bfs_components(graph):
     """Connected components as sorted node lists, in order of smallest
     node, by a breadth-first search from each unseen node."""
-    nbrs = [[] for _ in range(graph.n)]
-    for u, v in graph.edges:
-        nbrs[u].append(v)
-        nbrs[v].append(u)
+    nbrs = tuples_of(graph).neighbors
     seen, comps = set(), []
     for start in range(graph.n):
         if start in seen:
@@ -171,10 +170,15 @@ def arbitrary_messages(draw, graph):
 # ----------------------------------------------------------------- oracles
 
 
+TupleGraph = collections.namedtuple("TupleGraph",
+                                    "edges adjacency neighbors edge_index")
+
+
 def tuple_graph(n, edges):
     """The Python constructor the graph's arrays replaced: canonical edges,
-    per-node incident edges and neighbours, and the edge index, with the
-    same ValueError for a self-loop, an out-of-range or a duplicate edge."""
+    per-node incident edges (the slot order) and neighbours, and the edge
+    index, with the same ValueError for a self-loop, an out-of-range or a
+    duplicate edge."""
     if n <= 0:
         raise ValueError("need at least one node")
     canon = []
@@ -195,9 +199,15 @@ def tuple_graph(n, edges):
         neighbors[u].append(v)
         adjacency[v].append(e)
         neighbors[v].append(u)
-    return (tuple(canon), tuple(tuple(a) for a in adjacency),
-            tuple(tuple(a) for a in neighbors),
-            {uv: e for e, uv in enumerate(canon)})
+    return TupleGraph(tuple(canon), tuple(tuple(a) for a in adjacency),
+                      tuple(tuple(a) for a in neighbors),
+                      {uv: e for e, uv in enumerate(canon)})
+
+
+def tuples_of(graph):
+    """``tuple_graph`` of ``graph``'s edges: the Python form of a host the
+    oracles read, with that constructor's own slot order."""
+    return tuple_graph(graph.n, graph.layout.ends.tolist())
 
 
 def set_sampler_edges(n, d, seed, max_tries=10_000):
@@ -217,28 +227,35 @@ def set_sampler_edges(n, d, seed, max_tries=10_000):
     raise AssertionError("no simple pairing")
 
 
+def node_factor(t_a, fields, local_spins):
+    """(1 + t_a prod_k sigma_k)/2 exp(sum_k h_k sigma_k / 2): a node's
+    factor at the spins of its edges, whose fields are ``fields``."""
+    prod = 1.0
+    expo = 0.0
+    for h, s in zip(fields, local_spins):
+        prod *= s
+        expo += 0.5 * h * s
+    return 0.5 * (1.0 + t_a * prod) * math.exp(expo)
+
+
 def factor_value(spec, graph, a, local_spins):
     """f_a evaluated on the spins of a's incident edges.
 
-    ``local_spins`` is aligned with ``graph.adjacency[a]``.  ValueError,
-    as from ``spec.parity_couplings``, unless ``spec`` fits ``graph``.
+    ``local_spins`` is aligned with ``tuples_of(graph).adjacency[a]``.
+    ValueError, as from ``spec.parity_couplings``, unless ``spec`` fits
+    ``graph``.
     """
-    eids = graph.adjacency[a]
+    eids = tuples_of(graph).adjacency[a]
     if len(local_spins) != len(eids):
         raise ValueError(f"node {a} has degree {len(eids)}")
     t = spec.parity_couplings(graph)[a]
-    prod = 1.0
-    expo = 0.0
-    for e, s in zip(eids, local_spins):
-        prod *= s
-        expo += 0.5 * spec.h[e] * s
-    return 0.5 * (1.0 + t * prod) * math.exp(expo)
+    return node_factor(t, [spec.h[e] for e in eids], local_spins)
 
 
 def perturbed(messages, a, b, delta, graph):
     """Copy of ``messages`` with eta_{a->b} shifted by delta; solver
     metadata cleared."""
-    e = graph.edge_index[(min(a, b), max(a, b))]
+    e = tuples_of(graph).edge_index[(min(a, b), max(a, b))]
     eta = messages.eta.copy()
     eta[e, int(a > b)] += delta
     return MessageSet(eta=eta)
@@ -246,12 +263,14 @@ def perturbed(messages, a, b, delta, graph):
 
 def brute_log_z(graph, spec):
     """ln Z via itertools over edge-spin tuples; no bit tricks, no chunking."""
+    adjacency = tuples_of(graph).adjacency
+    t = spec.parity_couplings(graph)
+    fields = [[spec.h[e] for e in eids] for eids in adjacency]
     total = 0.0
     for spins in itertools.product((1.0, -1.0), repeat=graph.num_edges):
         w = 1.0
-        for a in range(graph.n):
-            local = [spins[e] for e in graph.adjacency[a]]
-            w *= factor_value(spec, graph, a, local)
+        for a, eids in enumerate(adjacency):
+            w *= node_factor(t[a], fields[a], [spins[e] for e in eids])
         total += w
     if total <= 0.0:
         raise ValueError("partition function vanished")
@@ -262,11 +281,11 @@ def brute_log_z_log_domain(graph, spec):
     """ln Z as a log-sum-exp, over edge-spin tuples, of sum_a ln f_a: the
     oracle for fields whose weights overflow a float."""
     t = spec.parity_couplings(graph)
+    adjacency = tuples_of(graph).adjacency
     terms = []
     for spins in itertools.product((1.0, -1.0), repeat=graph.num_edges):
         total = 0.0
-        for a in range(graph.n):
-            eids = graph.adjacency[a]
+        for a, eids in enumerate(adjacency):
             parity = math.prod(spins[e] for e in eids)
             if 1.0 + t[a] * parity <= 0.0:
                 total = -math.inf
@@ -285,8 +304,9 @@ def single_variable_width(graph):
     hold it, one or two) is smallest, ties to the lowest edge index; the
     union less that edge becomes a new table.  A set per table, a scan
     over all edges per step."""
-    scopes = [set(adj) for adj in graph.adjacency]
-    holders = [list(uv) for uv in graph.edges]
+    edges, adjacency, _, _ = tuples_of(graph)
+    scopes = [set(adj) for adj in adjacency]
+    holders = [list(uv) for uv in edges]
     live = set(range(graph.num_edges))
     width = 0
     while live:
@@ -302,28 +322,26 @@ def single_variable_width(graph):
     return width
 
 
-def incoming(graph, eta, a, e):
-    """eta_{b->a} for edge e = (a, b): the message toward node a."""
-    u, v = graph.edges[e]
+def incoming(tg, eta, a, e):
+    """eta_{b->a} for edge e = (a, b) of the ``tuple_graph`` ``tg``: the
+    message toward node a."""
+    u, v = tg.edges[e]
     return eta[e, 1] if a == u else eta[e, 0]
-
-
-def outgoing(graph, eta, a, e):
-    """eta_{a->b} for edge e = (a, b): the message away from node a."""
-    u, v = graph.edges[e]
-    return eta[e, 0] if a == u else eta[e, 1]
 
 
 def brute_node_activity(graph, spec, eta, a, edges_in_set):
     """K_a by direct summation over the 2^deg local spin assignments."""
-    eids = graph.adjacency[a]
+    tg = tuples_of(graph)
+    eids = tg.adjacency[a]
+    t = spec.parity_couplings(graph)[a]
+    fields = [spec.h[e] for e in eids]
     sset = set(edges_in_set)
     num = 0.0
     den = 0.0
     for spins in itertools.product((1.0, -1.0), repeat=len(eids)):
-        w = factor_value(spec, graph, a, spins)
+        w = node_factor(t, fields, spins)
         for e, s in zip(eids, spins):
-            w *= math.exp(incoming(graph, eta, a, e) * s)
+            w *= math.exp(incoming(tg, eta, a, e) * s)
         den += w
         term = w
         for e, s in zip(eids, spins):
@@ -337,12 +355,13 @@ def brute_node_activity(graph, spec, eta, a, edges_in_set):
 def brute_correction(graph, spec, eta):
     """Sum over all 2^|E| edge subsets of prod_a K_a, via the brute K_a."""
     E = graph.num_edges
+    adjacency = tuples_of(graph).adjacency
     total = 0.0
     for mask in range(1 << E):
         chosen = [e for e in range(E) if mask >> e & 1]
         term = 1.0
         for a in range(graph.n):
-            local = [e for e in chosen if e in graph.adjacency[a]]
+            local = [e for e in chosen if e in adjacency[a]]
             if local:
                 term *= brute_node_activity(graph, spec, eta, a, local)
         total += term
@@ -356,6 +375,7 @@ def brute_scan(graph, spec, eta):
     the tail when it touches at least n/2 nodes.
     """
     E = graph.num_edges
+    adjacency = tuples_of(graph).adjacency
     z_loops = tail_abs = max_nonloop_abs = 0.0
     for mask in range(1 << E):
         chosen = [e for e in range(E) if mask >> e & 1]
@@ -363,7 +383,7 @@ def brute_scan(graph, spec, eta):
         touched = 0
         degree_one = False
         for a in range(graph.n):
-            local = [e for e in chosen if e in graph.adjacency[a]]
+            local = [e for e in chosen if e in adjacency[a]]
             if local:
                 term *= brute_node_activity(graph, spec, eta, a, local)
                 touched += 1
@@ -377,18 +397,20 @@ def brute_scan(graph, spec, eta):
     return z_loops, tail_abs, max_nonloop_abs
 
 
-def induced_degrees(graph, edges):
-    """Touched node -> number of the given edge ids that meet it."""
+def induced_degrees(tg, edges):
+    """Touched node -> number of the given edge ids of the ``tuple_graph``
+    ``tg`` that meet it."""
     deg = {}
     for e in edges:
-        for a in graph.edges[e]:
+        for a in tg.edges[e]:
             deg[a] = deg.get(a, 0) + 1
     return deg
 
 
-def local_mask(graph, a, edges):
-    """Node a's local bitmask of the given edge ids: bit k for slot k."""
-    return sum(1 << k for k, e in enumerate(graph.adjacency[a]) if e in edges)
+def local_mask(tg, a, edges):
+    """Node a's local bitmask of the given edge ids: bit k for slot k of the
+    ``tuple_graph`` ``tg``."""
+    return sum(1 << k for k, e in enumerate(tg.adjacency[a]) if e in edges)
 
 
 def loop_log_activity_bound(profile, h, alpha_d, alpha_mid):
@@ -425,10 +447,11 @@ def loop_bound_violations(catalog, activities, h, alpha_d, alpha_mid,
 def loop_profile_tally(host):
     """Nonempty loop subsets of ``host`` (no node of induced degree one),
     counted per tail profile (n_2, ..., n_d) over all edge combinations."""
+    tg = tuples_of(host)
     tally = {}
     for r in range(1, host.num_edges + 1):
         for edges in itertools.combinations(range(host.num_edges), r):
-            degs = list(induced_degrees(host, edges).values())
+            degs = list(induced_degrees(tg, edges).values())
             if 1 in degs:
                 continue
             prof = tuple(degs.count(k) for k in range(2, host.d + 1))
@@ -439,18 +462,19 @@ def loop_profile_tally(host):
 def brute_polymers(graph, node_cap):
     """All connected min-degree-2 edge subsets touching 3..node_cap nodes."""
     E = graph.num_edges
+    tg = tuples_of(graph)
     out = set()
     for mask in range(1, 1 << E):
         edges = [e for e in range(E) if mask >> e & 1]
-        deg = induced_degrees(graph, edges)
+        deg = induced_degrees(tg, edges)
         if min(deg.values()) < 2 or len(deg) > node_cap:
             continue
-        reach, left = set(graph.edges[edges[0]]), edges[1:]
+        reach, left = set(tg.edges[edges[0]]), edges[1:]
         while left:
-            joined = [e for e in left if reach & set(graph.edges[e])]
+            joined = [e for e in left if reach & set(tg.edges[e])]
             if not joined:
                 break
-            reach.update(a for e in joined for a in graph.edges[e])
+            reach.update(a for e in joined for a in tg.edges[e])
             left = [e for e in left if e not in joined]
         if not left:
             out.add(frozenset(edges))
@@ -574,10 +598,10 @@ def dense_mayer_orders(catalog, activities, M_max):
 def loop_bethe_node_term(graph, spec, eta):
     """Bethe node term, one node at a time in node order."""
     t = spec.parity_couplings(graph)
+    tg = tuples_of(graph)
     node_term = 0.0
-    for a in range(graph.n):
-        eids = graph.adjacency[a]
-        w = np.array([incoming(graph, eta, a, e) + 0.5 * spec.h[e]
+    for a, eids in enumerate(tg.adjacency):
+        w = np.array([incoming(tg, eta, a, e) + 0.5 * spec.h[e]
                       for e in eids])
         bits = (np.arange(1 << len(eids))[:, None] >> np.arange(len(eids))) & 1
         S = 1.0 - 2.0 * bits
@@ -592,9 +616,10 @@ def loop_bethe_node_term(graph, spec, eta):
 def loop_node_table(graph, spec, eta, a):
     """K_a(S) for every local bitmask S, one subset at a time."""
     t = spec.parity_couplings(graph)[a]
-    eids = graph.adjacency[a]
+    tg = tuples_of(graph)
+    eids = tg.adjacency[a]
     deg = len(eids)
-    w = np.array([incoming(graph, eta, a, e) + 0.5 * spec.h[e]
+    w = np.array([incoming(tg, eta, a, e) + 0.5 * spec.h[e]
                   for e in eids])
     q = np.array([eta[e, 0] + eta[e, 1] for e in eids])
     bits = (np.arange(1 << deg)[:, None] >> np.arange(deg)) & 1
@@ -620,12 +645,13 @@ def one_subset_activity(graph, spec, eta, a, mask):
     """K_a of the one local bitmask ``mask``, summed over the 2^deg local
     configurations slot by slot, so no 2^deg x deg spin matrix is built."""
     t = spec.parity_couplings(graph)[a]
-    eids = graph.adjacency[a]
+    tg = tuples_of(graph)
+    eids = tg.adjacency[a]
     configs = np.arange(1 << len(eids))
     expo, parity, term = np.zeros(len(configs)), 1.0, 1.0
     for k, e in enumerate(eids):
         sigma = 1.0 - 2.0 * (configs >> k & 1)
-        expo += sigma * (incoming(graph, eta, a, e) + 0.5 * spec.h[e])
+        expo += sigma * (incoming(tg, eta, a, e) + 0.5 * spec.h[e])
         parity = parity * sigma
         if mask >> k & 1:
             term = term * sigma * np.exp(-sigma * (eta[e, 0] + eta[e, 1]))
@@ -635,13 +661,13 @@ def one_subset_activity(graph, spec, eta, a, mask):
 
 def loop_polymer_activities(table, catalog):
     """K(gamma) per polymer: one local mask per (polymer, touched node)."""
-    graph = table.graph
+    tg = tuples_of(table.graph)
     out = []
     for row in catalog.edges:
         edges = row.tolist()
         value = 1.0
-        for a in sorted(induced_degrees(graph, edges)):
-            value *= table.K[a][local_mask(graph, a, edges)]
+        for a in sorted(induced_degrees(tg, edges)):
+            value *= table.K[a][local_mask(tg, a, edges)]
         out.append(value)
     return np.array(out)
 
@@ -668,7 +694,8 @@ def assert_catalog_is(catalog, polymers):
     assert catalog.edges.values.dtype == catalog.profiles.dtype == np.int64
     assert catalog.profiles.shape == (len(polymers), max(graph.d - 1, 0))
     assert [tuple(row.tolist()) for row in catalog.edges] == list(polymers)
-    degs = [induced_degrees(graph, p) for p in polymers]
+    tg = tuples_of(graph)
+    degs = [induced_degrees(tg, p) for p in polymers]
     masks = tuple(sum(1 << a for a in deg) for deg in degs)
     assert node_masks(catalog) == masks
     assert catalog.profiles.tolist() == [
@@ -690,11 +717,12 @@ def support_arrays(graph, masks, polymers):
     distinct masks ascending, each polymer's index among them, their
     nodes padded with n, and each polymer's ``local_mask`` at those nodes,
     0 where padded."""
+    tg = tuples_of(graph)
     distinct = tuple(sorted(set(masks)))
     nodes = [_bits_of(m) for m in distinct]
     K = max(map(len, nodes), default=0)
     support = [distinct.index(m) for m in masks]
-    slots = [[local_mask(graph, a, p) for a in nodes[s]]
+    slots = [[local_mask(tg, a, p) for a in nodes[s]]
              + [0] * (K - len(nodes[s])) for s, p in zip(support, polymers)]
     return (distinct, np.array(support, dtype=np.int64),
             np.array([v + [graph.n] * (K - len(v)) for v in nodes],
@@ -734,31 +762,26 @@ def left_out(ids, polymer):
 def in_catalog_order(graph, polymers):
     """``polymers`` (edge-id tuples) in catalog order: by node mask
     ascending, then by ``left_out`` on their node set."""
+    tg = tuples_of(graph)
+
     def key(p):
-        nodes = set(induced_degrees(graph, p))
-        ids = [e for e, (u, v) in enumerate(graph.edges)
+        nodes = set(induced_degrees(tg, p))
+        ids = [e for e, (u, v) in enumerate(tg.edges)
                if u in nodes and v in nodes]
         return sum(1 << a for a in nodes), left_out(ids, p)
 
     return sorted(polymers, key=key)
 
 
-def neighbour_lists(graph):
-    """Per node, its neighbours, from the edge tuples."""
-    nbrs = [[] for _ in range(graph.n)]
-    for u, v in graph.edges:
-        nbrs[u].append(v)
-        nbrs[v].append(u)
-    return nbrs
-
-
-def shortest_cycle_through(graph, nbrs, x):
-    """Length of the shortest cycle through node x, or None.
+def shortest_cycle_through(tg, x):
+    """Length of the shortest cycle through node x of the ``tuple_graph``
+    ``tg``, or None.
 
     A BFS from x labels every node with the branch (neighbour of x) it was
     reached through; the shortest cycle is the least dist(u) + dist(v) + 1
     over the edges (u, v) away from x that join two branches.
     """
+    nbrs = tg.neighbors
     dist, branch = {x: 0}, {}
     queue = collections.deque()
     for b in nbrs[x]:
@@ -770,7 +793,7 @@ def shortest_cycle_through(graph, nbrs, x):
             if b not in dist:
                 dist[b], branch[b] = dist[a] + 1, branch[a]
                 queue.append(b)
-    lengths = [dist[u] + dist[v] + 1 for u, v in graph.edges
+    lengths = [dist[u] + dist[v] + 1 for u, v in tg.edges
                if u in branch and v in branch and branch[u] != branch[v]]
     return min(lengths, default=None)
 
@@ -780,10 +803,10 @@ def near_short_cycles(graph, c, through=None):
     length <= c, ascending: the region of a capped catalog, node by node.
     ``through`` may hold every node's ``shortest_cycle_through``, for
     reuse."""
-    nbrs = neighbour_lists(graph)
+    tg = tuples_of(graph)
+    nbrs = tg.neighbors
     if through is None:
-        through = [shortest_cycle_through(graph, nbrs, x)
-                   for x in range(graph.n)]
+        through = [shortest_cycle_through(tg, x) for x in range(graph.n)]
     marked = {x for x, length in enumerate(through)
               if length is not None and length <= c}
     for _ in range((c - 5) // 2):
@@ -800,9 +823,9 @@ def global_polymers(graph, node_cap, max_polymers=200_000):
     an exclusive-neighbourhood extension list; no locality pruning.
     """
     E = graph.num_edges
+    tg = tuples_of(graph)
     line_adj = [set() for _ in range(E)]
-    for a in range(graph.n):
-        inc = graph.adjacency[a]
+    for inc in tg.adjacency:
         for i, e in enumerate(inc):
             for f in inc[i + 1:]:
                 line_adj[e].add(f)
@@ -817,7 +840,7 @@ def global_polymers(graph, node_cap, max_polymers=200_000):
                     f"polymer catalog exceeds max_polymers={max_polymers}")
             polymers.append(tuple(e for e in range(E) if mask >> e & 1))
         for i, w in enumerate(ext):
-            u, v = graph.edges[w]
+            u, v = tg.edges[w]
             grown = (u not in node_deg) + (v not in node_deg)
             if len(node_deg) + grown > node_cap:
                 continue
@@ -830,7 +853,7 @@ def global_polymers(graph, node_cap, max_polymers=200_000):
 
     if node_cap >= 2:
         for anchor in range(E):
-            u, v = graph.edges[anchor]
+            u, v = tg.edges[anchor]
             ext0 = [f for f in line_adj[anchor] if f > anchor]
             extend(1 << anchor, {u: 1, v: 1}, ext0, {anchor} | set(ext0),
                    anchor)
@@ -986,18 +1009,21 @@ def removal_walk_catalog(graph, node_cap):
 
 def ratio_message_update(graph, spec, eta, a, c):
     """One message a->c as atanh of the cavity ratio of sums."""
-    eids = graph.adjacency[a]
-    e_ac = graph.edge_index[(min(a, c), max(a, c))]
+    tg = tuples_of(graph)
+    eids = tg.adjacency[a]
+    e_ac = tg.edge_index[(min(a, c), max(a, c))]
+    t = spec.parity_couplings(graph)[a]
+    fields = [spec.h[e] for e in eids]
     num = 0.0
     den = 0.0
     for spins in itertools.product((1.0, -1.0), repeat=len(eids)):
-        w = factor_value(spec, graph, a, spins)
+        w = node_factor(t, fields, spins)
         s_ac = None
         for e, s in zip(eids, spins):
             if e == e_ac:
                 s_ac = s
             else:
-                w *= math.exp(incoming(graph, eta, a, e) * s)
+                w *= math.exp(incoming(tg, eta, a, e) * s)
         num += s_ac * w
         den += w
     return math.atanh(num / den)
@@ -1067,34 +1093,16 @@ def _bits_of(mask):
     return out
 
 
-def _touched_pairs(catalog, lo, hi):
-    """The (polymer, touched node) pairs of polymers lo..hi-1, as keys
-    polymer * n + node, ascending, and per pair the local bitmask of the
-    polymer's member edges at that node, from the catalog's edge rows.
-
-    Each end of a member edge is one key with its slot appended, so one
-    sort groups them; the slot bits of a pair are distinct, so their sum
-    is their OR.
-    """
-    lay = catalog.host.layout
-    off = catalog.edges.offsets
-    edges = catalog.edges.values[off[lo]:off[hi]]
-    owner = np.repeat(np.arange(lo, hi), np.diff(off[lo:hi + 1]))
-    width = (lay.dmax - 1).bit_length()    # bits of a slot index
-    tagged = np.sort((owner[:, None] * catalog.host.n + lay.ends[edges])
-                     << width | lay.slot[edges], axis=None)
-    keys = tagged >> width
-    first = np.flatnonzero(np.diff(keys, prepend=-1))
-    bits = 1 << (tagged & ((1 << width) - 1))
-    return keys[first], np.add.reduceat(bits, first)
-
-
 def pair_criterion(catalog, activities):
     """The convergence criterion summed over (polymer, touched node) pairs:
-    e^{|gamma|} |K(gamma)| added to the node of every pair."""
+    e^{|gamma|} |K(gamma)| added to the node of every pair.  The pairs are
+    the distinct keys polymer * n + node over both ends of every member
+    edge, from the catalog's edge rows."""
     weighted = np.abs(activities) * np.exp(catalog.profiles.sum(axis=1))
     n = catalog.host.n
-    pairs, _ = _touched_pairs(catalog, 0, len(catalog))
+    owner = np.repeat(np.arange(len(catalog)), np.diff(catalog.edges.offsets))
+    pairs = np.unique(owner[:, None] * n
+                      + catalog.host.layout.ends[catalog.edges.values])
     return float(np.max(np.bincount(pairs % n, weighted[pairs // n],
                                     minlength=n)))
 
@@ -1103,11 +1111,12 @@ def sampled_expansion(graph, kappa, num_samples, seed):
     """(is_expander, witness, subsets_checked) of the sampled edge-expansion
     check, one random node set and one boundary count at a time."""
     half = graph.n // 2
+    edges = tuples_of(graph).edges
     rng = np.random.default_rng(seed)
     for k in range(num_samples):
         size = int(rng.integers(1, half + 1))
         nodes = set(rng.choice(graph.n, size=size, replace=False).tolist())
-        boundary = sum((u in nodes) != (v in nodes) for u, v in graph.edges)
+        boundary = sum((u in nodes) != (v in nodes) for u, v in edges)
         if boundary < kappa * size:
             return False, tuple(sorted(nodes)), k + 1
     return None, None, num_samples

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -23,7 +24,7 @@ from loopexp.loopseries import ActivityTable
 from loopexp.model import FactorSpec
 
 from conftest import (loop_bound_violations, loop_log_activity_bound,
-                      loop_profile_tally, small_hosts)
+                      loop_profile_tally, small_hosts, tuples_of)
 
 
 class TestActivityBound:
@@ -92,6 +93,23 @@ def test_one_rule_refuses_the_bound_scalars(k4, monkeypatch, h, alpha_d,
             call()
 
 
+@pytest.mark.parametrize("profile, message", [
+    ((-1, 0), "n_2=-1 "),
+    ((1.5, 0), "n_2=1.5 "),
+    ((0, math.nan), "n_3=nan "),
+    ((3, 2.0), "n_3=2.0 "),
+    ((np.int64(3), -2), "n_3=-2 "),
+], ids=["negative", "fraction", "nan", "integral-float", "numpy-then-negative"])
+def test_one_rule_refuses_a_bad_profile(profile, message):
+    # where math once raised a bare domain error or returned a number
+    for call in (lambda: activity_bound(profile, 0.1),
+                 lambda: mackay_probability_bound(profile, 20, 3),
+                 lambda: subgraph_count_bound(profile, 10)):
+        with pytest.raises(ValueError, match=re.escape(
+                f"profile entry {message}is not a nonnegative integer")):
+            call()
+
+
 class TestBoundArrays:
     """The batched log bound against the scalar bound, row by row."""
 
@@ -147,6 +165,9 @@ class TestExpanderActivityBound:
             expander_activity_bound(5, 0.6)
         with pytest.raises(ValueError):
             expander_activity_bound(-1, 0.2)
+        with pytest.raises(ValueError, match="size must be nonnegative, "
+                           "got nan"):
+            expander_activity_bound(math.nan, 0.1)
 
 
 class TestMackayBound:
@@ -179,8 +200,8 @@ class TestMackayBound:
         need = [(0, 1), (1, 2), (0, 2)]
         hits = 0
         for seed in range(trials):
-            g = sample_regular_graph(n, 3, seed)
-            hits += all(e in g.edge_index for e in need)
+            index = tuples_of(sample_regular_graph(n, 3, seed)).edge_index
+            hits += all(e in index for e in need)
         freq = hits / trials
         sigma = math.sqrt(max(freq * (1 - freq), 1e-9) / trials)
         bound = mackay_probability_bound((3, 0), n, 3)
@@ -381,6 +402,16 @@ class TestTailProbabilityBound:
             tail_probability_bound(0.0, 0.05, 3, 10)
         with pytest.raises(ValueError):
             tail_probability_bound(0.01, 0.05, 3, 10, C=0.0)
+        for args, kwargs, message in [
+                ((math.nan, 0.05, 3, 10), {}, "delta and C must be positive"),
+                ((0.01, 0.05, 3, 10), {"C": math.nan},
+                 "delta and C must be positive"),
+                ((0.01, math.nan, 3, 10), {}, "h must be nonnegative, got nan"),
+                ((0.01, -0.05, 3, 10), {}, "h must be nonnegative, got -0.05"),
+                ((0.01, 0.05, 3, -10), {}, "n must be at least 1, got -10"),
+                ((0.01, 0.05, 3, 0), {}, "n must be at least 1, got 0")]:
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                tail_probability_bound(*args, **kwargs)
 
 
 class TestActivityBoundViolations:

@@ -21,7 +21,7 @@ from loopexp.model import FactorSpec, exact_log_partition
 from conftest import (arbitrary_messages, factor_specs,
                       loop_bethe_node_term, loop_raw_sweep, loop_solve,
                       mixed_host, perturbed, ratio_message_update,
-                      small_hosts)
+                      small_hosts, tuples_of)
 
 
 def spec_for(kind, h, eps=0.1, J=0.05):
@@ -64,7 +64,7 @@ class TestSweep:
         spec = spec_for(kind, h)
         msgs = MessageSet(eta=rng.normal(0.0, 0.6, (prism.num_edges, 2)))
         out = bp_sweep(prism, spec, msgs)
-        for e, (u, v) in enumerate(prism.edges):
+        for e, (u, v) in enumerate(tuples_of(prism).edges):
             want_uv = ratio_message_update(prism, spec, msgs.eta, u, v)
             want_vu = ratio_message_update(prism, spec, msgs.eta, v, u)
             assert out.eta[e, 0] == pytest.approx(want_uv, abs=1e-12)
@@ -81,7 +81,7 @@ class TestSweep:
             spec = FactorSpec.cycle_code(h)
             msgs = MessageSet(eta=rng.normal(0.0, 0.5, (g.num_edges, 2)))
             out = bp_sweep(g, spec, msgs)
-            for e, (u, v) in enumerate(g.edges):
+            for e, (u, v) in enumerate(tuples_of(g).edges):
                 want = ratio_message_update(g, spec, msgs.eta, u, v)
                 assert out.eta[e, 0] == pytest.approx(want, abs=1e-12)
             del g, out
@@ -416,11 +416,13 @@ class TestBetheValue:
         base = bethe_log_partition(prism, spec, msgs).total
 
         perm = [3, 5, 0, 2, 4, 1]
-        edges2 = [tuple(sorted((perm[u], perm[v]))) for u, v in prism.edges]
+        edges = tuples_of(prism).edges
+        edges2 = [tuple(sorted((perm[u], perm[v]))) for u, v in edges]
         g2 = CheckGraph(6, 3, edges2)
+        index2 = tuples_of(g2).edge_index
         h2 = np.empty(9)
-        for e, (u, v) in enumerate(prism.edges):
-            h2[g2.edge_index[tuple(sorted((perm[u], perm[v])))]] = real.h[e]
+        for e, uv in enumerate(edges2):
+            h2[index2[uv]] = real.h[e]
         spec2 = FactorSpec.cycle_code(h2)
         msgs2 = solve_fixed_point(g2, spec2)
         assert bethe_log_partition(g2, spec2, msgs2).total == pytest.approx(
@@ -482,7 +484,8 @@ class TestBatchedBethe:
         # lowest of them has the highest degree, so its class comes last
         g = mixed_host()
         eta = np.zeros((g.num_edges, 2))
-        eta[[g.edge_index[(2, 3)], g.edge_index[(4, 5)]]] = np.nan
+        index = tuples_of(g).edge_index
+        eta[[index[(2, 3)], index[(4, 5)]]] = np.nan
         spec = FactorSpec.cycle_code(np.zeros(g.num_edges))
         with pytest.raises(ValueError, match="vanished at node 2$"):
             loop_bethe_node_term(g, spec, eta)
@@ -492,16 +495,37 @@ class TestBatchedBethe:
 
 class TestMessageCSV:
     def test_round_trip(self, tmp_path, prism):
-        real = sample_bsc(prism, 0.45, 4)
-        spec = FactorSpec.cycle_code(real.h)
-        msgs = solve_fixed_point(prism, spec)
+        # the mixed host is irregular and has an isolated node; its rows
+        # read back in any order
         path = tmp_path / "messages.csv"
-        write_messages_csv(prism, msgs, path)
-        back = read_messages_csv(prism, path)
-        assert np.array_equal(back.eta, msgs.eta)
-        assert back.converged == msgs.converged
-        assert back.sweeps == msgs.sweeps
-        assert back.residual == msgs.residual
+        for g in (prism, mixed_host()):
+            real = sample_bsc(g, 0.45, 4)
+            spec = FactorSpec.cycle_code(real.h)
+            msgs = solve_fixed_point(g, spec)
+            write_messages_csv(g, msgs, path)
+            back = read_messages_csv(g, path)
+            assert np.array_equal(back.eta, msgs.eta)
+            assert back.converged == msgs.converged
+            assert back.sweeps == msgs.sweeps
+            assert back.residual == msgs.residual
+            lines = path.read_text().splitlines()
+            head = lines.index("a,b,eta") + 1
+            rows = lines[head:]
+            np.random.default_rng(5).shuffle(rows)
+            path.write_text("\n".join(lines[:head] + rows) + "\n")
+            assert np.array_equal(read_messages_csv(g, path).eta, msgs.eta)
+
+    def test_every_value_round_trips(self, tmp_path):
+        # which edges were read is kept apart from their values, so NaN
+        # is a value like any other
+        g = mixed_host()
+        eta = np.array([[np.nan, np.inf], [-np.inf, -0.0], [5e-324, 1.5],
+                        [np.nan, np.nan], [0.25, -2.0]])
+        path = tmp_path / "messages.csv"
+        write_messages_csv(g, MessageSet(eta=eta), path)
+        back = read_messages_csv(g, path).eta
+        assert np.array_equal(back, eta, equal_nan=True)
+        assert np.array_equal(np.signbit(back), np.signbit(eta))
 
     def test_missing_edge_rejected(self, tmp_path, prism, k4):
         msgs = solve_fixed_point(
@@ -510,6 +534,22 @@ class TestMessageCSV:
         write_messages_csv(k4, msgs, path)
         with pytest.raises(ValueError):
             read_messages_csv(prism, path)
+        # on the mixed host: an edge at its isolated node, a self-loop,
+        # an end out of range whose key u n + v is that of edge (0, 1),
+        # and a row left out
+        g = mixed_host()
+        write_messages_csv(g, MessageSet.zeros(g), path)
+        lines = path.read_text().splitlines()
+        for row, message in [("4,6,0.0", r"edge \(4, 6\) not present"),
+                             ("6,6,0.0", r"edge \(6, 6\) not present"),
+                             ("8,-1,0.0", r"edge \(-1, 8\) not present"),
+                             ("0,7,0.0", r"edge \(0, 7\) not present")]:
+            path.write_text("\n".join(lines + [row]) + "\n")
+            with pytest.raises(ValueError, match=message):
+                read_messages_csv(g, path)
+        path.write_text("\n".join(lines[:-1]) + "\n")
+        with pytest.raises(ValueError, match="missing directed edges$"):
+            read_messages_csv(g, path)
 
     def test_no_header_row_rejected(self, tmp_path, k4):
         path = tmp_path / "messages.csv"
@@ -533,3 +573,18 @@ class TestMessageCSV:
             fh.write("0,1,9.9\n")
         with pytest.raises(ValueError, match="0->1 repeated"):
             read_messages_csv(k4, path)
+        # a repeat is refused whatever the first value, NaN included, and
+        # on the mixed host too
+        g = mixed_host()
+        eta = np.zeros((g.num_edges, 2))
+        eta[0, 0] = np.nan
+        write_messages_csv(g, MessageSet(eta=eta), path)
+        with open(path, "a") as fh:
+            fh.write("0,1,0.7\n")
+        with pytest.raises(ValueError, match="0->1 repeated$"):
+            read_messages_csv(g, path)
+        write_messages_csv(g, MessageSet.zeros(g), path)
+        with open(path, "a") as fh:
+            fh.write("5,4,0.7\n")
+        with pytest.raises(ValueError, match="5->4 repeated$"):
+            read_messages_csv(g, path)

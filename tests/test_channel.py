@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -93,14 +94,39 @@ class TestEntropyConversion:
 
 class TestChannelCSV:
     def test_round_trip(self, tmp_path, prism):
-        real = sample_bsc(prism, 0.45, 123)
         path = tmp_path / "chan.csv"
-        write_channel_csv(real, path)
-        back = read_channel_csv(path)
-        assert back.p == real.p
-        assert back.seed == real.seed
-        assert np.array_equal(back.signs, real.signs)
-        assert np.array_equal(back.h, real.h)
+        for p in (0.45, 1e-6, 0.01, 0.1, 0.3, 0.5):
+            real = sample_bsc(prism, p, 123)
+            write_channel_csv(real, path)
+            back = read_channel_csv(path)
+            assert back.p == real.p
+            assert back.seed == real.seed
+            assert back.signs.tobytes() == real.signs.tobytes()
+            assert back.h.tobytes() == real.h.tobytes()
+
+    @pytest.mark.parametrize("p", ["1e-09", "0.7", "nan"])
+    def test_p_outside_the_sampler_range_refused(self, tmp_path, p):
+        path = tmp_path / "chan.csv"
+        path.write_text(f"# p={p}\nedge,sign,h\n")
+        with pytest.raises(ValueError, match=rf"^flip probability {p} "
+                           r"outside \[1e-06, 0.5\]$"):
+            read_channel_csv(path)
+
+    @pytest.mark.parametrize("row, message", [
+        ("1,3,nan", "edge 1 has sign 3, expected 1 or -1"),
+        ("1,0,0.0", "edge 1 has sign 0, expected 1 or -1"),
+        ("1,1,-1.0986122886681098", "edge 1 has h=-1.0986122886681098, "
+         "expected 1.0986122886681098 at p=0.1"),
+        ("1,1,nan", "edge 1 has h=nan"),
+        ("1,-1,-1.0986122886681096", "edge 1 has h=-1.0986122886681096"),
+    ], ids=["sign-3", "sign-0", "h-wrong-sign", "h-nan", "h-last-bit"])
+    def test_row_must_match_p(self, tmp_path, row, message):
+        # edge 0 is as sample_bsc writes it at p = 0.1; edge 1 is not
+        path = tmp_path / "chan.csv"
+        path.write_text("# p=0.1\nedge,sign,h\n0,-1,-1.0986122886681098\n"
+                        f"{row}\n2,1,1.0986122886681098\n")
+        with pytest.raises(ValueError, match=re.escape(message)):
+            read_channel_csv(path)
 
     def test_no_header_row_rejected(self, tmp_path):
         path = tmp_path / "chan.csv"

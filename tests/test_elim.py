@@ -11,10 +11,10 @@ from loopexp._elim import contract, plan_elimination
 from loopexp._layout import Rows
 from loopexp.channel import sample_bsc
 from loopexp.exceptions import BudgetError
-from loopexp.graphs import sample_regular_graph
+from loopexp.graphs import CheckGraph, sample_regular_graph
 from loopexp.model import FactorSpec, exact_log_partition
 
-from conftest import single_variable_width, small_hosts
+from conftest import single_variable_width, small_hosts, tuples_of
 
 
 def brute_contract(graph, tables, maximize):
@@ -24,11 +24,12 @@ def brute_contract(graph, tables, maximize):
     maximised, over all edge assignments."""
     L = tables[0].shape[1]
     acc = max if maximize else (lambda u, v: u + v)
+    adjacency = tuples_of(graph).adjacency
     total = np.zeros(L)
     for x in itertools.product((0, 1), repeat=graph.num_edges):
         poly = np.zeros(L)
         poly[0] = 1.0
-        for a, adj in enumerate(graph.adjacency):
+        for a, adj in enumerate(adjacency):
             row = tables[a][sum(x[e] << k for k, e in enumerate(adj))]
             out = np.zeros(L)
             for i, j in itertools.product(range(L), repeat=2):
@@ -66,7 +67,7 @@ class TestContract:
                                                           k4):
         plan = plan_elimination(k4)
         monkeypatch.setattr(_layout, "MAX_ENTRIES", 2 << plan.width)
-        values = np.zeros((len(k4.adjacency) * 8, 3))
+        values = np.zeros((k4.n * 8, 3))
         values[:, 0] = 1.0
         tables = Rows(values, np.arange(0, 33, 8))
         with pytest.raises(BudgetError, match=rf"2\^{plan.width} x 3 would "
@@ -182,6 +183,15 @@ class TestPlan:
             g = sample_regular_graph(n, 3, seed)
             assert len(plan_elimination(g).steps) == n - 1
             assert plan_elimination(g).width == single_variable_width(g)
+            # the same host made irregular: node 0 isolated and every
+            # seventh edge dropped, so the scopes have 0 to 3 slots
+            ends = g.layout.ends
+            keep = (ends[:, 0] > 0) & (np.arange(len(ends)) % 7 > 0)
+            cut = CheckGraph.from_edges(n, ends[keep])
+            assert cut.layout.deg[0] == 0 and not cut.is_regular()
+            plan = plan_elimination(cut)
+            assert len(plan.steps) == n - len(cut.components())
+            assert plan.width == single_variable_width(cut)
 
     def test_plan_is_kept_with_the_graph(self, prism):
         assert prism.elimination_plan is prism.elimination_plan

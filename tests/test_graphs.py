@@ -23,10 +23,10 @@ from conftest import (assert_catalog_is, assert_wide_enough,
                       bfs_components, brute_polymers, esu_supports,
                       global_polymers, in_catalog_order, interleaved_hosts,
                       loop_criterion, mixed_host, near_short_cycles,
-                      neighbour_lists, node_masks, region_neighbourhoods,
+                      node_masks, region_neighbourhoods,
                       removal_walk_catalog, sampled_expansion,
                       set_sampler_edges, shortest_cycle_through, small_hosts,
-                      support_masks, tuple_graph)
+                      support_masks, tuple_graph, tuples_of)
 
 
 def edge_sets(catalog):
@@ -37,13 +37,14 @@ def edge_sets(catalog):
 class TestCheckGraph:
     def test_canonical_edge_order(self):
         g = CheckGraph(4, 3, [(3, 2), (1, 0), (2, 0), (3, 1), (2, 1), (0, 3)])
-        assert g.edges == ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
-        assert g.edge_index[(1, 3)] == 4
+        assert g.layout.ends.tolist() == [[0, 1], [0, 2], [0, 3], [1, 2],
+                                          [1, 3], [2, 3]]
 
     def test_adjacency_alignment(self, prism):
+        lay = prism.layout
         for a in range(prism.n):
-            for e, b in zip(prism.adjacency[a], prism.layout.nbr[a]):
-                assert tuple(sorted((a, b))) == prism.edges[e]
+            for e, b in zip(lay.eid[a, :lay.deg[a]], lay.nbr[a]):
+                assert sorted((a, b)) == lay.ends[e].tolist()
 
     def test_rejects_self_loop(self):
         with pytest.raises(ValueError):
@@ -104,26 +105,27 @@ class TestArrayGraph:
     def check(n, pairs):
         # nominal degree n - 1 covers every simple graph on n nodes
         try:
-            edges, adjacency, neighbors, edge_index = tuple_graph(n, pairs)
+            edges, adjacency, neighbors, _ = tuple_graph(n, pairs)
         except ValueError as err:
             for given_pairs in (pairs, np.array(pairs, dtype=np.int64)):
                 with pytest.raises(ValueError, match=re.escape(str(err))):
                     CheckGraph(n, n - 1, given_pairs)
             return
         for given_pairs in (pairs, np.array(pairs, dtype=np.int64)):
-            g = CheckGraph(n, n - 1, given_pairs)
-            assert g.edges == edges
-            assert g.adjacency == adjacency
-            assert g.edge_index == edge_index
-            lay = g.layout
+            lay = CheckGraph(n, n - 1, given_pairs).layout
+            assert lay.ends.shape == (len(edges), 2)
+            assert list(map(tuple, lay.ends.tolist())) == list(edges)
             for a in range(n):
+                k = len(adjacency[a])
+                assert lay.deg[a] == k
+                assert lay.eid[a, :k].tolist() == list(adjacency[a])
                 pad = [n] * (lay.dmax - len(neighbors[a]))
                 assert lay.nbr[a].tolist() == list(neighbors[a]) + pad
 
     @given(st.data())
     def test_small_hosts(self, data):
         g = data.draw(small_hosts())
-        pairs = data.draw(st.permutations(g.edges))
+        pairs = data.draw(st.permutations(tuples_of(g).edges))
         flips = data.draw(st.lists(st.booleans(), min_size=len(pairs),
                                    max_size=len(pairs)))
         self.check(g.n, [(v, u) if f else (u, v)
@@ -146,29 +148,30 @@ class TestArrayGraph:
         lx.activity_bound_violations(catalog, acts,
                                      h=lx.half_llr_magnitude(0.3))
         assert len(catalog) > 0
-        assert not {"edges", "adjacency", "edge_index"} & set(vars(g))
+        assert not any(hasattr(g, name)
+                       for name in ("edges", "adjacency", "edge_index"))
 
 
 class TestSampling:
     @pytest.mark.parametrize("n", [8, 20, 200])
     def test_matches_set_sampler(self, n):
         for seed in range(50):
-            assert (sample_regular_graph(n, 3, seed).edges
+            assert (tuples_of(sample_regular_graph(n, 3, seed)).edges
                     == set_sampler_edges(n, 3, seed))
 
     def test_seed_determinism(self):
         g1 = sample_regular_graph(10, 3, 42)
         g2 = sample_regular_graph(10, 3, 42)
         g3 = sample_regular_graph(10, 3, 43)
-        assert g1.edges == g2.edges
-        assert g1.edges != g3.edges
+        assert np.array_equal(g1.layout.ends, g2.layout.ends)
+        assert not np.array_equal(g1.layout.ends, g3.layout.ends)
 
     def test_output_is_simple_and_regular(self):
         for trial in range(20):
             for n, d in ((6, 3), (8, 3), (10, 4), (7, 2)):
                 g = sample_regular_graph(n, d, [trial, n, d])
                 assert g.is_regular()
-                assert len(set(g.edges)) == g.num_edges
+                assert len(set(tuples_of(g).edges)) == g.num_edges
 
     def test_rejects_odd_stub_total(self):
         with pytest.raises((ValueError, PairingError)):
@@ -196,7 +199,7 @@ class TestGraphIO:
         write_graph(prism, path)
         back = read_graph(path)
         assert back.n == prism.n and back.d == prism.d
-        assert back.edges == prism.edges
+        assert np.array_equal(back.layout.ends, prism.layout.ends)
 
     def test_read_rejects_irregular(self, tmp_path):
         path = tmp_path / "bad.txt"
@@ -415,7 +418,7 @@ class TestWideSlotMasks:
 def walk_ends(g, x, top):
     """End nodes of the non-backtracking walks of lengths 1..top from x
     that do not return to x, one per walk."""
-    nbrs = neighbour_lists(g)
+    nbrs = tuples_of(g).neighbors
     ends, walks = [], [(x, b) for b in nbrs[x]]
     for _ in range(top):
         ends += [b for _, b in walks]
@@ -439,8 +442,8 @@ class TestShortCycleSearch:
                                             (60, 3, 3), (40, 4, 4)])
     def test_sampled_hosts(self, n, d, seed):
         g = sample_regular_graph(n, d, seed)
-        nbrs = neighbour_lists(g)
-        through = [shortest_cycle_through(g, nbrs, x) for x in range(n)]
+        tg = tuples_of(g)
+        through = [shortest_cycle_through(tg, x) for x in range(n)]
         for cap in range(3, 9):
             assert _near_short_cycles(g.layout, cap).tolist() \
                 == near_short_cycles(g, cap, through)
@@ -460,8 +463,8 @@ class TestShortCycleSearch:
         # depth, rows of 3,069 to 12,285 walks in blocks of 21 to 5 sources
         cubic = sample_regular_graph(200, 3, 5)
         for g in (lollipop(), cubic):
-            nbrs = neighbour_lists(g)
-            through = [shortest_cycle_through(g, nbrs, x) for x in range(g.n)]
+            tg = tuples_of(g)
+            through = [shortest_cycle_through(tg, x) for x in range(g.n)]
             for cap in range(19, 25):
                 assert _near_short_cycles(g.layout, cap).tolist() \
                     == near_short_cycles(g, cap, through)

@@ -1,8 +1,10 @@
 """numpy is the package's only runtime dependency, a report does not load
-`numpy.ma`, `python -m loopexp` runs the command line, and every size
-refusal goes through the one budget rule of `_layout`."""
+`numpy.ma`, `python -m loopexp` runs the command line, every size
+refusal goes through the one budget rule of `_layout`, and every function
+the bench traces exists."""
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -93,3 +95,22 @@ def test_one_budget_rule():
                 reads.append((module, node.lineno))
     assert set(raises) == {("_layout", "check_budget")}
     assert reads == []
+
+
+def test_bench_trace_targets_resolve():
+    # the bench tracer records a target it cannot find as a missing layer
+    # instead of failing, so a renamed function would zero its metrics
+    path = ROOT / "bench" / "run.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    (targets,) = [node.value for node in tree.body
+                  if isinstance(node, ast.Assign)
+                  and [_name(t) for t in node.targets] == ["TARGETS"]]
+    pairs = [(row.elts[0].value, row.elts[1].value) for row in targets.elts]
+    assert pairs
+    for module, qualname in pairs:
+        owner = importlib.import_module(f"loopexp.{module}")
+        *outer, attr = qualname.split(".")
+        for name in outer:
+            owner = getattr(owner, name)
+        # the tracer patches the name where it is defined, as vars() sees it
+        assert callable(vars(owner).get(attr)), (module, qualname)

@@ -20,7 +20,8 @@ from loopexp.model import (KINDS, FactorSpec, _tilted_tables,
 
 from conftest import (arbitrary_messages, brute_log_z,
                       brute_log_z_log_domain, factor_specs, factor_value,
-                      incoming, mixed_host, small_hosts)
+                      incoming, mixed_host, node_factor, small_hosts,
+                      tuples_of)
 
 
 class TestFactorSpec:
@@ -155,6 +156,8 @@ class TestLogFactorBlocks:
         eta = data.draw(st.none() | arbitrary_messages(g))
         entries = data.draw(st.integers(8, 64))
         seen = []
+        tg = tuples_of(g)
+        t = spec.parity_couplings(g)
         with mock.patch.object(loopexp.model, "BLOCK_ENTRIES", entries):
             blocks = list(_tilted_tables(g, spec, eta))
         for d, nodes, top, W in blocks:
@@ -166,13 +169,14 @@ class TestLogFactorBlocks:
             with np.errstate(divide="ignore"):
                 L = top + np.log(W)
             for a, row in zip(nodes, L.T):
-                eids = g.adjacency[a]
+                eids = tg.adjacency[a]
                 assert len(eids) == d
-                w = [0.0 if eta is None else incoming(g, eta, a, e)
+                w = [0.0 if eta is None else incoming(tg, eta, a, e)
                      for e in eids]
+                fields = [spec.h[e] for e in eids]
                 for s, got in enumerate(row):
                     local = [-1.0 if s >> k & 1 else 1.0 for k in range(d)]
-                    want = factor_value(spec, g, a, local) * math.exp(
+                    want = node_factor(t[a], fields, local) * math.exp(
                         np.dot(local, w))
                     if want == 0.0:
                         assert got == -math.inf
