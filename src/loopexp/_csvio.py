@@ -31,7 +31,8 @@ def write_csv(path, meta: dict, header: list[str], rows) -> None:
 def read_csv(path, header: list[str]) -> tuple[dict, list[list[str]]]:
     """``(meta, rows)`` of a file, metadata values as text.  Blank lines are
     skipped and every ``#`` line, before or after the header, is metadata.
-    Raises ValueError unless the first row is ``header``."""
+    Raises ValueError, naming ``path``, unless the first row is ``header``
+    and every later row has one field per column."""
     meta, lines = {}, []
     with open(path) as fh:
         for line in map(str.strip, fh):
@@ -45,4 +46,28 @@ def read_csv(path, header: list[str]) -> tuple[dict, list[list[str]]]:
         raise ValueError(f"{path}: unexpected header "
                          f"{rows[0] if rows else None}, expected header "
                          f"{','.join(header)}")
+    for row in rows[1:]:
+        if len(row) != len(header):
+            raise ValueError(f"{path}: row {','.join(row)!r} has {len(row)} "
+                             f"fields, expected {len(header)} "
+                             f"({','.join(header)})")
     return meta, rows[1:]
+
+
+def parse(path, name: str, text: str, kind, row=None, ok=None,
+          expected: str = ""):
+    """``kind(text)`` (``int`` or ``float``) for the field ``name`` of the
+    data row ``row`` or, when ``row`` is None, the metadata value ``name``.
+    ValueError, naming ``path``, the row and the field, when ``text`` does
+    not convert or ``ok`` refuses the value; the message says the field is
+    not ``expected`` (by default an integer or a number, after ``kind``)."""
+    try:
+        value = kind(text)
+    except ValueError:
+        pass
+    else:
+        if ok is None or ok(value):
+            return value
+    where = "" if row is None else f"row {','.join(row)!r}: "
+    expected = expected or ("an integer" if kind is int else "a number")
+    raise ValueError(f"{path}: {where}{name}={text!r} is not {expected}")

@@ -112,9 +112,11 @@ class Rows:
         return (self[i] for i in range(len(self)))
 
 
-def component_roots(u: np.ndarray, v: np.ndarray, size: int) -> np.ndarray:
-    """Each of ``size`` items' least linked item, the root of its connected
-    component under the links (u[i], v[i]).
+def components(u: np.ndarray, v: np.ndarray,
+               size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The connected components of ``size`` items under the links (u[i],
+    v[i]): each item's component, numbered by its least item; the items
+    ordered by component, then index; and each component's size.
 
     Hooks the larger of two linked roots under the smaller and follows
     pointers until no link joins two roots.
@@ -123,10 +125,12 @@ def component_roots(u: np.ndarray, v: np.ndarray, size: int) -> np.ndarray:
     while True:
         lu, lv = label[u], label[v]
         if not (lu != lv).any():
-            return label
+            break
         np.minimum.at(label, np.maximum(lu, lv), np.minimum(lu, lv))
         while ((up := label[label]) != label).any():
             label = up
+    comp = (np.cumsum(label == np.arange(size)) - 1)[label]
+    return comp, np.argsort(comp, kind="stable"), np.bincount(comp)
 
 
 def consecutive(nodes: np.ndarray) -> bool:

@@ -38,7 +38,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from ._csvio import read_csv, write_csv
+from ._csvio import parse, read_csv, write_csv
 from .exceptions import DivergenceError
 from .graphs import CheckGraph
 from .model import FactorSpec, _bind, _edge_messages, _tilted_tables
@@ -350,15 +350,19 @@ def write_messages_csv(graph: CheckGraph, messages: MessageSet, path) -> None:
 def read_messages_csv(graph: CheckGraph, path) -> MessageSet:
     """The messages written by :func:`write_messages_csv`, rows in any
     order; every value, NaN and +-inf included, reads back as written.
-    Raises ValueError without the header, or for an edge not in ``graph``
-    or a directed edge repeated or missing."""
+    Raises ValueError without the header, for a row of other than three
+    fields, an end that is not an integer or an eta that is not a number,
+    an edge not in ``graph`` or a directed edge repeated or missing, and
+    for metadata other than a nonnegative integer ``sweeps``, a
+    ``residual`` >= 0 (inf included) and flags 0 or 1."""
     meta, rows = read_csv(path, ["a", "b", "eta"])
     n, ends = graph.n, graph.layout.ends
     keys = (ends[:, 0] * n + ends[:, 1]).tolist()    # sorted, as ends are
     eta = np.zeros((len(keys), 2))
     read = np.zeros((len(keys), 2), dtype=bool)
     for row in rows:
-        a, b = int(row[0]), int(row[1])
+        a = parse(path, "a", row[0], int, row)
+        b = parse(path, "b", row[1], int, row)
         u, v = min(a, b), max(a, b)
         e = bisect.bisect_left(keys, u * n + v)
         if not (0 <= u and v < n and e < len(keys) and keys[e] == u * n + v):
@@ -367,10 +371,16 @@ def read_messages_csv(graph: CheckGraph, path) -> MessageSet:
         if read[e, direction]:
             raise ValueError(f"{path}: directed edge {a}->{b} repeated")
         read[e, direction] = True
-        eta[e, direction] = float(row[2])
+        eta[e, direction] = parse(path, "eta", row[2], float, row)
     if not read.all():
         raise ValueError(f"{path}: missing directed edges")
-    return MessageSet(eta=eta, sweeps=int(float(meta.get("sweeps", 0))),
-                      residual=float(meta.get("residual", math.inf)),
-                      converged=bool(float(meta.get("converged", 0))),
-                      overflow=bool(float(meta.get("overflow", 0))))
+    sweeps = parse(path, "sweeps", meta.get("sweeps", "0"), int,
+                   ok=lambda k: k >= 0, expected="a nonnegative integer")
+    # a diverged solve writes residual=inf
+    residual = parse(path, "residual", meta.get("residual", "inf"), float,
+                     ok=lambda r: r >= 0, expected="a number >= 0 or inf")
+    converged, overflow = (
+        parse(path, key, meta.get(key, "0"), int, ok=lambda f: f in (0, 1),
+              expected="0 or 1") == 1 for key in ("converged", "overflow"))
+    return MessageSet(eta=eta, sweeps=sweeps, residual=residual,
+                      converged=converged, overflow=overflow)

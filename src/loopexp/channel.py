@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._csvio import read_csv, write_csv
+from ._csvio import parse, read_csv, write_csv
 from .graphs import CheckGraph
 
 __all__ = [
@@ -94,20 +94,23 @@ def write_channel_csv(real: ChannelRealization, path) -> None:
 def read_channel_csv(path) -> ChannelRealization:
     """The realization written by :func:`write_channel_csv`.  Raises
     ValueError without the header or ``# p=``, for a p that ``sample_bsc``
-    refuses, for edges out of order, and at the first edge whose sign is
-    not +-1 or whose h is not sign * |h(p)|, the value ``sample_bsc``
-    draws."""
+    refuses, a seed that is not an integer, a row of other than three
+    fields or with a field that is not a number (an edge index that is
+    not an integer), for edges out of order, and at the first edge whose
+    sign is not +-1 or whose h is not sign * |h(p)|, the value
+    ``sample_bsc`` draws."""
     meta, rows = read_csv(path, ["edge", "sign", "h"])
     if "p" not in meta:
         raise ValueError(f"{path}: missing '# p=' header")
-    p = float(meta["p"])
+    p = parse(path, "p", meta["p"], float)
     _check_flip_probability(p)
     magnitude = half_llr_magnitude(p)
     signs, h = [], []
     for idx, row in enumerate(rows):
-        if int(row[0]) != idx:
+        if parse(path, "edge", row[0], int, row) != idx:
             raise ValueError(f"{path}: edge indices out of order")
-        sign, value = float(row[1]), float(row[2])
+        sign = parse(path, "sign", row[1], float, row)
+        value = parse(path, "h", row[2], float, row)
         if sign not in (1.0, -1.0):
             raise ValueError(f"{path}: edge {idx} has sign {row[1]}, "
                              f"expected 1 or -1")
@@ -116,6 +119,6 @@ def read_channel_csv(path) -> ChannelRealization:
                              f"{sign * magnitude!r} at p={p!r}")
         signs.append(sign)
         h.append(value)
-    return ChannelRealization(
-        p=p, h=np.array(h), signs=np.array(signs),
-        seed=int(meta["seed"]) if "seed" in meta else None)
+    seed = parse(path, "seed", meta["seed"], int) if "seed" in meta else None
+    return ChannelRealization(p=p, h=np.array(h), signs=np.array(signs),
+                              seed=seed)

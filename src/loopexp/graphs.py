@@ -24,9 +24,8 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from ._elim import EliminationPlan, plan_elimination
-from ._layout import (BLOCK_ENTRIES, Layout, Rows, check_budget,
-                      component_roots, packed, runs, set_bits, word_bit,
-                      within_budget)
+from ._layout import (BLOCK_ENTRIES, Layout, Rows, check_budget, components,
+                      packed, runs, set_bits, word_bit, within_budget)
 from .exceptions import PairingError
 
 __all__ = [
@@ -126,11 +125,8 @@ class CheckGraph:
     def components(self) -> list[list[int]]:
         """Connected components as sorted node lists, in order of smallest node."""
         ends = self.layout.ends
-        root = component_roots(ends[:, 0], ends[:, 1], self.n)
-        # the stable sort keeps each component's nodes ascending
-        order = np.argsort(root, kind="stable")
-        cuts = np.flatnonzero(np.diff(root[order])) + 1
-        return [c.tolist() for c in np.split(order, cuts)]
+        _, order, size = components(ends[:, 0], ends[:, 1], self.n)
+        return [c.tolist() for c in np.split(order, np.cumsum(size)[:-1])]
 
     def __repr__(self) -> str:
         return f"CheckGraph(n={self.n}, d={self.d}, edges={self.num_edges})"

@@ -39,8 +39,8 @@ from typing import Optional
 import numpy as np
 
 from ._elim import contract
-from ._layout import (BLOCK_ENTRIES, Rows, check_budget, columns,
-                      component_roots, node_tables, runs, set_bits, word_bit)
+from ._layout import (BLOCK_ENTRIES, Rows, check_budget, columns, components,
+                      node_tables, runs, set_bits, word_bit)
 from .bp import MessageSet, bethe_log_partition
 from .exceptions import BudgetError
 from .graphs import CheckGraph, PolymerCatalog, enumerate_polymers
@@ -369,18 +369,14 @@ def _groups(nodes: np.ndarray,
     then index; and each group's size.
 
     Each support is linked to the least support on each of its nodes
-    (``component_roots``).
+    (``_layout.components``).
     """
     G = len(nodes)
     s, k = np.nonzero(nodes < n)
     a = nodes[s, k]
     least = np.full(n, G)
     np.minimum.at(least, a, s)
-    label = component_roots(s, least[a], G)
-    # a root is the least support of its group
-    gid = (np.cumsum(label == np.arange(G)) - 1)[label]
-    size = np.bincount(gid)
-    return gid, np.argsort(gid, kind="stable"), size
+    return components(s, least[a], G)
 
 
 def _below(x: np.ndarray, W: int) -> np.ndarray:

@@ -551,6 +551,66 @@ class TestMessageCSV:
         with pytest.raises(ValueError, match="missing directed edges$"):
             read_messages_csv(g, path)
 
+    def test_solver_states_round_trip(self, tmp_path, triangle, prism):
+        # converged, stopped at max_sweeps, clipped, and diverged (residual
+        # inf): the flags, sweeps and residual read back as written
+        path = tmp_path / "messages.csv"
+        cycle = FactorSpec.cycle_code(sample_bsc(prism, 0.45, 4).h)
+        clipped = FactorSpec.high_temperature(np.full(9, 70.0), 0.5)
+        solves = [(prism, solve_fixed_point(prism, cycle)),
+                  (prism, solve_fixed_point(prism, cycle, max_sweeps=2)),
+                  (prism, solve_fixed_point(prism, clipped, max_sweeps=20)),
+                  (triangle, solve_fixed_point(
+                      triangle, FactorSpec.cycle_code(np.full(3, 0.5))))]
+        states = [(m.converged, m.overflow, m.residual == math.inf)
+                  for _, m in solves]
+        assert states == [(True, False, False), (False, False, False),
+                          (False, True, False), (False, True, True)]
+        for g, msgs in solves:
+            write_messages_csv(g, msgs, path)
+            back = read_messages_csv(g, path)
+            assert back.eta.tobytes() == msgs.eta.tobytes()
+            assert (back.sweeps, back.residual, back.converged,
+                    back.overflow) == (msgs.sweeps, msgs.residual,
+                                       msgs.converged, msgs.overflow)
+
+    @pytest.mark.parametrize("row, message", [
+        ("0,1", "row '0,1' has 2 fields, expected 3 (a,b,eta)"),
+        ("0,1,0.0,9", "row '0,1,0.0,9' has 4 fields, expected 3 (a,b,eta)"),
+        ("0.5,1,0.0", "row '0.5,1,0.0': a='0.5' is not an integer"),
+        ("0,x,0.0", "row '0,x,0.0': b='x' is not an integer"),
+        ("1,0,", "row '1,0,': eta='' is not a number"),
+    ], ids=["short", "long", "a-float", "b-text", "eta-empty"])
+    def test_malformed_row_rejected(self, tmp_path, triangle, row, message):
+        # a bad row is a ValueError that names the file and the row, not
+        # an IndexError or a bare conversion error
+        path = tmp_path / "messages.csv"
+        path.write_text(f"a,b,eta\n{row}\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")
+                           + "$"):
+            read_messages_csv(triangle, path)
+
+    @pytest.mark.parametrize("line, message", [
+        ("converged=nan", "converged='nan' is not 0 or 1"),
+        ("overflow=2", "overflow='2' is not 0 or 1"),
+        ("sweeps=-2.7", "sweeps='-2.7' is not a nonnegative integer"),
+        ("sweeps=-2", "sweeps='-2' is not a nonnegative integer"),
+        ("sweeps=3.0", "sweeps='3.0' is not a nonnegative integer"),
+        ("residual=-1", "residual='-1' is not a number >= 0 or inf"),
+        ("residual=nan", "residual='nan' is not a number >= 0 or inf"),
+    ], ids=["converged-nan", "overflow-2", "sweeps-fraction",
+            "sweeps-negative", "sweeps-float", "residual-negative",
+            "residual-nan"])
+    def test_bad_metadata_rejected(self, tmp_path, triangle, line, message):
+        # a later metadata line overrides the one written
+        path = tmp_path / "messages.csv"
+        write_messages_csv(triangle, MessageSet.zeros(triangle), path)
+        with open(path, "a") as fh:
+            fh.write(f"# {line}\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")
+                           + "$"):
+            read_messages_csv(triangle, path)
+
     def test_no_header_row_rejected(self, tmp_path, k4):
         path = tmp_path / "messages.csv"
         path.write_text("# sweeps=3\n")

@@ -119,13 +119,34 @@ class TestChannelCSV:
          "expected 1.0986122886681098 at p=0.1"),
         ("1,1,nan", "edge 1 has h=nan"),
         ("1,-1,-1.0986122886681096", "edge 1 has h=-1.0986122886681096"),
-    ], ids=["sign-3", "sign-0", "h-wrong-sign", "h-nan", "h-last-bit"])
+        ("1,1", "chan.csv: row '1,1' has 2 fields, expected 3 (edge,sign,h)"),
+        ("1,1,1.0986122886681098,0", "chan.csv: row "
+         "'1,1,1.0986122886681098,0' has 4 fields, expected 3 (edge,sign,h)"),
+        ("1.0,1,1.0986122886681098", "chan.csv: row "
+         "'1.0,1,1.0986122886681098': edge='1.0' is not an integer"),
+        ("1,+,1.0986122886681098", "chan.csv: row "
+         "'1,+,1.0986122886681098': sign='+' is not a number"),
+        ("1,1,h", "chan.csv: row '1,1,h': h='h' is not a number"),
+    ], ids=["sign-3", "sign-0", "h-wrong-sign", "h-nan", "h-last-bit",
+            "short", "long", "edge-float", "sign-text", "h-text"])
     def test_row_must_match_p(self, tmp_path, row, message):
         # edge 0 is as sample_bsc writes it at p = 0.1; edge 1 is not
         path = tmp_path / "chan.csv"
         path.write_text("# p=0.1\nedge,sign,h\n0,-1,-1.0986122886681098\n"
                         f"{row}\n2,1,1.0986122886681098\n")
         with pytest.raises(ValueError, match=re.escape(message)):
+            read_channel_csv(path)
+
+    @pytest.mark.parametrize("meta, message", [
+        ("p=x\n", "p='x' is not a number"),
+        ("p=0.1\n# seed=x\n", "seed='x' is not an integer"),
+        ("p=0.1\n# seed=1.5\n", "seed='1.5' is not an integer"),
+    ], ids=["p-text", "seed-text", "seed-fraction"])
+    def test_metadata_must_parse(self, tmp_path, meta, message):
+        path = tmp_path / "chan.csv"
+        path.write_text(f"# {meta}edge,sign,h\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")
+                           + "$"):
             read_channel_csv(path)
 
     def test_no_header_row_rejected(self, tmp_path):

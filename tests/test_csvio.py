@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import struct
 
 import pytest
@@ -54,6 +55,20 @@ class TestHeader:
                            match=r"unexpected header \['a', 'b'\], "
                                  r"expected header a,b,eta"):
             read_csv(path, ["a", "b", "eta"])
+
+
+    @pytest.mark.parametrize("row, fields", [("1", 1), ("1,2,3", 3),
+                                             ("1,2,", 3)],
+                             ids=["short", "long", "trailing-comma"])
+    def test_row_of_another_length(self, tmp_path, row, fields):
+        # checked once here for every reader: a short row would raise an
+        # IndexError in the reader, a long one would be read in part
+        path = tmp_path / "rows.csv"
+        path.write_text(f"a,b\n1,2\n{row}\n")
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: row '{row}' has {fields} fields, expected 2 (a,b)")
+                + "$"):
+            read_csv(path, ["a", "b"])
 
 
 def test_exponent_scan_config_is_json(tmp_path):

@@ -481,18 +481,24 @@ class TestShortCycleSearch:
 
     def test_budget_refuses_before_allocating(self, monkeypatch):
         # one source of wheel(64) at cap 9 would hold 64 * (1 + 63 + ...
-        # + 63^4) walks, about 2^30
-        g = wheel(64)
-        tracemalloc.start()
-        try:
-            with pytest.raises(BudgetError, match="short-cycle search for "
-                               "node cap 9 would need 1,024,450,624 walks, "
-                               "over the cap of 16,777,216$"):
-                enumerate_polymers(g, 9)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 1 << 20
+        # + 63^4) walks, about 2^30, and one of a cubic host at cap 45
+        # 3 * (1 + 2 + ... + 2^22).  Both rows are wider than their hosts,
+        # but a row over the budget is refused, not taken as the whole
+        # host: a whole-host catalog of the cubic host at cap 45 starts a
+        # support walk over 1,000 nodes that was still running after 90 s
+        for g, cap, walks in [(wheel(64), 9, "1,024,450,624"),
+                              (sample_regular_graph(1000, 3, 1), 45,
+                               "25,165,821")]:
+            tracemalloc.start()
+            try:
+                with pytest.raises(BudgetError, match=f"short-cycle search "
+                                   f"for node cap {cap} would need {walks} "
+                                   f"walks, over the cap of 16,777,216$"):
+                    enumerate_polymers(g, cap)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 1 << 20
         # a cubic host at cap 8 holds 3 + 6 + 12 + 24 walks per source
         cubic = sample_regular_graph(100, 3, 1)
         monkeypatch.setattr(_layout, "MAX_ENTRIES", 45)

@@ -1,7 +1,8 @@
 """numpy is the package's only runtime dependency, a report does not load
 `numpy.ma`, `python -m loopexp` runs the command line, every size
-refusal goes through the one budget rule of `_layout`, and every function
-the bench traces exists."""
+refusal goes through the one budget rule of `_layout`, only `_csvio`
+imports `csv`, only `model._bind` binds a spec to its host, and every
+function the bench traces exists."""
 
 import ast
 import importlib
@@ -70,31 +71,63 @@ def _name(node) -> str:
     return getattr(node, "id", None) or getattr(node, "attr", "")
 
 
-def test_one_budget_rule():
-    # only _layout.check_budget raises BudgetError, and only _layout reads
-    # MAX_ENTRIES: a layer refuses a size by asking that rule, so a module
-    # added later cannot grow a refusal, a cap or a message of its own
-    raises, reads = [], []
+def _package_nodes():
+    """``(module, function, node)`` for every node of the package's
+    modules, ``function`` the innermost function that holds the node (""
+    at module level)."""
     for path in sorted((ROOT / "src" / "loopexp").glob("*.py")):
-        module = path.stem
         tree = ast.parse(path.read_text(), filename=str(path))
-        # the function that holds each node ("" at module level)
         owner = {}
         for func in ast.walk(tree):
             if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 for node in ast.walk(func):
                     owner[node] = func.name    # innermost last
         for node in ast.walk(tree):
-            if isinstance(node, ast.Raise) and node.exc is not None:
-                exc = getattr(node.exc, "func", node.exc)
-                if _name(exc) == "BudgetError":
-                    raises.append((module, owner.get(node, "")))
-            names = ([a.name for a in node.names]
-                     if isinstance(node, ast.ImportFrom) else [_name(node)])
-            if "MAX_ENTRIES" in names and module != "_layout":
-                reads.append((module, node.lineno))
+            yield path.stem, owner.get(node, ""), node
+
+
+def test_one_budget_rule():
+    # only _layout.check_budget raises BudgetError, and only _layout reads
+    # MAX_ENTRIES: a layer refuses a size by asking that rule, so a module
+    # added later cannot grow a refusal, a cap or a message of its own
+    raises, reads = [], []
+    for module, func, node in _package_nodes():
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = getattr(node.exc, "func", node.exc)
+            if _name(exc) == "BudgetError":
+                raises.append((module, func))
+        names = ([a.name for a in node.names]
+                 if isinstance(node, ast.ImportFrom) else [_name(node)])
+        if "MAX_ENTRIES" in names and module != "_layout":
+            reads.append((module, node.lineno))
     assert set(raises) == {("_layout", "check_budget")}
     assert reads == []
+
+
+def test_one_csv_module():
+    # only _csvio imports csv: every CSV file the package writes or reads
+    # goes through its metadata, header and row rules
+    importers = set()
+    for module, _, node in _package_nodes():
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module]
+        else:
+            continue
+        if "csv" in names:
+            importers.add(module)
+    assert importers == {"_csvio"}
+
+
+def test_one_binding():
+    # only model._bind calls FactorSpec.parity_couplings, the check that a
+    # spec fits its host: BP and the node tables take the couplings and
+    # h/2 from that one binding
+    callers = {(module, func) for module, func, node in _package_nodes()
+               if isinstance(node, ast.Call)
+               and _name(node.func) == "parity_couplings"}
+    assert callers == {("model", "_bind")}
 
 
 def test_bench_trace_targets_resolve():
